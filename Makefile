@@ -4,7 +4,7 @@ GO ?= go
 # cross-goroutine shared state (rings, slab pools, the core datapath).
 RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway
 
-.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw chaos check
+.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke chaos check
 
 all: build
 
@@ -71,6 +71,11 @@ bench-notify:
 # BENCH_gateway.json. Override BENCHTIME for a CI smoke run.
 bench-gw:
 	$(GO) test -run '^$$' -bench 'BenchmarkGW_' -benchtime $(BENCHTIME) -benchmem -json . | tee BENCH_gateway.json
+
+# confbench (bench/, the gated benchmark BENCHMARK.json declares) in its
+# count-bounded mode: every workload once, every byte verified, no bounds.
+bench-smoke:
+	$(GO) run ./bench -smoke
 
 # Chaos-host fault injection: scripted fault scenarios plus seeded-random
 # storms, each asserting the recovery invariant (clean new epoch or

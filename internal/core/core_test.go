@@ -1,12 +1,15 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"confio/internal/observe"
 	"confio/internal/platform"
 	"confio/internal/tcb"
+	"confio/internal/workload"
 )
 
 func TestMetaCatalog(t *testing.T) {
@@ -339,5 +342,39 @@ func TestMultiQueueRejectsIncompatibleDesigns(t *testing.T) {
 	}
 	if _, err := NewWorldQueues(L2SafeRing, 0); err == nil {
 		t.Error("NewWorldQueues(_, 0) should fail")
+	}
+}
+
+// TestCloseCollectsServeGoroutines: closing a world whose client left a
+// connection open must still wake the server goroutine blocked reading
+// it — stopping the stacks aborts their connections — so nothing the
+// world started outlives Close.
+func TestCloseCollectsServeGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w, err := NewWorld(DualBoundary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := w.DialApp()
+	if err != nil {
+		w.Close()
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte{opEcho}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.EchoClient(conn, 1, 256); err != nil {
+		t.Fatal(err)
+	}
+	w.Close() // conn deliberately left open: serve is parked in Read
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the world, %d after Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -22,7 +22,7 @@ import (
 //
 //	dst[6] src[6] ethertype[2]=0x88B5 | nonce[12] | ct[padTo+16]
 type tunnelNIC struct {
-	inner nic.Guest
+	inner nic.BatchGuest
 	aead  cipher.AEAD
 	meter *platform.Meter
 	padTo int
@@ -45,7 +45,7 @@ func newTunnelNIC(inner nic.Guest, key []byte, meter *platform.Meter) (*tunnelNI
 	// Pad inner frames to the largest frame the inner MTU can produce,
 	// so every outer frame has identical size.
 	padTo := inner.MTU() + 14 + 2 // inner frame + length prefix
-	return &tunnelNIC{inner: inner, aead: aead, meter: meter, padTo: padTo}, nil
+	return &tunnelNIC{inner: nic.UpgradeGuest(inner), aead: aead, meter: meter, padTo: padTo}, nil
 }
 
 func (t *tunnelNIC) MAC() [6]byte { return t.inner.MAC() }
@@ -106,32 +106,25 @@ func (t *tunnelNIC) open(fr nic.Frame) (nic.Frame, error) {
 	return &nic.BufFrame{B: pt[2 : 2+n]}, nil
 }
 
+// Send implements nic.Guest: SendBatch of one.
 func (t *tunnelNIC) Send(frame []byte) error {
-	outer, err := t.seal(frame)
-	if err != nil {
-		return err
-	}
-	return t.inner.Send(outer)
+	_, err := t.SendBatch([][]byte{frame})
+	return err
 }
 
+// Recv implements nic.Guest: RecvBatch of one.
 func (t *tunnelNIC) Recv() (nic.Frame, error) {
-	fr, err := t.inner.Recv()
-	if err != nil {
-		return nil, err
+	var one [1]nic.Frame
+	n, err := t.RecvBatch(one[:])
+	if n == 0 && err == nil {
+		err = nic.ErrEmpty // dropped undecryptable frame
 	}
-	inner, err := t.open(fr)
-	if err != nil {
-		return nil, err
-	}
-	if inner == nil {
-		return nil, nic.ErrEmpty // dropped undecryptable frame
-	}
-	return inner, nil
+	return one[0], err
 }
 
 // SendBatch implements nic.BatchGuest: frames are sealed individually
 // (per-frame crypto is this design's stated cost) but flushed to the
-// transport as one batch when it supports batching.
+// transport as one batch.
 func (t *tunnelNIC) SendBatch(frames [][]byte) (int, error) {
 	outers := make([][]byte, len(frames))
 	for i, f := range frames {
@@ -141,39 +134,15 @@ func (t *tunnelNIC) SendBatch(frames [][]byte) (int, error) {
 		}
 		outers[i] = o
 	}
-	if bg, ok := t.inner.(nic.BatchGuest); ok {
-		return bg.SendBatch(outers)
-	}
-	for i, o := range outers {
-		if err := t.inner.Send(o); err != nil {
-			return i, err
-		}
-	}
-	return len(outers), nil
+	return t.inner.SendBatch(outers)
 }
 
 // RecvBatch implements nic.BatchGuest, decapsulating a burst dequeued
 // with one batched receive. Undecryptable frames are dropped from the
 // burst, so the returned count can be short of what the wire carried.
 func (t *tunnelNIC) RecvBatch(out []nic.Frame) (int, error) {
-	bg, ok := t.inner.(nic.BatchGuest)
-	if !ok {
-		n := 0
-		for n < len(out) {
-			fr, err := t.Recv()
-			if err != nil {
-				if n > 0 {
-					return n, nil
-				}
-				return 0, err
-			}
-			out[n] = fr
-			n++
-		}
-		return n, nil
-	}
 	raw := make([]nic.Frame, len(out))
-	n, err := bg.RecvBatch(raw)
+	n, err := t.inner.RecvBatch(raw)
 	m := 0
 	for i := 0; i < n; i++ {
 		inner, derr := t.open(raw[i])

@@ -26,10 +26,11 @@ import (
 
 // Stack is one host's network stack bound to a NIC.
 type Stack struct {
-	g  nic.Guest
-	bg nic.BatchGuest // non-nil when g batches (resolved once, not per send)
-	mq nic.MultiGuest // non-nil when g is multi-queue
-	ip ipv4.Addr
+	g nic.Guest
+	// queues is g as a set of batching queues, resolved once at
+	// construction: a single-queue transport is a one-queue device.
+	queues []nic.BatchGuest
+	ip     ipv4.Addr
 
 	TCP *tcp.Endpoint
 
@@ -83,6 +84,7 @@ const (
 func New(g nic.Guest, ip ipv4.Addr) *Stack {
 	s := &Stack{
 		g:        g,
+		queues:   nic.GuestQueues(g),
 		ip:       ip,
 		arpCache: arp.NewCache(0),
 		reasm:    ipv4.NewReassembler(0, 0),
@@ -90,8 +92,6 @@ func New(g nic.Guest, ip ipv4.Addr) *Stack {
 		arpWait:  make(map[ipv4.Addr][]pendingPkt),
 		stop:     make(chan struct{}),
 	}
-	s.bg, _ = g.(nic.BatchGuest)
-	s.mq, _ = g.(nic.MultiGuest)
 	s.TCP = tcp.NewEndpoint(ip, g.MTU(), func(dst ipv4.Addr, seg []byte) {
 		s.sendIP(dst, ipv4.ProtoTCP, seg)
 	}, nil)
@@ -148,7 +148,9 @@ func (s *Stack) Start() {
 }
 
 // Close stops the stack's loop. Open connections are not torn down
-// gracefully (the TEE is being shut off).
+// gracefully (the TEE is being shut off), but nothing will ever feed them
+// again, so their blocked readers, writers and accepts are woken with
+// tcp.ErrClosed instead of being left to leak.
 func (s *Stack) Close() {
 	select {
 	case <-s.stop:
@@ -156,6 +158,7 @@ func (s *Stack) Close() {
 		close(s.stop)
 	}
 	s.wg.Wait()
+	s.TCP.AbortAll(tcp.ErrClosed)
 }
 
 // rxBurst bounds the frames drained from the NIC per loop iteration.
@@ -163,11 +166,7 @@ const rxBurst = 64
 
 func (s *Stack) loop() {
 	defer s.wg.Done()
-	bg := s.bg
-	var burst []nic.Frame
-	if bg != nil {
-		burst = make([]nic.Frame, rxBurst)
-	}
+	burst := make([]nic.Frame, rxBurst)
 	lastTick := time.Now()
 	idle := 0
 	for {
@@ -177,57 +176,25 @@ func (s *Stack) loop() {
 		default:
 		}
 		worked := false
-		if s.mq != nil {
-			// Multi-queue receive drains every queue each iteration: each
-			// queue gets its own batched dequeue (own index validation,
-			// own consumer publication), and no queue can starve another.
-			// One terminal queue error means the whole device fail-deaded
-			// (fate is shared through the transport latch): degrade and
-			// exit rather than spin on a dead device.
-			for q := 0; q < s.mq.NumQueues(); q++ {
-				n, err := s.mq.Queue(q).RecvBatch(burst)
-				for i := 0; i < n; i++ {
-					s.handleFrame(burst[i].Bytes())
-					burst[i].Release()
-					burst[i] = nil
-				}
-				if n > 0 {
-					worked = true
-				}
-				if err != nil && errors.Is(err, nic.ErrClosed) {
-					s.degrade(err)
-					return
-				}
-			}
-		} else if bg != nil {
-			// One batched dequeue: the transport validates the peer index
-			// once and publishes the consumer index once for the burst.
-			n, err := bg.RecvBatch(burst)
+		// Drain every queue each iteration: each gets its own batched
+		// dequeue (own index validation, own consumer publication), and
+		// no queue can starve another. One terminal queue error means
+		// the whole device fail-deaded (fate is shared through the
+		// transport latch): degrade and exit rather than spin on a dead
+		// device.
+		for _, q := range s.queues {
+			n, err := q.RecvBatch(burst)
 			for i := 0; i < n; i++ {
 				s.handleFrame(burst[i].Bytes())
 				burst[i].Release()
 				burst[i] = nil
 			}
-			if n > 0 && err == nil {
+			if n > 0 {
 				worked = true
 			}
 			if err != nil && errors.Is(err, nic.ErrClosed) {
 				s.degrade(err)
 				return
-			}
-		} else {
-			for i := 0; i < rxBurst; i++ {
-				fr, err := s.g.Recv()
-				if err != nil {
-					if errors.Is(err, nic.ErrClosed) {
-						s.degrade(err)
-						return
-					}
-					break
-				}
-				s.handleFrame(fr.Bytes())
-				fr.Release()
-				worked = true
 			}
 		}
 		if now := time.Now(); now.Sub(lastTick) >= time.Millisecond {
@@ -397,10 +364,9 @@ func (s *Stack) sendFrame(dst ether.MAC, typ uint16, payload []byte) {
 	s.sendFrames(dst, typ, [][]byte{payload})
 }
 
-// sendFrames marshals and transmits a burst of Ethernet frames, using the
-// transport's batched enqueue when available, retrying briefly on
-// backpressure and dropping the remainder on persistent failure (upper
-// layers recover).
+// sendFrames marshals and transmits a burst of Ethernet frames with one
+// batched enqueue, retrying briefly on backpressure and dropping the
+// remainder on persistent failure (upper layers recover).
 func (s *Stack) sendFrames(dst ether.MAC, typ uint16, payloads [][]byte) {
 	if len(payloads) == 0 {
 		return
@@ -420,43 +386,26 @@ func (s *Stack) sendFrames(dst ether.MAC, typ uint16, payloads [][]byte) {
 	for i, p := range payloads {
 		frames[i] = ether.Marshal(nil, ether.Frame{Dst: dst, Src: src, Type: typ, Payload: p})
 	}
-	bg := s.bg
-	if s.mq != nil {
-		// Pin the flow to one queue, chosen from the stack's own frame
-		// bytes (never a host-supplied queue id). One sendFrames burst is
-		// one flow — at most the fragments of a single datagram, which
-		// FlowHash steers identically — so steering the burst by its
-		// first frame keeps per-flow frame order while different flows
-		// spread across queues and scale.
-		bg = s.mq.Queue(nic.QueueFor(frames[0], s.mq.NumQueues()))
-	}
+	// Pin the flow to one queue, chosen from the stack's own frame bytes
+	// (never a host-supplied queue id). One sendFrames burst is one flow —
+	// at most the fragments of a single datagram, which FlowHash steers
+	// identically — so steering the burst by its first frame keeps
+	// per-flow frame order while different flows spread across queues and
+	// scale.
+	q := s.queues[nic.QueueFor(frames[0], len(s.queues))]
 	sent := 0
 	var fatal error
 	for i := 0; i < sendRetries && sent < len(frames); i++ {
-		if bg != nil {
-			n, err := bg.SendBatch(frames[sent:])
-			sent += n
-			if err == nil || n > 0 {
-				continue // progress: flush the remainder immediately
+		n, err := q.SendBatch(frames[sent:])
+		sent += n
+		if err == nil || n > 0 {
+			continue // progress: flush the remainder immediately
+		}
+		if !errors.Is(err, nic.ErrFull) {
+			if errors.Is(err, nic.ErrClosed) {
+				fatal = err
 			}
-			if !errors.Is(err, nic.ErrFull) {
-				if errors.Is(err, nic.ErrClosed) {
-					fatal = err
-				}
-				break
-			}
-		} else {
-			err := s.g.Send(frames[sent])
-			if err == nil {
-				sent++
-				continue
-			}
-			if !errors.Is(err, nic.ErrFull) {
-				if errors.Is(err, nic.ErrClosed) {
-					fatal = err
-				}
-				break
-			}
+			break
 		}
 		time.Sleep(10 * time.Microsecond)
 	}

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"confio/internal/simnet"
 )
@@ -29,15 +28,6 @@ type MultiGuest interface {
 	NumQueues() int
 	// Queue returns queue i's guest view.
 	Queue(i int) BatchGuest
-}
-
-// MultiHost mirrors MultiGuest on the device side.
-type MultiHost interface {
-	BatchHost
-	// NumQueues returns the fixed queue count.
-	NumQueues() int
-	// QueueHost returns queue i's backend view.
-	QueueHost(i int) BatchHost
 }
 
 // GuestMux aggregates per-queue guests into one MultiGuest.
@@ -87,21 +77,11 @@ func (m *GuestMux) SendBatch(frames [][]byte) (int, error) {
 	return m.queues[QueueFor(frames[0], len(m.queues))].SendBatch(frames)
 }
 
-// Recv implements nic.Guest: one non-blocking try per queue, starting
-// from a rotating cursor so no queue starves.
+// Recv implements nic.Guest: RecvBatch of one.
 func (m *GuestMux) Recv() (Frame, error) {
-	start := int(m.cursor.Add(1))
-	for i := range m.queues {
-		q := m.queues[(start+i)%len(m.queues)]
-		f, err := q.Recv()
-		if err == nil {
-			return f, nil
-		}
-		if !errors.Is(err, ErrEmpty) {
-			return nil, err
-		}
-	}
-	return nil, ErrEmpty
+	var one [1]Frame
+	_, err := m.RecvBatch(one[:])
+	return one[0], err
 }
 
 // RecvBatch implements nic.BatchGuest: it drains every queue in turn
@@ -129,98 +109,6 @@ func (m *GuestMux) RecvBatch(out []Frame) (int, error) {
 		return 0, ErrEmpty
 	}
 	return filled, nil
-}
-
-// HostMux aggregates per-queue backends into one MultiHost. Pop drains
-// queues fairly; Push steers inbound frames with the same FlowHash the
-// guest uses (the host model computes it over frame bytes it received
-// from the wire — it is a performance choice by an honest device, never
-// a queue id the guest consumes on trust: guest-side RX demux stays
-// positional).
-type HostMux struct {
-	queues []BatchHost
-	cursor atomic.Uint32
-}
-
-// NewHostMux builds a MultiHost over per-queue backends (at least one).
-func NewHostMux(queues []BatchHost) *HostMux {
-	if len(queues) == 0 {
-		panic("nic: HostMux needs at least one queue")
-	}
-	return &HostMux{queues: queues}
-}
-
-// NumQueues implements MultiHost.
-func (m *HostMux) NumQueues() int { return len(m.queues) }
-
-// QueueHost implements MultiHost.
-func (m *HostMux) QueueHost(i int) BatchHost { return m.queues[i] }
-
-// FrameCap implements nic.Host.
-func (m *HostMux) FrameCap() int { return m.queues[0].FrameCap() }
-
-// Pop implements nic.Host: one non-blocking try per queue from a
-// rotating cursor.
-func (m *HostMux) Pop(buf []byte) (int, error) {
-	start := int(m.cursor.Add(1))
-	for i := range m.queues {
-		q := m.queues[(start+i)%len(m.queues)]
-		n, err := q.Pop(buf)
-		if err == nil {
-			return n, nil
-		}
-		if !errors.Is(err, ErrEmpty) {
-			return 0, err
-		}
-	}
-	return 0, ErrEmpty
-}
-
-// PopBatch implements nic.BatchHost across all queues.
-func (m *HostMux) PopBatch(bufs [][]byte, lens []int) (int, error) {
-	if len(bufs) == 0 {
-		return 0, nil
-	}
-	start := int(m.cursor.Add(1))
-	filled := 0
-	for i := range m.queues {
-		q := m.queues[(start+i)%len(m.queues)]
-		n, err := q.PopBatch(bufs[filled:], lens[filled:])
-		filled += n
-		if err != nil && !errors.Is(err, ErrEmpty) {
-			return filled, err
-		}
-		if filled == len(bufs) {
-			return filled, nil
-		}
-	}
-	if filled == 0 {
-		return 0, ErrEmpty
-	}
-	return filled, nil
-}
-
-// Push implements nic.Host: the frame steers to its flow's queue.
-func (m *HostMux) Push(frame []byte) error {
-	return m.queues[QueueFor(frame, len(m.queues))].Push(frame)
-}
-
-// PushBatch implements nic.BatchHost. Unlike the guest's transmit path,
-// an inbound burst genuinely mixes flows, so frames are pushed one at a
-// time through per-flow steering; ErrFull on a queue ends the burst
-// short (a drop, which is the device's prerogative).
-func (m *HostMux) PushBatch(frames [][]byte) (int, error) {
-	n := 0
-	for _, f := range frames {
-		if err := m.Push(f); err != nil {
-			if n == 0 {
-				return 0, err
-			}
-			return n, nil
-		}
-		n++
-	}
-	return n, nil
 }
 
 // MultiPump shuttles frames between an N-queue device backend and a
@@ -271,7 +159,6 @@ func StartMultiPumpCfg(hosts []BatchHost, port *simnet.Port, cfg PumpConfig) *Mu
 	if len(hosts) == 0 {
 		panic("nic: StartMultiPump needs at least one queue")
 	}
-	cfg = cfg.withDefaults()
 	p := &MultiPump{
 		stop:  make(chan struct{}),
 		perTx: make([]atomic.Uint64, len(hosts)),
@@ -285,12 +172,12 @@ func StartMultiPumpCfg(hosts []BatchHost, port *simnet.Port, cfg PumpConfig) *Mu
 	for i, h := range hosts {
 		p.wg.Add(2)
 		p.running.Add(2)
-		go p.runTX(i, h, port, cfg)
+		go p.runTX(i, h, port, newLadder(h, cfg, p.stop))
 		go p.runRXWorker(i, h, chans[i])
 	}
 	p.wg.Add(1)
 	p.running.Add(1)
-	go p.runRX(hosts, port, cfg, chans)
+	go p.runRX(len(hosts), port, newLadder(nil, cfg, p.stop), chans)
 	return p
 }
 
@@ -307,74 +194,30 @@ func (p *MultiPump) markDead(q int) {
 	}
 }
 
-// runTX drains one queue's transmit ring onto the wire, with the
-// spin-arm-sleep idle ladder on notify-capable backends.
-func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port, cfg PumpConfig) {
+// runTX drains one queue's transmit ring onto the wire, idling on the
+// shared ladder.
+func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port, idle *ladder) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
-	nh, _ := h.(NotifyHost)
-	bufs := make([][]byte, pumpBurst)
-	for i := range bufs {
-		bufs[i] = make([]byte, h.FrameCap())
-	}
-	lens := make([]int, pumpBurst)
-	idle := 0
-	armed := false
+	tx := newTxBurst(h.FrameCap())
 	for {
 		select {
 		case <-p.stop:
 			return
 		default:
 		}
-		n, err := h.PopBatch(bufs, lens)
-		if err != nil && !errors.Is(err, ErrEmpty) {
+		popped, sent, err := tx.drain(h, port)
+		if err != nil {
 			p.markDead(q)
 			return // queue (or whole device) is dead; nothing to pump
 		}
-		if n == 0 {
-			idle++
-			if idle <= cfg.SpinIdle {
-				continue
-			}
-			if nh != nil && !armed {
-				if nh.ArmNotify() {
-					continue // work raced in while arming: poll again
-				}
-				armed = true
-			}
-			d := cfg.backoff(idle - cfg.SpinIdle - 1)
-			var bell <-chan struct{}
-			if nh != nil {
-				bell = nh.NotifyChan()
-			}
-			if bell == nil {
-				time.Sleep(d)
-				continue
-			}
-			// Bounded even with a bell armed: the guest decides when
-			// bells ring, never whether this goroutine can be collected.
-			t := time.NewTimer(d)
-			select {
-			case <-p.stop:
-				t.Stop()
+		if popped == 0 {
+			if !idle.wait() {
 				return
-			case <-bell:
-			case <-t.C:
 			}
-			t.Stop()
 			continue
 		}
-		if armed {
-			nh.SuppressNotify()
-			armed = false
-		}
-		idle = 0
-		sent := uint64(0)
-		for i := 0; i < n; i++ {
-			if serr := port.Send(bufs[i][:lens[i]]); serr == nil {
-				sent++
-			}
-		}
+		idle.worked()
 		p.txFrames.Add(sent)
 		p.perTx[q].Add(sent)
 	}
@@ -386,7 +229,7 @@ func (p *MultiPump) runTX(q int, h BatchHost, port *simnet.Port, cfg PumpConfig)
 // non-blocking send — a backlogged or dead queue drops its own frames
 // and never stalls steering (or, transitively, any other queue). On
 // exit it closes every channel, which collects the delivery workers.
-func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, cfg PumpConfig, chans []chan []byte) {
+func (p *MultiPump) runRX(queues int, port *simnet.Port, idle *ladder, chans []chan []byte) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
 	defer func() {
@@ -394,14 +237,13 @@ func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, cfg PumpConfig, 
 			close(ch)
 		}
 	}()
-	idle := 0
 	for {
 		select {
 		case <-p.stop:
 			return
 		default:
 		}
-		if int(p.nDead.Load()) == len(hosts) {
+		if int(p.nDead.Load()) == queues {
 			return // whole device dead: every TX goroutine saw ErrClosed
 		}
 		got := 0
@@ -411,7 +253,7 @@ func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, cfg PumpConfig, 
 				break
 			}
 			got++
-			q := QueueFor(f, len(hosts))
+			q := QueueFor(f, queues)
 			if p.deadQ[q].Load() {
 				continue // frames for a dead queue are drops
 			}
@@ -420,16 +262,13 @@ func (p *MultiPump) runRX(hosts []BatchHost, port *simnet.Port, cfg PumpConfig, 
 			default: // queue backlogged: drop, don't head-of-line block
 			}
 		}
-		if got == 0 {
-			idle++
-			if idle > cfg.SpinIdle {
-				// The wire has no wake channel: a bounded sleep is the
-				// only idle option on the steering side.
-				time.Sleep(cfg.backoff(idle - cfg.SpinIdle - 1))
-			}
-			continue
+		if got > 0 {
+			idle.worked()
+		} else {
+			// The wire has no wake channel: the ladder's bounded sleep
+			// is the only idle option on the steering side.
+			idle.wait()
 		}
-		idle = 0
 	}
 }
 
@@ -465,35 +304,16 @@ func (p *MultiPump) runRXWorker(q int, h BatchHost, ch chan []byte) {
 				break drain
 			}
 		}
-		n := p.deliverQueue(q, h, burst)
+		n, err := pushRetry(h, burst)
 		p.rxFrames.Add(uint64(n))
 		p.perRx[q].Add(uint64(n))
+		if errors.Is(err, ErrClosed) {
+			p.markDead(q) // steering stops feeding a dead queue
+		}
 		if p.deadQ[q].Load() {
-			return // queue died mid-delivery: steering stops feeding it
+			return
 		}
 	}
-}
-
-// deliverQueue pushes one queue's share of an inbound burst, retrying
-// briefly on transient backpressure then dropping the remainder. A
-// terminal error marks the queue dead so the dispatcher stops feeding it.
-func (p *MultiPump) deliverQueue(q int, h BatchHost, frames [][]byte) int {
-	sent := 0
-	for attempt := 0; attempt < 100 && sent < len(frames); attempt++ {
-		n, err := h.PushBatch(frames[sent:])
-		sent += n
-		if err == nil || n > 0 {
-			continue
-		}
-		if !errors.Is(err, ErrFull) {
-			if errors.Is(err, ErrClosed) {
-				p.markDead(q)
-			}
-			break
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-	return sent
 }
 
 // Counts returns total frames pumped across all queues.

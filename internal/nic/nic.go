@@ -90,6 +90,84 @@ type BatchHost interface {
 	PushBatch(frames [][]byte) (int, error)
 }
 
+// Batching is decided once, where a transport is handed to a pump or a
+// stack: UpgradeGuest and UpgradeHost return the transport itself when it
+// batches and a loop shim over the scalar calls when it does not (the
+// virtio, netvsc and tdisp baselines), so every layer above moves bursts
+// through one path.
+
+// UpgradeGuest returns g's batch view.
+func UpgradeGuest(g Guest) BatchGuest {
+	if bg, ok := g.(BatchGuest); ok {
+		return bg
+	}
+	return scalarGuest{g}
+}
+
+// UpgradeHost returns h's batch view.
+func UpgradeHost(h Host) BatchHost {
+	if bh, ok := h.(BatchHost); ok {
+		return bh
+	}
+	return scalarHost{h}
+}
+
+// GuestQueues returns every queue of a MultiGuest, or g's batch view as
+// the only queue of a one-queue device.
+func GuestQueues(g Guest) []BatchGuest {
+	mq, ok := g.(MultiGuest)
+	if !ok {
+		return []BatchGuest{UpgradeGuest(g)}
+	}
+	qs := make([]BatchGuest, mq.NumQueues())
+	for i := range qs {
+		qs[i] = mq.Queue(i)
+	}
+	return qs
+}
+
+// burst runs step for each of n frames until one fails. Backpressure
+// (soft: ErrFull or ErrEmpty) after progress is a short count, not an
+// error; with no progress it is returned bare, and any other error comes
+// back alongside the frames already moved — the batch contract.
+func burst(n int, soft error, step func(i int) error) (int, error) {
+	for i := 0; i < n; i++ {
+		if err := step(i); err != nil {
+			if i > 0 && errors.Is(err, soft) {
+				return i, nil
+			}
+			return i, err
+		}
+	}
+	return n, nil
+}
+
+type scalarGuest struct{ Guest }
+
+func (s scalarGuest) SendBatch(frames [][]byte) (int, error) {
+	return burst(len(frames), ErrFull, func(i int) error { return s.Send(frames[i]) })
+}
+
+func (s scalarGuest) RecvBatch(out []Frame) (int, error) {
+	return burst(len(out), ErrEmpty, func(i int) (err error) {
+		out[i], err = s.Recv()
+		return err
+	})
+}
+
+type scalarHost struct{ Host }
+
+func (s scalarHost) PopBatch(bufs [][]byte, lens []int) (int, error) {
+	return burst(len(bufs), ErrEmpty, func(i int) (err error) {
+		lens[i], err = s.Pop(bufs[i])
+		return err
+	})
+}
+
+func (s scalarHost) PushBatch(frames [][]byte) (int, error) {
+	return burst(len(frames), ErrFull, func(i int) error { return s.Push(frames[i]) })
+}
+
 // NotifyHost is a Host whose transport supports event-idx notification
 // suppression: the backend can publish a wake threshold ("ring me only
 // when new transmit work crosses my consumer position") instead of
@@ -220,7 +298,7 @@ func StartPumpCfg(h Host, port *simnet.Port, cfg PumpConfig) *Pump {
 	p := &Pump{stop: make(chan struct{})}
 	p.wg.Add(1)
 	p.running.Add(1)
-	go p.run(h, port, cfg.withDefaults())
+	go p.run(UpgradeHost(h), port, newLadder(h, cfg, p.stop))
 	return p
 }
 
@@ -232,60 +310,137 @@ func (p *Pump) Running() int { return int(p.running.Load()) }
 // pumpBurst bounds the frames moved per direction per loop iteration.
 const pumpBurst = 64
 
-func (p *Pump) run(h Host, port *simnet.Port, cfg PumpConfig) {
+// ladder is one pump goroutine's idle state: spin the busy-poll budget,
+// then (on notify-capable transports) arm the wake threshold with the
+// lost-wakeup recheck, then sleep in bounded exponential steps. The bell
+// wait is always time-bounded: the wire side has no wake channel, and
+// the guest controls when bells ring, never whether this goroutine can
+// be collected — SleepMax is the worst-case latency either can add.
+type ladder struct {
+	cfg   PumpConfig
+	nh    NotifyHost // nil: no wake threshold to arm, sleep only
+	stop  <-chan struct{}
+	idle  int
+	armed bool
+}
+
+// newLadder builds the ladder for one goroutine polling h; a nil h (the
+// wire-side steering worker) has nothing to arm.
+func newLadder(h Host, cfg PumpConfig, stop <-chan struct{}) *ladder {
+	nh, _ := h.(NotifyHost)
+	return &ladder{cfg: cfg.withDefaults(), nh: nh, stop: stop}
+}
+
+// worked resets the ladder after a productive poll, withdrawing the wake
+// threshold while the pump is keeping up anyway.
+func (l *ladder) worked() {
+	if l.armed {
+		l.nh.SuppressNotify()
+		l.armed = false
+	}
+	l.idle = 0
+}
+
+// wait takes one idle step and reports false once the pump was stopped.
+func (l *ladder) wait() bool {
+	l.idle++
+	if l.idle <= l.cfg.SpinIdle {
+		return true
+	}
+	var bell <-chan struct{}
+	if l.nh != nil {
+		if !l.armed && l.nh.ArmNotify() {
+			return true // work raced in while arming: poll again
+		}
+		l.armed = true
+		bell = l.nh.NotifyChan()
+	}
+	d := l.cfg.backoff(l.idle - l.cfg.SpinIdle - 1)
+	if bell == nil {
+		time.Sleep(d)
+		return true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-l.stop:
+		return false
+	case <-bell:
+	case <-t.C:
+	}
+	return true
+}
+
+// txBurst is the buffer set one transmit drain reuses.
+type txBurst struct {
+	bufs [][]byte
+	lens []int
+}
+
+func newTxBurst(frameCap int) *txBurst {
+	b := &txBurst{bufs: make([][]byte, pumpBurst), lens: make([]int, pumpBurst)}
+	for i := range b.bufs {
+		b.bufs[i] = make([]byte, frameCap)
+	}
+	return b
+}
+
+// drain moves one burst of guest transmit frames onto the wire with one
+// batched pop, returning how many frames the backend handed over and how
+// many the wire took. A non-nil error is terminal (ErrClosed: the device
+// fail-deaded) and collects the calling pump — polling a dead device
+// forever would leak its goroutine until someone remembered to call Stop.
+func (b *txBurst) drain(h BatchHost, port *simnet.Port) (popped int, sent uint64, err error) {
+	n, err := h.PopBatch(b.bufs, b.lens)
+	if err != nil && !errors.Is(err, ErrEmpty) {
+		return 0, 0, err
+	}
+	for i := 0; i < n; i++ {
+		if port.Send(b.bufs[i][:b.lens[i]]) == nil {
+			sent++
+		}
+	}
+	return n, sent, nil
+}
+
+// pushRetry pushes a burst toward the guest, retrying briefly on
+// transient backpressure and then dropping the remainder (DoS is out of
+// scope, drops are the device's prerogative). It returns how many frames
+// the backend took and the terminal error that cut the burst short, if
+// any.
+func pushRetry(h BatchHost, frames [][]byte) (int, error) {
+	sent := 0
+	for attempt := 0; attempt < 100 && sent < len(frames); attempt++ {
+		n, err := h.PushBatch(frames[sent:])
+		sent += n
+		if err == nil || n > 0 {
+			continue // progress: try the remainder immediately
+		}
+		if !errors.Is(err, ErrFull) {
+			return sent, err
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	return sent, nil
+}
+
+func (p *Pump) run(h BatchHost, port *simnet.Port, idle *ladder) {
 	defer p.wg.Done()
 	defer p.running.Add(-1)
-	bh, _ := h.(BatchHost)
-	nh, _ := h.(NotifyHost)
-	var bufs [][]byte
-	var lens []int
-	if bh != nil {
-		bufs = make([][]byte, pumpBurst)
-		for i := range bufs {
-			bufs[i] = make([]byte, h.FrameCap())
-		}
-		lens = make([]int, pumpBurst)
-	}
-	buf := make([]byte, h.FrameCap())
+	tx := newTxBurst(h.FrameCap())
 	inbound := make([][]byte, 0, pumpBurst)
-	idle := 0
-	armed := false
 	for {
 		select {
 		case <-p.stop:
 			return
 		default:
 		}
-		worked := false
-
-		// Guest -> network: drain a burst of transmit frames with one
-		// batched pop when the backend supports it. A terminal backend
-		// error (ErrClosed: the device fail-deaded) collects the pump —
-		// polling a dead device forever would leak this goroutine until
-		// someone remembered to call Stop.
-		if bh != nil {
-			n, err := bh.PopBatch(bufs, lens)
-			if err != nil && !errors.Is(err, ErrEmpty) {
-				return
-			}
-			if n > 0 {
-				sent := uint64(0)
-				for i := 0; i < n; i++ {
-					if serr := port.Send(bufs[i][:lens[i]]); serr == nil {
-						sent++
-					}
-				}
-				p.txFrames.Add(sent)
-				worked = true
-			}
-		} else if n, err := h.Pop(buf); err == nil {
-			if serr := port.Send(buf[:n]); serr == nil {
-				p.txFrames.Add(1)
-			}
-			worked = true
-		} else if !errors.Is(err, ErrEmpty) {
+		// Guest -> network.
+		popped, sent, err := tx.drain(h, port)
+		if err != nil {
 			return
 		}
+		p.txFrames.Add(sent)
 
 		// Network -> guest: collect whatever the wire delivered, then
 		// hand it to the backend as one burst.
@@ -298,85 +453,15 @@ func (p *Pump) run(h Host, port *simnet.Port, cfg PumpConfig) {
 			inbound = append(inbound, f)
 		}
 		if len(inbound) > 0 {
-			p.deliver(h, bh, inbound)
-			worked = true
+			n, _ := pushRetry(h, inbound) // a dead backend surfaces on the next drain
+			p.rxFrames.Add(uint64(n))
 		}
 
-		if worked {
-			if armed {
-				nh.SuppressNotify()
-				armed = false
-			}
-			idle = 0
-			continue
-		}
-
-		// Idle ladder: spin the busy-poll budget, then arm the wake
-		// threshold (with the lost-wakeup recheck) and sleep in bounded
-		// exponential steps. The bell wait is always time-bounded: the
-		// wire side has no wake channel, and the guest controls when
-		// bells ring — SleepMax is the worst-case added latency either
-		// can impose.
-		idle++
-		if idle <= cfg.SpinIdle {
-			continue
-		}
-		if nh != nil && !armed {
-			if nh.ArmNotify() {
-				continue // work raced in while arming: poll again
-			}
-			armed = true
-		}
-		d := cfg.backoff(idle - cfg.SpinIdle - 1)
-		var bell <-chan struct{}
-		if nh != nil {
-			bell = nh.NotifyChan()
-		}
-		if bell == nil {
-			time.Sleep(d)
-			continue
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-p.stop:
-			t.Stop()
+		if popped > 0 || len(inbound) > 0 {
+			idle.worked()
+		} else if !idle.wait() {
 			return
-		case <-bell:
-		case <-t.C:
 		}
-		t.Stop()
-	}
-}
-
-// deliver pushes a burst toward the guest, retrying briefly on transient
-// backpressure and then dropping the remainder (DoS is out of scope,
-// drops are the device's prerogative).
-func (p *Pump) deliver(h Host, bh BatchHost, frames [][]byte) {
-	sent := 0
-	for attempt := 0; attempt < 100 && sent < len(frames); attempt++ {
-		if bh != nil {
-			n, err := bh.PushBatch(frames[sent:])
-			sent += n
-			if err == nil || n > 0 {
-				continue // progress: try the remainder immediately
-			}
-			if !errors.Is(err, ErrFull) {
-				break
-			}
-		} else {
-			err := h.Push(frames[sent])
-			if err == nil {
-				sent++
-				continue
-			}
-			if !errors.Is(err, ErrFull) {
-				break
-			}
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-	if sent > 0 {
-		p.rxFrames.Add(uint64(sent))
 	}
 }
 

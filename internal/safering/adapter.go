@@ -19,56 +19,44 @@ type GuestNIC struct {
 // NIC returns the endpoint's nic.Guest view.
 func (e *Endpoint) NIC() nic.Guest { return &GuestNIC{EP: e} }
 
-// Send implements nic.Guest. Stall deaths map to nic.ErrStalled (which
-// still matches nic.ErrClosed) so the stack can report the distinction.
-func (g *GuestNIC) Send(frame []byte) error {
-	switch err := g.EP.Send(frame); {
+// nicErr translates ring errors into the transport-neutral nic
+// contract, for both adapters. Stall deaths map to nic.ErrStalled (which
+// still matches nic.ErrClosed) so the stack can report the distinction;
+// anything else (a frame-size refusal, the host port's own violation
+// report) passes through.
+func nicErr(err error) error {
+	switch {
 	case err == nil:
 		return nil
 	case errors.Is(err, ErrRingFull):
 		return nic.ErrFull
+	case errors.Is(err, ErrRingEmpty):
+		return nic.ErrEmpty
 	case errors.Is(err, ErrStalled):
 		return nic.ErrStalled
 	case errors.Is(err, ErrDead):
 		return nic.ErrClosed
-	default:
-		return err
 	}
+	return err
 }
+
+// Send implements nic.Guest.
+func (g *GuestNIC) Send(frame []byte) error { return nicErr(g.EP.Send(frame)) }
 
 // Recv implements nic.Guest.
 func (g *GuestNIC) Recv() (nic.Frame, error) {
 	rx, err := g.EP.Recv()
-	switch {
-	case err == nil:
-		return rx, nil
-	case errors.Is(err, ErrRingEmpty):
-		return nil, nic.ErrEmpty
-	case errors.Is(err, ErrStalled):
-		return nil, nic.ErrStalled
-	case errors.Is(err, ErrDead):
-		return nil, nic.ErrClosed
-	default:
-		return nil, err
+	if err != nil {
+		return nil, nicErr(err)
 	}
+	return rx, nil
 }
 
 // SendBatch implements nic.BatchGuest: one lock acquisition, one index
 // publication, at most one doorbell for the whole batch.
 func (g *GuestNIC) SendBatch(frames [][]byte) (int, error) {
 	n, err := g.EP.SendBatch(frames)
-	switch {
-	case err == nil:
-		return n, nil
-	case errors.Is(err, ErrRingFull):
-		return n, nic.ErrFull
-	case errors.Is(err, ErrStalled):
-		return n, nic.ErrStalled
-	case errors.Is(err, ErrDead):
-		return n, nic.ErrClosed
-	default:
-		return n, err
-	}
+	return n, nicErr(err)
 }
 
 // RecvBatch implements nic.BatchGuest.
@@ -85,18 +73,7 @@ func (g *GuestNIC) RecvBatch(out []nic.Frame) (int, error) {
 		rxs[i] = nil // drop the reference before pooling the scratch
 	}
 	g.rxScratch.Put(sp)
-	switch {
-	case err == nil:
-		return n, nil
-	case errors.Is(err, ErrRingEmpty):
-		return n, nic.ErrEmpty
-	case errors.Is(err, ErrStalled):
-		return n, nic.ErrStalled
-	case errors.Is(err, ErrDead):
-		return n, nic.ErrClosed
-	default:
-		return n, err
-	}
+	return n, nicErr(err)
 }
 
 // MAC implements nic.Guest.
@@ -116,60 +93,22 @@ func (h *HostPort) NIC() nic.Host { return &HostNIC{HP: h} }
 // Pop implements nic.Host.
 func (h *HostNIC) Pop(buf []byte) (int, error) {
 	n, err := h.HP.Pop(buf)
-	switch {
-	case err == nil:
-		return n, nil
-	case errors.Is(err, ErrRingEmpty):
-		return 0, nic.ErrEmpty
-	case errors.Is(err, ErrDead):
-		return 0, nic.ErrClosed
-	default:
-		return 0, err
-	}
+	return n, nicErr(err)
 }
 
 // Push implements nic.Host.
-func (h *HostNIC) Push(frame []byte) error {
-	switch err := h.HP.Push(frame); {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrRingFull):
-		return nic.ErrFull
-	case errors.Is(err, ErrDead):
-		return nic.ErrClosed
-	default:
-		return err
-	}
-}
+func (h *HostNIC) Push(frame []byte) error { return nicErr(h.HP.Push(frame)) }
 
 // PopBatch implements nic.BatchHost.
 func (h *HostNIC) PopBatch(bufs [][]byte, lens []int) (int, error) {
 	n, err := h.HP.PopBatch(bufs, lens)
-	switch {
-	case err == nil:
-		return n, nil
-	case errors.Is(err, ErrRingEmpty):
-		return n, nic.ErrEmpty
-	case errors.Is(err, ErrDead):
-		return n, nic.ErrClosed
-	default:
-		return n, err
-	}
+	return n, nicErr(err)
 }
 
 // PushBatch implements nic.BatchHost.
 func (h *HostNIC) PushBatch(frames [][]byte) (int, error) {
 	n, err := h.HP.PushBatch(frames)
-	switch {
-	case err == nil:
-		return n, nil
-	case errors.Is(err, ErrRingFull):
-		return n, nic.ErrFull
-	case errors.Is(err, ErrDead):
-		return n, nic.ErrClosed
-	default:
-		return n, err
-	}
+	return n, nicErr(err)
 }
 
 // FrameCap implements nic.Host.
@@ -203,15 +142,6 @@ func (m *MultiEndpoint) NIC() nic.MultiGuest {
 		qs[i] = &GuestNIC{EP: m.Queue(i)}
 	}
 	return nic.NewGuestMux(qs)
-}
-
-// NIC returns the multi-queue host port's nic.MultiHost view.
-func (m *MultiHostPort) NIC() nic.MultiHost {
-	qs := make([]nic.BatchHost, m.Queues())
-	for i := range qs {
-		qs[i] = &HostNIC{HP: m.Queue(i)}
-	}
-	return nic.NewHostMux(qs)
 }
 
 // HostNICs returns one nic.BatchHost per queue, index-aligned — the form

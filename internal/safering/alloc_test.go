@@ -140,3 +140,47 @@ func TestAdapterSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("adapter steady-state cycle allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestScalarShimsZeroAlloc holds the scalar calls to the batch calls'
+// standard: Send, Pop, Push and Recv are batch-of-one over a one-element
+// array that must stay on the stack, so a scalar lap allocates nothing in
+// any data mode either.
+func TestScalarShimsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates on the instrumented hot path")
+	}
+	for _, cfg := range allModes() {
+		t.Run(fmt.Sprintf("%v-%v", cfg.Mode, cfg.RX), func(t *testing.T) {
+			ep, err := New(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hp := NewHostPort(ep.Shared())
+			f := frame(512, 7)
+			buf := make([]byte, cfg.FrameCap())
+
+			lap := func() {
+				if err := ep.Send(f); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				if n, err := hp.Pop(buf); err != nil || n != len(f) {
+					t.Fatalf("Pop = %d, %v", n, err)
+				}
+				if err := hp.Push(f); err != nil {
+					t.Fatalf("Push: %v", err)
+				}
+				rx, err := ep.Recv()
+				if err != nil {
+					t.Fatalf("Recv: %v", err)
+				}
+				rx.Release()
+			}
+			for i := 0; i < 2*cfg.Slots; i++ { // warm the pools and every slot's scratch
+				lap()
+			}
+			if allocs := measureAllocs(lap); allocs != 0 {
+				t.Fatalf("scalar lap allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}

@@ -444,3 +444,103 @@ func TestBatchEdgeCases(t *testing.T) {
 		t.Errorf("RecvBatch on empty ring = %d, %v, want (0, ErrRingEmpty)", n, err)
 	}
 }
+
+// TestScalarEqualsBatchOfOne is the differential check the scalar shims
+// rest on: on twin devices, N scalar Send/Pop/Push/Recv laps and N
+// batch-of-one laps charge identical model costs and carry identical
+// payloads, in every data mode.
+func TestScalarEqualsBatchOfOne(t *testing.T) {
+	const laps = 100
+	for _, cfg := range allModes() {
+		t.Run(fmt.Sprintf("%v-%v", cfg.Mode, cfg.RX), func(t *testing.T) {
+			type dev struct {
+				m   platform.Meter
+				ep  *Endpoint
+				hp  *HostPort
+				buf []byte
+			}
+			mk := func() *dev {
+				d := &dev{buf: make([]byte, cfg.FrameCap())}
+				ep, err := New(cfg, &d.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.ep, d.hp = ep, NewHostPort(ep.Shared())
+				return d
+			}
+			scalar, batch := mk(), mk()
+			if s, b := scalar.m.Snapshot(), batch.m.Snapshot(); s != b {
+				t.Fatalf("twin devices differ before traffic: %+v vs %+v", s, b)
+			}
+
+			// Each lap returns what the host popped and what the guest
+			// received.
+			scalarLap := func(d *dev, f []byte) ([]byte, []byte) {
+				if err := d.ep.Send(f); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				n, err := d.hp.Pop(d.buf)
+				if err != nil {
+					t.Fatalf("Pop: %v", err)
+				}
+				popped := append([]byte(nil), d.buf[:n]...)
+				if err := d.hp.Push(f); err != nil {
+					t.Fatalf("Push: %v", err)
+				}
+				rx, err := d.ep.Recv()
+				if err != nil {
+					t.Fatalf("Recv: %v", err)
+				}
+				defer rx.Release()
+				return popped, append([]byte(nil), rx.Bytes()...)
+			}
+			batchLap := func(d *dev, f []byte) ([]byte, []byte) {
+				if n, err := d.ep.SendBatch([][]byte{f}); n != 1 || err != nil {
+					t.Fatalf("SendBatch = %d, %v", n, err)
+				}
+				lens := []int{0}
+				if n, err := d.hp.PopBatch([][]byte{d.buf}, lens); n != 1 || err != nil {
+					t.Fatalf("PopBatch = %d, %v", n, err)
+				}
+				popped := append([]byte(nil), d.buf[:lens[0]]...)
+				if n, err := d.hp.PushBatch([][]byte{f}); n != 1 || err != nil {
+					t.Fatalf("PushBatch = %d, %v", n, err)
+				}
+				out := make([]*RxFrame, 1)
+				if n, err := d.ep.RecvBatch(out); n != 1 || err != nil {
+					t.Fatalf("RecvBatch = %d, %v", n, err)
+				}
+				defer out[0].Release()
+				return popped, append([]byte(nil), out[0].Bytes()...)
+			}
+
+			for i := 0; i < laps; i++ {
+				f := frame(64+i*13%1400, byte(i))
+				sp, sr := scalarLap(scalar, f)
+				bp, br := batchLap(batch, f)
+				if !bytes.Equal(sp, f) || !bytes.Equal(sr, f) || !bytes.Equal(bp, f) || !bytes.Equal(br, f) {
+					t.Fatalf("lap %d: payload mismatch", i)
+				}
+				if s, b := scalar.m.Snapshot(), batch.m.Snapshot(); s != b {
+					t.Fatalf("lap %d: scalar costs %+v != batch-of-one costs %+v", i, s, b)
+				}
+			}
+			// An empty ring and a full ring read the same through both.
+			if _, err := scalar.ep.Recv(); !errors.Is(err, ErrRingEmpty) {
+				t.Fatalf("scalar Recv on empty ring: %v", err)
+			}
+			if _, err := scalar.hp.Pop(scalar.buf); !errors.Is(err, ErrRingEmpty) {
+				t.Fatalf("scalar Pop on empty ring: %v", err)
+			}
+			f := frame(64, 1)
+			for i := 0; i < cfg.Slots; i++ {
+				if err := scalar.ep.Send(f); err != nil {
+					t.Fatalf("fill %d: %v", i, err)
+				}
+			}
+			if err := scalar.ep.Send(f); !errors.Is(err, ErrRingFull) {
+				t.Fatalf("scalar Send on full ring: %v", err)
+			}
+		})
+	}
+}

@@ -35,6 +35,10 @@ func (descCodec) Encode(r *Ring, idx uint64, d Desc) { r.WriteDesc(idx, d) }
 // which all operations return ErrDead. There are no recoverable interface
 // errors and no renegotiation — the stateless principle.
 type Endpoint struct {
+	// cfg is the deployment-fixed configuration, identical across
+	// incarnations: lock-free readers use it instead of e.sh, which
+	// Swap/Reincarnate replace under mu.
+	cfg   DeviceConfig
 	sh    *Shared
 	meter *platform.Meter
 	// latch, when non-nil, is the device-wide fail-dead state of the
@@ -89,7 +93,7 @@ func New(cfg DeviceConfig, meter *platform.Meter) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Endpoint{sh: sh, meter: meter}
+	e := &Endpoint{cfg: cfg, sh: sh, meter: meter}
 	e.txHandles = make([][]shmem.Handle, cfg.Slots)
 	e.tx = NewEngine[Desc](sh.TX, sh.TXBell, descCodec{}, meter,
 		EngineHooks[Desc]{OnReturn: e.txReturn, Fail: e.fail})
@@ -124,7 +128,7 @@ func (e *Endpoint) Shared() *Shared {
 }
 
 // Config returns the immutable device configuration.
-func (e *Endpoint) Config() DeviceConfig { return e.sh.Cfg }
+func (e *Endpoint) Config() DeviceConfig { return e.cfg }
 
 // Dead returns the fatal error that killed the endpoint, if any. On a
 // multi-queue device a violation on any sibling queue counts: the whole
@@ -201,8 +205,8 @@ func (e *Endpoint) deadOpLocked() error {
 
 // checkFrame validates a frame size against the fixed geometry.
 func (e *Endpoint) checkFrame(frame []byte) error {
-	if len(frame) > e.sh.Cfg.FrameCap() {
-		return fmt.Errorf("%w: %d > %d", ErrFrameSize, len(frame), e.sh.Cfg.FrameCap())
+	if len(frame) > e.cfg.FrameCap() {
+		return fmt.Errorf("%w: %d > %d", ErrFrameSize, len(frame), e.cfg.FrameCap())
 	}
 	if len(frame) == 0 {
 		return fmt.Errorf("%w: empty frame", ErrFrameSize)
@@ -210,30 +214,13 @@ func (e *Endpoint) checkFrame(frame []byte) error {
 	return nil
 }
 
-// Send enqueues one Ethernet frame for transmission. It never blocks:
-// ErrRingFull asks the caller to retry after the host makes progress.
-// Completed transmit buffers are reaped on every call.
+// Send enqueues one Ethernet frame for transmission: SendBatch of one.
+// It never blocks: ErrRingFull asks the caller to retry after the host
+// makes progress.
 func (e *Endpoint) Send(frame []byte) error {
-	if err := e.checkFrame(frame); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.deadLocked() {
-		return e.deadOpLocked()
-	}
-	cons, err := e.tx.Reap()
-	if err != nil {
-		return err
-	}
-	if e.tx.Full(cons) {
-		return ErrRingFull
-	}
-	if err := e.stageTXLocked(frame); err != nil {
-		return err
-	}
-	e.tx.Publish()
-	return nil
+	one := [1][]byte{frame}
+	_, err := e.SendBatch(one[:])
+	return err
 }
 
 // SendBatch enqueues up to len(frames) frames, taking the lock, reaping
@@ -271,9 +258,7 @@ func (e *Endpoint) SendBatch(frames [][]byte) (int, error) {
 			if errors.Is(serr, ErrRingFull) { // data area exhausted: partial batch
 				break
 			}
-			if n > 0 {
-				e.tx.Publish()
-			}
+			e.tx.Publish() // the frames already accepted; a no-op when none
 			return n, serr
 		}
 		n++
@@ -293,7 +278,7 @@ func (e *Endpoint) SendBatch(frames [][]byte) (int, error) {
 func (e *Endpoint) stageTXLocked(frame []byte) error {
 	head := e.tx.Head()
 	var d Desc
-	switch e.sh.Cfg.Mode {
+	switch e.cfg.Mode {
 	case Inline:
 		e.sh.TX.WriteInline(head, frame)
 		e.meter.Copy(len(frame))
@@ -339,8 +324,8 @@ func (e *Endpoint) stageTXLocked(frame []byte) error {
 func (e *Endpoint) stageIndirectLocked(frame []byte) (Desc, error) {
 	segCap := e.sh.TXData.SlabSize()
 	nseg := (len(frame) + segCap - 1) / segCap
-	if nseg > e.sh.Cfg.Segments {
-		return Desc{}, fmt.Errorf("%w: needs %d segments > %d", ErrFrameSize, nseg, e.sh.Cfg.Segments)
+	if nseg > e.cfg.Segments {
+		return Desc{}, fmt.Errorf("%w: needs %d segments > %d", ErrFrameSize, nseg, e.cfg.Segments)
 	}
 	idx := e.tx.Head() & (e.sh.TX.NSlots() - 1)
 	// Reuse the slot's handle slice across ring wraps (txReturn keeps
@@ -352,7 +337,7 @@ func (e *Endpoint) stageIndirectLocked(frame []byte) (Desc, error) {
 		}
 		e.txHandles[idx] = handles[:0]
 	}
-	entry := idx * uint64(indEntrySize(e.sh.Cfg.Segments))
+	entry := idx * uint64(indEntrySize(e.cfg.Segments))
 	for j := 0; j < nseg; j++ {
 		h, err := e.sh.TXData.Alloc()
 		if err != nil {
@@ -548,7 +533,7 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 	// the old tag, so a host replaying the previous incarnation's ring
 	// into this one dies here rather than confusing the new instance.
 	want := uint32(KindShared)
-	if e.sh.Cfg.Mode == Inline {
+	if e.cfg.Mode == Inline {
 		want = KindInline
 	}
 	if KindCode(d.Kind) != want || KindEpoch(d.Kind) != EpochTag(e.sh.Epoch) {
@@ -556,9 +541,9 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 			ErrProtocol, d.Kind, want, EpochTag(e.sh.Epoch)))
 	}
 
-	switch e.sh.Cfg.Mode {
+	switch e.cfg.Mode {
 	case Inline:
-		if int(d.Len) > e.sh.RXUsed.InlineCap() || int(d.Len) > e.sh.Cfg.FrameCap() || d.Len == 0 {
+		if int(d.Len) > e.sh.RXUsed.InlineCap() || int(d.Len) > e.cfg.FrameCap() || d.Len == 0 {
 			return nil, e.fail(fmt.Errorf("%w: rx inline length %d", ErrProtocol, d.Len))
 		}
 		bp := e.pool.Get().(*[]byte)
@@ -573,10 +558,10 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 		// the first comparison already bounds the access within one slab;
 		// the PageSize comparison keeps the slab bound explicit even if
 		// the config invariant ever changes.
-		if int(d.Len) > e.sh.Cfg.FrameCap() || int(d.Len) > platform.PageSize || d.Len == 0 {
+		if int(d.Len) > e.cfg.FrameCap() || int(d.Len) > platform.PageSize || d.Len == 0 {
 			return nil, e.fail(fmt.Errorf("%w: rx length %d", ErrProtocol, d.Len))
 		}
-		slab := int(d.Ref & uint64(e.sh.Cfg.Slots-1))
+		slab := int(d.Ref & uint64(e.cfg.Slots-1))
 		e.meter.Check(1)
 		if !e.slabHeld[slab] {
 			// The host returned a slab it does not hold: replayed or
@@ -586,7 +571,7 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 		e.slabHeld[slab] = false
 		off := uint64(slab) * platform.PageSize
 
-		if e.sh.Cfg.RX == Revoke {
+		if e.cfg.RX == Revoke {
 			// Un-share first, then read: after Revoke the host cannot
 			// rewrite the bytes, so in-place use is single-fetch-safe.
 			e.sh.RXData.Revoke(off, platform.PageSize)
@@ -606,35 +591,21 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 	}
 }
 
-// Recv returns the next received frame, or ErrRingEmpty. The descriptor
-// is snapshotted once and fully validated before any payload access; the
-// payload crosses into guest-private custody by exactly one early copy or
-// by page revocation, per the configured policy.
+// Recv returns the next received frame, or ErrRingEmpty: RecvBatch of
+// one.
 func (e *Endpoint) Recv() (*RxFrame, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.deadLocked() {
-		return nil, e.deadOpLocked()
-	}
-	avail, err := e.rxAvailLocked()
-	if err != nil {
-		return nil, err
-	}
-	if avail == 0 {
-		return nil, ErrRingEmpty
-	}
-	fr, err := e.recvSlotLocked()
-	if err != nil {
-		return nil, err
-	}
-	e.publishRXLocked()
-	return fr, nil
+	var one [1]*RxFrame
+	_, err := e.RecvBatch(one[:])
+	return one[0], err
 }
 
 // RecvBatch dequeues up to len(out) received frames into out, validating
 // the host's producer index once and publishing the consumer index (and
 // any reposted receive slabs) once for the whole batch. It returns how
-// many frames were delivered; (0, ErrRingEmpty) when none waited.
+// many frames were delivered; (0, ErrRingEmpty) when none waited. Each
+// descriptor is snapshotted once and fully validated before any payload
+// access; the payload crosses into guest-private custody by exactly one
+// early copy or by page revocation, per the configured policy.
 // Fail-dead semantics are unchanged: a protocol violation mid-batch kills
 // the endpoint and returns the frames already accepted alongside the
 // fatal error; every later call returns ErrDead.
@@ -672,7 +643,11 @@ func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 
 // RXBell returns the doorbell the host rings when frames arrive, or nil
 // in polling mode. Guest receive loops may select on its channel.
-func (e *Endpoint) RXBell() *Doorbell { return e.sh.RXBell }
+func (e *Endpoint) RXBell() *Doorbell {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sh.RXBell
+}
 
 // ArmRXNotify publishes the guest's receive wake threshold (event
 // index): under EventIdx the host rings RXBell only once its producer
@@ -708,7 +683,7 @@ func (e *Endpoint) SuppressRXNotify() {
 // that lies about (or ignores) the event index controls when the bell
 // rings, never what state the ring is in.
 func (e *Endpoint) RecvPoll() (*RxFrame, error) {
-	spins := e.sh.Cfg.BusyPoll
+	spins := e.cfg.BusyPoll
 	for i := 0; ; i++ {
 		fr, err := e.Recv()
 		if err == nil || !errors.Is(err, ErrRingEmpty) {
@@ -718,7 +693,7 @@ func (e *Endpoint) RecvPoll() (*RxFrame, error) {
 			break
 		}
 	}
-	if e.sh.Cfg.EventIdx && e.ArmRXNotify() {
+	if e.cfg.EventIdx && e.ArmRXNotify() {
 		// Work raced in while arming: deliver it rather than asking the
 		// caller to block on a bell that may never ring for it.
 		return e.Recv()

@@ -29,14 +29,21 @@ type HostPort struct {
 	dead error
 
 	txTail     uint64 // consumer position on TX
-	rxHead     uint64 // producer position on RXUsed
-	rxPub      uint64 // rxHead value last published to the guest
-	rxConsSeen uint64
 	rxFreeTail uint64 // consumer position on RXFree
+	// rx is the producer engine for RXUsed — the same code that drives
+	// the guest's TX ring, unmetered: head/consumer accounting,
+	// backpressure, one index store and at most one (event-idx gated)
+	// doorbell per burst.
+	rx *Engine[Desc] //ciovet:guards mu
 }
 
 // NewHostPort attaches an honest device model to the shared state.
-func NewHostPort(sh *Shared) *HostPort { return &HostPort{sh: sh} }
+func NewHostPort(sh *Shared) *HostPort {
+	h := &HostPort{sh: sh}
+	h.rx = NewEngine[Desc](sh.RXUsed, sh.RXBell, descCodec{}, nil, EngineHooks[Desc]{Fail: h.fail})
+	h.rx.SetEventIdx(sh.Cfg.EventIdx)
+	return h
+}
 
 // Shared returns the device state this port drives.
 func (h *HostPort) Shared() *Shared { return h.sh }
@@ -81,29 +88,12 @@ func (h *HostPort) deadLocked() bool {
 }
 
 // Pop dequeues the next guest transmit frame into buf and returns its
-// length, or ErrRingEmpty. buf must be at least FrameCap bytes.
+// length, or ErrRingEmpty: PopBatch of one. buf must be at least FrameCap
+// bytes.
 func (h *HostPort) Pop(buf []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.deadLocked() {
-		return 0, ErrDead
-	}
-	prod := h.sh.TX.Indexes().LoadProd()
-	avail, err := h.sh.TX.checkPeerProd(prod, h.txTail)
-	if err != nil {
-		return 0, h.fail(err)
-	}
-	if avail == 0 {
-		return 0, ErrRingEmpty
-	}
-	d := h.sh.TX.ReadDesc(h.txTail) // single snapshot
-	n, err := h.gather(d, buf)
-	if err != nil {
-		return 0, h.fail(err)
-	}
-	h.txTail++
-	h.sh.TX.Indexes().StoreCons(h.txTail)
-	return n, nil
+	bufs, lens := [1][]byte{buf}, [1]int{}
+	_, err := h.PopBatch(bufs[:], lens[:])
+	return lens[0], err
 }
 
 // PopBatch dequeues up to len(bufs) guest transmit frames, one per
@@ -209,31 +199,11 @@ func (h *HostPort) gather(d Desc, buf []byte) (int, error) {
 }
 
 // Push delivers one frame toward the guest, or returns ErrRingFull when
-// the guest has no receive capacity (the device drops; DoS is out of the
-// threat model).
+// the guest has no receive capacity: PushBatch of one.
 func (h *HostPort) Push(frame []byte) error {
-	if len(frame) == 0 || len(frame) > h.sh.Cfg.FrameCap() {
-		return fmt.Errorf("%w: push of %d bytes", ErrFrameSize, len(frame))
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.deadLocked() {
-		return ErrDead
-	}
-
-	cons := h.sh.RXUsed.Indexes().LoadCons()
-	if err := h.sh.RXUsed.checkPeerCons(cons, h.rxHead, h.rxConsSeen); err != nil {
-		return h.fail(err)
-	}
-	h.rxConsSeen = cons
-	if h.rxHead-cons >= h.sh.RXUsed.NSlots() {
-		return ErrRingFull
-	}
-	if err := h.stagePushLocked(frame); err != nil {
-		return err
-	}
-	h.publishPushLocked()
-	return nil
+	one := [1][]byte{frame}
+	_, err := h.PushBatch(one[:])
+	return err
 }
 
 // PushBatch delivers up to len(frames) frames toward the guest,
@@ -256,23 +226,20 @@ func (h *HostPort) PushBatch(frames [][]byte) (int, error) {
 	if h.deadLocked() {
 		return 0, ErrDead
 	}
-	cons := h.sh.RXUsed.Indexes().LoadCons()
-	if err := h.sh.RXUsed.checkPeerCons(cons, h.rxHead, h.rxConsSeen); err != nil {
-		return 0, h.fail(err)
+	cons, err := h.rx.Reap()
+	if err != nil {
+		return 0, err
 	}
-	h.rxConsSeen = cons
 	n := 0
 	for _, f := range frames {
-		if h.rxHead-cons >= h.sh.RXUsed.NSlots() {
+		if h.rx.Full(cons) {
 			break
 		}
 		if err := h.stagePushLocked(f); err != nil {
 			if errors.Is(err, ErrRingFull) { // no free slab posted: partial burst
 				break
 			}
-			if n > 0 {
-				h.publishPushLocked()
-			}
+			h.rx.Publish() // the frames already accepted; a no-op when none
 			return n, err
 		}
 		n++
@@ -280,19 +247,20 @@ func (h *HostPort) PushBatch(frames [][]byte) (int, error) {
 	if n == 0 {
 		return 0, ErrRingFull
 	}
-	h.publishPushLocked()
+	h.rx.Publish()
 	return n, nil
 }
 
-// stagePushLocked stages one frame at rxHead and advances the private
-// head without publishing; publishPushLocked makes the staged burst
-// visible with one index store and at most one doorbell ring.
+// stagePushLocked stages one frame at the RXUsed engine's head without
+// publishing; the engine's Publish makes the staged burst visible with
+// one index store and at most one doorbell ring.
 //
 //ciovet:locked
 func (h *HostPort) stagePushLocked(frame []byte) error {
+	d := Desc{Len: uint32(len(frame))}
 	if h.sh.Cfg.Mode == Inline {
-		h.sh.RXUsed.WriteInline(h.rxHead, frame)
-		h.sh.RXUsed.WriteDesc(h.rxHead, Desc{Len: uint32(len(frame)), Kind: KindWord(KindInline, h.sh.Epoch)})
+		h.sh.RXUsed.WriteInline(h.rx.Head(), frame)
+		d.Kind = KindWord(KindInline, h.sh.Epoch)
 	} else {
 		slab, err := h.popFreeSlab()
 		if err != nil {
@@ -304,31 +272,10 @@ func (h *HostPort) stagePushLocked(frame []byte) error {
 			// honest host's perspective that is a guest protocol bug.
 			return h.fail(fmt.Errorf("%w: rx slab %d: %v", ErrProtocol, slab, err))
 		}
-		h.sh.RXUsed.WriteDesc(h.rxHead, Desc{Len: uint32(len(frame)), Kind: KindWord(KindShared, h.sh.Epoch), Ref: uint64(slab)})
+		d.Kind, d.Ref = KindWord(KindShared, h.sh.Epoch), uint64(slab)
 	}
-	h.rxHead++
+	h.rx.Stage(d)
 	return nil
-}
-
-//ciovet:locked
-func (h *HostPort) publishPushLocked() {
-	old := h.rxPub
-	h.sh.RXUsed.Indexes().StoreProd(h.rxHead)
-	h.rxPub = h.rxHead
-	if h.sh.RXBell == nil {
-		return
-	}
-	// Under event-idx the guest publishes its wake threshold in the
-	// RXUsed event word; ring only when this publication crosses it.
-	// Producer index stored above BEFORE the event index is loaded here
-	// (the guest arms by storing evt BEFORE re-checking prod), so a
-	// wakeup is never lost. The word is guest-controlled and feeds the
-	// wrap-compare only: lying shifts the honest host's ring timing,
-	// never its state.
-	if h.sh.Cfg.EventIdx && !NeedEvent(h.sh.RXUsed.Indexes().LoadEvent(), h.rxHead, old) {
-		return
-	}
-	h.sh.RXBell.Ring()
 }
 
 // ArmTXNotify publishes the host's transmit wake threshold (event

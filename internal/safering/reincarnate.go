@@ -230,7 +230,7 @@ func (e *Endpoint) Reincarnate() (*Shared, error) {
 //
 //ciovet:locked
 func (e *Endpoint) rebirthLocked() (*Shared, error) {
-	sh, err := newShared(e.sh.Cfg, e.meter, e.sh.Epoch+1)
+	sh, err := newShared(e.cfg, e.meter, e.sh.Epoch+1)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func (e *Endpoint) rebirthLocked() (*Shared, error) {
 		for i := range e.slabHeld {
 			e.slabHeld[i] = false
 		}
-		for slab := 0; slab < e.sh.Cfg.Slots; slab++ {
+		for slab := 0; slab < e.cfg.Slots; slab++ {
 			e.stageSlabLocked(slab)
 		}
 		e.publishFreeLocked()

@@ -228,3 +228,54 @@ type rd struct {
 func (r rd) Read(p []byte) (int, error) { return r.c.Read(p) }
 
 func readerFor(c interface{ Read([]byte) (int, error) }) io.Reader { return rd{c} }
+
+// TestSwapRacesLockFreeReaders: Swap replaces the device instance under
+// the endpoint lock while senders size-check frames and read the config
+// before taking it. Those lock-free reads must go to the endpoint's own
+// immutable config, never through the instance pointer Swap is rewriting
+// (make race fails here otherwise).
+func TestSwapRacesLockFreeReaders(t *testing.T) {
+	cfg := safering.DefaultConfig()
+	cfg.Notify = true
+	ep, err := safering.New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		frames := [][]byte{make([]byte, 100)}
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			// A full ring is fine: nobody drains the swapped-out windows.
+			if _, err := ep.SendBatch(frames); err != nil && !errors.Is(err, safering.ErrRingFull) {
+				t.Errorf("SendBatch during swap: %v", err)
+				return
+			}
+			if ep.Config().MTU != cfg.MTU {
+				t.Error("config changed across a swap")
+				return
+			}
+			if ep.RXBell() == nil {
+				t.Error("RXBell vanished across a swap")
+				return
+			}
+			if _, err := ep.RecvPoll(); !errors.Is(err, safering.ErrRingEmpty) {
+				t.Errorf("RecvPoll during swap: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := ep.Swap(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	<-stopped
+}

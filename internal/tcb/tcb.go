@@ -39,7 +39,7 @@ var (
 	CompUDP      = Component{"udp", 52, "UDP"}
 	CompTCP      = Component{"tcp", 1042, "TCP state machine"}
 	CompNetstack = Component{"netstack", 343, "stack glue + sockets"}
-	CompSafering = Component{"safering", 1709, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompSafering = Component{"safering", 1657, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio   = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc   = Component{"netvsc", 397, "netvsc driver"}
 	CompCTLS     = Component{"ctls", 303, "secure channel (TLS role)"}
