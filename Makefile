@@ -2,9 +2,9 @@ GO ?= go
 
 # Packages exercised under the race detector: the ones with real
 # cross-goroutine shared state (rings, slab pools, the core datapath).
-RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway
+RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack
 
-.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke chaos check
+.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos check
 
 all: build
 
@@ -77,11 +77,20 @@ bench-gw:
 bench-smoke:
 	$(GO) run ./bench -smoke
 
+# Ten alternated pairs of confbench, BASE against the working tree, read
+# with `bench -diff` — how EXPERIMENTS.md reads every wall-clock claim.
+# BENCHFLAGS go to both sides (e.g. '-workload echo-small -seconds 10').
+N ?= 10
+bench-pairs:
+	scripts/bench-pairs.sh $(BASE) $(N) $(BENCHFLAGS)
+
 # Chaos-host fault injection: scripted fault scenarios plus seeded-random
 # storms, each asserting the recovery invariant (clean new epoch or
-# permanent fail-dead, never live-but-corrupt); see EXPERIMENTS.md.
+# permanent fail-dead, never live-but-corrupt); see EXPERIMENTS.md. Five
+# runs, not one: the tenant scenarios play a fake clock against a live
+# gateway, and an ordering bug between the two shows up as a rare flake.
 chaos:
-	$(GO) test -count=1 -v ./internal/chaos
+	$(GO) test -count=5 -v ./internal/chaos
 
 # The full verification gate, in increasing order of cost.
 check: fmt vet build ciovet test race

@@ -71,6 +71,7 @@ const (
 	AtkForgedHandle    = "forged-handle"
 	AtkNotifStorm      = "notification-storm"
 	AtkEventIdxLie     = "event-idx-lie"
+	AtkWakeSpam        = "wake-spam"
 	AtkFeatureTOCTOU   = "feature-toctou"
 	AtkStaleMemory     = "stale-memory-leak"
 	AtkStatusCorrupt   = "status-corrupt"
@@ -88,7 +89,7 @@ const (
 // AttackNames in matrix order.
 var AttackNames = []string{
 	AtkIndexOverclaim, AtkIndexRewind, AtkLengthLie, AtkDoubleFetch,
-	AtkReplay, AtkForgedHandle, AtkNotifStorm, AtkEventIdxLie,
+	AtkReplay, AtkForgedHandle, AtkNotifStorm, AtkEventIdxLie, AtkWakeSpam,
 	AtkFeatureTOCTOU, AtkStaleMemory, AtkStatusCorrupt, AtkQueueCrossKill,
 	AtkEpochReplay, AtkReattachStorm, AtkL5AfterL2Breach,
 	AtkTenantCrossRead, AtkTenantStallNbr, AtkTenantKillNbr,

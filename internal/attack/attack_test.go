@@ -136,6 +136,9 @@ func TestSuiteCoverage(t *testing.T) {
 			if atk == AtkEventIdxLie && !engineTr {
 				continue // event-idx suppression exists only on the engine transports
 			}
+			if atk == AtkWakeSpam && !strings.HasPrefix(tr, "safering") {
+				continue // only a network stack parks on a producer index
+			}
 			if atk == AtkStatusCorrupt && tr != "blkring" {
 				continue // status words are a storage-ring surface
 			}

@@ -287,7 +287,18 @@ func saferingScenarios() []Scenario {
 				if err := ep.Dead(); err != nil {
 					return compromised(AtkEventIdxLie, v.name, "lying threshold killed the device: "+err.Error())
 				}
-				return blocked(AtkEventIdxLie, v.name, "event word feeds a wrap-compare only: timing shifted, state intact")
+				// The same lie against a live stack parked on the device.
+				if err := eventIdxLieParked(cfg, v.queues); err != nil {
+					return compromised(AtkEventIdxLie, v.name, err.Error())
+				}
+				return blocked(AtkEventIdxLie, v.name, "event word feeds a wrap-compare only: timing shifted, state intact, parked stack kept answering")
+			}},
+			Scenario{AtkWakeSpam, v.name, func() Result {
+				cfg := safering.DefaultConfig()
+				cfg.Mode = v.mode
+				cfg.RX = v.rx
+				cfg.SlotSize = 64
+				return wakeSpam(v.name, cfg, v.queues)
 			}},
 			Scenario{AtkFeatureTOCTOU, v.name, func() Result {
 				return na(AtkFeatureTOCTOU, v.name, "zero-negotiation: no control plane exists")

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"time"
 
+	"confio/internal/ipv4"
+	"confio/internal/netstack"
+	"confio/internal/nic"
 	"confio/internal/platform"
 	"confio/internal/safering"
 )
@@ -174,6 +177,13 @@ func runHostStall() Result {
 func runNotifySuppressStall() Result {
 	const fault = "notify-suppress-stall"
 	d := NewEventIdxDevice()
+	// A live stack sits on the device throughout, idle and parked on the
+	// RXUsed producer index. A frozen host never stores to it, so nothing
+	// will ever poke the stack: it has to find the declared stall by its
+	// bounded wait.
+	stack := netstack.New(d.EP.NIC(), ipv4.Addr{10, 7, 0, 1})
+	stack.Start()
+	defer stack.Close()
 	// Host withdraws the TX wake threshold (one suppress covers all
 	// later publishes), then stops serving entirely.
 	d.HP.SuppressTXNotify()
@@ -200,6 +210,9 @@ func runNotifySuppressStall() Result {
 	}
 	if wd.Stalls() != 1 {
 		return corrupt(fault, fmt.Sprintf("watchdog counted %d stalls, want 1", wd.Stalls()))
+	}
+	if !await(func() bool { return errors.Is(stack.Degraded(), nic.ErrStalled) }) {
+		return corrupt(fault, fmt.Sprintf("parked stack never noticed the declared stall: %v", stack.Degraded()))
 	}
 	if err := d.Reincarnate(); err != nil {
 		return corrupt(fault, "reincarnation refused: "+err.Error())

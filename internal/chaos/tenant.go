@@ -119,10 +119,41 @@ func (w *tenantWorld) counters(r Result) Result {
 	return r
 }
 
-// floodOnce opens MaxFlows+1-th authenticated flows as id to breach the
-// quota; the breach is the flood fault. Returns the holds (the caller
-// keeps or closes them).
+// The gateway registers, charges and drops flows on its own goroutines,
+// after the client's side of the same event: a dial returns before the
+// flow is registered, a cut is seen before it is charged, a close returns
+// before the flow is dropped. The scenarios therefore wait (wall clock,
+// bounded) for the gateway state they are about to build on or advance
+// the fake clock past, instead of assuming the client saw it last.
+
+// awaitFlows waits until the gateway holds exactly n live flows for id.
+func (w *tenantWorld) awaitFlows(id gateway.TenantID, n int) bool {
+	return await(func() bool { return w.Node.GW.TenantFlows(id) == n })
+}
+
+// awaitCharge waits until the gateway has counted a drop against id
+// beyond drops. Every fault is counted after it is charged, so the
+// backoff it armed is in place when this returns true.
+func (w *tenantWorld) awaitCharge(id gateway.TenantID, drops uint64) bool {
+	return await(func() bool { return w.Node.Tb.Tenant(uint64(id)).Drops > drops })
+}
+
+func await(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return true
+}
+
+// floodOnce opens one authenticated flow as id on top of a full quota;
+// the breach is the flood fault. It returns once the gateway has charged
+// the breach, so a Clock.Advance that follows cannot overtake the charge
+// and leave the next flood inside this one's backoff.
 func (w *tenantWorld) floodOnce(id gateway.TenantID) {
+	drops := w.Node.Tb.Tenant(uint64(id)).Drops
 	if c, err := w.Node.DialTenant(id); err == nil {
 		// The handshake succeeds; the quota refusal cuts the flow — the
 		// first exchange observes it.
@@ -131,6 +162,7 @@ func (w *tenantWorld) floodOnce(id gateway.TenantID) {
 		c.Read(buf)
 		c.Close()
 	}
+	w.awaitCharge(id, drops)
 }
 
 // runTenantFlood: one tenant breaches its flow quota. The breach is
@@ -144,6 +176,9 @@ func runTenantFlood() Result {
 	if err := w.verifyTenant(victimID, 2); err != nil {
 		return corrupt(fault, "healthy baseline: "+err.Error())
 	}
+	if !w.awaitFlows(victimID, 0) {
+		return corrupt(fault, "baseline flow never dropped")
+	}
 
 	// Fill the quota, then breach it.
 	h1, err := w.Node.DialTenant(victimID)
@@ -156,6 +191,9 @@ func runTenantFlood() Result {
 		return corrupt(fault, "hold 2: "+err.Error())
 	}
 	defer h2.Close()
+	if !w.awaitFlows(victimID, 2) {
+		return corrupt(fault, "held flows never registered")
+	}
 	w.floodOnce(victimID)
 
 	if w.Node.Tb.Tenant(uint64(victimID)).Drops == 0 {
@@ -174,6 +212,9 @@ func runTenantFlood() Result {
 	}
 	// After the backoff the flooder admits fresh flows again.
 	h2.Close()
+	if !w.awaitFlows(victimID, 1) {
+		return corrupt(fault, "closed flow never dropped")
+	}
 	w.Clock.Advance(2 * time.Second)
 	if err := w.verifyTenant(victimID, 3); err != nil {
 		return corrupt(fault, "flooder never recovered: "+err.Error())
@@ -205,12 +246,8 @@ func runTenantStall() Result {
 	// Registration happens server-side after the handshake; wait for the
 	// flow to exist before stalling it, or the shed loop below would
 	// mistake not-yet-registered for already-shed.
-	regDeadline := time.Now().Add(5 * time.Second)
-	for w.Node.GW.TenantFlows(victimID) == 0 {
-		if time.Now().After(regDeadline) {
-			return corrupt(fault, "staller flow never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !w.awaitFlows(victimID, 1) {
+		return corrupt(fault, "staller flow never registered")
 	}
 	// Submit a pile of requests and never read a reply: the reply path
 	// fills the flow's window and the relay's write blocks.
@@ -271,8 +308,12 @@ func runTenantKeyCorrupt() Result {
 	defer w.Node.Close()
 	bad := bytes.Repeat([]byte{0x42}, 32)
 	for i := 0; i < 6; i++ { // 6 > the eviction budget of 4
+		drops := w.Node.Tb.Tenant(uint64(victimID)).Drops
 		if _, err := w.Node.DialTenantKey(victimID, bad); err == nil {
 			return corrupt(fault, "handshake with a corrupt key succeeded")
+		}
+		if !w.awaitCharge(victimID, drops) {
+			return corrupt(fault, "failed handshake never charged to the claimed id")
 		}
 		w.Clock.Advance(2 * time.Second) // clear the handshake backoff
 	}
@@ -314,6 +355,9 @@ func runTenantEvictStorm() Result {
 		return corrupt(fault, "hold 2: "+err.Error())
 	}
 	defer h2.Close()
+	if !w.awaitFlows(victimID, 2) {
+		return corrupt(fault, "held flows never registered")
+	}
 
 	for i := 0; i < 10 && !w.Node.GW.TenantEvicted(victimID); i++ {
 		w.floodOnce(victimID)
@@ -407,6 +451,11 @@ func runCrossTenantDeath() Result {
 		return corrupt(fault, "hold 2: "+err.Error())
 	}
 	defer h2.Close()
+	if !w.awaitFlows(victimID, 2) {
+		stop.Store(true)
+		wg.Wait()
+		return corrupt(fault, "held flows never registered")
+	}
 	for i := 0; i < 10 && !w.Node.GW.TenantEvicted(victimID); i++ {
 		w.floodOnce(victimID)
 		w.Clock.Advance(2 * time.Second)

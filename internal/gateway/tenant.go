@@ -241,10 +241,13 @@ func (t *tenant) addFlow(f *flow, max int) error {
 	}
 	if max > 0 && len(t.flows) >= max {
 		t.mu.Unlock()
-		t.meter.Drop(1)
 		// The quota breach is an authenticated fault: only the key-holder
 		// can open authenticated flows, so only the key-holder can flood.
-		if err := t.fault(); err != nil {
+		// Charged before it is counted, so an observer that sees the drop
+		// knows the backoff is already armed.
+		err := t.fault()
+		t.meter.Drop(1)
+		if err != nil {
 			return err
 		}
 		return ErrFlowLimit

@@ -164,11 +164,32 @@ func (s *Stack) Close() {
 // rxBurst bounds the frames drained from the NIC per loop iteration.
 const rxBurst = 64
 
+// rxSpin is how many consecutive empty poll rounds the loop burns before
+// it parks. Every empty poll of a safe ring is a charged index check, so
+// the budget is kept just long enough to catch a reply already in flight.
+const rxSpin = 4
+
+// timerScan bounds how stale the cached timer deadline may get while the
+// loop is too busy to sleep: nextDeadline walks every connection, so it
+// runs before each sleep and, under sustained load, once per period — not
+// once per burst.
+const timerScan = time.Millisecond
+
+// loop is the stack's one goroutine: drain every queue, run whichever
+// timers are due, and once idle park on the queues' producer indexes
+// (nic.Parker) until a wake, Close, the next timer deadline or
+// nic.WaitBound. A transport with nothing to park on is polled every
+// WaitBound by the same wait.
 func (s *Stack) loop() {
 	defer s.wg.Done()
 	burst := make([]nic.Frame, rxBurst)
-	lastTick := time.Now()
-	idle := 0
+	// One wake shared by all queues; each queue's handle is learned from
+	// its empty polls (nil: nothing to park on).
+	wake := make(chan struct{}, 1)
+	parks := make([]nic.Parker, len(s.queues))
+	var w nic.Waiter
+	var deadline, scanned time.Time
+	idle, parked := 0, false
 	for {
 		select {
 		case <-s.stop:
@@ -182,35 +203,85 @@ func (s *Stack) loop() {
 		// the whole device fail-deaded (fate is shared through the
 		// transport latch): degrade and exit rather than spin on a dead
 		// device.
-		for _, q := range s.queues {
+		for i, q := range s.queues {
 			n, err := q.RecvBatch(burst)
-			for i := 0; i < n; i++ {
-				s.handleFrame(burst[i].Bytes())
-				burst[i].Release()
-				burst[i] = nil
+			for j := 0; j < n; j++ {
+				s.handleFrame(burst[j].Bytes())
+				burst[j].Release()
+				burst[j] = nil
 			}
 			if n > 0 {
 				worked = true
 			}
-			if err != nil && errors.Is(err, nic.ErrClosed) {
+			if p, ok := err.(nic.Parker); ok {
+				parks[i] = p
+			} else if errors.Is(err, nic.ErrClosed) {
 				s.degrade(err)
 				return
 			}
 		}
-		if now := time.Now(); now.Sub(lastTick) >= time.Millisecond {
+		now := time.Now()
+		if now.Sub(scanned) >= timerScan {
+			deadline, scanned = s.nextDeadline(), now
+		}
+		if !deadline.IsZero() && now.After(deadline) {
 			s.TCP.Tick()
 			s.expireARPWaiters(now)
-			lastTick = now
+			deadline = s.nextDeadline()
 		}
 		if worked {
+			if parked {
+				for _, p := range parks {
+					if p != nil {
+						p.Unpark()
+					}
+				}
+				parked = false
+			}
 			idle = 0
 			continue
 		}
-		idle++
-		if idle > 64 {
-			time.Sleep(50 * time.Microsecond)
+		if idle++; idle <= rxSpin {
+			continue
+		}
+		if !parked {
+			parked = true
+			ready := false
+			for _, p := range parks {
+				if p != nil && p.Park(wake) {
+					ready = true
+				}
+			}
+			if ready {
+				continue // frames raced in while parking: poll again
+			}
+		}
+		// Sleep towards a fresh deadline: another goroutine may have armed
+		// a timer since the last scan. One already due ends the wait at
+		// once and is ticked on the next pass.
+		deadline, scanned = s.nextDeadline(), now
+		d := nic.WaitBound
+		if !deadline.IsZero() && deadline.Sub(now) < d {
+			d = deadline.Sub(now)
+		}
+		if !w.Wait(s.stop, wake, nil, d) {
+			return
 		}
 	}
+}
+
+// nextDeadline is the earliest instant a timer of the stack has work:
+// TCP's, or the expiry of the oldest packet queued behind ARP.
+func (s *Stack) nextDeadline() time.Time {
+	next := s.TCP.NextDeadline()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, pkts := range s.arpWait {
+		if t := pkts[0].queued.Add(arpPendingTTL); next.IsZero() || t.Before(next) {
+			next = t
+		}
+	}
+	return next
 }
 
 func (s *Stack) expireARPWaiters(now time.Time) {

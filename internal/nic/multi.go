@@ -145,17 +145,10 @@ type MultiPump struct {
 // out of the threat model).
 const rxQueueDepth = 2 * pumpBurst
 
-// StartMultiPump begins pumping every queue of hosts against port with
-// the default idle ladder. The per-queue backends must belong to one
-// device (so fate is shared via the transport's latch); hosts must be
-// non-empty.
+// StartMultiPump begins pumping every queue of hosts against port. The
+// per-queue backends must belong to one device (so fate is shared via
+// the transport's latch); hosts must be non-empty.
 func StartMultiPump(hosts []BatchHost, port *simnet.Port) *MultiPump {
-	return StartMultiPumpCfg(hosts, port, DefaultPumpConfig)
-}
-
-// StartMultiPumpCfg is StartMultiPump with an explicit idle-ladder
-// configuration.
-func StartMultiPumpCfg(hosts []BatchHost, port *simnet.Port, cfg PumpConfig) *MultiPump {
 	if len(hosts) == 0 {
 		panic("nic: StartMultiPump needs at least one queue")
 	}
@@ -172,12 +165,12 @@ func StartMultiPumpCfg(hosts []BatchHost, port *simnet.Port, cfg PumpConfig) *Mu
 	for i, h := range hosts {
 		p.wg.Add(2)
 		p.running.Add(2)
-		go p.runTX(i, h, port, newLadder(h, cfg, p.stop))
+		go p.runTX(i, h, port, newLadder(h, nil, p.stop))
 		go p.runRXWorker(i, h, chans[i])
 	}
 	p.wg.Add(1)
 	p.running.Add(1)
-	go p.runRX(len(hosts), port, newLadder(nil, cfg, p.stop), chans)
+	go p.runRX(len(hosts), port, newLadder(nil, port.Wake(), p.stop), chans)
 	return p
 }
 
@@ -264,10 +257,8 @@ func (p *MultiPump) runRX(queues int, port *simnet.Port, idle *ladder, chans []c
 		}
 		if got > 0 {
 			idle.worked()
-		} else {
-			// The wire has no wake channel: the ladder's bounded sleep
-			// is the only idle option on the steering side.
-			idle.wait()
+		} else if !idle.wait() {
+			return
 		}
 	}
 }

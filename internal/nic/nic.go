@@ -13,6 +13,7 @@ package nic
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,11 +169,12 @@ func (s scalarHost) PushBatch(frames [][]byte) (int, error) {
 	return burst(len(frames), ErrFull, func(i int) error { return s.Push(frames[i]) })
 }
 
-// NotifyHost is a Host whose transport supports event-idx notification
-// suppression: the backend can publish a wake threshold ("ring me only
-// when new transmit work crosses my consumer position") instead of
-// taking a doorbell per batch. The pump uses it to trade boundary
-// crossings for a short arming handshake at the idle edge.
+// NotifyHost is a Host whose backend can block at the idle edge instead
+// of polling on a timer. With doorbells it publishes a wake threshold
+// ("ring me only when new transmit work crosses my consumer position",
+// event-idx) instead of taking a doorbell per batch, trading boundary
+// crossings for a short arming handshake; a polling-mode transport parks
+// the backend on the transmit producer index instead (see Parker).
 //
 // The channel and the threshold are hints, never trusted state: a guest
 // that lies about (or ignores) the event index can delay the wakeup,
@@ -187,68 +189,78 @@ type NotifyHost interface {
 	// SuppressNotify withdraws the threshold while the pump actively
 	// polls, eliding peer doorbells under sustained load.
 	SuppressNotify()
-	// NotifyChan returns the doorbell trigger to wait on, or nil when
-	// the transport runs without doorbells. Re-fetched before every
-	// wait: reincarnation replaces the bell.
+	// NotifyChan returns the trigger to wait on once armed: the doorbell,
+	// or the park wake of a polling-mode transport. Re-fetched before
+	// every wait: reincarnation replaces the bell.
 	NotifyChan() <-chan struct{}
 }
 
-// PumpConfig tunes the pump's idle ladder: spin for SpinIdle empty
-// polls, then (on notify-capable transports) arm the wake threshold and
-// sleep in bounded exponential steps from SleepMin to SleepMax. Zero
-// fields take the DefaultPumpConfig values.
+// Parker is carried by the empty result of a transport whose receive
+// ring an idle poller can park on: the error RecvBatch returns from an
+// empty ring Is ErrEmpty and, on such a transport, also a Parker. It
+// travels in the error, not in a further optional interface, so that it
+// survives wrappers that implement exactly BatchGuest.
 //
-// SleepMax bounds every wait even when a doorbell channel is armed —
-// the simulated wire has no wake channel, and a peer controls when (not
-// whether correctly) bells ring — so inbound traffic is polled at least
-// every SleepMax and a stopped pump always collects.
-type PumpConfig struct {
-	// SpinIdle is how many consecutive empty polls to burn before the
-	// pump starts sleeping (the busy-poll budget).
-	SpinIdle int
-	// SleepMin is the first idle sleep; each further consecutive idle
-	// wait doubles it.
-	SleepMin time.Duration
-	// SleepMax caps the backoff and bounds every bell wait.
-	SleepMax time.Duration
+// The wake is the simulation of a polling core noticing the producer's
+// index store, not a doorbell: it costs nothing in the model, it is a
+// hint (frames are still consumed through the validated RecvBatch), and
+// every wait on it is bounded by WaitBound.
+type Parker interface {
+	// Park registers wake — capacity 1, poked after every producer
+	// index store — and reports whether frames already wait (the
+	// lost-wakeup re-check): true means poll again instead of blocking.
+	Park(wake chan struct{}) bool
+	// Unpark withdraws the wake while the poller is busy anyway.
+	Unpark()
 }
 
-// DefaultPumpConfig preserves the pre-ladder behaviour at the low end
-// (64 spins, 20µs first sleep) while letting a persistently idle pump
-// back off an order of magnitude further.
-var DefaultPumpConfig = PumpConfig{
-	SpinIdle: 64,
-	SleepMin: 20 * time.Microsecond,
-	SleepMax: 200 * time.Microsecond,
-}
+const (
+	// pumpSpin is the pump's busy-poll budget: consecutive empty polls
+	// before it arms its wake and blocks. Host polls are free in the
+	// model, and a budget that outlasts the peer's reply keeps an
+	// event-idx pump from re-arming (one charged doorbell) mid-exchange.
+	pumpSpin = 256
+	// pumpYield is how many of those polls run back to back; past it
+	// each poll yields the processor, so the spin cannot starve the
+	// goroutines it is waiting for.
+	pumpYield = 64
+	// WaitBound bounds every idle wait on the datapath, armed or not. A
+	// wake is a hint a peer controls (it can be late, lost to a retired
+	// ring, or never come), and transports with nothing to wait on sleep
+	// this long between polls — so it is the worst latency an idle edge
+	// adds, and the longest a stopped or fail-deaded poller stays around.
+	WaitBound = 200 * time.Microsecond
+)
 
-func (c PumpConfig) withDefaults() PumpConfig {
-	if c.SpinIdle == 0 {
-		c.SpinIdle = DefaultPumpConfig.SpinIdle
-	}
-	if c.SleepMin == 0 {
-		c.SleepMin = DefaultPumpConfig.SleepMin
-	}
-	if c.SleepMax == 0 {
-		c.SleepMax = DefaultPumpConfig.SleepMax
-	}
-	if c.SleepMax < c.SleepMin {
-		c.SleepMax = c.SleepMin
-	}
-	return c
-}
+// Waiter blocks one idle poller until something wakes it. It owns the
+// poller's only timer, re-armed per wait instead of allocated per wait.
+// The zero value is ready; not safe for concurrent use.
+type Waiter struct{ t *time.Timer }
 
-// backoff returns the nth consecutive idle sleep (n counted from 0),
-// doubling from SleepMin and saturating at SleepMax.
-func (c PumpConfig) backoff(n int) time.Duration {
-	d := c.SleepMin
-	for i := 0; i < n && i < 16 && d < c.SleepMax; i++ {
-		d *= 2
+// Wait blocks until a or b fires (a nil channel never does), stop
+// closes, or d passes. It reports false once stop closed.
+func (w *Waiter) Wait(stop, a, b <-chan struct{}, d time.Duration) bool {
+	if w.t == nil {
+		w.t = time.NewTimer(d)
+	} else {
+		w.t.Reset(d)
 	}
-	if d > c.SleepMax {
-		d = c.SleepMax
+	live := true
+	select {
+	case <-stop:
+		live = false
+	case <-a:
+	case <-b:
+	case <-w.t.C:
+		return true
 	}
-	return d
+	if !w.t.Stop() {
+		select { // fired between the select and Stop: keep C empty for Reset
+		case <-w.t.C:
+		default:
+		}
+	}
+	return live
 }
 
 // BufFrame is a trivial Frame over a private byte slice.
@@ -271,10 +283,10 @@ func (f *BufFrame) Release() {
 	}
 }
 
-// Pump shuttles frames between a Host backend and a simnet port with two
-// polling goroutines, mirroring a host device model thread. Polling is
-// the paper's default (no notifications); the pump backs off briefly
-// when both directions are idle so tests don't burn a core.
+// Pump shuttles frames between a Host backend and a simnet port from one
+// polling goroutine, mirroring a host device model thread. Polling is
+// the paper's default (no notifications); when both directions are idle
+// the pump blocks on its ladder instead of burning a core.
 type Pump struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -287,18 +299,12 @@ type Pump struct {
 	running  atomic.Int32
 }
 
-// StartPump begins shuttling between h and port until Stop, with the
-// default idle ladder.
+// StartPump begins shuttling between h and port until Stop.
 func StartPump(h Host, port *simnet.Port) *Pump {
-	return StartPumpCfg(h, port, DefaultPumpConfig)
-}
-
-// StartPumpCfg is StartPump with an explicit idle-ladder configuration.
-func StartPumpCfg(h Host, port *simnet.Port, cfg PumpConfig) *Pump {
 	p := &Pump{stop: make(chan struct{})}
 	p.wg.Add(1)
 	p.running.Add(1)
-	go p.run(UpgradeHost(h), port, newLadder(h, cfg, p.stop))
+	go p.run(UpgradeHost(h), port, newLadder(h, port.Wake(), p.stop))
 	return p
 }
 
@@ -312,23 +318,25 @@ const pumpBurst = 64
 
 // ladder is one pump goroutine's idle state: spin the busy-poll budget,
 // then (on notify-capable transports) arm the wake threshold with the
-// lost-wakeup recheck, then sleep in bounded exponential steps. The bell
-// wait is always time-bounded: the wire side has no wake channel, and
-// the guest controls when bells ring, never whether this goroutine can
-// be collected — SleepMax is the worst-case latency either can add.
+// lost-wakeup recheck, then block until the transport's wake, the wire's
+// delivery signal, stop, or WaitBound — whichever comes first. The wait
+// is always time-bounded: the guest controls when its wake fires, never
+// whether this goroutine polls again or can be collected.
 type ladder struct {
-	cfg   PumpConfig
-	nh    NotifyHost // nil: no wake threshold to arm, sleep only
+	nh    NotifyHost      // nil: no wake threshold to arm
+	wire  <-chan struct{} // the port's delivery signal; nil for a TX-only worker
 	stop  <-chan struct{}
+	w     Waiter
 	idle  int
 	armed bool
 }
 
-// newLadder builds the ladder for one goroutine polling h; a nil h (the
-// wire-side steering worker) has nothing to arm.
-func newLadder(h Host, cfg PumpConfig, stop <-chan struct{}) *ladder {
+// newLadder builds the ladder for one goroutine polling h and, when wire
+// is non-nil, the port behind it; a nil h (the wire-side steering worker)
+// has nothing to arm.
+func newLadder(h Host, wire, stop <-chan struct{}) *ladder {
 	nh, _ := h.(NotifyHost)
-	return &ladder{cfg: cfg.withDefaults(), nh: nh, stop: stop}
+	return &ladder{nh: nh, wire: wire, stop: stop}
 }
 
 // worked resets the ladder after a productive poll, withdrawing the wake
@@ -344,7 +352,10 @@ func (l *ladder) worked() {
 // wait takes one idle step and reports false once the pump was stopped.
 func (l *ladder) wait() bool {
 	l.idle++
-	if l.idle <= l.cfg.SpinIdle {
+	if l.idle <= pumpSpin {
+		if l.idle > pumpYield {
+			runtime.Gosched()
+		}
 		return true
 	}
 	var bell <-chan struct{}
@@ -353,22 +364,10 @@ func (l *ladder) wait() bool {
 			return true // work raced in while arming: poll again
 		}
 		l.armed = true
+		// Re-fetched before every wait: reincarnation replaces the bell.
 		bell = l.nh.NotifyChan()
 	}
-	d := l.cfg.backoff(l.idle - l.cfg.SpinIdle - 1)
-	if bell == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-l.stop:
-		return false
-	case <-bell:
-	case <-t.C:
-	}
-	return true
+	return l.w.Wait(l.stop, bell, l.wire, WaitBound)
 }
 
 // txBurst is the buffer set one transmit drain reuses.

@@ -59,6 +59,17 @@ func (g *GuestNIC) SendBatch(frames [][]byte) (int, error) {
 	return n, nicErr(err)
 }
 
+// rxEmpty is what RecvBatch returns from an empty ring: nic.ErrEmpty to
+// errors.Is, carrying the nic.Parker an idle poller parks on. The handle
+// rides in the error so that it passes through wrappers that implement
+// exactly nic.BatchGuest; one pointer wide, it boxes without allocating.
+type rxEmpty struct{ ep *Endpoint }
+
+func (rxEmpty) Error() string                  { return nic.ErrEmpty.Error() }
+func (rxEmpty) Is(target error) bool           { return target == nic.ErrEmpty }
+func (r rxEmpty) Park(wake chan struct{}) bool { return r.ep.ParkRX(wake) }
+func (r rxEmpty) Unpark()                      { r.ep.UnparkRX() }
+
 // RecvBatch implements nic.BatchGuest.
 func (g *GuestNIC) RecvBatch(out []nic.Frame) (int, error) {
 	sp, _ := g.rxScratch.Get().(*[]*RxFrame)
@@ -73,6 +84,9 @@ func (g *GuestNIC) RecvBatch(out []nic.Frame) (int, error) {
 		rxs[i] = nil // drop the reference before pooling the scratch
 	}
 	g.rxScratch.Put(sp)
+	if err == ErrRingEmpty {
+		return 0, rxEmpty{g.EP}
+	}
 	return n, nicErr(err)
 }
 
@@ -122,16 +136,9 @@ func (h *HostNIC) ArmNotify() bool { return h.HP.ArmTXNotify() }
 // SuppressNotify implements nic.NotifyHost.
 func (h *HostNIC) SuppressNotify() { h.HP.SuppressTXNotify() }
 
-// NotifyChan implements nic.NotifyHost. The shared state is re-fetched
-// on every call: reincarnation replaces the doorbell, and a pump that
-// cached the old (sealed) bell would sleep through the new incarnation's
-// rings until its bounded timeout.
-func (h *HostNIC) NotifyChan() <-chan struct{} {
-	if b := h.HP.Shared().TXBell; b != nil {
-		return b.Chan()
-	}
-	return nil
-}
+// NotifyChan implements nic.NotifyHost: the doorbell trigger, or the
+// park wake on a polling-mode device.
+func (h *HostNIC) NotifyChan() <-chan struct{} { return h.HP.TXWake() }
 
 // NIC returns the multi-queue endpoint's nic.MultiGuest view: a mux over
 // per-queue GuestNIC adapters. Flow steering happens above this adapter

@@ -676,6 +676,28 @@ func (e *Endpoint) SuppressRXNotify() {
 	e.sh.RXUsed.Indexes().StoreEvent(e.rxTail - 1)
 }
 
+// ParkRX parks an idle receive poller on the RXUsed producer index:
+// wake is poked after every host store to it (Indexes.Park), on every
+// device whatever its notification mode, at no model cost — a polling
+// core noticing a store is not a doorbell. It reports whether frames
+// already wait or the device died (the lost-wakeup re-check: poll again,
+// don't block). A poke is a hint and may be late, spurious or — on a ring
+// Swap or Reincarnate retired — never come, so callers bound the wait.
+func (e *Endpoint) ParkRX(wake chan struct{}) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ix := e.sh.RXUsed.Indexes()
+	ix.Park(wake)
+	return e.deadLocked() || ix.LoadProd() != e.rxTail
+}
+
+// UnparkRX withdraws the parked wake while the poller is busy anyway.
+func (e *Endpoint) UnparkRX() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sh.RXUsed.Indexes().Unpark()
+}
+
 // RecvPoll is Recv with the configured busy-poll ladder: it polls up to
 // 1+BusyPoll times and, still empty, arms the RX doorbell (with the
 // lost-wakeup recheck) before returning ErrRingEmpty. The caller may

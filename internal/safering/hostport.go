@@ -35,11 +35,15 @@ type HostPort struct {
 	// backpressure, one index store and at most one (event-idx gated)
 	// doorbell per burst.
 	rx *Engine[Desc] //ciovet:guards mu
+
+	// park is the wake a polling-mode backend blocks on once idle (see
+	// ArmTXNotify); the guest's TX index store pokes it.
+	park chan struct{}
 }
 
 // NewHostPort attaches an honest device model to the shared state.
 func NewHostPort(sh *Shared) *HostPort {
-	h := &HostPort{sh: sh}
+	h := &HostPort{sh: sh, park: make(chan struct{}, 1)}
 	h.rx = NewEngine[Desc](sh.RXUsed, sh.RXBell, descCodec{}, nil, EngineHooks[Desc]{Fail: h.fail})
 	h.rx.SetEventIdx(sh.Cfg.EventIdx)
 	return h
@@ -280,23 +284,42 @@ func (h *HostPort) stagePushLocked(frame []byte) error {
 
 // ArmTXNotify publishes the host's transmit wake threshold (event
 // index): under EventIdx the guest rings TXBell only once its producer
-// index crosses the host's consumer position. It re-checks the raw
-// producer index after the store (the lost-wakeup recheck) and reports
-// whether frames already wait — true means poll again, don't block.
+// index crosses the host's consumer position. A polling-mode device has
+// no bell, so the backend parks on the TX producer index instead
+// (Indexes.Park). Either way it re-checks the raw producer index after
+// the store (the lost-wakeup recheck) and reports whether frames already
+// wait — true means poll again, don't block.
 func (h *HostPort) ArmTXNotify() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.sh.TX.Indexes().StoreEvent(h.txTail)
-	return h.sh.TX.Indexes().LoadProd() != h.txTail
+	ix := h.sh.TX.Indexes()
+	ix.StoreEvent(h.txTail)
+	if h.sh.TXBell == nil {
+		ix.Park(h.park)
+	}
+	return ix.LoadProd() != h.txTail
 }
 
-// SuppressTXNotify withdraws the transmit wake threshold while the host
-// pump actively polls, eliding guest doorbell rings under sustained
-// load (event index = consumer position - 1, never crossed).
+// SuppressTXNotify withdraws the transmit wake threshold (and the park)
+// while the host pump actively polls, eliding guest doorbell rings under
+// sustained load (event index = consumer position - 1, never crossed).
 func (h *HostPort) SuppressTXNotify() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.sh.TX.Indexes().StoreEvent(h.txTail - 1)
+	ix := h.sh.TX.Indexes()
+	ix.StoreEvent(h.txTail - 1)
+	if h.sh.TXBell == nil {
+		ix.Unpark()
+	}
+}
+
+// TXWake returns what an armed backend blocks on: the guest's doorbell
+// trigger, or the park wake on a polling-mode device. Never nil.
+func (h *HostPort) TXWake() <-chan struct{} {
+	if b := h.sh.TXBell; b != nil {
+		return b.Chan()
+	}
+	return h.park
 }
 
 // popFreeSlab consumes the next guest-posted receive slab.

@@ -41,10 +41,6 @@ func recvWire(t *testing.T, port *simnet.Port) []byte {
 	return nil
 }
 
-func ladderCfg() nic.PumpConfig {
-	return nic.PumpConfig{SpinIdle: 4, SleepMin: 50 * time.Microsecond, SleepMax: 500 * time.Microsecond}
-}
-
 // wireFrame builds a broadcast Ethernet frame (so simnet floods it
 // instead of MAC-learning a pseudo-random destination onto the pump's
 // own port) with a payload that identifies round i.
@@ -66,7 +62,7 @@ func TestPumpEventIdxRoundTripAndStop(t *testing.T) {
 	hp := NewHostPort(ep.Shared())
 	net := simnet.New()
 	portPump, portPeer := net.NewPort(), net.NewPort()
-	pump := nic.StartPumpCfg(hp.NIC(), portPump, ladderCfg())
+	pump := nic.StartPump(hp.NIC(), portPump)
 	defer pump.Stop()
 
 	// Several idle-edge cycles: let the pump spin down and arm, then
@@ -121,7 +117,7 @@ func TestPumpFailDeadCollectsWhileArmed(t *testing.T) {
 	}
 	hp := NewHostPort(ep.Shared())
 	net := simnet.New()
-	pump := nic.StartPumpCfg(hp.NIC(), net.NewPort(), ladderCfg())
+	pump := nic.StartPump(hp.NIC(), net.NewPort())
 	defer pump.Stop()
 
 	time.Sleep(2 * time.Millisecond) // pump idles, arms, sleeps
@@ -150,7 +146,7 @@ func TestMultiPumpShardedStopAndFailDead(t *testing.T) {
 	me, mhp := mk()
 	net := simnet.New()
 	portPump, portPeer := net.NewPort(), net.NewPort()
-	pump := nic.StartMultiPumpCfg(mhp.HostNICs(), portPump, ladderCfg())
+	pump := nic.StartMultiPump(mhp.HostNICs(), portPump)
 	if got := pump.Running(); got != 2*queues+1 {
 		t.Fatalf("Running = %d at start, want %d (TX+RX per queue + steering)", got, 2*queues+1)
 	}
@@ -187,7 +183,7 @@ func TestMultiPumpShardedStopAndFailDead(t *testing.T) {
 	// Fail-dead self-collection: fresh device, pumps armed and asleep,
 	// one queue violates -> device-wide latch -> zero goroutines left.
 	me2, mhp2 := mk()
-	pump2 := nic.StartMultiPumpCfg(mhp2.HostNICs(), simnet.New().NewPort(), ladderCfg())
+	pump2 := nic.StartMultiPump(mhp2.HostNICs(), simnet.New().NewPort())
 	defer pump2.Stop()
 	time.Sleep(2 * time.Millisecond)
 	sh := me2.Queue(1).Shared()

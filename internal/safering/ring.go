@@ -78,13 +78,39 @@ type Indexes struct {
 	// watchdog notices) but can never confuse ring state.
 	//ciovet:shared the peer publishes its wake threshold here
 	evt atomic.Uint64
+	// parked holds the wake (a cap-1 chan struct{}, nil when withdrawn)
+	// of the poller parked on prod. It is not part of the shared window:
+	// it stands in for a polling core noticing the store to the cache
+	// line it spins on, so it is unmetered and carries no protocol state.
+	// The poke is a hint only — a parked poller consumes work through the
+	// same validated index load as a spinning one, and bounds its wait.
+	parked atomic.Value
 }
 
 // LoadProd returns the producer's published position.
 func (ix *Indexes) LoadProd() uint64 { return ix.prod.Load() }
 
-// StoreProd publishes the producer position.
-func (ix *Indexes) StoreProd(v uint64) { ix.prod.Store(v) }
+// StoreProd publishes the producer position and pokes the poller parked
+// on it, if any. Store before poke: see Park.
+func (ix *Indexes) StoreProd(v uint64) {
+	ix.prod.Store(v)
+	if wake, _ := ix.parked.Load().(chan struct{}); wake != nil {
+		select {
+		case wake <- struct{}{}:
+		default: // a poke is already pending: wakes coalesce
+		}
+	}
+}
+
+// Park registers wake as the poller parked on the producer index. The
+// caller must then re-check LoadProd against its private tail before it
+// blocks — the Dekker order Publish and the event index use: the
+// producer stores prod and then loads parked, the poller stores parked
+// and then loads prod, so one of them sees the other and no wake is lost.
+func (ix *Indexes) Park(wake chan struct{}) { ix.parked.Store(wake) }
+
+// Unpark withdraws the parked wake while its poller is busy anyway.
+func (ix *Indexes) Unpark() { ix.parked.Store((chan struct{})(nil)) }
 
 // LoadCons returns the consumer's published position.
 func (ix *Indexes) LoadCons() uint64 { return ix.cons.Load() }

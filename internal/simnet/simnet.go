@@ -126,6 +126,10 @@ type Port struct {
 	n     *Network
 	index int
 
+	// wake is the coalescing delivery signal: poked after every frame
+	// queued here, so a backend can block on it between polls.
+	wake chan struct{}
+
 	mu     sync.Mutex
 	queue  [][]byte
 	held   [][]byte // reorder buffer
@@ -145,7 +149,7 @@ const queueCap = 4096
 func (n *Network) NewPort() *Port {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p := &Port{n: n, index: len(n.ports)}
+	p := &Port{n: n, index: len(n.ports), wake: make(chan struct{}, 1)}
 	n.ports = append(n.ports, p)
 	return p
 }
@@ -196,6 +200,12 @@ func (p *Port) Recv() ([]byte, bool) {
 	return f, true
 }
 
+// Wake returns the port's delivery signal: a capacity-1 channel poked
+// after every frame queued for Recv. A backend that found Recv empty may
+// block on it instead of sleeping; a pending poke means "poll", not
+// "frames wait" (pokes coalesce and outlive the frames that caused them).
+func (p *Port) Wake() <-chan struct{} { return p.wake }
+
 // Pending returns the number of frames waiting at the port.
 func (p *Port) Pending() int {
 	p.mu.Lock()
@@ -223,25 +233,22 @@ func (n *Network) switchFrame(srcPort int, frame []byte) error {
 	obs := n.onFrame
 	n.macs[src] = srcPort
 	outPort, known := n.macs[dst]
-	targets := make([]*Port, 0, len(n.ports))
-	if known && dst != Broadcast {
-		if outPort != srcPort {
-			targets = append(targets, n.ports[outPort])
-		}
-	} else {
-		for i, p := range n.ports {
-			if i != srcPort {
-				targets = append(targets, p)
-			}
-		}
-	}
+	ports := n.ports // append-only: a snapshot is safe to walk unlocked
 	n.mu.Unlock()
 
 	if obs != nil {
 		obs(rec)
 	}
-	for _, p := range targets {
-		p.deliver(frame)
+	if known && dst != Broadcast {
+		if outPort != srcPort {
+			ports[outPort].deliver(frame)
+		}
+		return nil
+	}
+	for i, p := range ports {
+		if i != srcPort {
+			p.deliver(frame)
+		}
 	}
 	return nil
 }
@@ -274,6 +281,10 @@ func (p *Port) deliver(frame []byte) {
 			return
 		}
 		p.queue = append(p.queue, f)
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
 	}
 
 	if imp.ReorderEvery > 0 && p.count%uint64(imp.ReorderEvery) == 0 {

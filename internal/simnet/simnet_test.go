@@ -3,6 +3,7 @@ package simnet
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 func mkFrame(dst, src [6]byte, payload []byte) []byte {
@@ -249,5 +250,85 @@ func TestSendCopiesFrame(t *testing.T) {
 	got, _ := pb.Recv()
 	if got[14] != 'o' {
 		t.Fatal("network did not copy the frame on delivery")
+	}
+}
+
+// TestPortWakeNeverLosesADelivery hands single frames across the switch
+// to a receiver that blocks on the port's delivery signal whenever Recv
+// comes back empty. The timeout is far past anything scheduling noise
+// produces, so a delivery that failed to poke the signal fails here
+// instead of hiding behind a pump's bounded wait. Run under -race.
+func TestPortWakeNeverLosesADelivery(t *testing.T) {
+	rounds := 100_000
+	if testing.Short() {
+		rounds = 10_000
+	}
+	n := New()
+	pa, pb := n.NewPort(), n.NewPort()
+	if err := pb.Send(mkFrame(macA, macB, nil)); err != nil { // teach the switch where B lives
+		t.Fatal(err)
+	}
+	pa.Recv()
+	got := make(chan byte)
+	fail := make(chan string, 1)
+	go func() {
+		lost := time.NewTimer(time.Hour)
+		defer lost.Stop()
+		for i := 0; i < rounds; i++ {
+			for {
+				if f, ok := pb.Recv(); ok {
+					got <- f[14]
+					break
+				}
+				lost.Reset(10 * time.Second) // per delivery, not per test
+				select {
+				case <-pb.Wake():
+					if !lost.Stop() {
+						<-lost.C
+					}
+				case <-lost.C:
+					fail <- "delivery signal lost: receiver still blocked"
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if err := pa.Send(mkFrame(macB, macA, []byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case b := <-got:
+			if b != byte(i) {
+				t.Fatalf("round %d delivered payload %d", i, b)
+			}
+		case msg := <-fail:
+			t.Fatalf("round %d of %d: %s", i, rounds, msg)
+		}
+	}
+}
+
+// TestKnownUnicastBuildsNoTargetList: switching a frame to a learned
+// destination allocates the private copy delivery makes and the port
+// queue's regrowth (Recv slides the queue forward, so a one-in, one-out
+// exchange regrows it every frame) — and no per-frame target list.
+func TestKnownUnicastBuildsNoTargetList(t *testing.T) {
+	n := New()
+	pa, pb := n.NewPort(), n.NewPort()
+	if err := pb.Send(mkFrame(macA, macB, nil)); err != nil {
+		t.Fatal(err)
+	}
+	pa.Recv()
+	f := mkFrame(macB, macA, make([]byte, 256))
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := pa.Send(f); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := pb.Recv(); !ok {
+			t.Fatal("unicast frame not delivered")
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("%.0f allocs per switched frame, want 2 (copy + queue regrowth)", allocs)
 	}
 }

@@ -176,8 +176,35 @@ func (e *Endpoint) sendRSTLocked(dst ipv4.Addr, h Header, payloadLen int) {
 	e.emit(dst, Marshal(nil, e.ip, dst, rst, nil))
 }
 
+// NextDeadline returns the earliest instant at which Tick has work: the
+// minimum over live connections of the retransmission, zero-window-probe
+// and TIME-WAIT timers, mirroring which of them tickLocked honours in
+// each state. Zero means no timer is armed; the owning stack sleeps
+// until then (or its next frame) instead of ticking on a fixed period.
+func (e *Endpoint) NextDeadline() time.Time {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var next time.Time
+	earlier := func(t time.Time) {
+		if !t.IsZero() && (next.IsZero() || t.Before(next)) {
+			next = t
+		}
+	}
+	for _, c := range e.conns {
+		switch c.state {
+		case StateClosed:
+		case StateTimeWait:
+			earlier(c.timeWaitAt)
+		default:
+			earlier(c.rtxDeadline)
+			earlier(c.probeAt)
+		}
+	}
+	return next
+}
+
 // Tick advances timers (retransmission, zero-window probes, TIME-WAIT
-// expiry). The stack calls it every few milliseconds.
+// expiry). The stack calls it once NextDeadline has passed.
 func (e *Endpoint) Tick() {
 	e.mu.Lock()
 	now := e.now()
