@@ -152,6 +152,22 @@ func (g *Gate) AllocTx(n int) *Buffer {
 	return g.io.Alloc(n)
 }
 
+// ReuseTx is AllocTx for a transmit buffer the application kept from an
+// earlier send: the same round trip, in which the I/O domain hands the
+// buffer back once its stack is done with it instead of carving a new
+// one. A connection can so hold one buffer for its lifetime at an
+// unchanged crossing cost per send.
+func (g *Gate) ReuseTx(b *Buffer) error {
+	if b.owner != g.io {
+		return fmt.Errorf("%w: transmit buffer must be I/O-owned", ErrPolicy)
+	}
+	if b.freed {
+		return fmt.Errorf("%w: use after free", ErrPolicy)
+	}
+	g.cross(2)
+	return nil
+}
+
 // FillTx lets the application write payload into an I/O-owned transmit
 // buffer. Allowed precisely because the I/O domain trusts the app
 // (single distrust); the reverse direction would be a violation.

@@ -121,6 +121,33 @@ func TestFillTxValidation(t *testing.T) {
 	}
 }
 
+// TestReuseTxCostsWhatAllocTxCosts: keeping a transmit buffer across
+// sends saves the allocation, not the round trip — two crossings, like
+// AllocTx — and is refused for anything but a live I/O-owned buffer.
+func TestReuseTxCostsWhatAllocTxCosts(t *testing.T) {
+	app, io, g, m := setup()
+	b := g.AllocTx(64)
+	if err := g.ReuseTx(b); err != nil {
+		t.Fatal(err)
+	}
+	if g.Crossings() != 4 || m.Snapshot().GateCrossings != 4 {
+		t.Fatalf("AllocTx + ReuseTx = %d crossings (meter %d), want 4", g.Crossings(), m.Snapshot().GateCrossings)
+	}
+	if io.AllocatedBytes() != 64 {
+		t.Fatalf("ReuseTx changed the I/O domain's accounting: %d bytes", io.AllocatedBytes())
+	}
+	if err := g.ReuseTx(app.Alloc(8)); !errors.Is(err, ErrPolicy) {
+		t.Fatalf("app-owned tx buffer: %v", err)
+	}
+	b.Free()
+	if err := g.ReuseTx(b); !errors.Is(err, ErrPolicy) {
+		t.Fatalf("freed tx buffer: %v", err)
+	}
+	if g.Crossings() != 4 {
+		t.Fatalf("refused reuse still crossed: %d", g.Crossings())
+	}
+}
+
 func TestRxRequiresAppBuffer(t *testing.T) {
 	app, io, g, m := setup()
 	dst := app.Alloc(64)

@@ -57,6 +57,9 @@ type gateConn struct {
 	// rxBuf is the app-provided receive buffer ("provides the buffer
 	// when receiving").
 	rxBuf *compartment.Buffer
+	// txBuf is the connection's transmit buffer in the I/O domain, as
+	// large as the largest Write so far and held until Close.
+	txBuf *compartment.Buffer
 	// compromised, when set, is the breached I/O compartment: it mutates
 	// every byte stream passing through the stack. Installed by
 	// World.CompromiseIOStack for the multi-stage-attack experiment.
@@ -77,20 +80,28 @@ func (g *gateConn) Write(p []byte) (int, error) {
 			n = gateRxBufSize
 		}
 		// The app allocates directly in the I/O domain and fills the
-		// buffer there; the I/O stack never sees an app pointer.
-		b := g.gate.AllocTx(n)
-		if err := g.gate.FillTx(b, p[:n]); err != nil {
-			b.Free()
+		// buffer there; the I/O stack never sees an app pointer. Every
+		// send asks the I/O domain for the buffer, a fresh one only when
+		// the one it holds is too small.
+		if g.txBuf == nil || g.txBuf.Len() < n {
+			if g.txBuf != nil {
+				g.txBuf.Free()
+			}
+			//ciovet:transfers the connection owns its transmit buffer until Close frees it
+			g.txBuf = g.gate.AllocTx(n)
+		} else if err := g.gate.ReuseTx(g.txBuf); err != nil {
 			return total, err
 		}
-		err := g.gate.SubmitTx(b, func(payload []byte) error {
+		if err := g.gate.FillTx(g.txBuf, p[:n]); err != nil {
+			return total, err
+		}
+		err := g.gate.SubmitTx(g.txBuf, func(payload []byte) error {
 			if g.compromised != nil {
 				g.compromised(payload[:n])
 			}
 			_, werr := g.c.Write(payload[:n])
 			return werr
 		})
-		b.Free()
 		if err != nil {
 			return total, err
 		}
@@ -124,5 +135,8 @@ func (g *gateConn) Read(p []byte) (int, error) {
 
 func (g *gateConn) Close() error {
 	defer g.rxBuf.Free()
+	if g.txBuf != nil {
+		defer g.txBuf.Free()
+	}
 	return g.gate.Call(func(*compartment.Domain) error { return g.c.Close() })
 }

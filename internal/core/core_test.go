@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"confio/internal/compartment"
 	"confio/internal/observe"
 	"confio/internal/platform"
 	"confio/internal/tcb"
@@ -376,5 +377,53 @@ func TestCloseCollectsServeGoroutines(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGateConnKeepsOneTxBuffer: a dual-boundary connection allocates its
+// I/O-domain transmit buffer on the first Write, keeps it — replaced only
+// by a larger one when a larger Write comes — at the same four gate
+// crossings per Write (buffer round trip + submit), and returns it, with
+// the receive buffer, on Close.
+func TestGateConnKeepsOneTxBuffer(t *testing.T) {
+	w, err := NewWorld(DualBoundary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c, err := w.client.stack.Dial(serverIP, appPort, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, ioDom := compartment.NewDomain("app", nil), compartment.NewDomain("io", nil)
+	gate := compartment.NewGate(app, ioDom, nil)
+	g := newGateConn(c, gate, app)
+	if got := ioDom.AllocatedBytes(); got != 0 {
+		t.Fatalf("I/O domain holds %d bytes before the first Write: the buffer must not be allocated at connect", got)
+	}
+	var seen [][]byte
+	g.compromised = func(p []byte) { seen = append(seen, append([]byte(nil), p...)) }
+	largest := 0
+	for i, msg := range []string{"first", "second, longer than the first", "3"} {
+		largest = max(largest, len(msg))
+		before := gate.Crossings()
+		if _, err := g.Write([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		if got := gate.Crossings() - before; got != 4 {
+			t.Fatalf("write %d took %d gate crossings, want 4", i, got)
+		}
+		if got := ioDom.AllocatedBytes(); got != largest {
+			t.Fatalf("after write %d the I/O domain holds %d bytes, want one %d-byte buffer", i, got, largest)
+		}
+		if string(seen[i]) != msg {
+			t.Fatalf("write %d handed the I/O stack %q, want %q", i, seen[i], msg)
+		}
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if app.AllocatedBytes() != 0 || ioDom.AllocatedBytes() != 0 {
+		t.Fatalf("after Close: app holds %d bytes, I/O holds %d, want 0 and 0", app.AllocatedBytes(), ioDom.AllocatedBytes())
 	}
 }

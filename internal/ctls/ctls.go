@@ -88,6 +88,11 @@ type direction struct {
 	seq   uint64
 	count uint64
 	base  []byte // traffic secret, for key updates
+	// The nonce and the header (which is also the additional data) of the
+	// record in flight, kept here so that sealing and opening a record
+	// allocates nothing.
+	nbuf [12]byte
+	hdr  [3]byte
 }
 
 func newDirection(secret []byte) (*direction, error) {
@@ -106,14 +111,14 @@ func newDirection(secret []byte) (*direction, error) {
 	return d, nil
 }
 
-// nonce XORs the sequence number into the static IV (TLS 1.3 style); a
-// sequence number is never reused under one key, and key updates rotate
-// the key well before 2^64.
+// nonce XORs the sequence number into the low eight bytes of the static
+// IV (TLS 1.3 style); a sequence number is never reused under one key,
+// and key updates rotate the key well before 2^64. The result is valid
+// until the next call.
 func (d *direction) nonce() []byte {
-	var n [12]byte
-	copy(n[:], d.iv[:])
-	binary.BigEndian.PutUint64(n[4:], d.seq)
-	return n[:]
+	d.nbuf = d.iv
+	binary.BigEndian.PutUint64(d.nbuf[4:], binary.BigEndian.Uint64(d.iv[4:])^d.seq)
+	return d.nbuf[:]
 }
 
 // update derives the next-generation traffic secret.
@@ -128,6 +133,9 @@ func (d *direction) update() error {
 }
 
 // Conn is an established secure channel over any reliable byte stream.
+// The stream's Write must copy: the transport may not keep a reference to
+// the bytes it was handed once it returns, because every record is sealed
+// in the same per-connection buffer.
 type Conn struct {
 	rw    io.ReadWriter
 	meter *platform.Meter
@@ -135,8 +143,9 @@ type Conn struct {
 	out *direction
 	in  *direction
 
-	readBuf []byte // decrypted-but-unread plaintext
-	recBuf  []byte // scratch for record reads
+	sendBuf []byte // the record being sent: header, then the sealed body
+	recBuf  []byte // the record being read, opened in place
+	readBuf []byte // decrypted-but-unread plaintext; aliases recBuf
 	dead    error
 	client  bool
 }
@@ -259,12 +268,16 @@ func (c *Conn) writeRecord(typ byte, plaintext []byte) error {
 		return ErrTooLarge
 	}
 	ctLen := len(plaintext) + c.out.aead.Overhead()
-	aad := []byte{typ, byte(ctLen >> 8), byte(ctLen)}
-	ct := c.out.aead.Seal(nil, c.out.nonce(), plaintext, aad)
+	hdr := c.out.hdr[:]
+	hdr[0], hdr[1], hdr[2] = typ, byte(ctLen>>8), byte(ctLen)
+	if cap(c.sendBuf) < len(hdr)+ctLen {
+		c.sendBuf = make([]byte, 0, len(hdr)+ctLen)
+	}
+	rec := c.out.aead.Seal(append(c.sendBuf[:0], hdr...), c.out.nonce(), plaintext, hdr)
 	c.out.seq++
 	c.out.count++
 	c.meter.Crypto(len(plaintext))
-	if _, err := c.rw.Write(append(aad, ct...)); err != nil {
+	if _, err := c.rw.Write(rec); err != nil {
 		return c.fail(err)
 	}
 	if c.out.count >= rekeyEvery && typ == recData {
@@ -278,19 +291,20 @@ func (c *Conn) writeRecord(typ byte, plaintext []byte) error {
 	return nil
 }
 
-// readRecord receives and opens one record. Sequence numbers are
-// implicit: a dropped, replayed, or reordered record fails to
-// authenticate, which is fatal — the attacker cannot desynchronize the
-// channel without killing it.
+// readRecord receives one record and opens it in place: the plaintext it
+// returns lives in recBuf until the next call, which Read makes only once
+// readBuf has drained. Sequence numbers are implicit: a dropped, replayed,
+// or reordered record fails to authenticate, which is fatal — the
+// attacker cannot desynchronize the channel without killing it.
 func (c *Conn) readRecord() (byte, []byte, error) {
 	if c.dead != nil {
 		return 0, nil, c.dead
 	}
-	var hdr [3]byte
-	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
+	hdr := c.in.hdr[:]
+	if _, err := io.ReadFull(c.rw, hdr); err != nil {
 		return 0, nil, c.fail(truncation(err))
 	}
-	n := int(hdr[1])<<8 | int(hdr[2])
+	typ, n := hdr[0], int(hdr[1])<<8|int(hdr[2])
 	if n > MaxPlaintext+c.in.aead.Overhead() {
 		return 0, nil, c.fail(ErrTooLarge)
 	}
@@ -301,8 +315,7 @@ func (c *Conn) readRecord() (byte, []byte, error) {
 	if _, err := io.ReadFull(c.rw, ct); err != nil {
 		return 0, nil, c.fail(truncation(err))
 	}
-	aad := []byte{hdr[0], hdr[1], hdr[2]}
-	pt, err := c.in.aead.Open(nil, c.in.nonce(), ct, aad)
+	pt, err := c.in.aead.Open(ct[:0], c.in.nonce(), ct, hdr)
 	if err != nil {
 		return 0, nil, c.fail(ErrAuth)
 	}
@@ -310,7 +323,7 @@ func (c *Conn) readRecord() (byte, []byte, error) {
 	c.in.count++
 	c.meter.Crypto(len(pt))
 
-	switch hdr[0] {
+	switch typ {
 	case recKeyUpdate:
 		if err := c.in.update(); err != nil {
 			return 0, nil, c.fail(err)
@@ -320,7 +333,7 @@ func (c *Conn) readRecord() (byte, []byte, error) {
 		c.dead = ErrClosed
 		return 0, nil, io.EOF
 	}
-	return hdr[0], pt, nil
+	return typ, pt, nil
 }
 
 // truncation maps transport EOFs to ErrTruncated: only an authenticated
@@ -366,7 +379,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		if typ != recData {
 			return 0, c.fail(fmt.Errorf("%w: unexpected record type %d", ErrAuth, typ))
 		}
-		c.readBuf = append(c.readBuf, pt...)
+		c.readBuf = pt
 	}
 	n := copy(p, c.readBuf)
 	c.readBuf = c.readBuf[n:]

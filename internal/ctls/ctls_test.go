@@ -334,3 +334,84 @@ func TestMeterCountsCrypto(t *testing.T) {
 		t.Fatalf("CryptoBytes = %d", m.Snapshot().CryptoBytes)
 	}
 }
+
+// TestNonceKnownAnswer pins the per-record nonce to TLS 1.3's
+// construction (RFC 8446 §5.3): the 64-bit sequence number, left-padded
+// to the IV's length, XORed into the static IV — not written over it.
+func TestNonceKnownAnswer(t *testing.T) {
+	d := &direction{
+		iv:  [12]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b},
+		seq: 0x0102030405060708,
+	}
+	want := []byte{0x00, 0x01, 0x02, 0x03, 0x05, 0x07, 0x05, 0x03, 0x0d, 0x0f, 0x0d, 0x03}
+	if got := d.nonce(); !bytes.Equal(got, want) {
+		t.Fatalf("nonce = % x, want % x", got, want)
+	}
+	d.seq = 0
+	if got := d.nonce(); !bytes.Equal(got, d.iv[:]) {
+		t.Fatalf("nonce of record 0 = % x, want the IV % x", got, d.iv)
+	}
+}
+
+// TestRecordBoundariesAndShortReads: records are sealed and opened in
+// per-connection buffers and Read hands out the opened record piecemeal,
+// so the sizes at the edges (1 byte, one short of a full record, a full
+// record, one over) must survive Reads smaller than the record while the
+// next record already waits in the transport.
+func TestRecordBoundariesAndShortReads(t *testing.T) {
+	cli, srv := connect(t)
+	for _, size := range []int{1, MaxPlaintext - 1, MaxPlaintext, MaxPlaintext + 1} {
+		first := bytes.Repeat([]byte{0xA5}, size)
+		for i := range first {
+			first[i] ^= byte(i)
+		}
+		second := []byte("the record behind it")
+		if _, err := cli.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Write(second); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 0, size)
+		chunk := make([]byte, 1000)
+		for len(got) < size {
+			want := size - len(got)
+			if want > len(chunk) {
+				want = len(chunk)
+			}
+			n, err := srv.Read(chunk[:want])
+			if err != nil {
+				t.Fatalf("size %d: read after %d bytes: %v", size, len(got), err)
+			}
+			got = append(got, chunk[:n]...)
+		}
+		if !bytes.Equal(got, first) {
+			t.Fatalf("size %d: record corrupted by piecemeal reads", size)
+		}
+		tail := make([]byte, len(second))
+		if _, err := io.ReadFull(srv, tail); err != nil || !bytes.Equal(tail, second) {
+			t.Fatalf("size %d: following record = %q, %v", size, tail, err)
+		}
+	}
+}
+
+// TestRecordAllocBudget: sealing into the connection's send buffer and
+// opening in place leave a full record's round trip — Write of 16 KiB,
+// Read of 16 KiB — at most one allocation (it was nine: sealed copy,
+// header+body copy, opened copy, readBuf append, nonces and headers).
+func TestRecordAllocBudget(t *testing.T) {
+	cli, srv := connect(t)
+	msg := make([]byte, MaxPlaintext)
+	got := make([]byte, MaxPlaintext)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := cli.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(srv, got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("%.1f allocs per 16 KiB record round trip, want <= 1", allocs)
+	}
+}

@@ -54,10 +54,17 @@ func Parse(buf []byte) (Frame, error) {
 	return f, nil
 }
 
+// PutHeader encodes an Ethernet II header into b[:HeaderLen].
+func PutHeader(b []byte, dst, src MAC, typ uint16) {
+	b = b[:HeaderLen]
+	copy(b[0:6], dst[:])
+	copy(b[6:12], src[:])
+	b[12], b[13] = byte(typ>>8), byte(typ)
+}
+
 // Marshal appends the encoded frame to dst and returns the result.
 func Marshal(dst []byte, f Frame) []byte {
-	dst = append(dst, f.Dst[:]...)
-	dst = append(dst, f.Src[:]...)
-	dst = append(dst, byte(f.Type>>8), byte(f.Type))
-	return append(dst, f.Payload...)
+	var hdr [HeaderLen]byte
+	PutHeader(hdr[:], f.Dst, f.Src, f.Type)
+	return append(append(dst, hdr[:]...), f.Payload...)
 }

@@ -3,8 +3,10 @@
 package ipv4
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Protocol numbers used by the stack.
@@ -51,18 +53,7 @@ var ErrChecksum = errors.New("ipv4: bad header checksum")
 
 // Checksum computes the internet checksum (RFC 1071) over data.
 func Checksum(data []byte) uint16 {
-	var sum uint32
-	for len(data) >= 2 {
-		sum += uint32(data[0])<<8 | uint32(data[1])
-		data = data[2:]
-	}
-	if len(data) == 1 {
-		sum += uint32(data[0]) << 8
-	}
-	for sum > 0xFFFF {
-		sum = (sum >> 16) + (sum & 0xFFFF)
-	}
-	return ^uint16(sum)
+	return ^fold(sum(0, data))
 }
 
 // PseudoChecksum computes the TCP/UDP pseudo-header checksum component.
@@ -80,18 +71,43 @@ func PseudoChecksum(src, dst Addr, proto byte, length int) uint32 {
 // TransportChecksum computes the checksum of a TCP/UDP segment including
 // the pseudo header.
 func TransportChecksum(src, dst Addr, proto byte, segment []byte) uint16 {
-	sum := PseudoChecksum(src, dst, proto, len(segment))
-	for len(segment) >= 2 {
-		sum += uint32(segment[0])<<8 | uint32(segment[1])
-		segment = segment[2:]
+	return ^fold(sum(uint64(PseudoChecksum(src, dst, proto, len(segment))), segment))
+}
+
+// sum adds data, read as big-endian 16-bit words (an odd last byte padded
+// with zero), onto acc in ones'-complement arithmetic. It works 64 bits
+// wide with the carry wrapped around: 2^64 = 1 (mod 0xFFFF), so a whole
+// word and its end-around carry add to the same 16-bit sum the RFC's
+// two-byte loop reaches, and a non-zero sum never wraps to zero.
+func sum(acc uint64, data []byte) uint64 {
+	var c uint64
+	for len(data) >= 32 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(data), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(data[8:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(data[16:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(data[24:]), c)
+		data = data[32:]
 	}
-	if len(segment) == 1 {
-		sum += uint32(segment[0]) << 8
+	for len(data) >= 8 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(data), c)
+		data = data[8:]
 	}
-	for sum > 0xFFFF {
-		sum = (sum >> 16) + (sum & 0xFFFF)
+	if len(data) > 0 {
+		var tail [8]byte // zero padding adds nothing
+		copy(tail[:], data)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(tail[:]), c)
 	}
-	return ^uint16(sum)
+	acc, c = bits.Add64(acc, 0, c)
+	return acc + c
+}
+
+// fold reduces a 64-bit ones'-complement sum to 16 bits.
+func fold(s uint64) uint16 {
+	s = s>>32 + s&0xFFFFFFFF
+	s = s>>16 + s&0xFFFF
+	s = s>>16 + s&0xFFFF
+	s = s>>16 + s&0xFFFF
+	return uint16(s)
 }
 
 // Parse decodes and validates an IPv4 packet, returning the header and
@@ -125,24 +141,27 @@ func Parse(buf []byte) (Header, []byte, error) {
 	return h, buf[ihl:h.TotalLen], nil
 }
 
+// PutHeader encodes h, with its checksum, into b[:HeaderLen] for a packet
+// carrying payloadLen bytes; h.TotalLen is ignored.
+func PutHeader(b []byte, h Header, payloadLen int) {
+	total := HeaderLen + payloadLen
+	b = b[:HeaderLen]
+	b[0], b[1] = 0x45, 0
+	binary.BigEndian.PutUint16(b[2:], uint16(total))
+	binary.BigEndian.PutUint16(b[4:], h.ID)
+	binary.BigEndian.PutUint16(b[6:], uint16(h.Flags)<<13|h.FragOff/8)
+	b[8], b[9] = h.TTL, h.Proto
+	b[10], b[11] = 0, 0 // checksum
+	copy(b[12:16], h.Src[:])
+	copy(b[16:20], h.Dst[:])
+	binary.BigEndian.PutUint16(b[10:], Checksum(b))
+}
+
 // Marshal appends an encoded packet (header + payload) to dst.
 func Marshal(dst []byte, h Header, payload []byte) []byte {
-	total := HeaderLen + len(payload)
-	start := len(dst)
-	dst = append(dst,
-		0x45, 0,
-		byte(total>>8), byte(total),
-		byte(h.ID>>8), byte(h.ID),
-		(h.Flags<<5)|byte(h.FragOff/8>>8), byte(h.FragOff/8),
-		h.TTL, h.Proto,
-		0, 0, // checksum
-	)
-	dst = append(dst, h.Src[:]...)
-	dst = append(dst, h.Dst[:]...)
-	ck := Checksum(dst[start : start+HeaderLen])
-	dst[start+10] = byte(ck >> 8)
-	dst[start+11] = byte(ck)
-	return append(dst, payload...)
+	var hdr [HeaderLen]byte
+	PutHeader(hdr[:], h, len(payload))
+	return append(append(dst, hdr[:]...), payload...)
 }
 
 // Fragment splits payload into IPv4 packets that fit mtu, all sharing

@@ -92,9 +92,7 @@ func New(g nic.Guest, ip ipv4.Addr) *Stack {
 		arpWait:  make(map[ipv4.Addr][]pendingPkt),
 		stop:     make(chan struct{}),
 	}
-	s.TCP = tcp.NewEndpoint(ip, g.MTU(), func(dst ipv4.Addr, seg []byte) {
-		s.sendIP(dst, ipv4.ProtoTCP, seg)
-	}, nil)
+	s.TCP = tcp.NewEndpoint(ip, g.MTU(), headroom, s.sendTCP, nil)
 	return s
 }
 
@@ -389,8 +387,14 @@ func (s *Stack) sendIP(dst ipv4.Addr, proto byte, payload []byte) {
 		s.transmitIP(dst, mac, proto, payload)
 		return
 	}
-	// Queue and ask — but ask only once per outstanding neighbour; the
-	// queued packets all ride on the same resolution.
+	s.awaitARP(dst, proto, payload, now)
+}
+
+// awaitARP queues a copy of payload behind the resolution of dst and
+// asks — but only once per outstanding neighbour; the queued packets all
+// ride on the same resolution. The copy is what lets the caller's buffer
+// go back to its owner while the answer is outstanding.
+func (s *Stack) awaitARP(dst ipv4.Addr, proto byte, payload []byte, now time.Time) {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	s.mu.Lock()
@@ -410,12 +414,20 @@ func (s *Stack) sendIP(dst ipv4.Addr, proto byte, payload []byte) {
 	}
 }
 
-func (s *Stack) transmitIP(dst ipv4.Addr, mac ether.MAC, proto byte, payload []byte) {
+// nextIPID reserves n consecutive datagram IDs and returns the first.
+func (s *Stack) nextIPID(n int) uint16 {
 	s.mu.Lock()
-	s.ipID++
-	id := s.ipID
-	s.mu.Unlock()
-	h := ipv4.Header{ID: id, TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
+	defer s.mu.Unlock()
+	first := s.ipID + 1
+	s.ipID += uint16(n)
+	return first
+}
+
+// transmitIP sends a datagram of any size the slow way: Fragment copies
+// it into MTU-sized packets, sendFrame's encoder copies those into
+// frames.
+func (s *Stack) transmitIP(dst ipv4.Addr, mac ether.MAC, proto byte, payload []byte) {
+	h := ipv4.Header{ID: s.nextIPID(1), TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
 	pkts, err := ipv4.Fragment(h, payload, s.g.MTU())
 	if err != nil {
 		s.mu.Lock()
@@ -426,59 +438,83 @@ func (s *Stack) transmitIP(dst ipv4.Addr, mac ether.MAC, proto byte, payload []b
 	// Every fragment of the datagram flushes as one batch: one lock
 	// acquisition, one index publication, one doorbell on batch-capable
 	// transports.
-	s.sendFrames(mac, ether.TypeIPv4, pkts)
+	src := ether.MAC(s.g.MAC())
+	for i, p := range pkts {
+		pkts[i] = ether.Marshal(nil, ether.Frame{Dst: mac, Src: src, Type: ether.TypeIPv4, Payload: p})
+	}
+	s.sendFrames(pkts)
 }
 
-// sendFrame transmits one Ethernet frame, retrying briefly on transport
-// backpressure and dropping on persistent failure (upper layers recover).
+// headroom is what sendTCP writes in front of every segment: the
+// Ethernet and IPv4 headers.
+const headroom = ether.HeaderLen + ipv4.HeaderLen
+
+// sendTCP transmits one flush of the TCP endpoint. Each segment sits in
+// a frame buffer behind headroom, so the IPv4 and Ethernet headers are
+// written in place and the buffer goes to the transport as it is — the
+// transport's copy into shared memory is the frame's next one — and the
+// endpoint takes its buffers back when this returns. A segment whose
+// neighbour is unresolved is copied behind ARP like any other packet.
+func (s *Stack) sendTCP(b tcp.Batch) {
+	now := time.Now()
+	src := ether.MAC(s.g.MAC())
+	id := s.nextIPID(len(b.Pkts))
+	ready := 0
+	for i, pkt := range b.Pkts {
+		dst := b.Dst[i]
+		mac, ok := s.arpCache.Lookup(dst, now)
+		if !ok {
+			s.awaitARP(dst, ipv4.ProtoTCP, pkt[headroom:], now)
+			continue
+		}
+		h := ipv4.Header{ID: id, TTL: 64, Proto: ipv4.ProtoTCP, Src: s.ip, Dst: dst}
+		id++
+		ipv4.PutHeader(pkt[ether.HeaderLen:], h, len(pkt)-headroom)
+		ether.PutHeader(pkt, mac, src, ether.TypeIPv4)
+		b.Pkts[ready], b.Pkts[i] = pkt, b.Pkts[ready]
+		ready++
+	}
+	s.sendFrames(b.Pkts[:ready])
+}
+
+// sendFrame transmits one Ethernet frame.
 func (s *Stack) sendFrame(dst ether.MAC, typ uint16, payload []byte) {
-	s.sendFrames(dst, typ, [][]byte{payload})
+	f := ether.Frame{Dst: dst, Src: ether.MAC(s.g.MAC()), Type: typ, Payload: payload}
+	s.sendFrames([][]byte{ether.Marshal(nil, f)})
 }
 
-// sendFrames marshals and transmits a burst of Ethernet frames with one
-// batched enqueue, retrying briefly on backpressure and dropping the
-// remainder on persistent failure (upper layers recover).
-func (s *Stack) sendFrames(dst ether.MAC, typ uint16, payloads [][]byte) {
-	if len(payloads) == 0 {
+// sendFrames transmits encoded Ethernet frames in order, dropping what
+// the transport persistently refuses (upper layers recover). Every flow
+// is pinned to one queue, chosen from the stack's own frame bytes (never
+// a host-supplied queue id); consecutive frames of one queue go out as
+// one batched enqueue, so per-flow frame order holds while different
+// flows spread across queues and scale. The frames are the caller's
+// again on return.
+func (s *Stack) sendFrames(frames [][]byte) {
+	if len(frames) == 0 {
 		return
 	}
 	s.mu.Lock()
 	if s.nicErr != nil {
 		// Degraded: every send is a counted drop (UDP semantics; TCP
 		// connections were already torn down with the transport error).
-		s.stats.SendDrops += uint64(len(payloads))
-		s.stats.DeadDrops += uint64(len(payloads))
+		s.stats.SendDrops += uint64(len(frames))
+		s.stats.DeadDrops += uint64(len(frames))
 		s.mu.Unlock()
 		return
 	}
 	s.mu.Unlock()
-	src := ether.MAC(s.g.MAC())
-	frames := make([][]byte, len(payloads))
-	for i, p := range payloads {
-		frames[i] = ether.Marshal(nil, ether.Frame{Dst: dst, Src: src, Type: typ, Payload: p})
-	}
-	// Pin the flow to one queue, chosen from the stack's own frame bytes
-	// (never a host-supplied queue id). One sendFrames burst is one flow —
-	// at most the fragments of a single datagram, which FlowHash steers
-	// identically — so steering the burst by its first frame keeps
-	// per-flow frame order while different flows spread across queues and
-	// scale.
-	q := s.queues[nic.QueueFor(frames[0], len(s.queues))]
 	sent := 0
 	var fatal error
-	for i := 0; i < sendRetries && sent < len(frames); i++ {
-		n, err := q.SendBatch(frames[sent:])
-		sent += n
-		if err == nil || n > 0 {
-			continue // progress: flush the remainder immediately
+	for rest := frames; len(rest) > 0 && fatal == nil; {
+		qi, n := nic.QueueFor(rest[0], len(s.queues)), 1
+		for n < len(rest) && nic.QueueFor(rest[n], len(s.queues)) == qi {
+			n++
 		}
-		if !errors.Is(err, nic.ErrFull) {
-			if errors.Is(err, nic.ErrClosed) {
-				fatal = err
-			}
-			break
-		}
-		time.Sleep(10 * time.Microsecond)
+		var k int
+		k, fatal = sendQueue(s.queues[qi], rest[:n])
+		sent += k
+		rest = rest[n:]
 	}
 	s.mu.Lock()
 	s.stats.FramesOut += uint64(sent)
@@ -493,6 +529,28 @@ func (s *Stack) sendFrames(dst ether.MAC, typ uint16, payloads [][]byte) {
 		// the loop to notice.
 		s.degrade(fatal)
 	}
+}
+
+// sendQueue enqueues frames on q, retrying briefly on backpressure. It
+// returns how many q took and the error that means the transport died.
+func sendQueue(q nic.BatchGuest, frames [][]byte) (sent int, fatal error) {
+	for i := 0; i < sendRetries && sent < len(frames); i++ {
+		n, err := q.SendBatch(frames[sent:])
+		sent += n
+		if err == nil || n > 0 {
+			continue // progress: flush the remainder immediately
+		}
+		// Identity before errors.Is: backpressure is the common refusal
+		// and every transport here returns the sentinel bare.
+		if err != nic.ErrFull && !errors.Is(err, nic.ErrFull) {
+			if errors.Is(err, nic.ErrClosed) {
+				fatal = err
+			}
+			break
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	return sent, fatal
 }
 
 // --- TCP convenience API ---

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"confio/internal/ipv4"
 	"confio/internal/netstack"
 	"confio/internal/nic"
 	"confio/internal/safering"
@@ -142,7 +141,7 @@ func TestIdleStackDoesNotTick(t *testing.T) {
 	}
 	s := netstack.New(ep.NIC(), ipA)
 	var clockReads atomic.Int64
-	s.TCP = tcp.NewEndpoint(ipA, 1500, func(ipv4.Addr, []byte) {}, func() time.Time {
+	s.TCP = tcp.NewEndpoint(ipA, 1500, 0, func(tcp.Batch) {}, func() time.Time {
 		clockReads.Add(1)
 		return time.Now()
 	})

@@ -98,7 +98,7 @@ func (m *GuestMux) RecvBatch(out []Frame) (int, error) {
 		q := m.queues[(start+i)%len(m.queues)]
 		n, err := q.RecvBatch(out[filled:])
 		filled += n
-		if err != nil && !errors.Is(err, ErrEmpty) {
+		if err != nil && err != ErrEmpty && !errors.Is(err, ErrEmpty) {
 			return filled, err
 		}
 		if filled == len(out) {

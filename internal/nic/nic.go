@@ -44,7 +44,8 @@ type Frame interface {
 
 // Guest is the guest-TEE side of a NIC.
 type Guest interface {
-	// Send enqueues one Ethernet frame; non-blocking.
+	// Send enqueues one Ethernet frame; non-blocking. The transport
+	// copies; the caller may reuse frame on return.
 	Send(frame []byte) error
 	// Recv dequeues one received frame; non-blocking.
 	Recv() (Frame, error)
@@ -71,7 +72,9 @@ type Host interface {
 type BatchGuest interface {
 	Guest
 	// SendBatch enqueues up to len(frames) frames and returns how many
-	// were accepted; (0, ErrFull) when nothing fit.
+	// were accepted; (0, ErrFull) when nothing fit. The transport copies;
+	// the caller may reuse frames and every buffer in it on return —
+	// the stack's frame-buffer pool relies on it.
 	SendBatch(frames [][]byte) (int, error)
 	// RecvBatch fills out with up to len(out) received frames and
 	// returns the count; (0, ErrEmpty) when none waited.
@@ -391,7 +394,10 @@ func newTxBurst(frameCap int) *txBurst {
 // forever would leak its goroutine until someone remembered to call Stop.
 func (b *txBurst) drain(h BatchHost, port *simnet.Port) (popped int, sent uint64, err error) {
 	n, err := h.PopBatch(b.bufs, b.lens)
-	if err != nil && !errors.Is(err, ErrEmpty) {
+	// Identity before errors.Is, which pays a reflective comparability
+	// test and an unwrap walk on every empty poll; a wrapped or
+	// Parker-carrying empty result still matches through the fallback.
+	if err != nil && err != ErrEmpty && !errors.Is(err, ErrEmpty) {
 		return 0, 0, err
 	}
 	for i := 0; i < n; i++ {
@@ -415,7 +421,7 @@ func pushRetry(h BatchHost, frames [][]byte) (int, error) {
 		if err == nil || n > 0 {
 			continue // progress: try the remainder immediately
 		}
-		if !errors.Is(err, ErrFull) {
+		if err != ErrFull && !errors.Is(err, ErrFull) {
 			return sent, err
 		}
 		time.Sleep(10 * time.Microsecond)

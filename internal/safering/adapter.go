@@ -25,13 +25,16 @@ func (e *Endpoint) NIC() nic.Guest { return &GuestNIC{EP: e} }
 // anything else (a frame-size refusal, the host port's own violation
 // report) passes through.
 func nicErr(err error) error {
+	// The poll path first — success, then empty, then full — and by
+	// identity, since the ring returns its sentinels bare: errors.Is is
+	// the fallback for a wrapped sentinel and for the terminal errors.
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, ErrRingFull):
-		return nic.ErrFull
-	case errors.Is(err, ErrRingEmpty):
+	case err == ErrRingEmpty || errors.Is(err, ErrRingEmpty):
 		return nic.ErrEmpty
+	case err == ErrRingFull || errors.Is(err, ErrRingFull):
+		return nic.ErrFull
 	case errors.Is(err, ErrStalled):
 		return nic.ErrStalled
 	case errors.Is(err, ErrDead):

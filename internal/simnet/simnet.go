@@ -130,20 +130,27 @@ type Port struct {
 	// queued here, so a backend can block on it between polls.
 	wake chan struct{}
 
-	mu     sync.Mutex
-	queue  [][]byte
-	held   [][]byte // reorder buffer
-	closed bool
-	imp    Impairment
-	rng    *rand.Rand
-	count  uint64
+	mu sync.Mutex
+	// queue is a ring, grown by doubling from queueMin to queueCap slots
+	// (a port costs nothing until it has carried a burst): qlen frames
+	// wait, the oldest at qhead.
+	queue       [][]byte
+	qhead, qlen int
+	held        [][]byte // reorder buffer
+	closed      bool
+	imp         Impairment
+	rng         *rand.Rand
+	count       uint64
 	// Drops counts frames lost to impairment or overflow.
 	Drops uint64
 }
 
 // queueCap bounds per-port buffering; beyond it frames drop (a real
-// switch tail-drops too).
-const queueCap = 4096
+// switch tail-drops too). Powers of two: ring positions are masked.
+const (
+	queueMin = 64
+	queueCap = 4096
+)
 
 // NewPort attaches a new port to the network.
 func (n *Network) NewPort() *Port {
@@ -167,7 +174,7 @@ func (p *Port) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
-	p.queue = nil
+	p.queue, p.qhead, p.qlen = nil, 0, 0
 	p.held = nil
 }
 
@@ -192,11 +199,13 @@ func (p *Port) Send(frame []byte) error {
 func (p *Port) Recv() ([]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
+	if p.qlen == 0 {
 		return nil, false
 	}
-	f := p.queue[0]
-	p.queue = p.queue[1:]
+	f := p.queue[p.qhead]
+	p.queue[p.qhead] = nil
+	p.qhead = (p.qhead + 1) & (len(p.queue) - 1)
+	p.qlen--
 	return f, true
 }
 
@@ -210,7 +219,7 @@ func (p *Port) Wake() <-chan struct{} { return p.wake }
 func (p *Port) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue)
+	return p.qlen
 }
 
 func (n *Network) switchFrame(srcPort int, frame []byte) error {
@@ -253,6 +262,27 @@ func (n *Network) switchFrame(srcPort int, frame []byte) error {
 	return nil
 }
 
+// enq queues one frame for Recv, tail-dropping at queueCap, and pokes the
+// delivery signal. The caller holds p.mu.
+func (p *Port) enq(f []byte) {
+	if p.qlen == len(p.queue) {
+		if p.qlen == queueCap {
+			p.Drops++
+			return
+		}
+		grown := make([][]byte, max(queueMin, 2*p.qlen))
+		n := copy(grown, p.queue[p.qhead:])
+		copy(grown[n:], p.queue[:p.qhead])
+		p.queue, p.qhead = grown, 0
+	}
+	p.queue[(p.qhead+p.qlen)&(len(p.queue)-1)] = f
+	p.qlen++
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
 // deliver enqueues a frame at a port, applying impairment.
 func (p *Port) deliver(frame []byte) {
 	p.mu.Lock()
@@ -275,32 +305,20 @@ func (p *Port) deliver(frame []byte) {
 		cp[bit/8] ^= 1 << (bit % 8)
 	}
 
-	enq := func(f []byte) {
-		if len(p.queue) >= queueCap {
-			p.Drops++
-			return
-		}
-		p.queue = append(p.queue, f)
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
-
 	if imp.ReorderEvery > 0 && p.count%uint64(imp.ReorderEvery) == 0 {
 		p.held = append(p.held, cp)
 		return
 	}
-	enq(cp)
+	p.enq(cp)
 	// Release any held frame after the one that jumped ahead of it.
 	for _, h := range p.held {
-		enq(h)
+		p.enq(h)
 	}
 	p.held = p.held[:0]
 
 	if imp.DupEvery > 0 && p.count%uint64(imp.DupEvery) == 0 {
 		dup := make([]byte, len(cp))
 		copy(dup, cp)
-		enq(dup)
+		p.enq(dup)
 	}
 }

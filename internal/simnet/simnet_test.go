@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -239,6 +240,49 @@ func TestQueueOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestQueueKeepsOrderAcrossTheSeam: the port queue is a ring; frames
+// queued while its head sits mid-ring wrap past the end, must come out in
+// arrival order, and still tail-drop at exactly queueCap.
+func TestQueueKeepsOrderAcrossTheSeam(t *testing.T) {
+	n := New()
+	pa, pb := n.NewPort(), n.NewPort()
+	seq := uint32(0)
+	send := func(count int) {
+		for i := 0; i < count; i++ {
+			var p [4]byte
+			binary.BigEndian.PutUint32(p[:], seq)
+			seq++
+			if err := pa.Send(mkFrame(macB, macA, p[:])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := uint32(0)
+	recv := func(count int) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			f, ok := pb.Recv()
+			if !ok {
+				t.Fatalf("queue empty with frame %d outstanding", want)
+			}
+			if got := binary.BigEndian.Uint32(f[14:]); got != want {
+				t.Fatalf("frame %d came out where %d was due", got, want)
+			}
+			want++
+		}
+	}
+	send(queueCap - 100)
+	recv(queueCap - 200) // head now deep in the ring, 100 frames wait
+	send(queueCap)       // wraps; the last 100 do not fit
+	if pb.Pending() != queueCap || pb.Drops != 100 {
+		t.Fatalf("pending %d drops %d, want %d and 100", pb.Pending(), pb.Drops, queueCap)
+	}
+	recv(queueCap)
+	if _, ok := pb.Recv(); ok {
+		t.Fatal("dropped frames came back")
+	}
+}
+
 func TestSendCopiesFrame(t *testing.T) {
 	n := New()
 	pa, pb := n.NewPort(), n.NewPort()
@@ -309,9 +353,9 @@ func TestPortWakeNeverLosesADelivery(t *testing.T) {
 }
 
 // TestKnownUnicastBuildsNoTargetList: switching a frame to a learned
-// destination allocates the private copy delivery makes and the port
-// queue's regrowth (Recv slides the queue forward, so a one-in, one-out
-// exchange regrows it every frame) — and no per-frame target list.
+// destination allocates the private copy delivery makes — the wire — and
+// nothing else: no per-frame target list, no closure, and the port queue
+// is a fixed ring that a one-in, one-out exchange never regrows.
 func TestKnownUnicastBuildsNoTargetList(t *testing.T) {
 	n := New()
 	pa, pb := n.NewPort(), n.NewPort()
@@ -328,7 +372,7 @@ func TestKnownUnicastBuildsNoTargetList(t *testing.T) {
 			t.Fatal("unicast frame not delivered")
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("%.0f allocs per switched frame, want 2 (copy + queue regrowth)", allocs)
+	if allocs != 1 {
+		t.Fatalf("%.0f allocs per switched frame, want 1 (the wire copy)", allocs)
 	}
 }

@@ -50,7 +50,7 @@ type Conn struct {
 	sndUna    uint32
 	sndNxt    uint32
 	sndWnd    uint32
-	sndBuf    []byte
+	sndBuf    queue
 	sndClosed bool // FIN queued by Close
 	finSent   bool
 	finAcked  bool
@@ -59,7 +59,7 @@ type Conn struct {
 	// Receive state.
 	irs        uint32
 	rcvNxt     uint32
-	rcvBuf     []byte
+	rcvBuf     queue
 	ooo        map[uint32][]byte
 	finRcvd    bool
 	lastAdvWnd uint32
@@ -140,7 +140,7 @@ func (c *Conn) notifyAllLocked() {
 }
 
 func (c *Conn) advWndLocked() uint16 {
-	w := rcvBufMax - len(c.rcvBuf)
+	w := rcvBufMax - c.rcvBuf.len()
 	if w < 0 {
 		w = 0
 	}
@@ -152,8 +152,8 @@ func (c *Conn) advWndLocked() uint16 {
 }
 
 // sendSegLocked emits one segment with the connection's current ack and
-// window.
-func (c *Conn) sendSegLocked(flags uint8, seq uint32, payload []byte, mss uint16) {
+// window, carrying n bytes of the send buffer from offset off.
+func (c *Conn) sendSegLocked(flags uint8, seq uint32, off, n int, mss uint16) {
 	h := Header{
 		SrcPort: c.key.lport, DstPort: c.key.rport,
 		Seq: seq, Flags: flags, Window: c.advWndLocked(), MSS: mss,
@@ -161,7 +161,7 @@ func (c *Conn) sendSegLocked(flags uint8, seq uint32, payload []byte, mss uint16
 	if flags&FlagACK != 0 {
 		h.Ack = c.rcvNxt
 	}
-	c.ep.emit(c.key.rip, Marshal(nil, c.ep.ip, c.key.rip, h, payload))
+	c.ep.emit(c.key.rip, h, &c.sndBuf, off, n)
 }
 
 func (c *Conn) sendSynLocked() {
@@ -169,12 +169,12 @@ func (c *Conn) sendSynLocked() {
 	if c.state == StateSynRcvd {
 		flags |= FlagACK
 	}
-	c.sendSegLocked(flags, c.iss, nil, uint16(c.ep.mss))
+	c.sendSegLocked(flags, c.iss, 0, 0, uint16(c.ep.mss))
 	c.armRtxLocked()
 }
 
 func (c *Conn) sendAckLocked() {
-	c.sendSegLocked(FlagACK, c.sndNxt, nil, 0)
+	c.sendSegLocked(FlagACK, c.sndNxt, 0, 0, 0)
 }
 
 func (c *Conn) armRtxLocked() {
@@ -194,7 +194,7 @@ func (c *Conn) teardownLocked(err error) {
 // abortLocked sends RST and tears down.
 func (c *Conn) abortLocked() {
 	if c.state != StateClosed && c.state != StateTimeWait {
-		c.sendSegLocked(FlagRST|FlagACK, c.sndNxt, nil, 0)
+		c.sendSegLocked(FlagRST|FlagACK, c.sndNxt, 0, 0, 0)
 	}
 	c.teardownLocked(ErrClosed)
 }
@@ -203,9 +203,8 @@ func (c *Conn) abortLocked() {
 func (c *Conn) Abort() {
 	c.ep.mu.Lock()
 	c.abortLocked()
-	q := c.ep.takePending()
 	c.ep.mu.Unlock()
-	c.ep.flush(q)
+	c.ep.flush()
 }
 
 // --- segment processing ---
@@ -329,10 +328,10 @@ func (c *Conn) processAckLocked(h Header) {
 	finSeq := c.finSeqLocked() // before sndUna moves
 	advance := ack - c.sndUna
 	trim := int(advance)
-	if trim > len(c.sndBuf) {
-		trim = len(c.sndBuf) // SYN/FIN sequence space
+	if trim > c.sndBuf.len() {
+		trim = c.sndBuf.len() // SYN/FIN sequence space
 	}
-	c.sndBuf = c.sndBuf[trim:]
+	c.sndBuf.discard(trim)
 	c.sndUna = ack
 	c.dupAcks = 0
 	c.retries = 0
@@ -373,7 +372,7 @@ func (c *Conn) processAckLocked(h Header) {
 
 // finSeqLocked returns the sequence number our FIN occupies.
 func (c *Conn) finSeqLocked() uint32 {
-	return c.sndUna + uint32(len(c.sndBuf))
+	return c.sndUna + uint32(c.sndBuf.len())
 }
 
 func (c *Conn) bytesInFlightLocked() uint32 { return c.sndNxt - c.sndUna }
@@ -417,13 +416,11 @@ func (c *Conn) processDataLocked(h Header, payload []byte) {
 
 	// In order: deliver.
 	if len(seg) > 0 {
-		room := rcvBufMax - len(c.rcvBuf)
-		if len(seg) > room {
-			seg = seg[:room] // beyond advertised window: drop excess
-			hasFin = false
+		n := c.rcvBuf.write(seg, rcvBufMax)
+		if n < len(seg) {
+			hasFin = false // beyond advertised window: excess dropped
 		}
-		c.rcvBuf = append(c.rcvBuf, seg...)
-		c.rcvNxt += uint32(len(seg))
+		c.rcvNxt += uint32(n)
 		c.drainOOOLocked()
 	}
 
@@ -472,12 +469,7 @@ func (c *Conn) drainOOOLocked() {
 			continue
 		}
 		delete(c.ooo, c.rcvNxt)
-		room := rcvBufMax - len(c.rcvBuf)
-		if len(seg) > room {
-			seg = seg[:room]
-		}
-		c.rcvBuf = append(c.rcvBuf, seg...)
-		c.rcvNxt += uint32(len(seg))
+		c.rcvNxt += uint32(c.rcvBuf.write(seg, rcvBufMax))
 	}
 }
 
@@ -508,7 +500,7 @@ func (c *Conn) trySendLocked() {
 		if c.finSent {
 			break
 		}
-		avail := len(c.sndBuf) - offset
+		avail := c.sndBuf.len() - offset
 		if avail <= 0 {
 			break
 		}
@@ -527,17 +519,17 @@ func (c *Conn) trySendLocked() {
 			n = space
 		}
 		flags := uint8(FlagACK)
-		if offset+n == len(c.sndBuf) {
+		if offset+n == c.sndBuf.len() {
 			flags |= FlagPSH
 		}
-		c.sendSegLocked(flags, c.sndNxt, c.sndBuf[offset:offset+n], 0)
+		c.sendSegLocked(flags, c.sndNxt, offset, n, 0)
 		c.sndNxt += uint32(n)
 		c.armRtxLocked()
 	}
 
 	// Queue the FIN once all payload is out.
-	if c.sndClosed && !c.finSent && int(c.sndNxt-c.sndUna) == len(c.sndBuf) {
-		c.sendSegLocked(FlagFIN|FlagACK, c.sndNxt, nil, 0)
+	if c.sndClosed && !c.finSent && int(c.sndNxt-c.sndUna) == c.sndBuf.len() {
+		c.sendSegLocked(FlagFIN|FlagACK, c.sndNxt, 0, 0, 0)
 		c.finSent = true
 		c.sndNxt++
 		c.armRtxLocked()
@@ -558,19 +550,16 @@ func (c *Conn) retransmitLocked() {
 		c.sendSynLocked()
 		return
 	}
-	offset := 0
-	avail := len(c.sndBuf)
-	if avail > 0 {
-		n := avail
+	if n := c.sndBuf.len(); n > 0 {
 		if n > c.mss {
 			n = c.mss
 		}
-		c.sendSegLocked(FlagACK|FlagPSH, c.sndUna, c.sndBuf[offset:offset+n], 0)
+		c.sendSegLocked(FlagACK|FlagPSH, c.sndUna, 0, n, 0)
 		c.armRtxLocked()
 		return
 	}
 	if c.finSent && !c.finAcked {
-		c.sendSegLocked(FlagFIN|FlagACK, c.finSeqLocked(), nil, 0)
+		c.sendSegLocked(FlagFIN|FlagACK, c.finSeqLocked(), 0, 0, 0)
 		c.armRtxLocked()
 	}
 }
@@ -611,9 +600,9 @@ func (c *Conn) tickLocked(now time.Time) {
 	// Zero-window probe.
 	if !c.probeAt.IsZero() && now.After(c.probeAt) {
 		offset := int(c.sndNxt - c.sndUna)
-		if c.sndWnd == 0 && offset < len(c.sndBuf) {
+		if c.sndWnd == 0 && offset < c.sndBuf.len() {
 			c.ep.stats.ZeroWindowProbes++
-			c.sendSegLocked(FlagACK|FlagPSH, c.sndNxt, c.sndBuf[offset:offset+1], 0)
+			c.sendSegLocked(FlagACK|FlagPSH, c.sndNxt, offset, 1, 0)
 			c.probeAt = now.Add(probeEvery)
 		} else {
 			c.probeAt = time.Time{}
@@ -630,17 +619,14 @@ func (c *Conn) Read(p []byte) (int, error) {
 	e := c.ep
 	e.mu.Lock()
 	for {
-		if len(c.rcvBuf) > 0 {
-			n := copy(p, c.rcvBuf)
-			c.rcvBuf = c.rcvBuf[n:]
+		if c.rcvBuf.len() > 0 {
+			n := c.rcvBuf.read(p)
 			// Window update if we had closed the window.
-			var q []outMsg
 			if c.lastAdvWnd == 0 && c.state != StateClosed {
 				c.sendAckLocked()
-				q = e.takePending()
 			}
 			e.mu.Unlock()
-			e.flush(q)
+			e.flush()
 			return n, nil
 		}
 		if c.connErr != nil {
@@ -683,13 +669,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			e.mu.Unlock()
 			return total, ErrClosed
 		}
-		space := sndBufMax - len(c.sndBuf)
-		if space > 0 {
-			n := space
-			if n > len(p) {
-				n = len(p)
-			}
-			c.sndBuf = append(c.sndBuf, p[:n]...)
+		if n := c.sndBuf.write(p, sndBufMax); n > 0 {
 			p = p[n:]
 			total += n
 			c.trySendLocked()
@@ -697,17 +677,15 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		ch := c.notify
 		deadline := c.writeDeadline
-		q := e.takePending()
 		e.mu.Unlock()
-		e.flush(q)
+		e.flush()
 		if err := waitNotify(ch, deadline); err != nil {
 			return total, err
 		}
 		e.mu.Lock()
 	}
-	q := e.takePending()
 	e.mu.Unlock()
-	e.flush(q)
+	e.flush()
 	return total, nil
 }
 
@@ -761,9 +739,8 @@ func (c *Conn) CloseWrite() error {
 		c.trySendLocked()
 	}
 	c.notifyAllLocked()
-	q := e.takePending()
 	e.mu.Unlock()
-	e.flush(q)
+	e.flush()
 	return nil
 }
 
@@ -784,8 +761,7 @@ func (c *Conn) Close() error {
 		c.teardownLocked(ErrClosed)
 	}
 	c.notifyAllLocked()
-	q := e.takePending()
 	e.mu.Unlock()
-	e.flush(q)
+	e.flush()
 	return nil
 }

@@ -53,19 +53,27 @@ type connKey struct {
 	lport uint16
 }
 
-type outMsg struct {
-	dst ipv4.Addr
-	seg []byte
+// Batch is one flush of outbound segments, in transmission order. Pkts[i]
+// is a frame buffer borrowed from the endpoint: its first headroom bytes
+// (NewEndpoint) are left for the headers of the layers below, the rest is
+// the segment for Dst[i]. The output callback may write the headroom and
+// reorder Pkts, and must keep no reference to any of it once it returns —
+// the buffers go straight back into the endpoint's pool.
+type Batch struct {
+	Dst  []ipv4.Addr
+	Pkts [][]byte
 }
 
 // Endpoint is one host's TCP layer. Segments leave through the output
-// callback (toward the IP layer) and enter through Input. Tick drives
-// timers; the owning stack calls it periodically.
+// callback (toward the IP layer), a whole flush at a time, and enter
+// through Input. Tick drives timers; the owning stack calls it once
+// NextDeadline has passed.
 type Endpoint struct {
-	ip     ipv4.Addr
-	mss    int
-	output func(dst ipv4.Addr, seg []byte)
-	now    func() time.Time
+	ip       ipv4.Addr
+	mss      int
+	headroom int
+	output   func(Batch)
+	now      func() time.Time
 
 	mu        sync.Mutex
 	conns     map[connKey]*Conn
@@ -73,12 +81,23 @@ type Endpoint struct {
 	eph       uint16
 	isn       uint32
 	stats     Stats
-	pending   []outMsg
+	// pending collects the segments emitted under the lock; spare is the
+	// previous flush's (emptied) batch, so the two alternate instead of
+	// being regrown; flushing is set while a goroutine is transmitting
+	// (flush); free is the frame-buffer pool.
+	pending, spare Batch
+	flushing       bool
+	free           [][]byte
 }
 
-// NewEndpoint creates a TCP endpoint for ip. mtu bounds the MSS; clock
-// may be nil (wall clock).
-func NewEndpoint(ip ipv4.Addr, mtu int, output func(dst ipv4.Addr, seg []byte), clock func() time.Time) *Endpoint {
+// freeMax bounds the frame-buffer pool at about two full send windows of
+// segments; a flush that returns more leaves the surplus to the collector.
+const freeMax = 2 * sndBufMax / defaultMSS
+
+// NewEndpoint creates a TCP endpoint for ip. mtu bounds the MSS, headroom
+// is what the output callback needs in front of every segment for its own
+// headers; clock may be nil (wall clock).
+func NewEndpoint(ip ipv4.Addr, mtu, headroom int, output func(Batch), clock func() time.Time) *Endpoint {
 	if clock == nil {
 		clock = time.Now
 	}
@@ -89,6 +108,7 @@ func NewEndpoint(ip ipv4.Addr, mtu int, output func(dst ipv4.Addr, seg []byte), 
 	return &Endpoint{
 		ip:        ip,
 		mss:       mss,
+		headroom:  headroom,
 		output:    output,
 		now:       clock,
 		conns:     make(map[connKey]*Conn),
@@ -105,32 +125,67 @@ func (e *Endpoint) Stats() Stats {
 	return e.stats
 }
 
-// emit queues a segment for transmission after the lock is released.
-func (e *Endpoint) emit(dst ipv4.Addr, seg []byte) {
+// emit encodes one segment to dst — h, then n bytes of q from offset off —
+// straight into a pooled frame buffer and queues it for transmission
+// after the lock is released. This copy is the segment's only one inside
+// the stack.
+func (e *Endpoint) emit(dst ipv4.Addr, h Header, q *queue, off, n int) {
 	e.stats.SegsOut++
-	e.pending = append(e.pending, outMsg{dst: dst, seg: seg})
-}
-
-// flush sends queued segments; must be called WITHOUT the lock held.
-func (e *Endpoint) flush(q []outMsg) {
-	for _, m := range q {
-		e.output(m.dst, m.seg)
+	var buf []byte
+	if last := len(e.free) - 1; last >= 0 {
+		buf, e.free = e.free[last], e.free[:last]
+	} else {
+		buf = make([]byte, e.headroom+headerLen+4+e.mss)
 	}
+	seg := buf[e.headroom:cap(buf)]
+	hl := putHeader(seg, h)
+	seg = seg[:hl+n]
+	if n > 0 {
+		q.peek(seg[hl:], off)
+	}
+	putChecksum(seg, e.ip, dst)
+	e.pending.Dst = append(e.pending.Dst, dst)
+	e.pending.Pkts = append(e.pending.Pkts, buf[:e.headroom+len(seg)])
 }
 
-func (e *Endpoint) takePending() []outMsg {
-	q := e.pending
-	e.pending = nil
-	return q
+// flush transmits what is pending; call it WITHOUT the lock held, after
+// the critical section that emitted. One goroutine transmits at a time:
+// whoever finds a flush under way leaves its segments for that flusher,
+// which keeps going until nothing is pending — so segments reach the wire
+// in the order they were emitted whichever goroutine emitted them, and
+// concurrent flushes merge into batches instead of racing each other to
+// the transport. Buffers go back to the pool as soon as the output
+// callback returns.
+func (e *Endpoint) flush() {
+	e.mu.Lock()
+	if e.flushing {
+		e.mu.Unlock()
+		return
+	}
+	e.flushing = true
+	for len(e.pending.Pkts) > 0 {
+		b := e.pending
+		e.pending, e.spare = e.spare, Batch{}
+		e.mu.Unlock()
+		e.output(b)
+		e.mu.Lock()
+		for _, p := range b.Pkts {
+			if len(e.free) < freeMax {
+				e.free = append(e.free, p)
+			}
+		}
+		e.spare = Batch{Dst: b.Dst[:0], Pkts: b.Pkts[:0]}
+	}
+	e.flushing = false
+	e.mu.Unlock()
 }
 
 // Input processes one TCP segment received from src.
 func (e *Endpoint) Input(src ipv4.Addr, seg []byte) {
 	e.mu.Lock()
 	e.inputLocked(src, seg)
-	q := e.takePending()
 	e.mu.Unlock()
-	e.flush(q)
+	e.flush()
 }
 
 func (e *Endpoint) inputLocked(src ipv4.Addr, seg []byte) {
@@ -173,7 +228,7 @@ func (e *Endpoint) sendRSTLocked(dst ipv4.Addr, h Header, payloadLen int) {
 		Flags: FlagRST | FlagACK,
 		Seq:   h.Ack, Ack: h.Seq + ackAdj,
 	}
-	e.emit(dst, Marshal(nil, e.ip, dst, rst, nil))
+	e.emit(dst, rst, nil, 0, 0)
 }
 
 // NextDeadline returns the earliest instant at which Tick has work: the
@@ -211,9 +266,8 @@ func (e *Endpoint) Tick() {
 	for _, c := range e.conns {
 		c.tickLocked(now)
 	}
-	q := e.takePending()
 	e.mu.Unlock()
-	e.flush(q)
+	e.flush()
 }
 
 // AbortAll tears down every connection and listener with err: the
@@ -244,7 +298,7 @@ func (e *Endpoint) AbortAll(err error) {
 			c.teardownLocked(err)
 		}
 	}
-	e.pending = nil
+	e.pending = Batch{}
 	e.mu.Unlock()
 }
 
@@ -296,9 +350,8 @@ func (e *Endpoint) Dial(dst ipv4.Addr, port uint16, timeout time.Duration) (*Con
 	e.conns[c.key] = c
 	c.sendSynLocked()
 	ch := c.notify
-	q := e.takePending()
 	e.mu.Unlock()
-	e.flush(q)
+	e.flush()
 
 	deadline := time.After(timeout)
 	for {
@@ -310,9 +363,8 @@ func (e *Endpoint) Dial(dst ipv4.Addr, port uint16, timeout time.Duration) (*Con
 			if !established {
 				c.teardownLocked(ErrTimeout)
 			}
-			q := e.takePending()
 			e.mu.Unlock()
-			e.flush(q)
+			e.flush()
 			if established {
 				return c, nil
 			}
@@ -414,9 +466,8 @@ func (l *Listener) Close() {
 	for c := range drainBacklog(l.backlog) {
 		c.abortLocked()
 	}
-	q := e.takePending()
 	e.mu.Unlock()
-	e.flush(q)
+	e.flush()
 }
 
 func drainBacklog(ch chan *Conn) map[*Conn]bool {

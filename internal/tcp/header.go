@@ -13,6 +13,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -93,31 +94,41 @@ func Parse(src, dst ipv4.Addr, buf []byte) (Header, []byte, error) {
 	return h, buf[dataOff:], nil
 }
 
+// putHeader encodes h, options included and the checksum left zero, into
+// the front of b and returns the header length.
+func putHeader(b []byte, h Header) int {
+	dataOff := headerLen
+	if h.MSS != 0 {
+		dataOff += 4
+	}
+	b = b[:dataOff]
+	binary.BigEndian.PutUint16(b[0:], h.SrcPort)
+	binary.BigEndian.PutUint16(b[2:], h.DstPort)
+	binary.BigEndian.PutUint32(b[4:], h.Seq)
+	binary.BigEndian.PutUint32(b[8:], h.Ack)
+	b[12], b[13] = byte(dataOff/4)<<4, h.Flags
+	binary.BigEndian.PutUint16(b[14:], h.Window)
+	b[16], b[17] = 0, 0 // checksum
+	b[18], b[19] = 0, 0 // urgent
+	if h.MSS != 0 {
+		b[20], b[21] = 2, 4
+		binary.BigEndian.PutUint16(b[22:], h.MSS)
+	}
+	return dataOff
+}
+
+// putChecksum completes a segment encoded by putHeader and followed by
+// its payload.
+func putChecksum(seg []byte, src, dst ipv4.Addr) {
+	binary.BigEndian.PutUint16(seg[16:], ipv4.TransportChecksum(src, dst, ipv4.ProtoTCP, seg))
+}
+
 // Marshal appends an encoded segment (with checksum) to dst.
 func Marshal(dst []byte, src, dstIP ipv4.Addr, h Header, payload []byte) []byte {
-	optLen := 0
-	if h.MSS != 0 {
-		optLen = 4
-	}
-	dataOff := headerLen + optLen
+	var hdr [headerLen + 4]byte
 	start := len(dst)
-	dst = append(dst,
-		byte(h.SrcPort>>8), byte(h.SrcPort),
-		byte(h.DstPort>>8), byte(h.DstPort),
-		byte(h.Seq>>24), byte(h.Seq>>16), byte(h.Seq>>8), byte(h.Seq),
-		byte(h.Ack>>24), byte(h.Ack>>16), byte(h.Ack>>8), byte(h.Ack),
-		byte(dataOff/4)<<4, h.Flags,
-		byte(h.Window>>8), byte(h.Window),
-		0, 0, // checksum
-		0, 0, // urgent
-	)
-	if h.MSS != 0 {
-		dst = append(dst, 2, 4, byte(h.MSS>>8), byte(h.MSS))
-	}
-	dst = append(dst, payload...)
-	ck := ipv4.TransportChecksum(src, dstIP, ipv4.ProtoTCP, dst[start:])
-	dst[start+16] = byte(ck >> 8)
-	dst[start+17] = byte(ck)
+	dst = append(append(dst, hdr[:putHeader(hdr[:], h)]...), payload...)
+	putChecksum(dst[start:], src, dstIP)
 	return dst
 }
 

@@ -16,6 +16,21 @@ var (
 	ipB = ipv4.Addr{10, 0, 0, 2}
 )
 
+// testHeadroom is what the tests' output callbacks ask in front of every
+// segment (what netstack asks: an Ethernet and an IPv4 header).
+const testHeadroom = 34
+
+// eachSeg adapts a per-segment sink to the endpoint's batch callback. The
+// sink sees the segment in the endpoint's pooled buffer and must copy what
+// it keeps.
+func eachSeg(sink func(dst ipv4.Addr, seg []byte)) func(Batch) {
+	return func(b Batch) {
+		for i, p := range b.Pkts {
+			sink(b.Dst[i], p[testHeadroom:])
+		}
+	}
+}
+
 // testNet wires two endpoints through an asynchronous pipe with optional
 // per-direction segment filters (drop / duplicate / reorder).
 type testNet struct {
@@ -33,12 +48,12 @@ type testNet struct {
 func newTestNet(t *testing.T) *testNet {
 	t.Helper()
 	n := &testNet{stopped: make(chan struct{})}
-	n.a = NewEndpoint(ipA, 1500, func(dst ipv4.Addr, seg []byte) {
+	n.a = NewEndpoint(ipA, 1500, testHeadroom, eachSeg(func(dst ipv4.Addr, seg []byte) {
 		n.enqueue(&n.qAB, n.filterAB(seg))
-	}, nil)
-	n.b = NewEndpoint(ipB, 1500, func(dst ipv4.Addr, seg []byte) {
+	}), nil)
+	n.b = NewEndpoint(ipB, 1500, testHeadroom, eachSeg(func(dst ipv4.Addr, seg []byte) {
 		n.enqueue(&n.qBA, n.filterBA(seg))
-	}, nil)
+	}), nil)
 	n.wg.Add(1)
 	go n.pump()
 	t.Cleanup(n.stop)
@@ -489,7 +504,7 @@ func TestZeroWindowAndProbe(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		n.b.mu.Lock()
-		full := len(s.rcvBuf) >= rcvBufMax
+		full := s.rcvBuf.len() >= rcvBufMax
 		n.b.mu.Unlock()
 		if full {
 			break
