@@ -20,8 +20,8 @@ type blkDevice interface {
 // benchBlk drives write+read spans of `batch` sectors through a blkring
 // device with live in-process backends and reports the per-sector meter
 // readings: index publications (the quantity batching amortizes), checks
-// (one per validated completion load — the meter-inflation fix keeps
-// spin-waits out of this column), and modelled time.
+// (one per validated completion load; waiting and wake-ups are
+// unmetered), and modelled time.
 func benchBlk(b *testing.B, queues, batch int) {
 	const slots = 16
 	const sectors = 4096

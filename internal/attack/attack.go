@@ -72,9 +72,11 @@ const (
 	AtkNotifStorm      = "notification-storm"
 	AtkEventIdxLie     = "event-idx-lie"
 	AtkWakeSpam        = "wake-spam"
+	AtkBlkWakeSpam     = "blk-wake-spam"
 	AtkFeatureTOCTOU   = "feature-toctou"
 	AtkStaleMemory     = "stale-memory-leak"
 	AtkStatusCorrupt   = "status-corrupt"
+	AtkMerkleSibSwap   = "merkle-sibling-swap"
 	AtkQueueCrossKill  = "queue-cross-kill"
 	AtkEpochReplay     = "epoch-replay"
 	AtkReattachStorm   = "reattach-storm"
@@ -89,8 +91,8 @@ const (
 // AttackNames in matrix order.
 var AttackNames = []string{
 	AtkIndexOverclaim, AtkIndexRewind, AtkLengthLie, AtkDoubleFetch,
-	AtkReplay, AtkForgedHandle, AtkNotifStorm, AtkEventIdxLie, AtkWakeSpam,
-	AtkFeatureTOCTOU, AtkStaleMemory, AtkStatusCorrupt, AtkQueueCrossKill,
+	AtkReplay, AtkForgedHandle, AtkNotifStorm, AtkEventIdxLie, AtkWakeSpam, AtkBlkWakeSpam,
+	AtkFeatureTOCTOU, AtkStaleMemory, AtkStatusCorrupt, AtkMerkleSibSwap, AtkQueueCrossKill,
 	AtkEpochReplay, AtkReattachStorm, AtkL5AfterL2Breach,
 	AtkTenantCrossRead, AtkTenantStallNbr, AtkTenantKillNbr,
 }

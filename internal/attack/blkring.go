@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"confio/internal/blkring"
 	"confio/internal/blockdev"
+	"confio/internal/cryptdisk"
+	"confio/internal/platform"
 	"confio/internal/safering"
 	"confio/internal/shmem"
 )
@@ -67,6 +70,113 @@ func completeSlot(ep *blkring.Endpoint, idx uint64, data []byte, statusWord uint
 	}
 	sh.Ring.Slots().SetU32(off+4, statusWord)
 	sh.Ring.Indexes().StoreCons(idx + 1)
+}
+
+// blkWakeSpam is the attack the consumer-side park adds surface for: a
+// submitter waiting for its completion is parked on the request ring's
+// consumer index, and every host store to that word pokes it. Re-storing
+// the current value buys wake-ups and nothing else — no completion, no
+// metered check, and the request still dies at its deadline with its
+// slab quarantined; storing a value past the producer head buys one
+// validated load, which fail-deads the device like any other overclaim.
+func blkWakeSpam(tr string) Result {
+	const slots = 8
+	meter := &platform.Meter{}
+	ep, err := blkring.New(slots, 64, meter)
+	if err != nil {
+		panic(err)
+	}
+	var now atomic.Int64 // the fake clock: read by the waiting submitter, advanced here
+	ep.SetClock(func() time.Time { return time.Unix(1_700_000_000, now.Load()) })
+	ep.SetTimeout(2 * time.Second)
+	sh := ep.Shared()
+	errCh := make(chan error, 1)
+	go func() { errCh <- ep.WriteSector(1, frame(blockdev.SectorSize, 1)) }()
+	if err := awaitStaged(ep, errCh); err != nil {
+		return compromised(AtkBlkWakeSpam, tr, err.Error())
+	}
+	before := meter.Snapshot()
+	ix := sh.Ring.Indexes()
+	for i := 0; i < 100000; i++ {
+		ix.StoreCons(ix.LoadCons())
+	}
+	select {
+	case err := <-errCh:
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("empty pokes ended the request: %v", err))
+	default:
+	}
+	if after := meter.Snapshot(); after.Checks != before.Checks {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("empty pokes were metered: %d checks", after.Checks-before.Checks))
+	}
+	now.Add(int64(3 * time.Second))
+	if err := <-errCh; !errors.Is(err, blkring.ErrTimeout) {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("spammed request did not die at its deadline: %v", err))
+	}
+	if free := sh.Data.FreeSlabs(); free != slots-1 {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("%d free slabs after the timeout, want %d: staging slab not quarantined", free, slots-1))
+	}
+
+	// Garbage: the poke makes the parked submitter look, and what it
+	// finds goes through the index check.
+	ep, _, _ = mkBlk(false)
+	go func() { errCh <- ep.ReadSector(2, make([]byte, blockdev.SectorSize)) }()
+	if err := awaitStaged(ep, errCh); err != nil {
+		return compromised(AtkBlkWakeSpam, tr, err.Error())
+	}
+	ep.Shared().Ring.Indexes().StoreCons(5)
+	if err := <-errCh; !errors.Is(err, blkring.ErrProtocol) {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("consumer index past the head accepted: %v", err))
+	}
+	return blocked(AtkBlkWakeSpam, tr, "a poke buys one unmetered compare: empty wakes complete nothing, the deadline still kills, garbage index fatal")
+}
+
+// merkleSiblingSwap mounts the double-fetch rollback on the full storage
+// stack (cryptdisk over the ring over a live backend): sector 1 holds an
+// old secret, then a new one. While the guest's write of sector 0 is in
+// the host's hands — after its Merkle path verified, before the tree
+// update — the host puts sector 1's leaf, version and ciphertext back to
+// the old state. An update that re-reads the sibling from the untrusted
+// node table signs the rollback into the new root.
+func merkleSiblingSwap(tr string) Result {
+	const n = 8
+	ep, err := blkring.New(8, n, nil)
+	if err != nil {
+		panic(err)
+	}
+	platter := blockdev.NewMemDisk(n)
+	host := &blockdev.RacingDisk{Disk: platter}
+	be := blkring.NewBackend(ep.Shared(), host)
+	be.Start()
+	defer be.Stop()
+	cd, meta, err := cryptdisk.Format(ep, n, []byte("attacked-volume"), nil)
+	if err != nil {
+		panic(err)
+	}
+	oldSecret, newSecret := frame(blockdev.SectorSize, 0xA0), frame(blockdev.SectorSize, 0xB0)
+	if err := cd.WriteSector(1, oldSecret); err != nil {
+		return compromised(AtkMerkleSibSwap, tr, "setup: "+err.Error())
+	}
+	oldMeta, oldCT := meta.Snapshot(1), make([]byte, blockdev.SectorSize)
+	if err := platter.ReadSector(1, oldCT); err != nil {
+		panic(err)
+	}
+	if err := cd.WriteSector(1, newSecret); err != nil {
+		return compromised(AtkMerkleSibSwap, tr, "setup: "+err.Error())
+	}
+	host.OnWrite = func() {
+		meta.Restore(oldMeta)
+		_ = platter.WriteSector(1, oldCT)
+	}
+	if err := cd.WriteSector(0, frame(blockdev.SectorSize, 0xC0)); err != nil {
+		return compromised(AtkMerkleSibSwap, tr, "the guest's own write failed: "+err.Error())
+	}
+	got := make([]byte, blockdev.SectorSize)
+	err = cd.ReadSector(1, got)
+	if err == nil && bytes.Equal(got, oldSecret) {
+		return compromised(AtkMerkleSibSwap, tr, "rolled-back sibling laundered into the root: old plaintext read with a valid path")
+	}
+	return verdictFromFatal(AtkMerkleSibSwap, tr, err, cryptdisk.ErrIntegrity,
+		compromised(AtkMerkleSibSwap, tr, fmt.Sprintf("read of the rolled-back sector returned %v", err)))
 }
 
 // blkringScenarios attacks the storage ring. It is the same generic
@@ -249,6 +359,8 @@ func blkringScenarios() []Scenario {
 			}
 			return blocked(AtkEventIdxLie, tr, "event word feeds a wrap-compare only; bounded backend poll still serves")
 		}},
+		Scenario{AtkBlkWakeSpam, tr, func() Result { return blkWakeSpam(tr) }},
+		Scenario{AtkMerkleSibSwap, tr, func() Result { return merkleSiblingSwap(tr) }},
 		Scenario{AtkFeatureTOCTOU, tr, func() Result {
 			return na(AtkFeatureTOCTOU, tr, "zero-negotiation: no control plane exists")
 		}},

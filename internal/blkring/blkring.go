@@ -3,7 +3,12 @@
 // principles as the network safe ring (the low boundary of §3.3's
 // storage generalization): a stateless SPSC request ring with masked
 // indexes, single-fetch descriptor snapshots, data staged through a
-// generation-tagged arena, no negotiation and no notifications.
+// generation-tagged arena, and no negotiation. By default nothing is
+// notified either: both ends poll, and an idle end parks on the index
+// word the other one stores (the backend on prod, a waiting submitter on
+// cons) — an unmetered hint with a bounded wait behind it, never state.
+// EnableNotify swaps the backend's park for a charged submission
+// doorbell, optionally event-idx suppressed.
 //
 // The ring is an instance of safering's payload-generic producer engine,
 // so every hardening property the network boundary has — batched
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"confio/internal/blockdev"
+	"confio/internal/nic"
 	"confio/internal/platform"
 	"confio/internal/safering"
 	"confio/internal/shmem"
@@ -83,44 +89,55 @@ type Shared struct {
 }
 
 // slabLease is one staging slab checked out of the shared data arena for
-// the lifetime of a single request. Declaring it linear to ciovet makes
-// the bufown analyzer enforce what the in-place completion protocol
-// assumes: the slab returns exactly when the engine returns the slot
-// (success or host I/O error), and on any fatal path it is deliberately
-// *not* freed — the host may still write it, so it stays quarantined in
-// the dead incarnation's arena until reincarnation discards both.
+// the lifetime of a single request. Leases live in a guest-private array
+// with one entry per ring slot (the arena holds exactly ring-many slabs),
+// so checking one out allocates nothing. Declaring it linear to ciovet
+// makes the bufown analyzer enforce what the in-place completion
+// protocol assumes: the slab returns exactly when the engine returns the
+// slot (success or host I/O error), and on any fatal path it is
+// deliberately *not* freed — the host may still write it, so it stays
+// quarantined in the dead incarnation's arena until reincarnation
+// discards both.
 //
-//ciovet:owned acquire=newSlabLease release=Free
+//ciovet:owned acquire=leaseSlab release=Free
 type slabLease struct {
 	a *shmem.Arena
 	h shmem.Handle
 }
 
-// newSlabLease checks one slab out of the arena.
-func newSlabLease(a *shmem.Arena) (*slabLease, error) {
-	h, err := a.Alloc()
+// leaseSlab checks one slab out of the arena into the lease of the slot
+// about to be staged. That entry is free: its previous request came home
+// before the engine reported room for this one.
+//
+//ciovet:locked
+func (e *Endpoint) leaseSlab() (*slabLease, error) {
+	h, err := e.sh.Data.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	return &slabLease{a: a, h: h}, nil
+	l := &e.leases[e.eng.Head()&uint64(e.slots-1)]
+	l.a, l.h = e.sh.Data, h
+	return l, nil
 }
 
 // Free returns the slab. The arena's generation tags make a double free
 // at runtime harmless, but bufown reports it at vet time.
 func (l *slabLease) Free() { _ = l.a.HandleFree(shmem.FreeMsg{H: l.h}) }
 
-// completionSpin, when non-nil, is called once per completion-wait spin
-// with the endpoint lock released. Test hook only (regression tests and
-// the chaos harness play the slow or malicious host deterministically
+// completionSpin, when non-nil, is called once per completion wait with
+// the endpoint lock released. Test hook only (regression tests and the
+// chaos harness play the slow or malicious host deterministically
 // through it); always nil outside tests.
 var completionSpin func()
 
-// pending is the guest-private completion record of one in-flight
-// request; the engine's OnReturn hook fills it when the host returns the
-// slot.
+// pending is the guest-private completion record of one submission; the
+// engine's OnReturn hook counts its requests home. Records are recycled
+// through the endpoint's free list, so a submission allocates one only
+// when more submitters overlap than ever did before.
 type pending struct {
-	done bool
-	err  error // nil, ErrIO-wrapped, or unset on fatal paths
+	left int      // requests the host has not returned yet
+	err  error    // first host-reported I/O error, in ring order
+	next *pending // free-list link
 }
 
 // blkDesc is the engine payload of one request: everything the endpoint
@@ -130,7 +147,7 @@ type blkDesc struct {
 	lba   uint64
 	lease *slabLease
 	out   []byte   // read destination (nil for writes)
-	res   *pending // completion record shared with the submitter
+	res   *pending // the submission this request belongs to
 }
 
 // blkCodec encodes one request into its 32-byte ring slot, stamping the
@@ -160,6 +177,8 @@ type Endpoint struct {
 	mu      sync.Mutex
 	sh      *Shared
 	eng     *safering.Engine[blkDesc] //ciovet:guards mu
+	leases  []slabLease               // one per ring slot, indexed like the ring
+	free    *pending                  // recycled completion records
 	dead    error
 	deadOp  error
 	rec     *safering.Quarantine
@@ -169,6 +188,13 @@ type Endpoint struct {
 	// EnableNotify); every incarnation inherits it.
 	notify   bool
 	eventIdx bool
+	// parking is held by the one waiting submitter that parks on the
+	// consumer index (the slot holds one wake; further concurrent
+	// submitters only yield) and guards what it blocks on: its wake and
+	// its timer.
+	parking sync.Mutex
+	wake    chan struct{}
+	waiter  nic.Waiter
 }
 
 // New builds a guest endpoint for a backing disk of `sectors` sectors
@@ -180,12 +206,14 @@ func New(slots int, sectors uint64, meter *platform.Meter) (*Endpoint, error) {
 		slots:   slots,
 		clock:   time.Now,
 		timeout: DefaultTimeout,
+		wake:    make(chan struct{}, 1),
 	}
 	sh, err := e.newShared(0)
 	if err != nil {
 		return nil, err
 	}
 	e.sh = sh
+	e.leases = make([]slabLease, slots)
 	e.eng = safering.NewEngine[blkDesc](sh.Ring, nil, blkCodec{e}, meter,
 		safering.EngineHooks[blkDesc]{OnReturn: e.onReturn, Fail: e.engineFail})
 	return e, nil
@@ -363,40 +391,60 @@ func (e *Endpoint) onReturn(pos uint64, d blkDesc) error {
 			}
 			e.meter.Copy(blockdev.SectorSize)
 		}
-		d.res.done = true
-		d.lease.Free()
 	case StatusIOError:
-		d.res.done = true
-		d.res.err = fmt.Errorf("%w: lba %d", ErrIO, d.lba)
-		d.lease.Free()
+		if d.res.err == nil {
+			d.res.err = fmt.Errorf("%w: lba %d", ErrIO, d.lba)
+		}
 	default:
 		return fmt.Errorf("%w: status %#x", ErrProtocol, status)
 	}
+	d.res.left--
+	d.lease.Free()
 	return nil
 }
 
-// spinLocked runs one completion-wait spin: deadline check first (a
-// stalled host fail-deads the endpoint with ErrTimeout as the cause —
-// its staging slabs stay quarantined, see the package comment), then one
-// scheduling yield with the lock released, then a reap *only if the
-// consumer index actually moved* — so validation cost scales with
-// validated reads, not with host latency. The unlock/relock window
-// re-acquires the mutex the caller already holds; it does not self-lock.
+// guestYield is how many scheduling yields a completion wait spends
+// before it parks: a backend runnable on this processor is handed the
+// processor by the first one, which is cheaper than a wake from a park.
+const guestYield = 2
+
+// waitLocked runs one completion wait for a submission on incarnation
+// sh: deadline check first (a stalled host fail-deads the endpoint with
+// ErrTimeout as the cause — its staging slabs stay quarantined, see the
+// package comment), then, with the lock released, a few yields and — for
+// the one submitter that gets e.parking — a park on the consumer index
+// bounded by nic.WaitBound, then a reap *only if the consumer index
+// actually moved*: validation cost scales with validated reads, not with
+// host latency or pokes. The park is Indexes.Park mirrored: register,
+// re-check the raw index against the last validated value, block. The
+// unlock/relock window re-acquires the mutex the caller already holds;
+// it does not self-lock.
 //
 //ciovet:locked
-func (e *Endpoint) spinLocked(deadline time.Time) error {
+func (e *Endpoint) waitLocked(sh *Shared, deadline time.Time) error {
 	if e.clock().After(deadline) {
 		return e.fail(fmt.Errorf("%w: host completion overdue; staging slabs quarantined until reincarnation", ErrTimeout))
 	}
+	ix, seen := sh.Ring.Indexes(), e.eng.ConsSeen()
 	hook := completionSpin
 	e.mu.Unlock()
 	if hook != nil {
 		hook()
 	}
-	runtime.Gosched()
+	for i := 0; i < guestYield && ix.LoadCons() == seen; i++ {
+		runtime.Gosched()
+	}
+	if e.parking.TryLock() {
+		ix.ParkCons(e.wake)
+		if ix.LoadCons() == seen {
+			e.waiter.Wait(nil, e.wake, nil, nic.WaitBound)
+		}
+		ix.UnparkCons()
+		e.parking.Unlock()
+	}
 	e.mu.Lock()
-	if e.deadLocked() {
-		return e.deadOpLocked()
+	if e.deadLocked() || e.sh != sh {
+		return e.deadOpLocked() // killed, or killed and reborn, while waiting
 	}
 	_, _, err := e.eng.ReapIfMoved()
 	return err
@@ -422,49 +470,35 @@ func (e *Endpoint) submit(op uint32, lba uint64, p []byte) error {
 		return fmt.Errorf("%w: lba %d + %d sectors", blockdev.ErrOutOfRange, lba, n)
 	}
 
-	results := make([]pending, n)
-	deadline := e.clock().Add(e.timeout)
+	sh, deadline := e.sh, e.clock().Add(e.timeout)
 	if _, err := e.eng.Reap(); err != nil {
 		return err
 	}
-	staged := 0
-	for staged < n {
+	res := e.free
+	if res == nil {
+		res = new(pending)
+	}
+	e.free, res.left, res.err = res.next, n, nil
+	// Every return below leaves either nothing in flight for res or a dead
+	// endpoint, whose engine drops its parked requests unreturned.
+	defer func() { res.next, e.free = e.free, res }()
+	for staged := 0; res.left > 0; {
 		for staged < n && !e.eng.Full(e.eng.ConsSeen()) {
-			if err := e.stageLocked(op, lba+uint64(staged), p, staged, &results[staged]); err != nil {
+			if err := e.stageLocked(op, lba+uint64(staged), p, staged, res); err != nil {
 				return err
 			}
 			staged++
 		}
 		e.eng.Publish()
-		// Backpressure: the ring is full, so every slot is an in-flight
-		// request the host still owns. Wait for completions (or die at
-		// the deadline); never overwrite.
-		for staged < n && e.eng.Full(e.eng.ConsSeen()) {
-			if err := e.spinLocked(deadline); err != nil {
-				return err
-			}
-		}
-	}
-	for !allDone(results) {
-		if err := e.spinLocked(deadline); err != nil {
+		// Everything that fits is the host's now. Wait for completions —
+		// and, while the ring is full (backpressure: every slot is an
+		// in-flight request the host still owns), for room to stage the
+		// rest — or die at the deadline; never overwrite.
+		if err := e.waitLocked(sh, deadline); err != nil {
 			return err
 		}
 	}
-	for i := range results {
-		if results[i].err != nil {
-			return results[i].err
-		}
-	}
-	return nil
-}
-
-func allDone(results []pending) bool {
-	for i := range results {
-		if !results[i].done {
-			return false
-		}
-	}
-	return true
+	return res.err
 }
 
 // stageLocked checks one staging slab out of the arena, fills it for
@@ -472,7 +506,7 @@ func allDone(results []pending) bool {
 //
 //ciovet:locked
 func (e *Endpoint) stageLocked(op uint32, lba uint64, p []byte, i int, res *pending) error {
-	lease, err := newSlabLease(e.sh.Data)
+	lease, err := e.leaseSlab()
 	if err != nil {
 		// In-flight requests are bounded by the ring (one slab each, and
 		// the arena holds exactly ring-many slabs), so exhaustion here
@@ -482,8 +516,11 @@ func (e *Endpoint) stageLocked(op uint32, lba uint64, p []byte, i int, res *pend
 	sec := p[i*blockdev.SectorSize : (i+1)*blockdev.SectorSize]
 	if op == OpWrite {
 		if werr := e.sh.Data.Write(lease.h, sec); werr != nil {
+			// The handle is the one Alloc just returned: our own state is
+			// corrupt, as on a failed readback — fatal. The host never saw
+			// this slab, so it can go back.
 			lease.Free()
-			return fmt.Errorf("blkring: stage: %w", werr)
+			return e.fail(fmt.Errorf("%w: stage: %v", ErrProtocol, werr))
 		}
 		e.meter.Copy(blockdev.SectorSize)
 	}
@@ -775,17 +812,28 @@ func (m *Multi) SetRecoveryPolicy(p safering.RecoveryPolicy) {
 // physical disk. Like every honest host component, it validates what it
 // reads (mutual distrust): a producer index past the ring or an op word
 // from a stale epoch stops the backend instead of being served.
+//
+// Idle, it is one more client of the datapath's waiter: after
+// backendSpin empty, yielding polls it arms — on a polling-mode device
+// it parks on the request ring's producer index, on a notify-enabled one
+// it publishes its wake threshold for the submission bell — re-checks
+// the index, and blocks until the wake, Stop or nic.WaitBound. The wait
+// is always time-bounded: the guest controls when the wake fires (and
+// can publish a garbage event index), never whether the backend keeps
+// serving or can be collected.
 type Backend struct {
 	sh   *Shared
 	disk blockdev.Disk
 
 	stop chan struct{}
+	park chan struct{} // the wake a polling-mode backend parks on prod with
 	wg   sync.WaitGroup
 
-	mu   sync.Mutex
-	tail uint64
-	buf  []byte
-	dead error
+	mu    sync.Mutex
+	tail  uint64
+	polls uint64 // Step calls, served or not
+	buf   []byte
+	dead  error
 }
 
 // NewBackend attaches a disk to the ring's host side.
@@ -794,6 +842,7 @@ func NewBackend(sh *Shared, disk blockdev.Disk) *Backend {
 		sh:   sh,
 		disk: disk,
 		stop: make(chan struct{}),
+		park: make(chan struct{}, 1),
 		buf:  make([]byte, blockdev.SectorSize),
 	}
 }
@@ -805,43 +854,53 @@ func (b *Backend) Dead() error {
 	return b.dead
 }
 
-// Backend idle ladder: spin backendSpinIdle empty polls, then (on a
-// notify-enabled device) arm the wake threshold and sleep in bounded
-// exponential steps. The bell wait is always time-bounded — the guest
-// controls when the bell rings (and can publish a garbage event index),
-// never whether the backend keeps serving or can be collected.
-const (
-	backendSpinIdle = 64
-	backendSleepMin = 20 * time.Microsecond
-	backendSleepMax = 200 * time.Microsecond
-)
+// backendSpin is how many consecutive empty polls the backend makes,
+// yielding the processor after each, before it arms and blocks. The
+// submitter is busy for microseconds between requests (the crypto above
+// the ring): a backend that is still runnable when the next one arrives
+// takes it without a wake-up, which on this runtime costs the submitter
+// a futex call. The yield is the point — polls that hold the processor
+// are slower than parking at once (EXPERIMENTS.md "Storage hand-off").
+const backendSpin = 64
 
-// armNotify publishes the backend's wake threshold in the ring's event
-// word and reports whether requests already wait (the lost-wakeup
-// recheck: poll again instead of blocking).
-func (b *Backend) armNotify() bool {
+// arm registers the idle backend's wake — the park on the producer
+// index, or the event-idx threshold of the submission bell — and reports
+// whether requests already wait (the lost-wakeup re-check: poll again
+// instead of blocking).
+func (b *Backend) arm() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.sh.Ring.Indexes().StoreEvent(b.tail)
-	return b.sh.Ring.Indexes().LoadProd() != b.tail
+	ix := b.sh.Ring.Indexes()
+	ix.StoreEvent(b.tail)
+	if b.sh.SubBell == nil {
+		ix.Park(b.park)
+	}
+	return ix.LoadProd() != b.tail
 }
 
-// suppressNotify withdraws the threshold while the backend actively
-// polls, eliding guest submission doorbells under sustained load.
-func (b *Backend) suppressNotify() {
+// disarm withdraws the wake while the backend actively polls, eliding
+// guest submission doorbells (and pokes) under sustained load.
+func (b *Backend) disarm() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.sh.Ring.Indexes().StoreEvent(b.tail - 1)
+	ix := b.sh.Ring.Indexes()
+	ix.StoreEvent(b.tail - 1)
+	if b.sh.SubBell == nil {
+		ix.Unpark()
+	}
 }
 
 // Start launches the service loop.
 func (b *Backend) Start() {
+	wake := (<-chan struct{})(b.park)
+	if b.sh.SubBell != nil {
+		wake = b.sh.SubBell.Chan()
+	}
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		notify := b.sh.SubBell != nil
-		idle := 0
-		armed := false
+		var w nic.Waiter
+		idle, armed := 0, false
 		for {
 			select {
 			case <-b.stop:
@@ -857,42 +916,23 @@ func (b *Backend) Start() {
 			}
 			if worked {
 				if armed {
-					b.suppressNotify()
+					b.disarm()
 					armed = false
 				}
 				idle = 0
 				continue
 			}
-			idle++
-			if idle <= backendSpinIdle {
+			if idle++; idle <= backendSpin {
+				runtime.Gosched()
 				continue
 			}
-			d := backendSleepMin
-			for i := backendSpinIdle + 1; i < idle && d < backendSleepMax; i++ {
-				d *= 2
+			if !armed && b.arm() {
+				continue // work raced in while arming: poll again
 			}
-			if d > backendSleepMax {
-				d = backendSleepMax
-			}
-			if !notify {
-				time.Sleep(d)
-				continue
-			}
-			if !armed {
-				if b.armNotify() {
-					continue // work raced in while arming: poll again
-				}
-				armed = true
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-b.stop:
-				t.Stop()
+			armed = true
+			if !w.Wait(b.stop, wake, nil, nic.WaitBound) {
 				return
-			case <-b.sh.SubBell.Chan():
-			case <-t.C:
 			}
-			t.Stop()
 		}
 	}()
 }
@@ -915,6 +955,7 @@ func (b *Backend) Stop() {
 func (b *Backend) Step() (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.polls++
 	prod := b.sh.Ring.Indexes().LoadProd()
 	if prod == b.tail {
 		return false, nil

@@ -123,9 +123,10 @@ func (d *MemDisk) WriteSector(lba uint64, data []byte) error {
 		return fmt.Errorf("%w: %d", ErrOutOfRange, lba)
 	}
 	d.Writes++
-	cp := make([]byte, SectorSize)
-	copy(cp, data)
-	d.sectors[lba] = cp
+	if d.sectors[lba] == nil {
+		d.sectors[lba] = make([]byte, SectorSize)
+	}
+	copy(d.sectors[lba], data)
 	return nil
 }
 
@@ -222,4 +223,23 @@ func (s *SnoopDisk) Seen() []byte {
 	out := make([]byte, len(s.seen))
 	copy(out, s.seen)
 	return out
+}
+
+// RacingDisk is the host acting inside a guest write: OnWrite, when set,
+// runs once, before the next write is forwarded — after whatever the
+// guest checked before it issued the write and before whatever it does
+// once the write returns. The time-of-check/time-of-use scenarios script
+// their move through it.
+type RacingDisk struct {
+	Disk
+	OnWrite func()
+}
+
+// WriteSector runs the scripted move, then forwards.
+func (r *RacingDisk) WriteSector(lba uint64, data []byte) error {
+	if f := r.OnWrite; f != nil {
+		r.OnWrite = nil
+		f()
+	}
+	return r.Disk.WriteSector(lba, data)
 }

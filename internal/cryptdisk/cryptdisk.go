@@ -25,6 +25,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"math/bits"
 	"sync"
 
 	"confio/internal/blockdev"
@@ -140,17 +142,33 @@ func (m *Meta) Restore(s SnapshotFor) {
 	}
 }
 
-// CryptDisk is the TEE-side volume. It holds the key and the Merkle root
-// and nothing else.
+// CryptDisk is the TEE-side volume. It holds the key, the Merkle root
+// and per-call scratch — nothing else that outlives a call.
 type CryptDisk struct {
 	mu    sync.Mutex
 	phys  blockdev.Disk
 	meta  *Meta
 	block cipher.Block
-	mac   []byte // HMAC key for leaf hashing
 	root  [32]byte
 	meter *platform.Meter
 	n     int
+	depth int // tree levels below the root: log2 n
+
+	// Scratch, all under mu, so that a sector costs no allocation. leaf
+	// is the keyed leaf hash, reset per sector; hdr and sum are its input
+	// trailer and output (fields, not locals: a hash.Hash call would move
+	// a local to the heap).
+	leaf hash.Hash
+	hdr  [16]byte
+	sum  [32]byte
+	// cur and ct hold a write's pre-read and new ciphertext spans; vers
+	// and sibs the version and the leaf-to-root siblings the pre-write
+	// check verified for each sector of the span — the only tree state
+	// the update may use (see WriteSectors).
+	cur, ct []byte
+	vers    []uint64
+	sibs    [][32]byte
+	path    [][32]byte // the nodes the previous sector's update computed, by level
 }
 
 // Format initializes a volume over phys covering n sectors (power of
@@ -169,7 +187,9 @@ func Format(phys blockdev.Disk, n int, key []byte, meter *platform.Meter) (*Cryp
 		return nil, nil, err
 	}
 	macKey := sha256.Sum256(append([]byte("cryptdisk-mac:"), key...))
-	cd := &CryptDisk{phys: phys, meta: meta, block: block, mac: macKey[:], meter: meter, n: n}
+	depth := bits.Len(uint(n)) - 1
+	cd := &CryptDisk{phys: phys, meta: meta, block: block, leaf: hmac.New(sha256.New, macKey[:]),
+		meter: meter, n: n, depth: depth, path: make([][32]byte, depth)}
 
 	// Initialize leaves: every sector starts as all-zero ciphertext at
 	// version 0 (reading an unwritten sector yields verified zeros).
@@ -195,21 +215,25 @@ func (c *CryptDisk) Root() [32]byte {
 }
 
 func nodeHash(a, b [32]byte) [32]byte {
-	return sha256.Sum256(append(a[:], b[:]...))
+	var ab [64]byte
+	copy(ab[:32], a[:])
+	copy(ab[32:], b[:])
+	return sha256.Sum256(ab[:])
 }
 
 // leafHash authenticates one sector's ciphertext bound to its location
-// and version.
+// and version: HMAC-SHA256(ciphertext ‖ lba ‖ version). Caller holds
+// c.mu (the keyed state and its buffers are the volume's).
+//
+//ciovet:locked
 func (c *CryptDisk) leafHash(ct []byte, lba, version uint64) [32]byte {
-	m := hmac.New(sha256.New, c.mac)
-	m.Write(ct)
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[0:], lba)
-	binary.BigEndian.PutUint64(hdr[8:], version)
-	m.Write(hdr[:])
-	var out [32]byte
-	copy(out[:], m.Sum(nil))
-	return out
+	c.leaf.Reset()
+	c.leaf.Write(ct)
+	binary.BigEndian.PutUint64(c.hdr[0:], lba)
+	binary.BigEndian.PutUint64(c.hdr[8:], version)
+	c.leaf.Write(c.hdr[:])
+	c.leaf.Sum(c.sum[:0])
+	return c.sum
 }
 
 // keystream encrypts/decrypts in place with the (lba, version) nonce.
@@ -222,15 +246,21 @@ func (c *CryptDisk) keystream(data []byte, lba, version uint64) {
 }
 
 // verifyPathLocked checks a leaf against the TEE root using the
-// (untrusted) sibling nodes, and returns the siblings for reuse.
+// (untrusted) sibling nodes, each fetched exactly once. A path that
+// verifies authenticates its siblings too — they hash, with the leaf, to
+// the root the TEE holds — so when keep is non-nil the fetched values
+// are saved there, leaf level first, for the update that follows.
 //
 //ciovet:locked
-func (c *CryptDisk) verifyPathLocked(lba uint64, leaf [32]byte) error {
+func (c *CryptDisk) verifyPathLocked(lba uint64, leaf [32]byte, keep [][32]byte) error {
 	c.meta.mu.Lock()
 	defer c.meta.mu.Unlock()
 	h := leaf
-	for i := c.n + int(lba); i > 1; i /= 2 {
+	for l, i := 0, c.n+int(lba); i > 1; l, i = l+1, i/2 {
 		sib := c.meta.node(i ^ 1)
+		if keep != nil {
+			keep[l] = sib
+		}
 		if i%2 == 0 {
 			h = nodeHash(h, sib)
 		} else {
@@ -243,19 +273,42 @@ func (c *CryptDisk) verifyPathLocked(lba uint64, leaf [32]byte) error {
 	return nil
 }
 
-// updatePathLocked installs a new leaf and recomputes the root, after
-// verifying the old path (so a tampered tree cannot launder itself into
-// a new root).
+// updatePathLocked installs sector k of a write span starting at lba —
+// its new leaf and version — and advances the root. Nothing is read back
+// from the host-tamperable Meta: every sibling is the value the pre-write
+// check verified (c.sibs), or, where an earlier sector of this span has
+// since changed that node, the value this call computed for it. Sectors
+// are updated in ascending order, so at each level the previous sector's
+// path either ran through our sibling (take the node it computed),
+// through our own node (same sibling: take the one it used), or through
+// neither (the snapshot stands).
 //
 //ciovet:locked
-func (c *CryptDisk) updatePathLocked(lba uint64, newLeaf [32]byte) {
+func (c *CryptDisk) updatePathLocked(lba uint64, k int, version uint64, leaf [32]byte) {
 	c.meta.mu.Lock()
 	defer c.meta.mu.Unlock()
-	c.meta.setNode(c.n+int(lba), newLeaf)
-	for i := (c.n + int(lba)) / 2; i >= 1; i /= 2 {
-		c.meta.setNode(i, nodeHash(c.meta.node(2*i), c.meta.node(2*i+1)))
+	c.meta.setVersion(lba+uint64(k), version)
+	sibs := c.sibs[k*c.depth : (k+1)*c.depth]
+	h, i0 := leaf, c.n+int(lba)+k
+	for l, i := 0, i0; i > 1; l, i = l+1, i/2 {
+		if k > 0 {
+			switch prev := (i0 - 1) >> l; prev {
+			case i ^ 1:
+				sibs[l] = c.path[l]
+			case i:
+				sibs[l] = c.sibs[(k-1)*c.depth+l]
+			}
+		}
+		c.path[l] = h
+		c.meta.setNode(i, h)
+		if i%2 == 0 {
+			h = nodeHash(h, sibs[l])
+		} else {
+			h = nodeHash(sibs[l], h)
+		}
 	}
-	c.root = c.meta.node(1)
+	c.meta.setNode(1, h)
+	c.root = h
 }
 
 // finishReadLocked verifies and decrypts one freshly read ciphertext
@@ -266,7 +319,7 @@ func (c *CryptDisk) finishReadLocked(lba uint64, buf []byte) error {
 	version := c.meta.Version(lba)
 	leaf := c.leafHash(buf, lba, version)
 	c.meter.Check(1)
-	if err := c.verifyPathLocked(lba, leaf); err != nil {
+	if err := c.verifyPathLocked(lba, leaf, nil); err != nil {
 		return fmt.Errorf("%w: sector %d", err, lba)
 	}
 	if version == 0 {
@@ -341,43 +394,52 @@ func (c *CryptDisk) WriteSector(lba uint64, data []byte) error {
 // must not trick us into laundering its tree, and a mid-span integrity
 // failure must not leave a half-written batch), then one batched write
 // of the new ciphertext.
+//
+// The host can rewrite Meta at any moment, including while the physical
+// write crosses the ring, so each sector's version and siblings are
+// fetched once — by the pre-write check, which authenticates them
+// against the root — and everything after (the nonce, the new leaf, the
+// new root) is computed from that snapshot, never from a second read.
 func (c *CryptDisk) WriteSectors(lba uint64, data []byte) error {
 	if len(data)%blockdev.SectorSize != 0 {
 		return blockdev.ErrBadSize
 	}
-	n := uint64(len(data) / blockdev.SectorSize)
+	n := len(data) / blockdev.SectorSize
 	if n == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if lba >= uint64(c.n) || n > uint64(c.n)-lba {
+	if lba >= uint64(c.n) || uint64(n) > uint64(c.n)-lba {
 		return blockdev.ErrOutOfRange
 	}
-	cur := make([]byte, len(data))
+	if cap(c.cur) < len(data) {
+		c.cur, c.ct = make([]byte, len(data)), make([]byte, len(data))
+		c.vers, c.sibs = make([]uint64, n), make([][32]byte, n*c.depth)
+	}
+	cur, ct := c.cur[:len(data)], c.ct[:len(data)]
 	if err := blockdev.ReadSectors(c.phys, lba, cur); err != nil {
 		return err
 	}
-	for i := uint64(0); i < n; i++ {
-		sec := cur[i*blockdev.SectorSize : (i+1)*blockdev.SectorSize]
-		if err := c.verifyPathLocked(lba+i, c.leafHash(sec, lba+i, c.meta.Version(lba+i))); err != nil {
-			return fmt.Errorf("%w: pre-write check, sector %d", err, lba+i)
+	for k := 0; k < n; k++ {
+		at := lba + uint64(k)
+		c.vers[k] = c.meta.Version(at)
+		leaf := c.leafHash(cur[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], at, c.vers[k])
+		if err := c.verifyPathLocked(at, leaf, c.sibs[k*c.depth:(k+1)*c.depth]); err != nil {
+			return fmt.Errorf("%w: pre-write check, sector %d", err, at)
 		}
 	}
 
-	ct := make([]byte, len(data))
 	copy(ct, data)
-	for i := uint64(0); i < n; i++ {
-		c.keystream(ct[i*blockdev.SectorSize:(i+1)*blockdev.SectorSize], lba+i, c.meta.Version(lba+i)+1)
+	for k := 0; k < n; k++ {
+		c.keystream(ct[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], lba+uint64(k), c.vers[k]+1)
 	}
 	if err := blockdev.WriteSectors(c.phys, lba, ct); err != nil {
 		return err
 	}
-	for i := uint64(0); i < n; i++ {
-		version := c.meta.Version(lba+i) + 1
-		sec := ct[i*blockdev.SectorSize : (i+1)*blockdev.SectorSize]
-		c.meta.TamperVersion(lba+i, version) // regular write path uses the same store
-		c.updatePathLocked(lba+i, c.leafHash(sec, lba+i, version))
+	for k := 0; k < n; k++ {
+		at, version := lba+uint64(k), c.vers[k]+1
+		c.updatePathLocked(lba, k, version, c.leafHash(ct[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], at, version))
 	}
 	return nil
 }

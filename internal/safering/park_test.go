@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"confio/internal/nic"
 )
@@ -22,51 +23,68 @@ const lostWake = 10 * time.Second
 
 // TestParkNeverLosesAWake hands single frames from a producer to a
 // poller that parks on the index after every one: store-then-poke on one
-// side, register-then-recheck on the other. Run under -race.
+// side, register-then-recheck on the other — on the producer index, the
+// way an idle poller waits for work, and mirrored on the consumer index,
+// the way a producer waits for its slots to come back. Run under -race.
 func TestParkNeverLosesAWake(t *testing.T) {
 	n := 100_000
 	if testing.Short() {
 		n = 10_000
 	}
 	var ix Indexes
-	wake := make(chan struct{}, 1)
-	done := make(chan error, 1)
-	go func() {
-		timer := time.NewTimer(time.Hour)
-		defer timer.Stop()
-		for tail := uint64(0); tail < uint64(n); {
-			ix.Park(wake)
-			if ix.LoadProd() == tail {
-				timer.Reset(lostWake)
-				select {
-				case <-wake:
-					if !timer.Stop() {
-						<-timer.C
+	words := map[string]struct {
+		park       func(chan struct{})
+		unpark     func()
+		load, peer func() uint64 // the word parked on, the word answered with
+		store, ack func(uint64)
+	}{
+		"prod": {ix.Park, ix.Unpark, ix.LoadProd, ix.LoadCons, ix.StoreProd, ix.StoreCons},
+		"cons": {ix.ParkCons, ix.UnparkCons, ix.LoadCons, ix.LoadProd, ix.StoreCons, ix.StoreProd},
+	}
+	for name, w := range words {
+		t.Run(name, func(t *testing.T) {
+			ix.StoreProd(0)
+			ix.StoreCons(0)
+			wake := make(chan struct{}, 1)
+			done := make(chan error, 1)
+			go func() {
+				timer := time.NewTimer(time.Hour)
+				defer timer.Stop()
+				for tail := uint64(0); tail < uint64(n); {
+					w.park(wake)
+					if w.load() == tail {
+						timer.Reset(lostWake)
+						select {
+						case <-wake:
+							if !timer.Stop() {
+								<-timer.C
+							}
+						case <-timer.C:
+							done <- errors.New("wake lost: poller still parked")
+							return
+						}
 					}
-				case <-timer.C:
-					done <- errors.New("wake lost: poller still parked")
-					return
+					w.unpark()
+					tail = w.load()
+					w.ack(tail)
+				}
+				done <- nil
+			}()
+			for i := 1; i <= n; i++ {
+				w.store(uint64(i))
+				for w.peer() != uint64(i) { // one frame in flight at a time
+					select {
+					case err := <-done:
+						t.Fatalf("hand-off %d of %d: %v", i, n, err)
+					default:
+						runtime.Gosched()
+					}
 				}
 			}
-			ix.Unpark()
-			tail = ix.LoadProd()
-			ix.StoreCons(tail)
-		}
-		done <- nil
-	}()
-	for i := 1; i <= n; i++ {
-		ix.StoreProd(uint64(i))
-		for ix.LoadCons() != uint64(i) { // one frame in flight at a time
-			select {
-			case err := <-done:
-				t.Fatalf("hand-off %d of %d: %v", i, n, err)
-			default:
-				runtime.Gosched()
+			if err := <-done; err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
@@ -181,9 +199,13 @@ func TestParkSurvivesRebirth(t *testing.T) {
 	p := startParkedPoller(ep)
 	defer close(p.stop)
 	registered := func(sh *Shared) bool {
-		wake, _ := sh.RXUsed.Indexes().parked.Load().(chan struct{})
+		wake, _ := sh.RXUsed.Indexes().prodWake.v.Load().(chan struct{})
 		return wake == p.wake
 	}
+	// A producer waiting on the old TX ring's consumer index, the way a
+	// blkring submitter waits: retired with the ring, like the poller.
+	txWake := make(chan struct{}, 1)
+	old.TX.Indexes().ParkCons(txWake)
 
 	if err := NewHostPort(old).Push(frame(64, 1)); err != nil {
 		t.Fatal(err)
@@ -202,6 +224,9 @@ func TestParkSurvivesRebirth(t *testing.T) {
 	}
 	if registered(sh) {
 		t.Fatal("the new ring was born with the old ring's parked poller")
+	}
+	if wake, _ := sh.TX.Indexes().consWake.v.Load().(chan struct{}); wake != nil {
+		t.Fatal("the new ring was born with the old ring's parked producer")
 	}
 	hp := NewHostPort(sh)
 	sent := time.Now()
@@ -230,6 +255,31 @@ func TestParkSurvivesRebirth(t *testing.T) {
 	}
 	if err := ep.Dead(); err != nil {
 		t.Fatalf("a store to the retired ring killed the live device: %v", err)
+	}
+
+	// The same on the consumer side: the new ring's consumer-index stores
+	// do not reach the producer parked on the retired one (it recovers by
+	// its bounded wait, as the poller above did); the retired ring's still
+	// do, and buy it a validated look at the live ring, nothing else.
+	if err := ep.Send(frame(64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hp.Pop(make([]byte, ep.Config().FrameCap())); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-txWake:
+		t.Fatal("a consumer-index store on the new ring poked the producer parked on the retired one")
+	default:
+	}
+	old.TX.Indexes().StoreCons(uint64(ep.Config().Slots) * 8)
+	select {
+	case <-txWake:
+	default:
+		t.Fatal("the retired ring lost its stale registration")
+	}
+	if err := ep.Send(frame(64, 5)); err != nil {
+		t.Fatalf("a consumer-index store to the retired ring reached the live device: %v", err)
 	}
 }
 
@@ -300,6 +350,14 @@ func TestParkPathsZeroAlloc(t *testing.T) {
 			<-wake
 			ix.Unpark()
 		},
+		"StoreCons, nobody parked": func() { v++; ix.StoreCons(v) },
+		"StoreCons, producer parked": func() {
+			ix.ParkCons(wake)
+			v++
+			ix.StoreCons(v)
+			<-wake
+			ix.UnparkCons()
+		},
 		"empty RecvBatch, park, unpark": func() {
 			_, err := g.RecvBatch(out)
 			p, ok := err.(nic.Parker)
@@ -369,5 +427,30 @@ func TestHostParksOnlyInPollingMode(t *testing.T) {
 	case <-nhp.park:
 		t.Fatal("notify mode: backend was parked as well as armed")
 	default:
+	}
+}
+
+// TestRingFillsWholeCacheLines pins Ring's size to a multiple of the
+// cache line and its address to one: every goroutine of the datapath
+// stores to or parks on some ring's index words, so rings that straddle
+// lines share them with their neighbours, and which neighbours depends on
+// the offset the allocator happens to hand out. (At 80 bytes that put
+// echo-small's run-to-run spread past the benchmark's bound.)
+func TestRingFillsWholeCacheLines(t *testing.T) {
+	const line = 64
+	if sz := unsafe.Sizeof(Ring{}); sz%line != 0 {
+		t.Fatalf("Ring is %d bytes: not a multiple of the %d-byte cache line", sz, line)
+	}
+	if end := unsafe.Offsetof(Ring{}.slots) + unsafe.Sizeof(Ring{}.slots); end > line {
+		t.Fatalf("index words and slots end at byte %d: past the first cache line", end)
+	}
+	for i := 0; i < 64; i++ {
+		r, err := NewRing(8, DescSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off := uintptr(unsafe.Pointer(r)) % line; off != 0 {
+			t.Fatalf("ring %d allocated %d bytes into a cache line", i, off)
+		}
 	}
 }

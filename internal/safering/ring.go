@@ -78,23 +78,23 @@ type Indexes struct {
 	// watchdog notices) but can never confuse ring state.
 	//ciovet:shared the peer publishes its wake threshold here
 	evt atomic.Uint64
-	// parked holds the wake (a cap-1 chan struct{}, nil when withdrawn)
-	// of the poller parked on prod. It is not part of the shared window:
-	// it stands in for a polling core noticing the store to the cache
-	// line it spins on, so it is unmetered and carries no protocol state.
-	// The poke is a hint only — a parked poller consumes work through the
-	// same validated index load as a spinning one, and bounds its wait.
-	parked atomic.Value
+	// prodWake and consWake hold the goroutine parked on each index word:
+	// an idle poller on prod, a producer awaiting completions on cons.
+	prodWake, consWake wakeSlot
 }
 
-// LoadProd returns the producer's published position.
-func (ix *Indexes) LoadProd() uint64 { return ix.prod.Load() }
+// wakeSlot holds the wake (a cap-1 chan struct{}, nil when withdrawn) of
+// the goroutine parked on one index word. It is not part of the shared
+// window: it stands in for a polling core noticing the store to the cache
+// line it spins on, so it is unmetered and carries no protocol state.
+// The poke is a hint only — a parked goroutine consumes work through the
+// same validated index load as a spinning one, and bounds its wait.
+type wakeSlot struct{ v atomic.Value }
 
-// StoreProd publishes the producer position and pokes the poller parked
-// on it, if any. Store before poke: see Park.
-func (ix *Indexes) StoreProd(v uint64) {
-	ix.prod.Store(v)
-	if wake, _ := ix.parked.Load().(chan struct{}); wake != nil {
+// poke wakes the parked goroutine, if any. Callers store the index word
+// first: see Park.
+func (s *wakeSlot) poke() {
+	if wake, _ := s.v.Load().(chan struct{}); wake != nil {
 		select {
 		case wake <- struct{}{}:
 		default: // a poke is already pending: wakes coalesce
@@ -102,21 +102,47 @@ func (ix *Indexes) StoreProd(v uint64) {
 	}
 }
 
+func (s *wakeSlot) set(wake chan struct{}) { s.v.Store(wake) }
+
+// LoadProd returns the producer's published position.
+func (ix *Indexes) LoadProd() uint64 { return ix.prod.Load() }
+
+// StoreProd publishes the producer position and pokes the poller parked
+// on it, if any.
+func (ix *Indexes) StoreProd(v uint64) {
+	ix.prod.Store(v)
+	ix.prodWake.poke()
+}
+
 // Park registers wake as the poller parked on the producer index. The
 // caller must then re-check LoadProd against its private tail before it
 // blocks — the Dekker order Publish and the event index use: the
-// producer stores prod and then loads parked, the poller stores parked
-// and then loads prod, so one of them sees the other and no wake is lost.
-func (ix *Indexes) Park(wake chan struct{}) { ix.parked.Store(wake) }
+// producer stores prod and then loads the slot, the poller stores the
+// slot and then loads prod, so one of them sees the other and no wake is
+// lost.
+func (ix *Indexes) Park(wake chan struct{}) { ix.prodWake.set(wake) }
 
 // Unpark withdraws the parked wake while its poller is busy anyway.
-func (ix *Indexes) Unpark() { ix.parked.Store((chan struct{})(nil)) }
+func (ix *Indexes) Unpark() { ix.prodWake.set(nil) }
 
 // LoadCons returns the consumer's published position.
 func (ix *Indexes) LoadCons() uint64 { return ix.cons.Load() }
 
-// StoreCons publishes the consumer position.
-func (ix *Indexes) StoreCons(v uint64) { ix.cons.Store(v) }
+// StoreCons publishes the consumer position and pokes the producer
+// parked on it, if any.
+func (ix *Indexes) StoreCons(v uint64) {
+	ix.cons.Store(v)
+	ix.consWake.poke()
+}
+
+// ParkCons is Park's twin on the consumer index: it registers wake as
+// the producer waiting for slots to come back. Same order, mirrored —
+// the caller re-checks LoadCons against the last value it validated
+// before it blocks.
+func (ix *Indexes) ParkCons(wake chan struct{}) { ix.consWake.set(wake) }
+
+// UnparkCons withdraws the wake ParkCons registered.
+func (ix *Indexes) UnparkCons() { ix.consWake.set(nil) }
 
 // LoadEvent returns the consumer's published event index.
 func (ix *Indexes) LoadEvent() uint64 { return ix.evt.Load() }
@@ -146,6 +172,13 @@ type Ring struct {
 	slots    *shmem.Region
 	nslots   uint64
 	slotSize uint64
+	// Pad to two whole cache lines. The allocator aligns an object of
+	// this size to it, so the index words (and slots: line one) sit at the
+	// same offsets in every run and never share a line with a neighbouring
+	// ring's; unpadded, the 80 bytes straddle lines at whichever of four
+	// offsets the size class hands out, and which rings then falsely share
+	// differs from one run to the next (TestRingFillsWholeCacheLines).
+	_ [48]byte
 }
 
 // NewRing allocates a ring with the given geometry (both powers of two).
