@@ -4,7 +4,7 @@ GO ?= go
 # cross-goroutine shared state (rings, slab pools, the core datapath).
 RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack
 
-.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos check
+.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos race-pump check
 
 all: build
 
@@ -91,6 +91,12 @@ bench-pairs:
 # gateway, and an ordering bug between the two shows up as a rare flake.
 chaos:
 	$(GO) test -count=5 -v ./internal/chaos
+
+# The pump's stop / fail-dead / park interleavings are timing-dependent
+# and all live in one loop (nic.Pump.run); ten runs under the race
+# detector for the same reason chaos takes five.
+race-pump:
+	$(GO) test -race -count=10 ./internal/nic
 
 # The full verification gate, in increasing order of cost.
 check: fmt vet build ciovet test race

@@ -124,11 +124,26 @@ func TestTransportWakeWakesParkedPump(t *testing.T) {
 	}
 }
 
-// TestMultiPumpStopsWhileSteeringIsParked: Stop reaches the steering
-// worker inside its wait, not after it.
-func TestMultiPumpStopsWhileSteeringIsParked(t *testing.T) {
-	pump := nic.StartMultiPump([]nic.BatchHost{newSpyHost()}, simnet.New().NewPort())
-	time.Sleep(5 * time.Millisecond) // every worker spins down and blocks
+// TestStopCollectsParkedWorkers: Stop reaches every worker inside its
+// wait — worker 0 blocked on its wake and the wire, the others on their
+// wake alone — not after it.
+func TestStopCollectsParkedWorkers(t *testing.T) {
+	const queues = 3
+	hosts := make([]nic.BatchHost, queues)
+	for q := range hosts {
+		hosts[q] = newSpyHost()
+	}
+	pump := nic.StartMultiPump(hosts, simnet.New().NewPort())
+	if n := pump.Running(); n != queues {
+		t.Fatalf("%d pump goroutines after start, want %d", n, queues)
+	}
+	for _, h := range hosts { // every worker spun down and is about to block
+		select {
+		case <-h.(*spyHost).armed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a worker never went idle")
+		}
+	}
 	stopped := make(chan struct{})
 	go func() {
 		pump.Stop()

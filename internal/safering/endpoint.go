@@ -53,9 +53,9 @@ type Endpoint struct {
 	// path stays allocation-free and callers can still distinguish a
 	// stalled host (errors.Is(err, ErrStalled)) from a protocol violation.
 	deadOp error
-	// rec is the quarantine state governing Reincarnate; lazily built
-	// from DefaultRecoveryPolicy on first use.
-	rec *reincarnation
+	// rec is the quarantine state governing Reincarnate:
+	// DefaultRecoveryPolicy until SetRecoveryPolicy replaces it.
+	rec *Quarantine
 
 	// tx is the generic producer engine driving the TX ring: private
 	// head/consumer accounting, backpressure, batched publication and
@@ -93,7 +93,7 @@ func New(cfg DeviceConfig, meter *platform.Meter) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Endpoint{cfg: cfg, sh: sh, meter: meter}
+	e := &Endpoint{cfg: cfg, sh: sh, meter: meter, rec: NewQuarantine(DefaultRecoveryPolicy())}
 	e.txHandles = make([][]shmem.Handle, cfg.Slots)
 	e.tx = NewEngine[Desc](sh.TX, sh.TXBell, descCodec{}, meter,
 		EngineHooks[Desc]{OnReturn: e.txReturn, Fail: e.fail})

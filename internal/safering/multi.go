@@ -84,7 +84,7 @@ type MultiEndpoint struct {
 	// recMu guards the device-level quarantine state; reincarnation is a
 	// whole-device operation (all queues reborn under one admission).
 	recMu sync.Mutex
-	rec   *reincarnation
+	rec   *Quarantine
 }
 
 // NewMulti constructs an N-queue guest device. Every queue gets the same
@@ -101,6 +101,7 @@ func NewMulti(cfg DeviceConfig, queues int, bank *platform.MeterBank) (*MultiEnd
 		bank:  bank,
 		latch: &DeathLatch{},
 		cfg:   cfg,
+		rec:   NewQuarantine(DefaultRecoveryPolicy()),
 	}
 	m.queues = make([]*Endpoint, queues)
 	for i := range m.queues {

@@ -129,10 +129,10 @@ func TestPumpFailDeadCollectsWhileArmed(t *testing.T) {
 	}
 }
 
-// TestMultiPumpShardedStopAndFailDead covers the sharded pump: steering
-// worker + per-queue TX and RX delivery workers all collect on Stop,
-// and — with a fresh device — collect themselves on device-wide
-// fail-dead with suppression armed on every queue.
+// TestMultiPumpShardedStopAndFailDead covers the sharded pump: one
+// worker per queue, all collected on Stop, and — with a fresh device —
+// collecting themselves on device-wide fail-dead with suppression armed
+// on every queue.
 func TestMultiPumpShardedStopAndFailDead(t *testing.T) {
 	const queues = 4
 	mk := func() (*MultiEndpoint, *MultiHostPort) {
@@ -147,8 +147,8 @@ func TestMultiPumpShardedStopAndFailDead(t *testing.T) {
 	net := simnet.New()
 	portPump, portPeer := net.NewPort(), net.NewPort()
 	pump := nic.StartMultiPump(mhp.HostNICs(), portPump)
-	if got := pump.Running(); got != 2*queues+1 {
-		t.Fatalf("Running = %d at start, want %d (TX+RX per queue + steering)", got, 2*queues+1)
+	if got := pump.Running(); got != queues {
+		t.Fatalf("Running = %d at start, want %d (one worker per queue)", got, queues)
 	}
 	// Traffic both ways through the shards.
 	gmux := me.NIC()
@@ -185,6 +185,9 @@ func TestMultiPumpShardedStopAndFailDead(t *testing.T) {
 	me2, mhp2 := mk()
 	pump2 := nic.StartMultiPump(mhp2.HostNICs(), simnet.New().NewPort())
 	defer pump2.Stop()
+	if got := pump2.Running(); got != queues {
+		t.Fatalf("Running = %d at start, want %d", got, queues)
+	}
 	time.Sleep(2 * time.Millisecond)
 	sh := me2.Queue(1).Shared()
 	sh.TX.Indexes().StoreProd(sh.TX.NSlots() * 4)

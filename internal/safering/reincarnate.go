@@ -70,17 +70,24 @@ func DefaultRecoveryPolicy() RecoveryPolicy {
 	}
 }
 
-// reincarnation is the quarantine state machine. Not self-locking: the
-// owner (Endpoint.mu or MultiEndpoint.recMu) serializes admit calls.
-type reincarnation struct {
+// Quarantine is the reincarnation admission state machine: exponential
+// jittered backoff, a sliding death budget, sticky permanence. It is
+// exported so that other device classes built on the generic ring engine
+// (blkring) and the gateway's tenant backoff share the exact policy
+// instead of growing a parallel weaker copy. Not self-locking: the owner
+// (Endpoint.mu, MultiEndpoint.recMu, the owning device's mutex)
+// serializes Admit.
+type Quarantine struct {
 	policy    RecoveryPolicy
-	rng       *rand.Rand
+	rng       *rand.Rand  // jitter source, seeded on the first admission
 	deaths    []time.Time // admitted deaths inside the sliding window
 	notBefore time.Time   // next admission not before this instant
 	permanent bool
 }
 
-func newReincarnation(p RecoveryPolicy) *reincarnation {
+// NewQuarantine builds a quarantine from the policy (zero-value fields
+// take the defaults of DefaultRecoveryPolicy).
+func NewQuarantine(p RecoveryPolicy) *Quarantine {
 	if p.Clock == nil {
 		p.Clock = time.Now
 	}
@@ -96,12 +103,14 @@ func newReincarnation(p RecoveryPolicy) *reincarnation {
 	if p.BudgetWindow <= 0 {
 		p.BudgetWindow = DefaultRecoveryPolicy().BudgetWindow
 	}
-	return &reincarnation{policy: p, rng: rand.New(rand.NewSource(p.Seed))}
+	return &Quarantine{policy: p}
 }
 
-// admit decides whether one reincarnation may proceed now. On success it
-// records the death and arms the backoff for the next admission.
-func (r *reincarnation) admit() error {
+// Admit decides whether one reincarnation may proceed now, recording the
+// death and arming the backoff for the next admission on success. Errors
+// are ErrQuarantine (retry after backoff) or ErrBudgetExhausted
+// (permanent).
+func (r *Quarantine) Admit() error {
 	if r.permanent {
 		return ErrBudgetExhausted
 	}
@@ -136,40 +145,25 @@ func (r *reincarnation) admit() error {
 		back = r.policy.MaxBackoff
 	}
 	if r.policy.JitterFrac > 0 {
+		if r.rng == nil { // every device owns a quarantine; few ever die
+			r.rng = rand.New(rand.NewSource(r.policy.Seed))
+		}
 		back += time.Duration(float64(back) * r.policy.JitterFrac * r.rng.Float64())
 	}
 	r.notBefore = now.Add(back)
 	return nil
 }
 
-// Quarantine is the exported face of the reincarnation state machine, so
-// other device classes built on the generic ring engine (blkring) share
-// the exact admission policy — exponential jittered backoff, sliding
-// death budget, sticky permanence — instead of growing a parallel weaker
-// copy. Not self-locking: the owning device's mutex serializes Admit.
-type Quarantine struct{ r *reincarnation }
-
-// NewQuarantine builds a quarantine from the policy (zero-value fields
-// take the defaults of DefaultRecoveryPolicy).
-func NewQuarantine(p RecoveryPolicy) *Quarantine {
-	return &Quarantine{r: newReincarnation(p)}
-}
-
-// Admit decides whether one reincarnation may proceed now, recording the
-// death and arming the backoff on success. Errors are ErrQuarantine
-// (retry after backoff) or ErrBudgetExhausted (permanent).
-func (q *Quarantine) Admit() error { return q.r.admit() }
-
 // NotBefore reports the instant before which the next Admit is refused
 // (zero until the first admission). Admission gates that want to refuse
 // work cheaply during backoff — without consuming budget or taking an
 // admission — compare the clock against this instead of calling Admit.
-func (q *Quarantine) NotBefore() time.Time { return q.r.notBefore }
+func (r *Quarantine) NotBefore() time.Time { return r.notBefore }
 
 // Permanent reports whether the budget has been exhausted: every later
 // Admit returns ErrBudgetExhausted and the guarded principal is dead
 // (device) or evicted (tenant) for good.
-func (q *Quarantine) Permanent() bool { return q.r.permanent }
+func (r *Quarantine) Permanent() bool { return r.permanent }
 
 // SetRecoveryPolicy installs the quarantine policy governing Reincarnate,
 // replacing any accumulated quarantine state. Call it at device setup;
@@ -177,15 +171,7 @@ func (q *Quarantine) Permanent() bool { return q.r.permanent }
 func (e *Endpoint) SetRecoveryPolicy(p RecoveryPolicy) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.rec = newReincarnation(p)
-}
-
-//ciovet:locked
-func (e *Endpoint) recLocked() *reincarnation {
-	if e.rec == nil {
-		e.rec = newReincarnation(DefaultRecoveryPolicy())
-	}
-	return e.rec
+	e.rec = NewQuarantine(p)
 }
 
 // Reincarnate recovers a dead single-queue device: it tears down the
@@ -209,7 +195,7 @@ func (e *Endpoint) Reincarnate() (*Shared, error) {
 	if !e.deadLocked() {
 		return nil, ErrNotDead
 	}
-	if err := e.recLocked().admit(); err != nil {
+	if err := e.rec.Admit(); err != nil {
 		return nil, err
 	}
 	sh, err := e.rebirthLocked()
@@ -265,7 +251,7 @@ func (e *Endpoint) rebirthLocked() (*Shared, error) {
 func (m *MultiEndpoint) SetRecoveryPolicy(p RecoveryPolicy) {
 	m.recMu.Lock()
 	defer m.recMu.Unlock()
-	m.rec = newReincarnation(p)
+	m.rec = NewQuarantine(p)
 }
 
 // Reincarnate recovers a dead multi-queue device as one atomic unit:
@@ -284,10 +270,7 @@ func (m *MultiEndpoint) Reincarnate() ([]*Shared, error) {
 	if m.latch.Dead() == nil {
 		return nil, ErrNotDead
 	}
-	if m.rec == nil {
-		m.rec = newReincarnation(DefaultRecoveryPolicy())
-	}
-	if err := m.rec.admit(); err != nil {
+	if err := m.rec.Admit(); err != nil {
 		return nil, err
 	}
 	// Hold every queue lock across the whole rebirth so no queue can

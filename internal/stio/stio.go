@@ -66,7 +66,6 @@ type FileOps interface {
 var (
 	compSFS    = tcb.Component{Name: "sfs", LoC: 280, Role: "filesystem"}
 	compCrypt  = tcb.Component{Name: "cryptdisk", LoC: 220, Role: "at-rest encryption + merkle"}
-	compBlk    = tcb.Component{Name: "blkring", LoC: 599, Role: "safe block ring on the generic engine"}
 	compSeal   = tcb.Component{Name: "record-seal", LoC: 90, Role: "app-level record AEAD"}
 	compFShim  = tcb.Component{Name: "hostfile-shim", LoC: 100, Role: "file-op proxy"}
 	compAppOnl = []tcb.Component{tcb.CompApp}
@@ -80,13 +79,13 @@ func TCBOf(id DesignID) (core, teeTotal tcb.Profile) {
 		return p, p
 	case BlockRing:
 		p := tcb.Profile{Name: string(id), Components: append(append([]tcb.Component{}, compAppOnl...),
-			compSFS, compCrypt, compBlk)}
+			compSFS, compCrypt, tcb.CompBlkring)}
 		return p, p
 	case DualStorage:
 		core := tcb.Profile{Name: string(id) + "-core", Components: append(append([]tcb.Component{}, compAppOnl...),
 			compSeal, tcb.CompGate)}
 		total := tcb.Profile{Name: string(id) + "-tee", Components: append(append([]tcb.Component{}, core.Components...),
-			compSFS, compCrypt, compBlk)}
+			compSFS, compCrypt, tcb.CompBlkring)}
 		return core, total
 	default:
 		return tcb.Profile{}, tcb.Profile{}

@@ -5,8 +5,8 @@
 //
 // A component's weight is its lines of code. For components implemented
 // in this repository the weights were measured from the source tree
-// (Measure regenerates them; a test asserts they stay within a factor of
-// the live count). For components that stand in for much larger
+// (Measure regenerates them; a test asserts they stay within 5 % of the
+// live count). For components that stand in for much larger
 // real-world code (the application, the TLS library, a production
 // TCP/IP stack) the catalog notes representative magnitudes, but
 // comparisons in EXPERIMENTS.md use the self-measured values so the
@@ -30,23 +30,30 @@ type Component struct {
 }
 
 // Catalog weights, measured from this repository (go source lines,
-// including tests excluded). Regenerate with Measure; TestCatalogFresh
-// keeps them honest.
+// tests excluded). Regenerate with Measure; TestCatalogFresh fails when
+// one drifts more than 5 % from the tree.
 var (
-	CompEther    = Component{"ether", 40, "Ethernet framing"}
+	CompEther    = Component{"ether", 45, "Ethernet framing"}
 	CompARP      = Component{"arp", 91, "ARP + neighbour cache"}
-	CompIPv4     = Component{"ipv4", 245, "IPv4 + frag/reasm"}
+	CompIPv4     = Component{"ipv4", 253, "IPv4 + frag/reasm"}
 	CompUDP      = Component{"udp", 52, "UDP"}
-	CompTCP      = Component{"tcp", 1042, "TCP state machine"}
-	CompNetstack = Component{"netstack", 343, "stack glue + sockets"}
-	CompSafering = Component{"safering", 1657, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompTCP      = Component{"tcp", 1187, "TCP state machine"}
+	CompNetstack = Component{"netstack", 582, "stack glue + sockets"}
+	CompSafering = Component{"safering", 1696, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio   = Component{"virtio", 655, "virtio-net driver"}
-	CompNetvsc   = Component{"netvsc", 397, "netvsc driver"}
-	CompCTLS     = Component{"ctls", 303, "secure channel (TLS role)"}
-	CompGate     = Component{"compartment", 126, "intra-TEE gate"}
-	CompApp      = Component{"app", 300, "confidential application"}
-	CompShim     = Component{"hostsock-shim", 120, "L5 host-socket shim"}
-	CompTDISP    = Component{"tdisp", 280, "TEE-side TDISP/IDE driver"}
+	CompNetvsc   = Component{"netvsc", 421, "netvsc driver"}
+	CompCTLS     = Component{"ctls", 307, "secure channel (TLS role)"}
+	CompGate     = Component{"compartment", 136, "intra-TEE gate"}
+	CompTDISP    = Component{"tdisp", 344, "TEE-side TDISP/IDE driver"}
+	CompBlkring  = Component{"blkring", 671, "safe block ring on the generic engine"}
+	// CompNIC is the transport-neutral NIC contract and the host pump.
+	// The pump runs in the host's device model, so no TEE profile counts
+	// it; it is catalogued because the datapath's size claims
+	// (EXPERIMENTS.md, safering + nic) are made in it.
+	CompNIC = Component{"nic", 422, "NIC contract, flow steering, host pump"}
+
+	CompApp  = Component{"app", 300, "confidential application"}
+	CompShim = Component{"hostsock-shim", 120, "L5 host-socket shim"}
 	// CompDeviceFW stands for the attested device's firmware, which DDA
 	// places inside the trust boundary ("even trusted/attested devices
 	// can be compromised, particularly as their complexity is
@@ -84,14 +91,16 @@ const (
 // Class returns the size bucket (thresholds chosen so the four design
 // families land in distinct buckets, mirroring Figure 5's labels:
 // syscall-proxy cores and the dual-boundary core are S, the L2
-// stack-in-TEE designs are L, and the full tunnel middlebox stack is XL).
+// stack-in-TEE designs are L, and the full tunnel middlebox stack is XL —
+// the L/XL line sits midway between the largest L2 design, l2-safering,
+// and the tunnel that adds a shim and a second TLS layer to it).
 func (p Profile) Class() Class {
 	switch t := p.Total(); {
 	case t < 1000:
 		return ClassS
 	case t < 2200:
 		return ClassM
-	case t < 4200:
+	case t < 4750:
 		return ClassL
 	default:
 		return ClassXL
