@@ -4,7 +4,7 @@ GO ?= go
 # cross-goroutine shared state (rings, slab pools, the core datapath).
 RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack
 
-.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos race-pump check
+.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos race-pump dead check
 
 all: build
 
@@ -58,7 +58,7 @@ bench-blk:
 	$(GO) test -run '^$$' -bench 'BenchmarkBlk_' -benchmem -json . | tee BENCH_blk.json
 
 # Notification-suppression sweep at batch 1 (doorbell baseline vs
-# event-idx armed/suppressed/busy-poll), with p50/p99/p999 round-trip
+# event-idx armed/suppressed), with p50/p99/p999 round-trip
 # latency from the meter's histogram; the machine-readable stream lands
 # in BENCH_notify.json. Override BENCHTIME for a CI smoke run.
 BENCHTIME ?= 1s
@@ -97,6 +97,12 @@ chaos:
 # detector for the same reason chaos takes five.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic
+
+# The dead-code oracle (ROADMAP item 4d): every non-test function the
+# attack, chaos, core, gateway, netstack and confbench suites never reach,
+# by package; the committed DEAD.txt is the list EXPERIMENTS.md triages.
+dead:
+	scripts/dead.sh | tee DEAD.txt
 
 # The full verification gate, in increasing order of cost.
 check: fmt vet build ciovet test race

@@ -23,8 +23,6 @@ import (
 //   - EventIdxSuppressed: sustained load; each consumer withdrew its
 //     wake threshold once, so every subsequent doorbell is elided
 //     (notif/frame ~0, suppressed/frame ~1).
-//   - EventIdxBusyPoll: same suppression with the guest receiving via
-//     RecvPoll, the spin-then-arm API a busy-poll deployment uses.
 //
 // `make bench-notify` lands the stream in BENCH_notify.json; the
 // acceptance bar is >=4x fewer notifications per frame at batch 1
@@ -36,23 +34,19 @@ const (
 	modeDoorbell notifyMode = iota
 	modeArmed
 	modeSuppressed
-	modeBusyPoll
 )
 
 func benchNotify(b *testing.B, mode notifyMode) {
 	cfg := safering.DefaultConfig()
 	cfg.Notify = true
 	cfg.EventIdx = mode != modeDoorbell
-	if mode == modeBusyPoll {
-		cfg.BusyPoll = 64
-	}
 	var m platform.Meter
 	ep, err := safering.New(cfg, &m)
 	if err != nil {
 		b.Fatal(err)
 	}
 	hp := safering.NewHostPort(ep.Shared())
-	if mode == modeSuppressed || mode == modeBusyPoll {
+	if mode == modeSuppressed {
 		// Sustained load: both consumers declare themselves awake once.
 		// The thresholds go stale as the indexes advance, so this single
 		// call elides every doorbell for the rest of the run.
@@ -82,12 +76,7 @@ func benchNotify(b *testing.B, mode notifyMode) {
 		if err := hp.Push(payload); err != nil {
 			b.Fatal(err)
 		}
-		var rx *safering.RxFrame
-		if mode == modeBusyPoll {
-			rx, err = ep.RecvPoll()
-		} else {
-			rx, err = ep.Recv()
-		}
+		rx, err := ep.Recv()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,4 +100,3 @@ func benchNotify(b *testing.B, mode notifyMode) {
 func BenchmarkNotify_Doorbell(b *testing.B)           { benchNotify(b, modeDoorbell) }
 func BenchmarkNotify_EventIdxArmed(b *testing.B)      { benchNotify(b, modeArmed) }
 func BenchmarkNotify_EventIdxSuppressed(b *testing.B) { benchNotify(b, modeSuppressed) }
-func BenchmarkNotify_EventIdxBusyPoll(b *testing.B)   { benchNotify(b, modeBusyPoll) }

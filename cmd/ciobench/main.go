@@ -223,8 +223,7 @@ func batchRun(mode safering.DataMode, batch int) (notif, pub, modelNs float64, e
 
 // runLat prints the batch-1 notification-mode table: for the always-ring
 // doorbell baseline and the event-idx modes (re-armed every drain,
-// suppressed under sustained load, suppressed with busy-poll receive),
-// the doorbell crossings and suppressions per frame plus wall-clock
+// suppressed under sustained load), the doorbell crossings and suppressions per frame plus wall-clock
 // round-trip p50/p99/p999 from the meter's latency histogram. This is
 // the single-frame latency-sensitive regime where batching cannot help;
 // suppression is what removes the per-frame doorbell there.
@@ -239,10 +238,9 @@ func runLat() {
 		{"doorbell", false, false, false},
 		{"event-idx-armed", true, false, true},
 		{"event-idx-suppressed", true, true, false},
-		{"event-idx-busy-poll", true, true, false},
 	}
 	for _, md := range modes {
-		notif, supp, lat, err := latRun(md.eventIdx, md.supp, md.rearm, md.name == "event-idx-busy-poll")
+		notif, supp, lat, err := latRun(md.eventIdx, md.supp, md.rearm)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ciobench: %s: %v\n", md.name, err)
 			os.Exit(1)
@@ -258,13 +256,10 @@ func runLat() {
 // latRun drives batch-1 bidirectional round trips through one safe-ring
 // instance and returns per-frame notification readings plus the latency
 // percentile summary.
-func latRun(eventIdx, suppress, rearm, busyPoll bool) (notif, supp float64, lat platform.LatencySummary, err error) {
+func latRun(eventIdx, suppress, rearm bool) (notif, supp float64, lat platform.LatencySummary, err error) {
 	cfg := safering.DefaultConfig()
 	cfg.Notify = true
 	cfg.EventIdx = eventIdx
-	if busyPoll {
-		cfg.BusyPoll = 64
-	}
 	var m platform.Meter
 	ep, err := safering.New(cfg, &m)
 	if err != nil {
@@ -293,13 +288,7 @@ func latRun(eventIdx, suppress, rearm, busyPoll bool) (notif, supp float64, lat 
 		if perr := hp.Push(payload); perr != nil {
 			return 0, 0, lat, perr
 		}
-		var rx *safering.RxFrame
-		var rerr error
-		if busyPoll {
-			rx, rerr = ep.RecvPoll()
-		} else {
-			rx, rerr = ep.Recv()
-		}
+		rx, rerr := ep.Recv()
 		if rerr != nil {
 			return 0, 0, lat, rerr
 		}

@@ -62,12 +62,12 @@ func scanLatchClear(pass *Pass, body ast.Node, fnName string) {
 	})
 }
 
-// inReincarnate reports whether the function name marks a sanctioned
-// recovery path (matched case-insensitively so rebirthLocked helpers can
-// live under either spelling convention).
+// inReincarnate reports whether the function name marks the sanctioned
+// recovery path. A queue's rebirthLocked is not one: it rebuilds the
+// shared window and leaves death to safering.Life.Reincarnate, the one
+// function in the tree that clears it.
 func inReincarnate(name string) bool {
-	l := strings.ToLower(name)
-	return strings.Contains(l, "reincarnate") || strings.Contains(l, "rebirth")
+	return strings.Contains(strings.ToLower(name), "reincarnate")
 }
 
 // checkDeadClear flags `x.dead = nil` (and deadOp), in single or tuple

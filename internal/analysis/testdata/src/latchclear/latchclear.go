@@ -61,6 +61,12 @@ func (e *Endpoint) reincarnateLocked() {
 	e.dead = nil
 }
 
+// rebirthLocked rebuilds a queue's window; clearing death is not its
+// job, whatever it is called.
+func (e *Endpoint) rebirthLocked() {
+	e.dead = nil // want "cleared outside a Reincarnate path"
+}
+
 // GoodSetDead records death; only clearing is restricted.
 func GoodSetDead(e *Endpoint, err error) {
 	e.dead = err

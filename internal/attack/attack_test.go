@@ -2,13 +2,18 @@ package attack
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// allResults runs the whole suite once (26 s) for the three tests that
+// read its results; none of them mutates the slice.
+var allResults = sync.OnceValue(RunAll)
 
 // TestResilienceMatrix runs the full suite and asserts the paper's
 // headline claims hold in this reproduction.
 func TestResilienceMatrix(t *testing.T) {
-	results := RunAll()
+	results := allResults()
 	if len(results) == 0 {
 		t.Fatal("empty suite")
 	}
@@ -150,7 +155,7 @@ func TestSuiteCoverage(t *testing.T) {
 }
 
 func TestMatrixRendering(t *testing.T) {
-	results := RunAll()
+	results := allResults()
 	m := Matrix(results)
 	for _, tr := range TransportNames {
 		if !strings.Contains(m, tr) {
@@ -168,7 +173,7 @@ func TestMatrixRendering(t *testing.T) {
 func TestVerdictDerivedNotAsserted(t *testing.T) {
 	// Spot check: the same attack flips verdict with hardening — the
 	// harness measures behaviour rather than echoing expectations.
-	results := RunAll()
+	results := allResults()
 	verdict := func(atk, tr string) Verdict {
 		for _, r := range results {
 			if r.Attack == atk && r.Transport == tr {

@@ -10,40 +10,24 @@ import (
 	"confio/internal/safering"
 )
 
-// mkRecovery builds a single- or multi-queue device for the recovery
-// attacks; the attacked queue is always queue 0, and m is nil for the
-// single-queue variants.
-func mkRecovery(cfg safering.DeviceConfig, queues int) (*safering.Endpoint, *safering.MultiEndpoint) {
-	if queues > 1 {
-		m, err := safering.NewMulti(cfg, queues, nil)
+// mkDevice builds the device under attack — one ring pair, or several
+// behind one Life — with an honest host model attached. The attacked
+// queue is always queue 0; reincarnate revives through the sanctioned,
+// device-wide path (per-queue revival is refused by design).
+func mkDevice(cfg safering.DeviceConfig, queues int) (ep *safering.Endpoint, hp *safering.HostPort, reincarnate func() error) {
+	if queues == 1 {
+		ep, err := safering.New(cfg, nil)
 		if err != nil {
 			panic(err)
 		}
-		return m.Queue(0), m
+		return ep, safering.NewHostPort(ep.Shared()), func() error { _, err := ep.Reincarnate(); return err }
 	}
-	ep, err := safering.New(cfg, nil)
+	m, err := safering.NewMulti(cfg, queues, nil)
 	if err != nil {
 		panic(err)
 	}
-	return ep, nil
-}
-
-func hostPortFor(ep *safering.Endpoint, m *safering.MultiEndpoint) *safering.HostPort {
-	if m != nil {
-		return safering.NewMultiHostPort(m.SharedQueues()).Queue(0)
-	}
-	return safering.NewHostPort(ep.Shared())
-}
-
-// reincarnate revives through the sanctioned path — device-wide for
-// multi-queue (per-queue revival is refused by design).
-func reincarnate(ep *safering.Endpoint, m *safering.MultiEndpoint) error {
-	if m != nil {
-		_, err := m.Reincarnate()
-		return err
-	}
-	_, err := ep.Reincarnate()
-	return err
+	return m.Queue(0), safering.NewMultiHostPort(m.SharedQueues()).Queue(0),
+		func() error { _, err := m.Reincarnate(); return err }
 }
 
 // stormClock is a hand-cranked clock for the reattach-storm scenario,
@@ -72,24 +56,16 @@ func saferingScenarios() []Scenario {
 		{"safering-mq", safering.CopyOut, safering.SharedArea, 4},
 	} {
 		v := variant
-		mk := func() (*safering.Endpoint, *safering.HostPort) {
+		mkCfg := func() safering.DeviceConfig {
 			cfg := safering.DefaultConfig()
 			cfg.Mode = v.mode
 			cfg.RX = v.rx
 			cfg.SlotSize = 64
-			if v.queues > 1 {
-				m, err := safering.NewMulti(cfg, v.queues, nil)
-				if err != nil {
-					panic(err)
-				}
-				hp := safering.NewMultiHostPort(m.SharedQueues())
-				return m.Queue(0), hp.Queue(0)
-			}
-			ep, err := safering.New(cfg, nil)
-			if err != nil {
-				panic(err)
-			}
-			return ep, safering.NewHostPort(ep.Shared())
+			return cfg
+		}
+		mk := func() (*safering.Endpoint, *safering.HostPort) {
+			ep, hp, _ := mkDevice(mkCfg(), v.queues)
+			return ep, hp
 		}
 
 		out = append(out,
@@ -238,28 +214,10 @@ func saferingScenarios() []Scenario {
 				// traffic runs. The words feed a wrap-compare only, so the
 				// lie can shift notification timing but must never corrupt
 				// state or kill a polling guest.
-				cfg := safering.DefaultConfig()
-				cfg.Mode = v.mode
-				cfg.RX = v.rx
-				cfg.SlotSize = 64
+				cfg := mkCfg()
 				cfg.Notify = true
 				cfg.EventIdx = true
-				var ep *safering.Endpoint
-				var hp *safering.HostPort
-				if v.queues > 1 {
-					m, err := safering.NewMulti(cfg, v.queues, nil)
-					if err != nil {
-						panic(err)
-					}
-					ep = m.Queue(0)
-					hp = safering.NewMultiHostPort(m.SharedQueues()).Queue(0)
-				} else {
-					e, err := safering.New(cfg, nil)
-					if err != nil {
-						panic(err)
-					}
-					ep, hp = e, safering.NewHostPort(e.Shared())
-				}
+				ep, hp, _ := mkDevice(cfg, v.queues)
 				buf := make([]byte, ep.Config().FrameCap())
 				garbage := []uint64{^uint64(0), 1 << 63, 5, 0}
 				for i := 0; i < 32; i++ {
@@ -294,11 +252,7 @@ func saferingScenarios() []Scenario {
 				return blocked(AtkEventIdxLie, v.name, "event word feeds a wrap-compare only: timing shifted, state intact, parked stack kept answering")
 			}},
 			Scenario{AtkWakeSpam, v.name, func() Result {
-				cfg := safering.DefaultConfig()
-				cfg.Mode = v.mode
-				cfg.RX = v.rx
-				cfg.SlotSize = 64
-				return wakeSpam(v.name, cfg, v.queues)
+				return wakeSpam(v.name, mkCfg(), v.queues)
 			}},
 			Scenario{AtkFeatureTOCTOU, v.name, func() Result {
 				return na(AtkFeatureTOCTOU, v.name, "zero-negotiation: no control plane exists")
@@ -307,10 +261,7 @@ func saferingScenarios() []Scenario {
 				if v.queues <= 1 {
 					return na(AtkQueueCrossKill, v.name, "single queue: no sibling to kill selectively")
 				}
-				cfg := safering.DefaultConfig()
-				cfg.Mode = v.mode
-				cfg.RX = v.rx
-				cfg.SlotSize = 64
+				cfg := mkCfg()
 				m, err := safering.NewMulti(cfg, v.queues, nil)
 				if err != nil {
 					panic(err)
@@ -330,12 +281,8 @@ func saferingScenarios() []Scenario {
 				return blocked(AtkQueueCrossKill, v.name, "violation on one queue fail-deads the whole device")
 			}},
 			Scenario{AtkEpochReplay, v.name, func() Result {
-				cfg := safering.DefaultConfig()
-				cfg.Mode = v.mode
-				cfg.RX = v.rx
-				cfg.SlotSize = 64
-				ep, m := mkRecovery(cfg, v.queues)
-				hp := hostPortFor(ep, m)
+				cfg := mkCfg()
+				ep, hp, reincarnate := mkDevice(cfg, v.queues)
 				// Deliver one real frame and record its (epoch-0) descriptor.
 				if err := hp.Push(frame(64, 3)); err != nil {
 					return compromised(AtkEpochReplay, v.name, "setup: "+err.Error())
@@ -351,7 +298,7 @@ func saferingScenarios() []Scenario {
 				if _, err := ep.Recv(); !errors.Is(err, safering.ErrProtocol) {
 					return compromised(AtkEpochReplay, v.name, "kill not detected")
 				}
-				if err := reincarnate(ep, m); err != nil {
+				if err := reincarnate(); err != nil {
 					return compromised(AtkEpochReplay, v.name, "reincarnate: "+err.Error())
 				}
 				// The host replays the pre-death descriptor into the reborn
@@ -363,13 +310,11 @@ func saferingScenarios() []Scenario {
 					compromised(AtkEpochReplay, v.name, "stale-epoch descriptor accepted after rebirth"))
 			}},
 			Scenario{AtkReattachStorm, v.name, func() Result {
-				cfg := safering.DefaultConfig()
-				cfg.Mode = v.mode
-				cfg.RX = v.rx
-				cfg.SlotSize = 64
-				ep, m := mkRecovery(cfg, v.queues)
+				cfg := mkCfg()
+				ep, _, reinc := mkDevice(cfg, v.queues)
 				clk := &stormClock{t: time.Unix(1_700_000_000, 0)}
-				pol := safering.RecoveryPolicy{
+				// The policy is the device's, through whichever queue it is set.
+				ep.SetRecoveryPolicy(safering.RecoveryPolicy{
 					BaseBackoff:  10 * time.Millisecond,
 					MaxBackoff:   time.Second,
 					JitterFrac:   0.2,
@@ -377,13 +322,7 @@ func saferingScenarios() []Scenario {
 					BudgetWindow: time.Minute,
 					Clock:        clk.Now,
 					Seed:         42,
-				}
-				if m != nil {
-					m.SetRecoveryPolicy(pol)
-				} else {
-					ep.SetRecoveryPolicy(pol)
-				}
-				reinc := func() error { return reincarnate(ep, m) }
+				})
 				// The host kills the device over and over, hoping unlimited
 				// reattach cycles give it unlimited fresh windows to probe.
 				sawQuarantine := false

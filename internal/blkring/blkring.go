@@ -170,18 +170,15 @@ type Endpoint struct {
 	meter   *platform.Meter
 	sectors uint64
 	slots   int
-	// latch, when non-nil, is the device-wide fail-dead state of the
-	// multi-queue device this endpoint is one queue of.
-	latch *safering.DeathLatch
+	// life is the fail-dead state of the device this endpoint is a queue
+	// of (the only one, or one of a Multi's).
+	life *safering.Life
 
 	mu      sync.Mutex
 	sh      *Shared
 	eng     *safering.Engine[blkDesc] //ciovet:guards mu
 	leases  []slabLease               // one per ring slot, indexed like the ring
 	free    *pending                  // recycled completion records
-	dead    error
-	deadOp  error
-	rec     *safering.Quarantine
 	clock   func() time.Time
 	timeout time.Duration
 	// notify/eventIdx: deployment-fixed notification configuration (see
@@ -200,10 +197,16 @@ type Endpoint struct {
 // New builds a guest endpoint for a backing disk of `sectors` sectors
 // with a ring of `slots` requests (power of two). The meter may be nil.
 func New(slots int, sectors uint64, meter *platform.Meter) (*Endpoint, error) {
+	return newEndpoint(slots, sectors, meter, safering.NewLife(ErrDead))
+}
+
+// newEndpoint builds one queue of the device life belongs to.
+func newEndpoint(slots int, sectors uint64, meter *platform.Meter, life *safering.Life) (*Endpoint, error) {
 	e := &Endpoint{
 		meter:   meter,
 		sectors: sectors,
 		slots:   slots,
+		life:    life,
 		clock:   time.Now,
 		timeout: DefaultTimeout,
 		wake:    make(chan struct{}, 1),
@@ -216,6 +219,7 @@ func New(slots int, sectors uint64, meter *platform.Meter) (*Endpoint, error) {
 	e.leases = make([]slabLease, slots)
 	e.eng = safering.NewEngine[blkDesc](sh.Ring, nil, blkCodec{e}, meter,
 		safering.EngineHooks[blkDesc]{OnReturn: e.onReturn, Fail: e.engineFail})
+	life.Join(&e.mu, meter, e.rebirthLocked)
 	return e, nil
 }
 
@@ -295,38 +299,16 @@ func (e *Endpoint) SetTimeout(d time.Duration) {
 	e.timeout = d
 }
 
-// SetRecoveryPolicy installs the quarantine policy governing
-// Reincarnate, replacing any accumulated quarantine state.
-func (e *Endpoint) SetRecoveryPolicy(p safering.RecoveryPolicy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rec = safering.NewQuarantine(p)
-}
+// SetRecoveryPolicy installs the quarantine policy of the device this
+// endpoint is a queue of (safering.Life.SetRecoveryPolicy).
+func (e *Endpoint) SetRecoveryPolicy(p safering.RecoveryPolicy) { e.life.SetRecoveryPolicy(p) }
 
 // Dead returns the fatal error, if any. On a multi-queue device a
 // violation on any sibling queue counts.
-func (e *Endpoint) Dead() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.deadLocked()
-	return e.dead
-}
+func (e *Endpoint) Dead() error { return e.life.Dead() }
 
-// fail records the fatal violation, adopting the device-wide first cause
-// through the latch on a multi-queue device.
-func (e *Endpoint) fail(err error) error {
-	if e.dead == nil {
-		cause, won := e.latch.Kill(err)
-		if cause == nil { // single-queue device: no latch arbitration
-			cause, won = err, true
-		}
-		e.adoptLocked(cause)
-		if won {
-			e.meter.Death(1)
-		}
-	}
-	return e.dead
-}
+// fail records the fatal violation and returns the device's first cause.
+func (e *Endpoint) fail(err error) error { return e.life.Kill(err, e.meter) }
 
 // engineFail is the engine's Fail hook: index-validation errors arrive
 // tagged with safering's protocol error; re-tag them with blkring's so
@@ -336,34 +318,6 @@ func (e *Endpoint) engineFail(err error) error {
 		err = fmt.Errorf("%w: %w", ErrProtocol, err)
 	}
 	return e.fail(err)
-}
-
-//ciovet:locked
-func (e *Endpoint) adoptLocked(cause error) {
-	e.dead = cause
-	e.deadOp = fmt.Errorf("%w (cause: %w)", ErrDead, cause)
-}
-
-//ciovet:locked
-func (e *Endpoint) deadLocked() bool {
-	if e.dead != nil {
-		return true
-	}
-	if e.latch != nil {
-		if err := e.latch.Dead(); err != nil {
-			e.adoptLocked(err)
-			return true
-		}
-	}
-	return false
-}
-
-//ciovet:locked
-func (e *Endpoint) deadOpLocked() error {
-	if e.deadOp == nil {
-		e.deadOp = ErrDead
-	}
-	return e.deadOp
 }
 
 // onReturn is the engine's OnReturn hook: the host returned the slot at
@@ -443,8 +397,11 @@ func (e *Endpoint) waitLocked(sh *Shared, deadline time.Time) error {
 		e.parking.Unlock()
 	}
 	e.mu.Lock()
-	if e.deadLocked() || e.sh != sh {
-		return e.deadOpLocked() // killed, or killed and reborn, while waiting
+	if err := e.life.DeadOp(); err != nil {
+		return err
+	}
+	if e.sh != sh {
+		return ErrDead // killed and reborn while waiting
 	}
 	_, _, err := e.eng.ReapIfMoved()
 	return err
@@ -463,8 +420,8 @@ func (e *Endpoint) submit(op uint32, lba uint64, p []byte) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.deadLocked() {
-		return e.deadOpLocked()
+	if err := e.life.DeadOp(); err != nil {
+		return err
 	}
 	if lba >= e.sectors || uint64(n) > e.sectors-lba {
 		return fmt.Errorf("%w: lba %d + %d sectors", blockdev.ErrOutOfRange, lba, n)
@@ -573,7 +530,7 @@ func (e *Endpoint) WriteSectors(lba uint64, p []byte) error {
 func (e *Endpoint) WatchProgress() (head, cons uint64, alive bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.deadLocked() {
+	if e.life.Dead() != nil {
 		return 0, 0, false
 	}
 	head = e.eng.Head()
@@ -583,40 +540,21 @@ func (e *Endpoint) WatchProgress() (head, cons uint64, alive bool) {
 
 // WatchStall implements safering.Watched.
 func (e *Endpoint) WatchStall(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.fail(err)
 	e.meter.Stall(1)
 }
 
-// Reincarnate recovers a dead single-queue storage device: the poisoned
-// shared window — ring AND staging arena, including every slab a
-// non-completing host still holds a handle to — is discarded and a fresh
-// one built at the next epoch, under the same quarantine policy as the
-// network ring (ErrQuarantine during backoff, ErrBudgetExhausted —
-// permanently — once the death budget is blown).
+// Reincarnate recovers a dead single-queue storage device
+// (safering.Life.Reincarnate, the same quarantine as the network ring):
+// the poisoned shared window — ring AND staging arena, including every
+// slab a non-completing host still holds a handle to — is discarded and
+// the fresh one at the next epoch returned. A queue of a Multi is refused
+// with safering.ErrSiblings.
 func (e *Endpoint) Reincarnate() (*Shared, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.latch != nil {
-		return nil, fmt.Errorf("blkring: reincarnate: endpoint is one queue of a multi-queue device; recovery is device-wide (use Multi.Reincarnate)")
-	}
-	if !e.deadLocked() {
-		return nil, safering.ErrNotDead
-	}
-	if e.rec == nil {
-		e.rec = safering.NewQuarantine(safering.DefaultRecoveryPolicy())
-	}
-	if err := e.rec.Admit(); err != nil {
+	if err := e.life.ReincarnateSole(); err != nil {
 		return nil, err
 	}
-	sh, err := e.rebirthLocked()
-	if err != nil {
-		return nil, err
-	}
-	e.dead, e.deadOp = nil, nil
-	e.meter.Reincarnation(1)
-	return sh, nil
+	return e.Shared(), nil
 }
 
 // rebirthLocked replaces the device instance with a fresh one at the
@@ -625,18 +563,18 @@ func (e *Endpoint) Reincarnate() (*Shared, error) {
 // engine drops its parked payloads in Reset.
 //
 //ciovet:locked
-func (e *Endpoint) rebirthLocked() (*Shared, error) {
+func (e *Endpoint) rebirthLocked() error {
 	old := e.sh
 	sh, err := e.newShared(e.sh.Epoch + 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.sh = sh
 	// Seal the dead incarnation's bell (nil-safe): a backend still
 	// holding it must not be woken by — or wake on — the new device.
 	old.SubBell.Seal()
 	e.eng.Reset(sh.Ring, sh.SubBell)
-	return sh, nil
+	return nil
 }
 
 // multiStripe is the steering granularity of a multi-queue device:
@@ -646,32 +584,27 @@ func (e *Endpoint) rebirthLocked() (*Shared, error) {
 const multiStripe = 16
 
 // Multi aggregates N independent request rings into one device behind a
-// shared DeathLatch: a protocol violation on ANY queue fail-deads the
+// shared safering.Life: a protocol violation on ANY queue fail-deads the
 // WHOLE storage device, and recovery is device-wide — the same blast
 // radius contract as the multi-queue NIC.
 type Multi struct {
 	queues  []*Endpoint
 	sectors uint64
-
-	mu    sync.Mutex
-	latch *safering.DeathLatch
-	rec   *safering.Quarantine
+	life    *safering.Life
 }
 
 // NewMulti builds an nq-queue device (nq >= 1), each queue with its own
-// ring, arena, and epoch sequence, all under one death latch.
+// ring, arena, and epoch sequence, all under one Life.
 func NewMulti(nq, slots int, sectors uint64, meter *platform.Meter) (*Multi, error) {
 	if nq < 1 {
 		return nil, fmt.Errorf("blkring: multi: need at least 1 queue")
 	}
-	latch := &safering.DeathLatch{}
-	m := &Multi{sectors: sectors, latch: latch}
+	m := &Multi{sectors: sectors, life: safering.NewLife(ErrDead)}
 	for i := 0; i < nq; i++ {
-		q, err := New(slots, sectors, meter)
+		q, err := newEndpoint(slots, sectors, meter, m.life)
 		if err != nil {
 			return nil, err
 		}
-		q.latch = latch
 		m.queues = append(m.queues, q)
 	}
 	return m, nil
@@ -680,15 +613,6 @@ func NewMulti(nq, slots int, sectors uint64, meter *platform.Meter) (*Multi, err
 // Queues returns the per-queue endpoints (index-aligned with Shareds),
 // e.g. for watchdog registration.
 func (m *Multi) Queues() []*Endpoint { return m.queues }
-
-// EnableNotify enables the submission doorbell (and optional event-idx
-// suppression) on every queue. Same contract as Endpoint.EnableNotify:
-// once, right after NewMulti, before any I/O.
-func (m *Multi) EnableNotify(eventIdx bool) {
-	for _, q := range m.queues {
-		q.EnableNotify(eventIdx)
-	}
-}
 
 // Shareds returns every queue's current host-visible state.
 func (m *Multi) Shareds() []*Shared {
@@ -703,7 +627,7 @@ func (m *Multi) Shareds() []*Shared {
 func (m *Multi) Sectors() uint64 { return m.sectors }
 
 // Dead returns the device-wide fatal error, if any.
-func (m *Multi) Dead() error { return m.latch.Dead() }
+func (m *Multi) Dead() error { return m.life.Dead() }
 
 // queueFor steers an lba to its queue: stripe-granular and
 // deterministic, so the same sector always rides the same ring.
@@ -751,62 +675,17 @@ func (m *Multi) spanSectors(lba uint64, p []byte, op func(*Endpoint, uint64, []b
 	return nil
 }
 
-// Reincarnate recovers a dead multi-queue storage device as one atomic
-// unit under a single quarantine admission: every queue is reborn at its
-// next epoch and the whole device switches to a FRESH death latch (the
-// old latch stays dead forever, so nothing still holding it can revive
-// or re-kill the new incarnation). Per-queue recovery is deliberately
-// impossible, matching the device-wide blast radius of death.
+// Reincarnate recovers the dead device as one unit
+// (safering.Life.Reincarnate) and returns every queue's new window.
 func (m *Multi) Reincarnate() ([]*Shared, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.latch.Dead() == nil {
-		return nil, safering.ErrNotDead
-	}
-	if m.rec == nil {
-		m.rec = safering.NewQuarantine(safering.DefaultRecoveryPolicy())
-	}
-	if err := m.rec.Admit(); err != nil {
+	if err := m.life.Reincarnate(); err != nil {
 		return nil, err
 	}
-	for _, q := range m.queues {
-		q.mu.Lock()
-	}
-	defer func() {
-		for _, q := range m.queues {
-			q.mu.Unlock()
-		}
-	}()
-	shs := make([]*Shared, len(m.queues))
-	for i, q := range m.queues {
-		// Every q.mu was taken in the loop above; the per-variable
-		// lockset cannot connect a lock held via one range binding to a
-		// call through the next loop's binding.
-		//ciovet:allow lockdisc all queue locks held across the rebirth loop above
-		sh, err := q.rebirthLocked()
-		if err != nil {
-			// The device stays dead (old latch untouched) and the
-			// admission stays consumed.
-			return nil, err
-		}
-		shs[i] = sh
-	}
-	fresh := &safering.DeathLatch{}
-	for _, q := range m.queues {
-		q.dead, q.deadOp = nil, nil
-		q.latch = fresh
-	}
-	m.latch = fresh
-	m.queues[0].meter.Reincarnation(1)
-	return shs, nil
+	return m.Shareds(), nil
 }
 
 // SetRecoveryPolicy installs the device-wide quarantine policy.
-func (m *Multi) SetRecoveryPolicy(p safering.RecoveryPolicy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rec = safering.NewQuarantine(p)
-}
+func (m *Multi) SetRecoveryPolicy(p safering.RecoveryPolicy) { m.life.SetRecoveryPolicy(p) }
 
 // Backend is the honest host-side worker: it serves ring requests from a
 // physical disk. Like every honest host component, it validates what it

@@ -393,7 +393,7 @@ func TestMultiRoundTripAndCrossQueueKill(t *testing.T) {
 		t.Fatalf("sibling queue still alive: %v", err)
 	}
 
-	// Device-wide reincarnation onto a fresh latch revives every queue.
+	// Device-wide reincarnation revives every queue.
 	m.SetRecoveryPolicy(safering.RecoveryPolicy{
 		Clock: func() time.Time { return time.Unix(1_700_000_100, 0) },
 	})

@@ -133,6 +133,134 @@ func (d *BlkDevice) counters(r Result) Result {
 	return r
 }
 
+// BlkMultiDevice is a multi-queue blkring storage device under chaos:
+// the storage instance of mqDevice, on the same Life as the NIC's.
+type BlkMultiDevice struct {
+	Clock *Clock
+	Meter *platform.Meter
+	M     *blkring.Multi
+	Disk  *blockdev.MemDisk
+	BEs   []*blkring.Backend
+}
+
+// blkMultiSectors is the chaos volume, and blkMultiStripe blkring.Multi's
+// steering granularity: two stripes per queue of a four-queue device, so
+// a whole-volume span crosses every ring and lba q*stripe rides queue q.
+const blkMultiSectors, blkMultiStripe = 128, 16
+
+// NewBlkMultiDevice builds a chaos storage device with the given queue
+// count and a live backend on every queue.
+func NewBlkMultiDevice(queues int) *BlkMultiDevice {
+	clk := NewClock()
+	meter := &platform.Meter{}
+	m, err := blkring.NewMulti(queues, 8, blkMultiSectors, meter)
+	if err != nil {
+		panic(err) // deployment-fixed config: cannot fail
+	}
+	for _, q := range m.Queues() {
+		q.SetClock(clk.Now)
+	}
+	m.SetRecoveryPolicy(Policy(clk))
+	d := &BlkMultiDevice{Clock: clk, Meter: meter, M: m, Disk: blockdev.NewMemDisk(blkMultiSectors)}
+	d.attach()
+	return d
+}
+
+// attach starts a host backend on every queue's current window.
+func (d *BlkMultiDevice) attach() {
+	for _, sh := range d.M.Shareds() {
+		be := blkring.NewBackend(sh, d.Disk)
+		be.Start()
+		d.BEs = append(d.BEs, be)
+	}
+}
+
+// detach stops every host backend.
+func (d *BlkMultiDevice) detach() {
+	for _, be := range d.BEs {
+		be.Stop()
+	}
+	d.BEs = nil
+}
+
+func (d *BlkMultiDevice) Queues() int        { return len(d.M.Queues()) }
+func (d *BlkMultiDevice) Epoch(q int) uint32 { return d.M.Queues()[q].Epoch() }
+func (d *BlkMultiDevice) clock() *Clock      { return d.Clock }
+
+// VerifyAll writes and reads back the whole volume through the device's
+// striped batch path, so every queue carries each round.
+func (d *BlkMultiDevice) VerifyAll(n int) error {
+	buf := make([]byte, d.M.Sectors()*blockdev.SectorSize)
+	for i := 0; i < n; i++ {
+		want := pattern(len(buf), byte(i)|1)
+		if err := d.M.WriteSectors(0, want); err != nil {
+			return fmt.Errorf("volume write %d: %w", i, err)
+		}
+		if err := d.M.ReadSectors(0, buf); err != nil {
+			return fmt.Errorf("volume read %d: %w", i, err)
+		}
+		if !bytes.Equal(buf, want) {
+			return fmt.Errorf("volume round trip %d corrupted", i)
+		}
+	}
+	for q, be := range d.BEs {
+		if err := be.Dead(); err != nil {
+			return fmt.Errorf("honest guest poisoned queue %d's backend: %w", q, err)
+		}
+	}
+	return nil
+}
+
+// KillQueue detaches the host and forges a consumer-index overclaim on
+// queue q; that queue's next submission must observe it and die.
+func (d *BlkMultiDevice) KillQueue(q int) error {
+	d.detach()
+	ep := d.M.Queues()[q]
+	ep.Shared().Ring.Indexes().StoreCons(ep.Shared().Ring.NSlots() * 4)
+	if err := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(err, blkring.ErrProtocol) {
+		return fmt.Errorf("overclaim not fatal: %v", err)
+	}
+	if d.M.Dead() == nil {
+		return errors.New("queue died, device did not")
+	}
+	return nil
+}
+
+// Refuses checks that the device turns I/O steered to queue q away as
+// dead.
+func (d *BlkMultiDevice) Refuses(q int) error {
+	lba, sec := uint64(q*blkMultiStripe), make([]byte, blockdev.SectorSize)
+	if err := d.M.ReadSector(lba, sec); !errors.Is(err, blkring.ErrDead) {
+		return fmt.Errorf("read: %v", err)
+	}
+	if err := d.M.WriteSector(lba, sec); !errors.Is(err, blkring.ErrDead) {
+		return fmt.Errorf("write: %v", err)
+	}
+	return nil
+}
+
+// ReviveQueue asks one queue to reincarnate alone.
+func (d *BlkMultiDevice) ReviveQueue(q int) error {
+	_, err := d.M.Queues()[q].Reincarnate()
+	return err
+}
+
+// Reincarnate recovers the whole device and attaches fresh backends.
+func (d *BlkMultiDevice) Reincarnate() error {
+	if _, err := d.M.Reincarnate(); err != nil {
+		return err
+	}
+	d.attach()
+	return nil
+}
+
+func (d *BlkMultiDevice) counters(r Result) Result {
+	c := d.Meter.Snapshot()
+	r.Epoch = d.Epoch(0)
+	r.Deaths, r.Reincarnations, r.Stalls = c.Deaths, c.Reincarnations, c.StallsDetected
+	return r
+}
+
 // runBlkIndexCorrupt: the host overclaims the storage ring's consumer
 // index. The device must die, reincarnate cleanly, and scribbling on the
 // dead incarnation's window must not reach the live one.

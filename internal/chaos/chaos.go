@@ -205,6 +205,11 @@ func (d *Device) Verify(n int) error {
 			return fmt.Errorf("rx frame %d corrupted in flight", i)
 		}
 	}
+	// Distrust is mutual: verified traffic from an honest guest must not
+	// have poisoned the honest host model either.
+	if err := d.HP.Dead(); err != nil {
+		return fmt.Errorf("honest guest poisoned the host port: %w", err)
+	}
 	return nil
 }
 

@@ -23,6 +23,8 @@ func TestScriptedFaults(t *testing.T) {
 		"blk-host-stall":        CleanEpoch,
 		"blk-slow-host":         CleanEpoch,
 		"blk-epoch-replay":      CleanEpoch,
+		"blk-mq-cross-kill":     CleanEpoch,
+		"blk-mq-reattach-storm": FailDead,
 		"tenant-flood":          CleanEpoch,
 		"tenant-stall":          CleanEpoch,
 		"tenant-key-corrupt":    CleanEpoch,

@@ -31,12 +31,22 @@ func Scenarios() []Scenario {
 		{"notify-suppress-stall", runNotifySuppressStall},
 		{"epoch-replay", runEpochReplay},
 		{"reattach-storm", runReattachStorm},
-		{"mq-cross-kill", runMQCrossKill},
-		{"mq-reattach-storm", runMQReattachStorm},
+		{"mq-cross-kill", func() Result { return runMQCrossKill("mq-cross-kill", NewMultiDevice(4)) }},
+		{"mq-reattach-storm", func() Result { return runMQReattachStorm("mq-reattach-storm", NewMultiDevice(2)) }},
 		{"blk-index-corrupt", runBlkIndexCorrupt},
 		{"blk-host-stall", runBlkHostStall},
 		{"blk-slow-host", runBlkSlowHost},
 		{"blk-epoch-replay", runBlkEpochReplay},
+		{"blk-mq-cross-kill", func() Result {
+			d := NewBlkMultiDevice(4)
+			defer d.detach()
+			return runMQCrossKill("blk-mq-cross-kill", d)
+		}},
+		{"blk-mq-reattach-storm", func() Result {
+			d := NewBlkMultiDevice(2)
+			defer d.detach()
+			return runMQReattachStorm("blk-mq-reattach-storm", d)
+		}},
 		{"tenant-flood", runTenantFlood},
 		{"tenant-stall", runTenantStall},
 		{"tenant-key-corrupt", runTenantKeyCorrupt},
@@ -321,8 +331,31 @@ func runReattachStorm() Result {
 		Detail: "backoff throttled the storm; budget exhaustion is permanent"})
 }
 
-// MultiDevice is a multi-queue chaos device: N queues behind one latch,
-// with device-wide recovery.
+// mqDevice is a multi-queue device class under chaos: what the mq
+// scenarios need of the one fail-dead lifecycle (safering.Life),
+// whichever ring class sits on it. The class's own error sentinels stay
+// behind KillQueue and Refuses.
+type mqDevice interface {
+	Queues() int
+	// KillQueue violates the protocol on queue q; nil means the guest
+	// saw the class's fatal protocol error.
+	KillQueue(q int) error
+	// Refuses issues one operation on queue q; nil means it was refused
+	// with the class's dead error.
+	Refuses(q int) error
+	// ReviveQueue attempts to reincarnate queue q alone.
+	ReviveQueue(q int) error
+	Epoch(q int) uint32
+	// VerifyAll drives n rounds of patterned traffic through every queue.
+	VerifyAll(n int) error
+	// Reincarnate recovers the whole device and re-attaches its host side.
+	Reincarnate() error
+	clock() *Clock
+	counters(Result) Result
+}
+
+// MultiDevice is a multi-queue chaos NIC: N queues behind one Life, with
+// device-wide recovery.
 type MultiDevice struct {
 	Clock *Clock
 	Bank  *platform.MeterBank
@@ -347,6 +380,10 @@ func NewMultiDevice(queues int) *MultiDevice {
 		HP:    safering.NewMultiHostPort(m.SharedQueues()),
 	}
 }
+
+func (d *MultiDevice) Queues() int        { return d.M.Queues() }
+func (d *MultiDevice) Epoch(q int) uint32 { return d.M.Queue(q).Epoch() }
+func (d *MultiDevice) clock() *Clock      { return d.Clock }
 
 // VerifyAll drives patterned traffic through every queue.
 func (d *MultiDevice) VerifyAll(n int) error {
@@ -376,15 +413,34 @@ func (d *MultiDevice) VerifyAll(n int) error {
 			}
 		}
 	}
+	if err := d.HP.Dead(); err != nil {
+		return fmt.Errorf("honest guest poisoned the host model: %w", err)
+	}
 	return nil
 }
 
-// KillQueue violates the protocol on one queue; the latch makes the
-// whole device dead.
+// KillQueue violates the protocol on one queue (receive-index
+// overclaim); the Life makes the whole device dead.
 func (d *MultiDevice) KillQueue(q int) error {
 	ep := d.M.Queue(q)
 	ep.Shared().RXUsed.Indexes().StoreProd(uint64(ep.Config().Slots) * 4)
-	_, err := ep.Recv()
+	if _, err := ep.Recv(); !errors.Is(err, safering.ErrProtocol) {
+		return fmt.Errorf("overclaim not fatal: %v", err)
+	}
+	return nil
+}
+
+// Refuses checks that queue q turns a send away as dead.
+func (d *MultiDevice) Refuses(q int) error {
+	if err := d.M.Queue(q).Send(pattern(64, byte(q)|1)); !errors.Is(err, safering.ErrDead) {
+		return fmt.Errorf("send: %v", err)
+	}
+	return nil
+}
+
+// ReviveQueue asks one queue to reincarnate alone.
+func (d *MultiDevice) ReviveQueue(q int) error {
+	_, err := d.M.Queue(q).Reincarnate()
 	return err
 }
 
@@ -406,31 +462,29 @@ func (d *MultiDevice) counters(r Result) Result {
 }
 
 // runMQCrossKill: one queue's violation must kill every queue (shared
-// latch), per-queue recovery must be refused, and device-wide
+// Life), per-queue recovery must be refused, and device-wide
 // reincarnation must bring all queues back at the same new epoch.
-func runMQCrossKill() Result {
-	const fault = "mq-cross-kill"
-	d := NewMultiDevice(4)
+func runMQCrossKill(fault string, d mqDevice) Result {
 	if err := d.VerifyAll(1); err != nil {
 		return corrupt(fault, "healthy baseline: "+err.Error())
 	}
-	if err := d.KillQueue(2); !errors.Is(err, safering.ErrProtocol) {
-		return corrupt(fault, fmt.Sprintf("queue kill: %v", err))
+	if err := d.KillQueue(2); err != nil {
+		return corrupt(fault, "queue kill: "+err.Error())
 	}
-	for q := 0; q < d.M.Queues(); q++ {
-		if err := d.M.Queue(q).Send(pattern(64, byte(q))); !errors.Is(err, safering.ErrDead) {
+	for q := 0; q < d.Queues(); q++ {
+		if err := d.Refuses(q); err != nil {
 			return corrupt(fault, fmt.Sprintf("queue %d survived a sibling violation: %v", q, err))
 		}
 	}
 	// Per-queue resurrection must be structurally impossible.
-	if _, err := d.M.Queue(0).Reincarnate(); err == nil {
-		return corrupt(fault, "a single queue of a multi device reincarnated alone")
+	if err := d.ReviveQueue(0); !errors.Is(err, safering.ErrSiblings) {
+		return corrupt(fault, fmt.Sprintf("a single queue of a multi device reincarnated alone: %v", err))
 	}
 	if err := d.Reincarnate(); err != nil {
 		return corrupt(fault, "device-wide reincarnation refused: "+err.Error())
 	}
-	for q := 0; q < d.M.Queues(); q++ {
-		if got := d.M.Queue(q).Epoch(); got != 1 {
+	for q := 0; q < d.Queues(); q++ {
+		if got := d.Epoch(q); got != 1 {
 			return corrupt(fault, fmt.Sprintf("queue %d at epoch %d after rebirth, want 1", q, got))
 		}
 	}
@@ -443,15 +497,13 @@ func runMQCrossKill() Result {
 
 // runMQReattachStorm: the storm against a multi-queue device, rotating
 // the killed queue. The shared budget must end it permanently.
-func runMQReattachStorm() Result {
-	const fault = "mq-reattach-storm"
-	d := NewMultiDevice(2)
+func runMQReattachStorm(fault string, d mqDevice) Result {
 	budgetHit := false
 	for round := 0; round < 20; round++ {
-		if err := d.KillQueue(round % 2); !errors.Is(err, safering.ErrProtocol) {
+		if err := d.KillQueue(round % 2); err != nil {
 			return corrupt(fault, fmt.Sprintf("round %d kill: %v", round, err))
 		}
-		d.Clock.Advance(2 * time.Second)
+		d.clock().Advance(2 * time.Second)
 		err := d.Reincarnate()
 		if errors.Is(err, safering.ErrBudgetExhausted) {
 			budgetHit = true
@@ -467,8 +519,8 @@ func runMQReattachStorm() Result {
 	if !budgetHit {
 		return corrupt(fault, "shared death budget never ended the storm")
 	}
-	for q := 0; q < d.M.Queues(); q++ {
-		if err := d.M.Queue(q).Send(pattern(64, 1)); !errors.Is(err, safering.ErrDead) {
+	for q := 0; q < d.Queues(); q++ {
+		if err := d.Refuses(q); err != nil {
 			return corrupt(fault, fmt.Sprintf("queue %d alive after budget exhaustion: %v", q, err))
 		}
 	}

@@ -146,6 +146,10 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 	case HostSocket, L2SafeRing, Tunnel, DualBoundary:
 		cfg := safering.DefaultConfig()
 		cfg.MAC[5] = macLast
+		// Liveness: a host that freezes the consumer index converts a
+		// safety guarantee into a hang without this — the watchdog turns
+		// the stall into a declared fail-dead (ErrStalled).
+		var wd *safering.Watchdog
 		if w.queues > 1 {
 			// Multi-queue device: N independent ring pairs behind one
 			// fail-dead latch, per-queue meters aggregated into the
@@ -167,24 +171,19 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 			mhp := safering.NewMultiHostPort(mep.SharedQueues())
 			mpump := nic.StartMultiPump(mhp.HostNICs(), w.Net.NewPort())
 			w.closers = append(w.closers, mpump.Stop)
-			wd := safering.WatchDevice(safering.DefaultWatchdogConfig(), mep)
-			wd.Start()
-			w.closers = append(w.closers, wd.Stop)
+			wd = safering.WatchDevice(safering.DefaultWatchdogConfig(), mep)
 			n.transport = mep
-			break
+		} else {
+			ep, err := safering.New(cfg, guestMeter)
+			if err != nil {
+				return nil, err
+			}
+			guest, host = ep.NIC(), safering.NewHostPort(ep.Shared()).NIC()
+			wd = safering.NewWatchdog(safering.DefaultWatchdogConfig(), ep)
+			n.transport = ep
 		}
-		ep, err := safering.New(cfg, guestMeter)
-		if err != nil {
-			return nil, err
-		}
-		guest, host = ep.NIC(), safering.NewHostPort(ep.Shared()).NIC()
-		// Liveness: a host that freezes the consumer index converts a
-		// safety guarantee into a hang without this — the watchdog turns
-		// the stall into a declared fail-dead (ErrStalled).
-		wd := safering.NewWatchdog(safering.DefaultWatchdogConfig(), ep)
 		wd.Start()
 		w.closers = append(w.closers, wd.Stop)
-		n.transport = ep
 
 	case L2Virtio, L2VirtioHardened:
 		cfg := virtio.DefaultConfig()

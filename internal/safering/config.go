@@ -96,10 +96,6 @@ type DeviceConfig struct {
 	// both sides — there is no feature negotiation to subvert. Requires
 	// Notify.
 	EventIdx bool
-	// BusyPoll is the guest's busy-poll budget under EventIdx: how many
-	// empty polls a receive loop spins through before arming the
-	// doorbell and blocking. Zero means arm immediately when idle.
-	BusyPoll int
 	// GuestChecksums fixes checksum responsibility at deployment: when
 	// true the guest stack computes/verifies checksums and the device
 	// offers no offload (there is nothing to negotiate).
@@ -156,8 +152,6 @@ func (c DeviceConfig) Validate() error {
 		return fmt.Errorf("%w: segments %d not a power of two <= 64", ErrConfig, c.Segments)
 	case c.EventIdx && !c.Notify:
 		return fmt.Errorf("%w: event-idx suppression requires doorbells (Notify)", ErrConfig)
-	case c.BusyPoll < 0:
-		return fmt.Errorf("%w: negative busy-poll budget %d", ErrConfig, c.BusyPoll)
 	case c.Mode != Inline && c.FrameCap() > platform.PageSize:
 		// Receive slabs are exactly one page; a larger frame capacity
 		// would let a descriptor's Len reach into the adjacent slab.

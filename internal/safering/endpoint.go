@@ -41,21 +41,12 @@ type Endpoint struct {
 	cfg   DeviceConfig
 	sh    *Shared
 	meter *platform.Meter
-	// latch, when non-nil, is the device-wide fail-dead state of the
-	// multi-queue device this endpoint is one queue of: a violation on
-	// any sibling queue kills this one too (and vice versa).
-	latch *DeathLatch
+	// life is the fail-dead state of the device this endpoint is a queue
+	// of (the only one, or one of several): a violation on any sibling
+	// queue kills this one too, and vice versa.
+	life *Life
 
-	mu   sync.Mutex
-	dead error
-	// deadOp is the cached error dead operations report: ErrDead wrapped
-	// around the original cause, built once at death so the (dead) fast
-	// path stays allocation-free and callers can still distinguish a
-	// stalled host (errors.Is(err, ErrStalled)) from a protocol violation.
-	deadOp error
-	// rec is the quarantine state governing Reincarnate:
-	// DefaultRecoveryPolicy until SetRecoveryPolicy replaces it.
-	rec *Quarantine
+	mu sync.Mutex
 
 	// tx is the generic producer engine driving the TX ring: private
 	// head/consumer accounting, backpressure, batched publication and
@@ -89,11 +80,17 @@ var txStageFault func() error
 // New constructs the guest endpoint and all shared device state for cfg.
 // The meter may be nil.
 func New(cfg DeviceConfig, meter *platform.Meter) (*Endpoint, error) {
+	return newEndpoint(cfg, meter, NewLife(ErrDead))
+}
+
+// newEndpoint constructs one queue of the device life belongs to.
+func newEndpoint(cfg DeviceConfig, meter *platform.Meter, life *Life) (*Endpoint, error) {
 	sh, err := newShared(cfg, meter, 0)
 	if err != nil {
 		return nil, err
 	}
-	e := &Endpoint{cfg: cfg, sh: sh, meter: meter, rec: NewQuarantine(DefaultRecoveryPolicy())}
+	e := &Endpoint{cfg: cfg, sh: sh, meter: meter, life: life}
+	life.Join(&e.mu, meter, e.rebirthLocked)
 	e.txHandles = make([][]shmem.Handle, cfg.Slots)
 	e.tx = NewEngine[Desc](sh.TX, sh.TXBell, descCodec{}, meter,
 		EngineHooks[Desc]{OnReturn: e.txReturn, Fail: e.fail})
@@ -133,12 +130,7 @@ func (e *Endpoint) Config() DeviceConfig { return e.cfg }
 // Dead returns the fatal error that killed the endpoint, if any. On a
 // multi-queue device a violation on any sibling queue counts: the whole
 // device fail-deads together.
-func (e *Endpoint) Dead() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.deadLocked()
-	return e.dead
-}
+func (e *Endpoint) Dead() error { return e.life.Dead() }
 
 // Epoch returns the current device incarnation.
 func (e *Endpoint) Epoch() uint32 {
@@ -147,61 +139,11 @@ func (e *Endpoint) Epoch() uint32 {
 	return e.sh.Epoch
 }
 
-// fail records the fatal violation, adopting the device-wide first cause.
-// On a multi-queue device the latch arbitrates concurrent killers through
-// one CAS, so every queue — including the ones that lost the race —
-// reports the same cause from then on. The device death is metered once,
-// by the queue whose kill won.
-func (e *Endpoint) fail(err error) error {
-	if e.dead == nil {
-		cause, won := e.latch.Kill(err)
-		if cause == nil { // single-queue device: no latch arbitration
-			cause, won = err, true
-		}
-		e.adoptLocked(cause)
-		if won {
-			e.meter.Death(1)
-		}
-	}
-	return e.dead
-}
-
-// adoptLocked records cause as this queue's death and builds the cached
-// dead-operation error. Caller holds e.mu.
-//
-//ciovet:locked
-func (e *Endpoint) adoptLocked(cause error) {
-	e.dead = cause
-	e.deadOp = fmt.Errorf("%w (cause: %w)", ErrDead, cause)
-}
-
-// deadLocked reports whether the endpoint (or, through the device latch,
-// any sibling queue) has fail-deaded. Caller holds e.mu.
-//
-//ciovet:locked
-func (e *Endpoint) deadLocked() bool {
-	if e.dead != nil {
-		return true
-	}
-	if e.latch != nil {
-		if err := e.latch.Dead(); err != nil {
-			e.adoptLocked(err)
-			return true
-		}
-	}
-	return false
-}
-
-// deadOpLocked returns the error dead operations report. Caller holds
-// e.mu and has established deadLocked().
-//
-//ciovet:locked
-func (e *Endpoint) deadOpLocked() error {
-	if e.deadOp == nil {
-		e.deadOp = ErrDead
-	}
-	return e.deadOp
-}
+// fail records the fatal violation and returns the device's first
+// cause: on a multi-queue device concurrent killers are arbitrated by the
+// latch, so every queue — including the ones that lost the race — reports
+// the same cause from then on.
+func (e *Endpoint) fail(err error) error { return e.life.Kill(err, e.meter) }
 
 // checkFrame validates a frame size against the fixed geometry.
 func (e *Endpoint) checkFrame(frame []byte) error {
@@ -242,8 +184,8 @@ func (e *Endpoint) SendBatch(frames [][]byte) (int, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.deadLocked() {
-		return 0, e.deadOpLocked()
+	if err := e.life.DeadOp(); err != nil {
+		return 0, err
 	}
 	cons, err := e.tx.Reap()
 	if err != nil {
@@ -383,8 +325,8 @@ func (e *Endpoint) txReturn(pos uint64, _ Desc) error {
 func (e *Endpoint) Reap() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.deadLocked() {
-		return e.deadOpLocked()
+	if err := e.life.DeadOp(); err != nil {
+		return err
 	}
 	_, err := e.tx.Reap()
 	return err
@@ -615,8 +557,8 @@ func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.deadLocked() {
-		return 0, e.deadOpLocked()
+	if err := e.life.DeadOp(); err != nil {
+		return 0, err
 	}
 	avail, err := e.rxAvailLocked()
 	if err != nil {
@@ -688,7 +630,7 @@ func (e *Endpoint) ParkRX(wake chan struct{}) bool {
 	defer e.mu.Unlock()
 	ix := e.sh.RXUsed.Indexes()
 	ix.Park(wake)
-	return e.deadLocked() || ix.LoadProd() != e.rxTail
+	return e.life.Dead() != nil || ix.LoadProd() != e.rxTail
 }
 
 // UnparkRX withdraws the parked wake while the poller is busy anyway.
@@ -696,29 +638,4 @@ func (e *Endpoint) UnparkRX() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sh.RXUsed.Indexes().Unpark()
-}
-
-// RecvPoll is Recv with the configured busy-poll ladder: it polls up to
-// 1+BusyPoll times and, still empty, arms the RX doorbell (with the
-// lost-wakeup recheck) before returning ErrRingEmpty. The caller may
-// then block on RXBell().Chan() — with a bounded timeout, since a host
-// that lies about (or ignores) the event index controls when the bell
-// rings, never what state the ring is in.
-func (e *Endpoint) RecvPoll() (*RxFrame, error) {
-	spins := e.cfg.BusyPoll
-	for i := 0; ; i++ {
-		fr, err := e.Recv()
-		if err == nil || !errors.Is(err, ErrRingEmpty) {
-			return fr, err
-		}
-		if i >= spins {
-			break
-		}
-	}
-	if e.cfg.EventIdx && e.ArmRXNotify() {
-		// Work raced in while arming: deliver it rather than asking the
-		// caller to block on a bell that may never ring for it.
-		return e.Recv()
-	}
-	return nil, ErrRingEmpty
 }

@@ -191,7 +191,8 @@ func TestIndirectSegmentSplit(t *testing.T) {
 	}
 	// All segment bookkeeping still exercised through the 1..n path in
 	// TestSendPopRoundTripAllModes; here assert geometry invariants.
-	if got := ep.Shared().TXData.Slabs(); got != cfg.Slots*cfg.Segments {
+	txd := ep.Shared().TXData
+	if got := txd.Region().Size() / txd.SlabSize(); got != cfg.Slots*cfg.Segments {
 		t.Fatalf("indirect arena slabs = %d, want %d", got, cfg.Slots*cfg.Segments)
 	}
 }

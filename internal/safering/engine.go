@@ -89,9 +89,6 @@ func NewEngine[D any](ring *Ring, bell *Doorbell, codec Codec[D], meter *platfor
 	}
 }
 
-// Ring returns the ring the engine currently produces into.
-func (g *Engine[D]) Ring() *Ring { return g.ring }
-
 // SetEventIdx enables (or disables) event-idx notification suppression
 // for this engine's doorbell. Call at construction time, before traffic;
 // the setting survives Reset — it is part of the deployment contract,
@@ -107,9 +104,6 @@ func (g *Engine[D]) Head() uint64 { return g.head }
 
 // ConsSeen returns the last validated peer consumer index.
 func (g *Engine[D]) ConsSeen() uint64 { return g.consSeen }
-
-// InFlight returns how many staged slots the peer still owns work for.
-func (g *Engine[D]) InFlight() uint64 { return g.head - g.freed }
 
 // Full reports whether the ring has no free slot at the validated
 // consumer position cons — the backpressure check a producer must make

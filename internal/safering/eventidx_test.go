@@ -155,34 +155,6 @@ func TestEventIdxRXSuppression(t *testing.T) {
 	}
 }
 
-// TestRecvPoll: the busy-poll receive helper returns work that arrives
-// within the spin budget, reports the race when work lands during
-// arming, and returns ErrRingEmpty (armed) when truly idle.
-func TestRecvPoll(t *testing.T) {
-	cfg := eventIdxConfig()
-	cfg.BusyPoll = 128
-	ep, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp := NewHostPort(ep.Shared())
-
-	if _, err := ep.RecvPoll(); !errors.Is(err, ErrRingEmpty) {
-		t.Fatalf("RecvPoll on idle ring: %v, want ErrRingEmpty", err)
-	}
-	if err := hp.Push(frame(64, 7)); err != nil {
-		t.Fatal(err)
-	}
-	rx, err := ep.RecvPoll()
-	if err != nil {
-		t.Fatalf("RecvPoll with pending frame: %v", err)
-	}
-	if len(rx.Bytes()) != 64 {
-		t.Fatalf("RecvPoll frame length %d, want 64", len(rx.Bytes()))
-	}
-	rx.Release()
-}
-
 // TestEventIdxGarbageThresholdHarmless: the event word is
 // peer-controlled shared memory. Storing garbage (or rolling it back)
 // shifts notification timing only — a polling consumer still sees every
@@ -222,17 +194,11 @@ func TestEventIdxGarbageThresholdHarmless(t *testing.T) {
 	}
 }
 
-// TestEventIdxConfigValidation: event-idx needs doorbells; the busy-poll
-// budget must be non-negative.
+// TestEventIdxConfigValidation: event-idx needs doorbells.
 func TestEventIdxConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EventIdx = true
 	if _, err := New(cfg, nil); !errors.Is(err, ErrConfig) {
 		t.Fatalf("EventIdx without Notify: %v, want ErrConfig", err)
-	}
-	cfg = DefaultConfig()
-	cfg.BusyPoll = -1
-	if _, err := New(cfg, nil); !errors.Is(err, ErrConfig) {
-		t.Fatalf("negative BusyPoll: %v, want ErrConfig", err)
 	}
 }

@@ -20,13 +20,14 @@ import (
 // host killing the VM).
 type HostPort struct {
 	sh *Shared
-	// latch, when non-nil, is the device-wide poison state of the
-	// multi-queue device model this port is one queue of: a guest
-	// violation on any sibling queue poisons this one too.
-	latch *DeathLatch
+	// life is the poison state of the device model this port is a queue
+	// of: a guest violation on any sibling queue poisons this one too.
+	// The host side shares the death and nothing else: it never joins the
+	// Life as a queue, because it is never reborn — a fresh port attaches
+	// to the reborn guest's window instead.
+	life *Life
 
-	mu   sync.Mutex
-	dead error
+	mu sync.Mutex
 
 	txTail     uint64 // consumer position on TX
 	rxFreeTail uint64 // consumer position on RXFree
@@ -42,8 +43,11 @@ type HostPort struct {
 }
 
 // NewHostPort attaches an honest device model to the shared state.
-func NewHostPort(sh *Shared) *HostPort {
-	h := &HostPort{sh: sh, park: make(chan struct{}, 1)}
+func NewHostPort(sh *Shared) *HostPort { return newHostPort(sh, NewLife(ErrDead)) }
+
+// newHostPort attaches one queue of the device model life belongs to.
+func newHostPort(sh *Shared, life *Life) *HostPort {
+	h := &HostPort{sh: sh, life: life, park: make(chan struct{}, 1)}
 	h.rx = NewEngine[Desc](sh.RXUsed, sh.RXBell, descCodec{}, nil, EngineHooks[Desc]{Fail: h.fail})
 	h.rx.SetEventIdx(sh.Cfg.EventIdx)
 	return h
@@ -54,42 +58,9 @@ func (h *HostPort) Shared() *Shared { return h.sh }
 
 // Dead returns the violation that poisoned the port, if any. On a
 // multi-queue device model a violation on any sibling queue counts.
-func (h *HostPort) Dead() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.dead == nil && h.latch != nil {
-		h.dead = h.latch.Dead()
-	}
-	return h.dead
-}
+func (h *HostPort) Dead() error { return h.life.Dead() }
 
-func (h *HostPort) fail(err error) error {
-	if h.dead == nil {
-		cause, _ := h.latch.Kill(err)
-		if cause == nil { // single-queue device model: no latch
-			cause = err
-		}
-		h.dead = cause
-	}
-	return h.dead
-}
-
-// deadLocked reports whether the port (or, through the device latch, any
-// sibling queue's port) has been poisoned. Caller holds h.mu.
-//
-//ciovet:locked
-func (h *HostPort) deadLocked() bool {
-	if h.dead != nil {
-		return true
-	}
-	if h.latch != nil {
-		if err := h.latch.Dead(); err != nil {
-			h.dead = err
-			return true
-		}
-	}
-	return false
-}
+func (h *HostPort) fail(err error) error { return h.life.Kill(err, nil) }
 
 // Pop dequeues the next guest transmit frame into buf and returns its
 // length, or ErrRingEmpty: PopBatch of one. buf must be at least FrameCap
@@ -115,8 +86,8 @@ func (h *HostPort) PopBatch(bufs [][]byte, lens []int) (int, error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.deadLocked() {
-		return 0, ErrDead
+	if err := h.life.DeadOp(); err != nil {
+		return 0, err
 	}
 	prod := h.sh.TX.Indexes().LoadProd()
 	avail, err := h.sh.TX.checkPeerProd(prod, h.txTail)
@@ -227,8 +198,8 @@ func (h *HostPort) PushBatch(frames [][]byte) (int, error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.deadLocked() {
-		return 0, ErrDead
+	if err := h.life.DeadOp(); err != nil {
+		return 0, err
 	}
 	cons, err := h.rx.Reap()
 	if err != nil {

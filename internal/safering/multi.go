@@ -2,8 +2,6 @@ package safering
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"confio/internal/platform"
 )
@@ -15,62 +13,10 @@ import (
 // at construction like every other zero-negotiation parameter.
 const MaxQueues = 64
 
-// DeathLatch is the device-wide fail-dead state shared by every queue of
-// a multi-queue device. The paper's stateless principle says a protocol
-// violation has no recovery path; on a multi-queue device the blast
-// radius is the whole device, not the one queue the host happened to
-// corrupt — otherwise a malicious host could kill queues selectively and
-// steer traffic onto the survivors it wants to study. The first
-// violation wins; every queue observes it on its next operation.
-type DeathLatch struct {
-	err atomic.Pointer[deathErr]
-}
-
-// deathErr boxes the fatal error so the latch can CAS a single pointer.
-type deathErr struct{ err error }
-
-// Kill records the first device-fatal error. Concurrent killers race on
-// a single CAS so exactly one cause is latched; Kill returns that cause
-// — the value every later Dead() call repeats, whether or not it is the
-// err this caller brought — and whether this call won the race. Callers
-// must adopt the returned cause instead of the error they detected,
-// otherwise two queues dying simultaneously would report different
-// device-death causes (the first-error race this signature exists to
-// close).
-func (l *DeathLatch) Kill(err error) (cause error, won bool) {
-	if l == nil {
-		return nil, false
-	}
-	if err == nil {
-		return l.Dead(), false
-	}
-	won = l.err.CompareAndSwap(nil, &deathErr{err: err})
-	return l.Dead(), won
-}
-
-// reset clears the latch for the next incarnation. Unexported on
-// purpose, and the ciovet latchclear rule enforces that only the
-// Reincarnate path calls it: clearing device death anywhere else would
-// reopen the recoverable-error surface fail-dead exists to remove.
-func (l *DeathLatch) reset() {
-	l.err.Store(nil)
-}
-
-// Dead returns the violation that killed the device, if any.
-func (l *DeathLatch) Dead() error {
-	if l == nil {
-		return nil
-	}
-	if d := l.err.Load(); d != nil {
-		return d.err
-	}
-	return nil
-}
-
 // MultiEndpoint is the guest side of an N-queue safe NIC: N fully
 // independent ring pairs (each with its own shared window, indices,
 // data areas and validation state) behind one device-wide fail-dead
-// latch. There is no shared control plane between the queues — queue
+// Life. There is no shared control plane between the queues — queue
 // count is fixed at construction like every other parameter, and the
 // host never supplies a queue id: receive demultiplexing is positional
 // (which ring the completion arrived on) and transmit steering is
@@ -78,13 +24,7 @@ func (l *DeathLatch) Dead() error {
 type MultiEndpoint struct {
 	queues []*Endpoint
 	bank   *platform.MeterBank
-	latch  *DeathLatch
-	cfg    DeviceConfig
-
-	// recMu guards the device-level quarantine state; reincarnation is a
-	// whole-device operation (all queues reborn under one admission).
-	recMu sync.Mutex
-	rec   *Quarantine
+	life   *Life
 }
 
 // NewMulti constructs an N-queue guest device. Every queue gets the same
@@ -97,23 +37,17 @@ func NewMulti(cfg DeviceConfig, queues int, bank *platform.MeterBank) (*MultiEnd
 	if bank != nil && bank.Len() < queues {
 		return nil, fmt.Errorf("%w: meter bank has %d meters for %d queues", ErrConfig, bank.Len(), queues)
 	}
-	m := &MultiEndpoint{
-		bank:  bank,
-		latch: &DeathLatch{},
-		cfg:   cfg,
-		rec:   NewQuarantine(DefaultRecoveryPolicy()),
-	}
+	m := &MultiEndpoint{bank: bank, life: NewLife(ErrDead)}
 	m.queues = make([]*Endpoint, queues)
 	for i := range m.queues {
 		var meter *platform.Meter
 		if bank != nil {
 			meter = bank.Queue(i)
 		}
-		ep, err := New(cfg, meter)
+		ep, err := newEndpoint(cfg, meter, m.life)
 		if err != nil {
 			return nil, err
 		}
-		ep.latch = m.latch
 		m.queues[i] = ep
 	}
 	return m, nil
@@ -125,17 +59,22 @@ func (m *MultiEndpoint) Queues() int { return len(m.queues) }
 // Queue returns queue i's endpoint.
 func (m *MultiEndpoint) Queue(i int) *Endpoint { return m.queues[i] }
 
-// Config returns the per-queue device configuration.
-func (m *MultiEndpoint) Config() DeviceConfig { return m.cfg }
-
-// Latch exposes the device-wide fail-dead latch (the host-port side of
-// the same device attaches to it in tests that model one host process
-// owning both directions).
-func (m *MultiEndpoint) Latch() *DeathLatch { return m.latch }
-
 // Dead returns the violation that killed the device, if any. A non-nil
 // result means every queue refuses I/O with ErrDead.
-func (m *MultiEndpoint) Dead() error { return m.latch.Dead() }
+func (m *MultiEndpoint) Dead() error { return m.life.Dead() }
+
+// SetRecoveryPolicy installs the device-wide quarantine policy.
+func (m *MultiEndpoint) SetRecoveryPolicy(p RecoveryPolicy) { m.life.SetRecoveryPolicy(p) }
+
+// Reincarnate recovers the dead device as one unit (Life.Reincarnate)
+// and returns the new per-queue shared windows, index-aligned, for the
+// new host backend to attach to.
+func (m *MultiEndpoint) Reincarnate() ([]*Shared, error) {
+	if err := m.life.Reincarnate(); err != nil {
+		return nil, err
+	}
+	return m.SharedQueues(), nil
+}
 
 // SharedQueues returns every queue's host-visible state, index-aligned.
 func (m *MultiEndpoint) SharedQueues() []*Shared {
@@ -144,15 +83,6 @@ func (m *MultiEndpoint) SharedQueues() []*Shared {
 		out[i] = q.Shared()
 	}
 	return out
-}
-
-// SuppressRXNotify withdraws every queue's receive wake threshold — the
-// device-wide "I am actively polling" declaration a busy-poll guest
-// makes once under sustained load (see Endpoint.SuppressRXNotify).
-func (m *MultiEndpoint) SuppressRXNotify() {
-	for _, q := range m.queues {
-		q.SuppressRXNotify()
-	}
 }
 
 // Costs returns the aggregated device snapshot across all queue meters.
@@ -168,18 +98,16 @@ func (m *MultiEndpoint) QueueCosts() []platform.Costs { return m.bank.QueueSnaps
 // VM rather than continuing with a guest it has caught lying.
 type MultiHostPort struct {
 	queues []*HostPort
-	latch  *DeathLatch
+	life   *Life
 }
 
 // NewMultiHostPort attaches an honest device model to every queue of a
 // device (the SharedQueues of a MultiEndpoint).
 func NewMultiHostPort(shs []*Shared) *MultiHostPort {
-	m := &MultiHostPort{latch: &DeathLatch{}}
+	m := &MultiHostPort{life: NewLife(ErrDead)}
 	m.queues = make([]*HostPort, len(shs))
 	for i, sh := range shs {
-		hp := NewHostPort(sh)
-		hp.latch = m.latch
-		m.queues[i] = hp
+		m.queues[i] = newHostPort(sh, m.life)
 	}
 	return m
 }
@@ -191,12 +119,4 @@ func (m *MultiHostPort) Queues() int { return len(m.queues) }
 func (m *MultiHostPort) Queue(i int) *HostPort { return m.queues[i] }
 
 // Dead returns the guest violation that poisoned the device model.
-func (m *MultiHostPort) Dead() error { return m.latch.Dead() }
-
-// SuppressTXNotify withdraws every queue's transmit wake threshold —
-// what a sharded host pump does on each queue it actively polls.
-func (m *MultiHostPort) SuppressTXNotify() {
-	for _, q := range m.queues {
-		q.SuppressTXNotify()
-	}
-}
+func (m *MultiHostPort) Dead() error { return m.life.Dead() }

@@ -31,9 +31,6 @@ func TestQuarantineNotBeforeZeroUntilFirstAdmission(t *testing.T) {
 	if got := q.NotBefore(); !got.IsZero() {
 		t.Fatalf("NotBefore before any admission = %v, want zero", got)
 	}
-	if q.Permanent() {
-		t.Fatal("fresh quarantine reports Permanent")
-	}
 	if err := q.Admit(); err != nil {
 		t.Fatalf("first Admit: %v", err)
 	}
@@ -223,16 +220,10 @@ func TestQuarantineBudgetExhaustionIsSticky(t *testing.T) {
 	if err := q.Admit(); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("Admit past budget = %v, want ErrBudgetExhausted", err)
 	}
-	if !q.Permanent() {
-		t.Fatal("Permanent() false after budget exhaustion")
-	}
 	// A patient adversary waits the window out: still dead.
 	clk.advance(24 * time.Hour)
 	if err := q.Admit(); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("Admit after window slid = %v, want ErrBudgetExhausted", err)
-	}
-	if !q.Permanent() {
-		t.Fatal("Permanent() reset by a slid window")
 	}
 }
 
@@ -251,8 +242,5 @@ func TestQuarantineWindowSlides(t *testing.T) {
 		if err := q.Admit(); err != nil {
 			t.Fatalf("slow-rate Admit %d: %v", i, err)
 		}
-	}
-	if q.Permanent() {
-		t.Fatal("slow death rate exhausted the budget")
 	}
 }

@@ -180,7 +180,7 @@ func TestDeathLatchKillConcurrentStable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			causes[i], wins[i] = latch.Kill(fmt.Errorf("killer %d", i))
+			causes[i], wins[i] = latch.Kill(fmt.Errorf("killer %d", i), safering.ErrDead)
 		}()
 	}
 	wg.Wait()

@@ -75,8 +75,7 @@ func DefaultRecoveryPolicy() RecoveryPolicy {
 // exported so that other device classes built on the generic ring engine
 // (blkring) and the gateway's tenant backoff share the exact policy
 // instead of growing a parallel weaker copy. Not self-locking: the owner
-// (Endpoint.mu, MultiEndpoint.recMu, the owning device's mutex)
-// serializes Admit.
+// (Life.mu, the gateway tenant's mutex) serializes Admit.
 type Quarantine struct {
 	policy    RecoveryPolicy
 	rng       *rand.Rand  // jitter source, seeded on the first admission
@@ -160,65 +159,34 @@ func (r *Quarantine) Admit() error {
 // admission — compare the clock against this instead of calling Admit.
 func (r *Quarantine) NotBefore() time.Time { return r.notBefore }
 
-// Permanent reports whether the budget has been exhausted: every later
-// Admit returns ErrBudgetExhausted and the guarded principal is dead
-// (device) or evicted (tenant) for good.
-func (r *Quarantine) Permanent() bool { return r.permanent }
+// SetRecoveryPolicy installs the quarantine policy of the device this
+// endpoint is a queue of (Life.SetRecoveryPolicy).
+func (e *Endpoint) SetRecoveryPolicy(p RecoveryPolicy) { e.life.SetRecoveryPolicy(p) }
 
-// SetRecoveryPolicy installs the quarantine policy governing Reincarnate,
-// replacing any accumulated quarantine state. Call it at device setup;
-// the default is DefaultRecoveryPolicy.
-func (e *Endpoint) SetRecoveryPolicy(p RecoveryPolicy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rec = NewQuarantine(p)
-}
-
-// Reincarnate recovers a dead single-queue device: it tears down the
-// poisoned shared window, builds a fresh one at the next epoch, and
-// returns it for a new host backend to attach to. The handshake is
-// exactly that — the host attaches to the returned Shared or it does
-// not; there is nothing for it to negotiate, influence, or replay,
-// because every descriptor of the old incarnation carries the old epoch
-// tag and is fatally rejected by the new one.
-//
-// Admission is governed by the recovery policy: ErrQuarantine while the
-// backoff from the previous death is still running (retry later), and
-// ErrBudgetExhausted — permanently — once the death budget is blown.
-// A live device is refused with ErrNotDead.
+// Reincarnate recovers a dead single-queue device (Life.Reincarnate) and
+// returns the fresh shared window for a new host backend to attach to. A
+// queue of a multi-queue device is refused with ErrSiblings: there are as
+// many new windows to attach as queues, and MultiEndpoint.Reincarnate
+// returns them.
 func (e *Endpoint) Reincarnate() (*Shared, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.latch != nil {
-		return nil, fmt.Errorf("safering: reincarnate: endpoint is one queue of a multi-queue device; recovery is device-wide (use MultiEndpoint.Reincarnate)")
-	}
-	if !e.deadLocked() {
-		return nil, ErrNotDead
-	}
-	if err := e.rec.Admit(); err != nil {
+	if err := e.life.ReincarnateSole(); err != nil {
 		return nil, err
 	}
-	sh, err := e.rebirthLocked()
-	if err != nil {
-		return nil, err
-	}
-	e.dead, e.deadOp = nil, nil
-	e.meter.Reincarnation(1)
-	return sh, nil
+	return e.Shared(), nil
 }
 
 // rebirthLocked replaces the device instance with a fresh one at the
 // next epoch and resets all private protocol state. It does NOT clear
-// death — only the Reincarnate entry points do that, after quarantine
-// admission. The old incarnation's doorbells are sealed so a host still
-// holding them cannot ring the new device awake (stale rings are counted
-// for audit, not acted on). Caller holds e.mu.
+// death — only Life.Reincarnate does that, after quarantine admission.
+// The old incarnation's doorbells are sealed so a host still holding
+// them cannot ring the new device awake (stale rings are counted for
+// audit, not acted on). Caller holds e.mu.
 //
 //ciovet:locked
-func (e *Endpoint) rebirthLocked() (*Shared, error) {
+func (e *Endpoint) rebirthLocked() error {
 	sh, err := newShared(e.cfg, e.meter, e.sh.Epoch+1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	old := e.sh
 	old.TXBell.Seal()
@@ -244,64 +212,5 @@ func (e *Endpoint) rebirthLocked() (*Shared, error) {
 		}
 		e.publishFreeLocked()
 	}
-	return sh, nil
-}
-
-// SetRecoveryPolicy installs the device-wide quarantine policy.
-func (m *MultiEndpoint) SetRecoveryPolicy(p RecoveryPolicy) {
-	m.recMu.Lock()
-	defer m.recMu.Unlock()
-	m.rec = NewQuarantine(p)
-}
-
-// Reincarnate recovers a dead multi-queue device as one atomic unit:
-// every queue is reborn at the next epoch under a single quarantine
-// admission, then the device-wide latch is cleared. Per-queue recovery
-// is deliberately impossible (Endpoint.Reincarnate refuses queues of a
-// multi device): fail-dead made the blast radius the whole device, so
-// recovery has the same radius — a host cannot keep one poisoned queue
-// alive while the guest revives the rest.
-//
-// Returns the new per-queue shared windows, index-aligned, for the new
-// host backend to attach to.
-func (m *MultiEndpoint) Reincarnate() ([]*Shared, error) {
-	m.recMu.Lock()
-	defer m.recMu.Unlock()
-	if m.latch.Dead() == nil {
-		return nil, ErrNotDead
-	}
-	if err := m.rec.Admit(); err != nil {
-		return nil, err
-	}
-	// Hold every queue lock across the whole rebirth so no queue can
-	// observe a half-reincarnated device (some queues at the new epoch,
-	// the latch still dead, siblings on the old window).
-	for _, q := range m.queues {
-		q.mu.Lock()
-	}
-	defer func() {
-		for _, q := range m.queues {
-			q.mu.Unlock()
-		}
-	}()
-	shs := make([]*Shared, len(m.queues))
-	for i, q := range m.queues {
-		// Every q.mu was taken in the loop above; the per-variable
-		// lockset cannot connect a lock held via one range binding to a
-		// call through the next loop's binding.
-		//ciovet:allow lockdisc all queue locks held across the rebirth loop above
-		sh, err := q.rebirthLocked()
-		if err != nil {
-			// The device stays dead (latch untouched) and the admission
-			// stays consumed; allocation failure is not a free retry.
-			return nil, err
-		}
-		shs[i] = sh
-	}
-	for _, q := range m.queues {
-		q.dead, q.deadOp = nil, nil
-	}
-	m.latch.reset()
-	m.queues[0].meter.Reincarnation(1)
-	return shs, nil
+	return nil
 }

@@ -206,9 +206,6 @@ func (r *Ring) Slots() *shmem.Region { return r.slots }
 // NSlots returns the slot count.
 func (r *Ring) NSlots() uint64 { return r.nslots }
 
-// SlotSize returns the slot size in bytes.
-func (r *Ring) SlotSize() uint64 { return r.slotSize }
-
 // SlotOff returns the masked byte offset of the slot for position idx.
 // Any 64-bit idx maps to a valid slot — out-of-range is unrepresentable.
 func (r *Ring) SlotOff(idx uint64) uint64 {

@@ -19,8 +19,11 @@ import "fmt"
 func (e *Endpoint) Swap() (*Shared, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.deadLocked() {
-		return nil, fmt.Errorf("safering: swap refused, endpoint is dead (%w): recovery must pass the Reincarnate quarantine", e.dead)
+	if dead := e.life.Dead(); dead != nil {
+		return nil, fmt.Errorf("safering: swap refused, endpoint is dead (%w): recovery must pass the Reincarnate quarantine", dead)
 	}
-	return e.rebirthLocked()
+	if err := e.rebirthLocked(); err != nil {
+		return nil, err
+	}
+	return e.sh, nil
 }

@@ -109,7 +109,7 @@ func NewWatchdog(cfg WatchdogConfig, eps ...Watched) *Watchdog {
 
 // WatchDevice builds a watchdog over every queue of a multi-queue
 // device. One stalled queue fail-deads the whole device through the
-// shared latch, exactly like any other violation.
+// shared Life, exactly like any other violation.
 func WatchDevice(cfg WatchdogConfig, m *MultiEndpoint) *Watchdog {
 	eps := make([]Watched, len(m.queues))
 	for i, q := range m.queues {
@@ -122,7 +122,7 @@ func WatchDevice(cfg WatchdogConfig, m *MultiEndpoint) *Watchdog {
 func (e *Endpoint) WatchProgress() (head, cons uint64, alive bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.deadLocked() {
+	if e.life.Dead() != nil {
 		return 0, 0, false
 	}
 	head = e.tx.Head()
@@ -130,11 +130,9 @@ func (e *Endpoint) WatchProgress() (head, cons uint64, alive bool) {
 	return head, cons, true
 }
 
-// WatchStall implements Watched: the stall kills the endpoint (and,
-// through the latch, its whole device).
+// WatchStall implements Watched: the stall kills the endpoint and with
+// it its whole device. Killing takes no queue lock.
 func (e *Endpoint) WatchStall(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.fail(err)
 	e.meter.Stall(1)
 }

@@ -110,9 +110,6 @@ func (a *Arena) Alloc() (Handle, error) {
 // slabIndex recovers the (always in-range, by masking) slab index.
 func (a *Arena) slabIndex(h Handle) int { return int(uint64(h) & a.idxMask) }
 
-// Slabs returns the number of slabs in the arena.
-func (a *Arena) Slabs() int { return a.slabs }
-
 // PeerOffset returns the region offset the *untrusted* side derives from
 // a handle: pure masking, no verification, because the peer has no access
 // to allocator state. Whatever 64-bit value it holds, the result is an

@@ -10,19 +10,17 @@
 //     than merely checked ("safe ring buffer & shared data area ...
 //     protected via careful pointer/index masking").
 //
-//   - Bounce: a SWIOTLB-style bounce-buffer allocator that copies on every
-//     map/unmap, reproducing the legacy "copy piggybacked everywhere"
-//     behaviour the paper criticises, so its cost can be measured against
-//     copy-as-a-first-class-citizen designs.
-//
 //   - Arena: a shared slab allocator designed for mutual distrust
 //     (snmalloc-inspired): allocation handles are masked offsets, frees
 //     travel as messages, and the trusted side validates ownership before
 //     reuse.
 //
-//   - Journal: access instrumentation that records interleaved reads and
-//     writes from the two distrusting sides and detects double-fetch
-//     patterns, used by the attack harness and tests.
+// Two more types are here that nothing outside this package's own tests
+// has instantiated since they were written, and that `make dead` lists
+// for deletion (EXPERIMENTS.md "Dead-code oracle"): Bounce, a
+// SWIOTLB-style bounce-buffer allocator that copies on every map/unmap,
+// and Journal, per-side access instrumentation that detects double-fetch
+// patterns. No transport, attack scenario or benchmark uses either.
 //
 // All types are driven by ordinary Go code on both "sides"; the package is
 // a simulation substrate, not an actual IPC mechanism. What it preserves

@@ -138,7 +138,6 @@ func NewWorld(id DesignID) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep.SetRecoveryPolicy(safering.DefaultRecoveryPolicy())
 		be := blkring.NewBackend(ep.Shared(), obsDisk)
 		be.Start()
 		w.closers = append(w.closers, be.Stop)

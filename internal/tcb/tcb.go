@@ -39,13 +39,13 @@ var (
 	CompUDP      = Component{"udp", 52, "UDP"}
 	CompTCP      = Component{"tcp", 1187, "TCP state machine"}
 	CompNetstack = Component{"netstack", 582, "stack glue + sockets"}
-	CompSafering = Component{"safering", 1696, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompSafering = Component{"safering", 1605, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio   = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc   = Component{"netvsc", 421, "netvsc driver"}
 	CompCTLS     = Component{"ctls", 307, "secure channel (TLS role)"}
 	CompGate     = Component{"compartment", 136, "intra-TEE gate"}
 	CompTDISP    = Component{"tdisp", 344, "TEE-side TDISP/IDE driver"}
-	CompBlkring  = Component{"blkring", 671, "safe block ring on the generic engine"}
+	CompBlkring  = Component{"blkring", 570, "safe block ring on the generic engine"}
 	// CompNIC is the transport-neutral NIC contract and the host pump.
 	// The pump runs in the host's device model, so no TEE profile counts
 	// it; it is catalogued because the datapath's size claims
