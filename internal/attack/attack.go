@@ -77,6 +77,7 @@ const (
 	AtkStaleMemory     = "stale-memory-leak"
 	AtkStatusCorrupt   = "status-corrupt"
 	AtkMerkleSibSwap   = "merkle-sibling-swap"
+	AtkSectorTransplnt = "sector-transplant"
 	AtkQueueCrossKill  = "queue-cross-kill"
 	AtkEpochReplay     = "epoch-replay"
 	AtkReattachStorm   = "reattach-storm"
@@ -92,7 +93,7 @@ const (
 var AttackNames = []string{
 	AtkIndexOverclaim, AtkIndexRewind, AtkLengthLie, AtkDoubleFetch,
 	AtkReplay, AtkForgedHandle, AtkNotifStorm, AtkEventIdxLie, AtkWakeSpam, AtkBlkWakeSpam,
-	AtkFeatureTOCTOU, AtkStaleMemory, AtkStatusCorrupt, AtkMerkleSibSwap, AtkQueueCrossKill,
+	AtkFeatureTOCTOU, AtkStaleMemory, AtkStatusCorrupt, AtkMerkleSibSwap, AtkSectorTransplnt, AtkQueueCrossKill,
 	AtkEpochReplay, AtkReattachStorm, AtkL5AfterL2Breach,
 	AtkTenantCrossRead, AtkTenantStallNbr, AtkTenantKillNbr,
 }

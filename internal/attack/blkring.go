@@ -2,6 +2,8 @@ package attack
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -130,6 +132,22 @@ func blkWakeSpam(tr string) Result {
 	return blocked(AtkBlkWakeSpam, tr, "a poke buys one unmetered compare: empty wakes complete nothing, the deadline still kills, garbage index fatal")
 }
 
+// mkVolume builds the whole attacked storage stack: an n-sector cryptdisk
+// volume over the ring over a live backend serving host. stop ends the
+// backend.
+func mkVolume(n int, host blockdev.Disk) (cd *cryptdisk.CryptDisk, meta *cryptdisk.Meta, stop func()) {
+	ep, err := blkring.New(8, uint64(n), nil)
+	if err != nil {
+		panic(err)
+	}
+	be := blkring.NewBackend(ep.Shared(), host)
+	be.Start()
+	if cd, meta, err = cryptdisk.Format(ep, n, []byte("attacked-volume"), nil); err != nil {
+		panic(err)
+	}
+	return cd, meta, be.Stop
+}
+
 // merkleSiblingSwap mounts the double-fetch rollback on the full storage
 // stack (cryptdisk over the ring over a live backend): sector 1 holds an
 // old secret, then a new one. While the guest's write of sector 0 is in
@@ -139,19 +157,10 @@ func blkWakeSpam(tr string) Result {
 // node table signs the rollback into the new root.
 func merkleSiblingSwap(tr string) Result {
 	const n = 8
-	ep, err := blkring.New(8, n, nil)
-	if err != nil {
-		panic(err)
-	}
 	platter := blockdev.NewMemDisk(n)
 	host := &blockdev.RacingDisk{Disk: platter}
-	be := blkring.NewBackend(ep.Shared(), host)
-	be.Start()
-	defer be.Stop()
-	cd, meta, err := cryptdisk.Format(ep, n, []byte("attacked-volume"), nil)
-	if err != nil {
-		panic(err)
-	}
+	cd, meta, stop := mkVolume(n, host)
+	defer stop()
 	oldSecret, newSecret := frame(blockdev.SectorSize, 0xA0), frame(blockdev.SectorSize, 0xB0)
 	if err := cd.WriteSector(1, oldSecret); err != nil {
 		return compromised(AtkMerkleSibSwap, tr, "setup: "+err.Error())
@@ -171,12 +180,61 @@ func merkleSiblingSwap(tr string) Result {
 		return compromised(AtkMerkleSibSwap, tr, "the guest's own write failed: "+err.Error())
 	}
 	got := make([]byte, blockdev.SectorSize)
-	err = cd.ReadSector(1, got)
+	err := cd.ReadSector(1, got)
 	if err == nil && bytes.Equal(got, oldSecret) {
 		return compromised(AtkMerkleSibSwap, tr, "rolled-back sibling laundered into the root: old plaintext read with a valid path")
 	}
 	return verdictFromFatal(AtkMerkleSibSwap, tr, err, cryptdisk.ErrIntegrity,
 		compromised(AtkMerkleSibSwap, tr, fmt.Sprintf("read of the rolled-back sector returned %v", err)))
+}
+
+// sectorTransplant is the attack the per-sector AEAD tag adds surface
+// for, on the full storage stack: the host copies sector 2's ciphertext,
+// tag and version onto sector 5 and recomputes sector 5's leaf and every
+// ancestor in the untrusted node table (the leaf is an unkeyed hash of
+// host-held values, so it can), leaving a consistent tree over the
+// transplant. The guest must refuse sector 5: its root is not the
+// host's.
+func sectorTransplant(tr string) Result {
+	const n, from, to = 8, 2, 5
+	platter := blockdev.NewMemDisk(n)
+	cd, meta, stop := mkVolume(n, platter)
+	defer stop()
+	secret := frame(blockdev.SectorSize, 0xA0)
+	if err := cd.WriteSector(from, secret); err != nil {
+		return compromised(AtkSectorTransplnt, tr, "setup: "+err.Error())
+	}
+	if err := cd.WriteSector(to, frame(blockdev.SectorSize, 0xB0)); err != nil {
+		return compromised(AtkSectorTransplnt, tr, "setup: "+err.Error())
+	}
+	ct := make([]byte, blockdev.SectorSize)
+	if err := platter.ReadSector(from, ct); err != nil {
+		panic(err)
+	}
+	_ = platter.WriteSector(to, ct)
+	src, dst := meta.Snapshot(from), meta.Snapshot(to)
+	meta.TamperVersion(to, src.Version)
+	meta.TamperTag(to, src.Tag)
+	leaf := binary.BigEndian.AppendUint64(append([]byte{}, src.Tag[:]...), to)
+	h := sha256.Sum256(binary.BigEndian.AppendUint64(leaf, src.Version))
+	for i := n + to; i > 1; i /= 2 {
+		meta.TamperNode(i, h)
+		sib := dst.Nodes[i^1]
+		if i%2 == 0 {
+			h = sha256.Sum256(append(h[:], sib[:]...))
+		} else {
+			h = sha256.Sum256(append(sib[:], h[:]...))
+		}
+	}
+	meta.TamperNode(1, h)
+
+	got := make([]byte, blockdev.SectorSize)
+	err := cd.ReadSector(to, got)
+	if err == nil || bytes.Contains(got, secret[:64]) {
+		return compromised(AtkSectorTransplnt, tr, fmt.Sprintf("sector %d's contents served at sector %d: %v", from, to, err))
+	}
+	return verdictFromFatal(AtkSectorTransplnt, tr, err, cryptdisk.ErrIntegrity,
+		compromised(AtkSectorTransplnt, tr, fmt.Sprintf("read of the transplanted sector returned %v", err)))
 }
 
 // blkringScenarios attacks the storage ring. It is the same generic
@@ -361,6 +419,7 @@ func blkringScenarios() []Scenario {
 		}},
 		Scenario{AtkBlkWakeSpam, tr, func() Result { return blkWakeSpam(tr) }},
 		Scenario{AtkMerkleSibSwap, tr, func() Result { return merkleSiblingSwap(tr) }},
+		Scenario{AtkSectorTransplnt, tr, func() Result { return sectorTransplant(tr) }},
 		Scenario{AtkFeatureTOCTOU, tr, func() Result {
 			return na(AtkFeatureTOCTOU, tr, "zero-negotiation: no control plane exists")
 		}},

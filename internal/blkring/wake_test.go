@@ -369,9 +369,9 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 }
 
 // TestFileStackAllocBudget: the file-rw stack — sfs over cryptdisk over
-// the ring over a MemDisk, 4 KiB reads and writes 3:1 — stays within six
-// allocations per op (31 before the request path stopped allocating).
-// What is left is named in EXPERIMENTS.md "Storage hand-off".
+// the ring over a MemDisk, 4 KiB reads and writes 3:1 — allocates nothing
+// per op (31 before the request path stopped allocating, 3 before the
+// sectors became AEAD; EXPERIMENTS.md "Data at rest — AEAD sectors").
 func TestFileStackAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on the instrumented hot path")
@@ -419,7 +419,7 @@ func TestFileStackAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("file stack: %.0f allocs per 4 KiB op", got)
-	if got > 6 {
-		t.Fatalf("file stack allocates %.0f times per 4 KiB op, budget 6", got)
+	if got != 0 {
+		t.Fatalf("file stack allocates %.0f times per 4 KiB op, budget 0", got)
 	}
 }

@@ -2,30 +2,35 @@
 // storage generalization: it turns an untrusted block device into one
 // whose confidentiality, integrity and freshness the TEE can rely on.
 //
-//   - Confidentiality: per-sector AES-CTR keyed from the volume key, with
-//     a (lba, version) nonce so rewrites never reuse keystream.
-//   - Integrity: a Merkle hash tree over SHA-256(ciphertext‖lba‖version)
-//     leaves. Tree nodes and per-sector versions live on/with the
-//     untrusted disk (TEE memory is scarce); the TEE holds only the
-//     32-byte root, so any tampering with data, versions or tree nodes
-//     fails path verification.
-//   - Freshness: the root changes on every write, so even a *consistent*
-//     stale snapshot (data + version + matching tree) is rejected — the
-//     rollback attack the tests mount.
+//   - Confidentiality and integrity of a sector: one AES-GCM pass keyed
+//     from the volume key, under the nonce lba ‖ version. The 16-byte tag
+//     authenticates the ciphertext, and — through the nonce — where it
+//     sits and which write of that sector it is; a ciphertext moved to
+//     another sector or paired with another version does not open.
+//   - Freshness: a Merkle hash tree over SHA-256(tag ‖ lba ‖ version)
+//     leaves. Tags, versions and tree nodes live on/with the untrusted
+//     disk (TEE memory is scarce); the TEE holds only the 32-byte root,
+//     which changes on every write, so tampering with a tag, a version or
+//     a node fails path verification, and so does a *consistent* stale
+//     snapshot (data + tag + version + matching tree) — the rollback
+//     attack the tests mount.
+//   - Nonce discipline: a GCM nonce used twice forfeits authenticity as
+//     well as secrecy, volume-wide. A sector's next version is computed
+//     only from the version the root just authenticated, fetched once
+//     (see WriteSectors), so the host never chooses a nonce.
 //
 // This plays the dm-crypt/dm-integrity role from the paper's data-at-rest
-// citations, built for mutual distrust from the start.
+// citations (the tag is dm-integrity's per-sector metadata), built for
+// mutual distrust from the start.
 package cryptdisk
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"math/bits"
 	"sync"
 
@@ -39,15 +44,30 @@ var (
 	ErrGeometry  = errors.New("cryptdisk: bad geometry")
 )
 
-// Meta is the untrusted metadata store: per-sector versions and the
-// Merkle node table. In a real deployment these occupy reserved sectors
-// of the same disk; keeping them as a separate host-accessible structure
-// makes the attack surface explicit (Tamper* methods).
+// TagSize is the length of a sector's AEAD tag.
+const TagSize = 16
+
+// nonceLBABits of the 96-bit GCM nonce hold the sector number; the other
+// 64 hold its version. Format refuses a volume with more sectors.
+const nonceLBABits = 32
+
+// sectorRec is what the host holds for one sector besides its
+// ciphertext: how many times it has been written, and the tag the
+// current ciphertext was sealed with (version 0: never written, no tag).
+type sectorRec struct {
+	version uint64
+	tag     [TagSize]byte
+}
+
+// Meta is the untrusted metadata store: per-sector versions and tags and
+// the Merkle node table. In a real deployment these occupy reserved
+// sectors of the same disk; keeping them as a separate host-accessible
+// structure makes the attack surface explicit (Tamper* methods).
 type Meta struct {
 	mu sync.Mutex
-	// versions[lba] counts writes to that sector.
-	//ciovet:shared host-tamperable: per-sector versions live on the untrusted disk
-	versions []uint64
+	// sectors[lba] is that sector's version and tag.
+	//ciovet:shared host-tamperable: per-sector versions and tags live on the untrusted disk
+	sectors []sectorRec
 	// nodes holds the binary tree: nodes[1] is the root position,
 	// nodes[n..2n-1] are leaves (standard heap layout).
 	//ciovet:shared host-tamperable: Merkle nodes live on the untrusted disk
@@ -64,12 +84,12 @@ type Meta struct {
 // mutex exists for Go-level sanity of the in-process host model, not as
 // a trust mechanism.
 
-func (m *Meta) version(lba uint64) uint64 {
-	return m.versions[lba] //ciovet:allow sharedatomic authenticated-not-raced: the value is verified against the TEE root before use
+func (m *Meta) sector(lba uint64) sectorRec {
+	return m.sectors[lba] //ciovet:allow sharedatomic authenticated-not-raced: the value is verified against the TEE root before use
 }
 
-func (m *Meta) setVersion(lba, v uint64) {
-	m.versions[lba] = v //ciovet:allow sharedatomic authenticated-not-raced: a torn store is a detected integrity failure, not corruption
+func (m *Meta) setSector(lba uint64, r sectorRec) {
+	m.sectors[lba] = r //ciovet:allow sharedatomic authenticated-not-raced: a torn store is a detected integrity failure, not corruption
 }
 
 func (m *Meta) node(i int) [32]byte {
@@ -85,21 +105,32 @@ func NewMeta(n int) (*Meta, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("%w: %d sectors not a power of two", ErrGeometry, n)
 	}
-	return &Meta{versions: make([]uint64, n), nodes: make([][32]byte, 2*n), n: n}, nil
+	return &Meta{sectors: make([]sectorRec, n), nodes: make([][32]byte, 2*n), n: n}, nil
 }
 
 // Version returns the (untrusted) version of a sector.
 func (m *Meta) Version(lba uint64) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.version(lba)
+	return m.sector(lba).version
 }
 
 // TamperVersion lets the host rewrite a version (attack surface).
 func (m *Meta) TamperVersion(lba, v uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.setVersion(lba, v)
+	r := m.sector(lba)
+	r.version = v
+	m.setSector(lba, r)
+}
+
+// TamperTag lets the host rewrite a sector's tag (attack surface).
+func (m *Meta) TamperTag(lba uint64, tag [TagSize]byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r := m.sector(lba)
+	r.tag = tag
+	m.setSector(lba, r)
 }
 
 // TamperNode lets the host rewrite a tree node (attack surface).
@@ -110,11 +141,12 @@ func (m *Meta) TamperNode(idx int, h [32]byte) {
 }
 
 // SnapshotFor captures a fully consistent stale view of one sector: its
-// version and every tree node on its path plus siblings — everything a
-// rollback attacker needs to serve convincing old state.
+// version, its tag and every tree node on its path plus siblings —
+// everything a rollback attacker needs to serve convincing old state.
 type SnapshotFor struct {
 	LBA     uint64
 	Version uint64
+	Tag     [TagSize]byte
 	Nodes   map[int][32]byte
 }
 
@@ -122,7 +154,8 @@ type SnapshotFor struct {
 func (m *Meta) Snapshot(lba uint64) SnapshotFor {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := SnapshotFor{LBA: lba, Version: m.version(lba), Nodes: map[int][32]byte{}}
+	r := m.sector(lba)
+	s := SnapshotFor{LBA: lba, Version: r.version, Tag: r.tag, Nodes: map[int][32]byte{}}
 	for i := m.n + int(lba); i >= 1; i /= 2 {
 		s.Nodes[i] = m.node(i)
 		if i > 1 {
@@ -136,7 +169,7 @@ func (m *Meta) Snapshot(lba uint64) SnapshotFor {
 func (m *Meta) Restore(s SnapshotFor) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.setVersion(s.LBA, s.Version)
+	m.setSector(s.LBA, sectorRec{version: s.Version, tag: s.Tag})
 	for i, h := range s.Nodes {
 		m.setNode(i, h)
 	}
@@ -148,27 +181,30 @@ type CryptDisk struct {
 	mu    sync.Mutex
 	phys  blockdev.Disk
 	meta  *Meta
-	block cipher.Block
+	aead  cipher.AEAD
 	root  [32]byte
 	meter *platform.Meter
 	n     int
 	depth int // tree levels below the root: log2 n
 
-	// Scratch, all under mu, so that a sector costs no allocation. leaf
-	// is the keyed leaf hash, reset per sector; hdr and sum are its input
-	// trailer and output (fields, not locals: a hash.Hash call would move
-	// a local to the heap).
-	leaf hash.Hash
-	hdr  [16]byte
-	sum  [32]byte
-	// cur and ct hold a write's pre-read and new ciphertext spans; vers
-	// and sibs the version and the leaf-to-root siblings the pre-write
-	// check verified for each sector of the span — the only tree state
-	// the update may use (see WriteSectors).
+	// Scratch, all under mu, so that a sector costs no allocation. nonce
+	// is a field, not a local: an argument to an interface method would
+	// move a local to the heap.
+	nonce [12]byte
+	// cur holds the ciphertext span a call read off the platter, ct the
+	// span a write seals. cipher.AEAD wants a sector's tag appended to its
+	// ciphertext and Meta keeps it apart, so each span has TagSize spare
+	// bytes at its end and sector k's tag sits, while k is sealed or
+	// opened, on the first bytes of sector k+1's slot: sealing runs
+	// forward (slot k+1 is written next), opening backward (slot k+1 has
+	// been consumed).
 	cur, ct []byte
-	vers    []uint64
-	sibs    [][32]byte
-	path    [][32]byte // the nodes the previous sector's update computed, by level
+	// recs and sibs are the record and the leaf-to-root siblings the
+	// pre-write check verified for each sector of a write span — the only
+	// tree state the update may use (see WriteSectors).
+	recs []sectorRec
+	sibs [][32]byte
+	path [][32]byte // the nodes the previous sector's update computed, by level
 }
 
 // Format initializes a volume over phys covering n sectors (power of
@@ -176,6 +212,9 @@ type CryptDisk struct {
 func Format(phys blockdev.Disk, n int, key []byte, meter *platform.Meter) (*CryptDisk, *Meta, error) {
 	if uint64(n) > phys.Sectors() {
 		return nil, nil, fmt.Errorf("%w: %d sectors over %d-sector disk", ErrGeometry, n, phys.Sectors())
+	}
+	if uint64(n) > 1<<nonceLBABits {
+		return nil, nil, fmt.Errorf("%w: %d sectors do not fit the nonce's %d-bit sector number", ErrGeometry, n, nonceLBABits)
 	}
 	meta, err := NewMeta(n)
 	if err != nil {
@@ -186,16 +225,17 @@ func Format(phys blockdev.Disk, n int, key []byte, meter *platform.Meter) (*Cryp
 	if err != nil {
 		return nil, nil, err
 	}
-	macKey := sha256.Sum256(append([]byte("cryptdisk-mac:"), key...))
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, nil, err
+	}
 	depth := bits.Len(uint(n)) - 1
-	cd := &CryptDisk{phys: phys, meta: meta, block: block, leaf: hmac.New(sha256.New, macKey[:]),
-		meter: meter, n: n, depth: depth, path: make([][32]byte, depth)}
+	cd := &CryptDisk{phys: phys, meta: meta, aead: aead, meter: meter, n: n, depth: depth, path: make([][32]byte, depth)}
 
-	// Initialize leaves: every sector starts as all-zero ciphertext at
-	// version 0 (reading an unwritten sector yields verified zeros).
-	zeros := make([]byte, blockdev.SectorSize)
+	// Initialize leaves: every sector starts at version 0 with no tag
+	// (reading an unwritten sector yields verified zeros).
 	for i := 0; i < n; i++ {
-		meta.setNode(n+i, cd.leafHash(zeros, uint64(i), 0))
+		meta.setNode(n+i, leafHash(uint64(i), sectorRec{}))
 	}
 	for i := n - 1; i >= 1; i-- {
 		meta.setNode(i, nodeHash(meta.node(2*i), meta.node(2*i+1)))
@@ -221,41 +261,51 @@ func nodeHash(a, b [32]byte) [32]byte {
 	return sha256.Sum256(ab[:])
 }
 
-// leafHash authenticates one sector's ciphertext bound to its location
-// and version: HMAC-SHA256(ciphertext ‖ lba ‖ version). Caller holds
-// c.mu (the keyed state and its buffers are the volume's).
+// leafHash binds a sector's tag — which authenticates its ciphertext —
+// to its location and version: SHA-256(tag ‖ lba ‖ version), one block.
+func leafHash(lba uint64, r sectorRec) [32]byte {
+	var b [TagSize + 16]byte
+	copy(b[:], r.tag[:])
+	binary.BigEndian.PutUint64(b[TagSize:], lba)
+	binary.BigEndian.PutUint64(b[TagSize+8:], r.version)
+	return sha256.Sum256(b[:])
+}
+
+// nonceLocked is the GCM nonce of one write of one sector. Caller holds
+// c.mu.
 //
 //ciovet:locked
-func (c *CryptDisk) leafHash(ct []byte, lba, version uint64) [32]byte {
-	c.leaf.Reset()
-	c.leaf.Write(ct)
-	binary.BigEndian.PutUint64(c.hdr[0:], lba)
-	binary.BigEndian.PutUint64(c.hdr[8:], version)
-	c.leaf.Write(c.hdr[:])
-	c.leaf.Sum(c.sum[:0])
-	return c.sum
+func (c *CryptDisk) nonceLocked(lba, version uint64) []byte {
+	binary.BigEndian.PutUint32(c.nonce[0:], uint32(lba))
+	binary.BigEndian.PutUint64(c.nonce[4:], version)
+	return c.nonce[:]
 }
 
-// keystream encrypts/decrypts in place with the (lba, version) nonce.
-func (c *CryptDisk) keystream(data []byte, lba, version uint64) {
-	var iv [16]byte
-	binary.BigEndian.PutUint64(iv[0:], lba)
-	binary.BigEndian.PutUint64(iv[8:], version)
-	cipher.NewCTR(c.block, iv[:]).XORKeyStream(data, data)
-	c.meter.Crypto(len(data))
+// spansLocked sizes the scratch for an n-sector call. Caller holds c.mu.
+//
+//ciovet:locked
+func (c *CryptDisk) spansLocked(n int) {
+	if size := n*blockdev.SectorSize + TagSize; cap(c.cur) < size {
+		c.cur, c.ct = make([]byte, size), make([]byte, size)
+		c.recs, c.sibs = make([]sectorRec, n), make([][32]byte, n*c.depth)
+	}
 }
 
-// verifyPathLocked checks a leaf against the TEE root using the
-// (untrusted) sibling nodes, each fetched exactly once. A path that
+// verifyLocked authenticates sector lba, whose stored ciphertext is
+// sector k of c.cur, and decrypts it into dst. Its record and its
+// leaf-to-root siblings are fetched from the (untrusted) Meta exactly
+// once and checked against the TEE root; then the tag, now known to be
+// the one the TEE stored, opens the ciphertext under the nonce of that
+// location and version — a refusal releases no plaintext. A path that
 // verifies authenticates its siblings too — they hash, with the leaf, to
 // the root the TEE holds — so when keep is non-nil the fetched values
 // are saved there, leaf level first, for the update that follows.
 //
 //ciovet:locked
-func (c *CryptDisk) verifyPathLocked(lba uint64, leaf [32]byte, keep [][32]byte) error {
+func (c *CryptDisk) verifyLocked(lba uint64, k int, dst []byte, keep [][32]byte) (sectorRec, error) {
 	c.meta.mu.Lock()
-	defer c.meta.mu.Unlock()
-	h := leaf
+	rec := c.meta.sector(lba)
+	h := leafHash(lba, rec)
 	for l, i := 0, c.n+int(lba); i > 1; l, i = l+1, i/2 {
 		sib := c.meta.node(i ^ 1)
 		if keep != nil {
@@ -267,14 +317,28 @@ func (c *CryptDisk) verifyPathLocked(lba uint64, leaf [32]byte, keep [][32]byte)
 			h = nodeHash(sib, h)
 		}
 	}
+	c.meta.mu.Unlock()
 	if h != c.root {
-		return ErrIntegrity
+		return rec, ErrIntegrity
 	}
-	return nil
+	if rec.version == 0 {
+		// Never written: the verified marker decodes to zeros, whatever
+		// the platter holds. (A host forging version 0 for a written
+		// sector fails the path check above, since the tree's leaf is at
+		// version >= 1.)
+		clear(dst)
+		return rec, nil
+	}
+	sealed := c.cur[k*blockdev.SectorSize : (k+1)*blockdev.SectorSize+TagSize]
+	copy(sealed[blockdev.SectorSize:], rec.tag[:])
+	if _, err := c.aead.Open(dst[:0], c.nonceLocked(lba, rec.version), sealed, nil); err != nil {
+		return rec, ErrIntegrity
+	}
+	return rec, nil
 }
 
 // updatePathLocked installs sector k of a write span starting at lba —
-// its new leaf and version — and advances the root. Nothing is read back
+// its new record and leaf — and advances the root. Nothing is read back
 // from the host-tamperable Meta: every sibling is the value the pre-write
 // check verified (c.sibs), or, where an earlier sector of this span has
 // since changed that node, the value this call computed for it. Sectors
@@ -284,12 +348,13 @@ func (c *CryptDisk) verifyPathLocked(lba uint64, leaf [32]byte, keep [][32]byte)
 // neither (the snapshot stands).
 //
 //ciovet:locked
-func (c *CryptDisk) updatePathLocked(lba uint64, k int, version uint64, leaf [32]byte) {
+func (c *CryptDisk) updatePathLocked(lba uint64, k int) {
 	c.meta.mu.Lock()
 	defer c.meta.mu.Unlock()
-	c.meta.setVersion(lba+uint64(k), version)
+	at := lba + uint64(k)
+	c.meta.setSector(at, c.recs[k])
 	sibs := c.sibs[k*c.depth : (k+1)*c.depth]
-	h, i0 := leaf, c.n+int(lba)+k
+	h, i0 := leafHash(at, c.recs[k]), c.n+int(at)
 	for l, i := 0, i0; i > 1; l, i = l+1, i/2 {
 		if k > 0 {
 			switch prev := (i0 - 1) >> l; prev {
@@ -311,44 +376,12 @@ func (c *CryptDisk) updatePathLocked(lba uint64, k int, version uint64, leaf [32
 	c.root = h
 }
 
-// finishReadLocked verifies and decrypts one freshly read ciphertext
-// sector in place. Caller holds c.mu and has bounds-checked lba.
-//
-//ciovet:locked
-func (c *CryptDisk) finishReadLocked(lba uint64, buf []byte) error {
-	version := c.meta.Version(lba)
-	leaf := c.leafHash(buf, lba, version)
-	c.meter.Check(1)
-	if err := c.verifyPathLocked(lba, leaf, nil); err != nil {
-		return fmt.Errorf("%w: sector %d", err, lba)
-	}
-	if version == 0 {
-		// Never written: the verified all-zero marker decodes to zeros.
-		// (A host forging version=0 for a written sector fails the path
-		// check above, since the tree's leaf is at version >= 1.)
-		for i := range buf {
-			buf[i] = 0
-		}
-		return nil
-	}
-	c.keystream(buf, lba, version)
-	return nil
-}
-
 // ReadSector decrypts and verifies one sector.
 func (c *CryptDisk) ReadSector(lba uint64, buf []byte) error {
 	if len(buf) != blockdev.SectorSize {
 		return blockdev.ErrBadSize
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if lba >= uint64(c.n) {
-		return blockdev.ErrOutOfRange
-	}
-	if err := c.phys.ReadSector(lba, buf); err != nil {
-		return err
-	}
-	return c.finishReadLocked(lba, buf)
+	return c.ReadSectors(lba, buf)
 }
 
 // ReadSectors implements blockdev.BatchDisk: the physical I/O for the
@@ -360,21 +393,28 @@ func (c *CryptDisk) ReadSectors(lba uint64, p []byte) error {
 	if len(p)%blockdev.SectorSize != 0 {
 		return blockdev.ErrBadSize
 	}
-	n := uint64(len(p) / blockdev.SectorSize)
+	n := len(p) / blockdev.SectorSize
 	if n == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if lba >= uint64(c.n) || n > uint64(c.n)-lba {
+	if lba >= uint64(c.n) || uint64(n) > uint64(c.n)-lba {
 		return blockdev.ErrOutOfRange
 	}
-	if err := blockdev.ReadSectors(c.phys, lba, p); err != nil {
+	c.spansLocked(n)
+	if err := blockdev.ReadSectors(c.phys, lba, c.cur[:len(p)]); err != nil {
 		return err
 	}
-	for i := uint64(0); i < n; i++ {
-		if err := c.finishReadLocked(lba+i, p[i*blockdev.SectorSize:(i+1)*blockdev.SectorSize]); err != nil {
-			return err
+	for k := n - 1; k >= 0; k-- {
+		at := lba + uint64(k)
+		c.meter.Check(1)
+		rec, err := c.verifyLocked(at, k, p[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], nil)
+		if err != nil {
+			return fmt.Errorf("%w: sector %d", err, at)
+		}
+		if rec.version != 0 {
+			c.meter.Crypto(blockdev.SectorSize)
 		}
 	}
 	return nil
@@ -389,17 +429,19 @@ func (c *CryptDisk) WriteSector(lba uint64, data []byte) error {
 }
 
 // WriteSectors implements blockdev.BatchDisk: one batched pre-read of
-// the current ciphertext span, per-sector path verification of ALL
-// sectors before any is replaced (a host that tampered with siblings
-// must not trick us into laundering its tree, and a mid-span integrity
-// failure must not leave a half-written batch), then one batched write
-// of the new ciphertext.
+// the current ciphertext span, per-sector verification of ALL sectors
+// before any is replaced (a host that tampered with siblings must not
+// trick us into laundering its tree, and a mid-span integrity failure
+// must not leave a half-written batch), then one batched write of the
+// new ciphertext.
 //
 // The host can rewrite Meta at any moment, including while the physical
-// write crosses the ring, so each sector's version and siblings are
+// write crosses the ring, so each sector's record and siblings are
 // fetched once — by the pre-write check, which authenticates them
 // against the root — and everything after (the nonce, the new leaf, the
-// new root) is computed from that snapshot, never from a second read.
+// new root) is computed from that snapshot, never from a second read. A
+// version the host could rewind would be a nonce the host could repeat;
+// for the same reason a failed physical write still advances the tree.
 func (c *CryptDisk) WriteSectors(lba uint64, data []byte) error {
 	if len(data)%blockdev.SectorSize != 0 {
 		return blockdev.ErrBadSize
@@ -413,33 +455,35 @@ func (c *CryptDisk) WriteSectors(lba uint64, data []byte) error {
 	if lba >= uint64(c.n) || uint64(n) > uint64(c.n)-lba {
 		return blockdev.ErrOutOfRange
 	}
-	if cap(c.cur) < len(data) {
-		c.cur, c.ct = make([]byte, len(data)), make([]byte, len(data))
-		c.vers, c.sibs = make([]uint64, n), make([][32]byte, n*c.depth)
-	}
-	cur, ct := c.cur[:len(data)], c.ct[:len(data)]
-	if err := blockdev.ReadSectors(c.phys, lba, cur); err != nil {
+	c.spansLocked(n)
+	if err := blockdev.ReadSectors(c.phys, lba, c.cur[:len(data)]); err != nil {
 		return err
 	}
-	for k := 0; k < n; k++ {
-		at := lba + uint64(k)
-		c.vers[k] = c.meta.Version(at)
-		leaf := c.leafHash(cur[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], at, c.vers[k])
-		if err := c.verifyPathLocked(at, leaf, c.sibs[k*c.depth:(k+1)*c.depth]); err != nil {
+	for k := n - 1; k >= 0; k-- {
+		at, slot := lba+uint64(k), c.cur[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize]
+		rec, err := c.verifyLocked(at, k, slot, c.sibs[k*c.depth:(k+1)*c.depth])
+		if err != nil {
 			return fmt.Errorf("%w: pre-write check, sector %d", err, at)
 		}
+		c.recs[k] = rec
 	}
 
-	copy(ct, data)
 	for k := 0; k < n; k++ {
-		c.keystream(ct[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], lba+uint64(k), c.vers[k]+1)
+		rec := &c.recs[k]
+		rec.version++
+		sealed := c.aead.Seal(c.ct[k*blockdev.SectorSize:k*blockdev.SectorSize], c.nonceLocked(lba+uint64(k), rec.version),
+			data[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], nil)
+		copy(rec.tag[:], sealed[blockdev.SectorSize:])
+		c.meter.Crypto(blockdev.SectorSize)
 	}
-	if err := blockdev.WriteSectors(c.phys, lba, ct); err != nil {
-		return err
-	}
+	// Sealing spent the versions: the host has been handed ciphertext
+	// under those nonces whether or not it reports the write done, so the
+	// tree advances either way and a retry seals under fresh ones. Where
+	// the platter kept its old ciphertext the sector now fails its tag —
+	// what a host that drops a write and reports success gets already.
+	err := blockdev.WriteSectors(c.phys, lba, c.ct[:len(data)])
 	for k := 0; k < n; k++ {
-		at, version := lba+uint64(k), c.vers[k]+1
-		c.updatePathLocked(lba, k, version, c.leafHash(ct[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize], at, version))
+		c.updatePathLocked(lba, k)
 	}
-	return nil
+	return err
 }

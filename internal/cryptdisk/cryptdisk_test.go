@@ -38,7 +38,17 @@ func TestFormatValidation(t *testing.T) {
 	if _, _, err := Format(phys, 6, key, nil); !errors.Is(err, ErrGeometry) {
 		t.Fatal("non-power-of-two accepted")
 	}
+	// A sector number must fit its 32 bits of the nonce: two sectors that
+	// share them would share nonces. Refused before anything is sized by n.
+	if _, _, err := Format(hugeDisk{}, 1<<33, key, nil); !errors.Is(err, ErrGeometry) {
+		t.Fatalf("volume with sector numbers wider than the nonce field accepted: %v", err)
+	}
 }
+
+// hugeDisk claims 2^33 sectors and holds none.
+type hugeDisk struct{ blockdev.Disk }
+
+func (hugeDisk) Sectors() uint64 { return 1 << 33 }
 
 func TestReadUnwrittenIsVerifiedZeros(t *testing.T) {
 	cd, _, _ := volume(t, 8)

@@ -2,7 +2,8 @@ package cryptdisk
 
 import (
 	"bytes"
-	"crypto/hmac"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -12,24 +13,33 @@ import (
 	"confio/internal/blockdev"
 )
 
-// Tests for the allocation-free hashing and the single-snapshot Merkle
-// update: the on-disk format is pinned against the implementation this
-// one replaced, the update may use no tree state but what the pre-write
-// check verified, and the per-sector allocation budget is a test.
+// Tests for the on-disk format and the single-snapshot Merkle update: the
+// format is pinned against an independent reference, the update may use
+// no tree state but what the pre-write check verified, and the per-sector
+// allocation budget — nothing — is a test.
 
-// refLeafHash and refNodeHash are the leaf and node functions as they
-// were before the hashing stopped allocating, kept as the reference the
-// format is compared against.
-func refLeafHash(macKey, ct []byte, lba, version uint64) [32]byte {
-	m := hmac.New(sha256.New, macKey)
-	m.Write(ct)
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[0:], lba)
-	binary.BigEndian.PutUint64(hdr[8:], version)
-	m.Write(hdr[:])
-	var out [32]byte
-	copy(out[:], m.Sum(nil))
-	return out
+// refAEAD is the sector cipher built a second time, from the volume key,
+// by the test: the reference below seals with it, never with the
+// volume's own instance.
+func refAEAD(t *testing.T) cipher.AEAD {
+	t.Helper()
+	k := sha256.Sum256(append([]byte("cryptdisk-enc:"), key...))
+	block, err := aes.NewCipher(k[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aead
+}
+
+func refLeafHash(tag []byte, lba, version uint64) [32]byte {
+	b := append([]byte{}, tag...)
+	b = binary.BigEndian.AppendUint64(b, lba)
+	b = binary.BigEndian.AppendUint64(b, version)
+	return sha256.Sum256(b)
 }
 
 func refNodeHash(a, b [32]byte) [32]byte {
@@ -37,17 +47,35 @@ func refNodeHash(a, b [32]byte) [32]byte {
 }
 
 // refTree builds the whole node table of an n-sector volume from the
-// platter and the versions with the reference functions.
-func refTree(t *testing.T, phys blockdev.Disk, meta *Meta, n int) [][32]byte {
+// versions and a shadow of the plaintext: each written sector is sealed
+// again by the reference cipher under lba ‖ version, the result must be
+// the ciphertext on the platter and the tag in Meta, and the leaf is
+// hashed from that recomputed tag.
+func refTree(t *testing.T, phys blockdev.Disk, meta *Meta, shadow []byte, n int) [][32]byte {
 	t.Helper()
-	macKey := sha256.Sum256(append([]byte("cryptdisk-mac:"), key...))
+	aead := refAEAD(t)
 	nodes := make([][32]byte, 2*n)
 	ct := make([]byte, blockdev.SectorSize)
 	for i := 0; i < n; i++ {
-		if err := phys.ReadSector(uint64(i), ct); err != nil {
-			t.Fatal(err)
+		meta.mu.Lock()
+		rec := meta.sector(uint64(i))
+		meta.mu.Unlock()
+		tag := make([]byte, TagSize)
+		if rec.version != 0 {
+			nonce := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, uint32(i)), rec.version)
+			sealed := aead.Seal(nil, nonce, shadow[i*blockdev.SectorSize:(i+1)*blockdev.SectorSize], nil)
+			if err := phys.ReadSector(uint64(i), ct); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ct, sealed[:blockdev.SectorSize]) {
+				t.Fatalf("sector %d version %d: platter does not hold the reference ciphertext", i, rec.version)
+			}
+			tag = sealed[blockdev.SectorSize:]
 		}
-		nodes[n+i] = refLeafHash(macKey[:], ct, uint64(i), meta.Version(uint64(i)))
+		if !bytes.Equal(rec.tag[:], tag) {
+			t.Fatalf("sector %d version %d: Meta holds tag %x, the reference seals to %x", i, rec.version, rec.tag, tag)
+		}
+		nodes[n+i] = refLeafHash(tag, uint64(i), rec.version)
 	}
 	for i := n - 1; i >= 1; i-- {
 		nodes[i] = refNodeHash(nodes[2*i], nodes[2*i+1])
@@ -57,9 +85,9 @@ func refTree(t *testing.T, phys blockdev.Disk, meta *Meta, n int) [][32]byte {
 
 // checkAgainstRef compares the volume's root and every stored node with
 // a tree rebuilt from scratch by the reference functions.
-func checkAgainstRef(t *testing.T, cd *CryptDisk, meta *Meta, phys blockdev.Disk, n int, when string) {
+func checkAgainstRef(t *testing.T, cd *CryptDisk, meta *Meta, phys blockdev.Disk, shadow []byte, n int, when string) {
 	t.Helper()
-	ref := refTree(t, phys, meta, n)
+	ref := refTree(t, phys, meta, shadow, n)
 	if cd.Root() != ref[1] {
 		t.Fatalf("%s: root %x, reference tree says %x", when, cd.Root(), ref[1])
 	}
@@ -84,12 +112,17 @@ func unhex(t *testing.T, s string) (out [32]byte) {
 }
 
 // TestHashKnownAnswers pins leafHash, nodeHash, the Format root of an
-// 8-sector volume and the root after a single and a two-sector write to
-// the values the previous implementation produced: the on-disk format
-// does not move.
+// 8-sector volume and the root after a single and a two-sector write.
+// The values were recorded once from the reference above (refLeafHash,
+// and refTree over the same three writes): the on-disk format moves only
+// when someone re-records them.
 func TestHashKnownAnswers(t *testing.T) {
 	cd, _, _ := volume(t, 8)
-	if got, want := cd.leafHash(sector(0x42), 5, 3), unhex(t, "5528a29689e1e8f0f0bce31539e95d6e23d59484b427e7cd88248f07c363eab2"); got != want {
+	rec := sectorRec{version: 3}
+	for i := range rec.tag {
+		rec.tag[i] = byte(0x42 + i)
+	}
+	if got, want := leafHash(5, rec), unhex(t, "90149534d9e48bbc3eab690c335d5956bac589e5eeccb2539ca0a30e2ccbff04"); got != want {
 		t.Errorf("leafHash = %x, want %x", got, want)
 	}
 	var a, b [32]byte
@@ -99,7 +132,7 @@ func TestHashKnownAnswers(t *testing.T) {
 	if got, want := nodeHash(a, b), unhex(t, "0da0b9c7ece01d15225e3545c55b3e98ab8a6e94424ddbcdb71534b708d2c597"); got != want {
 		t.Errorf("nodeHash = %x, want %x", got, want)
 	}
-	if got, want := cd.Root(), unhex(t, "8d8c829e46f7a7f6c3f5bb35b110ec4b07e815846732ed277ab7cd8e1e802319"); got != want {
+	if got, want := cd.Root(), unhex(t, "7232618db2ae125cb674fe87acc82feaf6f0f14e81d1ad5d9f5cea0396a4b35e"); got != want {
 		t.Errorf("Format root = %x, want %x", got, want)
 	}
 	if err := cd.WriteSector(2, sector(7)); err != nil {
@@ -108,22 +141,23 @@ func TestHashKnownAnswers(t *testing.T) {
 	if err := cd.WriteSectors(4, append(sector(1), sector(2)...)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cd.Root(), unhex(t, "ab49a977c7fc132cc26eaa14d0b4689d5903319c8b0e2fae9db593155fddb985"); got != want {
+	if got, want := cd.Root(), unhex(t, "9dfd6f818077c51147e4e555c56e750da73575c2238e94c2c26469c24005bdbd"); got != want {
 		t.Errorf("root after two writes = %x, want %x", got, want)
 	}
 }
 
 // TestFormatMatchesReference: a freshly formatted volume, and the same
 // volume after single-sector writes and after spans whose sectors are
-// each other's siblings at every level, stores exactly the tree the
-// reference functions build from the platter — so a volume written by
-// the previous implementation verifies under this one, node for node,
-// and the span update's overlay of recomputed siblings is right.
+// each other's siblings at every level, stores exactly the ciphertext,
+// tags and tree the reference builds from the plaintext and the versions
+// with its own cipher — so the format is what the package comment says it
+// is, node for node, and the span update's overlay of recomputed
+// siblings is right.
 func TestFormatMatchesReference(t *testing.T) {
 	const n = 16
 	cd, meta, phys := volume(t, n)
-	checkAgainstRef(t, cd, meta, phys, n, "after Format")
 	shadow := make([]byte, n*blockdev.SectorSize)
+	checkAgainstRef(t, cd, meta, phys, shadow, n, "after Format")
 	write := func(lba, count int, seed byte) {
 		t.Helper()
 		p := shadow[lba*blockdev.SectorSize : (lba+count)*blockdev.SectorSize]
@@ -135,10 +169,10 @@ func TestFormatMatchesReference(t *testing.T) {
 		}
 	}
 	write(5, 1, 1)
-	checkAgainstRef(t, cd, meta, phys, n, "after one sector")
+	checkAgainstRef(t, cd, meta, phys, shadow, n, "after one sector")
 	for _, span := range [][2]int{{0, 2}, {3, 2}, {1, 6}, {7, 9}, {0, 16}, {6, 5}} {
 		write(span[0], span[1], byte(span[0]*16+span[1]))
-		checkAgainstRef(t, cd, meta, phys, n, "after a span")
+		checkAgainstRef(t, cd, meta, phys, shadow, n, "after a span")
 	}
 	got := make([]byte, len(shadow))
 	if err := cd.ReadSectors(0, got); err != nil {
@@ -176,7 +210,7 @@ func rollbackDuringWrite(t *testing.T, victim uint64, lba uint64, sectors int) {
 	if err := cd.WriteSector(victim, b); err != nil {
 		t.Fatal(err)
 	}
-	newVersion, newCT := meta.Version(victim), make([]byte, blockdev.SectorSize)
+	current, newCT := meta.Snapshot(victim), make([]byte, blockdev.SectorSize)
 	if err := phys.ReadSector(victim, newCT); err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +243,15 @@ func rollbackDuringWrite(t *testing.T, victim uint64, lba uint64, sectors int) {
 	// The root the TEE now holds is the honest one — the tree over what
 	// the guest wrote and the victim's current state — whatever the host
 	// left in Meta.
-	meta.TamperVersion(victim, newVersion)
+	meta.TamperVersion(victim, current.Version)
+	meta.TamperTag(victim, current.Tag)
 	if err := phys.WriteSector(victim, newCT); err != nil {
 		t.Fatal(err)
 	}
-	if ref := refTree(t, phys, meta, n); cd.Root() != ref[1] {
+	shadow := make([]byte, n*blockdev.SectorSize)
+	copy(shadow[victim*blockdev.SectorSize:], b)
+	copy(shadow[lba*blockdev.SectorSize:], p)
+	if ref := refTree(t, phys, meta, shadow, n); cd.Root() != ref[1] {
 		t.Fatalf("root after the attacked write is %x, the honest tree's is %x", cd.Root(), ref[1])
 	}
 }
@@ -233,34 +271,249 @@ func TestSiblingSwapDuringSpanWrite(t *testing.T) {
 }
 
 // TestVersionFetchedOnce: a host that rewinds the written sector's own
-// version inside the same window must not choose the nonce or the leaf
-// version — both come from the value the pre-write check verified, so
-// the sector never reuses a keystream and reads back under the version
-// the TEE computed.
+// version — or swaps its tag — inside the same window must not choose
+// the nonce or the leaf: both come from the record the pre-write check
+// verified. A GCM nonce used twice forfeits the volume's authenticity, so
+// the same plaintext is written three times and the host makes its move
+// inside the second write: an update that stored a version it fetched
+// again would have the third write seal under the second one's nonce and
+// put the same ciphertext on the platter.
 func TestVersionFetchedOnce(t *testing.T) {
-	const n = 8
-	phys := blockdev.NewMemDisk(n)
-	hd := &blockdev.RacingDisk{Disk: phys}
-	cd, meta, err := Format(hd, n, key, nil)
-	if err != nil {
-		t.Fatal(err)
+	const n, lba = 8, 4
+	moves := map[string]func(meta *Meta, old uint64){
+		"version rewound to zero": func(meta *Meta, old uint64) { meta.TamperVersion(lba, 0) },
+		"version rewound by one":  func(meta *Meta, old uint64) { meta.TamperVersion(lba, old-1) },
+		"tag swapped":             func(meta *Meta, old uint64) { meta.TamperTag(lba, [TagSize]byte{0xEE}) },
 	}
-	for _, seed := range []byte{1, 2, 3} {
-		if err := cd.WriteSector(4, sector(seed)); err != nil {
+	for name, move := range moves {
+		phys := blockdev.NewMemDisk(n)
+		hd := &blockdev.RacingDisk{Disk: phys}
+		cd, meta, err := Format(hd, n, key, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, seed := range []byte{1, 2, 3} {
+			if err := cd.WriteSector(lba, sector(seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, got := sector(9), make([]byte, blockdev.SectorSize)
+		var seen [3][]byte // the platter after each write of the same plaintext
+		for i := range seen {
+			old := meta.Version(lba)
+			if i == 1 {
+				hd.OnWrite = func() { move(meta, old) }
+			}
+			if err := cd.WriteSector(lba, want); err != nil {
+				t.Fatalf("%s: write %d: %v", name, i, err)
+			}
+			if hd.OnWrite != nil {
+				t.Fatalf("%s: the host never saw the physical write", name)
+			}
+			if v := meta.Version(lba); v != old+1 {
+				t.Fatalf("%s: write %d stored version %d, want %d: the host's move chose the version", name, i, v, old+1)
+			}
+			seen[i] = make([]byte, blockdev.SectorSize)
+			if err := phys.ReadSector(lba, seen[i]); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < i; j++ {
+				if bytes.Equal(seen[i], seen[j]) {
+					t.Fatalf("%s: writes %d and %d sealed one plaintext to one ciphertext: the nonce was reused", name, j, i)
+				}
+			}
+			if err := cd.ReadSector(lba, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: read after write %d: %v", name, i, err)
+			}
+		}
 	}
-	hd.OnWrite = func() { meta.TamperVersion(4, 0) }
-	want := sector(9)
-	if err := cd.WriteSector(4, want); err != nil {
+}
+
+// refusingDisk fails the next write it is handed: it keeps the ciphertext
+// (the host has seen it) and, when drop is set, does not store it.
+type refusingDisk struct {
+	blockdev.Disk
+	armed, drop bool
+	handed      []byte
+}
+
+func (d *refusingDisk) WriteSector(lba uint64, data []byte) error {
+	if !d.armed {
+		return d.Disk.WriteSector(lba, data)
+	}
+	d.armed, d.handed = false, append([]byte{}, data...)
+	if !d.drop {
+		if err := d.Disk.WriteSector(lba, data); err != nil {
+			return err
+		}
+	}
+	return errors.New("host: write failed")
+}
+
+// TestFailedWriteSpendsItsVersion: the host fails a write after it has
+// been handed the ciphertext. The nonce it was sealed under is gone: the
+// version advances anyway, and a retry of the same plaintext reaches the
+// platter as a different ciphertext. A platter that dropped the write is
+// a sector that fails its tag — refused, never served stale.
+func TestFailedWriteSpendsItsVersion(t *testing.T) {
+	const n, lba = 8, 3
+	for _, drop := range []bool{false, true} {
+		phys := blockdev.NewMemDisk(n)
+		hd := &refusingDisk{Disk: phys, drop: drop}
+		cd, meta, err := Format(hd, n, key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cd.WriteSector(lba, sector(1)); err != nil {
+			t.Fatal(err)
+		}
+		old, want := meta.Version(lba), sector(2)
+		hd.armed = true
+		if err := cd.WriteSector(lba, want); err == nil || errors.Is(err, ErrIntegrity) {
+			t.Fatalf("drop=%v: failed write returned %v, want the host's error", drop, err)
+		}
+		if v := meta.Version(lba); v != old+1 {
+			t.Fatalf("drop=%v: version %d after a failed write, want %d: its nonce can be sealed under again", drop, v, old+1)
+		}
+		got := make([]byte, blockdev.SectorSize)
+		err = cd.ReadSector(lba, got)
+		if drop {
+			if !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("read of a sector whose write the host dropped: %v, want ErrIntegrity", err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read of a sector whose write the host took: %v", err)
+		}
+		if err := cd.WriteSector(lba, want); err != nil {
+			t.Fatalf("retry: %v", err)
+		}
+		if err := phys.ReadSector(lba, got); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, hd.handed) {
+			t.Fatal("the retry sealed the same plaintext to the ciphertext of the failed write: the nonce was reused")
+		}
+	}
+}
+
+// TestTagTamperDetected: the tag is host-held like the version, and like
+// the version it is under the root.
+func TestTagTamperDetected(t *testing.T) {
+	cd, meta, _ := volume(t, 8)
+	if err := cd.WriteSector(1, sector(3)); err != nil {
 		t.Fatal(err)
 	}
-	if v := meta.Version(4); v != 4 {
-		t.Fatalf("sector written at version %d, want 4: the host's rewind chose the version", v)
+	tag := meta.Snapshot(1).Tag
+	tag[0] ^= 1
+	meta.TamperTag(1, tag)
+	buf := make([]byte, blockdev.SectorSize)
+	if err := cd.ReadSector(1, buf); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("tag tamper not detected on read: %v", err)
 	}
+	if err := cd.WriteSector(1, sector(4)); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("tag tamper not detected by the pre-write check: %v", err)
+	}
+}
+
+// TestSectorTransplantDetected: the host copies sector a's ciphertext,
+// tag and version onto sector b and recomputes b's leaf and every
+// ancestor, so Meta is a consistent tree over the transplant. The root
+// the TEE holds refuses it; and were the root not there to refuse it,
+// the ciphertext still would not open at b, because the nonce it was
+// sealed under names a.
+func TestSectorTransplantDetected(t *testing.T) {
+	const n, a, b = 8, 2, 5
+	cd, meta, phys := volume(t, n)
+	secret := sector(0x51)
+	if err := cd.WriteSector(a, secret); err != nil {
+		t.Fatal(err)
+	}
+	if err := cd.WriteSector(b, sector(0x52)); err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]byte, blockdev.SectorSize)
+	if err := phys.ReadSector(a, ct); err != nil {
+		t.Fatal(err)
+	}
+	if err := phys.WriteSector(b, ct); err != nil {
+		t.Fatal(err)
+	}
+	from := meta.Snapshot(a)
+	meta.TamperVersion(b, from.Version)
+	meta.TamperTag(b, from.Tag)
+	h := leafHash(b, sectorRec{version: from.Version, tag: from.Tag})
+	for i := n + b; i > 1; i /= 2 {
+		meta.TamperNode(i, h)
+		meta.mu.Lock()
+		sib := meta.node(i ^ 1)
+		meta.mu.Unlock()
+		if i%2 == 0 {
+			h = nodeHash(h, sib)
+		} else {
+			h = nodeHash(sib, h)
+		}
+	}
+	meta.TamperNode(1, h)
+
 	got := make([]byte, blockdev.SectorSize)
-	if err := cd.ReadSector(4, got); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("read after the rewound write: %v", err)
+	if err := cd.ReadSector(b, got); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("transplanted sector: %v, want ErrIntegrity", err)
+	}
+	if err := cd.WriteSector(b, sector(0x53)); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("write over a transplanted sector: %v, want ErrIntegrity", err)
+	}
+	cd.root = h // what no host can do: the TEE adopts the host's tree
+	if err := cd.ReadSector(b, got); !errors.Is(err, ErrIntegrity) || bytes.Contains(got, secret[:64]) {
+		t.Fatalf("transplanted sector under the host's own root: %v, want ErrIntegrity and no plaintext", err)
+	}
+	if err := cd.ReadSector(a, got); err != nil || !bytes.Equal(got, secret) {
+		t.Fatalf("the sector that was copied from: %v", err)
+	}
+}
+
+// TestRefusedSectorReleasesNoPlaintext: one flipped ciphertext bit flips
+// one plaintext bit under a counter mode, so a read that decrypted first
+// and refused afterwards would leave the rest of the sector in the
+// caller's buffer. After a refusal the buffer holds none of it.
+func TestRefusedSectorReleasesNoPlaintext(t *testing.T) {
+	cd, _, phys := volume(t, 8)
+	want := sector(3)
+	if err := cd.WriteSectors(1, append(append([]byte{}, want...), want...)); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, blockdev.SectorSize)
+	if err := phys.ReadSector(2, raw); err != nil {
+		t.Fatal(err)
+	}
+	raw[100] ^= 1
+	if err := phys.WriteSector(2, raw); err != nil {
+		t.Fatal(err)
+	}
+	released := func(buf []byte) bool {
+		for off := 0; off+16 <= len(want); off += 16 {
+			if bytes.Contains(buf, want[off:off+16]) {
+				return true
+			}
+		}
+		return false
+	}
+	buf := bytes.Repeat([]byte{0x5A}, blockdev.SectorSize)
+	if err := cd.ReadSector(2, buf); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("corruption not detected: %v", err)
+	}
+	if released(buf) {
+		t.Fatal("a refused read left plaintext of the sector in the caller's buffer")
+	}
+	// In a span, the refused sector's slot stays clean whatever its
+	// neighbours held.
+	span := bytes.Repeat([]byte{0x5A}, 2*blockdev.SectorSize)
+	if err := cd.ReadSectors(1, span); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("corruption in a span not detected: %v", err)
+	}
+	if released(span[blockdev.SectorSize:]) {
+		t.Fatal("a refused span read left the refused sector's plaintext in the caller's buffer")
 	}
 }
 
@@ -280,9 +533,8 @@ func (d flatDisk) WriteSector(lba uint64, data []byte) error {
 	return nil
 }
 
-// TestSectorAllocBudget: what is left per sector is cipher.NewCTR's
-// stream state and its IV copy; hashing, the Merkle walk and the write
-// scratch allocate nothing.
+// TestSectorAllocBudget: nothing. The AEAD, the hashing, the Merkle walk
+// and the scratch spans allocate nothing per sector.
 func TestSectorAllocBudget(t *testing.T) {
 	const n = 1024
 	for name, phys := range map[string]blockdev.Disk{"flat": flatDisk(make([]byte, n*blockdev.SectorSize)), "MemDisk": blockdev.NewMemDisk(n)} {
@@ -303,11 +555,11 @@ func TestSectorAllocBudget(t *testing.T) {
 		for i := 0; i < n; i++ { // every sector written once: MemDisk holds its platter
 			step(cd.WriteSector)()
 		}
-		if got := testing.AllocsPerRun(200, step(cd.WriteSector)); got > 4 {
-			t.Errorf("%s: WriteSector allocates %.0f times, budget 4", name, got)
+		if got := testing.AllocsPerRun(200, step(cd.WriteSector)); got != 0 {
+			t.Errorf("%s: WriteSector allocates %.0f times, budget 0", name, got)
 		}
-		if got := testing.AllocsPerRun(200, step(cd.ReadSector)); got > 2 {
-			t.Errorf("%s: ReadSector allocates %.0f times, budget 2", name, got)
+		if got := testing.AllocsPerRun(200, step(cd.ReadSector)); got != 0 {
+			t.Errorf("%s: ReadSector allocates %.0f times, budget 0", name, got)
 		}
 	}
 }

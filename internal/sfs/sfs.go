@@ -262,7 +262,7 @@ func (fs *FS) Write(name string, off int64, p []byte) error {
 	if off < 0 || off+int64(len(p)) > int64(e.capSc)*blockdev.SectorSize {
 		return fmt.Errorf("%w: write [%d,%d) cap %d", ErrBounds, off, off+int64(len(p)), int64(e.capSc)*blockdev.SectorSize)
 	}
-	buf := make([]byte, blockdev.SectorSize)
+	buf := fs.scratch // the unaligned bounce; flushEntry reuses it only after the loop
 	for len(p) > 0 {
 		sc := e.start + uint64(off/blockdev.SectorSize)
 		inOff := int(off % blockdev.SectorSize)
@@ -316,7 +316,7 @@ func (fs *FS) Read(name string, off int64, p []byte) (int, error) {
 		p = p[:rem]
 	}
 	total := 0
-	buf := make([]byte, blockdev.SectorSize)
+	buf := fs.scratch // the unaligned bounce
 	for len(p) > 0 {
 		sc := e.start + uint64(off/blockdev.SectorSize)
 		inOff := int(off % blockdev.SectorSize)

@@ -272,3 +272,51 @@ func TestRandomOpsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestReadWriteAllocNothing: a read or a write inside a file's size
+// allocates nothing — sector-aligned (straight through to the disk), or
+// unaligned and crossing a sector boundary (through the mount's one
+// bounce sector) — raw and over cryptdisk. (A MemDisk allocates a sector
+// on its first write only, and Create has written the whole file.)
+func TestReadWriteAllocNothing(t *testing.T) {
+	const sectors = 64
+	cd, _, err := cryptdisk.Format(blockdev.NewMemDisk(sectors), sectors, []byte("alloc-nothing"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]blockdev.Disk{"raw": blockdev.NewMemDisk(sectors), "cryptdisk": cd} {
+		if err := Mkfs(d, 16); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := Mount(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const size = 16 * blockdev.SectorSize
+		if err := fs.Create("f", size); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Write("f", 0, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		aligned, odd := make([]byte, blockdev.SectorSize), make([]byte, 3000)
+		i := 0
+		ops := map[string]func() error{
+			"aligned write":   func() error { return fs.Write("f", int64(i%16)*blockdev.SectorSize, aligned) },
+			"aligned read":    func() error { _, err := fs.Read("f", int64(i%16)*blockdev.SectorSize, aligned); return err },
+			"unaligned write": func() error { return fs.Write("f", int64(i%13)*blockdev.SectorSize+2500, odd) },
+			"unaligned read":  func() error { _, err := fs.Read("f", int64(i%13)*blockdev.SectorSize+2500, odd); return err },
+		}
+		for op, f := range ops {
+			got := testing.AllocsPerRun(100, func() {
+				i++
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 0 {
+				t.Errorf("%s, %s: %.0f allocations per op, want 0", name, op, got)
+			}
+		}
+	}
+}

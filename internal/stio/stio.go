@@ -62,10 +62,10 @@ type FileOps interface {
 	Delete(name string) error
 }
 
-// Storage TCB components (see tcb catalog for the networking ones).
+// Storage TCB components that are not packages of this repository (the
+// filesystem, the data-at-rest layer and the ring are, and are weighed in
+// the tcb catalog).
 var (
-	compSFS    = tcb.Component{Name: "sfs", LoC: 280, Role: "filesystem"}
-	compCrypt  = tcb.Component{Name: "cryptdisk", LoC: 220, Role: "at-rest encryption + merkle"}
 	compSeal   = tcb.Component{Name: "record-seal", LoC: 90, Role: "app-level record AEAD"}
 	compFShim  = tcb.Component{Name: "hostfile-shim", LoC: 100, Role: "file-op proxy"}
 	compAppOnl = []tcb.Component{tcb.CompApp}
@@ -79,13 +79,13 @@ func TCBOf(id DesignID) (core, teeTotal tcb.Profile) {
 		return p, p
 	case BlockRing:
 		p := tcb.Profile{Name: string(id), Components: append(append([]tcb.Component{}, compAppOnl...),
-			compSFS, compCrypt, tcb.CompBlkring)}
+			tcb.CompSFS, tcb.CompCryptdisk, tcb.CompBlkring)}
 		return p, p
 	case DualStorage:
 		core := tcb.Profile{Name: string(id) + "-core", Components: append(append([]tcb.Component{}, compAppOnl...),
 			compSeal, tcb.CompGate)}
 		total := tcb.Profile{Name: string(id) + "-tee", Components: append(append([]tcb.Component{}, core.Components...),
-			compSFS, compCrypt, tcb.CompBlkring)}
+			tcb.CompSFS, tcb.CompCryptdisk, tcb.CompBlkring)}
 		return core, total
 	default:
 		return tcb.Profile{}, tcb.Profile{}

@@ -33,19 +33,21 @@ type Component struct {
 // tests excluded). Regenerate with Measure; TestCatalogFresh fails when
 // one drifts more than 5 % from the tree.
 var (
-	CompEther    = Component{"ether", 45, "Ethernet framing"}
-	CompARP      = Component{"arp", 91, "ARP + neighbour cache"}
-	CompIPv4     = Component{"ipv4", 253, "IPv4 + frag/reasm"}
-	CompUDP      = Component{"udp", 52, "UDP"}
-	CompTCP      = Component{"tcp", 1187, "TCP state machine"}
-	CompNetstack = Component{"netstack", 582, "stack glue + sockets"}
-	CompSafering = Component{"safering", 1605, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
-	CompVirtio   = Component{"virtio", 655, "virtio-net driver"}
-	CompNetvsc   = Component{"netvsc", 421, "netvsc driver"}
-	CompCTLS     = Component{"ctls", 307, "secure channel (TLS role)"}
-	CompGate     = Component{"compartment", 136, "intra-TEE gate"}
-	CompTDISP    = Component{"tdisp", 344, "TEE-side TDISP/IDE driver"}
-	CompBlkring  = Component{"blkring", 570, "safe block ring on the generic engine"}
+	CompEther     = Component{"ether", 45, "Ethernet framing"}
+	CompARP       = Component{"arp", 91, "ARP + neighbour cache"}
+	CompIPv4      = Component{"ipv4", 253, "IPv4 + frag/reasm"}
+	CompUDP       = Component{"udp", 52, "UDP"}
+	CompTCP       = Component{"tcp", 1187, "TCP state machine"}
+	CompNetstack  = Component{"netstack", 582, "stack glue + sockets"}
+	CompSafering  = Component{"safering", 1605, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
+	CompNetvsc    = Component{"netvsc", 421, "netvsc driver"}
+	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
+	CompGate      = Component{"compartment", 136, "intra-TEE gate"}
+	CompTDISP     = Component{"tdisp", 344, "TEE-side TDISP/IDE driver"}
+	CompBlkring   = Component{"blkring", 570, "safe block ring on the generic engine"}
+	CompCryptdisk = Component{"cryptdisk", 312, "at-rest AEAD sectors + Merkle freshness"}
+	CompSFS       = Component{"sfs", 325, "extent filesystem"}
 	// CompNIC is the transport-neutral NIC contract and the host pump.
 	// The pump runs in the host's device model, so no TEE profile counts
 	// it; it is catalogued because the datapath's size claims

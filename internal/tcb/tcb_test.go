@@ -47,7 +47,7 @@ func TestCatalogFresh(t *testing.T) {
 	for _, comp := range []Component{
 		CompEther, CompARP, CompIPv4, CompUDP, CompTCP, CompNetstack,
 		CompSafering, CompVirtio, CompNetvsc, CompCTLS, CompGate,
-		CompTDISP, CompBlkring, CompNIC,
+		CompTDISP, CompBlkring, CompCryptdisk, CompSFS, CompNIC,
 	} {
 		t.Run(comp.Name, func(t *testing.T) {
 			live, err := Measure(filepath.Join("..", comp.Name))
