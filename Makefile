@@ -34,9 +34,12 @@ ciovet:
 vet-update-baseline:
 	$(GO) run ./cmd/ciovet -baseline ciovet_baseline.json -update ./...
 
-# Short adversarial fuzzing pass over the descriptor decode path.
+# Short adversarial fuzzing pass over both sides' descriptor validation:
+# the guest's RX decode (a hostile host) and the honest host's TX gather
+# (a hostile guest). -fuzz takes one target per invocation.
 fuzz:
-	$(GO) test -fuzz FuzzDescDecode -fuzztime 30s -run '^$$' ./internal/safering
+	$(GO) test -fuzz '^FuzzDescDecode$$' -fuzztime 30s -run '^$$' ./internal/safering
+	$(GO) test -fuzz '^FuzzTXGather$$' -fuzztime 30s -run '^$$' ./internal/safering
 
 fmt:
 	gofmt -l .

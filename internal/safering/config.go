@@ -20,9 +20,11 @@ const (
 	// descriptor carries a masked, generation-tagged handle. Slabs are
 	// recycled via consumption indexes (TX) and reposting (RX).
 	SharedArea
-	// Indirect stores per-frame segment lists in an indirect table; the
-	// descriptor names the table entry, each segment names a data-area
-	// range. Models virtio's indirect descriptors, with masking.
+	// Indirect is SharedArea plus one table hop: the descriptor names the
+	// slot's indirect-table entry, and the entry names the frame's one
+	// data-area slab. Models virtio's indirect descriptors, with masking.
+	// One segment always suffices: Validate bounds FrameCap by the page
+	// and the slab is at least FrameCap.
 	Indirect
 )
 
@@ -100,9 +102,6 @@ type DeviceConfig struct {
 	// true the guest stack computes/verifies checksums and the device
 	// offers no offload (there is nothing to negotiate).
 	GuestChecksums bool
-	// Segments is the max scatter-gather segments per frame in Indirect
-	// mode (power of two, <= 64). Ignored otherwise.
-	Segments int
 }
 
 // HeaderSlack is the extra room beyond the MTU for link headers in a
@@ -120,7 +119,6 @@ func DefaultConfig() DeviceConfig {
 		Mode:           Inline,
 		RX:             CopyOut,
 		GuestChecksums: true,
-		Segments:       8,
 	}
 }
 
@@ -148,13 +146,13 @@ func (c DeviceConfig) Validate() error {
 			ErrConfig, c.MTU+HeaderSlack+DescSize, c.SlotSize)
 	case c.RX == Revoke && c.Mode != SharedArea:
 		return fmt.Errorf("%w: revoke rx policy requires shared-area mode", ErrConfig)
-	case c.Mode == Indirect && (!pow2(c.Segments) || c.Segments > 64):
-		return fmt.Errorf("%w: segments %d not a power of two <= 64", ErrConfig, c.Segments)
 	case c.EventIdx && !c.Notify:
 		return fmt.Errorf("%w: event-idx suppression requires doorbells (Notify)", ErrConfig)
 	case c.Mode != Inline && c.FrameCap() > platform.PageSize:
 		// Receive slabs are exactly one page; a larger frame capacity
-		// would let a descriptor's Len reach into the adjacent slab.
+		// would let a descriptor's Len reach into the adjacent slab. It
+		// also keeps every TX frame in one slab (newShared sizes TX slabs
+		// at least FrameCap), so Indirect never needs a second segment.
 		// Zero-negotiation: the contract is fixed — and checked — at
 		// construction, never discovered at runtime.
 		return fmt.Errorf("%w: frame capacity %d exceeds the one-page RX slab (%d)",

@@ -30,8 +30,6 @@ func TestConfigValidation(t *testing.T) {
 		{"bad rx policy", func(c *DeviceConfig) { c.RX = RXPolicy(9) }},
 		{"inline slot too small for mtu", func(c *DeviceConfig) { c.SlotSize = 1024 }},
 		{"revoke without shared area", func(c *DeviceConfig) { c.RX = Revoke; c.Mode = Inline }},
-		{"bad segments", func(c *DeviceConfig) { c.Mode = Indirect; c.SlotSize = 64; c.Segments = 3 }},
-		{"too many segments", func(c *DeviceConfig) { c.Mode = Indirect; c.SlotSize = 64; c.Segments = 128 }},
 		// Non-inline payloads live in one-page slabs: a frame capacity past
 		// PageSize would let a host-published Len reach the adjacent slab,
 		// so such configs must be rejected at construction.
@@ -101,10 +99,51 @@ func TestFrameCap(t *testing.T) {
 	}
 }
 
+// TestIndEntrySize pins the indirect table's layout: one 32-byte entry
+// per TX slot — count at +0, handle at +16, length at +24 — in a table of
+// exactly Slots entries, so filling every slot leaves each entry holding
+// its own frame's words.
 func TestIndEntrySize(t *testing.T) {
-	for _, tc := range []struct{ segs, want int }{{1, 32}, {2, 64}, {4, 128}, {8, 256}, {64, 2048}} {
-		if got := indEntrySize(tc.segs); got != tc.want {
-			t.Errorf("indEntrySize(%d) = %d, want %d", tc.segs, got, tc.want)
+	if indEntrySize != 32 {
+		t.Fatalf("indEntrySize = %d, want 32", indEntrySize)
+	}
+	cfg := cfgFor(Indirect, CopyOut)
+	cfg.Slots = 8
+	ep, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := ep.Shared()
+	if got := sh.TXInd.Size(); got != cfg.Slots*indEntrySize {
+		t.Fatalf("TXInd holds %d bytes, want %d slots x %d", got, cfg.Slots, indEntrySize)
+	}
+	for i := 0; i < cfg.Slots; i++ {
+		if err := ep.Send(frame(100+i, byte(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
+	}
+	seen := map[uint64]bool{}
+	for i := uint64(0); i < uint64(cfg.Slots); i++ {
+		if ref := sh.TX.ReadDesc(i).Ref; ref != i {
+			t.Fatalf("slot %d names entry %d", i, ref)
+		}
+		entry := i * indEntrySize
+		nseg, pad, h, ln := sh.TXInd.U64(entry), sh.TXInd.U64(entry+8), sh.TXInd.U64(entry+16), sh.TXInd.U64(entry+24)
+		if nseg != 1 || pad != 0 || ln != 100+i {
+			t.Fatalf("entry %d = (count %d, pad %d, len %d), want (1, 0, %d)", i, nseg, pad, ln, 100+i)
+		}
+		if seen[h] {
+			t.Fatalf("entry %d repeats handle %#x", i, h)
+		}
+		seen[h] = true
+	}
+}
+
+// TestKindCodesAreDataModes pins the equality both TX sides rely on when
+// they derive the descriptor kind from DeviceConfig.Mode.
+func TestKindCodesAreDataModes(t *testing.T) {
+	if KindInline != uint32(Inline) || KindShared != uint32(SharedArea) || KindIndirect != uint32(Indirect) {
+		t.Fatalf("kind codes (%d, %d, %d) != data modes (%d, %d, %d)",
+			KindInline, KindShared, KindIndirect, Inline, SharedArea, Indirect)
 	}
 }

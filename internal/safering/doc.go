@@ -37,8 +37,8 @@
 //
 // The package also implements the performance explorations of §3.2:
 // three data-positioning modes (payload inline in the ring, in a separate
-// shared area named by masked handles, or behind mask-protected indirect
-// descriptor tables), safe buffer freeing via arena generation tags and
-// consumption indexes, and receive-side page revocation as an alternative
-// to the receive copy.
+// shared area named by masked handles, or in that area behind a
+// mask-protected indirect table of one entry per slot), safe buffer
+// freeing via arena generation tags and consumption indexes, and
+// receive-side page revocation as an alternative to the receive copy.
 package safering

@@ -12,7 +12,8 @@ import (
 
 // Descriptor Kind values. The mode is fixed at deployment; the kind is
 // still carried in every descriptor so that a mismatch is detectable
-// (auditability), not because the receiver switches behaviour on it.
+// (auditability), not because the receiver switches behaviour on it. On
+// TX the code is the DataMode value itself (TestKindCodesAreDataModes).
 const (
 	KindInline   = 0
 	KindShared   = 1
@@ -51,10 +52,10 @@ type Endpoint struct {
 	// tx is the generic producer engine driving the TX ring: private
 	// head/consumer accounting, backpressure, batched publication and
 	// monotonic index validation all live there (see engine.go). The
-	// slab handles staged per slot stay here — what a returned slot
+	// slab handle staged per slot stays here — what a returned slot
 	// means is this endpoint's business, expressed via txReturn.
 	tx        *Engine[Desc] //ciovet:guards mu
-	txHandles [][]shmem.Handle
+	txHandles []shmem.Handle
 
 	// rxFree is the producer engine for the RXFree ring (posting empty
 	// receive slabs to the host); nil in Inline mode.
@@ -71,7 +72,7 @@ type Endpoint struct {
 	framePool sync.Pool
 }
 
-// txStageFault, when non-nil, injects a failure into the shared-area TX
+// txStageFault, when non-nil, injects a failure into the slab TX
 // staging path after the slab has been allocated. Test hook only (the
 // arena cannot fail a write to a freshly allocated slab of a size-checked
 // frame); always nil outside tests.
@@ -91,7 +92,6 @@ func newEndpoint(cfg DeviceConfig, meter *platform.Meter, life *Life) (*Endpoint
 	}
 	e := &Endpoint{cfg: cfg, sh: sh, meter: meter, life: life}
 	life.Join(&e.mu, meter, e.rebirthLocked)
-	e.txHandles = make([][]shmem.Handle, cfg.Slots)
 	e.tx = NewEngine[Desc](sh.TX, sh.TXBell, descCodec{}, meter,
 		EngineHooks[Desc]{OnReturn: e.txReturn, Fail: e.fail})
 	e.tx.SetEventIdx(cfg.EventIdx)
@@ -102,6 +102,7 @@ func newEndpoint(cfg DeviceConfig, meter *platform.Meter, life *Life) (*Endpoint
 	e.framePool.New = func() any { return new(RxFrame) }
 
 	if cfg.Mode != Inline {
+		e.txHandles = make([]shmem.Handle, cfg.Slots)
 		e.slabHeld = make([]bool, cfg.Slots)
 		e.rxFree = NewEngine[Desc](sh.RXFree, nil, descCodec{}, meter,
 			EngineHooks[Desc]{Fail: e.fail})
@@ -219,104 +220,61 @@ func (e *Endpoint) SendBatch(frames [][]byte) (int, error) {
 //ciovet:locked
 func (e *Endpoint) stageTXLocked(frame []byte) error {
 	head := e.tx.Head()
-	var d Desc
-	switch e.cfg.Mode {
-	case Inline:
+	d := Desc{Len: uint32(len(frame)), Kind: KindWord(uint32(e.cfg.Mode), e.sh.Epoch)}
+	if e.cfg.Mode == Inline {
 		e.sh.TX.WriteInline(head, frame)
 		e.meter.Copy(len(frame))
-		d = Desc{Len: uint32(len(frame)), Kind: KindWord(KindInline, e.sh.Epoch)}
-	case SharedArea:
-		h, aerr := e.sh.TXData.Alloc()
-		if aerr != nil {
-			return ErrRingFull
-		}
-		werr := e.sh.TXData.Write(h, frame)
-		if werr == nil && txStageFault != nil {
-			werr = txStageFault()
-		}
-		if werr != nil {
-			// Return the slab before surfacing the error; leaking the
-			// handle here would shrink the data area by one slab per
-			// failed send until TX wedges at ErrRingFull.
-			_ = e.sh.TXData.HandleFree(shmem.FreeMsg{H: h})
-			return fmt.Errorf("safering: tx stage: %w", werr)
-		}
-		e.meter.Copy(len(frame))
-		// Reuse the slot's handle slice (txReturn keeps the capacity):
-		// after warm-up the steady-state send path allocates nothing.
-		idx := head & (e.sh.TX.NSlots() - 1)
-		//ciovet:transfers the slot table owns the slab until txReturn frees it on host consumption
-		e.txHandles[idx] = append(e.txHandles[idx][:0], h)
-		d = Desc{Len: uint32(len(frame)), Kind: KindWord(KindShared, e.sh.Epoch), Ref: uint64(h)}
-	case Indirect:
-		var derr error
-		d, derr = e.stageIndirectLocked(frame)
-		if derr != nil {
-			return derr
-		}
+		e.tx.Stage(d)
+		return nil
+	}
+	// SharedArea and Indirect: the frame fills exactly one slab (Validate
+	// bounds FrameCap by the page, newShared sizes slabs at least FrameCap).
+	h, aerr := e.sh.TXData.Alloc()
+	if aerr != nil {
+		return ErrRingFull
+	}
+	werr := e.sh.TXData.Write(h, frame)
+	if werr == nil && txStageFault != nil {
+		werr = txStageFault()
+	}
+	if werr != nil {
+		// Return the slab before surfacing the error; leaking the
+		// handle here would shrink the data area by one slab per
+		// failed send until TX wedges at ErrRingFull.
+		_ = e.sh.TXData.HandleFree(shmem.FreeMsg{H: h})
+		return fmt.Errorf("safering: tx stage: %w", werr)
+	}
+	e.meter.Copy(len(frame))
+	idx := head & (e.sh.TX.NSlots() - 1)
+	//ciovet:transfers the slot table owns the slab until txReturn frees it on host consumption
+	e.txHandles[idx] = h
+	d.Ref = uint64(h)
+	if e.cfg.Mode == Indirect {
+		// One table hop: the descriptor names the slot's entry, the entry
+		// names the slab (layout at indEntrySize).
+		entry := idx * indEntrySize
+		e.sh.TXInd.SetU64(entry, 1)
+		e.sh.TXInd.SetU64(entry+16, uint64(h))
+		e.sh.TXInd.SetU64(entry+24, uint64(len(frame)))
+		d.Ref = idx
 	}
 	e.tx.Stage(d)
 	return nil
 }
 
-// stageIndirectLocked splits the frame into data-area segments and fills
-// the indirect table entry for the current head slot.
-//
-//ciovet:locked
-func (e *Endpoint) stageIndirectLocked(frame []byte) (Desc, error) {
-	segCap := e.sh.TXData.SlabSize()
-	nseg := (len(frame) + segCap - 1) / segCap
-	if nseg > e.cfg.Segments {
-		return Desc{}, fmt.Errorf("%w: needs %d segments > %d", ErrFrameSize, nseg, e.cfg.Segments)
-	}
-	idx := e.tx.Head() & (e.sh.TX.NSlots() - 1)
-	// Reuse the slot's handle slice across ring wraps (txReturn keeps
-	// the capacity) so steady-state indirect staging allocates nothing.
-	handles := e.txHandles[idx][:0]
-	free := func() {
-		for _, h := range handles {
-			_ = e.sh.TXData.HandleFree(shmem.FreeMsg{H: h})
-		}
-		e.txHandles[idx] = handles[:0]
-	}
-	entry := idx * uint64(indEntrySize(e.cfg.Segments))
-	for j := 0; j < nseg; j++ {
-		h, err := e.sh.TXData.Alloc()
-		if err != nil {
-			free()
-			return Desc{}, ErrRingFull
-		}
-		handles = append(handles, h)
-		seg := frame[j*segCap : min((j+1)*segCap, len(frame))]
-		if err := e.sh.TXData.Write(h, seg); err != nil {
-			free()
-			return Desc{}, fmt.Errorf("safering: indirect stage: %w", err)
-		}
-		e.meter.Copy(len(seg))
-		segOff := entry + 16 + uint64(j)*16
-		e.sh.TXInd.SetU64(segOff, uint64(h))
-		e.sh.TXInd.SetU64(segOff+8, uint64(len(seg)))
-	}
-	e.sh.TXInd.SetU64(entry, uint64(nseg))
-	e.txHandles[idx] = handles
-	return Desc{Len: uint32(len(frame)), Kind: KindWord(KindIndirect, e.sh.Epoch), Ref: idx}, nil
-}
-
 // txReturn is the TX engine's OnReturn hook: the host consumed the slot
-// at pos, so its data slabs come home. Caller (the engine, under e.mu)
-// guarantees in-order, exactly-once delivery.
+// at pos, so its data slab comes home (Inline has none). Caller (the
+// engine, under e.mu) guarantees in-order, exactly-once delivery.
 func (e *Endpoint) txReturn(pos uint64, _ Desc) error {
-	idx := pos & (e.sh.TX.NSlots() - 1)
-	for _, h := range e.txHandles[idx] {
-		// The handle came from our private record, so a free failure
-		// means our own state is corrupt — fatal.
-		if err := e.sh.TXData.HandleFree(shmem.FreeMsg{H: h}); err != nil {
-			return fmt.Errorf("%w: tx slab free: %v", ErrProtocol, err)
-		}
+	if e.cfg.Mode == Inline {
+		return nil
 	}
-	// Keep the slice capacity: the next stage of this slot reuses it
-	// instead of allocating (the zero-allocation steady state).
-	e.txHandles[idx] = e.txHandles[idx][:0]
+	// The handle came from our private record, so a free failure means
+	// our own state is corrupt — fatal.
+	h := e.txHandles[pos&(e.sh.TX.NSlots()-1)]
+	if err := e.sh.TXData.HandleFree(shmem.FreeMsg{H: h}); err != nil {
+		return fmt.Errorf("%w: tx slab free: %v", ErrProtocol, err)
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"confio/internal/platform"
+	"confio/internal/shmem"
 )
 
 // cfgFor builds a valid config for the given mode/policy.
@@ -151,49 +152,81 @@ func TestSharedAreaSlabsReapedAfterConsumption(t *testing.T) {
 	}
 }
 
+// sendOneSlab sends an n-byte frame on an Indirect endpoint whose TX is
+// drained, asserts the arena holds one slab per slot, that the frame cost
+// exactly one of them and wrote the entry (1, handle, n), and pops it
+// back intact.
+func sendOneSlab(t *testing.T, ep *Endpoint, hp *HostPort, n int) {
+	t.Helper()
+	if err := ep.Reap(); err != nil {
+		t.Fatal(err)
+	}
+	sh := ep.Shared()
+	free := sh.TXData.FreeSlabs()
+	if free != ep.Config().Slots {
+		t.Fatalf("drained indirect arena has %d free slabs, want one per slot (%d)", free, ep.Config().Slots)
+	}
+	f := frame(n, byte(n))
+	if err := ep.Send(f); err != nil {
+		t.Fatalf("send %d bytes: %v", n, err)
+	}
+	if got := sh.TXData.FreeSlabs(); got != free-1 {
+		t.Fatalf("%d-byte frame took %d slabs, want 1", n, free-got)
+	}
+	entry := sh.TX.ReadDesc(sh.TX.Indexes().LoadProd()-1).Ref * indEntrySize
+	nseg, h, ln := sh.TXInd.U64(entry), shmem.Handle(sh.TXInd.U64(entry+16)), sh.TXInd.U64(entry+24)
+	if nseg != 1 || ln != uint64(n) {
+		t.Fatalf("%d-byte frame: entry (count %d, len %d), want (1, %d)", n, nseg, ln, n)
+	}
+	if _, err := sh.TXData.Verify(h); err != nil {
+		t.Fatalf("%d-byte frame: entry handle %#x: %v", n, h, err)
+	}
+	buf := make([]byte, ep.Config().FrameCap())
+	got, err := hp.Pop(buf)
+	if err != nil || !bytes.Equal(buf[:got], f) {
+		t.Fatalf("%d-byte frame: pop %d bytes, %v, or corrupted", n, got, err)
+	}
+}
+
+// TestIndirectMultiSegment: no frame is ever multi-segment. A jumbo MTU
+// that would need a second page is refused at construction, and every
+// length a valid config can carry costs exactly one slab.
 func TestIndirectMultiSegment(t *testing.T) {
 	cfg := cfgFor(Indirect, CopyOut)
-	cfg.MTU = 9000 // jumbo: forces multiple 2 KiB segments... but FrameCap > page is rejected
+	cfg.MTU = 9000 // frame cap past the one-page slab
 	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("9000 MTU with 4 KiB RX pages should be rejected")
 	}
-	cfg.MTU = 3000 // frame cap 3064 > one 4 KiB slab? no: slab becomes 4096; needs 1 segment
+	cfg.MTU = 3000 // frame cap 3064 -> one 4 KiB slab
 	ep, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hp := NewHostPort(ep.Shared())
-	f := frame(3000, 7)
-	if err := ep.Send(f); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, cfg.FrameCap())
-	n, err := hp.Pop(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:n], f) {
-		t.Fatal("jumbo frame corrupted")
+	for n := 1; n <= cfg.FrameCap(); n++ {
+		sendOneSlab(t, ep, hp, n)
 	}
 }
 
+// TestIndirectSegmentSplit pins the geometry that makes one segment
+// enough: across MTUs the slab holds FrameCap, the arena holds Slots
+// slabs (one per TX slot), and a FrameCap frame takes one of them.
 func TestIndirectSegmentSplit(t *testing.T) {
-	// Shrink slabs by shrinking the frame cap via a small MTU, then send
-	// a frame that must span several slabs.
-	cfg := cfgFor(Indirect, CopyOut)
-	cfg.MTU = 2000 // frame cap 2064 -> slab size 4096 (pow2 >= cap); 1 seg
-	ep, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.Shared().TXData.SlabSize() < cfg.FrameCap() {
-		t.Fatal("slab smaller than frame cap")
-	}
-	// All segment bookkeeping still exercised through the 1..n path in
-	// TestSendPopRoundTripAllModes; here assert geometry invariants.
-	txd := ep.Shared().TXData
-	if got := txd.Region().Size() / txd.SlabSize(); got != cfg.Slots*cfg.Segments {
-		t.Fatalf("indirect arena slabs = %d, want %d", got, cfg.Slots*cfg.Segments)
+	for _, mtu := range []int{64, 1500, 2000, platform.PageSize - HeaderSlack} {
+		cfg := cfgFor(Indirect, CopyOut)
+		cfg.MTU = mtu
+		ep, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txd := ep.Shared().TXData
+		if txd.SlabSize() < cfg.FrameCap() {
+			t.Fatalf("MTU %d: slab %d smaller than frame cap %d", mtu, txd.SlabSize(), cfg.FrameCap())
+		}
+		if got := txd.Region().Size() / txd.SlabSize(); got != cfg.Slots {
+			t.Fatalf("MTU %d: indirect arena slabs = %d, want %d", mtu, got, cfg.Slots)
+		}
+		sendOneSlab(t, ep, NewHostPort(ep.Shared()), cfg.FrameCap())
 	}
 }
 

@@ -32,6 +32,35 @@ func descBytes(d Desc) []byte {
 	return b
 }
 
+// fuzzCfgSel maps a fuzzed selector onto the four allModes() configs.
+func fuzzCfgSel(modeSel byte) DeviceConfig {
+	switch modeSel % 4 {
+	case 0:
+		return fuzzCfg(Inline, CopyOut)
+	case 1:
+		return fuzzCfg(SharedArea, CopyOut)
+	case 2:
+		return fuzzCfg(SharedArea, Revoke)
+	default:
+		return fuzzCfg(Indirect, CopyOut)
+	}
+}
+
+// decodeDesc reads a descriptor from its wire layout (the inverse of
+// descBytes), zero-padding short input.
+func decodeDesc(raw []byte) Desc {
+	var db [DescSize]byte
+	copy(db[:], raw)
+	d := Desc{
+		Len:  uint32(db[0]) | uint32(db[1])<<8 | uint32(db[2])<<16 | uint32(db[3])<<24,
+		Kind: uint32(db[4]) | uint32(db[5])<<8 | uint32(db[6])<<16 | uint32(db[7])<<24,
+	}
+	for i := 0; i < 8; i++ {
+		d.Ref |= uint64(db[8+i]) << (8 * i)
+	}
+	return d
+}
+
 // FuzzDescDecode drives Recv with arbitrary host-published state: a raw
 // 16-byte descriptor stamped into every used-ring slot plus an arbitrary
 // producer index. The contract under fuzzing is the paper's fail-dead
@@ -58,27 +87,8 @@ func FuzzDescDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte, prod uint64, modeSel byte) {
-		var db [DescSize]byte
-		copy(db[:], raw)
-		d := Desc{
-			Len:  uint32(db[0]) | uint32(db[1])<<8 | uint32(db[2])<<16 | uint32(db[3])<<24,
-			Kind: uint32(db[4]) | uint32(db[5])<<8 | uint32(db[6])<<16 | uint32(db[7])<<24,
-		}
-		for i := 0; i < 8; i++ {
-			d.Ref |= uint64(db[8+i]) << (8 * i)
-		}
-
-		var cfg DeviceConfig
-		switch modeSel % 4 {
-		case 0:
-			cfg = fuzzCfg(Inline, CopyOut)
-		case 1:
-			cfg = fuzzCfg(SharedArea, CopyOut)
-		case 2:
-			cfg = fuzzCfg(SharedArea, Revoke)
-		default:
-			cfg = fuzzCfg(Indirect, CopyOut)
-		}
+		d := decodeDesc(raw)
+		cfg := fuzzCfgSel(modeSel)
 		ep, err := New(cfg, nil)
 		if err != nil {
 			t.Fatalf("constructing endpoint: %v", err)
@@ -127,6 +137,81 @@ func FuzzDescDecode(f *testing.F) {
 				}
 			default:
 				t.Fatalf("Recv returned unexpected error class: %v", err)
+			}
+		}
+	})
+}
+
+// FuzzTXGather is FuzzDescDecode's mirror for the honest host: a hostile
+// guest stamps a raw TX descriptor into every TX slot, arbitrary words
+// into every indirect-table entry (count at +0, handle at +16, length at
+// +24) and publishes an arbitrary producer index. Every Pop yields a frame
+// of exactly the descriptor's length (at most FrameCap), ErrRingEmpty, or
+// a protocol violation that poisons the port — never a panic or an
+// out-of-range read.
+func FuzzTXGather(f *testing.F) {
+	// Seeds from the TestHostDetects* shapes.
+	for _, mode := range []byte{0, 1, 2, 3} {
+		f.Add(descBytes(Desc{Len: 100, Kind: KindIndirect}), uint64(1), uint64(0), uint64(100), uint64(1), mode) // honest indirect
+		f.Add(descBytes(Desc{Len: 100, Kind: KindShared, Ref: 3}), uint64(1), uint64(0), uint64(100), uint64(1), mode)
+		f.Add(descBytes(Desc{Len: 64, Kind: KindInline}), uint64(0), uint64(0), uint64(0), uint64(1), mode)
+		f.Add(descBytes(Desc{Len: 64, Kind: KindInline}), uint64(0), uint64(0), uint64(0), uint64(8+2), mode)    // overclaim prod
+		f.Add(descBytes(Desc{Len: 1 << 20, Kind: KindInline}), uint64(0), uint64(0), uint64(0), uint64(1), mode) // oversized len
+		f.Add(descBytes(Desc{Len: 64, Kind: KindWord(KindShared, 5)}), uint64(1), uint64(0), uint64(64), uint64(1), mode)
+		f.Add(descBytes(Desc{Len: 100, Kind: KindIndirect}), uint64(9), uint64(0), uint64(100), uint64(1), mode) // segment count
+		f.Add(descBytes(Desc{Len: 100, Kind: KindIndirect}), uint64(1), uint64(0), uint64(50), uint64(1), mode)  // length short
+		f.Add(descBytes(Desc{Len: 100, Kind: KindIndirect}), uint64(2), uint64(0), uint64(50), uint64(1), mode)  // two segments
+		f.Add(descBytes(Desc{Len: 1564, Kind: KindIndirect, Ref: ^uint64(0)}), uint64(1), ^uint64(0), uint64(1564), ^uint64(0), mode)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte, nseg, handle, segLen, prod uint64, modeSel byte) {
+		d := decodeDesc(raw)
+		cfg := fuzzCfgSel(modeSel)
+		sh, err := newShared(cfg, nil, 0)
+		if err != nil {
+			t.Fatalf("constructing device: %v", err)
+		}
+		hp := NewHostPort(sh)
+
+		for i := uint64(0); i < sh.TX.NSlots(); i++ {
+			sh.TX.WriteDesc(i, d)
+		}
+		if sh.TXInd != nil {
+			entrySize := uint64(sh.TXInd.Size() / cfg.Slots)
+			for e := uint64(0); e < uint64(cfg.Slots); e++ {
+				sh.TXInd.SetU64(e*entrySize, nseg)
+				sh.TXInd.SetU64(e*entrySize+16, handle)
+				sh.TXInd.SetU64(e*entrySize+24, segLen)
+			}
+		}
+		sh.TX.Indexes().StoreProd(prod)
+
+		buf := make([]byte, cfg.FrameCap())
+		sawFatal := false
+		for i := 0; i < 2*cfg.Slots; i++ {
+			n, err := hp.Pop(buf)
+			switch {
+			case err == nil:
+				if sawFatal {
+					t.Fatal("Pop succeeded after a fatal protocol violation")
+				}
+				if n != int(d.Len) || n > cfg.FrameCap() || n == 0 {
+					t.Fatalf("frame length %d escaped validation (desc.Len=%d, cap=%d)", n, d.Len, cfg.FrameCap())
+				}
+			case errors.Is(err, ErrRingEmpty):
+				return
+			case errors.Is(err, ErrDead):
+				if !sawFatal {
+					t.Fatal("ErrDead without a preceding protocol violation")
+				}
+				return
+			case errors.Is(err, ErrProtocol):
+				sawFatal = true
+				if hp.Dead() == nil {
+					t.Fatalf("protocol violation %v did not poison the port", err)
+				}
+			default:
+				t.Fatalf("Pop returned unexpected error class: %v", err)
 			}
 		}
 	})

@@ -116,61 +116,39 @@ func (h *HostPort) PopBatch(bufs [][]byte, lens []int) (int, error) {
 }
 
 // gather copies the frame named by a (snapshotted) TX descriptor into buf.
-// The kind word must carry the expected code at the current epoch: the
+// The kind word must carry the deployment's code at the current epoch: the
 // mutual-distrust mirror of the guest's RX check, so a guest replaying
 // pre-reincarnation descriptors is caught the same way a host would be.
 func (h *HostPort) gather(d Desc, buf []byte) (int, error) {
+	mode := h.sh.Cfg.Mode
 	if d.Len == 0 || int(d.Len) > h.sh.Cfg.FrameCap() || int(d.Len) > len(buf) {
 		return 0, fmt.Errorf("%w: tx descriptor length %d", ErrProtocol, d.Len)
 	}
-	if KindEpoch(d.Kind) != EpochTag(h.sh.Epoch) {
-		return 0, fmt.Errorf("%w: tx descriptor epoch %d != device epoch %d (stale incarnation)",
-			ErrProtocol, KindEpoch(d.Kind), EpochTag(h.sh.Epoch))
+	if KindCode(d.Kind) != uint32(mode) || KindEpoch(d.Kind) != EpochTag(h.sh.Epoch) {
+		return 0, fmt.Errorf("%w: tx descriptor kind %#x (want code %d, epoch %d): stale or forged incarnation",
+			ErrProtocol, d.Kind, mode, EpochTag(h.sh.Epoch))
 	}
-	switch h.sh.Cfg.Mode {
-	case Inline:
-		if KindCode(d.Kind) != KindInline || int(d.Len) > h.sh.TX.InlineCap() {
-			return 0, fmt.Errorf("%w: bad inline tx descriptor %+v", ErrProtocol, d)
-		}
+	if mode == Inline { // FrameCap is the slot's inline capacity
 		h.sh.TX.ReadInline(h.txTail, buf[:d.Len])
 		return int(d.Len), nil
-
-	case SharedArea:
-		if KindCode(d.Kind) != KindShared || int(d.Len) > h.sh.TXData.SlabSize() {
-			return 0, fmt.Errorf("%w: bad shared tx descriptor %+v", ErrProtocol, d)
-		}
-		off := h.sh.TXData.PeerOffset(shmem.Handle(d.Ref))
-		h.sh.TXData.Region().ReadAt(buf[:d.Len], off)
-		return int(d.Len), nil
-
-	case Indirect:
-		if KindCode(d.Kind) != KindIndirect {
-			return 0, fmt.Errorf("%w: bad indirect tx descriptor %+v", ErrProtocol, d)
-		}
-		entrySize := uint64(indEntrySize(h.sh.Cfg.Segments))
-		entry := (d.Ref & (h.sh.TX.NSlots() - 1)) * entrySize
-		nseg := h.sh.TXInd.U64(entry)
-		if nseg == 0 || nseg > uint64(h.sh.Cfg.Segments) {
-			return 0, fmt.Errorf("%w: indirect segment count %d", ErrProtocol, nseg)
-		}
-		total := 0
-		for j := uint64(0); j < nseg; j++ {
-			segOff := entry + 16 + j*16
-			ref := h.sh.TXInd.U64(segOff)
-			segLen := h.sh.TXInd.U64(segOff + 8)
-			if segLen == 0 || segLen > uint64(h.sh.TXData.SlabSize()) || total+int(segLen) > int(d.Len) {
-				return 0, fmt.Errorf("%w: indirect segment %d length %d", ErrProtocol, j, segLen)
-			}
-			off := h.sh.TXData.PeerOffset(shmem.Handle(ref))
-			h.sh.TXData.Region().ReadAt(buf[total:total+int(segLen)], off)
-			total += int(segLen)
-		}
-		if total != int(d.Len) {
-			return 0, fmt.Errorf("%w: indirect segments sum %d != descriptor length %d", ErrProtocol, total, d.Len)
-		}
-		return total, nil
 	}
-	return 0, fmt.Errorf("%w: unknown mode", ErrProtocol)
+	ref := d.Ref
+	if mode == Indirect {
+		// One table hop, each word read once: the entry must hold exactly
+		// one segment carrying the whole frame.
+		entry := (d.Ref & (h.sh.TX.NSlots() - 1)) * indEntrySize
+		nseg, segLen := h.sh.TXInd.U64(entry), h.sh.TXInd.U64(entry+24)
+		if nseg != 1 || segLen != uint64(d.Len) {
+			return 0, fmt.Errorf("%w: indirect entry of %d segments, length %d, for a %d-byte descriptor",
+				ErrProtocol, nseg, segLen, d.Len)
+		}
+		ref = h.sh.TXInd.U64(entry + 16)
+	}
+	if int(d.Len) > h.sh.TXData.SlabSize() {
+		return 0, fmt.Errorf("%w: tx length %d exceeds the %d-byte slab", ErrProtocol, d.Len, h.sh.TXData.SlabSize())
+	}
+	h.sh.TXData.Region().ReadAt(buf[:d.Len], h.sh.TXData.PeerOffset(shmem.Handle(ref)))
+	return int(d.Len), nil
 }
 
 // Push delivers one frame toward the guest, or returns ErrRingFull when

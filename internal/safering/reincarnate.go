@@ -194,11 +194,9 @@ func (e *Endpoint) rebirthLocked() error {
 	e.sh = sh
 
 	// Reset all private protocol state. Un-reaped TX slabs belonged to
-	// the old arena and vanish with it.
+	// the old arena and vanish with it; their txHandles entries are
+	// overwritten before the fresh engine can return those slots.
 	e.tx.Reset(sh.TX, sh.TXBell)
-	for i := range e.txHandles {
-		e.txHandles[i] = nil
-	}
 	e.rxTail = 0
 	if e.rxFree != nil {
 		e.rxFree.Reset(sh.RXFree, nil)

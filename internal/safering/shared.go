@@ -32,7 +32,8 @@ type Shared struct {
 	// TXData holds transmit payload slabs (SharedArea/Indirect), named
 	// by generation-tagged handles. Nil in Inline mode.
 	TXData *shmem.Arena
-	// TXInd is the indirect segment table (Indirect mode only).
+	// TXInd is the indirect table (Indirect mode only): one entry per TX
+	// slot, see indEntrySize.
 	TXInd *shmem.Region
 	// RXData holds receive slabs, one page each, revocable (SharedArea/
 	// Indirect). Nil in Inline mode.
@@ -44,16 +45,11 @@ type Shared struct {
 	RXBell *Doorbell
 }
 
-// indEntrySize returns the power-of-two size of one indirect table entry:
-// an 8-byte segment count (padded to 16) plus Segments (off,len) pairs.
-func indEntrySize(segments int) int {
-	need := 16 + 16*segments
-	sz := 1
-	for sz < need {
-		sz <<= 1
-	}
-	return sz
-}
+// indEntrySize is the size of one indirect table entry: the segment count
+// (always 1) at +0, padded to 16, then the slab handle at +16 and the
+// segment length at +24, all u64 — virtio's indirect-descriptor layout
+// cut to the one segment a frame ever needs (see Indirect).
+const indEntrySize = 32
 
 // newShared allocates all shared state for a config at the given device
 // epoch. The meter is the guest's: page sharing for the RX window is
@@ -82,11 +78,8 @@ func newShared(cfg DeviceConfig, meter *platform.Meter, epoch uint32) (*Shared, 
 		for slabSize < cfg.FrameCap() {
 			slabSize <<= 1
 		}
-		slabs := cfg.Slots
-		if cfg.Mode == Indirect {
-			slabs *= cfg.Segments
-		}
-		if sh.TXData, err = shmem.NewArena(slabSize, slabs); err != nil {
+		// One slab per TX slot: the TX engine never holds more frames.
+		if sh.TXData, err = shmem.NewArena(slabSize, cfg.Slots); err != nil {
 			return nil, err
 		}
 		// FrameCap <= PageSize is part of Validate's contract now; the
@@ -96,7 +89,7 @@ func newShared(cfg DeviceConfig, meter *platform.Meter, epoch uint32) (*Shared, 
 		}
 	}
 	if cfg.Mode == Indirect {
-		if sh.TXInd, err = shmem.NewRegion(cfg.Slots * indEntrySize(cfg.Segments)); err != nil {
+		if sh.TXInd, err = shmem.NewRegion(cfg.Slots * indEntrySize); err != nil {
 			return nil, err
 		}
 	}

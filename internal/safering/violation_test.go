@@ -151,33 +151,34 @@ func TestHostDetectsKindMismatch(t *testing.T) {
 
 func TestHostDetectsBadIndirectSegments(t *testing.T) {
 	cfg := cfgFor(Indirect, CopyOut)
-	ep, _ := New(cfg, nil)
-	hp := NewHostPort(ep.Shared())
-	sh := ep.Shared()
-	entrySize := uint64(indEntrySize(cfg.Segments))
-
-	// Segment count beyond the deployment limit.
-	sh.TXInd.SetU64(0, uint64(cfg.Segments)+1)
-	sh.TX.WriteDesc(0, Desc{Len: 100, Kind: KindIndirect, Ref: 0})
-	sh.TX.Indexes().StoreProd(1)
 	buf := make([]byte, cfg.FrameCap())
-	if _, err := hp.Pop(buf); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("oversized segment count: %v", err)
+	// Each case forges entry 0 (indirect-table offset -> u64 word) under a
+	// descriptor claiming 100 bytes, on a fresh pair.
+	for _, tc := range []struct {
+		name  string
+		words map[uint64]uint64
+	}{
+		{"no segments", map[uint64]uint64{0: 0, 16: 0, 24: 100}},
+		{"nine segments", map[uint64]uint64{0: 9, 16: 0, 24: 100}},
+		{"length short of the descriptor", map[uint64]uint64{0: 1, 16: 0, 24: 50}},
+		// Two in-bounds segments summing to the descriptor length: a frame
+		// never needs a second slab, so the honest host refuses the shape.
+		{"two segments summing to the length", map[uint64]uint64{0: 2, 16: 0, 24: 50, 32: 1, 40: 50}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ep, _ := New(cfg, nil)
+			hp := NewHostPort(ep.Shared())
+			sh := ep.Shared()
+			for off, v := range tc.words {
+				sh.TXInd.SetU64(off, v)
+			}
+			sh.TX.WriteDesc(0, Desc{Len: 100, Kind: KindIndirect, Ref: 0})
+			sh.TX.Indexes().StoreProd(1)
+			if _, err := hp.Pop(buf); !errors.Is(err, ErrProtocol) {
+				t.Fatalf("host accepted the forged entry: %v", err)
+			}
+		})
 	}
-
-	// Fresh pair: segment lengths not summing to the descriptor length.
-	ep2, _ := New(cfg, nil)
-	hp2 := NewHostPort(ep2.Shared())
-	sh2 := ep2.Shared()
-	sh2.TXInd.SetU64(0, 1)                                          // one segment
-	sh2.TXInd.SetU64(16, 0)                                         // handle 0
-	sh2.TXInd.SetU64(16+8, 50)                                      // 50 bytes
-	sh2.TX.WriteDesc(0, Desc{Len: 100, Kind: KindIndirect, Ref: 0}) // claims 100
-	sh2.TX.Indexes().StoreProd(1)
-	if _, err := hp2.Pop(buf); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("segment sum mismatch: %v", err)
-	}
-	_ = entrySize
 }
 
 func TestMaskedSlabRefCannotEscape(t *testing.T) {

@@ -39,7 +39,7 @@ var (
 	CompUDP       = Component{"udp", 52, "UDP"}
 	CompTCP       = Component{"tcp", 1187, "TCP state machine"}
 	CompNetstack  = Component{"netstack", 582, "stack glue + sockets"}
-	CompSafering  = Component{"safering", 1605, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompSafering  = Component{"safering", 1529, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 421, "netvsc driver"}
 	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
