@@ -34,12 +34,15 @@ ciovet:
 vet-update-baseline:
 	$(GO) run ./cmd/ciovet -baseline ciovet_baseline.json -update ./...
 
-# Short adversarial fuzzing pass over both sides' descriptor validation:
+# Short adversarial fuzzing pass over both sides' descriptor validation —
 # the guest's RX decode (a hostile host) and the honest host's TX gather
-# (a hostile guest). -fuzz takes one target per invocation.
+# (a hostile guest) — and over IPv4 fragmentation: the stack's fragment
+# writer against its reassembler, and a host's fragments against the
+# reassembler. -fuzz takes one target per invocation.
 fuzz:
 	$(GO) test -fuzz '^FuzzDescDecode$$' -fuzztime 30s -run '^$$' ./internal/safering
 	$(GO) test -fuzz '^FuzzTXGather$$' -fuzztime 30s -run '^$$' ./internal/safering
+	$(GO) test -fuzz '^FuzzFragment$$' -fuzztime 30s -run '^$$' ./internal/ipv4
 
 fmt:
 	gofmt -l .

@@ -51,16 +51,14 @@ func Parse(buf []byte) (Packet, error) {
 	return p, nil
 }
 
-// Marshal appends the encoded packet to dst.
-func Marshal(dst []byte, p Packet) []byte {
-	dst = append(dst, 0, 1) // Ethernet
-	dst = append(dst, byte(ether.TypeIPv4>>8), byte(ether.TypeIPv4&0xFF))
-	dst = append(dst, 6, 4)
-	dst = append(dst, byte(p.Op>>8), byte(p.Op))
-	dst = append(dst, p.SenderMAC[:]...)
-	dst = append(dst, p.SenderIP[:]...)
-	dst = append(dst, p.TargetMAC[:]...)
-	return append(dst, p.TargetIP[:]...)
+// Put encodes p into b[:PacketLen].
+func Put(b []byte, p Packet) {
+	// Ethernet, IPv4, their address lengths, the op.
+	copy(b, []byte{0, 1, byte(ether.TypeIPv4 >> 8), byte(ether.TypeIPv4 & 0xFF), 6, 4, byte(p.Op >> 8), byte(p.Op)})
+	copy(b[8:14], p.SenderMAC[:])
+	copy(b[14:18], p.SenderIP[:])
+	copy(b[18:24], p.TargetMAC[:])
+	copy(b[24:28], p.TargetIP[:])
 }
 
 // Cache is a neighbour cache with entry expiry.

@@ -1,6 +1,7 @@
 package arp
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -15,9 +16,20 @@ var (
 	ipB  = [4]byte{10, 0, 0, 2}
 )
 
+// packet encodes p into a buffer of its own.
+func packet(p Packet) []byte {
+	b := make([]byte, PacketLen)
+	Put(b, p)
+	return b
+}
+
 func TestRoundTrip(t *testing.T) {
 	p := Packet{Op: OpReply, SenderMAC: macA, SenderIP: ipA, TargetMAC: macB, TargetIP: ipB}
-	got, err := Parse(Marshal(nil, p))
+	// Put sets every byte: a buffer holding a previous frame's bytes
+	// reads back as p alone.
+	buf := bytes.Repeat([]byte{0xFF}, PacketLen)
+	Put(buf, p)
+	got, err := Parse(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +42,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 	if _, err := Parse(make([]byte, 27)); !errors.Is(err, ErrMalformed) {
 		t.Fatal("short packet accepted")
 	}
-	good := Marshal(nil, Request(macA, ipA, ipB))
+	good := packet(Request(macA, ipA, ipB))
 	bad := append([]byte{}, good...)
 	bad[0], bad[1] = 9, 9 // htype
 	if _, err := Parse(bad); !errors.Is(err, ErrMalformed) {

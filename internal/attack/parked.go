@@ -66,8 +66,9 @@ func newParkedStack(cfg safering.DeviceConfig, queues int) *parkedStack {
 // arpRoundTrip is the live traffic: the host asks who has the stack's
 // address on queue 0 and must find the stack's reply on some TX queue.
 func (p *parkedStack) arpRoundTrip() error {
-	req := arp.Request(parkedHostMAC, [4]byte(parkedHostIP), [4]byte(parkedStackIP))
-	f := ether.Marshal(nil, ether.Frame{Dst: ether.Broadcast, Src: parkedHostMAC, Type: ether.TypeARP, Payload: arp.Marshal(nil, req)})
+	f := make([]byte, ether.HeaderLen+arp.PacketLen)
+	ether.PutHeader(f, ether.Broadcast, parkedHostMAC, ether.TypeARP)
+	arp.Put(f[ether.HeaderLen:], arp.Request(parkedHostMAC, [4]byte(parkedHostIP), [4]byte(parkedStackIP)))
 	if err := p.hps[0].Push(f); err != nil {
 		return fmt.Errorf("push: %w", err)
 	}

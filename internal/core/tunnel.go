@@ -55,26 +55,24 @@ func (t *tunnelNIC) MAC() [6]byte { return t.inner.MAC() }
 // frame capacity absorbs the overhead).
 func (t *tunnelNIC) MTU() int { return t.inner.MTU() }
 
-// seal encapsulates one inner frame into a constant-size outer frame.
+// seal encapsulates one inner frame into a constant-size outer frame. The
+// plaintext — length prefix, frame, zero padding — is laid out in the
+// outer buffer where its ciphertext goes and sealed in place.
 func (t *tunnelNIC) seal(frame []byte) ([]byte, error) {
 	if len(frame) < 14 {
 		return nil, fmt.Errorf("core: tunnel runt frame %d", len(frame))
 	}
-	// Plaintext: length prefix + frame, padded to constant size.
-	pt := make([]byte, t.padTo)
-	pt[0], pt[1] = byte(len(frame)>>8), byte(len(frame))
-	copy(pt[2:], frame)
-
-	var nonce [12]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
+	outer := make([]byte, 14+12+t.padTo+t.aead.Overhead())
+	copy(outer[0:6], frame[0:6])   // outer dst = inner dst (endpoint identity)
+	copy(outer[6:12], frame[6:12]) // outer src
+	outer[12], outer[13] = byte(tunnelEtherType>>8), byte(tunnelEtherType&0xFF)
+	nonce, pt := outer[14:14+12], outer[14+12:14+12+t.padTo]
+	if _, err := rand.Read(nonce); err != nil {
 		return nil, err
 	}
-	outer := make([]byte, 0, 14+12+t.padTo+t.aead.Overhead())
-	outer = append(outer, frame[0:6]...)  // outer dst = inner dst (endpoint identity)
-	outer = append(outer, frame[6:12]...) // outer src
-	outer = append(outer, byte(tunnelEtherType>>8), byte(tunnelEtherType&0xFF))
-	outer = append(outer, nonce[:]...)
-	outer = t.aead.Seal(outer, nonce[:], pt, outer[0:14])
+	pt[0], pt[1] = byte(len(frame)>>8), byte(len(frame))
+	copy(pt[2:], frame)
+	t.aead.Seal(pt[:0], nonce, pt, outer[0:14])
 	t.meter.Crypto(t.padTo)
 	return outer, nil
 }
@@ -138,14 +136,15 @@ func (t *tunnelNIC) SendBatch(frames [][]byte) (int, error) {
 }
 
 // RecvBatch implements nic.BatchGuest, decapsulating a burst dequeued
-// with one batched receive. Undecryptable frames are dropped from the
-// burst, so the returned count can be short of what the wire carried.
+// with one batched receive into out itself. Undecryptable frames are
+// dropped from the burst, so the returned count can be short of what the
+// wire carried; the slots they leave are nil.
 func (t *tunnelNIC) RecvBatch(out []nic.Frame) (int, error) {
-	raw := make([]nic.Frame, len(out))
-	n, err := t.inner.RecvBatch(raw)
+	n, err := t.inner.RecvBatch(out)
 	m := 0
 	for i := 0; i < n; i++ {
-		inner, derr := t.open(raw[i])
+		inner, derr := t.open(out[i])
+		out[i] = nil
 		if derr != nil || inner == nil {
 			continue // malformed or undecryptable: drop
 		}

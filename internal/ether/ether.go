@@ -54,17 +54,11 @@ func Parse(buf []byte) (Frame, error) {
 	return f, nil
 }
 
-// PutHeader encodes an Ethernet II header into b[:HeaderLen].
+// PutHeader encodes an Ethernet II header into b[:HeaderLen], in front of
+// a payload already in place behind it.
 func PutHeader(b []byte, dst, src MAC, typ uint16) {
 	b = b[:HeaderLen]
 	copy(b[0:6], dst[:])
 	copy(b[6:12], src[:])
 	b[12], b[13] = byte(typ>>8), byte(typ)
-}
-
-// Marshal appends the encoded frame to dst and returns the result.
-func Marshal(dst []byte, f Frame) []byte {
-	var hdr [HeaderLen]byte
-	PutHeader(hdr[:], f.Dst, f.Src, f.Type)
-	return append(append(dst, hdr[:]...), f.Payload...)
 }

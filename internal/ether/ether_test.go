@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// frame encodes f the way the stack builds every frame: the payload in
+// place, the header written in front of it.
+func frame(f Frame) []byte {
+	b := make([]byte, HeaderLen+len(f.Payload))
+	copy(b[HeaderLen:], f.Payload)
+	PutHeader(b, f.Dst, f.Src, f.Type)
+	return b
+}
+
 func TestRoundTrip(t *testing.T) {
 	f := Frame{
 		Dst:     MAC{1, 2, 3, 4, 5, 6},
@@ -14,7 +23,7 @@ func TestRoundTrip(t *testing.T) {
 		Type:    TypeIPv4,
 		Payload: []byte("payload"),
 	}
-	buf := Marshal(nil, f)
+	buf := frame(f)
 	if len(buf) != HeaderLen+7 {
 		t.Fatalf("len = %d", len(buf))
 	}
@@ -48,18 +57,22 @@ func TestMACHelpers(t *testing.T) {
 	}
 }
 
-func TestMarshalAppends(t *testing.T) {
-	prefix := []byte{0xAA}
-	buf := Marshal(prefix, Frame{Type: TypeARP})
-	if buf[0] != 0xAA || len(buf) != 1+HeaderLen {
-		t.Fatal("Marshal does not append to dst")
+// TestPutHeaderWritesOnlyTheHeader: PutHeader is handed a buffer whose
+// payload is already in place and whose header bytes are stale, so it must
+// set all fourteen of them and touch nothing behind.
+func TestPutHeaderWritesOnlyTheHeader(t *testing.T) {
+	buf := bytes.Repeat([]byte{0xAA}, HeaderLen+4)
+	PutHeader(buf, MAC{1, 2, 3, 4, 5, 6}, MAC{7, 8, 9, 10, 11, 12}, TypeARP)
+	want := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x08, 0x06, 0xAA, 0xAA, 0xAA, 0xAA}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("PutHeader wrote % x, want % x", buf, want)
 	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
 	f := func(dst, src [6]byte, typ uint16, payload []byte) bool {
 		fr := Frame{Dst: MAC(dst), Src: MAC(src), Type: typ, Payload: payload}
-		got, err := Parse(Marshal(nil, fr))
+		got, err := Parse(frame(fr))
 		return err == nil && got.Dst == fr.Dst && got.Src == fr.Src &&
 			got.Type == typ && bytes.Equal(got.Payload, payload)
 	}

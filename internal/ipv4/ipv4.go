@@ -20,6 +20,10 @@ const (
 // emits options and rejects packets whose IHL exceeds the buffer).
 const HeaderLen = 20
 
+// MaxPayload is the most one datagram carries behind a header without
+// options: its total length is a 16-bit field.
+const MaxPayload = 0xFFFF - HeaderLen
+
 // Addr is an IPv4 address.
 type Addr [4]byte
 
@@ -157,40 +161,27 @@ func PutHeader(b []byte, h Header, payloadLen int) {
 	binary.BigEndian.PutUint16(b[10:], Checksum(b))
 }
 
-// Marshal appends an encoded packet (header + payload) to dst.
-func Marshal(dst []byte, h Header, payload []byte) []byte {
-	var hdr [HeaderLen]byte
-	PutHeader(hdr[:], h, len(payload))
-	return append(append(dst, hdr[:]...), payload...)
+// FragmentLen is how many payload bytes each fragment of a datagram
+// carrying n of them takes on a link of the given MTU (at least 68, the
+// least an IPv4 link carries): all n when the datagram fits, else what
+// fits behind a header, rounded down to the offset field's 8-byte unit.
+func FragmentLen(n, mtu int) int {
+	if HeaderLen+n <= mtu {
+		return n
+	}
+	return (mtu - HeaderLen) &^ 7
 }
 
-// Fragment splits payload into IPv4 packets that fit mtu, all sharing
-// id. If the payload fits, one unfragmented packet is produced.
-func Fragment(h Header, payload []byte, mtu int) ([][]byte, error) {
-	maxData := (mtu - HeaderLen) &^ 7 // fragment data must be 8-aligned
-	if maxData <= 0 {
-		return nil, fmt.Errorf("%w: mtu %d too small", ErrMalformed, mtu)
+// PutFragment writes into b the fragment of the datagram h carrying
+// payload whose data starts at payload[off] and fills the rest of b: its
+// header, at offset off and with MF set unless it ends the datagram, then
+// that data.
+func PutFragment(b []byte, h Header, payload []byte, off int) {
+	n := len(b) - HeaderLen
+	h.FragOff, h.Flags = uint16(off), h.Flags&^FlagMF
+	if off+n < len(payload) {
+		h.Flags |= FlagMF
 	}
-	if HeaderLen+len(payload) <= mtu {
-		h.Flags &^= FlagMF
-		h.FragOff = 0
-		return [][]byte{Marshal(nil, h, payload)}, nil
-	}
-	if h.Flags&FlagDF != 0 {
-		return nil, fmt.Errorf("%w: DF set but payload %d exceeds mtu %d", ErrMalformed, len(payload), mtu)
-	}
-	var out [][]byte
-	for off := 0; off < len(payload); off += maxData {
-		end := off + maxData
-		fh := h
-		fh.FragOff = uint16(off)
-		if end >= len(payload) {
-			end = len(payload)
-			fh.Flags &^= FlagMF
-		} else {
-			fh.Flags |= FlagMF
-		}
-		out = append(out, Marshal(nil, fh, payload[off:end]))
-	}
-	return out, nil
+	PutHeader(b, h, n)
+	copy(b[HeaderLen:], payload[off:off+n])
 }

@@ -13,6 +13,28 @@ var (
 	dstIP = Addr{10, 0, 0, 2}
 )
 
+// packet encodes an unfragmented packet the way the stack does: the
+// payload in place, the header written in front of it.
+func packet(h Header, payload []byte) []byte {
+	b := make([]byte, HeaderLen+len(payload))
+	copy(b[HeaderLen:], payload)
+	PutHeader(b, h, len(payload))
+	return b
+}
+
+// fragment writes payload as the packets a link of the given MTU takes,
+// each in a buffer of its own, the way netstack's sendIP does.
+func fragment(h Header, payload []byte, mtu int) [][]byte {
+	step := FragmentLen(len(payload), mtu)
+	var out [][]byte
+	for off := 0; off < len(payload); off += step {
+		b := make([]byte, HeaderLen+min(step, len(payload)-off))
+		PutFragment(b, h, payload, off)
+		out = append(out, b)
+	}
+	return out
+}
+
 func TestAddrString(t *testing.T) {
 	if srcIP.String() != "10.0.0.1" {
 		t.Fatalf("String = %q", srcIP.String())
@@ -41,7 +63,7 @@ func TestChecksumKnownVector(t *testing.T) {
 func TestHeaderRoundTrip(t *testing.T) {
 	h := Header{ID: 0x1234, Flags: FlagDF, TTL: 64, Proto: ProtoTCP, Src: srcIP, Dst: dstIP}
 	payload := []byte("transport segment")
-	pkt := Marshal(nil, h, payload)
+	pkt := packet(h, payload)
 	got, pl, err := Parse(pkt)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +78,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsCorruption(t *testing.T) {
-	pkt := Marshal(nil, Header{TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}, []byte("x"))
+	pkt := packet(Header{TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}, []byte("x"))
 	// Flip a header byte: checksum must catch it.
 	bad := append([]byte{}, pkt...)
 	bad[8] ^= 0xFF
@@ -105,10 +127,7 @@ func TestFragmentAndReassemble(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	h := Header{ID: 42, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	frags, err := Fragment(h, payload, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frags := fragment(h, payload, 1500)
 	if len(frags) < 4 {
 		t.Fatalf("only %d fragments", len(frags))
 	}
@@ -142,10 +161,7 @@ func TestFragmentOutOfOrderAndDuplicates(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	h := Header{ID: 7, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	frags, err := Fragment(h, payload, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frags := fragment(h, payload, 1500)
 	r := NewReassembler(0, 0)
 	now := time.Unix(0, 0)
 	order := []int{len(frags) - 1, 0, 1, 1, 0} // reversed + dups
@@ -169,14 +185,29 @@ func TestFragmentOutOfOrderAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestFragmentDFRejected(t *testing.T) {
-	h := Header{Flags: FlagDF, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	if _, err := Fragment(h, make([]byte, 3000), 1500); err == nil {
-		t.Fatal("DF fragment allowed")
-	}
-	// Fits: no fragmentation needed, DF fine.
-	if frags, err := Fragment(h, make([]byte, 100), 1500); err != nil || len(frags) != 1 {
-		t.Fatalf("small DF payload: %v, %d frags", err, len(frags))
+// TestFragmentOnlyOverTheMTU: a datagram that fits the MTU is one packet,
+// byte for byte the unfragmented one; one byte more splits it into
+// 8-aligned fragments of at most the MTU, MF on all but the last.
+func TestFragmentOnlyOverTheMTU(t *testing.T) {
+	h := Header{ID: 9, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
+	for _, mtu := range []int{68, 576, 1500, 1501} {
+		fits := make([]byte, mtu-HeaderLen)
+		if frags := fragment(h, fits, mtu); len(frags) != 1 || !bytes.Equal(frags[0], packet(h, fits)) {
+			t.Fatalf("mtu %d: a datagram that fits became %d packets", mtu, len(frags))
+		}
+		frags := fragment(h, append(fits, 0), mtu)
+		if len(frags) < 2 {
+			t.Fatalf("mtu %d: a datagram one byte over went as %d packet", mtu, len(frags))
+		}
+		for i, f := range frags {
+			fh, pl, err := Parse(f)
+			if err != nil || len(f) > mtu || fh.FragOff%8 != 0 || (fh.Flags&FlagMF != 0) != (i < len(frags)-1) {
+				t.Fatalf("mtu %d fragment %d: %d bytes, %+v, %v", mtu, i, len(f), fh, err)
+			}
+			if i < len(frags)-1 && len(pl)%8 != 0 {
+				t.Fatalf("mtu %d fragment %d carries %d bytes, not a multiple of 8", mtu, i, len(pl))
+			}
+		}
 	}
 }
 
@@ -222,10 +253,7 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 		}
 		id++
 		h := Header{ID: id, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-		frags, err := Fragment(h, payload, 576)
-		if err != nil {
-			return false
-		}
+		frags := fragment(h, payload, 576)
 		for i, fr := range frags {
 			fh, pl, err := Parse(fr)
 			if err != nil {
@@ -239,5 +267,50 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReassemblerDropsContradictoryFragments: a host can declare a
+// datagram's end with its last fragment and then send data past it, or
+// send a last fragment that ends before data already held. Each drops the
+// whole pending datagram — nothing is delivered, nothing panics — and a
+// well-formed datagram under the same ID reassembles afterwards.
+func TestReassemblerDropsContradictoryFragments(t *testing.T) {
+	type fr struct {
+		off, n int
+		mf     bool
+	}
+	cases := map[string][]fr{
+		"last ends before held data": {{0, 200, true}, {200, 8, true}, {8, 8, false}},
+		"data past the declared end": {{8, 8, false}, {0, 200, true}},
+		"two different ends":         {{0, 8, true}, {16, 8, false}, {24, 8, false}},
+		"past the largest datagram":  {{0, 8, true}, {65528, 8, false}},
+	}
+	now := time.Unix(0, 0)
+	for name, frags := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := NewReassembler(0, 0)
+			for _, f := range frags {
+				h := Header{ID: 5, FragOff: uint16(f.off), TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
+				if f.mf {
+					h.Flags = FlagMF
+				}
+				if out, ok := r.Add(h, make([]byte, f.n), now); ok {
+					t.Fatalf("delivered a %d-byte datagram from contradictory fragments", len(out))
+				}
+			}
+			if r.Pending() != 0 {
+				t.Fatalf("%d contradictory datagrams still held", r.Pending())
+			}
+			payload := bytes.Repeat([]byte{7}, 3000)
+			var out []byte
+			for _, f := range fragment(Header{ID: 5, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}, payload, 1500) {
+				fh, pl, _ := Parse(f)
+				out, _ = r.Add(fh, pl, now)
+			}
+			if !bytes.Equal(out, payload) {
+				t.Fatal("a well-formed datagram did not reassemble after the drop")
+			}
+		})
 	}
 }

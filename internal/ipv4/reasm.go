@@ -26,9 +26,11 @@ type reasmKey struct {
 type reasmState struct {
 	frags    []frag
 	haveLast bool
-	totalEnd int
-	arrived  time.Time
-	bytes    int
+	// end is where the furthest-reaching held fragment ends: the
+	// datagram's end once its last fragment is held.
+	end     int
+	arrived time.Time
+	bytes   int
 }
 
 type frag struct {
@@ -66,8 +68,12 @@ func (r *Reassembler) Add(h Header, payload []byte, now time.Time) ([]byte, bool
 		st = &reasmState{arrived: now}
 		r.pending[key] = st
 	}
-	if r.buffer+len(payload) > r.maxBuf {
-		// Fragment flood: drop the whole pending packet.
+	end, last := int(h.FragOff)+len(payload), h.Flags&FlagMF == 0
+	// A fragment flood, a fragment that ends past the datagram's end (the
+	// last fragment's, or the most a datagram carries), or a last fragment
+	// that ends before data already held: drop the whole pending packet.
+	if r.buffer+len(payload) > r.maxBuf || end > MaxPayload ||
+		(st.haveLast && end > st.end) || (last && end < st.end) {
 		r.buffer -= st.bytes
 		delete(r.pending, key)
 		return nil, false
@@ -77,15 +83,13 @@ func (r *Reassembler) Add(h Header, payload []byte, now time.Time) ([]byte, bool
 	st.frags = append(st.frags, frag{off: int(h.FragOff), data: cp})
 	st.bytes += len(cp)
 	r.buffer += len(cp)
-	if h.Flags&FlagMF == 0 {
-		st.haveLast = true
-		st.totalEnd = int(h.FragOff) + len(payload)
-	}
+	st.end = max(st.end, end)
+	st.haveLast = st.haveLast || last
 	if !st.haveLast {
 		return nil, false
 	}
 
-	// Check contiguous coverage [0, totalEnd).
+	// Check contiguous coverage [0, end).
 	sort.Slice(st.frags, func(i, j int) bool { return st.frags[i].off < st.frags[j].off })
 	next := 0
 	for _, f := range st.frags {
@@ -96,11 +100,11 @@ func (r *Reassembler) Add(h Header, payload []byte, now time.Time) ([]byte, bool
 			next = end
 		}
 	}
-	if next < st.totalEnd {
+	if next < st.end {
 		return nil, false
 	}
 
-	out := make([]byte, st.totalEnd)
+	out := make([]byte, st.end)
 	for _, f := range st.frags {
 		copy(out[f.off:], f.data)
 	}

@@ -81,3 +81,35 @@ func TestEstablishedWriteZeroAlloc(t *testing.T) {
 		t.Fatalf("%d frames left the stack for %d Writes: the measured path did not reach SendBatch every time", out, runs+1)
 	}
 }
+
+// TestUDPSendToAllocBudget is the datagram path's allocation budget, to a
+// resolved neighbour with the wire frozen (no pump: nothing drains the
+// ring or answers). A datagram that fits the MTU is built once behind
+// headroom and goes as it is: its buffer and the one-frame batch. One of
+// 5,000 bytes adds a frame per fragment, and the batch is sized once.
+func TestUDPSendToAllocBudget(t *testing.T) {
+	st, hp := oneStack(t)
+	introduce(t, hp, hostIP, hostMAC)
+	waitFrames(t, st, 1)
+	u, err := st.OpenUDP(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ size, frames, budget int }{{1400, 1, 2}, {5000, 4, 6}} {
+		payload := make([]byte, c.size)
+		const runs = 8 // plus AllocsPerRun's warm-up call: well inside the ring
+		before := st.Stats().FramesOut
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := u.SendTo(hostIP, 9, payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d B SendTo: %.0f allocs, %d frames", c.size, allocs, c.frames)
+		if allocs > float64(c.budget) {
+			t.Errorf("%.2f allocs per %d B SendTo, budget %d", allocs, c.size, c.budget)
+		}
+		if out := st.Stats().FramesOut - before; out != uint64(c.frames*(runs+1)) {
+			t.Fatalf("%d frames left for %d %d B datagrams: some waited or were dropped", out, runs+1, c.size)
+		}
+	}
+}

@@ -1,9 +1,13 @@
 package netstack_test
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
+	"confio/internal/arp"
+	"confio/internal/ether"
 	"confio/internal/ipv4"
 	"confio/internal/netstack"
 	"confio/internal/nic"
@@ -81,7 +85,7 @@ func TestUnknownProtocolDropped(t *testing.T) {
 	st, hp := oneStack(t)
 	// Valid IPv4 to our address, protocol 99.
 	h := ipv4.Header{TTL: 64, Proto: 99, Src: ipv4.Addr{10, 0, 0, 9}, Dst: ipv4.Addr{10, 0, 0, 7}}
-	pkt := ipv4.Marshal(nil, h, []byte("??"))
+	pkt := refIPv4(h, []byte("??"))
 	f := make([]byte, 14+len(pkt))
 	copy(f[0:6], []byte{0x02, 0x00, 0x00, 0xC1, 0x0A, 0x77})
 	f[12], f[13] = 0x08, 0x00
@@ -166,7 +170,7 @@ func TestICMPBadChecksumDropped(t *testing.T) {
 	icmp := make([]byte, 8)
 	icmp[0] = 8
 	icmp[2] = 0xBA // wrong checksum
-	pkt := ipv4.Marshal(nil, h, icmp)
+	pkt := refIPv4(h, icmp)
 	f := make([]byte, 14+len(pkt))
 	copy(f[0:6], []byte{0x02, 0x00, 0x00, 0xC1, 0x0A, 0x77})
 	f[12], f[13] = 0x08, 0x00
@@ -182,4 +186,62 @@ func TestICMPBadChecksumDropped(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("bad ICMP checksum not dropped: %+v", st.Stats())
+}
+
+// TestHostileFragmentsLeaveTheStackAlive: three fragments whose last one
+// ends inside data already held once crashed the reassembler on the
+// stack's own goroutine, taking the process with it. The stack must drop
+// them and go on answering: an echo request pushed behind them is
+// answered.
+func TestHostileFragmentsLeaveTheStackAlive(t *testing.T) {
+	st, hp := oneStack(t)
+	push(t, hp, arpFrame(ether.Broadcast, arp.Request(hostMAC, [4]byte(hostIP), [4]byte(stackIP))))
+	pop(t, hp) // the stack's ARP reply: it knows the host now
+	for _, f := range []struct {
+		off, n uint16
+		flags  uint8
+	}{{0, 200, ipv4.FlagMF}, {200, 8, ipv4.FlagMF}, {8, 8, 0}} {
+		h := ipv4.Header{ID: 77, Flags: f.flags, FragOff: f.off, TTL: 64, Proto: ipv4.ProtoUDP, Src: hostIP, Dst: stackIP}
+		push(t, hp, refEther(stackMAC, hostMAC, ether.TypeIPv4, refIPv4(h, make([]byte, f.n))))
+	}
+	push(t, hp, echoRequest(78, []byte("still there?")))
+	reply := pop(t, hp)
+	h, msg, err := ipv4.Parse(reply[ether.HeaderLen:])
+	if err != nil || h.Proto != ipv4.ProtoICMP || msg[0] != 0 {
+		t.Fatalf("no echo reply after the hostile fragments: %+v %v", h, err)
+	}
+	if err := st.Degraded(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUDPRefusesWhatIPv4CannotCarry: a payload past 65,507 bytes has no
+// valid length field or fragment offsets, so SendTo refuses it before
+// encoding anything; the largest payload that fits still crosses intact.
+func TestUDPRefusesWhatIPv4CannotCarry(t *testing.T) {
+	sa, sb, _ := twoStacks(t, transports()[0])
+	ua, _ := sa.OpenUDP(1000)
+	ub, _ := sb.OpenUDP(2000)
+	for _, n := range []int{65508, 70000} {
+		if err := ua.SendTo(ipB, 2000, make([]byte, n)); !errors.Is(err, netstack.ErrTooLarge) {
+			t.Fatalf("SendTo of %d bytes: %v, want ErrTooLarge", n, err)
+		}
+	}
+	if s := sa.Stats(); s.FramesOut != 0 || s.ARPRequests != 0 {
+		t.Fatalf("refused datagrams reached the wire: %+v", s)
+	}
+	payload := make([]byte, 65507)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	if err := ua.SendTo(ipB, 2000, payload); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ub.RecvFrom(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d.Payload, payload) {
+		t.Fatal("the largest datagram arrived changed")
+	}
 }

@@ -51,12 +51,14 @@ func (s *Stack) handleICMP(src ipv4.Addr, payload []byte) {
 	switch typ {
 	case icmpEchoRequest:
 		// Reply with the same id/seq/data.
-		reply := append([]byte{}, payload...)
+		dgram := make([]byte, headroom+len(payload))
+		reply := dgram[headroom:]
+		copy(reply, payload)
 		reply[0] = icmpEchoReply
 		reply[2], reply[3] = 0, 0
 		ck := ipv4.Checksum(reply)
 		reply[2], reply[3] = byte(ck>>8), byte(ck)
-		s.sendIP(src, ipv4.ProtoICMP, reply)
+		s.sendIP(src, ipv4.ProtoICMP, dgram)
 
 	case icmpEchoReply:
 		s.ping.mu.Lock()
@@ -90,7 +92,8 @@ func (s *Stack) Ping(dst ipv4.Addr, timeout time.Duration) (time.Duration, error
 		s.ping.mu.Unlock()
 	}()
 
-	msg := make([]byte, 8+16)
+	dgram := make([]byte, headroom+8+16)
+	msg := dgram[headroom:]
 	msg[0] = icmpEchoRequest
 	binary.BigEndian.PutUint16(msg[4:], key.id)
 	binary.BigEndian.PutUint16(msg[6:], key.seq)
@@ -99,7 +102,7 @@ func (s *Stack) Ping(dst ipv4.Addr, timeout time.Duration) (time.Duration, error
 	msg[2], msg[3] = byte(ck>>8), byte(ck)
 
 	start := time.Now()
-	s.sendIP(dst, ipv4.ProtoICMP, msg)
+	s.sendIP(dst, ipv4.ProtoICMP, dgram)
 	select {
 	case <-ch:
 		return time.Since(start), nil

@@ -31,6 +31,7 @@ type Stack struct {
 	// construction: a single-queue transport is a one-queue device.
 	queues []nic.BatchGuest
 	ip     ipv4.Addr
+	mac    ether.MAC
 
 	TCP *tcp.Endpoint
 
@@ -41,7 +42,7 @@ type Stack struct {
 
 	mu       sync.Mutex
 	udpPorts map[uint16]*UDPSocket
-	arpWait  map[ipv4.Addr][]pendingPkt
+	arpWait  map[ipv4.Addr]arpWaiter
 	ipID     uint16
 	stats    Stats
 	// nicErr records the terminal transport error (fail-dead or host
@@ -67,10 +68,12 @@ type Stats struct {
 	DeadDrops uint64
 }
 
-type pendingPkt struct {
-	proto   byte
-	payload []byte
-	queued  time.Time
+// arpWaiter is what waits for one neighbour's MAC: copies of frames whose
+// IPv4 headers are written and whose Ethernet headers are not, behind the
+// ARP request sent at asked.
+type arpWaiter struct {
+	frames [][]byte
+	asked  time.Time
 }
 
 const (
@@ -86,10 +89,11 @@ func New(g nic.Guest, ip ipv4.Addr) *Stack {
 		g:        g,
 		queues:   nic.GuestQueues(g),
 		ip:       ip,
+		mac:      ether.MAC(g.MAC()),
 		arpCache: arp.NewCache(0),
 		reasm:    ipv4.NewReassembler(0, 0),
 		udpPorts: make(map[uint16]*UDPSocket),
-		arpWait:  make(map[ipv4.Addr][]pendingPkt),
+		arpWait:  make(map[ipv4.Addr]arpWaiter),
 		stop:     make(chan struct{}),
 	}
 	s.TCP = tcp.NewEndpoint(ip, g.MTU(), headroom, s.sendTCP, nil)
@@ -130,9 +134,9 @@ func (s *Stack) degrade(err error) {
 		return
 	}
 	s.nicErr = err
-	for ip, pkts := range s.arpWait {
-		s.stats.SendDrops += uint64(len(pkts))
-		s.stats.DeadDrops += uint64(len(pkts))
+	for ip, w := range s.arpWait {
+		s.stats.SendDrops += uint64(len(w.frames))
+		s.stats.DeadDrops += uint64(len(w.frames))
 		delete(s.arpWait, ip)
 	}
 	s.mu.Unlock()
@@ -269,35 +273,29 @@ func (s *Stack) loop() {
 }
 
 // nextDeadline is the earliest instant a timer of the stack has work:
-// TCP's, or the expiry of the oldest packet queued behind ARP.
+// TCP's, or the expiry of the oldest unanswered ARP request.
 func (s *Stack) nextDeadline() time.Time {
 	next := s.TCP.NextDeadline()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, pkts := range s.arpWait {
-		if t := pkts[0].queued.Add(arpPendingTTL); next.IsZero() || t.Before(next) {
+	for _, w := range s.arpWait {
+		if t := w.asked.Add(arpPendingTTL); next.IsZero() || t.Before(next) {
 			next = t
 		}
 	}
 	return next
 }
 
+// expireARPWaiters drops, counted, the frames of every neighbour that has
+// not answered its ARP request within arpPendingTTL; the next frame for it
+// asks again.
 func (s *Stack) expireARPWaiters(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for ip, pkts := range s.arpWait {
-		kept := pkts[:0]
-		for _, p := range pkts {
-			if now.Sub(p.queued) < arpPendingTTL {
-				kept = append(kept, p)
-			} else {
-				s.stats.SendDrops++
-			}
-		}
-		if len(kept) == 0 {
+	for ip, w := range s.arpWait {
+		if now.Sub(w.asked) >= arpPendingTTL {
+			s.stats.SendDrops += uint64(len(w.frames))
 			delete(s.arpWait, ip)
-		} else {
-			s.arpWait[ip] = kept
 		}
 	}
 }
@@ -312,8 +310,7 @@ func (s *Stack) handleFrame(buf []byte) {
 	if err != nil {
 		return
 	}
-	self := ether.MAC(s.g.MAC())
-	if f.Dst != self && !f.Dst.IsBroadcast() {
+	if f.Dst != s.mac && !f.Dst.IsBroadcast() {
 		return
 	}
 	switch f.Type {
@@ -334,20 +331,21 @@ func (s *Stack) handleARP(f ether.Frame) {
 	s.flushARPWaiters(ipv4.Addr(p.SenderIP), p.SenderMAC)
 
 	if p.Op == arp.OpRequest && p.TargetIP == [4]byte(s.ip) {
-		rep := arp.ReplyTo(p, ether.MAC(s.g.MAC()), [4]byte(s.ip))
-		s.sendFrame(p.SenderMAC, ether.TypeARP, arp.Marshal(nil, rep))
+		s.sendARP(p.SenderMAC, arp.ReplyTo(p, s.mac, [4]byte(s.ip)))
 	}
 }
 
-// flushARPWaiters transmits packets that were waiting for mac.
+// flushARPWaiters addresses the frames that were waiting for ip's MAC and
+// transmits them as one batch.
 func (s *Stack) flushARPWaiters(ip ipv4.Addr, mac ether.MAC) {
 	s.mu.Lock()
-	pkts := s.arpWait[ip]
+	w := s.arpWait[ip]
 	delete(s.arpWait, ip)
 	s.mu.Unlock()
-	for _, p := range pkts {
-		s.transmitIP(ip, mac, p.proto, p.payload)
+	for _, f := range w.frames {
+		s.address(f, mac, ether.TypeIPv4)
 	}
+	s.sendFrames(w.frames)
 }
 
 func (s *Stack) handleIPv4(f ether.Frame) {
@@ -379,39 +377,102 @@ func (s *Stack) handleIPv4(f ether.Frame) {
 	}
 }
 
-// sendIP routes an IP payload: resolve the on-link MAC (queueing behind
-// ARP when unknown), fragment to the MTU, transmit.
-func (s *Stack) sendIP(dst ipv4.Addr, proto byte, payload []byte) {
-	now := time.Now()
-	if mac, ok := s.arpCache.Lookup(dst, now); ok {
-		s.transmitIP(dst, mac, proto, payload)
-		return
+// headroom is what every outbound IPv4 datagram is built behind: room for
+// the Ethernet and IPv4 headers, which are written in place in front of
+// it once it leaves the socket layer.
+const headroom = ether.HeaderLen + ipv4.HeaderLen
+
+// sendTCP transmits one flush of the TCP endpoint. Each segment sits in
+// a frame buffer behind headroom, so the IPv4 and Ethernet headers are
+// written in place and the buffer goes to the transport as it is — the
+// transport's copy into shared memory is the frame's next one — and the
+// endpoint takes its buffers back when this returns.
+func (s *Stack) sendTCP(b tcp.Batch) {
+	id := s.nextIPID(len(b.Pkts))
+	for i, pkt := range b.Pkts {
+		h := ipv4.Header{ID: id + uint16(i), TTL: 64, Proto: ipv4.ProtoTCP, Src: s.ip, Dst: b.Dst[i]}
+		ipv4.PutHeader(pkt[ether.HeaderLen:], h, len(pkt)-headroom)
 	}
-	s.awaitARP(dst, proto, payload, now)
+	s.route(b.Pkts, func(i int) ipv4.Addr { return b.Dst[i] })
 }
 
-// awaitARP queues a copy of payload behind the resolution of dst and
-// asks — but only once per outstanding neighbour; the queued packets all
-// ride on the same resolution. The copy is what lets the caller's buffer
-// go back to its owner while the answer is outstanding.
-func (s *Stack) awaitARP(dst ipv4.Addr, proto byte, payload []byte, now time.Time) {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+// sendIP transmits the datagram dgram, its proto payload (never empty:
+// a UDP or ICMP header at least) behind headroom, to dst. One that fits
+// the MTU is its own frame and gets its IPv4 header in place; a larger
+// one is copied out, one frame per fragment, each with its own header.
+// Every fragment goes in one batch.
+func (s *Stack) sendIP(dst ipv4.Addr, proto byte, dgram []byte) {
+	h := ipv4.Header{ID: s.nextIPID(1), TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
+	data := dgram[headroom:]
+	step := ipv4.FragmentLen(len(data), s.g.MTU())
+	frames := make([][]byte, 0, len(data)/step+1) // room for every fragment
+	for off := 0; off < len(data); off += step {
+		f := dgram // a datagram that fits is its own frame
+		if step < len(data) {
+			f = make([]byte, headroom+min(step, len(data)-off))
+		}
+		ipv4.PutFragment(f[ether.HeaderLen:], h, data, off)
+		frames = append(frames, f)
+	}
+	s.route(frames, func(int) ipv4.Addr { return dst })
+}
+
+// route transmits IPv4 frames whose IPv4 headers are written, frames[i]
+// to the on-link neighbour dst(i). A frame whose neighbour's MAC is cached
+// is addressed in place; one whose neighbour's is not is copied behind its
+// ARP resolution. frames is permuted, never overwritten.
+func (s *Stack) route(frames [][]byte, dst func(i int) ipv4.Addr) {
+	now := time.Now()
+	ready := 0
+	for i, f := range frames {
+		mac, ok := s.arpCache.Lookup(dst(i), now)
+		if !ok {
+			s.awaitARP(dst(i), f, now)
+			continue
+		}
+		s.address(f, mac, ether.TypeIPv4)
+		frames[ready], frames[i] = f, frames[ready]
+		ready++
+	}
+	s.sendFrames(frames[:ready])
+}
+
+// address writes f's Ethernet header in place, from this stack to the
+// next hop mac. Every frame the stack sends is addressed here, once its
+// next hop is known.
+func (s *Stack) address(f []byte, mac ether.MAC, typ uint16) {
+	ether.PutHeader(f, mac, s.mac, typ)
+}
+
+// awaitARP queues a copy of frame behind the resolution of dst and asks —
+// but only once per outstanding neighbour; the queued frames all ride on
+// the same resolution. The copy is what lets the caller's buffer go back
+// to its owner while the answer is outstanding.
+func (s *Stack) awaitARP(dst ipv4.Addr, frame []byte, now time.Time) {
 	s.mu.Lock()
-	first := len(s.arpWait[dst]) == 0
-	if len(s.arpWait[dst]) < arpPendingMax {
-		s.arpWait[dst] = append(s.arpWait[dst], pendingPkt{proto: proto, payload: cp, queued: now})
+	w, asked := s.arpWait[dst]
+	if !asked {
+		w.asked = now
+		s.stats.ARPRequests++
+	}
+	if len(w.frames) < arpPendingMax {
+		w.frames = append(w.frames, append([]byte(nil), frame...))
 	} else {
 		s.stats.SendDrops++
 	}
-	if first {
-		s.stats.ARPRequests++
-	}
+	s.arpWait[dst] = w
 	s.mu.Unlock()
-	if first {
-		req := arp.Request(ether.MAC(s.g.MAC()), [4]byte(s.ip), [4]byte(dst))
-		s.sendFrame(ether.Broadcast, ether.TypeARP, arp.Marshal(nil, req))
+	if !asked {
+		s.sendARP(ether.Broadcast, arp.Request(s.mac, [4]byte(s.ip), [4]byte(dst)))
 	}
+}
+
+// sendARP transmits p to mac in a frame of its own.
+func (s *Stack) sendARP(mac ether.MAC, p arp.Packet) {
+	f := make([]byte, ether.HeaderLen+arp.PacketLen)
+	arp.Put(f[ether.HeaderLen:], p)
+	s.address(f, mac, ether.TypeARP)
+	s.sendFrames([][]byte{f})
 }
 
 // nextIPID reserves n consecutive datagram IDs and returns the first.
@@ -421,66 +482,6 @@ func (s *Stack) nextIPID(n int) uint16 {
 	first := s.ipID + 1
 	s.ipID += uint16(n)
 	return first
-}
-
-// transmitIP sends a datagram of any size the slow way: Fragment copies
-// it into MTU-sized packets, sendFrame's encoder copies those into
-// frames.
-func (s *Stack) transmitIP(dst ipv4.Addr, mac ether.MAC, proto byte, payload []byte) {
-	h := ipv4.Header{ID: s.nextIPID(1), TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
-	pkts, err := ipv4.Fragment(h, payload, s.g.MTU())
-	if err != nil {
-		s.mu.Lock()
-		s.stats.SendDrops++
-		s.mu.Unlock()
-		return
-	}
-	// Every fragment of the datagram flushes as one batch: one lock
-	// acquisition, one index publication, one doorbell on batch-capable
-	// transports.
-	src := ether.MAC(s.g.MAC())
-	for i, p := range pkts {
-		pkts[i] = ether.Marshal(nil, ether.Frame{Dst: mac, Src: src, Type: ether.TypeIPv4, Payload: p})
-	}
-	s.sendFrames(pkts)
-}
-
-// headroom is what sendTCP writes in front of every segment: the
-// Ethernet and IPv4 headers.
-const headroom = ether.HeaderLen + ipv4.HeaderLen
-
-// sendTCP transmits one flush of the TCP endpoint. Each segment sits in
-// a frame buffer behind headroom, so the IPv4 and Ethernet headers are
-// written in place and the buffer goes to the transport as it is — the
-// transport's copy into shared memory is the frame's next one — and the
-// endpoint takes its buffers back when this returns. A segment whose
-// neighbour is unresolved is copied behind ARP like any other packet.
-func (s *Stack) sendTCP(b tcp.Batch) {
-	now := time.Now()
-	src := ether.MAC(s.g.MAC())
-	id := s.nextIPID(len(b.Pkts))
-	ready := 0
-	for i, pkt := range b.Pkts {
-		dst := b.Dst[i]
-		mac, ok := s.arpCache.Lookup(dst, now)
-		if !ok {
-			s.awaitARP(dst, ipv4.ProtoTCP, pkt[headroom:], now)
-			continue
-		}
-		h := ipv4.Header{ID: id, TTL: 64, Proto: ipv4.ProtoTCP, Src: s.ip, Dst: dst}
-		id++
-		ipv4.PutHeader(pkt[ether.HeaderLen:], h, len(pkt)-headroom)
-		ether.PutHeader(pkt, mac, src, ether.TypeIPv4)
-		b.Pkts[ready], b.Pkts[i] = pkt, b.Pkts[ready]
-		ready++
-	}
-	s.sendFrames(b.Pkts[:ready])
-}
-
-// sendFrame transmits one Ethernet frame.
-func (s *Stack) sendFrame(dst ether.MAC, typ uint16, payload []byte) {
-	f := ether.Frame{Dst: dst, Src: ether.MAC(s.g.MAC()), Type: typ, Payload: payload}
-	s.sendFrames([][]byte{ether.Marshal(nil, f)})
 }
 
 // sendFrames transmits encoded Ethernet frames in order, dropping what
@@ -591,6 +592,10 @@ var ErrSocketClosed = errors.New("netstack: udp socket closed")
 // ErrTimeout reports a receive deadline expiry.
 var ErrTimeout = errors.New("netstack: timeout")
 
+// ErrTooLarge reports a UDP payload larger than one IPv4 datagram carries
+// (65,507 bytes).
+var ErrTooLarge = errors.New("netstack: udp payload too large for an ipv4 datagram")
+
 // OpenUDP binds a UDP socket to port.
 func (s *Stack) OpenUDP(port uint16) (*UDPSocket, error) {
 	s.mu.Lock()
@@ -625,15 +630,21 @@ func (s *Stack) handleUDP(src ipv4.Addr, payload []byte) {
 	}
 }
 
-// SendTo transmits a datagram.
+// SendTo transmits a datagram. The payload is copied once, into the
+// buffer the datagram is built in.
 func (u *UDPSocket) SendTo(dst ipv4.Addr, port uint16, payload []byte) error {
 	select {
 	case <-u.closed:
 		return ErrSocketClosed
 	default:
 	}
-	seg := udp.Marshal(nil, u.s.ip, dst, u.port, port, payload)
-	u.s.sendIP(dst, ipv4.ProtoUDP, seg)
+	if udp.HeaderLen+len(payload) > ipv4.MaxPayload {
+		return ErrTooLarge
+	}
+	dgram := make([]byte, headroom+udp.HeaderLen+len(payload))
+	copy(dgram[headroom+udp.HeaderLen:], payload)
+	udp.Put(dgram[headroom:], u.s.ip, dst, u.port, port)
+	u.s.sendIP(dst, ipv4.ProtoUDP, dgram)
 	return nil
 }
 

@@ -33,12 +33,12 @@ type Component struct {
 // tests excluded). Regenerate with Measure; TestCatalogFresh fails when
 // one drifts more than 5 % from the tree.
 var (
-	CompEther     = Component{"ether", 45, "Ethernet framing"}
-	CompARP       = Component{"arp", 91, "ARP + neighbour cache"}
-	CompIPv4      = Component{"ipv4", 253, "IPv4 + frag/reasm"}
-	CompUDP       = Component{"udp", 52, "UDP"}
-	CompTCP       = Component{"tcp", 1187, "TCP state machine"}
-	CompNetstack  = Component{"netstack", 582, "stack glue + sockets"}
+	CompEther     = Component{"ether", 40, "Ethernet framing"}
+	CompARP       = Component{"arp", 88, "ARP + neighbour cache"}
+	CompIPv4      = Component{"ipv4", 236, "IPv4 + frag/reasm"}
+	CompUDP       = Component{"udp", 45, "UDP"}
+	CompTCP       = Component{"tcp", 1174, "TCP state machine"}
+	CompNetstack  = Component{"netstack", 580, "stack glue + sockets"}
 	CompSafering  = Component{"safering", 1529, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 421, "netvsc driver"}

@@ -123,15 +123,6 @@ func putChecksum(seg []byte, src, dst ipv4.Addr) {
 	binary.BigEndian.PutUint16(seg[16:], ipv4.TransportChecksum(src, dst, ipv4.ProtoTCP, seg))
 }
 
-// Marshal appends an encoded segment (with checksum) to dst.
-func Marshal(dst []byte, src, dstIP ipv4.Addr, h Header, payload []byte) []byte {
-	var hdr [headerLen + 4]byte
-	start := len(dst)
-	dst = append(append(dst, hdr[:putHeader(hdr[:], h)]...), payload...)
-	putChecksum(dst[start:], src, dstIP)
-	return dst
-}
-
 func be32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
@@ -142,10 +133,3 @@ func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 func seqGT(a, b uint32) bool  { return int32(a-b) > 0 }
 func seqGEQ(a, b uint32) bool { return int32(a-b) >= 0 }
-
-func seqMax(a, b uint32) uint32 {
-	if seqGT(a, b) {
-		return a
-	}
-	return b
-}

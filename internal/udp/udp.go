@@ -48,22 +48,17 @@ func Parse(src, dst ipv4.Addr, buf []byte) (Datagram, error) {
 	}, nil
 }
 
-// Marshal appends an encoded datagram (with checksum) to dst.
-func Marshal(dst []byte, src, dstIP ipv4.Addr, srcPort, dstPort uint16, payload []byte) []byte {
-	length := HeaderLen + len(payload)
-	start := len(dst)
-	dst = append(dst,
-		byte(srcPort>>8), byte(srcPort),
-		byte(dstPort>>8), byte(dstPort),
-		byte(length>>8), byte(length),
-		0, 0,
-	)
-	dst = append(dst, payload...)
-	ck := ipv4.TransportChecksum(src, dstIP, ipv4.ProtoUDP, dst[start:])
+// Put encodes the header, checksum included, of the datagram b from
+// srcPort to dstPort carried between src and dst into b[:HeaderLen]. The
+// payload is already in place behind it: len(b) is the datagram's length.
+func Put(b []byte, src, dst ipv4.Addr, srcPort, dstPort uint16) {
+	b[0], b[1] = byte(srcPort>>8), byte(srcPort)
+	b[2], b[3] = byte(dstPort>>8), byte(dstPort)
+	b[4], b[5] = byte(len(b)>>8), byte(len(b))
+	b[6], b[7] = 0, 0
+	ck := ipv4.TransportChecksum(src, dst, ipv4.ProtoUDP, b)
 	if ck == 0 {
 		ck = 0xFFFF // 0 means "no checksum" on the wire
 	}
-	dst[start+6] = byte(ck >> 8)
-	dst[start+7] = byte(ck)
-	return dst
+	b[6], b[7] = byte(ck>>8), byte(ck)
 }
