@@ -368,54 +368,10 @@ func blkringScenarios() []Scenario {
 			return blocked(AtkForgedHandle, tr, "handles are guest-allocated and parked; the slot word is never re-read")
 		}},
 		Scenario{AtkNotifStorm, tr, func() Result {
-			return na(AtkNotifStorm, tr, "no host->guest doorbell: the submission bell is guest-rung")
+			return na(AtkNotifStorm, tr, "no doorbell: each end parks on the index word the other stores")
 		}},
 		Scenario{AtkEventIdxLie, tr, func() Result {
-			// Notify-enabled device: the host scribbles garbage and
-			// rolled-back wake thresholds into the request ring's event
-			// word while a backend serves it. The guest's Publish elides
-			// bells on the lie, but the backend's bounded poll still
-			// collects every request: round trips must keep completing
-			// with intact data, and nobody may die.
-			ep, err := blkring.New(8, 64, nil)
-			if err != nil {
-				panic(err)
-			}
-			ep.EnableNotify(true)
-			be := blkring.NewBackend(ep.Shared(), blockdev.NewMemDisk(64))
-			be.Start()
-			defer be.Stop()
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				garbage := []uint64{^uint64(0), 1 << 63, 5, 0}
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					ep.Shared().Ring.Indexes().StoreEvent(garbage[i%len(garbage)])
-					runtime.Gosched()
-				}
-			}()
-			want := frame(blockdev.SectorSize, 0xE1)
-			got := make([]byte, blockdev.SectorSize)
-			for i := 0; i < 8; i++ {
-				if err := ep.WriteSector(9, want); err != nil {
-					return compromised(AtkEventIdxLie, tr, "write died under lying threshold: "+err.Error())
-				}
-				if err := ep.ReadSector(9, got); err != nil {
-					return compromised(AtkEventIdxLie, tr, "read died under lying threshold: "+err.Error())
-				}
-				if !bytes.Equal(got, want) {
-					return compromised(AtkEventIdxLie, tr, "lying threshold corrupted a round trip")
-				}
-			}
-			if err := ep.Dead(); err != nil {
-				return compromised(AtkEventIdxLie, tr, "lying threshold killed the device: "+err.Error())
-			}
-			return blocked(AtkEventIdxLie, tr, "event word feeds a wrap-compare only; bounded backend poll still serves")
+			return na(AtkEventIdxLie, tr, "no submission bell: nothing on the guest side reads the event word")
 		}},
 		Scenario{AtkBlkWakeSpam, tr, func() Result { return blkWakeSpam(tr) }},
 		Scenario{AtkMerkleSibSwap, tr, func() Result { return merkleSiblingSwap(tr) }},

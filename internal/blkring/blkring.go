@@ -3,12 +3,11 @@
 // principles as the network safe ring (the low boundary of §3.3's
 // storage generalization): a stateless SPSC request ring with masked
 // indexes, single-fetch descriptor snapshots, data staged through a
-// generation-tagged arena, and no negotiation. By default nothing is
-// notified either: both ends poll, and an idle end parks on the index
-// word the other one stores (the backend on prod, a waiting submitter on
-// cons) — an unmetered hint with a bounded wait behind it, never state.
-// EnableNotify swaps the backend's park for a charged submission
-// doorbell, optionally event-idx suppressed.
+// generation-tagged arena, and no negotiation. Nothing is notified
+// either: there is no doorbell. Both ends poll, and an idle end parks on
+// the index word the other one stores (the backend on prod, a waiting
+// submitter on cons) — an unmetered hint with a bounded wait behind it,
+// never state.
 //
 // The ring is an instance of safering's payload-generic producer engine,
 // so every hardening property the network boundary has — batched
@@ -81,11 +80,6 @@ type Shared struct {
 	Ring  *safering.Ring // 32-byte slots; we use the raw region
 	Data  *shmem.Arena   // sector staging slabs
 	Epoch uint32         // incarnation; stamped into every op/status word
-	// SubBell, when non-nil, is the guest->host submission doorbell of a
-	// notify-enabled device (see Endpoint.EnableNotify); nil in the
-	// default pure-polling configuration. Like every doorbell it carries
-	// no data: the backend still validates everything it reads.
-	SubBell *safering.Doorbell
 }
 
 // slabLease is one staging slab checked out of the shared data arena for
@@ -181,10 +175,6 @@ type Endpoint struct {
 	free    *pending                  // recycled completion records
 	clock   func() time.Time
 	timeout time.Duration
-	// notify/eventIdx: deployment-fixed notification configuration (see
-	// EnableNotify); every incarnation inherits it.
-	notify   bool
-	eventIdx bool
 	// parking is held by the one waiting submitter that parks on the
 	// consumer index (the slot holds one wake; further concurrent
 	// submitters only yield) and guards what it blocks on: its wake and
@@ -233,29 +223,7 @@ func (e *Endpoint) newShared(epoch uint32) (*Shared, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shared{Ring: ring, Data: arena, Epoch: epoch}
-	if e.notify {
-		sh.SubBell = safering.NewDoorbell(e.meter)
-	}
-	return sh, nil
-}
-
-// EnableNotify switches the device from pure polling to a guest->host
-// submission doorbell, with optional event-idx suppression (the backend
-// publishes a wake threshold in the ring's event word; Publish elides
-// the bell while the backend actively polls). Deployment-fixed like
-// every protocol parameter: call once, immediately after New and before
-// any I/O — it rebinds the engine, discarding protocol state. Every
-// later incarnation inherits the configuration.
-func (e *Endpoint) EnableNotify(eventIdx bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.notify, e.eventIdx = true, eventIdx
-	if e.sh.SubBell == nil {
-		e.sh.SubBell = safering.NewDoorbell(e.meter)
-	}
-	e.eng.Reset(e.sh.Ring, e.sh.SubBell)
-	e.eng.SetEventIdx(eventIdx)
+	return &Shared{Ring: ring, Data: arena, Epoch: epoch}, nil
 }
 
 // Shared exposes the host-visible state. After a reincarnation it
@@ -564,16 +532,12 @@ func (e *Endpoint) Reincarnate() (*Shared, error) {
 //
 //ciovet:locked
 func (e *Endpoint) rebirthLocked() error {
-	old := e.sh
 	sh, err := e.newShared(e.sh.Epoch + 1)
 	if err != nil {
 		return err
 	}
 	e.sh = sh
-	// Seal the dead incarnation's bell (nil-safe): a backend still
-	// holding it must not be woken by — or wake on — the new device.
-	old.SubBell.Seal()
-	e.eng.Reset(sh.Ring, sh.SubBell)
+	e.eng.Reset(sh.Ring, nil)
 	return nil
 }
 
@@ -693,19 +657,17 @@ func (m *Multi) SetRecoveryPolicy(p safering.RecoveryPolicy) { m.life.SetRecover
 // from a stale epoch stops the backend instead of being served.
 //
 // Idle, it is one more client of the datapath's waiter: after
-// backendSpin empty, yielding polls it arms — on a polling-mode device
-// it parks on the request ring's producer index, on a notify-enabled one
-// it publishes its wake threshold for the submission bell — re-checks
-// the index, and blocks until the wake, Stop or nic.WaitBound. The wait
-// is always time-bounded: the guest controls when the wake fires (and
-// can publish a garbage event index), never whether the backend keeps
-// serving or can be collected.
+// backendSpin empty, yielding polls it parks on the request ring's
+// producer index, re-checks the index, and blocks until the guest's
+// store pokes it, Stop or nic.WaitBound. The wait is always
+// time-bounded: the guest controls when the wake fires, never whether
+// the backend keeps serving or can be collected.
 type Backend struct {
 	sh   *Shared
 	disk blockdev.Disk
 
 	stop chan struct{}
-	park chan struct{} // the wake a polling-mode backend parks on prod with
+	park chan struct{} // the wake the backend parks on prod with
 	wg   sync.WaitGroup
 
 	mu    sync.Mutex
@@ -742,39 +704,33 @@ func (b *Backend) Dead() error {
 // are slower than parking at once (EXPERIMENTS.md "Storage hand-off").
 const backendSpin = 64
 
-// arm registers the idle backend's wake — the park on the producer
-// index, or the event-idx threshold of the submission bell — and reports
-// whether requests already wait (the lost-wakeup re-check: poll again
-// instead of blocking).
+// arm parks the idle backend on the producer index and reports whether
+// requests already wait (the lost-wakeup re-check: poll again instead of
+// blocking). It also stores its tail in the ring's event word, as a
+// virtio consumer arms: nothing on the guest side reads that word, but
+// it makes "about to block" visible from outside the backend.
 func (b *Backend) arm() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ix := b.sh.Ring.Indexes()
 	ix.StoreEvent(b.tail)
-	if b.sh.SubBell == nil {
-		ix.Park(b.park)
-	}
+	ix.Park(b.park)
 	return ix.LoadProd() != b.tail
 }
 
-// disarm withdraws the wake while the backend actively polls, eliding
-// guest submission doorbells (and pokes) under sustained load.
+// disarm withdraws the park while the backend actively polls, eliding
+// the guest's pokes under sustained load, and moves the event word off
+// the tail again.
 func (b *Backend) disarm() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ix := b.sh.Ring.Indexes()
 	ix.StoreEvent(b.tail - 1)
-	if b.sh.SubBell == nil {
-		ix.Unpark()
-	}
+	ix.Unpark()
 }
 
 // Start launches the service loop.
 func (b *Backend) Start() {
-	wake := (<-chan struct{})(b.park)
-	if b.sh.SubBell != nil {
-		wake = b.sh.SubBell.Chan()
-	}
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
@@ -809,7 +765,7 @@ func (b *Backend) Start() {
 				continue // work raced in while arming: poll again
 			}
 			armed = true
-			if !w.Wait(b.stop, wake, nil, nic.WaitBound) {
+			if !w.Wait(b.stop, b.park, nil, nic.WaitBound) {
 				return
 			}
 		}

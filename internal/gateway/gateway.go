@@ -59,10 +59,11 @@ type Config struct {
 	// latency); nil meters nothing. Tenant ctls crypto costs land on the
 	// same per-tenant meters.
 	Bank *platform.TenantBank
-	// HandshakeTimeout bounds hello+handshake on a new flow; zero means
-	// 5s. Without it a dribbling client would pin accept goroutines.
-	HandshakeTimeout time.Duration
 }
+
+// handshakeTimeout bounds hello+handshake on a new flow. Without it a
+// dribbling client would pin accept goroutines.
+const handshakeTimeout = 5 * time.Second
 
 // Gateway is a multi-tenant ctls-terminating relay: it accepts tenant
 // flows from a listener, authenticates each against its per-tenant key,
@@ -94,9 +95,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Handler == nil {
 		cfg.Handler = EchoHandler
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
 	}
 	pol := cfg.TenantPolicy
 	if pol.Clock == nil {
@@ -172,7 +170,7 @@ func (g *Gateway) Serve(l *tcp.Listener) {
 // handleConn runs one flow from hello to teardown.
 func (g *Gateway) handleConn(c *tcp.Conn) {
 	// Bound the unauthenticated prefix of the flow.
-	c.SetReadDeadline(time.Now().Add(g.cfg.HandshakeTimeout))
+	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
 
 	var hello [HelloLen]byte
 	if _, err := io.ReadFull(c, hello[:]); err != nil {

@@ -294,17 +294,9 @@ func (f *BufFrame) Release() {
 // default (no notifications); a worker with nothing to move blocks on its
 // ladder instead of burning a core.
 type Pump struct {
-	stop chan struct{}
-	wg   sync.WaitGroup
-	// txFrames / rxFrames count frames moved in each direction. They are
-	// atomics, not mutex-guarded fields: accounting sits on the per-burst
-	// hot path and must not add a lock acquisition to every burst — and
-	// they are written only when frames moved, because spinning workers
-	// (and the peer's pump) share the line: a store per empty poll costs
-	// every poller a cacheline handoff.
-	txFrames atomic.Uint64
-	rxFrames atomic.Uint64
-	running  atomic.Int32
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	running atomic.Int32
 }
 
 // StartPump begins shuttling between h and port until Stop: the
@@ -417,24 +409,24 @@ func newTxBurst(frameCap int) *txBurst {
 }
 
 // drain moves one burst of guest transmit frames onto the wire with one
-// batched pop, returning how many frames the backend handed over and how
-// many the wire took. A non-nil error is terminal (ErrClosed: the device
-// fail-deaded) and collects the calling pump — polling a dead device
-// forever would leak its goroutine until someone remembered to call Stop.
-func (b *txBurst) drain(h BatchHost, port *simnet.Port) (popped int, sent uint64, err error) {
+// batched pop, returning how many frames the backend handed over. A
+// non-nil error is terminal (ErrClosed: the device fail-deaded) and
+// collects the calling pump — polling a dead device forever would leak
+// its goroutine until someone remembered to call Stop.
+func (b *txBurst) drain(h BatchHost, port *simnet.Port) (int, error) {
 	n, err := h.PopBatch(b.bufs, b.lens)
 	// Identity before errors.Is, which pays a reflective comparability
 	// test and an unwrap walk on every empty poll; a wrapped or
 	// Parker-carrying empty result still matches through the fallback.
 	if err != nil && err != ErrEmpty && !errors.Is(err, ErrEmpty) {
-		return 0, 0, err
+		return 0, err
 	}
 	for i := 0; i < n; i++ {
-		if port.Send(b.bufs[i][:b.lens[i]]) == nil {
-			sent++
-		}
+		// A frame the wire refuses (a runt, a full or closed port) is
+		// dropped there, as a real wire drops it.
+		_ = port.Send(b.bufs[i][:b.lens[i]])
 	}
-	return n, sent, nil
+	return n, nil
 }
 
 // steering is the receive half worker 0 runs as the sole owner of the
@@ -467,10 +459,10 @@ func newSteering(hosts []BatchHost) steering {
 
 // deliver takes one burst off the wire and makes one non-blocking push
 // per queue that has frames waiting, carrying over what a full ring
-// refused. It returns the frames taken off the wire and the frames the
-// backends accepted.
-func (s steering) deliver(port *simnet.Port) (got int, pushed uint64) {
-	for ; got < pumpBurst; got++ {
+// refused. It returns how many frames moved: taken off the wire plus
+// accepted by a backend.
+func (s steering) deliver(port *simnet.Port) (moved int) {
+	for ; moved < pumpBurst; moved++ {
 		f, ok := port.Recv()
 		if !ok {
 			break
@@ -490,7 +482,7 @@ func (s steering) deliver(port *simnet.Port) (got int, pushed uint64) {
 			continue
 		}
 		n, err := q.h.PushBatch(q.carry)
-		pushed += uint64(n)
+		moved += n
 		if err != nil && err != ErrFull && !errors.Is(err, ErrFull) {
 			n = len(q.carry) // terminal: frames for a dead queue are drops
 		}
@@ -498,7 +490,7 @@ func (s steering) deliver(port *simnet.Port) (got int, pushed uint64) {
 		clear(q.carry[rest:])
 		q.carry = q.carry[:rest]
 	}
-	return got, pushed
+	return moved
 }
 
 // run is worker q: rx is the wire's receive half in worker 0 and nil in
@@ -514,20 +506,13 @@ func (p *Pump) run(h BatchHost, port *simnet.Port, rx steering, idle *ladder) {
 		default:
 		}
 		// Guest -> network.
-		moved, sent, err := tx.drain(h, port)
+		moved, err := tx.drain(h, port)
 		if err != nil {
 			return
 		}
-		if sent > 0 {
-			p.txFrames.Add(sent)
-		}
 		// Network -> guest. A dead backend surfaces on the next drain.
 		if rx != nil {
-			got, pushed := rx.deliver(port)
-			if pushed > 0 {
-				p.rxFrames.Add(pushed)
-			}
-			moved += got + int(pushed)
+			moved += rx.deliver(port)
 		}
 		if moved > 0 {
 			idle.worked()
@@ -535,12 +520,6 @@ func (p *Pump) run(h BatchHost, port *simnet.Port, rx steering, idle *ladder) {
 			return
 		}
 	}
-}
-
-// Counts returns frames pumped across all queues (tx = guest->net, rx =
-// net->guest).
-func (p *Pump) Counts() (tx, rx uint64) {
-	return p.txFrames.Load(), p.rxFrames.Load()
 }
 
 // Stop halts every pump goroutine and waits. Idempotent.

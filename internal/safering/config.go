@@ -98,10 +98,6 @@ type DeviceConfig struct {
 	// both sides — there is no feature negotiation to subvert. Requires
 	// Notify.
 	EventIdx bool
-	// GuestChecksums fixes checksum responsibility at deployment: when
-	// true the guest stack computes/verifies checksums and the device
-	// offers no offload (there is nothing to negotiate).
-	GuestChecksums bool
 }
 
 // HeaderSlack is the extra room beyond the MTU for link headers in a
@@ -109,16 +105,15 @@ type DeviceConfig struct {
 const HeaderSlack = 64
 
 // DefaultConfig returns a deployable configuration: 256 slots, 2 KiB
-// inline slots, 1500-byte MTU, polling, guest-computed checksums.
+// inline slots, 1500-byte MTU, polling.
 func DefaultConfig() DeviceConfig {
 	return DeviceConfig{
-		MAC:            MAC{0x02, 0x00, 0x00, 0xC1, 0x0A, 0x01},
-		MTU:            1500,
-		Slots:          256,
-		SlotSize:       2048,
-		Mode:           Inline,
-		RX:             CopyOut,
-		GuestChecksums: true,
+		MAC:      MAC{0x02, 0x00, 0x00, 0xC1, 0x0A, 0x01},
+		MTU:      1500,
+		Slots:    256,
+		SlotSize: 2048,
+		Mode:     Inline,
+		RX:       CopyOut,
 	}
 }
 

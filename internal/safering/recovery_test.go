@@ -441,22 +441,28 @@ func TestMultiPumpRestartAfterDeath(t *testing.T) {
 	pump2 := nic.StartMultiPump(mhp2.HostNICs(), net.NewPort())
 	t.Cleanup(pump2.Stop)
 
-	// Traffic flows on the new epoch: the new pump must move the frames.
+	// Traffic flows on the new epoch: the new pump must consume every
+	// queue's frame, returning its transmit ring to cons == head.
 	for q := 0; q < queues; q++ {
 		if err := m.Queue(q).Send(bytes.Repeat([]byte{byte(q + 1)}, 200)); err != nil {
 			t.Fatalf("queue %d send after rebirth: %v", q, err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tx, _ := pump2.Counts()
-		if tx >= queues {
-			break
+	for q := 0; q < queues; q++ {
+		for {
+			head, cons, alive := m.Queue(q).WatchProgress()
+			if !alive {
+				t.Fatalf("queue %d died after rebirth: %v", q, m.Dead())
+			}
+			if head == 1 && cons == head {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("queue %d after rebirth: head %d, cons %d; the new pump never consumed its frame", q, head, cons)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("new pump moved %d frames, want %d", tx, queues)
-		}
-		time.Sleep(time.Millisecond)
 	}
 	pump2.Stop()
 

@@ -149,3 +149,26 @@ func TestArenaHandleTotalityProperty(t *testing.T) {
 		t.Fatalf("live handle must keep verifying: %v", err)
 	}
 }
+
+// Property: the untrusted side's unverified decode maps any 64-bit handle
+// to the start of some slab inside the region, and a live handle to its
+// own slab — a forged handle can name the wrong slab, never escape.
+func TestArenaPeerOffsetProperty(t *testing.T) {
+	const slabSize, slabs = 64, 8
+	a, _ := NewArena(slabSize, slabs)
+	f := func(raw uint64) bool {
+		off := a.PeerOffset(Handle(raw))
+		return off%slabSize == 0 && off+slabSize <= uint64(a.Region().Size())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := a.Alloc()
+	want, err := a.Offset(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.PeerOffset(h); got != want {
+		t.Fatalf("PeerOffset(live) = %d, verified Offset = %d", got, want)
+	}
+}

@@ -15,15 +15,8 @@
 //     travel as messages, and the trusted side validates ownership before
 //     reuse.
 //
-// Two more types are here that nothing outside this package's own tests
-// has instantiated since they were written, and that `make dead` lists
-// for deletion (EXPERIMENTS.md "Dead-code oracle"): Bounce, a
-// SWIOTLB-style bounce-buffer allocator that copies on every map/unmap,
-// and Journal, per-side access instrumentation that detects double-fetch
-// patterns. No transport, attack scenario or benchmark uses either.
-//
-// All types are driven by ordinary Go code on both "sides"; the package is
-// a simulation substrate, not an actual IPC mechanism. What it preserves
-// from the real systems is the sharing discipline: which side may touch
-// which bytes, and what each side can observe.
+// Both types are driven by ordinary Go code on both "sides"; the package
+// is a simulation substrate, not an actual IPC mechanism. What it
+// preserves from the real systems is the sharing discipline: which side
+// may touch which bytes, and what each side can observe.
 package shmem

@@ -33,27 +33,11 @@ func NewRegion(size int) (*Region, error) {
 	return &Region{buf: make([]byte, size), mask: uint64(size - 1)}, nil
 }
 
-// MustRegion is NewRegion for statically known-good sizes; it panics on
-// invalid size and is intended for tests and internal wiring.
-func MustRegion(size int) *Region {
-	r, err := NewRegion(size)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Size returns the region size in bytes (a power of two).
 func (r *Region) Size() int { return len(r.buf) }
 
 // Mask returns Size()-1, the offset mask applied by every accessor.
 func (r *Region) Mask() uint64 { return r.mask }
-
-// Byte returns the byte at the masked offset.
-func (r *Region) Byte(off uint64) byte { return r.buf[off&r.mask] }
-
-// SetByte stores v at the masked offset.
-func (r *Region) SetByte(off uint64, v byte) { r.buf[off&r.mask] = v }
 
 // ReadAt copies len(dst) bytes starting at the masked offset into dst,
 // wrapping around the region end. It always fills dst completely.

@@ -39,20 +39,20 @@ var (
 	CompUDP       = Component{"udp", 45, "UDP"}
 	CompTCP       = Component{"tcp", 1174, "TCP state machine"}
 	CompNetstack  = Component{"netstack", 580, "stack glue + sockets"}
-	CompSafering  = Component{"safering", 1529, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompSafering  = Component{"safering", 1527, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 421, "netvsc driver"}
 	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
 	CompGate      = Component{"compartment", 136, "intra-TEE gate"}
 	CompTDISP     = Component{"tdisp", 344, "TEE-side TDISP/IDE driver"}
-	CompBlkring   = Component{"blkring", 570, "safe block ring on the generic engine"}
+	CompBlkring   = Component{"blkring", 543, "safe block ring on the generic engine"}
 	CompCryptdisk = Component{"cryptdisk", 312, "at-rest AEAD sectors + Merkle freshness"}
 	CompSFS       = Component{"sfs", 325, "extent filesystem"}
 	// CompNIC is the transport-neutral NIC contract and the host pump.
 	// The pump runs in the host's device model, so no TEE profile counts
 	// it; it is catalogued because the datapath's size claims
 	// (EXPERIMENTS.md, safering + nic) are made in it.
-	CompNIC = Component{"nic", 422, "NIC contract, flow steering, host pump"}
+	CompNIC = Component{"nic", 408, "NIC contract, flow steering, host pump"}
 
 	CompApp  = Component{"app", 300, "confidential application"}
 	CompShim = Component{"hostsock-shim", 120, "L5 host-socket shim"}
