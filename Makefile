@@ -1,8 +1,10 @@
 GO ?= go
 
 # Packages exercised under the race detector: the ones with real
-# cross-goroutine shared state (rings, slab pools, the core datapath).
-RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack
+# cross-goroutine shared state (rings, slab pools, the core datapath, and
+# the storage stack, whose TEE-held Merkle frontier host goroutines and
+# per-tenant volumes reach concurrently).
+RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio
 
 .PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos race-pump dead check
 
@@ -36,13 +38,16 @@ vet-update-baseline:
 
 # Short adversarial fuzzing pass over both sides' descriptor validation —
 # the guest's RX decode (a hostile host) and the honest host's TX gather
-# (a hostile guest) — and over IPv4 fragmentation: the stack's fragment
+# (a hostile guest) — over IPv4 fragmentation (the stack's fragment
 # writer against its reassembler, and a host's fragments against the
-# reassembler. -fuzz takes one target per invocation.
+# reassembler), and over the data-at-rest layer: a host moving versions,
+# tags, tree nodes and platter bytes between the guest's reads and
+# writes. -fuzz takes one target per invocation.
 fuzz:
 	$(GO) test -fuzz '^FuzzDescDecode$$' -fuzztime 30s -run '^$$' ./internal/safering
 	$(GO) test -fuzz '^FuzzTXGather$$' -fuzztime 30s -run '^$$' ./internal/safering
 	$(GO) test -fuzz '^FuzzFragment$$' -fuzztime 30s -run '^$$' ./internal/ipv4
+	$(GO) test -fuzz '^FuzzHostMeta$$' -fuzztime 30s -run '^$$' ./internal/cryptdisk
 
 fmt:
 	gofmt -l .

@@ -78,6 +78,7 @@ const (
 	AtkStatusCorrupt   = "status-corrupt"
 	AtkMerkleSibSwap   = "merkle-sibling-swap"
 	AtkSectorTransplnt = "sector-transplant"
+	AtkFrontierRollbk  = "frontier-rollback"
 	AtkQueueCrossKill  = "queue-cross-kill"
 	AtkEpochReplay     = "epoch-replay"
 	AtkReattachStorm   = "reattach-storm"
@@ -93,7 +94,7 @@ const (
 var AttackNames = []string{
 	AtkIndexOverclaim, AtkIndexRewind, AtkLengthLie, AtkDoubleFetch,
 	AtkReplay, AtkForgedHandle, AtkNotifStorm, AtkEventIdxLie, AtkWakeSpam, AtkBlkWakeSpam,
-	AtkFeatureTOCTOU, AtkStaleMemory, AtkStatusCorrupt, AtkMerkleSibSwap, AtkSectorTransplnt, AtkQueueCrossKill,
+	AtkFeatureTOCTOU, AtkStaleMemory, AtkStatusCorrupt, AtkMerkleSibSwap, AtkSectorTransplnt, AtkFrontierRollbk, AtkQueueCrossKill,
 	AtkEpochReplay, AtkReattachStorm, AtkL5AfterL2Breach,
 	AtkTenantCrossRead, AtkTenantStallNbr, AtkTenantKillNbr,
 }

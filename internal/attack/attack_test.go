@@ -144,8 +144,8 @@ func TestSuiteCoverage(t *testing.T) {
 			if atk == AtkWakeSpam && !strings.HasPrefix(tr, "safering") {
 				continue // only a network stack parks on a producer index
 			}
-			if (atk == AtkStatusCorrupt || atk == AtkBlkWakeSpam || atk == AtkMerkleSibSwap || atk == AtkSectorTransplnt) && tr != "blkring" {
-				continue // status words, the consumer-side park, the Merkle tree and sector tags are storage surfaces
+			if (atk == AtkStatusCorrupt || atk == AtkBlkWakeSpam || atk == AtkMerkleSibSwap || atk == AtkSectorTransplnt || atk == AtkFrontierRollbk) && tr != "blkring" {
+				continue // status words, the consumer-side park, the Merkle tree, sector tags and the frontier are storage surfaces
 			}
 			if !have[[2]string{atk, tr}] {
 				t.Errorf("no scenario for %s × %s", atk, tr)

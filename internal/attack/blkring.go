@@ -148,15 +148,21 @@ func mkVolume(n int, host blockdev.Disk) (cd *cryptdisk.CryptDisk, meta *cryptdi
 	return cd, meta, be.Stop
 }
 
+// deepVolume is the size the Merkle rows attack: cryptdisk's frontier
+// (the one tree level the TEE holds, at most 1,024 nodes) sits three
+// levels above its leaves, so the paths these rows tamper with cross
+// host-held nodes. In a volume of ≤ 1,024 sectors every leaf is trusted.
+const deepVolume = 8 << 10
+
 // merkleSiblingSwap mounts the double-fetch rollback on the full storage
 // stack (cryptdisk over the ring over a live backend): sector 1 holds an
 // old secret, then a new one. While the guest's write of sector 0 is in
 // the host's hands — after its Merkle path verified, before the tree
 // update — the host puts sector 1's leaf, version and ciphertext back to
 // the old state. An update that re-reads the sibling from the untrusted
-// node table signs the rollback into the new root.
+// node table signs the rollback into the new frontier.
 func merkleSiblingSwap(tr string) Result {
-	const n = 8
+	const n = deepVolume
 	platter := blockdev.NewMemDisk(n)
 	host := &blockdev.RacingDisk{Disk: platter}
 	cd, meta, stop := mkVolume(n, host)
@@ -182,7 +188,7 @@ func merkleSiblingSwap(tr string) Result {
 	got := make([]byte, blockdev.SectorSize)
 	err := cd.ReadSector(1, got)
 	if err == nil && bytes.Equal(got, oldSecret) {
-		return compromised(AtkMerkleSibSwap, tr, "rolled-back sibling laundered into the root: old plaintext read with a valid path")
+		return compromised(AtkMerkleSibSwap, tr, "rolled-back sibling laundered into the frontier: old plaintext read with a valid path")
 	}
 	return verdictFromFatal(AtkMerkleSibSwap, tr, err, cryptdisk.ErrIntegrity,
 		compromised(AtkMerkleSibSwap, tr, fmt.Sprintf("read of the rolled-back sector returned %v", err)))
@@ -193,10 +199,10 @@ func merkleSiblingSwap(tr string) Result {
 // tag and version onto sector 5 and recomputes sector 5's leaf and every
 // ancestor in the untrusted node table (the leaf is an unkeyed hash of
 // host-held values, so it can), leaving a consistent tree over the
-// transplant. The guest must refuse sector 5: its root is not the
+// transplant. The guest must refuse sector 5: its frontier is not the
 // host's.
 func sectorTransplant(tr string) Result {
-	const n, from, to = 8, 2, 5
+	const n, from, to = deepVolume, 2, 5
 	platter := blockdev.NewMemDisk(n)
 	cd, meta, stop := mkVolume(n, platter)
 	defer stop()
@@ -235,6 +241,47 @@ func sectorTransplant(tr string) Result {
 	}
 	return verdictFromFatal(AtkSectorTransplnt, tr, err, cryptdisk.ErrIntegrity,
 		compromised(AtkSectorTransplnt, tr, fmt.Sprintf("read of the transplanted sector returned %v", err)))
+}
+
+// frontierRollback is the rollback the TEE-held frontier must stop by
+// itself, on the full storage stack: the host records sector 1's whole
+// host-held state — platter sector, record, every node and sibling on
+// its path — lets the guest overwrite the sector, and puts all of it
+// back. It then recomputes every internal node of the table from the
+// leaves, so the slots above the cut, which the guest never reads, agree
+// with the old state too: the host holds one consistent tree, root
+// included, over the rollback. The guest must refuse the sector, because
+// the frontier node over it moved with the overwrite.
+func frontierRollback(tr string) Result {
+	const n, lba = deepVolume, 1
+	platter := blockdev.NewMemDisk(n)
+	cd, meta, stop := mkVolume(n, platter)
+	defer stop()
+	oldSecret := frame(blockdev.SectorSize, 0xA1)
+	if err := cd.WriteSector(lba, oldSecret); err != nil {
+		return compromised(AtkFrontierRollbk, tr, "setup: "+err.Error())
+	}
+	oldMeta, oldCT := meta.Snapshot(lba), make([]byte, blockdev.SectorSize)
+	if err := platter.ReadSector(lba, oldCT); err != nil {
+		panic(err)
+	}
+	if err := cd.WriteSector(lba, frame(blockdev.SectorSize, 0xB1)); err != nil {
+		return compromised(AtkFrontierRollbk, tr, "setup: "+err.Error())
+	}
+	meta.Restore(oldMeta)
+	_ = platter.WriteSector(lba, oldCT)
+	for i := n - 1; i >= 1; i-- {
+		l, r := meta.Node(2*i), meta.Node(2*i+1)
+		meta.TamperNode(i, sha256.Sum256(append(l[:], r[:]...)))
+	}
+
+	got := make([]byte, blockdev.SectorSize)
+	err := cd.ReadSector(lba, got)
+	if err == nil && bytes.Equal(got, oldSecret) {
+		return compromised(AtkFrontierRollbk, tr, "a rollback consistent up to the root read back the old plaintext")
+	}
+	return verdictFromFatal(AtkFrontierRollbk, tr, err, cryptdisk.ErrIntegrity,
+		compromised(AtkFrontierRollbk, tr, fmt.Sprintf("read of the rolled-back sector returned %v", err)))
 }
 
 // blkringScenarios attacks the storage ring. It is the same generic
@@ -376,6 +423,7 @@ func blkringScenarios() []Scenario {
 		Scenario{AtkBlkWakeSpam, tr, func() Result { return blkWakeSpam(tr) }},
 		Scenario{AtkMerkleSibSwap, tr, func() Result { return merkleSiblingSwap(tr) }},
 		Scenario{AtkSectorTransplnt, tr, func() Result { return sectorTransplant(tr) }},
+		Scenario{AtkFrontierRollbk, tr, func() Result { return frontierRollback(tr) }},
 		Scenario{AtkFeatureTOCTOU, tr, func() Result {
 			return na(AtkFeatureTOCTOU, tr, "zero-negotiation: no control plane exists")
 		}},

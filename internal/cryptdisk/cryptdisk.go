@@ -8,15 +8,19 @@
 //     sits and which write of that sector it is; a ciphertext moved to
 //     another sector or paired with another version does not open.
 //   - Freshness: a Merkle hash tree over SHA-256(tag ‖ lba ‖ version)
-//     leaves. Tags, versions and tree nodes live on/with the untrusted
-//     disk (TEE memory is scarce); the TEE holds only the 32-byte root,
-//     which changes on every write, so tampering with a tag, a version or
-//     a node fails path verification, and so does a *consistent* stale
-//     snapshot (data + tag + version + matching tree) — the rollback
-//     attack the tests mount.
+//     leaves. Tags, versions and the tree's lower levels live on/with the
+//     untrusted disk (TEE memory is scarce); the TEE holds one level of
+//     the tree, the frontier: the nodes of level min(log2 n, frontierMax),
+//     at most 1,024 of them (32 KiB) whatever the volume size. The
+//     frontier folds to the root and a write changes it, so tampering
+//     with a tag, a version or a node fails path verification, and so
+//     does a *consistent* stale snapshot (data + tag + version + matching
+//     tree, up to the root) — the rollback attack the tests mount. A path
+//     walks only the host-held levels below the frontier; the host's
+//     copies of the levels at and above it are never written or read.
 //   - Nonce discipline: a GCM nonce used twice forfeits authenticity as
 //     well as secrecy, volume-wide. A sector's next version is computed
-//     only from the version the root just authenticated, fetched once
+//     only from the version the frontier just authenticated, fetched once
 //     (see WriteSectors), so the host never chooses a nonce.
 //
 // This plays the dm-crypt/dm-integrity role from the paper's data-at-rest
@@ -51,6 +55,11 @@ const TagSize = 16
 // 64 hold its version. Format refuses a volume with more sectors.
 const nonceLBABits = 32
 
+// frontierMax is the deepest tree level the TEE holds: a frontier of at
+// most 1<<frontierMax nodes. Each level it saves a path is one nodeHash
+// (~200 ns) per read and per written sector.
+const frontierMax = 10
+
 // sectorRec is what the host holds for one sector besides its
 // ciphertext: how many times it has been written, and the tag the
 // current ciphertext was sealed with (version 0: never written, no tag).
@@ -68,8 +77,10 @@ type Meta struct {
 	// sectors[lba] is that sector's version and tag.
 	//ciovet:shared host-tamperable: per-sector versions and tags live on the untrusted disk
 	sectors []sectorRec
-	// nodes holds the binary tree: nodes[1] is the root position,
-	// nodes[n..2n-1] are leaves (standard heap layout).
+	// nodes holds the binary tree in heap layout: nodes[1] is the root
+	// position, nodes[n..2n-1] are leaves. Only the levels below the
+	// volume's frontier are stored; the slots at and above it are never
+	// written by the guest and never read.
 	//ciovet:shared host-tamperable: Merkle nodes live on the untrusted disk
 	nodes [][32]byte
 	n     int
@@ -79,7 +90,7 @@ type Meta struct {
 // host-tamperable arrays; everything else goes through them. The audited
 // opt-outs share one argument: these cells are authenticated, not raced —
 // every value read here feeds leafHash/nodeHash and is checked against
-// the TEE-held root before anything trusts it, so a torn or stale word
+// the TEE-held frontier before anything trusts it, so a torn or stale word
 // can only produce a detected ErrIntegrity, never silent corruption. The
 // mutex exists for Go-level sanity of the in-process host model, not as
 // a trust mechanism.
@@ -108,11 +119,11 @@ func NewMeta(n int) (*Meta, error) {
 	return &Meta{sectors: make([]sectorRec, n), nodes: make([][32]byte, 2*n), n: n}, nil
 }
 
-// Version returns the (untrusted) version of a sector.
-func (m *Meta) Version(lba uint64) uint64 {
+// Node returns the (untrusted) tree node at heap index idx.
+func (m *Meta) Node(idx int) [32]byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sector(lba).version
+	return m.node(idx)
 }
 
 // TamperVersion lets the host rewrite a version (attack surface).
@@ -175,17 +186,21 @@ func (m *Meta) Restore(s SnapshotFor) {
 	}
 }
 
-// CryptDisk is the TEE-side volume. It holds the key, the Merkle root
-// and per-call scratch — nothing else that outlives a call.
+// CryptDisk is the TEE-side volume. It holds the key, the frontier and
+// per-call scratch — nothing else that outlives a call.
 type CryptDisk struct {
-	mu    sync.Mutex
-	phys  blockdev.Disk
-	meta  *Meta
-	aead  cipher.AEAD
-	root  [32]byte
-	meter *platform.Meter
-	n     int
-	depth int // tree levels below the root: log2 n
+	mu   sync.Mutex
+	phys blockdev.Disk
+	meta *Meta
+	aead cipher.AEAD
+	// front is the trusted tree level: the nodes of heap indices
+	// [len(front), 2*len(front)), level min(log2 n, frontierMax), with
+	// front[lba>>levels] over sector lba. It is the only tree state the
+	// TEE holds (a lone root is the frontier of width 1).
+	front  [][32]byte
+	meter  *platform.Meter
+	n      int
+	levels int // host-held tree levels on a leaf's path: log2 n - log2 len(front)
 
 	// Scratch, all under mu, so that a sector costs no allocation. nonce
 	// is a field, not a local: an argument to an interface method would
@@ -199,7 +214,7 @@ type CryptDisk struct {
 	// forward (slot k+1 is written next), opening backward (slot k+1 has
 	// been consumed).
 	cur, ct []byte
-	// recs and sibs are the record and the leaf-to-root siblings the
+	// recs and sibs are the record and the host-held siblings the
 	// pre-write check verified for each sector of a write span — the only
 	// tree state the update may use (see WriteSectors).
 	recs []sectorRec
@@ -230,28 +245,46 @@ func Format(phys blockdev.Disk, n int, key []byte, meter *platform.Meter) (*Cryp
 		return nil, nil, err
 	}
 	depth := bits.Len(uint(n)) - 1
-	cd := &CryptDisk{phys: phys, meta: meta, aead: aead, meter: meter, n: n, depth: depth, path: make([][32]byte, depth)}
+	cut := min(depth, frontierMax)
+	cd := &CryptDisk{phys: phys, meta: meta, aead: aead, meter: meter, n: n,
+		front: make([][32]byte, 1<<cut), levels: depth - cut, path: make([][32]byte, depth-cut)}
 
-	// Initialize leaves: every sector starts at version 0 with no tag
-	// (reading an unwritten sector yields verified zeros).
-	for i := 0; i < n; i++ {
-		meta.setNode(n+i, leafHash(uint64(i), sectorRec{}))
+	// Build the tree bottom-up from the leaves: every sector starts at
+	// version 0 with no tag (reading an unwritten sector yields verified
+	// zeros). The levels below the cut go to the host, the cut itself to
+	// the frontier; nothing above it is computed.
+	for i := 2*n - 1; i >= 1<<cut; i-- {
+		var h [32]byte
+		if i >= n {
+			h = leafHash(uint64(i-n), sectorRec{})
+		} else {
+			h = nodeHash(meta.node(2*i), meta.node(2*i+1))
+		}
+		if i < 2<<cut {
+			cd.front[i-1<<cut] = h
+		} else {
+			meta.setNode(i, h)
+		}
 	}
-	for i := n - 1; i >= 1; i-- {
-		meta.setNode(i, nodeHash(meta.node(2*i), meta.node(2*i+1)))
-	}
-	cd.root = meta.node(1)
 	return cd, meta, nil
 }
 
 // Sectors returns the volume size.
 func (c *CryptDisk) Sectors() uint64 { return uint64(c.n) }
 
-// Root returns the TEE-held Merkle root (for sealing across reboots).
+// Root folds the frontier to the Merkle root (for sealing across
+// reboots). That is len(front)-1 hashes, so nothing on the I/O path
+// calls it.
 func (c *CryptDisk) Root() [32]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.root
+	level := append([][32]byte(nil), c.front...)
+	for ; len(level) > 1; level = level[:len(level)/2] {
+		for j := range len(level) / 2 {
+			level[j] = nodeHash(level[2*j], level[2*j+1])
+		}
+	}
+	return level[0]
 }
 
 func nodeHash(a, b [32]byte) [32]byte {
@@ -287,26 +320,27 @@ func (c *CryptDisk) nonceLocked(lba, version uint64) []byte {
 func (c *CryptDisk) spansLocked(n int) {
 	if size := n*blockdev.SectorSize + TagSize; cap(c.cur) < size {
 		c.cur, c.ct = make([]byte, size), make([]byte, size)
-		c.recs, c.sibs = make([]sectorRec, n), make([][32]byte, n*c.depth)
+		c.recs, c.sibs = make([]sectorRec, n), make([][32]byte, n*c.levels)
 	}
 }
 
 // verifyLocked authenticates sector lba, whose stored ciphertext is
 // sector k of c.cur, and decrypts it into dst. Its record and its
-// leaf-to-root siblings are fetched from the (untrusted) Meta exactly
-// once and checked against the TEE root; then the tag, now known to be
-// the one the TEE stored, opens the ciphertext under the nonce of that
-// location and version — a refusal releases no plaintext. A path that
-// verifies authenticates its siblings too — they hash, with the leaf, to
-// the root the TEE holds — so when keep is non-nil the fetched values
-// are saved there, leaf level first, for the update that follows.
+// host-held siblings — those below the frontier — are fetched from the
+// (untrusted) Meta exactly once and checked against the frontier node
+// over the sector; then the tag, now known to be the one the TEE stored,
+// opens the ciphertext under the nonce of that location and version — a
+// refusal releases no plaintext. A path that verifies authenticates its
+// siblings too — they hash, with the leaf, to a node the TEE holds — so
+// when keep is non-nil the fetched values are saved there, leaf level
+// first, for the update that follows.
 //
 //ciovet:locked
 func (c *CryptDisk) verifyLocked(lba uint64, k int, dst []byte, keep [][32]byte) (sectorRec, error) {
 	c.meta.mu.Lock()
 	rec := c.meta.sector(lba)
 	h := leafHash(lba, rec)
-	for l, i := 0, c.n+int(lba); i > 1; l, i = l+1, i/2 {
+	for l, i := 0, c.n+int(lba); l < c.levels; l, i = l+1, i/2 {
 		sib := c.meta.node(i ^ 1)
 		if keep != nil {
 			keep[l] = sib
@@ -318,7 +352,7 @@ func (c *CryptDisk) verifyLocked(lba uint64, k int, dst []byte, keep [][32]byte)
 		}
 	}
 	c.meta.mu.Unlock()
-	if h != c.root {
+	if h != c.front[lba>>c.levels] {
 		return rec, ErrIntegrity
 	}
 	if rec.version == 0 {
@@ -338,14 +372,15 @@ func (c *CryptDisk) verifyLocked(lba uint64, k int, dst []byte, keep [][32]byte)
 }
 
 // updatePathLocked installs sector k of a write span starting at lba —
-// its new record and leaf — and advances the root. Nothing is read back
-// from the host-tamperable Meta: every sibling is the value the pre-write
-// check verified (c.sibs), or, where an earlier sector of this span has
-// since changed that node, the value this call computed for it. Sectors
-// are updated in ascending order, so at each level the previous sector's
-// path either ran through our sibling (take the node it computed),
-// through our own node (same sibling: take the one it used), or through
-// neither (the snapshot stands).
+// its new record and its host-held path — and stores the new frontier
+// node over it; nothing above the frontier is computed. Nothing is read
+// back from the host-tamperable Meta: every sibling is the value the
+// pre-write check verified (c.sibs), or, where an earlier sector of this
+// span has since changed that node, the value this call computed for it.
+// Sectors are updated in ascending order, so at each level the previous
+// sector's path either ran through our sibling (take the node it
+// computed), through our own node (same sibling: take the one it used),
+// or through neither (the snapshot stands).
 //
 //ciovet:locked
 func (c *CryptDisk) updatePathLocked(lba uint64, k int) {
@@ -353,15 +388,15 @@ func (c *CryptDisk) updatePathLocked(lba uint64, k int) {
 	defer c.meta.mu.Unlock()
 	at := lba + uint64(k)
 	c.meta.setSector(at, c.recs[k])
-	sibs := c.sibs[k*c.depth : (k+1)*c.depth]
+	sibs := c.sibs[k*c.levels : (k+1)*c.levels]
 	h, i0 := leafHash(at, c.recs[k]), c.n+int(at)
-	for l, i := 0, i0; i > 1; l, i = l+1, i/2 {
+	for l, i := 0, i0; l < c.levels; l, i = l+1, i/2 {
 		if k > 0 {
 			switch prev := (i0 - 1) >> l; prev {
 			case i ^ 1:
 				sibs[l] = c.path[l]
 			case i:
-				sibs[l] = c.sibs[(k-1)*c.depth+l]
+				sibs[l] = c.sibs[(k-1)*c.levels+l]
 			}
 		}
 		c.path[l] = h
@@ -372,8 +407,7 @@ func (c *CryptDisk) updatePathLocked(lba uint64, k int) {
 			h = nodeHash(sibs[l], h)
 		}
 	}
-	c.meta.setNode(1, h)
-	c.root = h
+	c.front[at>>c.levels] = h
 }
 
 // ReadSector decrypts and verifies one sector.
@@ -420,7 +454,7 @@ func (c *CryptDisk) ReadSectors(lba uint64, p []byte) error {
 	return nil
 }
 
-// WriteSector encrypts and stores one sector and advances the root.
+// WriteSector encrypts and stores one sector and advances the frontier.
 func (c *CryptDisk) WriteSector(lba uint64, data []byte) error {
 	if len(data) != blockdev.SectorSize {
 		return blockdev.ErrBadSize
@@ -438,10 +472,11 @@ func (c *CryptDisk) WriteSector(lba uint64, data []byte) error {
 // The host can rewrite Meta at any moment, including while the physical
 // write crosses the ring, so each sector's record and siblings are
 // fetched once — by the pre-write check, which authenticates them
-// against the root — and everything after (the nonce, the new leaf, the
-// new root) is computed from that snapshot, never from a second read. A
-// version the host could rewind would be a nonce the host could repeat;
-// for the same reason a failed physical write still advances the tree.
+// against the frontier — and everything after (the nonce, the new leaf,
+// the new frontier node) is computed from that snapshot, never from a
+// second read. A version the host could rewind would be a nonce the host
+// could repeat; for the same reason a failed physical write still
+// advances the tree.
 func (c *CryptDisk) WriteSectors(lba uint64, data []byte) error {
 	if len(data)%blockdev.SectorSize != 0 {
 		return blockdev.ErrBadSize
@@ -461,7 +496,7 @@ func (c *CryptDisk) WriteSectors(lba uint64, data []byte) error {
 	}
 	for k := n - 1; k >= 0; k-- {
 		at, slot := lba+uint64(k), c.cur[k*blockdev.SectorSize:(k+1)*blockdev.SectorSize]
-		rec, err := c.verifyLocked(at, k, slot, c.sibs[k*c.depth:(k+1)*c.depth])
+		rec, err := c.verifyLocked(at, k, slot, c.sibs[k*c.levels:(k+1)*c.levels])
 		if err != nil {
 			return fmt.Errorf("%w: pre-write check, sector %d", err, at)
 		}

@@ -3,6 +3,7 @@ package cryptdisk
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,20 @@ func volume(t *testing.T, n int) (*CryptDisk, *Meta, *blockdev.MemDisk) {
 		t.Fatal(err)
 	}
 	return cd, meta, phys
+}
+
+// deep is a volume whose frontier sits three levels above its leaves, so
+// the whole tree of an 8-sector volume — the one the tree tests were
+// written against — is host-held in it, as the subtree over sectors 0..7.
+// (In an 8-sector volume the leaves are the frontier: no node is read
+// from the host at all.)
+const deep = 8 << frontierMax
+
+// sub maps heap index j of an 8-sector tree onto that subtree of a deep
+// volume: sub(1) is its frontier node, sub(8..15) are the leaves of
+// sectors 0..7.
+func sub(j int) int {
+	return j + (deep/8-1)<<(bits.Len(uint(j))-1)
 }
 
 func sector(seed byte) []byte {
@@ -40,15 +55,18 @@ func TestFormatValidation(t *testing.T) {
 	}
 	// A sector number must fit its 32 bits of the nonce: two sectors that
 	// share them would share nonces. Refused before anything is sized by n.
-	if _, _, err := Format(hugeDisk{}, 1<<33, key, nil); !errors.Is(err, ErrGeometry) {
+	if _, _, err := Format(hugeDisk{n: 1 << 33}, 1<<33, key, nil); !errors.Is(err, ErrGeometry) {
 		t.Fatalf("volume with sector numbers wider than the nonce field accepted: %v", err)
 	}
 }
 
-// hugeDisk claims 2^33 sectors and holds none.
-type hugeDisk struct{ blockdev.Disk }
+// hugeDisk claims n sectors and holds none.
+type hugeDisk struct {
+	blockdev.Disk
+	n uint64
+}
 
-func (hugeDisk) Sectors() uint64 { return 1 << 33 }
+func (d hugeDisk) Sectors() uint64 { return d.n }
 
 func TestReadUnwrittenIsVerifiedZeros(t *testing.T) {
 	cd, _, _ := volume(t, 8)
@@ -140,11 +158,11 @@ func TestVersionTamperDetected(t *testing.T) {
 }
 
 func TestTreeNodeTamperDetected(t *testing.T) {
-	cd, meta, _ := volume(t, 8)
+	cd, meta, _ := volume(t, deep)
 	if err := cd.WriteSector(1, sector(3)); err != nil {
 		t.Fatal(err)
 	}
-	meta.TamperNode(3, [32]byte{0xEE}) // an internal node off sector 1's path's sibling side
+	meta.TamperNode(sub(3), [32]byte{0xEE}) // an internal node off sector 1's path's sibling side
 	buf := make([]byte, blockdev.SectorSize)
 	// Reading any sector whose path includes node 3 must fail.
 	var failed bool
@@ -161,44 +179,52 @@ func TestTreeNodeTamperDetected(t *testing.T) {
 func TestRollbackDetected(t *testing.T) {
 	// The full rollback: the host snapshots ciphertext + version + every
 	// relevant tree node, lets the guest overwrite, then restores the
-	// complete consistent stale state. Only the TEE-held root defeats it.
-	n := 8
-	phys := blockdev.NewMemDisk(uint64(n))
-	rb := &blockdev.RollbackDisk{Disk: phys}
-	cd, meta, err := Format(rb, n, key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cd.WriteSector(1, sector(0xAA)); err != nil { // v1: the "old balance"
-		t.Fatal(err)
-	}
-	metaSnap := meta.Snapshot(1)
-	if err := rb.Snapshot([]uint64{1}); err != nil {
-		t.Fatal(err)
-	}
+	// complete consistent stale state. Only the TEE-held frontier defeats
+	// it: the leaf itself at 8 sectors, three host-held levels up at deep.
+	for _, n := range []int{8, deep} {
+		phys := blockdev.NewMemDisk(uint64(n))
+		rb := &blockdev.RollbackDisk{Disk: phys}
+		cd, meta, err := Format(rb, n, key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cd.WriteSector(1, sector(0xAA)); err != nil { // v1: the "old balance"
+			t.Fatal(err)
+		}
+		metaSnap := meta.Snapshot(1)
+		if err := rb.Snapshot([]uint64{1}); err != nil {
+			t.Fatal(err)
+		}
 
-	if err := cd.WriteSector(1, sector(0xBB)); err != nil { // v2: the "new balance"
-		t.Fatal(err)
-	}
+		if err := cd.WriteSector(1, sector(0xBB)); err != nil { // v2: the "new balance"
+			t.Fatal(err)
+		}
 
-	// Rollback: stale platter + stale metadata, fully consistent.
-	rb.Activate()
-	meta.Restore(metaSnap)
+		// Rollback: stale platter + stale metadata, fully consistent —
+		// the host recomputes every internal node from the leaves, so
+		// even the slots above the cut, which the guest never reads,
+		// agree with the stale state.
+		rb.Activate()
+		meta.Restore(metaSnap)
+		for i := n - 1; i >= 1; i-- {
+			meta.TamperNode(i, nodeHash(meta.Node(2*i), meta.Node(2*i+1)))
+		}
 
-	buf := make([]byte, blockdev.SectorSize)
-	if err := cd.ReadSector(1, buf); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("rollback not detected: %v", err)
+		buf := make([]byte, blockdev.SectorSize)
+		if err := cd.ReadSector(1, buf); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("%d sectors: rollback not detected: %v", n, err)
+		}
 	}
 }
 
 func TestPreWriteCheckBlocksLaundering(t *testing.T) {
-	cd, meta, _ := volume(t, 8)
+	cd, meta, _ := volume(t, deep)
 	if err := cd.WriteSector(1, sector(1)); err != nil {
 		t.Fatal(err)
 	}
 	// Host corrupts a sibling node, hoping the next write will recompute
-	// a root over its tampered tree.
-	meta.TamperNode(2, [32]byte{0xCC})
+	// a frontier node over its tampered tree.
+	meta.TamperNode(sub(2), [32]byte{0xCC})
 	if err := cd.WriteSector(5, sector(5)); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("pre-write check missing: %v", err)
 	}

@@ -47,10 +47,12 @@ func refNodeHash(a, b [32]byte) [32]byte {
 }
 
 // refTree builds the whole node table of an n-sector volume from the
-// versions and a shadow of the plaintext: each written sector is sealed
-// again by the reference cipher under lba ‖ version, the result must be
-// the ciphertext on the platter and the tag in Meta, and the leaf is
-// hashed from that recomputed tag.
+// versions and a shadow of the plaintext, which covers the sectors the
+// test writes (a prefix of the volume; a sector past it must be
+// unwritten): each written sector is sealed again by the reference
+// cipher under lba ‖ version, the result must be the ciphertext on the
+// platter and the tag in Meta, and the leaf is hashed from that
+// recomputed tag.
 func refTree(t *testing.T, phys blockdev.Disk, meta *Meta, shadow []byte, n int) [][32]byte {
 	t.Helper()
 	aead := refAEAD(t)
@@ -62,6 +64,9 @@ func refTree(t *testing.T, phys blockdev.Disk, meta *Meta, shadow []byte, n int)
 		meta.mu.Unlock()
 		tag := make([]byte, TagSize)
 		if rec.version != 0 {
+			if (i+1)*blockdev.SectorSize > len(shadow) {
+				t.Fatalf("sector %d is at version %d, past the shadow of what the test wrote", i, rec.version)
+			}
 			nonce := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, uint32(i)), rec.version)
 			sealed := aead.Seal(nil, nonce, shadow[i*blockdev.SectorSize:(i+1)*blockdev.SectorSize], nil)
 			if err := phys.ReadSector(uint64(i), ct); err != nil {
@@ -83,20 +88,29 @@ func refTree(t *testing.T, phys blockdev.Disk, meta *Meta, shadow []byte, n int)
 	return nodes
 }
 
-// checkAgainstRef compares the volume's root and every stored node with
-// a tree rebuilt from scratch by the reference functions.
+// checkAgainstRef compares the volume's root, its frontier and every
+// host-held node with a tree rebuilt from scratch by the reference
+// functions, and requires the host's slots at and above the frontier to
+// hold nothing: no copy of a trusted node is left on the host.
 func checkAgainstRef(t *testing.T, cd *CryptDisk, meta *Meta, phys blockdev.Disk, shadow []byte, n int, when string) {
 	t.Helper()
 	ref := refTree(t, phys, meta, shadow, n)
 	if cd.Root() != ref[1] {
 		t.Fatalf("%s: root %x, reference tree says %x", when, cd.Root(), ref[1])
 	}
+	w := len(cd.front)
+	for j, got := range cd.front {
+		if got != ref[w+j] {
+			t.Fatalf("%s: frontier node %d is %x, reference tree says %x", when, w+j, got, ref[w+j])
+		}
+	}
 	for i := 1; i < 2*n; i++ {
-		meta.mu.Lock()
-		got := meta.node(i)
-		meta.mu.Unlock()
-		if got != ref[i] {
-			t.Fatalf("%s: node %d is %x, reference tree says %x", when, i, got, ref[i])
+		want := ref[i]
+		if i < 2*w {
+			want = [32]byte{}
+		}
+		if got := meta.Node(i); got != want {
+			t.Fatalf("%s: host node %d is %x, want %x", when, i, got, want)
 		}
 	}
 }
@@ -148,15 +162,16 @@ func TestHashKnownAnswers(t *testing.T) {
 
 // TestFormatMatchesReference: a freshly formatted volume, and the same
 // volume after single-sector writes and after spans whose sectors are
-// each other's siblings at every level, stores exactly the ciphertext,
-// tags and tree the reference builds from the plaintext and the versions
-// with its own cipher — so the format is what the package comment says it
-// is, node for node, and the span update's overlay of recomputed
-// siblings is right.
+// each other's siblings at every host-held level, stores exactly the
+// ciphertext, tags and tree the reference builds from the plaintext and
+// the versions with its own cipher — the host-held levels in Meta, the
+// frontier in the TEE, nothing above — so the format is what the package
+// comment says it is, node for node, and the span update's overlay of
+// recomputed siblings is right.
 func TestFormatMatchesReference(t *testing.T) {
-	const n = 16
+	const n = 16 << frontierMax // the spans below cross four host-held levels
 	cd, meta, phys := volume(t, n)
-	shadow := make([]byte, n*blockdev.SectorSize)
+	shadow := make([]byte, 16*blockdev.SectorSize)
 	checkAgainstRef(t, cd, meta, phys, shadow, n, "after Format")
 	write := func(lba, count int, seed byte) {
 		t.Helper()
@@ -187,11 +202,12 @@ func TestFormatMatchesReference(t *testing.T) {
 // secret A, then B. While the guest writes the sectors at lba (not the
 // victim), after their paths verified, the host puts the victim's leaf,
 // version, ancestors and ciphertext back to the A state. An update that
-// re-reads siblings from Meta folds the stale nodes into the new root,
-// and the victim then reads A with a valid path.
+// re-reads siblings from Meta folds the stale nodes into the new frontier
+// node, and the victim then reads A with a valid path. The volume is deep
+// (see deep), so every node the host puts back is one the guest reads.
 func rollbackDuringWrite(t *testing.T, victim uint64, lba uint64, sectors int) {
 	t.Helper()
-	const n = 8
+	const n = deep
 	phys := blockdev.NewMemDisk(n)
 	hd := &blockdev.RacingDisk{Disk: phys}
 	cd, meta, err := Format(hd, n, key, nil)
@@ -235,20 +251,20 @@ func rollbackDuringWrite(t *testing.T, victim uint64, lba uint64, sectors int) {
 	got := make([]byte, blockdev.SectorSize)
 	err = cd.ReadSector(victim, got)
 	if err == nil && bytes.Equal(got, a) {
-		t.Fatal("rollback laundered into the root: the victim sector reads its old contents with a valid path")
+		t.Fatal("rollback laundered into the frontier: the victim sector reads its old contents with a valid path")
 	}
 	if !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("read of the rolled-back sector: %v, want ErrIntegrity", err)
 	}
-	// The root the TEE now holds is the honest one — the tree over what
-	// the guest wrote and the victim's current state — whatever the host
-	// left in Meta.
+	// The frontier the TEE now holds folds to the honest root — the tree
+	// over what the guest wrote and the victim's current state — whatever
+	// the host left in Meta.
 	meta.TamperVersion(victim, current.Version)
 	meta.TamperTag(victim, current.Tag)
 	if err := phys.WriteSector(victim, newCT); err != nil {
 		t.Fatal(err)
 	}
-	shadow := make([]byte, n*blockdev.SectorSize)
+	shadow := make([]byte, 8*blockdev.SectorSize)
 	copy(shadow[victim*blockdev.SectorSize:], b)
 	copy(shadow[lba*blockdev.SectorSize:], p)
 	if ref := refTree(t, phys, meta, shadow, n); cd.Root() != ref[1] {
@@ -279,7 +295,7 @@ func TestSiblingSwapDuringSpanWrite(t *testing.T) {
 // again would have the third write seal under the second one's nonce and
 // put the same ciphertext on the platter.
 func TestVersionFetchedOnce(t *testing.T) {
-	const n, lba = 8, 4
+	const n, lba = deep, 4
 	moves := map[string]func(meta *Meta, old uint64){
 		"version rewound to zero": func(meta *Meta, old uint64) { meta.TamperVersion(lba, 0) },
 		"version rewound by one":  func(meta *Meta, old uint64) { meta.TamperVersion(lba, old-1) },
@@ -300,7 +316,7 @@ func TestVersionFetchedOnce(t *testing.T) {
 		want, got := sector(9), make([]byte, blockdev.SectorSize)
 		var seen [3][]byte // the platter after each write of the same plaintext
 		for i := range seen {
-			old := meta.Version(lba)
+			old := meta.Snapshot(lba).Version
 			if i == 1 {
 				hd.OnWrite = func() { move(meta, old) }
 			}
@@ -310,7 +326,7 @@ func TestVersionFetchedOnce(t *testing.T) {
 			if hd.OnWrite != nil {
 				t.Fatalf("%s: the host never saw the physical write", name)
 			}
-			if v := meta.Version(lba); v != old+1 {
+			if v := meta.Snapshot(lba).Version; v != old+1 {
 				t.Fatalf("%s: write %d stored version %d, want %d: the host's move chose the version", name, i, v, old+1)
 			}
 			seen[i] = make([]byte, blockdev.SectorSize)
@@ -356,7 +372,7 @@ func (d *refusingDisk) WriteSector(lba uint64, data []byte) error {
 // platter as a different ciphertext. A platter that dropped the write is
 // a sector that fails its tag — refused, never served stale.
 func TestFailedWriteSpendsItsVersion(t *testing.T) {
-	const n, lba = 8, 3
+	const n, lba = deep, 3
 	for _, drop := range []bool{false, true} {
 		phys := blockdev.NewMemDisk(n)
 		hd := &refusingDisk{Disk: phys, drop: drop}
@@ -367,12 +383,12 @@ func TestFailedWriteSpendsItsVersion(t *testing.T) {
 		if err := cd.WriteSector(lba, sector(1)); err != nil {
 			t.Fatal(err)
 		}
-		old, want := meta.Version(lba), sector(2)
+		old, want := meta.Snapshot(lba).Version, sector(2)
 		hd.armed = true
 		if err := cd.WriteSector(lba, want); err == nil || errors.Is(err, ErrIntegrity) {
 			t.Fatalf("drop=%v: failed write returned %v, want the host's error", drop, err)
 		}
-		if v := meta.Version(lba); v != old+1 {
+		if v := meta.Snapshot(lba).Version; v != old+1 {
 			t.Fatalf("drop=%v: version %d after a failed write, want %d: its nonce can be sealed under again", drop, v, old+1)
 		}
 		got := make([]byte, blockdev.SectorSize)
@@ -419,12 +435,12 @@ func TestTagTamperDetected(t *testing.T) {
 
 // TestSectorTransplantDetected: the host copies sector a's ciphertext,
 // tag and version onto sector b and recomputes b's leaf and every
-// ancestor, so Meta is a consistent tree over the transplant. The root
-// the TEE holds refuses it; and were the root not there to refuse it,
-// the ciphertext still would not open at b, because the nonce it was
-// sealed under names a.
+// host-held ancestor, so Meta is a consistent tree over the transplant.
+// The frontier the TEE holds refuses it; and were the frontier not there
+// to refuse it, the ciphertext still would not open at b, because the
+// nonce it was sealed under names a.
 func TestSectorTransplantDetected(t *testing.T) {
-	const n, a, b = 8, 2, 5
+	const n, a, b = deep, 2, 5
 	cd, meta, phys := volume(t, n)
 	secret := sector(0x51)
 	if err := cd.WriteSector(a, secret); err != nil {
@@ -444,18 +460,15 @@ func TestSectorTransplantDetected(t *testing.T) {
 	meta.TamperVersion(b, from.Version)
 	meta.TamperTag(b, from.Tag)
 	h := leafHash(b, sectorRec{version: from.Version, tag: from.Tag})
-	for i := n + b; i > 1; i /= 2 {
+	for l, i := 0, n+b; l < cd.levels; l, i = l+1, i/2 {
 		meta.TamperNode(i, h)
-		meta.mu.Lock()
-		sib := meta.node(i ^ 1)
-		meta.mu.Unlock()
+		sib := meta.Node(i ^ 1)
 		if i%2 == 0 {
 			h = nodeHash(h, sib)
 		} else {
 			h = nodeHash(sib, h)
 		}
 	}
-	meta.TamperNode(1, h)
 
 	got := make([]byte, blockdev.SectorSize)
 	if err := cd.ReadSector(b, got); !errors.Is(err, ErrIntegrity) {
@@ -464,9 +477,9 @@ func TestSectorTransplantDetected(t *testing.T) {
 	if err := cd.WriteSector(b, sector(0x53)); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("write over a transplanted sector: %v, want ErrIntegrity", err)
 	}
-	cd.root = h // what no host can do: the TEE adopts the host's tree
+	cd.front[b>>cd.levels] = h // what no host can do: the TEE adopts the host's tree
 	if err := cd.ReadSector(b, got); !errors.Is(err, ErrIntegrity) || bytes.Contains(got, secret[:64]) {
-		t.Fatalf("transplanted sector under the host's own root: %v, want ErrIntegrity and no plaintext", err)
+		t.Fatalf("transplanted sector under the host's own frontier: %v, want ErrIntegrity and no plaintext", err)
 	}
 	if err := cd.ReadSector(a, got); err != nil || !bytes.Equal(got, secret) {
 		t.Fatalf("the sector that was copied from: %v", err)

@@ -46,7 +46,7 @@ var (
 	CompGate      = Component{"compartment", 136, "intra-TEE gate"}
 	CompTDISP     = Component{"tdisp", 344, "TEE-side TDISP/IDE driver"}
 	CompBlkring   = Component{"blkring", 543, "safe block ring on the generic engine"}
-	CompCryptdisk = Component{"cryptdisk", 312, "at-rest AEAD sectors + Merkle freshness"}
+	CompCryptdisk = Component{"cryptdisk", 326, "at-rest AEAD sectors + Merkle freshness"}
 	CompSFS       = Component{"sfs", 325, "extent filesystem"}
 	// CompNIC is the transport-neutral NIC contract and the host pump.
 	// The pump runs in the host's device model, so no TEE profile counts
