@@ -22,9 +22,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# ciovet runs the confio-specific analyzers (doublefetch, maskidx,
-# hosttaint, sharedatomic, fatalviolation, sharedescape, latchclear,
-# bufown, lockdisc) in dependency order with cross-package facts; see
+# ciovet runs the confio-specific analyzers (doublefetch, hosttaint,
+# sharedatomic, fatalviolation, sharedescape, latchclear, bufown,
+# lockdisc) in dependency order with cross-package facts; see
 # DESIGN.md "Static analysis" and §13. The gate is two-sided: any
 # unsuppressed diagnostic fails, and the //ciovet:allow suppression
 # multiset must match the audited baseline exactly — new opt-outs and

@@ -23,7 +23,9 @@ const directivePrefix = "//ciovet:allow"
 // directives. A directive suppresses matching diagnostics on its own source
 // line and, when it stands alone on a line, on the following line — the two
 // placements gofmt permits. Malformed directives come back as diagnostics:
-// the escape hatch must always carry a rule and a reason.
+// the escape hatch must always carry a rule of the suite (or *) and a
+// reason — a misspelt or retired rule would otherwise suppress nothing,
+// silently, forever.
 func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diagnostic) {
 	idx := make(allowIndex)
 	var bad []Diagnostic
@@ -47,6 +49,11 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diag
 						Message: "ciovet:allow " + rule + " needs a reason: opting out of a hardening rule must be auditable"})
 					continue
 				}
+				if !knownRule(rule) {
+					bad = append(bad, Diagnostic{Pos: c.Pos(), Rule: "allow",
+						Message: "ciovet:allow names unknown rule " + rule + " (ciovet -list shows the rules)"})
+					continue
+				}
 				pos := fset.Position(c.Pos())
 				d := allowDirective{file: pos.Filename, rule: rule, reason: reason}
 				// Trailing comment suppresses its own line; a standalone
@@ -59,6 +66,20 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diag
 		}
 	}
 	return idx, bad
+}
+
+// knownRule reports whether a directive may name rule: a Suite analyzer,
+// or the wildcard.
+func knownRule(rule string) bool {
+	if rule == "*" {
+		return true
+	}
+	for _, a := range Suite() {
+		if a.Name == rule {
+			return true
+		}
+	}
+	return false
 }
 
 func (ix allowIndex) add(d allowDirective) {

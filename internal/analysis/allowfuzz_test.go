@@ -10,14 +10,15 @@ import (
 
 // FuzzAllowDirective hammers the //ciovet:allow parser with arbitrary
 // directive tails and checks its contract: it never panics, a directive
-// with no rule or no reason is exactly one malformed-directive diagnostic,
-// and a well-formed directive suppresses its rule on the directive's own
-// line and the next line — and nowhere else — with the reason preserved.
+// with no rule, no reason, or a rule the suite does not have is exactly
+// one malformed-directive diagnostic, and a well-formed directive
+// suppresses its rule on the directive's own line and the next line — and
+// nowhere else — with the reason preserved.
 func FuzzAllowDirective(f *testing.F) {
-	f.Add(" maskidx ring slot count is a compile-time power of two")
+	f.Add(" hosttaint ring slot count is a compile-time power of two")
 	f.Add("")
 	f.Add("   ")
-	f.Add(" maskidx")
+	f.Add(" hosttaint")
 	f.Add(" * wildcard with reason")
 	f.Add("\t doublefetch \t tab separated \t reason")
 	f.Add(" rule reason")
@@ -59,6 +60,13 @@ func FuzzAllowDirective(f *testing.F) {
 		case len(fields) == 1:
 			if len(bad) != 1 || !strings.Contains(bad[0].Message, "needs a reason") {
 				t.Fatalf("reason-less directive %q: want one needs-a-reason diagnostic, got %v", tail, bad)
+			}
+		case !knownRule(fields[0]):
+			if len(bad) != 1 || !strings.Contains(bad[0].Message, "unknown rule") {
+				t.Fatalf("directive %q naming no suite rule: want one unknown-rule diagnostic, got %v", tail, bad)
+			}
+			if _, ok := idx.match(fset, declPos, fields[0]); ok {
+				t.Fatalf("directive %q naming no suite rule still suppresses", tail)
 			}
 		default:
 			if len(bad) != 0 {

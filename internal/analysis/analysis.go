@@ -15,8 +15,8 @@
 //
 //	//ciovet:allow <rule> <reason...>
 //
-// A directive with no reason is itself a diagnostic: opting out of a
-// hardening rule must be auditable.
+// A directive with no reason, or naming no rule of the suite, is itself a
+// diagnostic: opting out of a hardening rule must be auditable.
 package analysis
 
 import (
@@ -177,10 +177,11 @@ type Package struct {
 }
 
 // Run applies each analyzer to pkg and merges their findings. Malformed
-// //ciovet:allow directives (missing rule or reason) are reported as
-// diagnostics under the rule name "allow". Facts are neither imported
-// nor exported: out-of-package callees stay conservative-clean, the
-// pre-fact behavior single-package corpus tests still pin.
+// //ciovet:allow directives (missing rule or reason, or a rule Suite does
+// not have) are reported as diagnostics under the rule name "allow".
+// Facts are neither imported nor exported: out-of-package callees stay
+// conservative-clean, the pre-fact behavior single-package corpus tests
+// still pin.
 func Run(pkg *Package, analyzers []*Analyzer) (Result, error) {
 	return RunWithFacts(pkg, analyzers, nil)
 }
@@ -333,7 +334,6 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer, workers int) ([]PkgResult
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		DoubleFetchAnalyzer,
-		MaskIdxAnalyzer,
 		HostTaintAnalyzer,
 		SharedAtomicAnalyzer,
 		FatalViolationAnalyzer,

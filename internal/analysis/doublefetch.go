@@ -112,7 +112,7 @@ func fetchOffsetArg(call *ast.CallExpr, method string) ast.Expr {
 		}
 		// LoadProd/LoadCons are deliberately excluded: spin-waits re-read
 		// an index by design, and index misuse is caught by checkPeer*
-		// validation plus the maskidx taint rule.
+		// validation plus the hosttaint rule.
 	}
 	return nil
 }

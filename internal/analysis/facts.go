@@ -28,21 +28,21 @@ import (
 // always recomputes, but the staleness contract is what makes an
 // on-disk fact cache sound, and it is pinned by a regression test.
 
-// TaintFact is hosttaint's exported per-function summary: the caller-
-// visible half of taintSummary, keyed by FuncKey.
+// TaintFact is hosttaint's per-function summary, keyed by FuncKey when
+// exported. RetTainted and RetFrom have one entry per result.
 type TaintFact struct {
 	// RetTainted marks results that carry host taint regardless of
 	// arguments (the body loads them from shared memory).
 	RetTainted []bool `json:"ret_tainted,omitempty"`
 	// RetFrom marks results tainted when one of the listed parameter
 	// slots (bitset, receiver = slot 0) is tainted at the call site.
-	RetFrom []uint64 `json:"ret_from,omitempty"`
+	RetFrom []paramBits `json:"ret_from,omitempty"`
 	// ParamSink maps a parameter slot to a description of the
 	// unsanitized sink it (transitively) reaches in the callee.
 	ParamSink map[int]string `json:"param_sink,omitempty"`
 	// ParamChecked is the bitset of parameters the function compares in
 	// a terminating guard — the factored-out-validator shape.
-	ParamChecked uint64 `json:"param_checked,omitempty"`
+	ParamChecked paramBits `json:"param_checked,omitempty"`
 	// Sanitized records a //ciovet:sanitized declaration: audited clean.
 	Sanitized bool `json:"sanitized,omitempty"`
 }

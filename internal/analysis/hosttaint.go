@@ -7,49 +7,50 @@ import (
 	"go/types"
 )
 
-// HostTaintAnalyzer is the interprocedural companion to maskidx: the
-// paper's Figures 2-4 show that most paravirtual-driver CVEs are missed
-// validation of host-controlled values, and the real instances cross
-// function boundaries — a length read from the shared window in one
-// function flows into a slice expression three calls away, where the
-// intra-procedural rules (which require the fetch and the unsafe use in
-// one function) cannot see it.
+// HostTaintAnalyzer enforces the paper's masked-ring rule (ring design
+// principle: "out-of-range is unrepresentable by construction"; Fig. 2-4
+// bug class: missing validation of host-controlled indices and lengths,
+// the class VIA found by fuzzing protected-VM device interfaces). Any
+// value that flows from host-writable shared memory — descriptor fields,
+// index cells, region loads — must pass a sanitizer before it indexes or
+// bounds a slice, sizes an allocation, sets the length of a Region.Slice
+// view, bounds a loop, or becomes a uintptr or unsafe.Pointer. The flow
+// may stay inside one function or cross any number of calls: the real
+// CVE-shaped flows read a length in one function and use it three calls
+// away.
 //
 // The analysis is summary-based and runs in two phases over the call
 // graph of the package under analysis. Phase one computes, per function,
 // a taint summary to a fixpoint: which results carry host taint
-// unconditionally (the body loads them from shmem.Region / ring windows /
-// peer indexes), which results are tainted when a given parameter is, and
-// which parameters reach a dangerous sink — slice/array indexing, slice
-// bounds, allocation sizes, Region.Slice lengths, loop bounds, unsafe
-// conversions — without first passing a sanitizer. Phase two re-walks
-// every function with the final summaries and reports two flow shapes the
-// intra-procedural rules miss: a value returned tainted by a callee
-// reaching a local sink, and a host-controlled argument passed to a
-// parameter that (transitively) reaches a sink in the callee.
+// unconditionally, which results are tainted when a given parameter is,
+// which parameters reach a sink without first passing a sanitizer, and
+// which parameters the function checks in a terminating guard. Phase two
+// re-walks every function with the final summaries and reports each host
+// value arriving at a sink, and each one passed to a parameter that
+// (transitively) reaches a sink in the callee. Closures are not walked:
+// they have no summary, and their captured state is unknown.
 //
-// Sanitizers are the same idioms maskidx honors — masking (&, %, >>, &^),
-// terminating bounds guards, for-loop upper-bound conditions, min/max
-// capping — plus the explicit //ciovet:sanitized annotation, which marks
-// the values assigned on a line (or every result of an annotated
-// function) as audited-clean at the definition.
+// Sanitizers are masking (&, %, >>, &^); comparisons in a guard whose body
+// terminates (an if, a switch case, or a validator call whose error result
+// is checked that way); the upper-bounded side of a for-loop condition,
+// inside the loop only; min/max capping against a trusted bound;
+// overwriting with a trusted value; and the //ciovet:sanitized
+// annotation, which marks the values assigned on a line (or every result
+// of an annotated function) as audited-clean at the definition.
+// Validation is per field: checking d.Len says nothing about d.Ref.
 //
-// Division of labor: a source used unsafely in the *same* function is
-// maskidx's finding; hosttaint stays silent there and reports only flows
-// that crossed a function boundary, so the two rules never double-report.
-// Loop-bound and unsafe-conversion sinks are new with this rule and are
-// reported for local flows too. Calls that cannot be resolved statically
-// (interface methods, function values) are treated as clean. Statically
-// resolved out-of-package callees consult the fact layer: under the
-// module driver (RunModule) every dependency is analyzed first and its
-// summaries exported as TaintFacts, so a length fetched from shared
-// memory inside safering and returned to a caller in nic is tracked
-// across the package boundary. Outside the module driver (single-package
-// Run) no facts are loaded and such callees stay conservative-clean.
+// Calls that cannot be resolved statically (interface methods, function
+// values) are treated as clean. Statically resolved out-of-package
+// callees consult the fact layer: under the module driver (RunModule)
+// every dependency is analyzed first and its summaries exported as
+// TaintFacts, so a length fetched from shared memory inside safering and
+// returned to a caller in nic is tracked across the package boundary.
+// Outside the module driver (single-package Run) no facts are loaded and
+// such callees stay conservative-clean.
 var HostTaintAnalyzer = &Analyzer{
 	Name: "hosttaint",
-	Doc: "interprocedural host-taint dataflow: flags shared-memory values that cross " +
-		"function boundaries into indexing, allocation, loop-bound, or unsafe sinks unsanitized",
+	Doc: "flags shared-memory values that reach indexing, slicing, allocation, Region.Slice, " +
+		"loop-bound, or unsafe sinks neither masked nor bounds-checked, within or across functions",
 	Run: runHostTaint,
 }
 
@@ -68,18 +69,14 @@ func paramBit(i int) paramBits {
 
 // tval is the abstract taint of an expression.
 type tval struct {
-	src    bool      // host-controlled, fetched in this function (maskidx's jurisdiction)
-	inter  bool      // host-controlled, crossed a function boundary to get here
+	host   bool      // host-controlled
 	via    string    // callee the taint crossed through, for diagnostics
 	params paramBits // tainted iff one of these caller parameters is
 }
 
-func (t tval) concrete() bool { return t.src || t.inter }
-
 func unionT(a, b tval) tval {
 	out := tval{
-		src:    a.src || b.src,
-		inter:  a.inter || b.inter,
+		host:   a.host || b.host,
 		via:    a.via,
 		params: a.params | b.params,
 	}
@@ -89,35 +86,13 @@ func unionT(a, b tval) tval {
 	return out
 }
 
-// taintSummary is one function's interprocedural contract.
-type taintSummary struct {
-	retTainted []bool         // result r is host-tainted regardless of arguments
-	retFrom    []paramBits    // result r is tainted when any of these params is
-	paramSink  map[int]string // param slot -> what the unsanitized sink does
-	// paramChecked marks parameters the function compares in a terminating
-	// guard — the shape of a factored-out validator like checkPeerCons. A
-	// caller that fail-dead-checks such a call's error result gets the
-	// checked arguments credited as validated.
-	paramChecked paramBits
-	sanitizedFn  bool // //ciovet:sanitized on the declaration: audited clean
-}
-
-func newSummary(hf *htFunc, sanitized sanitizedIndex, fset *token.FileSet) *taintSummary {
-	n := hf.numResults()
-	return &taintSummary{
-		retTainted:  make([]bool, n),
-		retFrom:     make([]paramBits, n),
-		paramSink:   make(map[int]string),
-		sanitizedFn: sanitized.covers(fset, hf.decl.Pos()),
-	}
-}
-
-// htState is the package-wide analysis state shared by both phases.
+// htState is the package-wide analysis state shared by both phases. A
+// function's summary has the shape of the fact it is exported as.
 type htState struct {
 	pass      *Pass
 	fns       map[*types.Func]*htFunc
 	ordered   []*htFunc
-	sums      map[*htFunc]*taintSummary
+	sums      map[*htFunc]*TaintFact
 	sanitized sanitizedIndex
 	changed   bool
 	report    bool
@@ -129,9 +104,15 @@ func runHostTaint(pass *Pass) error {
 		sanitized: buildSanitizedIndex(pass.Fset, pass.Files),
 	}
 	st.fns, st.ordered = collectFuncs(pass)
-	st.sums = make(map[*htFunc]*taintSummary, len(st.ordered))
+	st.sums = make(map[*htFunc]*TaintFact, len(st.ordered))
 	for _, hf := range st.ordered {
-		st.sums[hf] = newSummary(hf, st.sanitized, pass.Fset)
+		n := hf.numResults()
+		st.sums[hf] = &TaintFact{
+			RetTainted: make([]bool, n),
+			RetFrom:    make([]paramBits, n),
+			ParamSink:  make(map[int]string),
+			Sanitized:  st.sanitized.covers(pass.Fset, hf.decl.Pos()),
+		}
 	}
 
 	// Phase one: grow summaries to a fixpoint. The lattice per function is
@@ -153,56 +134,42 @@ func runHostTaint(pass *Pass) error {
 		st.analyzeFunc(hf)
 	}
 
-	// Export the non-trivial final summaries as facts for dependents.
+	// Export the summaries that tell a caller something, as facts for
+	// dependents.
 	for _, hf := range st.ordered {
-		pass.ExportTaint(hf.obj, taintFactOf(st.sums[hf]))
+		if sum := st.sums[hf]; informative(sum) {
+			pass.ExportTaint(hf.obj, sum)
+		}
 	}
 	return nil
 }
 
-// taintFactOf converts a final taint summary into its exportable fact,
-// or nil when the summary says nothing a caller could use.
-func taintFactOf(sum *taintSummary) *TaintFact {
-	interesting := sum.sanitizedFn || sum.paramChecked != 0 || len(sum.paramSink) > 0
-	for _, b := range sum.retTainted {
-		interesting = interesting || b
+// informative reports whether a final summary says anything a caller
+// could use.
+func informative(sum *TaintFact) bool {
+	if sum.Sanitized || sum.ParamChecked != 0 || len(sum.ParamSink) > 0 {
+		return true
 	}
-	for _, bits := range sum.retFrom {
-		interesting = interesting || bits != 0
-	}
-	if !interesting {
-		return nil
-	}
-	f := &TaintFact{
-		RetTainted:   append([]bool(nil), sum.retTainted...),
-		RetFrom:      make([]uint64, len(sum.retFrom)),
-		ParamChecked: uint64(sum.paramChecked),
-		Sanitized:    sum.sanitizedFn,
-	}
-	for i, bits := range sum.retFrom {
-		f.RetFrom[i] = uint64(bits)
-	}
-	if len(sum.paramSink) > 0 {
-		f.ParamSink = make(map[int]string, len(sum.paramSink))
-		for k, v := range sum.paramSink {
-			f.ParamSink[k] = v
+	for r, b := range sum.RetTainted {
+		if b || sum.RetFrom[r] != 0 {
+			return true
 		}
 	}
-	return f
+	return false
 }
 
 // htScope is the per-function evaluation state.
 type htScope struct {
 	st        *htState
 	fn        *htFunc
-	sum       *taintSummary
+	sum       *TaintFact
 	vars      map[types.Object]tval
 	validated map[vkey][]span
 }
 
 func (st *htState) analyzeFunc(hf *htFunc) {
 	sum := st.sums[hf]
-	if sum.sanitizedFn {
+	if sum.Sanitized {
 		return
 	}
 	sc := &htScope{
@@ -265,6 +232,8 @@ func (sc *htScope) walkBody(body *ast.BlockStmt) {
 				}
 			}
 		case *ast.ForStmt:
+			// The init runs here, before the condition is read as a guard
+			// and a sink, so the guard sees the init's taint.
 			if init, ok := st.Init.(*ast.AssignStmt); ok {
 				sc.assignStmt(init)
 			}
@@ -276,13 +245,13 @@ func (sc *htScope) walkBody(body *ast.BlockStmt) {
 		case *ast.IndexExpr:
 			if indexableSink(sc.info(), st.X) {
 				t := sc.eval(st.Index, st.Pos())
-				sc.sink(st.Index.Pos(), t, "indexes "+exprString(sc.st.pass.Fset, st.X), false)
+				sc.sink(st.Index.Pos(), t, "indexes "+exprString(sc.st.pass.Fset, st.X))
 			}
 		case *ast.SliceExpr:
 			for _, b := range []ast.Expr{st.Low, st.High, st.Max} {
 				if b != nil {
 					t := sc.eval(b, st.Pos())
-					sc.sink(b.Pos(), t, "bounds a slice of "+exprString(sc.st.pass.Fset, st.X), false)
+					sc.sink(b.Pos(), t, "bounds a slice of "+exprString(sc.st.pass.Fset, st.X))
 				}
 			}
 		case *ast.CallExpr:
@@ -292,18 +261,33 @@ func (sc *htScope) walkBody(body *ast.BlockStmt) {
 	})
 }
 
+// indexableSink reports whether indexing into x needs bounds discipline
+// (slices, arrays, strings — not maps, whose keys need no range check).
+func indexableSink(info *types.Info, x ast.Expr) bool {
+	tv, ok := info.Types[x]
+	if !ok {
+		return false
+	}
+	t := tv.Type.Underlying()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem().Underlying()
+	}
+	switch u := t.(type) {
+	case *types.Slice, *types.Array:
+		return true
+	case *types.Basic:
+		return u.Info()&types.IsString != 0
+	}
+	return false
+}
+
 // sink handles taint arriving at a dangerous use: parameter taint goes
-// into the summary; concrete taint that crossed a function boundary is
-// reported in phase two. localToo widens reporting to same-function
-// flows, for the sink kinds maskidx has no rule for.
-func (sc *htScope) sink(pos token.Pos, t tval, desc string, localToo bool) {
+// into the summary; host taint is reported in phase two.
+func (sc *htScope) sink(pos token.Pos, t tval, desc string) {
 	if t.params != 0 {
 		sc.recordParamSink(t.params, desc)
 	}
-	if !sc.st.report {
-		return
-	}
-	if t.inter || (localToo && t.src) {
+	if sc.st.report && t.host {
 		sc.st.pass.Reportf(pos, "host-controlled value%s %s without mask or bounds check on this path; "+
 			"validate and fail-dead, mask it, or audit with //ciovet:sanitized (hosttaint)", viaClause(t), desc)
 	}
@@ -324,15 +308,15 @@ func (sc *htScope) recordParamSink(bits paramBits, desc string) {
 		if bits&paramBit(i) == 0 {
 			continue
 		}
-		if _, ok := sc.sum.paramSink[i]; !ok {
-			sc.sum.paramSink[i] = desc
+		if _, ok := sc.sum.ParamSink[i]; !ok {
+			sc.sum.ParamSink[i] = desc
 			sc.st.changed = true
 		}
 	}
 }
 
-// assign records the abstract value of one variable, dropping stale
-// validation exactly as maskidx does on re-assignment.
+// assign records the abstract value of one variable, dropping any
+// validation of its old value.
 func (sc *htScope) assign(o types.Object, t tval) {
 	if o == nil {
 		return
@@ -447,9 +431,12 @@ func (sc *htScope) lookup(o types.Object, pos token.Pos) tval {
 	return tval{}
 }
 
-// guard mirrors maskidx's if-guard: comparisons whose guarded body
-// terminates validate the quantities they mention for the rest of the
-// function.
+// guard records that quantities compared in cond count as validated once
+// the comparison has executed, provided the guarded body terminates (the
+// fail-dead shape: `if hostVal > bound { return fail }`). Validation takes
+// effect from the end of the comparison itself, so the short-circuit idiom
+// `idx >= n || !seen[idx]` counts as guarded, and lasts to the end of the
+// function. A guard that merely logs and continues validates nothing.
 func (sc *htScope) guard(cond ast.Expr, body *ast.BlockStmt) {
 	if cond == nil || !terminates(body) {
 		return
@@ -487,8 +474,8 @@ func (sc *htScope) recordCheckedParams(e ast.Expr) {
 			return true
 		}
 		if i := sc.fn.paramIndex(sc.obj(id)); i >= 0 {
-			if bit := paramBit(i); sc.sum.paramChecked&bit == 0 {
-				sc.sum.paramChecked |= bit
+			if bit := paramBit(i); sc.sum.ParamChecked&bit == 0 {
+				sc.sum.ParamChecked |= bit
 				sc.st.changed = true
 			}
 		}
@@ -534,35 +521,24 @@ func (sc *htScope) checkerGuard(st *ast.IfStmt) {
 	if !condTestsInit {
 		return
 	}
-	hf2, args := resolveCall(sc.info(), sc.st.fns, call)
-	if hf2 == nil {
-		// Out-of-package validator: credit the checked slots its
-		// imported fact declares.
-		fn, fargs := resolveCallee(sc.info(), call)
-		if f := sc.st.pass.ImportedTaint(fn); f != nil {
-			for i, arg := range fargs {
-				if paramBits(f.ParamChecked)&paramBit(i) != 0 {
-					sc.markValidated(arg, span{from: st.Cond.End(), until: token.NoPos})
-				}
-			}
-		}
-		return
-	}
-	sum2 := sc.st.sums[hf2]
-	if sum2 == nil {
+	_, sum, args := sc.callee(call)
+	if sum == nil {
 		return
 	}
 	for i, arg := range args {
-		if i < len(hf2.params) && sum2.paramChecked&paramBit(i) != 0 {
+		if sum.ParamChecked&paramBit(i) != 0 {
 			sc.markValidated(arg, span{from: st.Cond.End(), until: token.NoPos})
 		}
 	}
 }
 
-// forGuardAndSink treats the loop condition both as a guard for body uses
-// (upper-bounded side only, window closing at loop end — same semantics
-// as maskidx) and as the loop-bound sink: a host-controlled limit spins
-// the loop an attacker-chosen number of iterations.
+// forGuardAndSink treats the loop condition both as a guard and as the
+// loop-bound sink: a host-controlled limit spins the loop an
+// attacker-chosen number of iterations. As a guard, the condition asserts
+// its bound directly, so only the upper-bounded side of a comparison is
+// validated — `for i > 0; i--` counting down from a host value bounds
+// nothing — and only inside the loop: after exit the variable may hold any
+// value the host chose beyond the bound.
 func (sc *htScope) forGuardAndSink(st *ast.ForStmt) {
 	if st.Cond == nil {
 		return
@@ -577,13 +553,14 @@ func (sc *htScope) forGuardAndSink(st *ast.ForStmt) {
 				walk(x.Y)
 			case token.LSS, token.LEQ:
 				t := sc.eval(x.Y, x.Y.Pos())
-				sc.sink(x.Y.Pos(), t, "bounds a loop", true)
+				sc.sink(x.Y.Pos(), t, "bounds a loop")
 				sc.markValidated(x.X, span{from: x.End(), until: st.End()})
 			case token.GTR, token.GEQ:
 				t := sc.eval(x.X, x.X.Pos())
-				sc.sink(x.X.Pos(), t, "bounds a loop", true)
+				sc.sink(x.X.Pos(), t, "bounds a loop")
 				sc.markValidated(x.Y, span{from: x.End(), until: st.End()})
 			}
+			// LOR proves neither side; EQL/NEQ bound nothing.
 		case *ast.ParenExpr:
 			walk(x.X)
 		}
@@ -592,10 +569,10 @@ func (sc *htScope) forGuardAndSink(st *ast.ForStmt) {
 }
 
 // markValidated marks every variable and host-controlled snapshot field
-// mentioned in e as validated within sp. Unlike maskidx's variant it
-// marks untainted identifiers too: parameter taint is implicit, so there
-// is no taint set to filter on. Spurious entries are harmless — the map
-// is only consulted for tainted values.
+// mentioned in e as validated within sp. Untainted identifiers are marked
+// too: parameter taint is implicit, so there is no taint set to filter
+// on. Spurious entries are harmless — the map is only consulted for
+// tainted values.
 func (sc *htScope) markValidated(e ast.Expr, sp span) {
 	var walk func(n ast.Expr)
 	walk = func(n ast.Expr) {
@@ -632,22 +609,19 @@ func (sc *htScope) markValidated(e ast.Expr, sp span) {
 	walk(e)
 }
 
+// rangeStmt propagates taint through a range statement: ranging over a
+// host-controlled slice (e.g. a Region.Slice view) yields host-controlled
+// element values. The key is bounded by the range construct itself —
+// except when ranging over a host-chosen integer, which is a host-bounded
+// loop whose key runs up to the host's value.
 func (sc *htScope) rangeStmt(st *ast.RangeStmt) {
 	t := sc.eval(st.X, st.Pos())
-	// Range over a host-chosen integer is a host-bounded loop, and the
-	// key runs up to the host's value.
-	intRange := false
+	keyT := tval{}
 	if tv, ok := sc.info().Types[st.X]; ok && tv.Type != nil {
 		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-			intRange = true
+			sc.sink(st.X.Pos(), t, "bounds a loop")
+			keyT = t
 		}
-	}
-	if intRange {
-		sc.sink(st.X.Pos(), t, "bounds a loop", true)
-	}
-	keyT := tval{}
-	if intRange {
-		keyT = t
 	}
 	if st.Key != nil {
 		sc.assign(sc.obj(st.Key), keyT)
@@ -659,19 +633,19 @@ func (sc *htScope) rangeStmt(st *ast.RangeStmt) {
 
 func (sc *htScope) returnStmt(st *ast.ReturnStmt) {
 	record := func(i int, t tval) {
-		if i >= len(sc.sum.retTainted) {
+		if i >= len(sc.sum.RetTainted) {
 			return
 		}
-		if t.concrete() && !sc.sum.retTainted[i] {
-			sc.sum.retTainted[i] = true
+		if t.host && !sc.sum.RetTainted[i] {
+			sc.sum.RetTainted[i] = true
 			sc.st.changed = true
 		}
-		if t.params&^sc.sum.retFrom[i] != 0 {
-			sc.sum.retFrom[i] |= t.params
+		if t.params&^sc.sum.RetFrom[i] != 0 {
+			sc.sum.RetFrom[i] |= t.params
 			sc.st.changed = true
 		}
 	}
-	nres := len(sc.sum.retTainted)
+	nres := len(sc.sum.RetTainted)
 	switch {
 	case len(st.Results) == 0: // bare return: named results
 		for i, ro := range sc.fn.results {
@@ -692,74 +666,45 @@ func (sc *htScope) returnStmt(st *ast.ReturnStmt) {
 }
 
 // callStmt applies the call-shaped sinks to one call expression: unsafe
-// conversions, allocation sizes, Region.Slice lengths, and — the
-// interprocedural case — arguments flowing into parameters the callee's
-// summary says reach a sink.
+// conversions, allocation sizes, Region.Slice lengths, and arguments
+// flowing into parameters the callee's summary says reach a sink.
 func (sc *htScope) callStmt(call *ast.CallExpr) {
 	info := sc.info()
 	// Conversion to unsafe.Pointer or uintptr.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		if isUnsafeTarget(tv.Type) {
 			t := sc.eval(call.Args[0], call.Pos())
-			sc.sink(call.Args[0].Pos(), t, "reaches an unsafe conversion", true)
+			sc.sink(call.Args[0].Pos(), t, "reaches an unsafe conversion")
 		}
 		return
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" && len(call.Args) >= 2 {
 		for _, sz := range call.Args[1:] {
 			t := sc.eval(sz, call.Pos())
-			sc.sink(sz.Pos(), t, "sizes an allocation", false)
+			sc.sink(sz.Pos(), t, "sizes an allocation")
 		}
 		return
 	}
+	// Region.Slice(off, n): off is masked inside, but n panics on wrap —
+	// a host-controlled n is a remotely triggerable crash.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Slice" && len(call.Args) == 2 {
 		if si, ok := info.Selections[sel]; ok && si.Kind() == types.MethodVal && typeIs(si.Recv(), "shmem", "Region") {
 			t := sc.eval(call.Args[1], call.Pos())
-			sc.sink(call.Args[1].Pos(), t, "reaches Region.Slice, which panics on wrap", false)
+			sc.sink(call.Args[1].Pos(), t, "reaches Region.Slice, which panics on wrap")
 		}
 	}
-	hf2, args := resolveCall(info, sc.st.fns, call)
-	if hf2 == nil {
-		sc.importedCallSinks(call)
+	fn, sum, args := sc.callee(call)
+	if sum == nil || len(sum.ParamSink) == 0 {
 		return
 	}
-	sum2 := sc.st.sums[hf2]
-	if sum2 == nil || sum2.sanitizedFn {
-		return
+	sig := fn.Type().(*types.Signature)
+	slots := sig.Params().Len()
+	if sig.Recv() != nil {
+		slots++
 	}
 	for i, arg := range args {
-		pi := i
-		if pi >= len(hf2.params) {
-			pi = len(hf2.params) - 1 // variadic tail
-		}
-		desc, ok := sum2.paramSink[pi]
-		if !ok {
-			continue
-		}
-		t := sc.eval(arg, arg.Pos())
-		if t.params != 0 {
-			sc.recordParamSink(t.params, "hands it to "+hf2.obj.Name()+", which "+desc)
-		}
-		if sc.st.report && t.concrete() {
-			sc.st.pass.Reportf(arg.Pos(),
-				"host-controlled value%s passed to parameter %q of %s, which %s without revalidation; "+
-					"validate or mask it before the call (hosttaint)",
-				viaClause(t), paramName(hf2, pi), hf2.obj.Name(), desc)
-		}
-	}
-}
-
-// importedCallSinks applies an imported TaintFact's ParamSink entries to
-// one out-of-package call: a host-controlled argument flowing into a
-// parameter the dependency's own analysis proved reaches a sink.
-func (sc *htScope) importedCallSinks(call *ast.CallExpr) {
-	fn, args := resolveCallee(sc.info(), call)
-	f := sc.st.pass.ImportedTaint(fn)
-	if f == nil || f.Sanitized || len(f.ParamSink) == 0 {
-		return
-	}
-	for i, arg := range args {
-		desc, ok := f.ParamSink[i]
+		slot := min(i, slots-1) // a variadic tail binds to the last slot
+		desc, ok := sum.ParamSink[slot]
 		if !ok {
 			continue
 		}
@@ -767,41 +712,53 @@ func (sc *htScope) importedCallSinks(call *ast.CallExpr) {
 		if t.params != 0 {
 			sc.recordParamSink(t.params, "hands it to "+fn.Name()+", which "+desc)
 		}
-		if sc.st.report && t.concrete() {
+		if sc.st.report && t.host {
 			sc.st.pass.Reportf(arg.Pos(),
 				"host-controlled value%s passed to parameter %q of %s, which %s without revalidation; "+
 					"validate or mask it before the call (hosttaint)",
-				viaClause(t), importedParamName(fn, i), fn.Name(), desc)
+				viaClause(t), paramName(sig, slot), fn.Name(), desc)
 		}
 	}
 }
 
-// importedParamName names parameter slot i (receiver = slot 0) of an
-// out-of-package function, for diagnostics.
-func importedParamName(fn *types.Func, i int) string {
-	if sig, ok := fn.Type().(*types.Signature); ok {
-		j := i
-		if sig.Recv() != nil {
-			if j == 0 {
-				if n := sig.Recv().Name(); n != "" && n != "_" {
-					return n
-				}
-				return fmt.Sprintf("#%d", i)
-			}
-			j--
-		}
-		if j >= 0 && j < sig.Params().Len() {
-			if n := sig.Params().At(j).Name(); n != "" && n != "_" {
+// callee resolves a call to the summary that describes it — the live
+// summary of an in-package function, or the imported fact of an
+// out-of-package one — with the arguments aligned to its parameter slots
+// (receiver first). sum is nil for dynamic calls, callees nothing is known
+// about, and callees audited with //ciovet:sanitized.
+func (sc *htScope) callee(call *ast.CallExpr) (fn *types.Func, sum *TaintFact, args []ast.Expr) {
+	fn, args = resolveCallee(sc.info(), call)
+	if fn == nil {
+		return nil, nil, nil
+	}
+	if hf := sc.st.fns[fn]; hf != nil {
+		sum = sc.st.sums[hf]
+	} else {
+		sum = sc.st.pass.ImportedTaint(fn)
+	}
+	if sum != nil && sum.Sanitized {
+		sum = nil
+	}
+	return fn, sum, args
+}
+
+// paramName names parameter slot i (receiver = slot 0) of sig, for
+// diagnostics.
+func paramName(sig *types.Signature, i int) string {
+	j := i
+	if sig.Recv() != nil {
+		if j == 0 {
+			if n := sig.Recv().Name(); n != "" && n != "_" {
 				return n
 			}
+			return fmt.Sprintf("#%d", i)
 		}
+		j--
 	}
-	return fmt.Sprintf("#%d", i)
-}
-
-func paramName(hf *htFunc, i int) string {
-	if i >= 0 && i < len(hf.params) && hf.params[i] != nil {
-		return hf.params[i].Name()
+	if j >= 0 && j < sig.Params().Len() {
+		if n := sig.Params().At(j).Name(); n != "" && n != "_" {
+			return n
+		}
 	}
 	return fmt.Sprintf("#%d", i)
 }
@@ -844,7 +801,7 @@ func (sc *htScope) eval(e ast.Expr, pos token.Pos) tval {
 					return tval{}
 				}
 			}
-			return tval{src: true}
+			return tval{host: true}
 		}
 		if sel, ok := sc.info().Selections[x]; ok && sel.Kind() == types.FieldVal {
 			if id, ok := x.X.(*ast.Ident); ok {
@@ -900,13 +857,12 @@ func (sc *htScope) evalCall(call *ast.CallExpr, pos token.Pos) []tval {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return one(sc.eval(call.Args[0], pos)) // conversion propagates
 	}
-	// Structural sources: direct fetches from host-writable memory are
-	// local taint — the same-function rules own those flows.
+	// Structural sources: direct fetches from host-writable memory.
 	if _, m, ok := sharedRead(info, call); ok {
 		if m == "ReadAt" {
 			return one(tval{}) // fills a caller buffer, no results
 		}
-		return one(tval{src: true})
+		return one(tval{host: true})
 	}
 	switch calleeName(call) {
 	case "len", "cap", "copy":
@@ -921,84 +877,29 @@ func (sc *htScope) evalCall(call *ast.CallExpr, pos token.Pos) []tval {
 		out := tval{}
 		for _, a := range call.Args {
 			t := sc.eval(a, pos)
-			if !t.concrete() && t.params == 0 {
+			if !t.host && t.params == 0 {
 				return one(tval{}) // capped by a trusted bound
 			}
 			out = unionT(out, t)
 		}
 		return one(out)
 	}
-	hf2, args := resolveCall(info, sc.st.fns, call)
-	if hf2 == nil {
-		return sc.evalImportedCall(call, pos)
-	}
-	sum2 := sc.st.sums[hf2]
-	if sum2 == nil || sum2.sanitizedFn {
+	fn, sum, args := sc.callee(call)
+	if sum == nil || len(sum.RetTainted) == 0 {
 		return one(tval{})
 	}
-	n := len(sum2.retTainted)
-	if n == 0 {
-		return one(tval{})
-	}
-	out := make([]tval, n)
-	for r := 0; r < n; r++ {
-		if sum2.retTainted[r] {
-			out[r].inter = true
-			out[r].via = hf2.obj.Name()
+	out := make([]tval, len(sum.RetTainted))
+	for r := range out {
+		if sum.RetTainted[r] {
+			out[r] = tval{host: true, via: fn.Name()}
 		}
-		bits := sum2.retFrom[r]
-		for i := 0; i < len(args) && i < maxTrackedParams; i++ {
-			if bits&paramBit(i) == 0 {
+		for i, arg := range args {
+			if sum.RetFrom[r]&paramBit(i) == 0 {
 				continue
 			}
-			at := sc.eval(args[i], pos)
-			if at.concrete() {
-				out[r].inter = true
-				if out[r].via == "" {
-					out[r].via = hf2.obj.Name()
-				}
-			}
-			out[r].params |= at.params
-		}
-	}
-	return out
-}
-
-// evalImportedCall is evalCall's out-of-package branch: the callee has no
-// local summary, so consult the imported TaintFact of its origin. With no
-// fact (or no fact store), the call is conservative-clean — the pre-fact
-// behavior.
-func (sc *htScope) evalImportedCall(call *ast.CallExpr, pos token.Pos) []tval {
-	one := func(t tval) []tval { return []tval{t} }
-	fn, args := resolveCallee(sc.info(), call)
-	f := sc.st.pass.ImportedTaint(fn)
-	if f == nil || f.Sanitized {
-		return one(tval{})
-	}
-	n := len(f.RetTainted)
-	if len(f.RetFrom) > n {
-		n = len(f.RetFrom)
-	}
-	if n == 0 {
-		return one(tval{})
-	}
-	out := make([]tval, n)
-	for r := 0; r < n; r++ {
-		if r < len(f.RetTainted) && f.RetTainted[r] {
-			out[r].inter = true
-			out[r].via = fn.Name()
-		}
-		var bits paramBits
-		if r < len(f.RetFrom) {
-			bits = paramBits(f.RetFrom[r])
-		}
-		for i := 0; i < len(args) && i < maxTrackedParams; i++ {
-			if bits&paramBit(i) == 0 {
-				continue
-			}
-			at := sc.eval(args[i], pos)
-			if at.concrete() {
-				out[r].inter = true
+			at := sc.eval(arg, pos)
+			if at.host {
+				out[r].host = true
 				if out[r].via == "" {
 					out[r].via = fn.Name()
 				}

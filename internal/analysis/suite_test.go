@@ -14,12 +14,14 @@ func TestDoubleFetch(t *testing.T) {
 	analysistest.Run(t, corpus(), analysis.DoubleFetchAnalyzer, "doublefetch")
 }
 
-func TestMaskIdx(t *testing.T) {
-	analysistest.Run(t, corpus(), analysis.MaskIdxAnalyzer, "maskidx")
-}
-
 func TestHostTaint(t *testing.T) {
 	analysistest.Run(t, corpus(), analysis.HostTaintAnalyzer, "hosttaint")
+}
+
+// TestHostTaintLocal runs hosttaint over the flows that never leave one
+// function: fetch, sanitizer and sink side by side.
+func TestHostTaintLocal(t *testing.T) {
+	analysistest.Run(t, corpus(), analysis.HostTaintAnalyzer, "taintlocal")
 }
 
 func TestSharedAtomic(t *testing.T) {
@@ -84,7 +86,7 @@ func TestFactsRequireOrder(t *testing.T) {
 // TestSuite pins the rule inventory: renaming or dropping an analyzer is a
 // deliberate act, not a refactoring accident.
 func TestSuite(t *testing.T) {
-	want := []string{"doublefetch", "maskidx", "hosttaint", "sharedatomic", "fatalviolation", "sharedescape", "latchclear", "bufown", "lockdisc"}
+	want := []string{"doublefetch", "hosttaint", "sharedatomic", "fatalviolation", "sharedescape", "latchclear", "bufown", "lockdisc"}
 	suite := analysis.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

@@ -116,30 +116,17 @@ func inModulePackage(obj types.Object) bool {
 	return strings.HasPrefix(path, "confio/") || !strings.Contains(path, ".") && !strings.Contains(path, "/")
 }
 
-// hostSource reports whether expr is, by itself, a host-controlled value:
-// a field read of a safering.Desc (Len/Kind/Ref), a Region load, or an
-// Indexes load. Ring snapshot calls (ReadDesc) are not sources themselves —
-// their *fields* are, which keeps the snapshot struct usable as a local.
-func hostSource(info *types.Info, expr ast.Expr) bool {
-	switch e := expr.(type) {
-	case *ast.SelectorExpr:
-		selInfo, ok := info.Selections[e]
-		if !ok || selInfo.Kind() != types.FieldVal {
-			return false
-		}
-		base := selInfo.Recv()
-		name := e.Sel.Name
-		return typeIs(base, "safering", "Desc") && (name == "Len" || name == "Ref" || name == "Kind")
-	case *ast.CallExpr:
-		_, m, ok := sharedRead(info, e)
-		if !ok {
-			return false
-		}
-		// ReadAt fills a caller buffer; its result list is empty. The
-		// value-returning fetches are the taint sources.
-		return m != "ReadAt"
+// hostSource reports whether sel is a host-controlled field read of a
+// safering.Desc (Len/Kind/Ref): a source wherever the descriptor came
+// from. The call-shaped sources — Region, Indexes and ring snapshot
+// loads — are the value-returning sharedRead calls.
+func hostSource(info *types.Info, sel *ast.SelectorExpr) bool {
+	selInfo, ok := info.Selections[sel]
+	if !ok || selInfo.Kind() != types.FieldVal {
+		return false
 	}
-	return false
+	name := sel.Sel.Name
+	return typeIs(selInfo.Recv(), "safering", "Desc") && (name == "Len" || name == "Ref" || name == "Kind")
 }
 
 // vkey identifies a validated quantity: a whole variable (field == "") or
@@ -163,110 +150,6 @@ func (s span) covers(pos token.Pos) bool {
 	return pos > s.from && (s.until == token.NoPos || pos < s.until)
 }
 
-// funcScope is the per-function state for the ordered, flow-insensitive
-// taint walk shared by maskidx: a set of tainted variables plus source
-// windows in which a variable or snapshot field counts as bounds-validated.
-type funcScope struct {
-	info      *types.Info
-	tainted   map[types.Object]bool
-	validated map[vkey][]span
-}
-
-func newFuncScope(info *types.Info) *funcScope {
-	return &funcScope{
-		info:      info,
-		tainted:   make(map[types.Object]bool),
-		validated: make(map[vkey][]span),
-	}
-}
-
-// isValidated reports whether key counts as bounds-checked at pos.
-func (fs *funcScope) isValidated(key vkey, pos token.Pos) bool {
-	for _, s := range fs.validated[key] {
-		if s.covers(pos) {
-			return true
-		}
-	}
-	return false
-}
-
-// obj resolves an identifier to its object.
-func (fs *funcScope) obj(e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if o := fs.info.Uses[id]; o != nil {
-		return o
-	}
-	return fs.info.Defs[id]
-}
-
-// taintedExpr reports whether e carries host-controlled taint at pos:
-// it is a source, mentions a tainted-and-not-yet-validated variable, or is
-// built from one by arithmetic/conversion. Masking (&), modulo (%), and
-// shifts right (>>) sanitize the whole expression.
-func (fs *funcScope) taintedExpr(e ast.Expr, pos token.Pos) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *ast.Ident:
-		o := fs.obj(x)
-		if o == nil || !fs.tainted[o] {
-			return false
-		}
-		return !fs.isValidated(vkey{o, ""}, pos)
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case token.AND, token.REM, token.AND_NOT, token.SHR:
-			return false // masked / reduced: bounded by construction
-		}
-		return fs.taintedExpr(x.X, pos) || fs.taintedExpr(x.Y, pos)
-	case *ast.ParenExpr:
-		return fs.taintedExpr(x.X, pos)
-	case *ast.UnaryExpr:
-		return fs.taintedExpr(x.X, pos)
-	case *ast.SelectorExpr:
-		if !hostSource(fs.info, x) {
-			return false
-		}
-		// A host-controlled snapshot field is clean after a terminating
-		// bounds check on that same field (per-field validation).
-		if id, ok := x.X.(*ast.Ident); ok {
-			if o := fs.obj(id); o != nil && fs.isValidated(vkey{o, x.Sel.Name}, pos) {
-				return false
-			}
-		}
-		return true
-	case *ast.CallExpr:
-		if hostSource(fs.info, x) {
-			return true
-		}
-		// A conversion propagates taint; min()/max() style capping
-		// against an untainted bound sanitizes.
-		if fs.isConversion(x) && len(x.Args) == 1 {
-			return fs.taintedExpr(x.Args[0], pos)
-		}
-		if id := calleeName(x); id == "min" || id == "minU32" || id == "max" {
-			for _, a := range x.Args {
-				if !fs.taintedExpr(a, pos) {
-					return false // capped by a trusted bound
-				}
-			}
-			return true
-		}
-		return false
-	case *ast.IndexExpr:
-		return fs.taintedExpr(x.X, pos)
-	}
-	return false
-}
-
-func (fs *funcScope) isConversion(call *ast.CallExpr) bool {
-	tv, ok := fs.info.Types[call.Fun]
-	return ok && tv.IsType()
-}
-
 func calleeName(call *ast.CallExpr) string {
 	switch f := call.Fun.(type) {
 	case *ast.Ident:
@@ -275,40 +158,6 @@ func calleeName(call *ast.CallExpr) string {
 		return f.Sel.Name
 	}
 	return ""
-}
-
-// taintVar marks o host-controlled, resetting any stale validation.
-func (fs *funcScope) taintVar(o types.Object) {
-	fs.tainted[o] = true
-	fs.dropValidation(o)
-}
-
-// clearVar marks o clean (overwritten with a trusted value).
-func (fs *funcScope) clearVar(o types.Object) {
-	delete(fs.tainted, o)
-	fs.dropValidation(o)
-}
-
-func (fs *funcScope) dropValidation(o types.Object) {
-	for k := range fs.validated {
-		if k.obj == o {
-			delete(fs.validated, k)
-		}
-	}
-}
-
-// markAssign propagates taint through one assignment of rhs to lhs.
-func (fs *funcScope) markAssign(lhs, rhs ast.Expr, pos token.Pos) {
-	o := fs.obj(lhs)
-	if o == nil {
-		return
-	}
-	if rhs != nil && fs.taintedExpr(rhs, pos) {
-		fs.taintVar(o)
-	} else if fs.tainted[o] {
-		// Overwritten with a clean value.
-		fs.clearVar(o)
-	}
 }
 
 // terminates reports whether a block ends control flow on every syntactic

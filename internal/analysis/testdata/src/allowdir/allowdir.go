@@ -12,13 +12,13 @@ func MissingRule(r *shmem.Region, arr []byte) byte {
 
 // MissingReason names a rule but gives no reason.
 func MissingReason(r *shmem.Region, arr []byte) byte {
-	//ciovet:allow maskidx
+	//ciovet:allow hosttaint
 	return arr[r.U32(0)]
 }
 
 // Suppressed opts out correctly.
 func Suppressed(r *shmem.Region, arr []byte) byte {
-	//ciovet:allow maskidx reason recorded for the audit trail
+	//ciovet:allow hosttaint reason recorded for the audit trail
 	return arr[r.U32(0)]
 }
 
@@ -31,5 +31,12 @@ func WrongRule(r *shmem.Region, arr []byte) byte {
 // Wildcard opts out of every rule on the line.
 func Wildcard(r *shmem.Region, arr []byte) byte {
 	//ciovet:allow * adversarial corpus line exercising the wildcard
+	return arr[r.U32(0)]
+}
+
+// UnknownRule misspells the rule: the directive is itself a diagnostic
+// and suppresses nothing.
+func UnknownRule(r *shmem.Region, arr []byte) byte {
+	//ciovet:allow hostaint a typo must not pass for an audited opt-out
 	return arr[r.U32(0)]
 }

@@ -1,6 +1,6 @@
-// Package hosttaint is the corpus for the interprocedural host-taint
-// analyzer. The headline cases are flows that doublefetch and maskidx both
-// miss because the fetch and the unsafe use live in different functions.
+// Package hosttaint is the corpus for the host-taint analyzer's flows
+// across function boundaries: the fetch and the unsafe use live in
+// different functions. The same-function cases are in taintlocal.
 package hosttaint
 
 import (
@@ -13,7 +13,7 @@ func readLen(r *shmem.Region) uint32 {
 }
 
 // BadCrossFunctionIndex is the acceptance case: the fetch happens inside
-// readLen, the indexing here — neither intra-procedural rule connects them.
+// readLen, the indexing here.
 func BadCrossFunctionIndex(r *shmem.Region, buf []byte) byte {
 	return buf[readLen(r)] // want "host-controlled value \\(via readLen\\) indexes buf"
 }
@@ -59,11 +59,11 @@ func GoodCalleeValidates(r *shmem.Region, buf []byte) byte {
 	return buf[safeLen(r, uint32(len(buf)))]
 }
 
-// GoodLocalFlowIsMaskidxTurf: fetch and use in ONE function is maskidx's
-// finding; hosttaint must stay silent so the pair never double-reports.
-func GoodLocalFlowIsMaskidxTurf(r *shmem.Region, buf []byte) byte {
+// BadLocalFlow: fetch and use in ONE function is the same finding, with
+// no callee to name.
+func BadLocalFlow(r *shmem.Region, buf []byte) byte {
 	n := r.U32(0)
-	return buf[n] // maskidx reports here; hosttaint must not
+	return buf[n] // want "^host-controlled value indexes buf"
 }
 
 // useIdx indexes its parameter without validation: summarized as a
@@ -149,7 +149,7 @@ func (d *dev) BadMethodFlow() byte {
 }
 
 // BadLoopBound: a host-chosen loop limit spins the guest an attacker-chosen
-// number of iterations. New sink class: reported even for local flows.
+// number of iterations.
 func BadLoopBound(r *shmem.Region) int {
 	n := r.U32(0)
 	sum := 0

@@ -42,8 +42,7 @@ func gatewayScenarios() []Scenario {
 // (the attack harness, unlike chaos, runs on the wall clock).
 func newGWNode(maxFlows int) (*gateway.Node, error) {
 	return gateway.NewNode(gateway.NodeConfig{
-		Queues:   2,
-		EventIdx: true,
+		Queues: 2,
 		Gateway: gateway.Config{
 			Master:   []byte("attack-gateway-master-secret"),
 			Tenants:  []gateway.TenantID{1, 2, 3},

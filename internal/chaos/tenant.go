@@ -36,8 +36,7 @@ type tenantWorld struct {
 func newTenantWorld() *tenantWorld {
 	clk := NewClock()
 	n, err := gateway.NewNode(gateway.NodeConfig{
-		Queues:   2,
-		EventIdx: true,
+		Queues: 2,
 		Gateway: gateway.Config{
 			Master:       []byte("chaos-gateway-master-secret"),
 			Tenants:      []gateway.TenantID{victimID, neighborID, bystander},

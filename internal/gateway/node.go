@@ -22,25 +22,22 @@ var (
 	clientIP = ipv4.Addr{10, 9, 0, 2}
 )
 
-// NodeConfig assembles a full gateway deployment testbed.
+// NodeConfig assembles a full gateway deployment testbed. The gateway's
+// device always runs doorbells plus event-idx suppression, the
+// notification-efficient production path.
 type NodeConfig struct {
-	// Queues is the gateway's safe-ring queue count (the production
-	// configuration is multi-queue with EventIdx on).
+	// Queues is the gateway's safe-ring queue count.
 	Queues int
-	// EventIdx enables doorbells + event-idx suppression on the
-	// gateway's device (the notification-efficient production path).
-	EventIdx bool
 	// Gateway is the gateway configuration (Bank defaults to a fresh
 	// TenantBank when nil so per-tenant attribution is always on).
 	Gateway Config
 }
 
 // DefaultNodeConfig returns the production-shaped deployment: 4 queues,
-// EventIdx on, 3 tenants, flood and stall containment armed.
+// 3 tenants, flood and stall containment armed.
 func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{
-		Queues:   4,
-		EventIdx: true,
+		Queues: 4,
 		Gateway: Config{
 			Master:       []byte("attested-gateway-master-0123456789abcdef"),
 			Tenants:      []TenantID{1, 2, 3},
@@ -82,10 +79,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// per-queue metering, RSS-style multi-pump, progress watchdog.
 	rcfg := safering.DefaultConfig()
 	rcfg.MAC[5] = 0xA1
-	if cfg.EventIdx {
-		rcfg.Notify = true
-		rcfg.EventIdx = true
-	}
+	rcfg.Notify, rcfg.EventIdx = true, true
 	n.Bank = platform.NewMeterBank(cfg.Queues)
 	mep, err := safering.NewMulti(rcfg, cfg.Queues, n.Bank)
 	if err != nil {

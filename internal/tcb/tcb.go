@@ -37,7 +37,7 @@ var (
 	CompARP       = Component{"arp", 88, "ARP + neighbour cache"}
 	CompIPv4      = Component{"ipv4", 236, "IPv4 + frag/reasm"}
 	CompUDP       = Component{"udp", 45, "UDP"}
-	CompTCP       = Component{"tcp", 1174, "TCP state machine"}
+	CompTCP       = Component{"tcp", 1150, "TCP state machine"}
 	CompNetstack  = Component{"netstack", 580, "stack glue + sockets"}
 	CompSafering  = Component{"safering", 1527, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
@@ -102,7 +102,7 @@ func (p Profile) Class() Class {
 		return ClassS
 	case t < 2200:
 		return ClassM
-	case t < 4750:
+	case t < 4500:
 		return ClassL
 	default:
 		return ClassXL

@@ -3,8 +3,6 @@ package tcp
 import (
 	"io"
 	"time"
-
-	"confio/internal/ipv4"
 )
 
 // State is a TCP connection state (RFC 793 names).
@@ -36,8 +34,9 @@ func (s State) String() string {
 	return "Unknown"
 }
 
-// Conn is one TCP connection. Read and Write block (honoring deadlines);
-// all protocol processing happens under the owning endpoint's lock.
+// Conn is one TCP connection. Read blocks until data, EOF or its
+// deadline; Write blocks while the send buffer is full. All protocol
+// processing happens under the owning endpoint's lock.
 type Conn struct {
 	ep       *Endpoint
 	key      connKey
@@ -80,8 +79,7 @@ type Conn struct {
 	closeCalled bool
 	notify      chan struct{}
 
-	readDeadline  time.Time
-	writeDeadline time.Time
+	readDeadline time.Time
 }
 
 func newConn(e *Endpoint, key connKey) *Conn {
@@ -97,41 +95,11 @@ func newConn(e *Endpoint, key connKey) *Conn {
 	}
 }
 
-// State returns the connection state.
-func (c *Conn) State() State {
-	c.ep.mu.Lock()
-	defer c.ep.mu.Unlock()
-	return c.state
-}
-
-// Err returns the connection's fatal error, if any.
-func (c *Conn) Err() error {
-	c.ep.mu.Lock()
-	defer c.ep.mu.Unlock()
-	return c.connErr
-}
-
-// LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.key.lport }
-
-// RemotePort returns the remote port.
-func (c *Conn) RemotePort() uint16 { return c.key.rport }
-
-// RemoteIP returns the remote address.
-func (c *Conn) RemoteIP() ipv4.Addr { return c.key.rip }
-
 // SetReadDeadline bounds future Reads (zero = no deadline).
 func (c *Conn) SetReadDeadline(t time.Time) {
 	c.ep.mu.Lock()
 	defer c.ep.mu.Unlock()
 	c.readDeadline = t
-}
-
-// SetWriteDeadline bounds future Writes (zero = no deadline).
-func (c *Conn) SetWriteDeadline(t time.Time) {
-	c.ep.mu.Lock()
-	defer c.ep.mu.Unlock()
-	c.writeDeadline = t
 }
 
 func (c *Conn) notifyAllLocked() {
@@ -676,12 +644,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 			continue
 		}
 		ch := c.notify
-		deadline := c.writeDeadline
 		e.mu.Unlock()
 		e.flush()
-		if err := waitNotify(ch, deadline); err != nil {
-			return total, err
-		}
+		<-ch
 		e.mu.Lock()
 	}
 	e.mu.Unlock()

@@ -477,6 +477,3 @@ func drainBacklog(ch chan *Conn) map[*Conn]bool {
 	}
 	return out
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }

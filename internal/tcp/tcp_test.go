@@ -202,13 +202,13 @@ func TestSeqArithmetic(t *testing.T) {
 func TestHandshakeAndStates(t *testing.T) {
 	n := newTestNet(t)
 	c, s := n.connect(t, 8080)
-	if c.State() != StateEstablished || s.State() != StateEstablished {
-		t.Fatalf("states: %v / %v", c.State(), s.State())
+	if stateOf(c) != StateEstablished || stateOf(s) != StateEstablished {
+		t.Fatalf("states: %v / %v", stateOf(c), stateOf(s))
 	}
-	if c.RemoteIP() != ipB || c.RemotePort() != 8080 {
+	if c.key.rip != ipB || c.key.rport != 8080 {
 		t.Fatal("client addressing wrong")
 	}
-	if s.RemoteIP() != ipA || s.RemotePort() != c.LocalPort() {
+	if s.key.rip != ipA || s.key.rport != c.key.lport {
 		t.Fatal("server addressing wrong")
 	}
 }
@@ -303,7 +303,7 @@ func waitState(t *testing.T, c *Conn, want ...State) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		st := c.State()
+		st := stateOf(c)
 		for _, w := range want {
 			if st == w {
 				return
@@ -311,7 +311,21 @@ func waitState(t *testing.T, c *Conn, want ...State) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("conn stuck in %v, want %v", c.State(), want)
+	t.Fatalf("conn stuck in %v, want %v", stateOf(c), want)
+}
+
+// stateOf and errOf read a connection's state and fatal error under its
+// endpoint's lock.
+func stateOf(c *Conn) State {
+	c.ep.mu.Lock()
+	defer c.ep.mu.Unlock()
+	return c.state
+}
+
+func errOf(c *Conn) error {
+	c.ep.mu.Lock()
+	defer c.ep.mu.Unlock()
+	return c.connErr
 }
 
 func waitGone(t *testing.T, e *Endpoint, c *Conn) {
@@ -476,12 +490,12 @@ func TestGiveUpAfterMaxRetries(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if errors.Is(c.Err(), ErrGaveUp) {
+		if errors.Is(errOf(c), ErrGaveUp) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("sender never gave up: state %v err %v", c.State(), c.Err())
+	t.Fatalf("sender never gave up: state %v err %v", stateOf(c), errOf(c))
 }
 
 func TestRSTTearsDownConnection(t *testing.T) {
@@ -496,7 +510,7 @@ func TestRSTTearsDownConnection(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("client never saw RST: state %v err %v", c.State(), c.Err())
+	t.Fatalf("client never saw RST: state %v err %v", stateOf(c), errOf(c))
 }
 
 func TestZeroWindowAndProbe(t *testing.T) {
@@ -561,7 +575,7 @@ func TestListenerBacklogAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Port() != 80 {
+	if l.port != 80 {
 		t.Fatal("port")
 	}
 	if _, err := n.b.Listen(80, 2); !errors.Is(err, ErrPortInUse) {
