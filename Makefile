@@ -3,8 +3,9 @@ GO ?= go
 # Packages exercised under the race detector: the ones with real
 # cross-goroutine shared state (rings, slab pools, the core datapath, and
 # the storage stack, whose TEE-held Merkle frontier host goroutines and
-# per-tenant volumes reach concurrently).
-RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio
+# per-tenant volumes reach concurrently, and the TDISP device, whose
+# firmware loop and TEE side share the link).
+RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio ./internal/tdisp
 
 .PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos race-pump dead check
 
@@ -103,11 +104,13 @@ bench-pairs:
 chaos:
 	$(GO) test -count=5 -v ./internal/chaos
 
-# The pump's stop / fail-dead / park interleavings are timing-dependent
-# and all live in one loop (nic.Pump.run); ten runs under the race
-# detector for the same reason chaos takes five.
+# Every long-lived poller runs on one driver (nic.Driver): its stop /
+# terminal-error / park / re-check interleavings are timing-dependent, so
+# the driver's own tests and its users' — the pump, the storage backend,
+# the TDISP device loop — run ten times under the race detector, for the
+# same reason chaos takes five.
 race-pump:
-	$(GO) test -race -count=10 ./internal/nic
+	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 
 # The dead-code oracle (ROADMAP item 4d): every non-test function the
 # attack, chaos, core, gateway, netstack and confbench suites never reach,

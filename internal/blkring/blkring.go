@@ -656,25 +656,26 @@ func (m *Multi) SetRecoveryPolicy(p safering.RecoveryPolicy) { m.life.SetRecover
 // reads (mutual distrust): a producer index past the ring or an op word
 // from a stale epoch stops the backend instead of being served.
 //
-// Idle, it is one more client of the datapath's waiter: after
-// backendSpin empty, yielding polls it parks on the request ring's
-// producer index, re-checks the index, and blocks until the guest's
-// store pokes it, Stop or nic.WaitBound. The wait is always
-// time-bounded: the guest controls when the wake fires, never whether
-// the backend keeps serving or can be collected.
+// Idle, it is one more loop on the datapath's driver: after backendSpin
+// empty, yielding polls it parks on the request ring's producer index,
+// re-checks the index, and blocks until the guest's store pokes it, Stop
+// or nic.WaitBound. The wait is always time-bounded: the guest controls
+// when the wake fires, never whether the backend keeps serving or can be
+// collected.
 type Backend struct {
 	sh   *Shared
 	disk blockdev.Disk
-
-	stop chan struct{}
 	park chan struct{} // the wake the backend parks on prod with
-	wg   sync.WaitGroup
+	drv  nic.Driver
 
 	mu    sync.Mutex
 	tail  uint64
 	polls uint64 // Step calls, served or not
 	buf   []byte
-	dead  error
+	// Every Step stores to mu, tail and polls: padded to whole cache lines
+	// so the allocator never places another object's words beside them
+	// (TestBackendFillsWholeCacheLines).
+	_ [40]byte
 }
 
 // NewBackend attaches a disk to the ring's host side.
@@ -682,18 +683,13 @@ func NewBackend(sh *Shared, disk blockdev.Disk) *Backend {
 	return &Backend{
 		sh:   sh,
 		disk: disk,
-		stop: make(chan struct{}),
 		park: make(chan struct{}, 1),
 		buf:  make([]byte, blockdev.SectorSize),
 	}
 }
 
 // Dead returns the violation that stopped the backend, if any.
-func (b *Backend) Dead() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dead
-}
+func (b *Backend) Dead() error { return b.drv.Err() }
 
 // backendSpin is how many consecutive empty polls the backend makes,
 // yielding the processor after each, before it arms and blocks. The
@@ -731,56 +727,18 @@ func (b *Backend) disarm() {
 
 // Start launches the service loop.
 func (b *Backend) Start() {
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		var w nic.Waiter
-		idle, armed := 0, false
-		for {
-			select {
-			case <-b.stop:
-				return
-			default:
-			}
+	b.drv.Go(nic.Loop{
+		Step: func() (bool, time.Time, error) {
 			worked, err := b.Step()
-			if err != nil {
-				b.mu.Lock()
-				b.dead = err
-				b.mu.Unlock()
-				return
-			}
-			if worked {
-				if armed {
-					b.disarm()
-					armed = false
-				}
-				idle = 0
-				continue
-			}
-			if idle++; idle <= backendSpin {
-				runtime.Gosched()
-				continue
-			}
-			if !armed && b.arm() {
-				continue // work raced in while arming: poll again
-			}
-			armed = true
-			if !w.Wait(b.stop, b.park, nil, nic.WaitBound) {
-				return
-			}
-		}
-	}()
+			return worked, time.Time{}, err
+		},
+		Spin: backendSpin, Park: b.arm, Unpark: b.disarm, Bound: nic.WaitBound,
+		Wakes: func() (a, _ <-chan struct{}) { return b.park, nil },
+	})
 }
 
 // Stop halts the service loop.
-func (b *Backend) Stop() {
-	select {
-	case <-b.stop:
-	default:
-		close(b.stop)
-	}
-	b.wg.Wait()
-}
+func (b *Backend) Stop() { b.drv.Stop() }
 
 // Step serves every published-but-unserved request and acknowledges the
 // whole sweep with ONE consumer-index store — the host-side half of

@@ -214,7 +214,8 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 	case DirectDevice:
 		// §3.4: the NIC itself is attested and sits on the wire; the
 		// TEE↔device link is IDE-protected; the host only relays opaque
-		// TLPs. No host-side pump is needed — the device pumps itself.
+		// TLPs. No host-side pump is needed — the device's firmware loop
+		// runs on a driver of its own.
 		id := tdisp.DeviceID(fmt.Sprintf("nic-%x", macLast))
 		key := append([]byte("manufacturer-key-"), byte(macLast))
 		fw := []byte("confio-nic-firmware-v1")
@@ -230,8 +231,9 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		pump := tdisp.StartPump(dev)
-		w.closers = append(w.closers, pump.Stop)
+		firmware := new(nic.Driver)
+		firmware.Go(dev.Loop())
+		w.closers = append(w.closers, firmware.Stop)
 		n.stack = netstack.New(g, ip)
 		n.stack.Start()
 		w.closers = append(w.closers, n.stack.Close)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +73,43 @@ func TestMultiTenantEcho(t *testing.T) {
 	}
 	if lat := n.Tb.TenantLatency(1); lat.Count != 1 {
 		t.Errorf("tenant 1 latency count = %d, want 1", lat.Count)
+	}
+}
+
+// TestCloseCollectsEveryGoroutine: closing a node whose tenant left its
+// flow open collects everything the node started — pumps, watchdog,
+// stacks, the stall poller, the serve loop and the flow's relay. Every
+// polling loop is joined before Close returns; the flow's goroutines
+// follow once their connections are shed.
+func TestCloseCollectsEveryGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n, err := NewNode(DefaultNodeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.DialTenant(1)
+	if err != nil {
+		n.Close()
+		t.Fatal(err)
+	}
+	echoOnce(t, c, "left open")
+	n.Close() // c deliberately left open: the gateway's relay is parked in Read
+
+	stacks := func() string {
+		buf := make([]byte, 1<<20)
+		return string(buf[:runtime.Stack(buf, true)])
+	}
+	for _, joined := range []string{"nic.(*Driver).run", "created by confio/internal/gateway.NewNode"} {
+		if s := stacks(); strings.Contains(s, joined) {
+			t.Fatalf("a goroutine matching %q outlived Close:\n%s", joined, s)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the node, %d after Close:\n%s", before, runtime.NumGoroutine(), stacks())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

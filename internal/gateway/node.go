@@ -128,20 +128,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// Stall poller: only when running on the real clock — chaos runs
 	// inject a fake clock and drive PollStalls themselves.
 	if cfg.Gateway.StallTimeout > 0 && cfg.Gateway.Clock == nil {
-		stop := make(chan struct{})
-		go func() {
-			tick := time.NewTicker(cfg.Gateway.StallTimeout / 4)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					gw.PollStalls()
-				}
-			}
-		}()
-		n.closers = append(n.closers, func() { close(stop) })
+		stalls := new(nic.Driver)
+		stalls.Go(nic.Every(cfg.Gateway.StallTimeout/4, gw.PollStalls))
+		n.closers = append(n.closers, stalls.Stop)
 	}
 	return n, nil
 }

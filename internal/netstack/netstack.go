@@ -52,8 +52,7 @@ type Stack struct {
 	// transport, keeping the stack itself stateless about incarnations.
 	nicErr error
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	drv nic.Driver
 }
 
 // Stats counts stack-level events.
@@ -94,7 +93,6 @@ func New(g nic.Guest, ip ipv4.Addr) *Stack {
 		reasm:    ipv4.NewReassembler(0, 0),
 		udpPorts: make(map[uint16]*UDPSocket),
 		arpWait:  make(map[ipv4.Addr]arpWaiter),
-		stop:     make(chan struct{}),
 	}
 	s.TCP = tcp.NewEndpoint(ip, g.MTU(), headroom, s.sendTCP, nil)
 	return s
@@ -145,8 +143,16 @@ func (s *Stack) degrade(err error) {
 
 // Start launches the receive/timer loop.
 func (s *Stack) Start() {
-	s.wg.Add(1)
-	go s.loop()
+	r := &rxLoop{
+		s:     s,
+		burst: make([]nic.Frame, rxBurst),
+		wake:  make(chan struct{}, 1),
+		parks: make([]nic.Parker, len(s.queues)),
+	}
+	s.drv.Go(nic.Loop{
+		Step: r.step, Spin: rxSpin, Yield: rxSpin, Park: r.park, Unpark: r.unpark, Bound: nic.WaitBound,
+		Wakes: func() (a, b <-chan struct{}) { return r.wake, nil },
+	})
 }
 
 // Close stops the stack's loop. Open connections are not torn down
@@ -154,12 +160,7 @@ func (s *Stack) Start() {
 // again, so their blocked readers, writers and accepts are woken with
 // tcp.ErrClosed instead of being left to leak.
 func (s *Stack) Close() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	s.wg.Wait()
+	s.drv.Stop()
 	s.TCP.AbortAll(tcp.ErrClosed)
 }
 
@@ -171,103 +172,82 @@ const rxBurst = 64
 // the budget is kept just long enough to catch a reply already in flight.
 const rxSpin = 4
 
-// timerScan bounds how stale the cached timer deadline may get while the
-// loop is too busy to sleep: nextDeadline walks every connection, so it
-// runs before each sleep and, under sustained load, once per period — not
-// once per burst.
+// timerScan bounds how stale the cached timer deadline may get, busy or
+// idle: nextDeadline walks every connection (TIME-WAIT ones included),
+// so it runs once per period, not once per poll. A timer armed by another
+// goroutine since the last scan is seen within timerScan plus one wait,
+// long before it can fall due: the shortest TCP timer is the 20 ms probe.
 const timerScan = time.Millisecond
 
-// loop is the stack's one goroutine: drain every queue, run whichever
-// timers are due, and once idle park on the queues' producer indexes
-// (nic.Parker) until a wake, Close, the next timer deadline or
-// nic.WaitBound. A transport with nothing to park on is polled every
-// WaitBound by the same wait.
-func (s *Stack) loop() {
-	defer s.wg.Done()
-	burst := make([]nic.Frame, rxBurst)
+// rxLoop is the stack's one goroutine as the driver runs it: drain every
+// queue, run whichever timers are due, and once idle park on the queues'
+// producer indexes (nic.Parker) until a wake, Close, the next timer
+// deadline or nic.WaitBound. A transport with nothing to park on is
+// polled every WaitBound by the same wait. Only that goroutine touches
+// it.
+type rxLoop struct {
+	s     *Stack
+	burst []nic.Frame
 	// One wake shared by all queues; each queue's handle is learned from
 	// its empty polls (nil: nothing to park on).
-	wake := make(chan struct{}, 1)
-	parks := make([]nic.Parker, len(s.queues))
-	var w nic.Waiter
-	var deadline, scanned time.Time
-	idle, parked := 0, false
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
+	wake              chan struct{}
+	parks             []nic.Parker
+	deadline, scanned time.Time
+}
+
+// step drains every queue once: each gets its own batched dequeue (own
+// index validation, own consumer publication), and no queue can starve
+// another. One terminal queue error means the whole device fail-deaded
+// (fate is shared through the transport latch): the stack degrades and
+// the loop ends rather than spin on a dead device. A deadline already
+// due is ticked at once.
+func (r *rxLoop) step() (bool, time.Time, error) {
+	s, worked := r.s, false
+	for i, q := range s.queues {
+		n, err := q.RecvBatch(r.burst)
+		for j := 0; j < n; j++ {
+			s.handleFrame(r.burst[j].Bytes())
+			r.burst[j].Release()
+			r.burst[j] = nil
 		}
-		worked := false
-		// Drain every queue each iteration: each gets its own batched
-		// dequeue (own index validation, own consumer publication), and
-		// no queue can starve another. One terminal queue error means
-		// the whole device fail-deaded (fate is shared through the
-		// transport latch): degrade and exit rather than spin on a dead
-		// device.
-		for i, q := range s.queues {
-			n, err := q.RecvBatch(burst)
-			for j := 0; j < n; j++ {
-				s.handleFrame(burst[j].Bytes())
-				burst[j].Release()
-				burst[j] = nil
-			}
-			if n > 0 {
-				worked = true
-			}
-			if p, ok := err.(nic.Parker); ok {
-				parks[i] = p
-			} else if errors.Is(err, nic.ErrClosed) {
-				s.degrade(err)
-				return
-			}
+		if n > 0 {
+			worked = true
 		}
-		now := time.Now()
-		if now.Sub(scanned) >= timerScan {
-			deadline, scanned = s.nextDeadline(), now
+		if p, ok := err.(nic.Parker); ok {
+			r.parks[i] = p
+		} else if errors.Is(err, nic.ErrClosed) {
+			s.degrade(err)
+			return false, time.Time{}, err
 		}
-		if !deadline.IsZero() && now.After(deadline) {
-			s.TCP.Tick()
-			s.expireARPWaiters(now)
-			deadline = s.nextDeadline()
+	}
+	now := time.Now()
+	if now.Sub(r.scanned) >= timerScan {
+		r.deadline, r.scanned = s.nextDeadline(), now
+	}
+	if !r.deadline.IsZero() && now.After(r.deadline) {
+		s.TCP.Tick()
+		s.expireARPWaiters(now)
+		r.deadline = s.nextDeadline()
+	}
+	return worked, r.deadline, nil
+}
+
+// park registers the shared wake with every queue that offered a handle
+// and reports whether frames already wait on any of them.
+func (r *rxLoop) park() bool {
+	ready := false
+	for _, p := range r.parks {
+		if p != nil && p.Park(r.wake) {
+			ready = true
 		}
-		if worked {
-			if parked {
-				for _, p := range parks {
-					if p != nil {
-						p.Unpark()
-					}
-				}
-				parked = false
-			}
-			idle = 0
-			continue
-		}
-		if idle++; idle <= rxSpin {
-			continue
-		}
-		if !parked {
-			parked = true
-			ready := false
-			for _, p := range parks {
-				if p != nil && p.Park(wake) {
-					ready = true
-				}
-			}
-			if ready {
-				continue // frames raced in while parking: poll again
-			}
-		}
-		// Sleep towards a fresh deadline: another goroutine may have armed
-		// a timer since the last scan. One already due ends the wait at
-		// once and is ticked on the next pass.
-		deadline, scanned = s.nextDeadline(), now
-		d := nic.WaitBound
-		if !deadline.IsZero() && deadline.Sub(now) < d {
-			d = deadline.Sub(now)
-		}
-		if !w.Wait(s.stop, wake, nil, d) {
-			return
+	}
+	return ready
+}
+
+func (r *rxLoop) unpark() {
+	for _, p := range r.parks {
+		if p != nil {
+			p.Unpark()
 		}
 	}
 }

@@ -2,7 +2,8 @@
 // confidential I/O interface in this repository implements — the paper's
 // safe ring as well as the virtio and netvsc baselines — plus the pump
 // that connects a host-side device backend to the simulated physical
-// network.
+// network, and the Driver every long-lived poller in the repository runs
+// on.
 //
 // Guest is what the in-TEE network stack drives; Host is what the
 // untrusted device model drives. Keeping both sides behind small
@@ -235,6 +236,146 @@ const (
 	WaitBound = 200 * time.Microsecond
 )
 
+// Loop is one long-lived poller as a Driver runs it: a body and its idle
+// policy. Every number in it is a constant where the loop is started
+// (DESIGN.md §11, "One idle loop", gives each one's reason).
+type Loop struct {
+	// Step polls once. It reports whether anything moved, the earliest
+	// instant it has timed work (zero: none; it bounds the wait), and a
+	// terminal error, which ends the loop and is kept for the owner.
+	Step func() (progress bool, next time.Time, err error)
+	// Spin is how many more polls follow an empty one before the loop
+	// parks and waits; each one past the first Yield of them yields the
+	// processor first.
+	Spin, Yield int
+	// Park, when set, arms the loop's wakes at the idle edge and reports
+	// whether work already waits (the lost-wakeup re-check): true polls
+	// again instead of blocking. Unpark withdraws them once a poll makes
+	// progress again.
+	Park   func() bool
+	Unpark func()
+	// Wakes, when set, returns the channels a wait ends on (nil never
+	// fires). It is fetched before every wait: reincarnation replaces a
+	// bell.
+	Wakes func() (a, b <-chan struct{})
+	// Bound is the longest wait: WaitBound behind a wake a peer
+	// controls, the period of a scanner that has none.
+	Bound time.Duration
+}
+
+// Every is the loop of a periodic scanner: scan, then wait period.
+func Every(period time.Duration, scan func()) Loop {
+	return Loop{Bound: period, Step: func() (bool, time.Time, error) {
+		scan()
+		return false, time.Time{}, nil
+	}}
+}
+
+// Driver runs loops, each on a goroutine of its own, until Stop or the
+// loop's terminal error. The zero value is ready.
+type Driver struct {
+	mu      sync.Mutex
+	stop    chan struct{}
+	stopped sync.Once
+	err     error
+	wg      sync.WaitGroup
+	running atomic.Int32
+}
+
+// Go starts l.
+func (d *Driver) Go(l Loop) {
+	d.wg.Add(1)
+	d.running.Add(1)
+	go d.run(l, d.stopChan())
+}
+
+func (d *Driver) stopChan() chan struct{} {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stop == nil {
+		d.stop = make(chan struct{})
+	}
+	return d.stop
+}
+
+// Stop ends every loop and waits for them. Idempotent, and safe from
+// several goroutines at once.
+func (d *Driver) Stop() {
+	d.stopped.Do(func() { close(d.stopChan()) })
+	d.wg.Wait()
+}
+
+// Err returns the first terminal error a loop ended on, if any.
+func (d *Driver) Err() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
+}
+
+// Running reports how many loops are still alive: zero after Stop, or
+// once every loop has ended on its error.
+func (d *Driver) Running() int { return int(d.running.Load()) }
+
+// yield is how a spinning loop gives up the processor; the driver's test
+// counts the calls.
+var yield = runtime.Gosched
+
+// run is one loop's goroutine. Its idle state lives on its stack: a busy
+// poll stores to nothing another goroutine reads.
+func (d *Driver) run(l Loop, stop <-chan struct{}) {
+	defer d.wg.Done()
+	defer d.running.Add(-1)
+	var w Waiter
+	idle, parked := 0, false
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		progress, next, err := l.Step()
+		if err != nil {
+			d.mu.Lock()
+			if d.err == nil {
+				d.err = err
+			}
+			d.mu.Unlock()
+			return
+		}
+		if progress {
+			if parked {
+				l.Unpark()
+				parked = false
+			}
+			idle = 0
+			continue
+		}
+		if idle++; idle <= l.Spin {
+			if idle > l.Yield {
+				yield()
+			}
+			continue
+		}
+		if !parked && l.Park != nil {
+			if l.Park() {
+				continue // work raced in while parking: poll again
+			}
+			parked = true
+		}
+		var a, b <-chan struct{}
+		if l.Wakes != nil {
+			a, b = l.Wakes()
+		}
+		bound := l.Bound
+		if !next.IsZero() {
+			bound = min(bound, time.Until(next))
+		}
+		if !w.Wait(stop, a, b, bound) {
+			return
+		}
+	}
+}
+
 // Waiter blocks one idle poller until something wakes it. It owns the
 // poller's only timer, re-armed per wait instead of allocated per wait.
 // The zero value is ready; not safe for concurrent use.
@@ -291,13 +432,11 @@ func (f *BufFrame) Release() {
 // per queue. Worker q drains queue q's transmit ring onto the wire, so
 // queues progress independently; worker 0 also owns the wire's receive
 // side and steers what it delivers (see steering). Polling is the paper's
-// default (no notifications); a worker with nothing to move blocks on its
-// ladder instead of burning a core.
-type Pump struct {
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	running atomic.Int32
-}
+// default (no notifications); a worker with nothing to move waits on its
+// wakes instead of burning a core. A worker ends on its queue's terminal
+// error (the device fail-deaded), so Running doubles as the goroutine-leak
+// gauge the restart drills poll before reincarnating.
+type Pump struct{ Driver }
 
 // StartPump begins shuttling between h and port until Stop: the
 // one-queue case of StartMultiPump.
@@ -314,21 +453,17 @@ func StartMultiPump(hosts []BatchHost, port *simnet.Port) *Pump {
 	if len(hosts) == 0 {
 		panic("nic: StartMultiPump needs at least one queue")
 	}
-	p := &Pump{stop: make(chan struct{})}
-	p.wg.Add(len(hosts))
-	p.running.Add(int32(len(hosts)))
-	go p.run(hosts[0], port, newSteering(hosts), newLadder(hosts[0], port.Wake(), p.stop))
-	for _, h := range hosts[1:] {
-		go p.run(h, port, nil, newLadder(h, nil, p.stop))
+	p := new(Pump)
+	for q, h := range hosts {
+		w := newWorker(h, port)
+		var wire <-chan struct{}
+		if q == 0 {
+			w.rx, wire = newSteering(hosts), port.Wake()
+		}
+		p.Go(w.loop(wire))
 	}
 	return p
 }
-
-// Running reports how many pump goroutines are still alive: the queue
-// count while the device lives, zero after Stop — or earlier, when the
-// device fail-deads and every worker collects itself (tests use it as a
-// goroutine-leak gauge, the restart drills poll it before reincarnating).
-func (p *Pump) Running() int { return int(p.running.Load()) }
 
 const (
 	// pumpBurst bounds the frames moved per direction per loop iteration.
@@ -341,92 +476,64 @@ const (
 	rxQueueDepth = 2 * pumpBurst
 )
 
-// ladder is one pump goroutine's idle state: spin the busy-poll budget,
-// then (on notify-capable transports) arm the wake threshold with the
-// lost-wakeup recheck, then block until the transport's wake, the wire's
-// delivery signal, stop, or WaitBound — whichever comes first. The wait
-// is always time-bounded: the guest controls when its wake fires, never
-// whether this goroutine polls again or can be collected.
-type ladder struct {
-	nh    NotifyHost      // nil: no wake threshold to arm
-	wire  <-chan struct{} // the port's delivery signal; nil for a worker that does not own the wire
-	stop  <-chan struct{}
-	w     Waiter
-	idle  int
-	armed bool
-}
-
-// newLadder builds the ladder for one goroutine polling h and, when wire
-// is non-nil, the port behind it.
-func newLadder(h Host, wire, stop <-chan struct{}) *ladder {
-	nh, _ := h.(NotifyHost)
-	return &ladder{nh: nh, wire: wire, stop: stop}
-}
-
-// worked resets the ladder after a productive poll, withdrawing the wake
-// threshold while the pump is keeping up anyway.
-func (l *ladder) worked() {
-	if l.armed {
-		l.nh.SuppressNotify()
-		l.armed = false
-	}
-	l.idle = 0
-}
-
-// wait takes one idle step and reports false once the pump was stopped.
-func (l *ladder) wait() bool {
-	l.idle++
-	if l.idle <= pumpSpin {
-		if l.idle > pumpYield {
-			runtime.Gosched()
-		}
-		return true
-	}
-	var bell <-chan struct{}
-	if l.nh != nil {
-		if !l.armed && l.nh.ArmNotify() {
-			return true // work raced in while arming: poll again
-		}
-		l.armed = true
-		// Re-fetched before every wait: reincarnation replaces the bell.
-		bell = l.nh.NotifyChan()
-	}
-	return l.w.Wait(l.stop, bell, l.wire, WaitBound)
-}
-
-// txBurst is the buffer set one transmit drain reuses.
-type txBurst struct {
+// worker is one pump goroutine's body: queue q's transmit drain, with
+// the buffer set every burst reuses, and — in worker 0 alone — the
+// wire's receive side.
+type worker struct {
+	h    BatchHost
+	port *simnet.Port
 	bufs [][]byte
 	lens []int
+	rx   steering
 }
 
-func newTxBurst(frameCap int) *txBurst {
-	b := &txBurst{bufs: make([][]byte, pumpBurst), lens: make([]int, pumpBurst)}
-	for i := range b.bufs {
-		b.bufs[i] = make([]byte, frameCap)
+func newWorker(h BatchHost, port *simnet.Port) *worker {
+	w := &worker{h: h, port: port, bufs: make([][]byte, pumpBurst), lens: make([]int, pumpBurst)}
+	for i := range w.bufs {
+		w.bufs[i] = make([]byte, h.FrameCap())
 	}
-	return b
+	return w
 }
 
-// drain moves one burst of guest transmit frames onto the wire with one
-// batched pop, returning how many frames the backend handed over. A
-// non-nil error is terminal (ErrClosed: the device fail-deaded) and
-// collects the calling pump — polling a dead device forever would leak
-// its goroutine until someone remembered to call Stop.
-func (b *txBurst) drain(h BatchHost, port *simnet.Port) (int, error) {
-	n, err := h.PopBatch(b.bufs, b.lens)
+// loop is the worker under the pump's idle policy: pumpSpin empty polls,
+// then — on a notify-capable transport — the wake threshold armed with
+// the lost-wakeup re-check, then a wait on the transport's wake and (in
+// worker 0) the wire's delivery signal. The wait is bounded by WaitBound:
+// the guest controls when its wake fires, never whether the worker polls
+// again or can be collected.
+func (w *worker) loop(wire <-chan struct{}) Loop {
+	l := Loop{Step: w.step, Spin: pumpSpin, Yield: pumpYield, Bound: WaitBound,
+		Wakes: func() (a, b <-chan struct{}) { return nil, wire }}
+	if nh, ok := w.h.(NotifyHost); ok {
+		l.Park, l.Unpark = nh.ArmNotify, nh.SuppressNotify
+		l.Wakes = func() (a, b <-chan struct{}) { return nh.NotifyChan(), wire }
+	}
+	return l
+}
+
+// step moves one burst of guest transmit frames onto the wire with one
+// batched pop and, in worker 0, one burst off the wire. An error is
+// terminal (ErrClosed: the device fail-deaded) and collects the worker —
+// polling a dead device forever would leak its goroutine until someone
+// remembered to call Stop. A dead backend's receive side surfaces on the
+// next drain.
+func (w *worker) step() (bool, time.Time, error) {
+	n, err := w.h.PopBatch(w.bufs, w.lens)
 	// Identity before errors.Is, which pays a reflective comparability
 	// test and an unwrap walk on every empty poll; a wrapped or
 	// Parker-carrying empty result still matches through the fallback.
 	if err != nil && err != ErrEmpty && !errors.Is(err, ErrEmpty) {
-		return 0, err
+		return false, time.Time{}, err
 	}
 	for i := 0; i < n; i++ {
 		// A frame the wire refuses (a runt, a full or closed port) is
 		// dropped there, as a real wire drops it.
-		_ = port.Send(b.bufs[i][:b.lens[i]])
+		_ = w.port.Send(w.bufs[i][:w.lens[i]])
 	}
-	return n, nil
+	if w.rx != nil {
+		n += w.rx.deliver(w.port)
+	}
+	return n > 0, time.Time{}, nil
 }
 
 // steering is the receive half worker 0 runs as the sole owner of the
@@ -491,43 +598,4 @@ func (s steering) deliver(port *simnet.Port) (moved int) {
 		q.carry = q.carry[:rest]
 	}
 	return moved
-}
-
-// run is worker q: rx is the wire's receive half in worker 0 and nil in
-// every other.
-func (p *Pump) run(h BatchHost, port *simnet.Port, rx steering, idle *ladder) {
-	defer p.wg.Done()
-	defer p.running.Add(-1)
-	tx := newTxBurst(h.FrameCap())
-	for {
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
-		// Guest -> network.
-		moved, err := tx.drain(h, port)
-		if err != nil {
-			return
-		}
-		// Network -> guest. A dead backend surfaces on the next drain.
-		if rx != nil {
-			moved += rx.deliver(port)
-		}
-		if moved > 0 {
-			idle.worked()
-		} else if !idle.wait() {
-			return
-		}
-	}
-}
-
-// Stop halts every pump goroutine and waits. Idempotent.
-func (p *Pump) Stop() {
-	select {
-	case <-p.stop:
-	default:
-		close(p.stop)
-	}
-	p.wg.Wait()
 }

@@ -1,7 +1,6 @@
 package safering
 
 import (
-	"context"
 	"sync/atomic"
 
 	"confio/internal/platform"
@@ -59,21 +58,6 @@ func (d *Doorbell) Ring() {
 		default:
 		}
 		d.stale.Add(1)
-	}
-}
-
-// Wait blocks until the doorbell has been rung since the last Wait.
-func (d *Doorbell) Wait() { <-d.ch }
-
-// WaitCtx blocks until the doorbell rings or ctx is done, returning
-// ctx.Err() in the latter case. Shutdown paths use it so a goroutine
-// waiting on a dead (never-ringing) host can always be collected.
-func (d *Doorbell) WaitCtx(ctx context.Context) error {
-	select {
-	case <-d.ch:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 

@@ -421,7 +421,7 @@ func TestDoorbellCoalesces(t *testing.T) {
 	default:
 	}
 	d.Ring()
-	d.Wait() // must not block
+	<-d.Chan() // must not block
 }
 
 // Property: random frame contents and sizes survive guest->host transit

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"confio/internal/nic"
 )
 
 // ErrStalled reports a host that stopped making progress while holding
@@ -80,9 +82,7 @@ type Watchdog struct {
 	states []wdState
 	stalls uint64
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	scanner nic.Driver
 }
 
 // NewWatchdog builds a watchdog over the given devices without
@@ -103,7 +103,6 @@ func NewWatchdog(cfg WatchdogConfig, eps ...Watched) *Watchdog {
 		cfg:    cfg,
 		eps:    eps,
 		states: make([]wdState, len(eps)),
-		stop:   make(chan struct{}),
 	}
 }
 
@@ -137,30 +136,13 @@ func (e *Endpoint) WatchStall(err error) {
 	e.meter.Stall(1)
 }
 
-// Start launches the background scanner. Stop joins it.
-func (w *Watchdog) Start() {
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		t := time.NewTicker(w.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				w.Poll()
-			}
-		}
-	}()
-}
+// Start launches the background scanner: Poll every Interval. Stop joins
+// it.
+func (w *Watchdog) Start() { w.scanner.Go(nic.Every(w.cfg.Interval, w.Poll)) }
 
 // Stop halts the background scanner and waits for it to exit. Safe to
 // call more than once, and safe without Start.
-func (w *Watchdog) Stop() {
-	w.stopOnce.Do(func() { close(w.stop) })
-	w.wg.Wait()
-}
+func (w *Watchdog) Stop() { w.scanner.Stop() }
 
 // Stalls reports how many stalls this watchdog has declared.
 func (w *Watchdog) Stalls() uint64 {

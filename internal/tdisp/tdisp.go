@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"confio/internal/nic"
 	"confio/internal/platform"
@@ -352,9 +353,30 @@ func (g *Guest) Dead() error {
 	return g.dead
 }
 
+// Loop is the device's data-path firmware as a nic.Driver runs it: Step
+// 64 times back to back, then wait for the wire's delivery signal (when
+// the port has one, as a simnet.Port does) or nic.WaitBound, which is
+// also how long a TLP from the TEE can wait to be noticed. The loop ends
+// on the link's first IDE failure, or on ErrDetached if it started before
+// Attach.
+func (d *Device) Loop() nic.Loop {
+	var wire <-chan struct{}
+	if p, ok := d.wire.(interface{ Wake() <-chan struct{} }); ok {
+		wire = p.Wake()
+	}
+	return nic.Loop{
+		Step: func() (bool, time.Time, error) {
+			worked, err := d.Step()
+			return worked, time.Time{}, err
+		},
+		Spin: 64, Yield: 64, Bound: nic.WaitBound,
+		Wakes: func() (a, b <-chan struct{}) { return wire, nil },
+	}
+}
+
 // Step runs one iteration of the device's data-path firmware: move TLPs
-// from the TEE to the wire and frames from the wire to the TEE. The
-// device-side pump calls it in a loop. Returns whether any work was done.
+// from the TEE to the wire and frames from the wire to the TEE. Loop
+// calls it under a nic.Driver. Returns whether any work was done.
 func (d *Device) Step() (worked bool, err error) {
 	d.mu.Lock()
 	ide := d.ide

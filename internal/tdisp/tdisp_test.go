@@ -32,6 +32,15 @@ func freshSetup(t *testing.T, net *simnet.Network, id DeviceID, mac byte) (*Gues
 	return g, dev, relay
 }
 
+// start runs each device's firmware loop on one driver.
+func start(devs ...*Device) *nic.Driver {
+	fw := new(nic.Driver)
+	for _, d := range devs {
+		fw.Go(d.Loop())
+	}
+	return fw
+}
+
 func mkFrame(dst, src byte, payload []byte) []byte {
 	f := make([]byte, 14+len(payload))
 	copy(f[0:6], []byte{2, 0, 0, 0, 0, dst})
@@ -45,9 +54,8 @@ func TestAttestAndExchange(t *testing.T) {
 	net := simnet.New()
 	ga, da, _ := freshSetup(t, net, "nic-a", 0xA)
 	gb, db, _ := freshSetup(t, net, "nic-b", 0xB)
-	pa, pb := StartPump(da), StartPump(db)
-	defer pa.Stop()
-	defer pb.Stop()
+	fw := start(da, db)
+	defer fw.Stop()
 
 	want := mkFrame(0xB, 0xA, []byte("over attested hardware"))
 	if err := ga.Send(want); err != nil {
@@ -73,8 +81,8 @@ func TestAttestAndExchange(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	if pa.Err() != nil || pb.Err() != nil {
-		t.Fatalf("pump errors: %v %v", pa.Err(), pb.Err())
+	if err := fw.Err(); err != nil {
+		t.Fatalf("firmware loop: %v", err)
 	}
 }
 
@@ -114,8 +122,8 @@ func TestHostTamperOnLinkIsFatal(t *testing.T) {
 	net := simnet.New()
 	ga, da, relay := freshSetup(t, net, "nic-a", 0xA)
 	_, db, _ := freshSetup(t, net, "nic-b", 0xB)
-	pb := StartPump(db)
-	defer pb.Stop()
+	fw := start(db)
+	defer fw.Stop()
 
 	// Host flips a bit in TLPs toward the device.
 	relay.HookToDevice = func(t []byte) []byte { t[0] ^= 1; return t }
@@ -137,9 +145,8 @@ func TestHostReplayOnLinkIsFatal(t *testing.T) {
 	net := simnet.New()
 	ga, da, relay := freshSetup(t, net, "nic-a", 0xA)
 	gb, db, _ := freshSetup(t, net, "nic-b", 0xB)
-	pa, pb := StartPump(da), StartPump(db)
-	defer pa.Stop()
-	defer pb.Stop()
+	fw := start(da, db)
+	defer fw.Stop()
 
 	// Capture TLPs toward the TEE and replay the first one.
 	var captured []byte
