@@ -7,7 +7,7 @@ GO ?= go
 # firmware loop and TEE side share the link).
 RACE_PKGS := ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio ./internal/tdisp
 
-.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-mq bench-blk bench-notify bench-gw bench-smoke bench-pairs chaos race-pump dead check
+.PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-smoke bench-pairs chaos race-pump dead check
 
 all: build
 
@@ -54,40 +54,25 @@ fmt:
 	gofmt -l .
 	@test -z "$$(gofmt -l .)"
 
-# Batched-datapath and Figure 5 benchmarks; the machine-readable stream
-# lands in BENCH_batch.json for the analysis scripts.
+# Every root micro-benchmark (bench_*_test.go) into the committed
+# BENCH.txt, in Go's benchmark format, one line per row, so `git diff
+# BENCH.txt` reads a regeneration against its predecessor
+# (EXPERIMENTS.md indexes the rows). Model and count columns repeat —
+# exactly on the ring, storage-ring and transport rows; the design
+# worlds' poll counts follow the run's timing, l2-virtio's most — and
+# wall columns are the host's. TestBenchFileListsEveryBenchmark fails
+# when the file no longer lists what the package declares.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatch_|BenchmarkFig5_' -benchmem -json . | tee BENCH_batch.json
+	$(GO) test -run '^$$' -bench . -benchmem . > BENCH.txt || { cat BENCH.txt; exit 1; }
+	cat BENCH.txt
 
-# Multi-queue scaling sweep (queues x batch); model-MB/s is the figure
-# of merit (see EXPERIMENTS.md) — wall MB/s only scales with spare cores.
-bench-mq:
-	$(GO) test -run '^$$' -bench 'BenchmarkMQ_' -benchmem -json . | tee BENCH_mq.json
-
-# Storage-ring amortization sweep (batch x queues over blkring, write +
-# read-back spans); the machine-readable stream lands in BENCH_blk.json.
-bench-blk:
-	$(GO) test -run '^$$' -bench 'BenchmarkBlk_' -benchmem -json . | tee BENCH_blk.json
-
-# Notification-suppression sweep at batch 1 (doorbell baseline vs
-# event-idx armed/suppressed), with p50/p99/p999 round-trip
-# latency from the meter's histogram; the machine-readable stream lands
-# in BENCH_notify.json. Override BENCHTIME for a CI smoke run.
-BENCHTIME ?= 1s
-bench-notify:
-	$(GO) test -run '^$$' -bench 'BenchmarkNotify_' -benchtime $(BENCHTIME) -benchmem -json . | tee BENCH_notify.json
-
-# Multi-tenant gateway fairness: measured tenants' round trips with and
-# without a flooding neighbor (MB/s, p99-us, p99-spread — see
-# EXPERIMENTS.md); the machine-readable stream lands in
-# BENCH_gateway.json. Override BENCHTIME for a CI smoke run.
-bench-gw:
-	$(GO) test -run '^$$' -bench 'BenchmarkGW_' -benchtime $(BENCHTIME) -benchmem -json . | tee BENCH_gateway.json
-
-# confbench (bench/, the gated benchmark BENCHMARK.json declares) in its
-# count-bounded mode: every workload once, every byte verified, no bounds.
+# The benchmarks' smoke: confbench (bench/, the gated benchmark
+# BENCHMARK.json declares) in its count-bounded mode — every workload
+# once, every byte verified, no bounds — then every root micro-benchmark
+# for one iteration.
 bench-smoke:
 	$(GO) run ./bench -smoke
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Ten alternated pairs of confbench, BASE against the working tree, read
 # with `bench -diff` — how EXPERIMENTS.md reads every wall-clock claim.

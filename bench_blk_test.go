@@ -1,6 +1,7 @@
 package confio_test
 
 import (
+	"fmt"
 	"testing"
 
 	"confio/internal/blkring"
@@ -83,7 +84,13 @@ func benchBlk(b *testing.B, queues, batch int) {
 	b.ReportMetric(d.ModelNanos(platform.DefaultCostParams())/moved, "model-ns/sector")
 }
 
-func BenchmarkBlk_Batch1_Q1(b *testing.B)  { benchBlk(b, 1, 1) }
-func BenchmarkBlk_Batch16_Q1(b *testing.B) { benchBlk(b, 1, 16) }
-func BenchmarkBlk_Batch1_Q4(b *testing.B)  { benchBlk(b, 4, 1) }
-func BenchmarkBlk_Batch16_Q4(b *testing.B) { benchBlk(b, 4, 16) }
+// BenchmarkBlk: one producer-index store covers a whole batched span, so
+// pub/sector falls as 1/batch; 16-sector stripes keep each span on one
+// queue, so the multi-queue rows match the single-queue ones.
+func BenchmarkBlk(b *testing.B) {
+	for _, queues := range []int{1, 4} {
+		for _, batch := range []int{1, 16} {
+			b.Run(fmt.Sprintf("q%d/batch%d", queues, batch), func(b *testing.B) { benchBlk(b, queues, batch) })
+		}
+	}
+}

@@ -18,16 +18,16 @@ import (
 // well-behaved tenant's latency and throughput stable while a neighbor
 // pushes as hard as it can. Rows:
 //
-//   - EchoFair: three tenants, two measured, nobody misbehaving — the
+//   - fair: three tenants, two measured, nobody misbehaving — the
 //     baseline round-trip cost through hello routing, the per-tenant
 //     ctls channel, the gate-crossing relay and back.
-//   - EchoUnderFlood: identical, except tenant 1 continuously streams
+//   - under-flood: identical, except tenant 1 continuously streams
 //     4 KiB echoes from a separate flow for the whole measured run.
 //
-// `make bench-gw` lands the stream in BENCH_gateway.json; the figure of
-// merit is the delta between the two rows — MB/s and p99-us of the
-// measured tenants should move only modestly, and p99-spread (worst
-// measured-tenant p99 over best) should stay near 1 (EXPERIMENTS.md).
+// The figure of merit is the delta between the two rows — MB/s and
+// p99-us of the measured tenants should move only modestly, and
+// p99-spread (worst measured-tenant p99 over best) should stay near 1
+// (EXPERIMENTS.md).
 
 func benchGWEcho(b *testing.B, flood bool) {
 	n, err := gateway.NewNode(gateway.DefaultNodeConfig())
@@ -117,5 +117,7 @@ func benchGWEcho(b *testing.B, flood bool) {
 	}
 }
 
-func BenchmarkGW_EchoFair(b *testing.B)       { benchGWEcho(b, false) }
-func BenchmarkGW_EchoUnderFlood(b *testing.B) { benchGWEcho(b, true) }
+func BenchmarkGW(b *testing.B) {
+	b.Run("fair", func(b *testing.B) { benchGWEcho(b, false) })
+	b.Run("under-flood", func(b *testing.B) { benchGWEcho(b, true) })
+}

@@ -7,7 +7,8 @@
 // run all of it on a laptop.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record. The benchmarks in bench_test.go
-// regenerate every figure's data; cmd/ciobench, cmd/cioattack and
-// cmd/ciofig print them.
+// paper-versus-measured record. The benchmarks in bench_*_test.go
+// regenerate the performance rows (`make bench` writes them to
+// BENCH.txt), ./bench is the gated end-to-end benchmark, and
+// cmd/cioattack and cmd/ciofig print the attack matrix and Figures 2–4.
 package confio

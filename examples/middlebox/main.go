@@ -85,6 +85,6 @@ func main() {
 	fmt.Printf("\non-path observer: %d frames, %d distinct sizes — ciphertext records under\n",
 		len(n.Net.Capture()), len(sizes))
 	fmt.Println("per-tenant keys; no tenant (and no host) can read another tenant's stream.")
-	fmt.Println("run the tunnel design (cmd/ciobench -design tunnel -v) to additionally hide")
+	fmt.Println("the tunnel design (go test -bench 'Fig5/echo/tunnel') additionally hides")
 	fmt.Println("the traffic shape behind constant-size frames.")
 }
