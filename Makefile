@@ -98,8 +98,10 @@ race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 
 # The dead-code oracle (ROADMAP item 4d): every non-test function the
-# attack, chaos, core, gateway, netstack and confbench suites never reach,
-# by package; the committed DEAD.txt is the list EXPERIMENTS.md triages.
+# attack, chaos, core, gateway, netstack and confbench suites and the
+# fuzz seed corpora never reach, by package, then every statement block
+# of safering, blkring and cryptdisk they never execute; the committed
+# DEAD.txt is the list EXPERIMENTS.md triages.
 dead:
 	scripts/dead.sh | tee DEAD.txt
 

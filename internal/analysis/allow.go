@@ -91,26 +91,20 @@ func (ix allowIndex) add(d allowDirective) {
 	byLine[d.line] = append(byLine[d.line], d)
 }
 
-// sanitizedIndex records the source lines carrying a //ciovet:sanitized
-// directive. Unlike //ciovet:allow — which silences one diagnostic —
-// sanitized declares a *value* trustworthy at its definition: the taint
-// analysis treats assignments on a marked line (and the function whose
-// declaration is marked) as producing validated values, so every
-// downstream use is clean. The optional trailing text is a free-form
-// justification kept in the source.
-type sanitizedIndex map[string]map[int]bool
+// markerLines records the source lines a line directive covers: the
+// directive's own line and the line below it, the trailing and
+// standalone placements gofmt permits (as for //ciovet:allow). The
+// markers read this way are //ciovet:sanitized (hosttaint),
+// //ciovet:transfers (bufown) and //ciovet:shared (sharedatomic).
+type markerLines map[string]map[int]bool
 
-const sanitizedPrefix = "//ciovet:sanitized"
-
-// buildSanitizedIndex scans comments for //ciovet:sanitized directives,
-// marking the directive's own line and the following line (trailing and
-// standalone placements, like //ciovet:allow).
-func buildSanitizedIndex(fset *token.FileSet, files []*ast.File) sanitizedIndex {
-	idx := make(sanitizedIndex)
+// buildMarkerLines scans every comment in files for the directive prefix.
+func buildMarkerLines(fset *token.FileSet, files []*ast.File, prefix string) markerLines {
+	idx := make(markerLines)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, sanitizedPrefix) {
+				if !strings.HasPrefix(c.Text, prefix) {
 					continue
 				}
 				pos := fset.Position(c.Pos())
@@ -127,11 +121,8 @@ func buildSanitizedIndex(fset *token.FileSet, files []*ast.File) sanitizedIndex 
 	return idx
 }
 
-// covers reports whether pos sits on a sanitized-marked line.
-func (ix sanitizedIndex) covers(fset *token.FileSet, pos token.Pos) bool {
-	if ix == nil {
-		return false
-	}
+// covers reports whether pos sits on a marked line.
+func (ix markerLines) covers(fset *token.FileSet, pos token.Pos) bool {
 	p := fset.Position(pos)
 	return ix[p.Filename][p.Line]
 }

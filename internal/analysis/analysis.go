@@ -188,8 +188,7 @@ func Run(pkg *Package, analyzers []*Analyzer) (Result, error) {
 
 // RunWithFacts applies each analyzer to pkg with the dependency facts in
 // store available for import, and — when store is non-nil — records the
-// package's exported facts into it, stamped with the fingerprints of
-// every dependency fact set they were computed against.
+// package's exported facts into it.
 func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) (Result, error) {
 	var res Result
 	allow, bad := buildAllowIndex(pkg.Fset, pkg.Files)
@@ -197,11 +196,6 @@ func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) (Result
 	var export *PkgFacts
 	if store != nil {
 		export = NewPkgFacts(pkg.Path)
-		for _, dep := range pkg.Imports {
-			if fp := store.Fingerprint(dep); fp != "" {
-				export.Deps[dep] = fp
-			}
-		}
 	}
 	for _, a := range analyzers {
 		pass := &Pass{

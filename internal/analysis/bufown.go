@@ -93,52 +93,25 @@ type ownSummary struct {
 
 // ownState is the package-wide analysis state shared by both phases.
 type ownState struct {
-	pass      *Pass
+	summaries
 	specs     []*ownSpec
-	fns       map[*types.Func]*htFunc
-	ordered   []*htFunc
 	sums      map[*htFunc]*ownSummary
-	cfgs      map[*htFunc]*funcCFG
-	transfers lineIndex
+	transfers markerLines
 	errType   types.Type
-	changed   bool
-	report    bool
 }
 
 func runBufOwn(pass *Pass) error {
 	st := &ownState{
-		pass:      pass,
-		specs:     builtinOwnSpecs(),
+		summaries: newSummaries(pass),
+		specs:     append(builtinOwnSpecs(), markerOwnSpecs(pass)...),
 		sums:      make(map[*htFunc]*ownSummary),
-		cfgs:      make(map[*htFunc]*funcCFG),
-		transfers: buildLineIndex(pass.Fset, pass.Files, "//ciovet:transfers"),
+		transfers: buildMarkerLines(pass.Fset, pass.Files, "//ciovet:transfers"),
 		errType:   types.Universe.Lookup("error").Type(),
 	}
-	st.specs = append(st.specs, markerOwnSpecs(pass)...)
-	st.fns, st.ordered = collectFuncs(pass)
 	for _, hf := range st.ordered {
 		st.sums[hf] = &ownSummary{retOwned: make([]bool, hf.numResults())}
-		st.cfgs[hf] = buildCFG(hf.decl.Body)
 	}
-
-	// Phase one: grow summaries to a fixpoint. The per-function lattice
-	// (consume/transfer bits per param, owned bit per result) only ever
-	// grows, so this terminates; the cap is a backstop.
-	for iter := 0; iter < 64; iter++ {
-		st.changed = false
-		for _, hf := range st.ordered {
-			st.analyzeFunc(hf)
-		}
-		if !st.changed {
-			break
-		}
-	}
-
-	// Phase two: re-run each function with the final summaries, reporting.
-	st.report = true
-	for _, hf := range st.ordered {
-		st.analyzeFunc(hf)
-	}
+	st.solve(st.analyzeFunc)
 
 	// Export the non-trivial final summaries as facts for dependents.
 	for _, hf := range st.ordered {
@@ -300,41 +273,6 @@ func markerText(g *ast.CommentGroup, prefix string) (string, token.Pos) {
 	return "", token.NoPos
 }
 
-// lineIndex marks source lines carrying a given directive (the
-// directive's own line plus the following line — the trailing and
-// standalone placements gofmt permits, same as //ciovet:allow).
-type lineIndex map[string]map[int]bool
-
-func buildLineIndex(fset *token.FileSet, files []*ast.File, prefix string) lineIndex {
-	idx := make(lineIndex)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, prefix) {
-					continue
-				}
-				p := fset.Position(c.Pos())
-				byLine := idx[p.Filename]
-				if byLine == nil {
-					byLine = make(map[int]bool)
-					idx[p.Filename] = byLine
-				}
-				byLine[p.Line] = true
-				byLine[p.Line+1] = true
-			}
-		}
-	}
-	return idx
-}
-
-func (ix lineIndex) covers(fset *token.FileSet, pos token.Pos) bool {
-	if ix == nil {
-		return false
-	}
-	p := fset.Position(pos)
-	return ix[p.Filename][p.Line]
-}
-
 // specFor returns the registered resource spec matching t, or nil.
 func (st *ownState) specFor(t types.Type) *ownSpec {
 	if t == nil {
@@ -353,67 +291,22 @@ type ownScope struct {
 	st     *ownState
 	fn     *htFunc
 	sum    *ownSummary
-	cfg    *funcCFG
 	state  map[types.Object]varState
 	report bool
 }
 
 func (st *ownState) analyzeFunc(hf *htFunc) {
-	sc := &ownScope{st: st, fn: hf, sum: st.sums[hf], cfg: st.cfgs[hf]}
+	sc := &ownScope{st: st, fn: hf, sum: st.sums[hf]}
 	sc.run()
 }
 
 func (sc *ownScope) run() {
-	cfg := sc.cfg
-	in := map[*cfgBlock]map[types.Object]varState{cfg.entry: {}}
-	work := []*cfgBlock{cfg.entry}
-	inWork := map[*cfgBlock]bool{cfg.entry: true}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inWork[b] = false
-		out := sc.transfer(b, cloneOwnState(in[b]), false)
-		for _, e := range b.succs {
-			s := out
-			if e.cond != nil {
-				s = cloneOwnState(out)
-				sc.refine(s, e.cond, e.when)
-			}
-			dst, seen := in[e.to]
-			if !seen {
-				// First visit must enqueue even when the joined state is
-				// empty, or blocks past an empty-state edge never run.
-				dst = make(map[types.Object]varState)
-				in[e.to] = dst
-			}
-			if changed := joinOwnState(dst, s); (changed || !seen) && !inWork[e.to] {
-				work = append(work, e.to)
-				inWork[e.to] = true
-			}
-		}
+	g := sc.fn.cfg()
+	f := flow[types.Object, varState]{transfer: sc.transfer, join: joinOwnState, refine: sc.refine}
+	if exit := f.run(g, map[types.Object]varState{}, sc.st.report); exit != nil {
+		sc.state = exit
+		sc.leakCheck(g.end)
 	}
-	if !sc.st.report {
-		return
-	}
-	reach := cfg.reachable()
-	for _, b := range cfg.blocks {
-		if !reach[b] || in[b] == nil {
-			continue
-		}
-		out := sc.transfer(b, cloneOwnState(in[b]), true)
-		if b == cfg.exit {
-			sc.state = out
-			sc.leakCheck(cfg.end)
-		}
-	}
-}
-
-func cloneOwnState(m map[types.Object]varState) map[types.Object]varState {
-	c := make(map[types.Object]varState, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }
 
 // joinOwnState unions src into dst (bit-union; error-peer pairings that

@@ -15,6 +15,15 @@ type htFunc struct {
 	obj     *types.Func
 	params  []types.Object // receiver first; nil for unnamed/blank slots
 	results []types.Object // named result objects; nil for unnamed
+	graph   *funcCFG       // built on first use, by the CFG-based rules
+}
+
+// cfg returns the body's control-flow graph, built once.
+func (f *htFunc) cfg() *funcCFG {
+	if f.graph == nil {
+		f.graph = buildCFG(f.decl.Body)
+	}
+	return f.graph
 }
 
 // paramIndex returns the slot of o in f's parameter list, or -1.
@@ -43,9 +52,42 @@ func (f *htFunc) numResults() int {
 	return n
 }
 
-// collectFuncs gathers every declared function/method with a body,
-// keyed by its types.Func, in stable source order.
-func collectFuncs(pass *Pass) (map[*types.Func]*htFunc, []*htFunc) {
+// summaries is the interprocedural engine hosttaint, bufown and
+// lockdisc share: the package's functions and a two-phase solver. Each
+// analyzer embeds it and keeps its own per-function summary, setting
+// changed when a walk grows one and emitting diagnostics only when
+// report is set.
+type summaries struct {
+	pass    *Pass
+	fns     map[*types.Func]*htFunc
+	ordered []*htFunc // stable source order
+	changed bool
+	report  bool
+}
+
+// solve walks every function until no summary changes, then once more
+// with report set and the summaries final. Every summary lattice is
+// finite and only grows, so phase one terminates; the cap is a
+// backstop.
+func (s *summaries) solve(walk func(*htFunc)) {
+	for iter := 0; iter < 64; iter++ {
+		s.changed = false
+		for _, hf := range s.ordered {
+			walk(hf)
+		}
+		if !s.changed {
+			break
+		}
+	}
+	s.report = true
+	for _, hf := range s.ordered {
+		walk(hf)
+	}
+}
+
+// newSummaries gathers every declared function/method with a body,
+// keyed by its types.Func.
+func newSummaries(pass *Pass) summaries {
 	byObj := make(map[*types.Func]*htFunc)
 	var ordered []*htFunc
 	for _, file := range pass.Files {
@@ -94,7 +136,7 @@ func collectFuncs(pass *Pass) (map[*types.Func]*htFunc, []*htFunc) {
 		}
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].decl.Pos() < ordered[j].decl.Pos() })
-	return byObj, ordered
+	return summaries{pass: pass, fns: byObj, ordered: ordered}
 }
 
 func defObj(info *types.Info, id *ast.Ident) types.Object {

@@ -3,13 +3,15 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"maps"
 )
 
 // This file is the intra-function control-flow engine shared by the
-// flow-sensitive analyzers (today: bufown). The existing rules are
-// AST-walk or summary based and cannot express "released on this path
-// but used on that one"; the CFG makes path-aware facts expressible as a
-// standard forward dataflow over basic blocks.
+// flow-sensitive analyzers (bufown, lockdisc): the graph construction
+// and one forward worklist (flow) over it. The AST-walk and summary rules
+// cannot express "released on this path but used on that one"; the CFG
+// makes path-aware facts expressible as a standard forward dataflow
+// over basic blocks.
 //
 // The graph is deliberately small-calibre: blocks hold ast.Node slices
 // (statements, plus condition expressions evaluated at branch points) in
@@ -46,22 +48,64 @@ type funcCFG struct {
 	end    token.Pos // closing brace, for at-exit diagnostics
 }
 
-// reachable returns the set of blocks reachable from entry, so clients
-// skip dead blocks instead of reporting from never-taken states.
-func (c *funcCFG) reachable() map[*cfgBlock]bool {
-	seen := map[*cfgBlock]bool{c.entry: true}
-	work := []*cfgBlock{c.entry}
+// flow is a forward dataflow problem over one CFG whose facts are maps
+// from K to V. transfer interprets a block's nodes against a state it
+// may mutate and returns the block's out-state, emitting diagnostics
+// only when report is set; join merges src into dst at a control-flow
+// join and reports whether dst changed; refine, when set, narrows a
+// copy of the out-state along each conditional edge.
+type flow[K comparable, V any] struct {
+	transfer func(b *cfgBlock, state map[K]V, report bool) map[K]V
+	join     func(dst, src map[K]V) bool
+	refine   func(state map[K]V, cond ast.Expr, when bool)
+}
+
+// run iterates the worklist from entry to a fixpoint. A block's first
+// in-state is a copy of the first state to reach it (joining against
+// "nothing known yet" must not intersect with the empty set), and a
+// block is queued on that first visit even when the state is empty.
+// With report set, run then replays every reached block once in block
+// order with its final in-state and returns the exit block's out-state
+// (nil when the exit is unreachable).
+func (f flow[K, V]) run(cfg *funcCFG, entry map[K]V, report bool) map[K]V {
+	in := map[*cfgBlock]map[K]V{cfg.entry: entry}
+	work := []*cfgBlock{cfg.entry}
+	queued := map[*cfgBlock]bool{cfg.entry: true}
 	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
+		b := work[0]
+		work = work[1:]
+		queued[b] = false
+		out := f.transfer(b, maps.Clone(in[b]), false)
 		for _, e := range b.succs {
-			if !seen[e.to] {
-				seen[e.to] = true
+			s := out
+			if e.cond != nil && f.refine != nil {
+				s = maps.Clone(out)
+				f.refine(s, e.cond, e.when)
+			}
+			dst, seen := in[e.to]
+			if !seen {
+				in[e.to] = maps.Clone(s)
+			}
+			if (!seen || f.join(dst, s)) && !queued[e.to] {
 				work = append(work, e.to)
+				queued[e.to] = true
 			}
 		}
 	}
-	return seen
+	if !report {
+		return nil
+	}
+	var exit map[K]V
+	for _, b := range cfg.blocks {
+		st, reached := in[b]
+		if !reached {
+			continue // never report from a never-taken state
+		}
+		if out := f.transfer(b, maps.Clone(st), true); b == cfg.exit {
+			exit = out
+		}
+	}
+	return exit
 }
 
 // loopFrame records the jump targets a break/continue statement resolves

@@ -1,17 +1,13 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"sort"
 	"sync"
 )
 
-// This file is ciovet's fact layer: per-package serialized analysis
-// summaries keyed by object, in the style of go/analysis facts. The
+// This file is ciovet's fact layer: per-package analysis summaries
+// keyed by object, in the style of go/analysis facts. The
 // interprocedural analyzers (hosttaint, bufown, lockdisc) compute
 // per-function summaries to a fixpoint *within* one package; without
 // facts, every out-of-package callee is assumed clean — exactly the
@@ -19,41 +15,34 @@ import (
 // hiding in. With facts, a module-ordered driver (RunModule) analyzes
 // dependencies first, exports their summaries into a FactStore, and
 // every downstream package consults those summaries at unresolved call
-// sites instead of assuming them clean.
-//
-// Facts are serializable (JSON) and fingerprinted so a cached fact file
-// can be proven stale: each PkgFacts records the fingerprint of every
-// dependency's facts it was computed against, and Stale reports any
-// mismatch against the store's current content. The in-process driver
-// always recomputes, but the staleness contract is what makes an
-// on-disk fact cache sound, and it is pinned by a regression test.
+// sites instead of assuming them clean. Facts live in memory for one
+// RunModule call, which always recomputes them.
 
 // TaintFact is hosttaint's per-function summary, keyed by FuncKey when
 // exported. RetTainted and RetFrom have one entry per result.
 type TaintFact struct {
 	// RetTainted marks results that carry host taint regardless of
 	// arguments (the body loads them from shared memory).
-	RetTainted []bool `json:"ret_tainted,omitempty"`
+	RetTainted []bool
 	// RetFrom marks results tainted when one of the listed parameter
 	// slots (bitset, receiver = slot 0) is tainted at the call site.
-	RetFrom []paramBits `json:"ret_from,omitempty"`
+	RetFrom []paramBits
 	// ParamSink maps a parameter slot to a description of the
 	// unsanitized sink it (transitively) reaches in the callee.
-	ParamSink map[int]string `json:"param_sink,omitempty"`
+	ParamSink map[int]string
 	// ParamChecked is the bitset of parameters the function compares in
 	// a terminating guard — the factored-out-validator shape.
-	ParamChecked paramBits `json:"param_checked,omitempty"`
+	ParamChecked paramBits
 	// Sanitized records a //ciovet:sanitized declaration: audited clean.
-	Sanitized bool `json:"sanitized,omitempty"`
+	Sanitized bool
 }
 
 // OwnFact is bufown's exported per-function summary: which parameter
 // slots the function consumes (releases) or transfers (stores away),
 // and which results are fresh owned values the caller must settle.
 type OwnFact struct {
-	Consumes  uint64 `json:"consumes,omitempty"`
-	Transfers uint64 `json:"transfers,omitempty"`
-	RetOwned  []bool `json:"ret_owned,omitempty"`
+	Consumes, Transfers uint64
+	RetOwned            []bool
 }
 
 // LockFact is lockdisc's exported per-function summary.
@@ -62,37 +51,26 @@ type LockFact struct {
 	// the mutex field the caller must hold for that slot's object —
 	// from a //ciovet:locked annotation or propagated from the body's
 	// own calls to locked functions.
-	Requires map[int]string `json:"requires,omitempty"`
+	Requires map[int]string
 	// Acquires maps a parameter slot to the mutex field the function
 	// acquires (and releases) itself; calling it while holding that
 	// mutex is a self-deadlock.
-	Acquires map[int]string `json:"acquires,omitempty"`
+	Acquires map[int]string
 }
 
 // LockEdge is one lock-ordering edge: the function body acquired To
 // while holding From (both are mutex class names like
 // "safering.Endpoint.mu"). Edges are exported so lock-order inversions
 // that span packages are still visible to the downstream analysis.
-type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-}
+type LockEdge struct{ From, To string }
 
 // PkgFacts is one package's exported summaries, keyed by FuncKey.
 type PkgFacts struct {
-	Path  string                `json:"path"`
-	Taint map[string]*TaintFact `json:"taint,omitempty"`
-	Own   map[string]*OwnFact   `json:"own,omitempty"`
-	Lock  map[string]*LockFact  `json:"lock,omitempty"`
-	Edges []LockEdge            `json:"edges,omitempty"`
-	// Fingerprint is the content hash of the summaries above, computed
-	// by seal(); two analyses of identical source produce identical
-	// fingerprints.
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// Deps records, per dependency package path, the fingerprint of the
-	// facts these summaries were computed against. A mismatch against
-	// the store's current facts means this entry is stale.
-	Deps map[string]string `json:"deps,omitempty"`
+	Path  string
+	Taint map[string]*TaintFact
+	Own   map[string]*OwnFact
+	Lock  map[string]*LockFact
+	Edges []LockEdge
 }
 
 // NewPkgFacts returns an empty fact set for one package.
@@ -102,46 +80,7 @@ func NewPkgFacts(path string) *PkgFacts {
 		Taint: make(map[string]*TaintFact),
 		Own:   make(map[string]*OwnFact),
 		Lock:  make(map[string]*LockFact),
-		Deps:  make(map[string]string),
 	}
-}
-
-// seal computes the content fingerprint over the summaries (not over
-// Deps: the hash must identify this package's contract, not its
-// position in the build graph).
-func (f *PkgFacts) seal() {
-	sort.Slice(f.Edges, func(i, j int) bool {
-		if f.Edges[i].From != f.Edges[j].From {
-			return f.Edges[i].From < f.Edges[j].From
-		}
-		return f.Edges[i].To < f.Edges[j].To
-	})
-	body, err := json.Marshal(struct {
-		Taint map[string]*TaintFact
-		Own   map[string]*OwnFact
-		Lock  map[string]*LockFact
-		Edges []LockEdge
-	}{f.Taint, f.Own, f.Lock, f.Edges})
-	if err != nil {
-		// The structs above are plain data; Marshal cannot fail on them.
-		panic(err)
-	}
-	sum := sha256.Sum256(body)
-	f.Fingerprint = hex.EncodeToString(sum[:])
-}
-
-// EncodeFacts serializes one package's facts for an on-disk cache.
-func EncodeFacts(f *PkgFacts) ([]byte, error) {
-	return json.MarshalIndent(f, "", "  ")
-}
-
-// DecodeFacts deserializes a fact file previously written by EncodeFacts.
-func DecodeFacts(data []byte) (*PkgFacts, error) {
-	var f PkgFacts
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("decoding facts: %v", err)
-	}
-	return &f, nil
 }
 
 // FuncKey returns the store key of one function or method: the receiver
@@ -172,14 +111,10 @@ func NewFactStore() *FactStore {
 	return &FactStore{pkgs: make(map[string]*PkgFacts)}
 }
 
-// Put seals f (computing its fingerprint) and inserts it, replacing any
-// previous facts for the same path.
+// Put inserts f, replacing any previous facts for the same path.
 func (s *FactStore) Put(f *PkgFacts) {
 	if f == nil {
 		return
-	}
-	if f.Fingerprint == "" {
-		f.seal()
 	}
 	s.mu.Lock()
 	s.pkgs[f.Path] = f
@@ -194,31 +129,6 @@ func (s *FactStore) Pkg(path string) *PkgFacts {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.pkgs[path]
-}
-
-// Fingerprint returns the recorded fingerprint for path ("" if absent).
-func (s *FactStore) Fingerprint(path string) string {
-	if f := s.Pkg(path); f != nil {
-		return f.Fingerprint
-	}
-	return ""
-}
-
-// Stale reports whether f was computed against dependency facts that no
-// longer match the store: any recorded dep fingerprint that differs
-// from (or is missing in) the store's current facts invalidates f.
-// Downstream results computed from stale facts must be recomputed —
-// never reused — which is the contract an on-disk fact cache relies on.
-func (s *FactStore) Stale(f *PkgFacts) bool {
-	if f == nil {
-		return true
-	}
-	for dep, fp := range f.Deps {
-		if s.Fingerprint(dep) != fp {
-			return true
-		}
-	}
-	return false
 }
 
 // Taint looks up the taint fact for fn in the store, or nil.

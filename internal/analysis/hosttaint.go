@@ -89,21 +89,16 @@ func unionT(a, b tval) tval {
 // htState is the package-wide analysis state shared by both phases. A
 // function's summary has the shape of the fact it is exported as.
 type htState struct {
-	pass      *Pass
-	fns       map[*types.Func]*htFunc
-	ordered   []*htFunc
+	summaries
 	sums      map[*htFunc]*TaintFact
-	sanitized sanitizedIndex
-	changed   bool
-	report    bool
+	sanitized markerLines
 }
 
 func runHostTaint(pass *Pass) error {
 	st := &htState{
-		pass:      pass,
-		sanitized: buildSanitizedIndex(pass.Fset, pass.Files),
+		summaries: newSummaries(pass),
+		sanitized: buildMarkerLines(pass.Fset, pass.Files, "//ciovet:sanitized"),
 	}
-	st.fns, st.ordered = collectFuncs(pass)
 	st.sums = make(map[*htFunc]*TaintFact, len(st.ordered))
 	for _, hf := range st.ordered {
 		n := hf.numResults()
@@ -114,25 +109,7 @@ func runHostTaint(pass *Pass) error {
 			Sanitized:  st.sanitized.covers(pass.Fset, hf.decl.Pos()),
 		}
 	}
-
-	// Phase one: grow summaries to a fixpoint. The lattice per function is
-	// finite (result bits, param bits, one sink note per param) and only
-	// ever grows, so this terminates; the iteration cap is a backstop.
-	for iter := 0; iter < 64; iter++ {
-		st.changed = false
-		for _, hf := range st.ordered {
-			st.analyzeFunc(hf)
-		}
-		if !st.changed {
-			break
-		}
-	}
-
-	// Phase two: report with final summaries.
-	st.report = true
-	for _, hf := range st.ordered {
-		st.analyzeFunc(hf)
-	}
+	st.solve(st.analyzeFunc)
 
 	// Export the summaries that tell a caller something, as facts for
 	// dependents.

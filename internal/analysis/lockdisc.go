@@ -100,50 +100,24 @@ type localEdge struct {
 
 // ldState is the package-wide analysis state shared by both phases.
 type ldState struct {
-	pass    *Pass
-	fns     map[*types.Func]*htFunc
-	ordered []*htFunc
-	sums    map[*htFunc]*lockSummary
-	cfgs    map[*htFunc]*funcCFG
-	guards  map[types.Object]string // struct field object -> guarding mutex name
-	changed bool
-	report  bool
-	edges   []localEdge
+	summaries
+	sums   map[*htFunc]*lockSummary
+	guards map[types.Object]string // struct field object -> guarding mutex name
+	edges  []localEdge
 }
 
 func runLockDisc(pass *Pass) error {
 	st := &ldState{
-		pass:   pass,
-		sums:   make(map[*htFunc]*lockSummary),
-		cfgs:   make(map[*htFunc]*funcCFG),
-		guards: collectGuards(pass),
+		summaries: newSummaries(pass),
+		sums:      make(map[*htFunc]*lockSummary),
+		guards:    collectGuards(pass),
 	}
-	st.fns, st.ordered = collectFuncs(pass)
 	for _, hf := range st.ordered {
 		st.sums[hf] = initialLockSummary(hf)
-		st.cfgs[hf] = buildCFG(hf.decl.Body)
 	}
-
-	// Phase one: propagate requires-obligations to a fixpoint. The
-	// per-function lattice (one field name per param slot, set at most
-	// once) only grows, so this terminates; the cap is a backstop.
-	for iter := 0; iter < 64; iter++ {
-		st.changed = false
-		for _, hf := range st.ordered {
-			st.analyzeFunc(hf)
-		}
-		if !st.changed {
-			break
-		}
-	}
-
-	// Phase two: re-run with final summaries, reporting and collecting
-	// lock-order edges.
-	st.report = true
-	for _, hf := range st.ordered {
-		st.analyzeFunc(hf)
-	}
-
+	// Requires-obligations propagate to the fixpoint; the reporting walk
+	// also collects the lock-order edges.
+	st.solve(st.analyzeFunc)
 	st.reportInversions()
 
 	// Export the non-trivial summaries and the order edges as facts.
@@ -222,7 +196,6 @@ type ldScope struct {
 	st    *ldState
 	fn    *htFunc
 	sum   *lockSummary
-	cfg   *funcCFG
 	fresh map[types.Object]bool
 	state map[lockKey]heldLock
 }
@@ -232,7 +205,6 @@ func (st *ldState) analyzeFunc(hf *htFunc) {
 		st:    st,
 		fn:    hf,
 		sum:   st.sums[hf],
-		cfg:   st.cfgs[hf],
 		fresh: freshObjects(st.pass.TypesInfo, hf.decl.Body),
 	}
 	sc.run()
@@ -258,56 +230,8 @@ func (sc *ldScope) entryState() map[lockKey]heldLock {
 }
 
 func (sc *ldScope) run() {
-	cfg := sc.cfg
-	in := map[*cfgBlock]map[lockKey]heldLock{cfg.entry: sc.entryState()}
-	work := []*cfgBlock{cfg.entry}
-	inWork := map[*cfgBlock]bool{cfg.entry: true}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inWork[b] = false
-		out := sc.transfer(b, cloneLockState(in[b]), false)
-		for _, e := range b.succs {
-			dst, seen := in[e.to]
-			if !seen {
-				dst = make(map[lockKey]heldLock)
-				in[e.to] = dst
-				// First visit joins against "nothing known yet", which
-				// must behave as a copy, not as a must-intersect with
-				// the empty set.
-				for k, v := range out {
-					dst[k] = v
-				}
-				if !inWork[e.to] {
-					work = append(work, e.to)
-					inWork[e.to] = true
-				}
-				continue
-			}
-			if joinLockState(dst, out) && !inWork[e.to] {
-				work = append(work, e.to)
-				inWork[e.to] = true
-			}
-		}
-	}
-	if !sc.st.report {
-		return
-	}
-	reach := cfg.reachable()
-	for _, b := range cfg.blocks {
-		if !reach[b] || in[b] == nil {
-			continue
-		}
-		sc.transfer(b, cloneLockState(in[b]), true)
-	}
-}
-
-func cloneLockState(m map[lockKey]heldLock) map[lockKey]heldLock {
-	c := make(map[lockKey]heldLock, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+	f := flow[lockKey, heldLock]{transfer: sc.transfer, join: joinLockState}
+	f.run(sc.fn.cfg(), sc.entryState(), sc.st.report)
 }
 
 // joinLockState merges src into dst at a control-flow join: may is the

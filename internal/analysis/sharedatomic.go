@@ -66,29 +66,8 @@ func runSharedAtomic(pass *Pass) error {
 // sharedMarkedFields collects the struct fields whose declaration line (or
 // the line below a standalone directive) carries //ciovet:shared.
 func sharedMarkedFields(pass *Pass) map[*types.Var]bool {
-	const sharedPrefix = "//ciovet:shared"
-	lines := make(map[string]map[int]bool)
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if len(c.Text) < len(sharedPrefix) || c.Text[:len(sharedPrefix)] != sharedPrefix {
-					continue
-				}
-				p := pass.Fset.Position(c.Pos())
-				byLine := lines[p.Filename]
-				if byLine == nil {
-					byLine = make(map[int]bool)
-					lines[p.Filename] = byLine
-				}
-				byLine[p.Line] = true
-				byLine[p.Line+1] = true
-			}
-		}
-	}
+	lines := buildMarkerLines(pass.Fset, pass.Files, "//ciovet:shared")
 	marked := make(map[*types.Var]bool)
-	if len(lines) == 0 {
-		return marked
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
@@ -96,8 +75,7 @@ func sharedMarkedFields(pass *Pass) map[*types.Var]bool {
 				return true
 			}
 			for _, fld := range st.Fields.List {
-				p := pass.Fset.Position(fld.Pos())
-				if !lines[p.Filename][p.Line] {
+				if !lines.covers(pass.Fset, fld.Pos()) {
 					continue
 				}
 				for _, nm := range fld.Names {

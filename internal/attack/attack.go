@@ -101,7 +101,7 @@ var AttackNames = []string{
 
 // TransportNames in matrix order.
 var TransportNames = []string{
-	"safering", "safering-revoke", "safering-mq", "blkring", "virtio", "virtio-hardened", "netvsc", "netvsc-hardened", "gateway",
+	"safering", "safering-revoke", "safering-mq", "safering-inline", "blkring", "virtio", "virtio-hardened", "netvsc", "netvsc-hardened", "gateway",
 }
 
 // Suite returns every scenario.

@@ -20,13 +20,20 @@ func TestResilienceMatrix(t *testing.T) {
 	byTransport := Summary(results)
 
 	// Claim 1: the safe ring is never compromised — in either RX policy,
-	// with multiple queues (no per-queue weakening of the argument), and
-	// as the storage instantiation of the same engine.
-	for _, tr := range []string{"safering", "safering-revoke", "safering-mq", "blkring"} {
+	// in either data mode, with multiple queues (no per-queue weakening
+	// of the argument), and as the storage instantiation of the same
+	// engine.
+	for _, tr := range []string{"safering", "safering-revoke", "safering-mq", "safering-inline", "blkring"} {
 		if n := byTransport[tr][Compromised]; n != 0 {
 			t.Errorf("%s compromised %d times", tr, n)
 			logTransport(t, results, tr)
 		}
+	}
+	// The deployed mode (Inline, DefaultConfig) blocks every attack that
+	// applies to it: the slab-only rows read n/a, nothing is degraded.
+	if n := byTransport["safering-inline"][Degraded]; n != 0 {
+		t.Errorf("safering-inline degraded %d times", n)
+		logTransport(t, results, "safering-inline")
 	}
 
 	// Claim 2: the unhardened legacy transports are compromised by

@@ -38,8 +38,9 @@ func (c *stormClock) Now() time.Time          { return c.t }
 func (c *stormClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // saferingScenarios attacks the paper's safe ring, in both receive
-// policies. Expected (and asserted by the tests): everything Blocked or
-// bounded to network-equivalent noise — the structural-safety claim.
+// policies and in both data modes. Expected (and asserted by the tests):
+// everything Blocked or bounded to network-equivalent noise — the
+// structural-safety claim.
 func saferingScenarios() []Scenario {
 	var out []Scenario
 	for _, variant := range []struct {
@@ -54,13 +55,26 @@ func saferingScenarios() []Scenario {
 		// every single-queue attack class must stay blocked there, and
 		// the cross-kill scenario checks the blast radius is device-wide.
 		{"safering-mq", safering.CopyOut, safering.SharedArea, 4},
+		// The inline column attacks the mode DefaultConfig deploys:
+		// payloads travel in the ring slot, so there are no slabs.
+		{"safering-inline", safering.CopyOut, safering.Inline, 1},
 	} {
 		v := variant
+		inline := v.mode == safering.Inline
+		kind := uint32(safering.KindShared)
+		if inline {
+			kind = safering.KindInline
+		}
 		mkCfg := func() safering.DeviceConfig {
 			cfg := safering.DefaultConfig()
 			cfg.Mode = v.mode
 			cfg.RX = v.rx
-			cfg.SlotSize = 64
+			if !inline {
+				// Slab modes keep the descriptor ring small; an inline
+				// slot must hold a whole frame, so Inline keeps
+				// DefaultConfig's geometry.
+				cfg.SlotSize = 64
+			}
 			return cfg
 		}
 		mk := func() (*safering.Endpoint, *safering.HostPort) {
@@ -97,7 +111,9 @@ func saferingScenarios() []Scenario {
 			}},
 			Scenario{AtkLengthLie, v.name, func() Result {
 				ep, _ := mk()
-				ep.Shared().RXUsed.WriteDesc(0, safering.Desc{Len: 1 << 30, Kind: safering.KindShared})
+				// A valid kind word at the current epoch, so the lie
+				// reaches the length check rather than the kind check.
+				ep.Shared().RXUsed.WriteDesc(0, safering.Desc{Len: 1 << 30, Kind: safering.KindWord(kind, ep.Shared().Epoch)})
 				ep.Shared().RXUsed.Indexes().StoreProd(1)
 				_, err := ep.Recv()
 				return verdictFromFatal(AtkLengthLie, v.name, err, safering.ErrProtocol,
@@ -113,15 +129,20 @@ func saferingScenarios() []Scenario {
 				if err != nil {
 					return compromised(AtkDoubleFetch, v.name, "setup: "+err.Error())
 				}
-				// Host rewrites the slab after delivery — through the
-				// host's (fault-checked) view; only the guest can touch
-				// revoked pages directly.
-				hv := ep.Shared().RXData.HostView()
+				// Host rewrites the payload after delivery: the ring slot
+				// it arrived in, or every slab through the host's
+				// (fault-checked) view; only the guest can touch revoked
+				// pages directly.
 				junk := bytes.Repeat([]byte{0xEE}, 256)
-				for page := 0; page < ep.Config().Slots; page++ {
-					werr := hv.WriteAt(junk, uint64(page)*platform.PageSize)
-					if v.rx == safering.Revoke && page == 0 && !errors.Is(werr, platform.ErrRevoked) {
-						return compromised(AtkDoubleFetch, v.name, "revoked page writable by host")
+				if inline {
+					ep.Shared().RXUsed.WriteInline(0, junk)
+				} else {
+					hv := ep.Shared().RXData.HostView()
+					for page := 0; page < ep.Config().Slots; page++ {
+						werr := hv.WriteAt(junk, uint64(page)*platform.PageSize)
+						if v.rx == safering.Revoke && page == 0 && !errors.Is(werr, platform.ErrRevoked) {
+							return compromised(AtkDoubleFetch, v.name, "revoked page writable by host")
+						}
 					}
 				}
 				if !bytes.Equal(rx.Bytes(), want) {
@@ -131,6 +152,9 @@ func saferingScenarios() []Scenario {
 				return blocked(AtkDoubleFetch, v.name, fmt.Sprintf("%s closes the window", v.rx))
 			}},
 			Scenario{AtkReplay, v.name, func() Result {
+				if inline {
+					return na(AtkReplay, v.name, "no slab custody: an inline completion carries its own bytes")
+				}
 				ep, hp := mk()
 				if err := hp.Push(frame(64, 1)); err != nil {
 					return compromised(AtkReplay, v.name, "setup: "+err.Error())
@@ -159,6 +183,9 @@ func saferingScenarios() []Scenario {
 				return blocked(AtkReplay, v.name, err.Error())
 			}},
 			Scenario{AtkForgedHandle, v.name, func() Result {
+				if inline {
+					return na(AtkForgedHandle, v.name, "inline descriptors carry no slab handle")
+				}
 				ep, hp := mk()
 				if v.rx == safering.Revoke {
 					if err := hp.Push(frame(64, 1)); err != nil {
@@ -359,6 +386,9 @@ func saferingScenarios() []Scenario {
 				return compromised(AtkReattachStorm, v.name, "storm never exhausted the death budget")
 			}},
 			Scenario{AtkStaleMemory, v.name, func() Result {
+				if inline {
+					return na(AtkStaleMemory, v.name, "no slab is freed or reused: the payload sits in the slot the host already read")
+				}
 				ep, hp := mk()
 				// Transmit a secret, let the host consume it, reap, then
 				// check the host-visible slab is scrubbed.

@@ -541,14 +541,6 @@ func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 	return n, nil
 }
 
-// RXBell returns the doorbell the host rings when frames arrive, or nil
-// in polling mode. Guest receive loops may select on its channel.
-func (e *Endpoint) RXBell() *Doorbell {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sh.RXBell
-}
-
 // ArmRXNotify publishes the guest's receive wake threshold (event
 // index): under EventIdx the host rings RXBell only once its producer
 // index crosses the guest's consumer position. It then re-checks the

@@ -396,7 +396,7 @@ func TestDoorbellsRingOnTraffic(t *testing.T) {
 	if err := hp.Push(frame(64, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if !ep.RXBell().TryWait() {
+	if !ep.Shared().RXBell.TryWait() {
 		t.Fatal("RX bell not rung")
 	}
 	if m.Snapshot().Notifications != 2 {

@@ -149,7 +149,7 @@ func TestEventIdxRXSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-ep.RXBell().Chan():
+	case <-ep.Shared().RXBell.Chan():
 	default:
 		t.Fatal("armed RX threshold crossed but no doorbell rang")
 	}

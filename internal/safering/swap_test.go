@@ -261,7 +261,7 @@ func TestSwapRacesLockFreeReaders(t *testing.T) {
 				t.Error("config changed across a swap")
 				return
 			}
-			if ep.RXBell() == nil {
+			if ep.Shared().RXBell == nil {
 				t.Error("RXBell vanished across a swap")
 				return
 			}
