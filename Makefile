@@ -93,9 +93,12 @@ chaos:
 # terminal-error / park / re-check interleavings are timing-dependent, so
 # the driver's own tests and its users' — the pump, the storage backend,
 # the TDISP device loop — run ten times under the race detector, for the
-# same reason chaos takes five.
+# same reason chaos takes five. So do the driven-wait tests: a goroutine
+# blocked in tcp steps the stack's receive poller under the same token as
+# the loop goroutine, and hands the queues' wake back when it leaves.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
+	$(GO) test -race -count=10 -run '^TestDriven' ./internal/netstack
 
 # The dead-code oracle (ROADMAP item 4d): every non-test function the
 # attack, chaos, core, gateway, netstack and confbench suites and the

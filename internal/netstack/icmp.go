@@ -103,10 +103,12 @@ func (s *Stack) Ping(dst ipv4.Addr, timeout time.Duration) (time.Duration, error
 
 	start := time.Now()
 	s.sendIP(dst, ipv4.ProtoICMP, dgram)
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-ch:
 		return time.Since(start), nil
-	case <-time.After(timeout):
+	case <-t.C:
 		return 0, ErrTimeout
 	}
 }

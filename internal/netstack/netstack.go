@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"confio/internal/arp"
@@ -52,6 +53,7 @@ type Stack struct {
 	// transport, keeping the stack itself stateless about incarnations.
 	nicErr error
 
+	rx  *rxLoop
 	drv nic.Driver
 }
 
@@ -94,7 +96,9 @@ func New(g nic.Guest, ip ipv4.Addr) *Stack {
 		udpPorts: make(map[uint16]*UDPSocket),
 		arpWait:  make(map[ipv4.Addr]arpWaiter),
 	}
-	s.TCP = tcp.NewEndpoint(ip, g.MTU(), headroom, s.sendTCP, nil)
+	s.rx = &rxLoop{s: s, burst: make([]nic.Frame, rxBurst), parks: make([]nic.Parker, len(s.queues)),
+		wake: make(chan struct{}, 1), drive: make(chan struct{}, 1), pool: sync.Pool{New: func() any { return new(nic.Waiter) }}}
+	s.TCP = tcp.NewEndpoint(ip, g.MTU(), headroom, s.sendTCP, nil, s.rx.wait)
 	return s
 }
 
@@ -141,17 +145,12 @@ func (s *Stack) degrade(err error) {
 	s.TCP.AbortAll(err)
 }
 
-// Start launches the receive/timer loop.
+// Start launches the receive/timer loop: the fallback for timers, ARP
+// and traffic no goroutine is blocked waiting for (rxLoop.wait).
 func (s *Stack) Start() {
-	r := &rxLoop{
-		s:     s,
-		burst: make([]nic.Frame, rxBurst),
-		wake:  make(chan struct{}, 1),
-		parks: make([]nic.Parker, len(s.queues)),
-	}
 	s.drv.Go(nic.Loop{
-		Step: r.step, Spin: rxSpin, Yield: rxSpin, Park: r.park, Unpark: r.unpark, Bound: nic.WaitBound,
-		Wakes: func() (a, b <-chan struct{}) { return r.wake, nil },
+		Step: s.rx.step, Spin: rxSpin, Yield: rxSpin, Park: s.rx.park, Unpark: s.rx.unpark, Bound: nic.WaitBound,
+		Wakes: func() (a, b <-chan struct{}) { return s.rx.wake, nil },
 	})
 }
 
@@ -179,20 +178,71 @@ const rxSpin = 4
 // long before it can fall due: the shortest TCP timer is the 20 ms probe.
 const timerScan = time.Millisecond
 
-// rxLoop is the stack's one goroutine as the driver runs it: drain every
-// queue, run whichever timers are due, and once idle park on the queues'
-// producer indexes (nic.Parker) until a wake, Close, the next timer
-// deadline or nic.WaitBound. A transport with nothing to park on is
-// polled every WaitBound by the same wait. Only that goroutine touches
-// it.
+// rxLoop is the stack's receive poller: drain every queue, run whichever
+// timers are due, and once idle park on the queues' producer indexes
+// (nic.Parker) until a wake, Close, the next timer deadline or
+// nic.WaitBound. A transport with nothing to park on is polled every
+// WaitBound by the same wait. Two kinds of goroutine step it, one at a
+// time under token: the loop goroutine the driver runs, and every
+// goroutine blocked in tcp (wait).
 type rxLoop struct {
 	s     *Stack
+	token sync.Mutex // held across step and every park, unpark or hand-back
 	burst []nic.Frame
-	// One wake shared by all queues; each queue's handle is learned from
+	// The queues' wake is the loop goroutine's (wake) or, while anyone is
+	// in wait, the waiters' (drive); each queue's handle is learned from
 	// its empty polls (nil: nothing to park on).
-	wake              chan struct{}
+	wake, drive       chan struct{}
 	parks             []nic.Parker
 	deadline, scanned time.Time
+	waiters           atomic.Int32
+	pool              sync.Pool // of *nic.Waiter, one per blocked goroutine
+}
+
+// wait is the stack's tcp wait (tcp.Endpoint's block): a goroutine
+// blocked in Read, Write or Dial steps the receive poller itself, so a
+// reply goes from ring to reader with no hand-off between goroutines.
+// Each round it steps once under the token, parks the queues on drive
+// and re-checks (the Dekker order of nic.Parker), then waits for ch,
+// drive or its deadline. A wait with no deadline has no timer of its
+// own: while anyone waits, the loop goroutine steps every nic.WaitBound,
+// and what it dequeues closes ch — so an idle reader costs nothing, and
+// a late or lost wake costs at most the bound.
+func (r *rxLoop) wait(ch <-chan struct{}, deadline time.Time) error {
+	w := r.pool.Get().(*nic.Waiter)
+	defer r.pool.Put(w)
+	r.waiters.Add(1)
+	defer r.leave()
+	for {
+		_, _, err := r.step()
+		ready := err == nil && r.park()
+		select {
+		case <-ch:
+			return nil
+		default:
+		}
+		d := time.Duration(1<<63 - 1) // no deadline: the loop goroutine bounds the wait
+		if !deadline.IsZero() {
+			if d = time.Until(deadline); d <= 0 {
+				return tcp.ErrTimeout
+			}
+		}
+		if !ready && !w.Wait(ch, r.drive, nil, d) {
+			return nil
+		}
+	}
+}
+
+// leave hands the queues back to the loop goroutine once the last waiter
+// goes: its wake is parked again, and poked if frames already wait, so
+// traffic nobody waits for is found on the index store, not the bound.
+func (r *rxLoop) leave() {
+	if r.waiters.Add(-1) == 0 && r.park() {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // step drains every queue once: each gets its own batched dequeue (own
@@ -200,8 +250,13 @@ type rxLoop struct {
 // another. One terminal queue error means the whole device fail-deaded
 // (fate is shared through the transport latch): the stack degrades and
 // the loop ends rather than spin on a dead device. A deadline already
-// due is ticked at once.
+// due is ticked at once. A step that finds the token taken does nothing:
+// whoever holds it is polling.
 func (r *rxLoop) step() (bool, time.Time, error) {
+	if !r.token.TryLock() {
+		return false, time.Time{}, nil
+	}
+	defer r.token.Unlock()
 	s, worked := r.s, false
 	for i, q := range s.queues {
 		n, err := q.RecvBatch(r.burst)
@@ -232,21 +287,32 @@ func (r *rxLoop) step() (bool, time.Time, error) {
 	return worked, r.deadline, nil
 }
 
-// park registers the shared wake with every queue that offered a handle
-// and reports whether frames already wait on any of them.
+// park registers one wake with every queue that offered a handle — drive
+// while anyone waits, so the host's store pokes a waiter and the loop
+// goroutine sleeps to its bound; the loop's own wake otherwise — and
+// reports whether frames already wait on any of them.
 func (r *rxLoop) park() bool {
-	ready := false
+	r.token.Lock()
+	defer r.token.Unlock()
+	wake, ready := r.wake, false
+	if r.waiters.Load() > 0 {
+		wake = r.drive
+	}
 	for _, p := range r.parks {
-		if p != nil && p.Park(r.wake) {
+		if p != nil && p.Park(wake) {
 			ready = true
 		}
 	}
 	return ready
 }
 
+// unpark withdraws the loop goroutine's wake once it is busy again, but
+// never the waiters'.
 func (r *rxLoop) unpark() {
+	r.token.Lock()
+	defer r.token.Unlock()
 	for _, p := range r.parks {
-		if p != nil {
+		if p != nil && r.waiters.Load() == 0 {
 			p.Unpark()
 		}
 	}
@@ -633,12 +699,14 @@ func (u *UDPSocket) RecvFrom(timeout time.Duration) (Datagram, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case d := <-u.queue:
 		return d, nil
 	case <-u.closed:
 		return Datagram{}, ErrSocketClosed
-	case <-time.After(timeout):
+	case <-t.C:
 		return Datagram{}, ErrTimeout
 	}
 }

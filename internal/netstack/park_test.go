@@ -1,6 +1,7 @@
 package netstack_test
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,17 +16,24 @@ import (
 // parkSpy sits between the stack and a safe-ring guest exactly as the
 // benchmark's interposer does — it implements nic.BatchGuest and nothing
 // else, and hands errors through — and reports when the stack parks and
-// when it next dequeues a frame.
+// when it next dequeues a frame (dropping a report while one is unread),
+// and which wake each Park registered.
 type parkSpy struct {
 	nic.BatchGuest
-	parked chan struct{} // a Park that found the ring idle: the loop blocks next
+	parked chan struct{} // a Park that found the ring idle: its caller blocks next
 	got    chan time.Time
+
+	mu    sync.Mutex
+	wakes []chan struct{} // every Park's wake, in order
 }
 
 func (g *parkSpy) RecvBatch(out []nic.Frame) (int, error) {
 	n, err := g.BatchGuest.RecvBatch(out)
 	if n > 0 {
-		g.got <- time.Now()
+		select {
+		case g.got <- time.Now():
+		default:
+		}
 	}
 	if p, ok := err.(nic.Parker); ok {
 		return n, spiedEmpty{p, g}
@@ -42,11 +50,24 @@ func (spiedEmpty) Error() string        { return nic.ErrEmpty.Error() }
 func (spiedEmpty) Is(target error) bool { return target == nic.ErrEmpty }
 
 func (e spiedEmpty) Park(wake chan struct{}) bool {
+	e.g.mu.Lock()
+	e.g.wakes = append(e.g.wakes, wake)
+	e.g.mu.Unlock()
 	ready := e.Parker.Park(wake)
 	if !ready {
-		e.g.parked <- struct{}{}
+		select {
+		case e.g.parked <- struct{}{}:
+		default:
+		}
 	}
 	return ready
+}
+
+// registered returns the wakes Park has registered so far.
+func (g *parkSpy) registered() []chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]chan struct{}(nil), g.wakes...)
 }
 
 // TestIndexStoreWakesParkedStack: an idle stack parks on the RXUsed
@@ -144,7 +165,7 @@ func TestIdleStackDoesNotTick(t *testing.T) {
 	s.TCP = tcp.NewEndpoint(ipA, 1500, 0, func(tcp.Batch) {}, func() time.Time {
 		clockReads.Add(1)
 		return time.Now()
-	})
+	}, nil)
 	s.Start()
 	defer s.Close()
 	time.Sleep(100 * time.Millisecond)

@@ -37,8 +37,8 @@ var (
 	CompARP       = Component{"arp", 88, "ARP + neighbour cache"}
 	CompIPv4      = Component{"ipv4", 236, "IPv4 + frag/reasm"}
 	CompUDP       = Component{"udp", 45, "UDP"}
-	CompTCP       = Component{"tcp", 1150, "TCP state machine"}
-	CompNetstack  = Component{"netstack", 556, "stack glue + sockets"}
+	CompTCP       = Component{"tcp", 1142, "TCP state machine"}
+	CompNetstack  = Component{"netstack", 604, "stack glue + sockets"}
 	CompSafering  = Component{"safering", 1497, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 421, "netvsc driver"}

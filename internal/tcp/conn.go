@@ -610,11 +610,10 @@ func (c *Conn) Read(p []byte) (int, error) {
 			e.mu.Unlock()
 			return 0, ErrClosed
 		}
-		ch := c.notify
-		deadline := c.readDeadline
+		ch, deadline := c.notify, c.readDeadline
 		e.mu.Unlock()
 
-		if err := waitNotify(ch, deadline); err != nil {
+		if err := e.wait(ch, deadline); err != nil {
 			return 0, err
 		}
 		e.mu.Lock()
@@ -646,7 +645,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		ch := c.notify
 		e.mu.Unlock()
 		e.flush()
-		<-ch
+		_ = e.wait(ch, time.Time{}) // no deadline: it returns once ch closes
 		e.mu.Lock()
 	}
 	e.mu.Unlock()
@@ -673,25 +672,6 @@ func maxU32(a, b uint32) uint32 {
 		return a
 	}
 	return b
-}
-
-func waitNotify(ch <-chan struct{}, deadline time.Time) error {
-	if deadline.IsZero() {
-		<-ch
-		return nil
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		return ErrTimeout
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return nil
-	case <-t.C:
-		return ErrTimeout
-	}
 }
 
 // CloseWrite half-closes the connection: FIN after pending data, reads

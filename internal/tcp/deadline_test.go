@@ -38,7 +38,7 @@ func TestNextDeadlinePerTimerKind(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEndpoint(ipA, 1500, testHeadroom, func(Batch) {}, func() time.Time { return t0 })
+			e := NewEndpoint(ipA, 1500, testHeadroom, func(Batch) {}, func() time.Time { return t0 }, nil)
 			for i, tm := range tc.conns {
 				c := newConn(e, connKey{rip: ipB, rport: uint16(1000 + i), lport: 80})
 				c.state = tm.state
@@ -73,7 +73,7 @@ func TestNextDeadlinePerTimerKind(t *testing.T) {
 func TestTickAtNextDeadlineHasWork(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	sent := 0
-	e := NewEndpoint(ipA, 1500, testHeadroom, func(b Batch) { sent += len(b.Pkts) }, func() time.Time { return now })
+	e := NewEndpoint(ipA, 1500, testHeadroom, func(b Batch) { sent += len(b.Pkts) }, func() time.Time { return now }, nil)
 	e.mu.Lock()
 	c := newConn(e, connKey{rip: ipB, rport: 80, lport: 40000})
 	c.state = StateSynSent

@@ -74,6 +74,7 @@ type Endpoint struct {
 	headroom int
 	output   func(Batch)
 	now      func() time.Time
+	block    func(ch <-chan struct{}, deadline time.Time) error
 
 	mu        sync.Mutex
 	conns     map[connKey]*Conn
@@ -96,8 +97,10 @@ const freeMax = 2 * sndBufMax / defaultMSS
 
 // NewEndpoint creates a TCP endpoint for ip. mtu bounds the MSS, headroom
 // is what the output callback needs in front of every segment for its own
-// headers; clock may be nil (wall clock).
-func NewEndpoint(ip ipv4.Addr, mtu, headroom int, output func(Batch), clock func() time.Time) *Endpoint {
+// headers; clock may be nil (wall clock). block is the owning stack's
+// blocking wait (see wait); nil waits on the channel alone.
+func NewEndpoint(ip ipv4.Addr, mtu, headroom int, output func(Batch), clock func() time.Time,
+	block func(ch <-chan struct{}, deadline time.Time) error) *Endpoint {
 	if clock == nil {
 		clock = time.Now
 	}
@@ -111,6 +114,7 @@ func NewEndpoint(ip ipv4.Addr, mtu, headroom int, output func(Batch), clock func
 		headroom:  headroom,
 		output:    output,
 		now:       clock,
+		block:     block,
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]*Listener),
 		eph:       32768 + uint16(rand.Intn(16384)),
@@ -178,6 +182,29 @@ func (e *Endpoint) flush() {
 	}
 	e.flushing = false
 	e.mu.Unlock()
+}
+
+// wait is tcp's one blocking wait — Read, a Write on a full send buffer,
+// Dial: it returns nil once ch closes and ErrTimeout once deadline (zero:
+// none) passes. An owning stack that polls its device supplies block and
+// runs its receive step on the waiting goroutine, so whoever waits for a
+// segment is the one who dequeues it.
+func (e *Endpoint) wait(ch <-chan struct{}, deadline time.Time) error {
+	if e.block != nil {
+		return e.block(ch, deadline)
+	}
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-ch:
+		return nil
+	case <-expired:
+		return ErrTimeout
+	}
 }
 
 // Input processes one TCP segment received from src.
@@ -353,24 +380,13 @@ func (e *Endpoint) Dial(dst ipv4.Addr, port uint16, timeout time.Duration) (*Con
 	e.mu.Unlock()
 	e.flush()
 
-	deadline := time.After(timeout)
+	deadline := time.Now().Add(timeout)
 	for {
-		select {
-		case <-ch:
-		case <-deadline:
-			e.mu.Lock()
-			established := c.state == StateEstablished
-			if !established {
-				c.teardownLocked(ErrTimeout)
-			}
-			e.mu.Unlock()
-			e.flush()
-			if established {
-				return c, nil
-			}
-			return nil, ErrTimeout
-		}
+		err := e.wait(ch, deadline)
 		e.mu.Lock()
+		if err != nil && c.state != StateEstablished {
+			c.teardownLocked(err)
+		}
 		st, cerr := c.state, c.connErr
 		ch = c.notify
 		e.mu.Unlock()
@@ -440,13 +456,15 @@ func (l *Listener) Accept() (*Conn, error) {
 
 // AcceptTimeout is Accept with a deadline.
 func (l *Listener) AcceptTimeout(d time.Duration) (*Conn, error) {
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
 	case c, ok := <-l.backlog:
 		if !ok {
 			return nil, ErrListenerClosed
 		}
 		return c, nil
-	case <-time.After(d):
+	case <-t.C:
 		return nil, ErrTimeout
 	}
 }

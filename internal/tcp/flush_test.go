@@ -39,7 +39,7 @@ func TestConcurrentFlushesKeepEmissionOrder(t *testing.T) {
 		}
 		runtime.Gosched() // widen the window another flusher would race in
 		inOutput.Add(-1)
-	}, nil)
+	}, nil, nil)
 
 	var next uint32 // guarded by e.mu: the order of emission
 	var payload queue

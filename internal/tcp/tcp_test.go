@@ -50,10 +50,10 @@ func newTestNet(t *testing.T) *testNet {
 	n := &testNet{stopped: make(chan struct{})}
 	n.a = NewEndpoint(ipA, 1500, testHeadroom, eachSeg(func(dst ipv4.Addr, seg []byte) {
 		n.enqueue(&n.qAB, n.filterAB(seg))
-	}), nil)
+	}), nil, nil)
 	n.b = NewEndpoint(ipB, 1500, testHeadroom, eachSeg(func(dst ipv4.Addr, seg []byte) {
 		n.enqueue(&n.qBA, n.filterBA(seg))
-	}), nil)
+	}), nil, nil)
 	n.wg.Add(1)
 	go n.pump()
 	t.Cleanup(n.stop)
