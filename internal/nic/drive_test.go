@@ -158,11 +158,14 @@ func TestDriverWaitEnds(t *testing.T) {
 	secondPoll := func(t *testing.T, f *fake, l Loop) {
 		t.Helper()
 		start(t, f, l)
-		await(t, "the wait", func() bool { return f.count("wakes") == 1 })
+		// At least, not exactly: in the timed cases the loop waits again a
+		// bound later, and an observer descheduled past that misses the
+		// exact count.
+		await(t, "the wait", func() bool { return f.count("wakes") >= 1 })
 		if f.next == nil && l.Bound == time.Hour {
 			f.wake <- struct{}{}
 		}
-		await(t, "the poll after the wait", func() bool { return f.count("step") == 2 })
+		await(t, "the poll after the wait", func() bool { return f.count("step") >= 2 })
 	}
 	t.Run("wake", func(t *testing.T) {
 		f := newFake()

@@ -226,7 +226,10 @@ const (
 	pumpSpin = 256
 	// pumpYield is how many of those polls run back to back; past it
 	// each poll yields the processor, so the spin cannot starve the
-	// goroutines it is waiting for.
+	// goroutines it is waiting for. A step that pushed frames to a guest
+	// yields once whatever the count (worker.step): the guest its push
+	// woke would otherwise wait behind these polls on the pump's own
+	// processor.
 	pumpYield = 64
 	// WaitBound bounds every idle wait on the datapath, armed or not. A
 	// wake is a hint a peer controls (it can be late, lost to a retired
@@ -531,7 +534,13 @@ func (w *worker) step() (bool, time.Time, error) {
 		_ = w.port.Send(w.bufs[i][:w.lens[i]])
 	}
 	if w.rx != nil {
-		n += w.rx.deliver(w.port)
+		moved, pushed := w.rx.deliver(w.port)
+		if n += moved; pushed {
+			// The push's index store may have readied a parked guest onto
+			// this processor (Go's runnext): hand it over before polling
+			// again.
+			yield()
+		}
 	}
 	return n > 0, time.Time{}, nil
 }
@@ -566,9 +575,9 @@ func newSteering(hosts []BatchHost) steering {
 
 // deliver takes one burst off the wire and makes one non-blocking push
 // per queue that has frames waiting, carrying over what a full ring
-// refused. It returns how many frames moved: taken off the wire plus
-// accepted by a backend.
-func (s steering) deliver(port *simnet.Port) (moved int) {
+// refused. It returns how many frames moved — taken off the wire plus
+// accepted by a backend — and whether a backend accepted any.
+func (s steering) deliver(port *simnet.Port) (moved int, pushed bool) {
 	for ; moved < pumpBurst; moved++ {
 		f, ok := port.Recv()
 		if !ok {
@@ -589,7 +598,7 @@ func (s steering) deliver(port *simnet.Port) (moved int) {
 			continue
 		}
 		n, err := q.h.PushBatch(q.carry)
-		moved += n
+		moved, pushed = moved+n, pushed || n > 0
 		if err != nil && err != ErrFull && !errors.Is(err, ErrFull) {
 			n = len(q.carry) // terminal: frames for a dead queue are drops
 		}
@@ -597,5 +606,5 @@ func (s steering) deliver(port *simnet.Port) (moved int) {
 		clear(q.carry[rest:])
 		q.carry = q.carry[:rest]
 	}
-	return moved
+	return moved, pushed
 }

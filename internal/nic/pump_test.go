@@ -159,3 +159,85 @@ func TestRxQueueFillsACacheLine(t *testing.T) {
 		}
 	}
 }
+
+// logHost is a one-queue backend that logs the pump's calls into a
+// driver-test fake, beside the driver's yields: "pop" per transmit poll
+// (it hands out tx one frame per poll), then "push" per burst it takes at
+// least a frame of — at most accept frames — or "refused" per burst it
+// has no room for.
+type logHost struct {
+	log    *fake
+	tx     [][]byte
+	accept int
+}
+
+func (h *logHost) FrameCap() int           { return 2048 }
+func (h *logHost) Pop([]byte) (int, error) { panic("the pump pops in batches") }
+func (h *logHost) Push([]byte) error       { panic("the pump pushes in batches") }
+
+func (h *logHost) PopBatch(bufs [][]byte, lens []int) (int, error) {
+	h.log.record("pop")
+	if len(h.tx) == 0 {
+		return 0, ErrEmpty
+	}
+	lens[0] = copy(bufs[0], h.tx[0])
+	h.tx = h.tx[1:]
+	return 1, nil
+}
+
+func (h *logHost) PushBatch(frames [][]byte) (int, error) {
+	if h.accept == 0 {
+		h.log.record("refused")
+		return 0, ErrFull
+	}
+	h.log.record("push")
+	return min(len(frames), h.accept), nil
+}
+
+// TestPumpYieldsAfterPush: a pump step that pushed frames into a guest
+// ring yields the processor once before the next poll — the push's
+// index store readied the guest's parked waiter onto the pump's own
+// processor — however many frames went; a step that only popped, an
+// empty one and one whose push was refused yield only where the idle
+// policy does. The policy here is two spins, the second after a yield,
+// then a wait: the hand-off is the step's, not the policy's.
+func TestPumpYieldsAfterPush(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		tx, wire int // frames waiting on the transmit ring, on the wire
+		accept   int
+		want     string
+	}{
+		{"push", 0, 1, pumpBurst, "pop push yield pop pop yield pop wait"},
+		{"partial push", 0, 2, 1, "pop push yield pop push yield pop pop yield pop wait"},
+		{"pop", 1, 0, pumpBurst, "pop pop pop yield pop wait"},
+		{"empty", 0, 0, pumpBurst, "pop pop yield pop wait"},
+		{"refused", 0, 1, 0, "pop refused pop refused pop refused yield pop refused wait"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFake()
+			h := &logHost{log: f, accept: c.accept}
+			net := simnet.New()
+			port, peer := net.NewPort(), net.NewPort()
+			frame := frameFor(t, 0, 1, 0xA0)
+			for i := 0; i < c.tx; i++ {
+				h.tx = append(h.tx, frame)
+			}
+			for i := 0; i < c.wire; i++ {
+				if err := peer.Send(frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w := newWorker(h, port)
+			w.rx = newSteering([]BatchHost{h})
+			l := w.loop(nil)
+			l.Spin, l.Yield, l.Bound = 2, 1, time.Hour
+			l.Wakes = func() (a, b <-chan struct{}) { f.record("wait"); return nil, nil }
+			start(t, f, l)
+			await(t, "the wait", func() bool { return f.count("wait") == 1 })
+			if got := f.calls(); got != c.want {
+				t.Fatalf("pump called\n\t%s\nwant\n\t%s", got, c.want)
+			}
+		})
+	}
+}
