@@ -95,10 +95,15 @@ chaos:
 # the TDISP device loop — run ten times under the race detector, for the
 # same reason chaos takes five. So do the driven-wait tests: a goroutine
 # blocked in tcp steps the stack's receive poller under the same token as
-# the loop goroutine, and hands the queues' wake back when it leaves.
+# the loop goroutine, and hands the queues' wake back when it leaves. And
+# so does the one park every ring consumer shares (safering.Consumer: the
+# guest's receive, the host's pop, the storage backend): its register /
+# re-check order against the producer's store-then-poke, with the tests
+# that park on it and the hostile-producer-index table.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 	$(GO) test -race -count=10 -run '^TestDriven' ./internal/netstack
+	$(GO) test -race -count=10 -run 'Park|Wake|Consumer' ./internal/safering
 
 # The dead-code oracle (ROADMAP item 4d): every non-test function the
 # attack, chaos, core, gateway, netstack and confbench suites and the

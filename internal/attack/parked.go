@@ -65,10 +65,15 @@ func newParkedStack(cfg safering.DeviceConfig, queues int) *parkedStack {
 
 // arpRoundTrip is the live traffic: the host asks who has the stack's
 // address on queue 0 and must find the stack's reply on some TX queue.
+// It returns once the stack has also counted the reply it sent: the
+// stack publishes a frame before it counts it, so a Stats snapshot taken
+// as soon as the host pops the reply could miss it, and a later one
+// would then see FramesOut move with nothing sent.
 func (p *parkedStack) arpRoundTrip() error {
 	f := make([]byte, ether.HeaderLen+arp.PacketLen)
 	ether.PutHeader(f, ether.Broadcast, parkedHostMAC, ether.TypeARP)
 	arp.Put(f[ether.HeaderLen:], arp.Request(parkedHostMAC, [4]byte(parkedHostIP), [4]byte(parkedStackIP)))
+	out := p.stack.Stats().FramesOut
 	if err := p.hps[0].Push(f); err != nil {
 		return fmt.Errorf("push: %w", err)
 	}
@@ -89,6 +94,12 @@ func (p *parkedStack) arpRoundTrip() error {
 			rep, err := arp.Parse(fr.Payload)
 			if err != nil || rep.Op != arp.OpReply || rep.SenderIP != [4]byte(parkedStackIP) || rep.TargetMAC != parkedHostMAC {
 				return fmt.Errorf("stack's ARP reply is wrong: %+v (%v)", rep, err)
+			}
+			for p.stack.Stats().FramesOut == out {
+				if time.Now().After(deadline) {
+					return errors.New("parked stack never counted the reply it sent")
+				}
+				time.Sleep(20 * time.Microsecond)
 			}
 			return nil
 		}

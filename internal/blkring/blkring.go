@@ -9,8 +9,9 @@
 // submitter on cons) — an unmetered hint with a bounded wait behind it,
 // never state.
 //
-// The ring is an instance of safering's payload-generic producer engine,
-// so every hardening property the network boundary has — batched
+// The ring is an instance of safering's payload-generic producer engine
+// on the guest's side and of its consumer on the backend's, so every
+// hardening property the network boundary has — batched
 // submission with one index store per batch, bounded in-flight
 // accounting, monotonic peer-index validation, fail-dead on any
 // violation, epoch-tagged descriptors that make replaying a dead
@@ -278,14 +279,17 @@ func (e *Endpoint) Dead() error { return e.life.Dead() }
 // fail records the fatal violation and returns the device's first cause.
 func (e *Endpoint) fail(err error) error { return e.life.Kill(err, e.meter) }
 
-// engineFail is the engine's Fail hook: index-validation errors arrive
-// tagged with safering's protocol error; re-tag them with blkring's so
-// callers match one storage-boundary error class.
-func (e *Endpoint) engineFail(err error) error {
+// engineFail is the engine's Fail hook.
+func (e *Endpoint) engineFail(err error) error { return e.fail(protocolErr(err)) }
+
+// protocolErr re-tags an index-validation error, which arrives tagged
+// with safering's protocol error, with blkring's, so callers on either
+// side match one storage-boundary error class.
+func protocolErr(err error) error {
 	if !errors.Is(err, ErrProtocol) {
 		err = fmt.Errorf("%w: %w", ErrProtocol, err)
 	}
-	return e.fail(err)
+	return err
 }
 
 // onReturn is the engine's OnReturn hook: the host returned the slot at
@@ -669,13 +673,13 @@ type Backend struct {
 	drv  nic.Driver
 
 	mu    sync.Mutex
-	tail  uint64
-	polls uint64 // Step calls, served or not
+	req   safering.Consumer //ciovet:guards mu
+	polls uint64            // Step calls, served or not
 	buf   []byte
-	// Every Step stores to mu, tail and polls: padded to whole cache lines
-	// so the allocator never places another object's words beside them
-	// (TestBackendFillsWholeCacheLines).
-	_ [40]byte
+	// Every Step stores to mu, the consumer's tail and polls: padded to
+	// whole cache lines so the allocator never places another object's
+	// words beside them (TestBackendFillsWholeCacheLines).
+	_ [16]byte
 }
 
 // NewBackend attaches a disk to the ring's host side.
@@ -684,6 +688,7 @@ func NewBackend(sh *Shared, disk blockdev.Disk) *Backend {
 		sh:   sh,
 		disk: disk,
 		park: make(chan struct{}, 1),
+		req:  safering.NewConsumer(sh.Ring, nil, protocolErr),
 		buf:  make([]byte, blockdev.SectorSize),
 	}
 }
@@ -708,10 +713,7 @@ const backendSpin = 64
 func (b *Backend) arm() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ix := b.sh.Ring.Indexes()
-	ix.StoreEvent(b.tail)
-	ix.Park(b.park)
-	return ix.LoadProd() != b.tail
+	return b.req.Arm(b.park)
 }
 
 // disarm withdraws the park while the backend actively polls, eliding
@@ -720,9 +722,8 @@ func (b *Backend) arm() bool {
 func (b *Backend) disarm() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ix := b.sh.Ring.Indexes()
-	ix.StoreEvent(b.tail - 1)
-	ix.Unpark()
+	b.req.Suppress()
+	b.req.Unpark()
 }
 
 // Start launches the service loop.
@@ -742,27 +743,17 @@ func (b *Backend) Stop() { b.drv.Stop() }
 
 // Step serves every published-but-unserved request and acknowledges the
 // whole sweep with ONE consumer-index store — the host-side half of
-// batch amortization. Exported so tests (and adversarial harnesses) can
-// drive the backend deterministically. Returns whether any request was
-// served.
+// batch amortization. A violation stops the backend after handing back
+// the requests it already served. Exported so tests (and adversarial
+// harnesses) can drive the backend deterministically. Returns whether
+// any request was served.
 func (b *Backend) Step() (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.polls++
-	prod := b.sh.Ring.Indexes().LoadProd()
-	if prod == b.tail {
-		return false, nil
-	}
-	if prod-b.tail > b.sh.Ring.NSlots() {
-		return false, fmt.Errorf("%w: producer overclaim", ErrProtocol)
-	}
-	for ; b.tail < prod; b.tail++ {
-		if err := b.serveLocked(b.tail); err != nil {
-			return false, err
-		}
-	}
-	b.sh.Ring.Indexes().StoreCons(b.tail)
-	return true, nil
+	sweep := int(b.sh.Ring.NSlots()) // a whole ring: every request that can wait
+	n, err := b.req.Drain(sweep, func(_ int, pos uint64) error { return b.serveLocked(pos) })
+	return n > 0, err
 }
 
 // serveLocked executes the request in one slot and writes its

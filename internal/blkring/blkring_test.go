@@ -42,8 +42,12 @@ func TestBackendFillsWholeCacheLines(t *testing.T) {
 	if sz := unsafe.Sizeof(Backend{}); sz%line != 0 {
 		t.Fatalf("Backend is %d bytes: not a multiple of the %d-byte cache line", sz, line)
 	}
+	ep, err := New(8, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 64; i++ {
-		backendSink = NewBackend(nil, nil) // on the heap, as every real backend is
+		backendSink = NewBackend(ep.Shared(), nil) // on the heap, as every real backend is
 		if off := uintptr(unsafe.Pointer(backendSink)) % line; off != 0 {
 			t.Fatalf("backend %d allocated %d bytes into a cache line", i, off)
 		}

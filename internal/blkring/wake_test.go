@@ -48,42 +48,44 @@ func (d *flatDisk) WriteSector(lba uint64, data []byte) error {
 	return nil
 }
 
-// TestIndexStoreWakesParkedBackend: a backend that spun down and blocked
-// is woken by the guest's producer-index store, not by its timer. The
-// backend publishes its tail in the event word just before it parks, so
-// "about to block" is visible from outside; its timer is armed after
-// that and never fires early, so any request served sooner than the
-// bound after it was submitted was served because of the poke.
+// TestIndexStoreWakesParkedBackend: an idle backend parks on the request
+// ring's producer index, and the guest's index store is what wakes it:
+// the store puts a token on the very wake the backend registered. A park
+// whose re-check finds the request reports it instead of blocking. The
+// backend is never started, so nothing but this test takes the token and
+// no timer can stand in for the store.
 func TestIndexStoreWakesParkedBackend(t *testing.T) {
 	disk := newFlatDisk(32)
-	disk.served = make(chan time.Time, 1)
 	ep, err := New(8, disk.Sectors(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	be := NewBackend(ep.Shared(), disk)
-	be.Start()
-	defer be.Stop()
 	ix := ep.Shared().Ring.Indexes()
-	fastest := time.Hour
 	for trial := uint64(0); trial < 50; trial++ {
-		for deadline := time.Now().Add(5 * time.Second); ix.LoadEvent() != trial || ix.LoadCons() != trial; {
-			if time.Now().After(deadline) {
-				t.Fatalf("trial %d: backend never went idle and armed", trial)
-			}
-			runtime.Gosched()
+		if be.arm() {
+			t.Fatalf("trial %d: idle ring: the park reported a waiting request", trial)
 		}
-		t0 := time.Now()
-		if err := ep.WriteSector(trial%32, sector(byte(trial))); err != nil {
+		if evt := ix.LoadEvent(); evt != trial {
+			t.Fatalf("trial %d: parked backend published event index %d, want its tail", trial, evt)
+		}
+		done := make(chan error, 1)
+		go func() { done <- ep.WriteSector(trial%32, sector(byte(trial))) }()
+		select {
+		case <-be.park:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("trial %d: the guest's index store never put a token on the backend's wake", trial)
+		}
+		if !be.arm() {
+			t.Fatalf("trial %d: the park's re-check missed the published request: the backend would block on it", trial)
+		}
+		be.disarm()
+		if worked, err := be.Step(); !worked || err != nil {
+			t.Fatalf("trial %d: Step = %v, %v", trial, worked, err)
+		}
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		if d := (<-disk.served).Sub(t0); d < fastest {
-			fastest = d
-		}
-	}
-	t.Logf("fastest submit → served: %v (wait bound %v)", fastest, nic.WaitBound)
-	if fastest >= nic.WaitBound/2 {
-		t.Fatalf("fastest of 50 requests reached the disk after %v: the backend is waking on its %v timer, not on the index store", fastest, nic.WaitBound)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -183,6 +184,10 @@ func TestDrivenHandBack(t *testing.T) {
 		t.Logf("frame nobody waits for dequeued %v after the index store (wait bound %v)", t1.Sub(t0), nic.WaitBound)
 	case <-time.After(5 * time.Second):
 		t.Fatal("frame nobody waits for never dequeued")
+	}
+	// The stack counts a frame after the dequeue the spy reported.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().FramesIn == in && time.Now().Before(deadline); {
+		runtime.Gosched()
 	}
 	if got := s.Stats().FramesIn; got != in+1 {
 		t.Fatalf("FramesIn = %d, want %d", got, in+1)

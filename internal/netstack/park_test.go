@@ -17,11 +17,14 @@ import (
 // benchmark's interposer does — it implements nic.BatchGuest and nothing
 // else, and hands errors through — and reports when the stack parks and
 // when it next dequeues a frame (dropping a report while one is unread),
-// and which wake each Park registered.
+// and which wake each Park registered. With hold set, a Park that found
+// the ring idle keeps its caller inside it — the wake registered, the
+// caller not yet blocked on it — until the test sends on hold.
 type parkSpy struct {
 	nic.BatchGuest
 	parked chan struct{} // a Park that found the ring idle: its caller blocks next
 	got    chan time.Time
+	hold   chan struct{}
 
 	mu    sync.Mutex
 	wakes []chan struct{} // every Park's wake, in order
@@ -59,6 +62,9 @@ func (e spiedEmpty) Park(wake chan struct{}) bool {
 		case e.g.parked <- struct{}{}:
 		default:
 		}
+		if e.g.hold != nil {
+			<-e.g.hold
+		}
 	}
 	return ready
 }
@@ -73,49 +79,75 @@ func (g *parkSpy) registered() []chan struct{} {
 // TestIndexStoreWakesParkedStack: an idle stack parks on the RXUsed
 // producer index of a polling-mode device — the handle reaching it in the
 // empty result, through a wrapper that is a nic.BatchGuest and nothing
-// more — and the host's index store wakes it, not its next timer. Trials run as in nic's
-// TestWireDeliveryWakesParkedPump: the loop arms its timer with
-// nic.WaitBound after it parks, timers never fire early, so any trial
-// faster than the bound was woken by the store; noise only slows a trial
-// down, so the fastest one is asserted.
+// more — and the host's index store is what wakes it: the store puts a
+// token on the very wake the stack registered. The spy holds the stack's
+// loop inside its park while the test looks, so no timer and no other
+// poll can stand in for the store. Before the loop starts, a park whose
+// re-check finds a frame waiting reports it instead of blocking.
 func TestIndexStoreWakesParkedStack(t *testing.T) {
 	ep, err := safering.New(safering.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hp := safering.NewHostPort(ep.Shared())
-	spy := &parkSpy{BatchGuest: ep.NIC().(nic.BatchGuest), parked: make(chan struct{}, 1), got: make(chan time.Time, 1)}
+	guest := ep.NIC().(nic.BatchGuest)
+	spy := &parkSpy{BatchGuest: guest, parked: make(chan struct{}, 1), got: make(chan time.Time, 1), hold: make(chan struct{})}
 	s := netstack.New(spy, ipA)
+	stray := make([]byte, 64) // not for this station: dequeued, counted, dropped
+
+	_, err = guest.RecvBatch(make([]nic.Frame, 1))
+	p, ok := err.(nic.Parker)
+	if !ok {
+		t.Fatalf("empty poll returned %v (%T): want a nic.Parker", err, err)
+	}
+	if err := hp.Push(stray); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Park(make(chan struct{}, 1)) {
+		t.Fatal("a park with a frame waiting reported an idle ring: the stack would block on it")
+	}
+	p.Unpark()
+
 	s.Start()
 	defer s.Close()
-
-	stray := make([]byte, 64) // not for this station: dequeued, counted, dropped
-	fastest := time.Hour
-	for i := 0; i < 50; i++ {
+	defer close(spy.hold) // runs first: a loop held in its park must be let go before Close
+	select {
+	case <-spy.got: // the frame the re-check found
+	case <-time.After(5 * time.Second):
+		t.Fatal("stack never dequeued the waiting frame")
+	}
+	const trials = 50
+	for i := 0; i < trials; i++ {
 		select {
 		case <-spy.parked:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("trial %d: stack never parked", i)
 		}
-		t0 := time.Now()
+		wakes := spy.registered()
+		wake := wakes[len(wakes)-1]
+		if len(wake) != 0 {
+			t.Fatalf("trial %d: a token waits on the stack's wake before the host stored anything", i)
+		}
 		if err := hp.Push(stray); err != nil {
 			t.Fatal(err)
 		}
+		if len(wake) != 1 {
+			t.Fatalf("trial %d: the host's index store left no token on the wake the stack registered", i)
+		}
+		spy.hold <- struct{}{}
 		select {
-		case t1 := <-spy.got:
-			if d := t1.Sub(t0); d < fastest {
-				fastest = d
-			}
+		case <-spy.got:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("trial %d: stack never dequeued the frame", i)
 		}
 	}
-	t.Logf("fastest index store → dequeue: %v (wait bound %v)", fastest, nic.WaitBound)
-	if fastest >= nic.WaitBound/2 {
-		t.Fatalf("fastest of 50 frames dequeued after %v: the stack is waking on its %v timer, not on the index store", fastest, nic.WaitBound)
+	select {
+	case <-spy.parked: // every frame is counted once the stack is idle again
+	case <-time.After(5 * time.Second):
+		t.Fatal("stack never parked after the last frame")
 	}
-	if in := s.Stats().FramesIn; in != 50 {
-		t.Fatalf("FramesIn = %d, want 50", in)
+	if in := s.Stats().FramesIn; in != trials+1 {
+		t.Fatalf("FramesIn = %d, want %d", in, trials+1)
 	}
 	if n := ep.Shared().RXBell; n != nil {
 		t.Fatal("polling-mode device grew a doorbell")

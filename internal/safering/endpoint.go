@@ -1,7 +1,6 @@
 package safering
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -61,9 +60,10 @@ type Endpoint struct {
 	// receive slabs to the host); nil in Inline mode.
 	rxFree *Engine[Desc] //ciovet:guards mu
 
-	// RX private state.
-	rxTail   uint64
-	slabHeld []bool // true while the host holds the slab
+	// rx consumes the RXUsed ring: the one validated load of the host's
+	// producer index per batch, the private tail, the park.
+	rx       Consumer //ciovet:guards mu
+	slabHeld []bool   // true while the host holds the slab
 
 	// pool recycles private receive buffers; framePool recycles RxFrame
 	// headers. Both store pointers so steady-state Get/Put never boxes a
@@ -95,6 +95,7 @@ func newEndpoint(cfg DeviceConfig, meter *platform.Meter, life *Life) (*Endpoint
 	e.tx = NewEngine[Desc](sh.TX, sh.TXBell, descCodec{}, meter,
 		EngineHooks[Desc]{OnReturn: e.txReturn, Fail: e.fail})
 	e.tx.SetEventIdx(cfg.EventIdx)
+	e.rx = NewConsumer(sh.RXUsed, meter, e.fail)
 	e.pool.New = func() any {
 		b := make([]byte, cfg.FrameCap())
 		return &b
@@ -188,34 +189,13 @@ func (e *Endpoint) SendBatch(frames [][]byte) (int, error) {
 	if err := e.life.DeadOp(); err != nil {
 		return 0, err
 	}
-	cons, err := e.tx.Reap()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, f := range frames {
-		if e.tx.Full(cons) {
-			break
-		}
-		if serr := e.stageTXLocked(f); serr != nil {
-			if errors.Is(serr, ErrRingFull) { // data area exhausted: partial batch
-				break
-			}
-			e.tx.Publish() // the frames already accepted; a no-op when none
-			return n, serr
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, ErrRingFull
-	}
-	e.tx.Publish()
-	return n, nil
+	return e.tx.StageBatch(len(frames), func(i int) error { return e.stageTXLocked(frames[i]) })
 }
 
 // stageTXLocked stages one size-checked frame into the slot at the TX
-// engine's head. It does not publish: callers amortize the index store
-// and doorbell over a batch via the engine's Publish.
+// engine's head, or reports ErrRingFull when the data area is exhausted.
+// It does not publish: the engine's StageBatch amortizes the index store
+// and doorbell over the batch.
 //
 //ciovet:locked
 func (e *Endpoint) stageTXLocked(frame []byte) error {
@@ -392,40 +372,14 @@ func (e *Endpoint) postSlab(slab int) {
 	e.publishFreeLocked()
 }
 
-// rxAvailLocked loads and validates the host's RXUsed producer index,
-// returning how many completed frames wait past rxTail.
+// recvSlotLocked validates the completion at pos (which the RX consumer
+// hands over) and moves its payload into guest custody per the
+// configured policy. The descriptor is snapshotted exactly once. An
+// error is a fatal violation: the consumer routes it through e.fail.
 //
 //ciovet:locked
-func (e *Endpoint) rxAvailLocked() (uint64, error) {
-	prod := e.sh.RXUsed.Indexes().LoadProd()
-	e.meter.Check(1)
-	avail, err := e.sh.RXUsed.checkPeerProd(prod, e.rxTail)
-	if err != nil {
-		return 0, e.fail(err)
-	}
-	return avail, nil
-}
-
-// publishRXLocked publishes the consumer index for every frame consumed
-// since the last publication, plus any receive slabs staged for
-// reposting — one index store each, however many frames the batch moved.
-//
-//ciovet:locked
-func (e *Endpoint) publishRXLocked() {
-	e.sh.RXUsed.Indexes().StoreCons(e.rxTail)
-	e.meter.Publish(1)
-	e.publishFreeLocked()
-}
-
-// recvSlotLocked validates and consumes the completion at rxTail (which
-// the caller has established to be available), moving the payload into
-// guest custody per the configured policy. The descriptor is snapshotted
-// exactly once. The private tail advances but nothing is published;
-// callers amortize the consumer-index store via publishRXLocked.
-//
-//ciovet:locked
-func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
-	d := e.sh.RXUsed.ReadDesc(e.rxTail) // single snapshot
+func (e *Endpoint) recvSlotLocked(pos uint64) (*RxFrame, error) {
+	d := e.sh.RXUsed.ReadDesc(pos) // single snapshot
 	e.meter.Check(1)
 
 	// The kind word must carry the expected kind code AND the current
@@ -437,20 +391,19 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 		want = KindInline
 	}
 	if KindCode(d.Kind) != want || KindEpoch(d.Kind) != EpochTag(e.sh.Epoch) {
-		return nil, e.fail(fmt.Errorf("%w: rx descriptor kind %#x (want code %d, epoch %d): stale or forged incarnation",
-			ErrProtocol, d.Kind, want, EpochTag(e.sh.Epoch)))
+		return nil, fmt.Errorf("%w: rx descriptor kind %#x (want code %d, epoch %d): stale or forged incarnation",
+			ErrProtocol, d.Kind, want, EpochTag(e.sh.Epoch))
 	}
 
 	switch e.cfg.Mode {
 	case Inline:
 		if int(d.Len) > e.sh.RXUsed.InlineCap() || int(d.Len) > e.cfg.FrameCap() || d.Len == 0 {
-			return nil, e.fail(fmt.Errorf("%w: rx inline length %d", ErrProtocol, d.Len))
+			return nil, fmt.Errorf("%w: rx inline length %d", ErrProtocol, d.Len)
 		}
 		bp := e.pool.Get().(*[]byte)
 		buf := *bp
-		e.sh.RXUsed.ReadInline(e.rxTail, buf[:d.Len])
+		e.sh.RXUsed.ReadInline(pos, buf[:d.Len])
 		e.meter.Copy(int(d.Len))
-		e.rxTail++
 		return e.newFrameLocked(buf[:d.Len], bp, -1), nil
 
 	default:
@@ -459,14 +412,14 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 		// the PageSize comparison keeps the slab bound explicit even if
 		// the config invariant ever changes.
 		if int(d.Len) > e.cfg.FrameCap() || int(d.Len) > platform.PageSize || d.Len == 0 {
-			return nil, e.fail(fmt.Errorf("%w: rx length %d", ErrProtocol, d.Len))
+			return nil, fmt.Errorf("%w: rx length %d", ErrProtocol, d.Len)
 		}
 		slab := int(d.Ref & uint64(e.cfg.Slots-1))
 		e.meter.Check(1)
 		if !e.slabHeld[slab] {
 			// The host returned a slab it does not hold: replayed or
 			// duplicated completion. Fatal.
-			return nil, e.fail(fmt.Errorf("%w: rx returned unposted slab %d", ErrProtocol, slab))
+			return nil, fmt.Errorf("%w: rx returned unposted slab %d", ErrProtocol, slab)
 		}
 		e.slabHeld[slab] = false
 		off := uint64(slab) * platform.PageSize
@@ -476,7 +429,6 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 			// rewrite the bytes, so in-place use is single-fetch-safe.
 			e.sh.RXData.Revoke(off, platform.PageSize)
 			data := e.sh.RXData.Region().Slice(off, int(d.Len))
-			e.rxTail++
 			//ciovet:allow sharedescape slab revoked above: the host can no longer write these pages, so handing out the in-place view is single-fetch-safe until Release reshares
 			return e.newFrameLocked(data, nil, slab), nil
 		}
@@ -486,7 +438,6 @@ func (e *Endpoint) recvSlotLocked() (*RxFrame, error) {
 		e.sh.RXData.Region().ReadAt(buf[:d.Len], off)
 		e.meter.Copy(int(d.Len))
 		e.stageSlabLocked(slab)
-		e.rxTail++
 		return e.newFrameLocked(buf[:d.Len], bp, -1), nil
 	}
 }
@@ -518,27 +469,15 @@ func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 	if err := e.life.DeadOp(); err != nil {
 		return 0, err
 	}
-	avail, err := e.rxAvailLocked()
-	if err != nil {
-		return 0, err
-	}
-	if avail == 0 {
+	n, err := e.rx.Drain(len(out), func(i int, pos uint64) (err error) {
+		out[i], err = e.recvSlotLocked(pos)
+		return err
+	})
+	if n == 0 && err == nil {
 		return 0, ErrRingEmpty
 	}
-	n := 0
-	for n < len(out) && uint64(n) < avail {
-		fr, ferr := e.recvSlotLocked()
-		if ferr != nil {
-			if n > 0 {
-				e.publishRXLocked()
-			}
-			return n, ferr
-		}
-		out[n] = fr
-		n++
-	}
-	e.publishRXLocked()
-	return n, nil
+	e.publishFreeLocked() // the slabs the batch reposted, with one index store
+	return n, err
 }
 
 // ArmRXNotify publishes the guest's receive wake threshold (event
@@ -553,8 +492,7 @@ func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 func (e *Endpoint) ArmRXNotify() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sh.RXUsed.Indexes().StoreEvent(e.rxTail)
-	return e.sh.RXUsed.Indexes().LoadProd() != e.rxTail
+	return e.rx.Arm(nil)
 }
 
 // SuppressRXNotify withdraws the receive wake threshold (event index =
@@ -565,7 +503,7 @@ func (e *Endpoint) ArmRXNotify() bool {
 func (e *Endpoint) SuppressRXNotify() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sh.RXUsed.Indexes().StoreEvent(e.rxTail - 1)
+	e.rx.Suppress()
 }
 
 // ParkRX parks an idle receive poller on the RXUsed producer index:
@@ -578,14 +516,12 @@ func (e *Endpoint) SuppressRXNotify() {
 func (e *Endpoint) ParkRX(wake chan struct{}) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ix := e.sh.RXUsed.Indexes()
-	ix.Park(wake)
-	return e.life.Dead() != nil || ix.LoadProd() != e.rxTail
+	return e.rx.Park(wake) || e.life.Dead() != nil
 }
 
 // UnparkRX withdraws the parked wake while the poller is busy anyway.
 func (e *Endpoint) UnparkRX() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sh.RXUsed.Indexes().Unpark()
+	e.rx.Unpark()
 }

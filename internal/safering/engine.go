@@ -1,6 +1,8 @@
 package safering
 
 import (
+	"errors"
+
 	"confio/internal/platform"
 )
 
@@ -15,12 +17,14 @@ import (
 // publication) is written once and inherited by every device class
 // instead of re-implemented per ring.
 //
-// The engine is the *producer* half only: it stages payloads, publishes
-// them with one index store per batch, and observes the peer's consumer
+// The engine is the *producer* half: it stages payloads, publishes them
+// with one index store per batch, and observes the peer's consumer
 // index to learn when slot ownership returns. What a returned slot
 // means — "transmit buffer consumed, free its slabs" for the NIC,
 // "request completed in place, validate the status word" for the block
 // ring — is the owner's business, expressed through the OnReturn hook.
+// The consumer half beside it is consumer.go's Consumer: every ring has
+// one of each, and both halves validate the index their peer publishes.
 
 // Codec encodes one payload descriptor into its ring slot. Implementors
 // define the slot layout for their device class (the NIC's 16-byte Desc,
@@ -155,6 +159,37 @@ func (g *Engine[D]) ReapIfMoved() (uint64, bool, error) {
 	}
 	cons, err := g.Reap()
 	return cons, err == nil, err
+}
+
+// StageBatch is the producer's batch: it reaps, then calls stage(i) for
+// i = 0 .. n-1 while the ring has room, and publishes the accepted
+// payloads with one index store and at most one doorbell. stage stages
+// one payload (through Stage) or fails: ErrRingFull — the owner's data
+// area is exhausted — ends the batch short; any other error publishes
+// what was accepted and is returned with its count. It returns how many
+// payloads were accepted; (0, ErrRingFull) when none fit.
+//
+//ciovet:locked
+func (g *Engine[D]) StageBatch(n int, stage func(i int) error) (int, error) {
+	cons, err := g.Reap()
+	if err != nil {
+		return 0, err
+	}
+	i := 0
+	for ; i < n && !g.Full(cons); i++ {
+		if err := stage(i); err != nil {
+			if errors.Is(err, ErrRingFull) {
+				break
+			}
+			g.Publish() // the payloads already accepted; a no-op when none
+			return i, err
+		}
+	}
+	if i == 0 {
+		return 0, ErrRingFull
+	}
+	g.Publish()
+	return i, nil
 }
 
 // Stage encodes d into the slot at the private head and parks the

@@ -1,7 +1,6 @@
 package safering
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -29,8 +28,10 @@ type HostPort struct {
 
 	mu sync.Mutex
 
-	txTail     uint64 // consumer position on TX
-	rxFreeTail uint64 // consumer position on RXFree
+	// tx and rxFree consume the guest's TX and RXFree rings: the same
+	// code that consumes the guest's RX ring, unmetered.
+	tx     Consumer //ciovet:guards mu
+	rxFree Consumer //ciovet:guards mu
 	// rx is the producer engine for RXUsed — the same code that drives
 	// the guest's TX ring, unmetered: head/consumer accounting,
 	// backpressure, one index store and at most one (event-idx gated)
@@ -50,6 +51,8 @@ func newHostPort(sh *Shared, life *Life) *HostPort {
 	h := &HostPort{sh: sh, life: life, park: make(chan struct{}, 1)}
 	h.rx = NewEngine[Desc](sh.RXUsed, sh.RXBell, descCodec{}, nil, EngineHooks[Desc]{Fail: h.fail})
 	h.rx.SetEventIdx(sh.Cfg.EventIdx)
+	h.tx = NewConsumer(sh.TX, nil, h.fail)
+	h.rxFree = NewConsumer(sh.RXFree, nil, h.fail)
 	return h
 }
 
@@ -89,37 +92,23 @@ func (h *HostPort) PopBatch(bufs [][]byte, lens []int) (int, error) {
 	if err := h.life.DeadOp(); err != nil {
 		return 0, err
 	}
-	prod := h.sh.TX.Indexes().LoadProd()
-	avail, err := h.sh.TX.checkPeerProd(prod, h.txTail)
-	if err != nil {
-		return 0, h.fail(err)
-	}
-	if avail == 0 {
+	n, err := h.tx.Drain(len(bufs), func(i int, pos uint64) (err error) {
+		lens[i], err = h.gather(pos, bufs[i])
+		return err
+	})
+	if n == 0 && err == nil {
 		return 0, ErrRingEmpty
 	}
-	n := 0
-	for n < len(bufs) && uint64(n) < avail {
-		d := h.sh.TX.ReadDesc(h.txTail) // single snapshot per slot
-		ln, gerr := h.gather(d, bufs[n])
-		if gerr != nil {
-			if n > 0 {
-				h.sh.TX.Indexes().StoreCons(h.txTail)
-			}
-			return n, h.fail(gerr)
-		}
-		lens[n] = ln
-		h.txTail++
-		n++
-	}
-	h.sh.TX.Indexes().StoreCons(h.txTail)
-	return n, nil
+	return n, err
 }
 
-// gather copies the frame named by a (snapshotted) TX descriptor into buf.
-// The kind word must carry the deployment's code at the current epoch: the
-// mutual-distrust mirror of the guest's RX check, so a guest replaying
-// pre-reincarnation descriptors is caught the same way a host would be.
-func (h *HostPort) gather(d Desc, buf []byte) (int, error) {
+// gather copies the frame named by the TX descriptor at pos into buf,
+// snapshotting the descriptor once. The kind word must carry the
+// deployment's code at the current epoch: the mutual-distrust mirror of
+// the guest's RX check, so a guest replaying pre-reincarnation
+// descriptors is caught the same way a host would be.
+func (h *HostPort) gather(pos uint64, buf []byte) (int, error) {
+	d := h.sh.TX.ReadDesc(pos) // single snapshot per slot
 	mode := h.sh.Cfg.Mode
 	if d.Len == 0 || int(d.Len) > h.sh.Cfg.FrameCap() || int(d.Len) > len(buf) {
 		return 0, fmt.Errorf("%w: tx descriptor length %d", ErrProtocol, d.Len)
@@ -129,7 +118,7 @@ func (h *HostPort) gather(d Desc, buf []byte) (int, error) {
 			ErrProtocol, d.Kind, mode, EpochTag(h.sh.Epoch))
 	}
 	if mode == Inline { // FrameCap is the slot's inline capacity
-		h.sh.TX.ReadInline(h.txTail, buf[:d.Len])
+		h.sh.TX.ReadInline(pos, buf[:d.Len])
 		return int(d.Len), nil
 	}
 	ref := d.Ref
@@ -179,34 +168,13 @@ func (h *HostPort) PushBatch(frames [][]byte) (int, error) {
 	if err := h.life.DeadOp(); err != nil {
 		return 0, err
 	}
-	cons, err := h.rx.Reap()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, f := range frames {
-		if h.rx.Full(cons) {
-			break
-		}
-		if err := h.stagePushLocked(f); err != nil {
-			if errors.Is(err, ErrRingFull) { // no free slab posted: partial burst
-				break
-			}
-			h.rx.Publish() // the frames already accepted; a no-op when none
-			return n, err
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, ErrRingFull
-	}
-	h.rx.Publish()
-	return n, nil
+	return h.rx.StageBatch(len(frames), func(i int) error { return h.stagePushLocked(frames[i]) })
 }
 
 // stagePushLocked stages one frame at the RXUsed engine's head without
-// publishing; the engine's Publish makes the staged burst visible with
-// one index store and at most one doorbell ring.
+// publishing, or reports ErrRingFull when the guest posted no free slab;
+// the engine's StageBatch makes the staged burst visible with one index
+// store and at most one doorbell ring.
 //
 //ciovet:locked
 func (h *HostPort) stagePushLocked(frame []byte) error {
@@ -241,12 +209,11 @@ func (h *HostPort) stagePushLocked(frame []byte) error {
 func (h *HostPort) ArmTXNotify() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ix := h.sh.TX.Indexes()
-	ix.StoreEvent(h.txTail)
+	var wake chan struct{}
 	if h.sh.TXBell == nil {
-		ix.Park(h.park)
+		wake = h.park
 	}
-	return ix.LoadProd() != h.txTail
+	return h.tx.Arm(wake)
 }
 
 // SuppressTXNotify withdraws the transmit wake threshold (and the park)
@@ -255,10 +222,9 @@ func (h *HostPort) ArmTXNotify() bool {
 func (h *HostPort) SuppressTXNotify() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ix := h.sh.TX.Indexes()
-	ix.StoreEvent(h.txTail - 1)
+	h.tx.Suppress()
 	if h.sh.TXBell == nil {
-		ix.Unpark()
+		h.tx.Unpark()
 	}
 }
 
@@ -271,23 +237,27 @@ func (h *HostPort) TXWake() <-chan struct{} {
 	return h.park
 }
 
-// popFreeSlab consumes the next guest-posted receive slab.
+// popFreeSlab consumes the next guest-posted receive slab, or reports
+// ErrRingFull when none is posted.
 func (h *HostPort) popFreeSlab() (int, error) {
-	prod := h.sh.RXFree.Indexes().LoadProd()
-	avail, err := h.sh.RXFree.checkPeerProd(prod, h.rxFreeTail)
-	if err != nil {
-		return 0, h.fail(err)
-	}
-	if avail == 0 {
+	slab := 0
+	n, err := h.rxFree.Drain(1, func(_ int, pos uint64) (err error) {
+		slab, err = h.freeSlab(pos)
+		return err
+	})
+	if n == 0 && err == nil {
 		return 0, ErrRingFull
 	}
-	d := h.sh.RXFree.ReadDesc(h.rxFreeTail)
+	return slab, err
+}
+
+// freeSlab reads the free-slab descriptor at pos, once, and returns the
+// slab it posts.
+func (h *HostPort) freeSlab(pos uint64) (int, error) {
+	d := h.sh.RXFree.ReadDesc(pos)
 	if KindCode(d.Kind) != KindShared || KindEpoch(d.Kind) != EpochTag(h.sh.Epoch) {
-		return 0, h.fail(fmt.Errorf("%w: free-slab descriptor kind %#x from wrong incarnation (device epoch %d)",
-			ErrProtocol, d.Kind, EpochTag(h.sh.Epoch)))
+		return 0, fmt.Errorf("%w: free-slab descriptor kind %#x from wrong incarnation (device epoch %d)",
+			ErrProtocol, d.Kind, EpochTag(h.sh.Epoch))
 	}
-	slab := int(d.Ref & uint64(h.sh.Cfg.Slots-1))
-	h.rxFreeTail++
-	h.sh.RXFree.Indexes().StoreCons(h.rxFreeTail)
-	return slab, nil
+	return int(d.Ref & uint64(h.sh.Cfg.Slots-1)), nil
 }

@@ -207,6 +207,9 @@ func TestParkSurvivesRebirth(t *testing.T) {
 	txWake := make(chan struct{}, 1)
 	old.TX.Indexes().ParkCons(txWake)
 
+	// The first park's idle signal, taken now, so that the one awaited
+	// below can only come from the park after frame 1.
+	p.awaitIdle(t)
 	if err := NewHostPort(old).Push(frame(64, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func (e *Endpoint) rebirthLocked() error {
 	// the old arena and vanish with it; their txHandles entries are
 	// overwritten before the fresh engine can return those slots.
 	e.tx.Reset(sh.TX, sh.TXBell)
-	e.rxTail = 0
+	e.rx.Reset(sh.RXUsed)
 	if e.rxFree != nil {
 		e.rxFree.Reset(sh.RXFree, nil)
 	}

@@ -39,13 +39,13 @@ var (
 	CompUDP       = Component{"udp", 45, "UDP"}
 	CompTCP       = Component{"tcp", 1142, "TCP state machine"}
 	CompNetstack  = Component{"netstack", 604, "stack glue + sockets"}
-	CompSafering  = Component{"safering", 1497, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompSafering  = Component{"safering", 1474, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 421, "netvsc driver"}
 	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
 	CompGate      = Component{"compartment", 136, "intra-TEE gate"}
 	CompTDISP     = Component{"tdisp", 304, "TEE-side TDISP/IDE driver"}
-	CompBlkring   = Component{"blkring", 499, "safe block ring on the generic engine"}
+	CompBlkring   = Component{"blkring", 486, "safe block ring on the generic engine"}
 	CompCryptdisk = Component{"cryptdisk", 326, "at-rest AEAD sectors + Merkle freshness"}
 	CompSFS       = Component{"sfs", 325, "extent filesystem"}
 	// CompNIC is the transport-neutral NIC contract, the host pump and
