@@ -175,7 +175,7 @@ const rxSpin = 4
 // idle: nextDeadline walks every connection (TIME-WAIT ones included),
 // so it runs once per period, not once per poll. A timer armed by another
 // goroutine since the last scan is seen within timerScan plus one wait,
-// long before it can fall due: the shortest TCP timer is the 20 ms probe.
+// before it can fall due: the shortest TCP timer is the 5 ms delayed ACK.
 const timerScan = time.Millisecond
 
 // rxLoop is the stack's receive poller: drain every queue, run whichever

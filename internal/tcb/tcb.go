@@ -37,7 +37,7 @@ var (
 	CompARP       = Component{"arp", 88, "ARP + neighbour cache"}
 	CompIPv4      = Component{"ipv4", 236, "IPv4 + frag/reasm"}
 	CompUDP       = Component{"udp", 45, "UDP"}
-	CompTCP       = Component{"tcp", 1142, "TCP state machine"}
+	CompTCP       = Component{"tcp", 1160, "TCP state machine"}
 	CompNetstack  = Component{"netstack", 604, "stack glue + sockets"}
 	CompSafering  = Component{"safering", 1474, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}

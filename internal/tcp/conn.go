@@ -58,6 +58,7 @@ type Conn struct {
 	// Receive state.
 	irs        uint32
 	rcvNxt     uint32
+	rcvAcked   uint32 // the last acknowledgment sent
 	rcvBuf     queue
 	ooo        map[uint32][]byte
 	finRcvd    bool
@@ -73,6 +74,7 @@ type Conn struct {
 	retries     int
 	dupAcks     int
 	probeAt     time.Time
+	ackDue      time.Time // an acknowledgment is owed by then (zero: none)
 	timeWaitAt  time.Time
 
 	connErr     error
@@ -120,7 +122,8 @@ func (c *Conn) advWndLocked() uint16 {
 }
 
 // sendSegLocked emits one segment with the connection's current ack and
-// window, carrying n bytes of the send buffer from offset off.
+// window, carrying n bytes of the send buffer from offset off. A segment
+// with ACK set pays whatever acknowledgment is owed.
 func (c *Conn) sendSegLocked(flags uint8, seq uint32, off, n int, mss uint16) {
 	h := Header{
 		SrcPort: c.key.lport, DstPort: c.key.rport,
@@ -128,6 +131,7 @@ func (c *Conn) sendSegLocked(flags uint8, seq uint32, off, n int, mss uint16) {
 	}
 	if flags&FlagACK != 0 {
 		h.Ack = c.rcvNxt
+		c.rcvAcked, c.ackDue = c.rcvNxt, time.Time{}
 	}
 	c.ep.emit(c.key.rip, h, &c.sndBuf, off, n)
 }
@@ -143,6 +147,17 @@ func (c *Conn) sendSynLocked() {
 
 func (c *Conn) sendAckLocked() {
 	c.sendSegLocked(FlagACK, c.sndNxt, 0, 0, 0)
+}
+
+// ackLocked acknowledges in-order data (RFC 1122 §4.2.3.2): at once when
+// now is set or 2·MSS is unacknowledged, otherwise on the next segment
+// out or when ackDue passes, whichever comes first.
+func (c *Conn) ackLocked(now bool) {
+	if now || c.rcvNxt-c.rcvAcked >= 2*uint32(c.mss) {
+		c.sendAckLocked()
+	} else if c.ackDue.IsZero() {
+		c.ackDue = c.ep.now().Add(ackDelay)
+	}
 }
 
 func (c *Conn) armRtxLocked() {
@@ -353,9 +368,13 @@ func (c *Conn) processDataLocked(h Header, payload []byte) {
 	if len(seg) == 0 && !hasFin {
 		return
 	}
+	// A retransmission, a gap filled (RFC 5681 §4.2), a FIN or data
+	// beyond the window is acknowledged at once.
+	ackNow := hasFin || len(c.ooo) > 0
 
 	// Trim anything already received.
 	if seqLT(seq, c.rcvNxt) {
+		ackNow = true
 		skip := c.rcvNxt - seq
 		if uint32(len(seg)) <= skip {
 			if !(hasFin && seq+uint32(len(seg)) == c.rcvNxt) {
@@ -387,6 +406,7 @@ func (c *Conn) processDataLocked(h Header, payload []byte) {
 		n := c.rcvBuf.write(seg, rcvBufMax)
 		if n < len(seg) {
 			hasFin = false // beyond advertised window: excess dropped
+			ackNow = true
 		}
 		c.rcvNxt += uint32(n)
 		c.drainOOOLocked()
@@ -408,7 +428,7 @@ func (c *Conn) processDataLocked(h Header, payload []byte) {
 			c.enterTimeWaitLocked()
 		}
 	}
-	c.sendAckLocked()
+	c.ackLocked(ackNow)
 	c.notifyAllLocked()
 }
 
@@ -576,6 +596,10 @@ func (c *Conn) tickLocked(now time.Time) {
 			c.probeAt = time.Time{}
 			c.trySendLocked()
 		}
+	}
+
+	if !c.ackDue.IsZero() && now.After(c.ackDue) {
+		c.sendAckLocked()
 	}
 }
 

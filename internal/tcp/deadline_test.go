@@ -12,8 +12,8 @@ func TestNextDeadlinePerTimerKind(t *testing.T) {
 	t0 := time.Unix(1_700_000_000, 0)
 	at := func(d time.Duration) time.Time { return t0.Add(d) }
 	type timers struct {
-		state               State
-		rtx, probe, timeWat time.Duration // 0: not armed
+		state                    State
+		rtx, probe, ack, timeWat time.Duration // 0: not armed
 	}
 	cases := []struct {
 		name  string
@@ -25,11 +25,14 @@ func TestNextDeadlinePerTimerKind(t *testing.T) {
 		{"retransmission", []timers{{state: StateEstablished, rtx: 50 * time.Millisecond}}, 50 * time.Millisecond},
 		{"syn retransmission", []timers{{state: StateSynSent, rtx: 50 * time.Millisecond}}, 50 * time.Millisecond},
 		{"zero-window probe", []timers{{state: StateEstablished, probe: 20 * time.Millisecond}}, 20 * time.Millisecond},
+		{"ack due", []timers{{state: StateEstablished, ack: ackDelay}}, ackDelay},
+		{"ack due before retransmission", []timers{{state: StateFinWait2, rtx: 50 * time.Millisecond, ack: ackDelay}}, ackDelay},
 		{"probe before retransmission", []timers{{state: StateEstablished, rtx: 50 * time.Millisecond, probe: 20 * time.Millisecond}}, 20 * time.Millisecond},
 		{"time-wait expiry", []timers{{state: StateTimeWait, timeWat: 250 * time.Millisecond}}, 250 * time.Millisecond},
 		{"time-wait ignores a stale retransmission timer", []timers{{state: StateTimeWait, rtx: time.Millisecond, timeWat: 250 * time.Millisecond}}, 250 * time.Millisecond},
+		{"time-wait ignores an ack due", []timers{{state: StateTimeWait, ack: time.Millisecond, timeWat: 250 * time.Millisecond}}, 250 * time.Millisecond},
 		{"time-wait timer ignored outside time-wait", []timers{{state: StateFinWait2, timeWat: time.Millisecond}}, 0},
-		{"closed connection ignored", []timers{{state: StateClosed, rtx: time.Millisecond, probe: time.Millisecond, timeWat: time.Millisecond}}, 0},
+		{"closed connection ignored", []timers{{state: StateClosed, rtx: time.Millisecond, probe: time.Millisecond, ack: time.Millisecond, timeWat: time.Millisecond}}, 0},
 		{"minimum over connections", []timers{
 			{state: StateEstablished, rtx: 80 * time.Millisecond},
 			{state: StateTimeWait, timeWat: 30 * time.Millisecond},
@@ -47,6 +50,9 @@ func TestNextDeadlinePerTimerKind(t *testing.T) {
 				}
 				if tm.probe != 0 {
 					c.probeAt = at(tm.probe)
+				}
+				if tm.ack != 0 {
+					c.ackDue = at(tm.ack)
 				}
 				if tm.timeWat != 0 {
 					c.timeWaitAt = at(tm.timeWat)

@@ -17,6 +17,7 @@ const (
 	sndBufMax   = 256 << 10
 	rcvBufMax   = 256 << 10
 	rtoInitial  = 50 * time.Millisecond
+	ackDelay    = 5 * time.Millisecond // above netstack's timer scan, a tenth of rtoInitial
 	rtoMax      = 2 * time.Second
 	maxRetries  = 10
 	timeWaitDur = 250 * time.Millisecond
@@ -259,10 +260,11 @@ func (e *Endpoint) sendRSTLocked(dst ipv4.Addr, h Header, payloadLen int) {
 }
 
 // NextDeadline returns the earliest instant at which Tick has work: the
-// minimum over live connections of the retransmission, zero-window-probe
-// and TIME-WAIT timers, mirroring which of them tickLocked honours in
-// each state. Zero means no timer is armed; the owning stack sleeps
-// until then (or its next frame) instead of ticking on a fixed period.
+// minimum over live connections of the retransmission, zero-window-probe,
+// delayed-ACK and TIME-WAIT timers, mirroring which of them tickLocked
+// honours in each state. Zero means no timer is armed; the owning stack
+// sleeps until then (or its next frame) instead of ticking on a fixed
+// period.
 func (e *Endpoint) NextDeadline() time.Time {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -280,13 +282,15 @@ func (e *Endpoint) NextDeadline() time.Time {
 		default:
 			earlier(c.rtxDeadline)
 			earlier(c.probeAt)
+			earlier(c.ackDue)
 		}
 	}
 	return next
 }
 
-// Tick advances timers (retransmission, zero-window probes, TIME-WAIT
-// expiry). The stack calls it once NextDeadline has passed.
+// Tick advances timers (retransmission, zero-window probes, delayed
+// ACKs, TIME-WAIT expiry). The stack calls it once NextDeadline has
+// passed.
 func (e *Endpoint) Tick() {
 	e.mu.Lock()
 	now := e.now()
