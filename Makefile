@@ -4,9 +4,10 @@ GO ?= go
 # cross-goroutine shared state (TCP's connections, which the stack's loop,
 # its driven waiters and the application all write; rings, slab pools, the
 # core datapath, and the storage stack, whose TEE-held Merkle frontier
-# host goroutines and per-tenant volumes reach concurrently, and the TDISP
-# device, whose firmware loop and TEE side share the link).
-RACE_PKGS := ./internal/tcp ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio ./internal/tdisp
+# host goroutines and per-tenant volumes reach concurrently, the TDISP
+# device, whose firmware loop and TEE side share the link, and the L5
+# gated connection, whose Close races a Read blocked below the gate).
+RACE_PKGS := ./internal/compartment ./internal/tcp ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio ./internal/tdisp
 
 .PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-smoke bench-pairs chaos race-pump dead check
 

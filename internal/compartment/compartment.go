@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"confio/internal/platform"
 )
@@ -110,8 +111,7 @@ type Gate struct {
 	io    *Domain
 	meter *platform.Meter
 
-	mu        sync.Mutex
-	crossings uint64
+	crossings atomic.Uint64
 }
 
 // NewGate builds a gate between the application and I/O domains.
@@ -120,16 +120,10 @@ func NewGate(app, io *Domain, meter *platform.Meter) *Gate {
 }
 
 // Crossings returns the number of domain switches performed.
-func (g *Gate) Crossings() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.crossings
-}
+func (g *Gate) Crossings() uint64 { return g.crossings.Load() }
 
 func (g *Gate) cross(n int) {
-	g.mu.Lock()
-	g.crossings += uint64(n)
-	g.mu.Unlock()
+	g.crossings.Add(uint64(n))
 	g.meter.CrossGate(n)
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"confio/internal/compartment"
 	"confio/internal/observe"
 	"confio/internal/platform"
 	"confio/internal/tcb"
@@ -380,50 +379,32 @@ func TestCloseCollectsServeGoroutines(t *testing.T) {
 	}
 }
 
-// TestGateConnKeepsOneTxBuffer: a dual-boundary connection allocates its
-// I/O-domain transmit buffer on the first Write, keeps it — replaced only
-// by a larger one when a larger Write comes — at the same four gate
-// crossings per Write (buffer round trip + submit), and returns it, with
-// the receive buffer, on Close.
-func TestGateConnKeepsOneTxBuffer(t *testing.T) {
+// TestGatedEchoCrossesSixTimes: on the dual-boundary client an echo
+// costs six gate crossings — four to send the request (the transmit
+// buffer's round trip and the submit) and two to receive the reply,
+// whose record arrives in one delivery and is read, header and body,
+// from one Rx.
+func TestGatedEchoCrossesSixTimes(t *testing.T) {
 	w, err := NewWorld(DualBoundary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	c, err := w.client.stack.Dial(serverIP, appPort, 5*time.Second)
+	conn, err := w.DialApp()
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, ioDom := compartment.NewDomain("app", nil), compartment.NewDomain("io", nil)
-	gate := compartment.NewGate(app, ioDom, nil)
-	g := newGateConn(c, gate, app)
-	if got := ioDom.AllocatedBytes(); got != 0 {
-		t.Fatalf("I/O domain holds %d bytes before the first Write: the buffer must not be allocated at connect", got)
-	}
-	var seen [][]byte
-	g.compromised = func(p []byte) { seen = append(seen, append([]byte(nil), p...)) }
-	largest := 0
-	for i, msg := range []string{"first", "second, longer than the first", "3"} {
-		largest = max(largest, len(msg))
-		before := gate.Crossings()
-		if _, err := g.Write([]byte(msg)); err != nil {
-			t.Fatal(err)
-		}
-		if got := gate.Crossings() - before; got != 4 {
-			t.Fatalf("write %d took %d gate crossings, want 4", i, got)
-		}
-		if got := ioDom.AllocatedBytes(); got != largest {
-			t.Fatalf("after write %d the I/O domain holds %d bytes, want one %d-byte buffer", i, got, largest)
-		}
-		if string(seen[i]) != msg {
-			t.Fatalf("write %d handed the I/O stack %q, want %q", i, seen[i], msg)
-		}
-	}
-	if err := g.Close(); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write([]byte{opEcho}); err != nil {
 		t.Fatal(err)
 	}
-	if app.AllocatedBytes() != 0 || ioDom.AllocatedBytes() != 0 {
-		t.Fatalf("after Close: app holds %d bytes, I/O holds %d, want 0 and 0", app.AllocatedBytes(), ioDom.AllocatedBytes())
+	for i := 0; i < 5; i++ {
+		before := w.client.gate.Crossings()
+		if _, err := workload.EchoClient(conn, 1, 256); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.client.gate.Crossings() - before; got != 6 {
+			t.Fatalf("echo %d cost the client %d gate crossings, want 6", i, got)
+		}
 	}
 }

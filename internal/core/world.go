@@ -282,9 +282,11 @@ func (w *World) wrap(n *node, c *tcp.Conn) io.ReadWriteCloser {
 	case HostSocket:
 		return newShimConn(c, w.Meter, w.Obs)
 	case DualBoundary:
-		gc := newGateConn(c, n.gate, n.app)
-		gc.compromised = n.compromise
-		return gc
+		var rw io.ReadWriteCloser = c
+		if n.compromise != nil {
+			rw = breachedConn{c, n.compromise}
+		}
+		return compartment.NewConn(rw, n.gate, n.app)
 	default:
 		return c
 	}

@@ -387,13 +387,15 @@ func (c *Conn) Read(p []byte) (int, error) {
 }
 
 // Close sends an authenticated close record (so truncation is
-// detectable) and marks the connection dead.
+// detectable), marks the connection dead and closes the transport. A
+// connection already dead — the peer closed, or a record failed —
+// sends nothing but still closes its transport.
 func (c *Conn) Close() error {
-	if c.dead != nil {
-		return nil
+	var err error
+	if c.dead == nil {
+		err = c.writeRecord(recClose, nil)
+		c.dead = ErrClosed
 	}
-	err := c.writeRecord(recClose, nil)
-	c.dead = ErrClosed
 	if closer, ok := c.rw.(io.Closer); ok {
 		closer.Close()
 	}

@@ -249,6 +249,34 @@ func TestCloseNotify(t *testing.T) {
 	}
 }
 
+// closeCounter counts the Close calls that reach a transport.
+type closeCounter struct {
+	io.ReadWriter
+	closes int
+}
+
+func (c *closeCounter) Close() error { c.closes++; return nil }
+
+// TestCloseOfADeadConnClosesTransport: a connection the peer's close
+// record ended still owns its transport, and Close closes it.
+func TestCloseOfADeadConnClosesTransport(t *testing.T) {
+	cli, srv := connect(t)
+	tr := &closeCounter{ReadWriter: srv.rw}
+	srv.rw = tr
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Read(make([]byte, 4)); err != io.EOF {
+		t.Fatalf("want clean EOF, got %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close of a dead conn: %v", err)
+	}
+	if tr.closes != 1 {
+		t.Fatalf("close of a dead conn reached its transport %d times, want 1", tr.closes)
+	}
+}
+
 func TestTruncationDetected(t *testing.T) {
 	cli, srv := connect(t)
 	// The attacker closes the transport without a close record.

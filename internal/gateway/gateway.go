@@ -136,6 +136,7 @@ func New(cfg Config) (*Gateway, error) {
 			psk:      TenantKey(cfg.Master, id),
 			meter:    m,
 			app:      app,
+			io:       ioDom,
 			gate:     compartment.NewGate(app, ioDom, m),
 			faults:   safering.NewQuarantine(tp),
 			hsFaults: safering.NewQuarantine(hp),
@@ -196,7 +197,7 @@ func (g *Gateway) handleConn(c *tcp.Conn) {
 
 	// Terminate ctls inside the tenant's own compartment: the record
 	// layer sees the shared I/O stack only through the tenant's gate.
-	gc := newGateFlowConn(c, t.gate, t.app)
+	gc := compartment.NewConn(c, t.gate, t.app)
 	sec, err := ctls.Server(gc, t.psk, t.meter)
 	if err != nil {
 		// Unauthenticated failure: backoff on the *claimed* id only —
@@ -361,71 +362,4 @@ func (g *Gateway) Close() {
 		}
 	}
 	g.serving.Wait()
-}
-
-// gateFlowConn mediates a flow's transport through the tenant's gate
-// with the trusted-component-allocates policy (the same L5 idiom as the
-// dual-boundary design): the tenant's domain allocates in the I/O
-// domain for sends and provides the receive buffer, so the shared I/O
-// stack never holds a pointer into any tenant's domain.
-type gateFlowConn struct {
-	c     *tcp.Conn
-	gate  *compartment.Gate
-	app   *compartment.Domain
-	rxBuf *compartment.Buffer
-}
-
-const gateFlowBufSize = 64 << 10
-
-func newGateFlowConn(c *tcp.Conn, gate *compartment.Gate, app *compartment.Domain) *gateFlowConn {
-	return &gateFlowConn{c: c, gate: gate, app: app, rxBuf: app.Alloc(gateFlowBufSize)}
-}
-
-func (g *gateFlowConn) Write(p []byte) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > gateFlowBufSize {
-			n = gateFlowBufSize
-		}
-		b := g.gate.AllocTx(n)
-		if err := g.gate.FillTx(b, p[:n]); err != nil {
-			b.Free()
-			return total, err
-		}
-		err := g.gate.SubmitTx(b, func(payload []byte) error {
-			_, werr := g.c.Write(payload[:n])
-			return werr
-		})
-		b.Free()
-		if err != nil {
-			return total, err
-		}
-		total += n
-		p = p[n:]
-	}
-	return total, nil
-}
-
-func (g *gateFlowConn) Read(p []byte) (int, error) {
-	want := len(p)
-	if want > gateFlowBufSize {
-		want = gateFlowBufSize
-	}
-	n, err := g.gate.Rx(g.rxBuf, func(into []byte) (int, error) {
-		return g.c.Read(into[:want])
-	})
-	if n > 0 {
-		data, aerr := g.rxBuf.Access(g.app)
-		if aerr != nil {
-			return 0, aerr
-		}
-		copy(p, data[:n])
-	}
-	return n, err
-}
-
-func (g *gateFlowConn) Close() error {
-	defer g.rxBuf.Free()
-	return g.gate.Call(func(*compartment.Domain) error { return g.c.Close() })
 }

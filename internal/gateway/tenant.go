@@ -140,11 +140,12 @@ type tenant struct {
 	psk   []byte
 	meter *platform.Meter // this tenant's slice of the TenantBank
 
-	// app/gate are the tenant's own compartment pair: flows terminate
+	// app/io/gate are the tenant's own compartment pair: flows terminate
 	// ctls inside the tenant's domain and reach the shared I/O stack
 	// only through the tenant's gate (trusted-component-allocates), so
 	// no neighbor's buffer is ever reachable from this tenant's path.
 	app  *compartment.Domain
+	io   *compartment.Domain
 	gate *compartment.Gate
 
 	mu sync.Mutex

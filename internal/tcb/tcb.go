@@ -43,7 +43,7 @@ var (
 	CompVirtio    = Component{"virtio", 655, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 421, "netvsc driver"}
 	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
-	CompGate      = Component{"compartment", 136, "intra-TEE gate"}
+	CompGate      = Component{"compartment", 223, "intra-TEE gate + L5 gated connection"}
 	CompTDISP     = Component{"tdisp", 304, "TEE-side TDISP/IDE driver"}
 	CompBlkring   = Component{"blkring", 486, "safe block ring on the generic engine"}
 	CompCryptdisk = Component{"cryptdisk", 326, "at-rest AEAD sectors + Merkle freshness"}
