@@ -7,7 +7,7 @@ GO ?= go
 # host goroutines and per-tenant volumes reach concurrently, the TDISP
 # device, whose firmware loop and TEE side share the link, and the L5
 # gated connection, whose Close races a Read blocked below the gate).
-RACE_PKGS := ./internal/compartment ./internal/tcp ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio ./internal/tdisp
+RACE_PKGS := ./internal/compartment ./internal/tcp ./internal/safering ./internal/shmem ./internal/core ./internal/nic ./internal/chaos ./internal/blkring ./internal/platform ./internal/gateway ./internal/simnet ./internal/netstack ./internal/cryptdisk ./internal/stio ./internal/tdisp ./internal/virtio ./internal/netvsc
 
 .PHONY: all build test race vet ciovet vet-update-baseline fuzz fmt bench bench-smoke bench-pairs chaos race-pump dead check
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"confio/internal/netvsc"
+	"confio/internal/nic"
 	"confio/internal/platform"
 	"confio/internal/safering"
 	"confio/internal/virtio"
@@ -328,20 +329,9 @@ func BenchmarkRevocationCrossover(b *testing.B) {
 
 // --- §2.5: what each retrofit costs (transport-level, no stack) ---
 
-// legacyGuest and legacyHost are the two halves of a legacy transport,
-// virtio or netvsc; F is its receive frame.
-type legacyGuest[F interface{ Release() }] interface {
-	Send([]byte) error
-	Recv() (F, error)
-}
-
-type legacyHost interface {
-	Pop([]byte) (int, error)
-	Push([]byte) error
-}
-
-// benchLegacy times one 1400 B TX+RX round through a bare transport.
-func benchLegacy[F interface{ Release() }](b *testing.B, g legacyGuest[F], h legacyHost, m *platform.Meter) {
+// benchLegacy times one 1400 B TX+RX round through a bare legacy
+// transport, virtio or netvsc.
+func benchLegacy(b *testing.B, g nic.Guest, h nic.Host, m *platform.Meter) {
 	buf := make([]byte, 2048)
 	payload := make([]byte, 1400)
 	before := m.Snapshot()
@@ -387,7 +377,7 @@ func BenchmarkHardeningCost(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchLegacy[*virtio.RxFrame](b, d, dv, &m)
+			benchLegacy(b, d, dv, &m)
 		})
 	}
 	for _, v := range []struct {
@@ -406,7 +396,7 @@ func BenchmarkHardeningCost(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchLegacy[*netvsc.RxFrame](b, d, host, &m)
+			benchLegacy(b, d, host, &m)
 		})
 	}
 }

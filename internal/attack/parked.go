@@ -81,7 +81,7 @@ func (p *parkedStack) arpRoundTrip() error {
 	for time.Now().Before(deadline) {
 		for _, hp := range p.hps {
 			n, err := hp.Pop(p.buf)
-			if errors.Is(err, safering.ErrRingEmpty) {
+			if errors.Is(err, nic.ErrEmpty) {
 				continue
 			}
 			if err != nil {

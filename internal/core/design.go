@@ -147,9 +147,9 @@ func TCBOf(id DesignID) (core, teeTotal tcb.Profile) {
 			[]tcb.Component{tcb.CompSafering, compTunnel, tcb.CompCTLS})
 		return p, p
 	case DualBoundary:
-		core := prof(string(id)+"-core", appCore, []tcb.Component{tcb.CompGate})
+		core := prof(string(id)+"-core", appCore, []tcb.Component{tcb.CompGate, tcb.CompGateConn})
 		total := prof(string(id)+"-tee", appCore,
-			[]tcb.Component{tcb.CompGate, tcb.CompSafering}, stackComponents)
+			[]tcb.Component{tcb.CompGate, tcb.CompGateConn, tcb.CompSafering}, stackComponents)
 		return core, total
 	case DirectDevice:
 		// The attested device's firmware joins the trust boundary — the

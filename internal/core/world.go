@@ -63,9 +63,6 @@ type node struct {
 	gate       *compartment.Gate
 	app        *compartment.Domain
 	compromise func([]byte)
-	// transport exposes the underlying guest endpoint for the attack
-	// harness (type depends on the design).
-	transport any
 }
 
 // NewWorld assembles a single-queue design point. Callers must Close it.
@@ -172,7 +169,6 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 			mpump := nic.StartMultiPump(mhp.HostNICs(), w.Net.NewPort())
 			w.closers = append(w.closers, mpump.Stop)
 			wd = safering.WatchDevice(safering.DefaultWatchdogConfig(), mep)
-			n.transport = mep
 		} else {
 			ep, err := safering.New(cfg, guestMeter)
 			if err != nil {
@@ -180,7 +176,6 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 			}
 			guest, host = ep.NIC(), safering.NewHostPort(ep.Shared()).NIC()
 			wd = safering.NewWatchdog(safering.DefaultWatchdogConfig(), ep)
-			n.transport = ep
 		}
 		wd.Start()
 		w.closers = append(w.closers, wd.Stop)
@@ -196,7 +191,6 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 			return nil, err
 		}
 		guest, host = d.NIC(), dv.NIC()
-		n.transport = d
 
 	case L2Netvsc, L2NetvscHardened:
 		cfg := netvsc.DefaultConfig()
@@ -209,7 +203,6 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 			return nil, err
 		}
 		guest, host = d.NIC(), h.NIC()
-		n.transport = d
 
 	case DirectDevice:
 		// §3.4: the NIC itself is attested and sits on the wire; the
@@ -237,7 +230,6 @@ func (w *World) buildNode(ip ipv4.Addr, macLast byte) (*node, error) {
 		n.stack = netstack.New(g, ip)
 		n.stack.Start()
 		w.closers = append(w.closers, n.stack.Close)
-		n.transport = g
 		return n, nil
 	}
 
@@ -486,13 +478,6 @@ func (w *World) Observability() observe.Report { return w.Obs.Report() }
 func (w *World) TCB() (core, teeTotal tcb.Profile) {
 	return TCBOf(w.ID)
 }
-
-// ClientTransport exposes the client's guest transport endpoint (the
-// attack harness reaches through it to play the malicious host).
-func (w *World) ClientTransport() any { return w.client.transport }
-
-// ServerTransport exposes the server's guest transport endpoint.
-func (w *World) ServerTransport() any { return w.server.transport }
 
 // Close tears the world down.
 func (w *World) Close() {

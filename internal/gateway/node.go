@@ -189,9 +189,6 @@ func (t *tenantConn) Close() error {
 // attack harness reaches through it to play the malicious host).
 func (n *Node) GatewayTransport() *safering.MultiEndpoint { return n.gwMep }
 
-// GatewayStack exposes the gateway-side netstack (degradation checks).
-func (n *Node) GatewayStack() *netstack.Stack { return n.gwStack }
-
 // Close tears the deployment down.
 func (n *Node) Close() {
 	for i := len(n.closers) - 1; i >= 0; i-- {

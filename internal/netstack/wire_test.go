@@ -9,6 +9,7 @@ import (
 	"confio/internal/arp"
 	"confio/internal/ether"
 	"confio/internal/ipv4"
+	"confio/internal/nic"
 	"confio/internal/safering"
 	"confio/internal/tcp"
 	"confio/internal/udp"
@@ -94,7 +95,7 @@ func pop(t *testing.T, hp *safering.HostPort) []byte {
 	buf := make([]byte, safering.DefaultConfig().FrameCap())
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		n, err := hp.Pop(buf)
-		if errors.Is(err, safering.ErrRingEmpty) {
+		if errors.Is(err, nic.ErrEmpty) {
 			time.Sleep(50 * time.Microsecond)
 			continue
 		}

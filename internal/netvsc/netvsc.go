@@ -79,15 +79,10 @@ func DefaultConfig() Config {
 // ErrConfig reports an invalid configuration.
 var ErrConfig = errors.New("netvsc: invalid config")
 
-// ErrFull means the outbound ring has no room.
-var ErrFull = errors.New("netvsc: ring full")
-
-// ErrEmpty means no inbound message is pending.
-var ErrEmpty = errors.New("netvsc: ring empty")
-
 // ErrChannel is a fatal channel inconsistency detected by a hardened
-// driver.
-var ErrChannel = errors.New("netvsc: channel inconsistency")
+// driver. It matches nic.ErrClosed. A ring with no room is nic.ErrFull
+// and one with no message pending nic.ErrEmpty.
+var ErrChannel = nic.Fatal("netvsc: channel inconsistency", nic.ErrClosed)
 
 // Validate checks structural requirements.
 func (c Config) Validate() error {
@@ -214,6 +209,11 @@ func New(cfg Config, meter *platform.Meter) (*Driver, *Host, error) {
 // Channel exposes the shared channel state.
 func (d *Driver) Channel() *Channel { return d.ch }
 
+// NIC returns the driver, its own nic.Guest with its MAC and MTU.
+func (d *Driver) NIC() nic.Guest { return d }
+func (d *Driver) MAC() [6]byte   { return d.cfg.MAC }
+func (d *Driver) MTU() int       { return d.cfg.MTU }
+
 // Stats returns the trust accounting counters.
 func (d *Driver) Stats() Stats {
 	d.mu.Lock()
@@ -246,7 +246,7 @@ func (d *Driver) Send(frame []byte) error {
 		return d.dead
 	}
 	if d.inflight >= d.cfg.MaxInflight {
-		return ErrFull
+		return nic.ErrFull
 	}
 	if d.cfg.Hardening.MemInit {
 		d.scrubConsumedLocked()
@@ -254,7 +254,7 @@ func (d *Driver) Send(frame []byte) error {
 	xact := d.nextXact
 	slot := xact & uint64(d.cfg.MaxInflight-1)
 	if d.pending[slot] {
-		return ErrFull // wrapped onto an unacknowledged send
+		return nic.ErrFull // wrapped onto an unacknowledged send
 	}
 
 	payload := frame
@@ -267,7 +267,7 @@ func (d *Driver) Send(frame []byte) error {
 	}
 	newProd, ok := d.ch.Out.writeMsg(d.outProd, MsgData, xact, payload)
 	if !ok {
-		return ErrFull
+		return nic.ErrFull
 	}
 	d.meter.Copy(len(frame))
 	d.outProd = newProd
@@ -332,7 +332,7 @@ func (f *RxFrame) Release() {
 // Recv processes the next inbound message. Completion messages are
 // handled internally (and may surface a fatal error); data messages are
 // returned to the caller.
-func (d *Driver) Recv() (*RxFrame, error) {
+func (d *Driver) Recv() (nic.Frame, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Bound the messages drained per call: a forged producer offset in
@@ -348,7 +348,7 @@ func (d *Driver) Recv() (*RxFrame, error) {
 		prod := d.ch.In.prod.Load()
 		d.meter.Check(1)
 		if prod == d.inCons {
-			return nil, ErrEmpty
+			return nil, nic.ErrEmpty
 		}
 		if prod-d.inCons > uint64(d.cfg.RingBytes) {
 			if d.cfg.Hardening.Checks {
@@ -430,7 +430,7 @@ func (d *Driver) Recv() (*RxFrame, error) {
 			continue // legacy: silently skip unknown messages
 		}
 	}
-	return nil, ErrEmpty // drain budget exhausted; caller polls again
+	return nil, nic.ErrEmpty // drain budget exhausted; caller polls again
 }
 
 // handleComplete retires a pending send named by a host transaction id —
@@ -471,13 +471,19 @@ type Host struct {
 	outCons uint64
 }
 
+// NIC returns the host endpoint, which is its own nic.Host.
+func (h *Host) NIC() nic.Host { return h }
+
+// FrameCap implements nic.Host.
+func (h *Host) FrameCap() int { return h.cfg.maxPayload() }
+
 // Pop dequeues the next guest frame into buf and acknowledges it.
 func (h *Host) Pop(buf []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	prod := h.ch.Out.prod.Load()
 	if prod == h.outCons {
-		return 0, ErrEmpty
+		return 0, nic.ErrEmpty
 	}
 	base := h.outCons
 	typ := h.ch.Out.mem.U32(base)
@@ -493,7 +499,7 @@ func (h *Host) Pop(buf []byte) (int, error) {
 	// Acknowledge with a completion message on the inbound ring.
 	newProd, ok := h.ch.In.writeMsg(h.inProd, MsgComplete, xact, nil)
 	if !ok {
-		return 0, ErrFull
+		return 0, nic.ErrFull
 	}
 	h.inProd = newProd
 	h.ch.In.prod.Store(newProd)
@@ -511,7 +517,7 @@ func (h *Host) Push(frame []byte) error {
 	defer h.mu.Unlock()
 	newProd, ok := h.ch.In.writeMsg(h.inProd, MsgData, 0, frame)
 	if !ok {
-		return ErrFull
+		return nic.ErrFull
 	}
 	h.inProd = newProd
 	h.ch.In.prod.Store(newProd)
@@ -519,63 +525,3 @@ func (h *Host) Push(frame []byte) error {
 	h.meter.CrossTEE(1)
 	return nil
 }
-
-// --- nic adapters ---
-
-type guestNIC struct{ d *Driver }
-
-// NIC returns the driver's nic.Guest view.
-func (d *Driver) NIC() nic.Guest { return guestNIC{d} }
-
-func (g guestNIC) Send(frame []byte) error {
-	switch err := g.d.Send(frame); {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrFull):
-		return nic.ErrFull
-	case errors.Is(err, ErrChannel):
-		return nic.ErrClosed
-	default:
-		return err
-	}
-}
-
-func (g guestNIC) Recv() (nic.Frame, error) {
-	f, err := g.d.Recv()
-	switch {
-	case err == nil:
-		return f, nil
-	case errors.Is(err, ErrEmpty):
-		return nil, nic.ErrEmpty
-	case errors.Is(err, ErrChannel):
-		return nil, nic.ErrClosed
-	default:
-		return nil, err
-	}
-}
-
-func (g guestNIC) MAC() [6]byte { return g.d.cfg.MAC }
-func (g guestNIC) MTU() int     { return g.d.cfg.MTU }
-
-type hostNIC struct{ h *Host }
-
-// NIC returns the host endpoint's nic.Host view.
-func (h *Host) NIC() nic.Host { return hostNIC{h} }
-
-func (n hostNIC) Pop(buf []byte) (int, error) {
-	c, err := n.h.Pop(buf)
-	if errors.Is(err, ErrEmpty) {
-		return 0, nic.ErrEmpty
-	}
-	return c, err
-}
-
-func (n hostNIC) Push(frame []byte) error {
-	err := n.h.Push(frame)
-	if errors.Is(err, ErrFull) {
-		return nic.ErrFull
-	}
-	return err
-}
-
-func (n hostNIC) FrameCap() int { return n.h.cfg.maxPayload() }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 )
 
@@ -62,7 +63,7 @@ func TestSendPopRoundTripWithWrap(t *testing.T) {
 				t.Fatalf("%+v frame %d corrupted", h, i)
 			}
 			// Drain the completion so inflight doesn't saturate.
-			if _, err := d.Recv(); !errors.Is(err, ErrEmpty) {
+			if _, err := d.Recv(); !errors.Is(err, nic.ErrEmpty) {
 				t.Fatalf("%+v completion drain: %v", h, err)
 			}
 		}
@@ -101,8 +102,8 @@ func TestInflightBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Send(mkFrame(64, 1)); !errors.Is(err, ErrFull) {
-		t.Fatalf("want ErrFull, got %v", err)
+	if err := d.Send(mkFrame(64, 1)); !errors.Is(err, nic.ErrFull) {
+		t.Fatalf("want nic.ErrFull, got %v", err)
 	}
 }
 
@@ -117,7 +118,7 @@ func TestRingFullBackpressure(t *testing.T) {
 	var sent int
 	for i := 0; i < 100; i++ {
 		if err := d.Send(mkFrame(1400, 1)); err != nil {
-			if !errors.Is(err, ErrFull) {
+			if !errors.Is(err, nic.ErrFull) {
 				t.Fatal(err)
 			}
 			break
@@ -214,7 +215,7 @@ func TestForgedCompletionXact(t *testing.T) {
 		t.Fatal("write completion")
 	}
 	in.ForgeInProd(newProd)
-	if _, err := d.Recv(); !errors.Is(err, ErrEmpty) {
+	if _, err := d.Recv(); !errors.Is(err, nic.ErrEmpty) {
 		t.Fatalf("recv: %v", err)
 	}
 	if d.Stats().TrustedUnchecked == 0 {
@@ -232,7 +233,7 @@ func TestForgedCompletionXact(t *testing.T) {
 		t.Fatal("write completion")
 	}
 	inh.ForgeInProd(newProd)
-	if _, err := dh.Recv(); !errors.Is(err, ErrEmpty) {
+	if _, err := dh.Recv(); !errors.Is(err, nic.ErrEmpty) {
 		t.Fatalf("recv: %v", err)
 	}
 	st := dh.Stats()
@@ -249,7 +250,7 @@ func TestUnknownMessageType(t *testing.T) {
 	ch := d.Channel()
 	newProd, _ := ch.In.writeMsg(0, 77, 0, []byte{1, 2, 3})
 	ch.ForgeInProd(newProd)
-	if _, err := d.Recv(); !errors.Is(err, ErrEmpty) {
+	if _, err := d.Recv(); !errors.Is(err, nic.ErrEmpty) {
 		t.Fatalf("legacy skip: %v", err)
 	}
 	if d.Stats().TrustedUnchecked == 0 {
@@ -307,7 +308,7 @@ func TestForgedInboundProducerOverclaim(t *testing.T) {
 	du.Channel().ForgeInProd(uint64(du.cfg.RingBytes) * 3)
 	// Legacy: trusted; parses garbage (type 0 = unknown, skipped) and is
 	// accounted. Must not panic.
-	if _, err := du.Recv(); err != nil && !errors.Is(err, ErrEmpty) {
+	if _, err := du.Recv(); err != nil && !errors.Is(err, nic.ErrEmpty) {
 		t.Fatalf("unhardened: %v", err)
 	}
 	if du.Stats().TrustedUnchecked == 0 {

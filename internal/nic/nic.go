@@ -13,7 +13,6 @@ package nic
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,10 @@ import (
 
 	"confio/internal/simnet"
 )
+
+// These sentinels are the one error vocabulary of every transport: each
+// returns ErrEmpty and ErrFull itself, bare, and declares its fatal
+// errors with Fatal, so no layer translates between transports' errors.
 
 // ErrEmpty means no frame is currently available (poll again).
 var ErrEmpty = errors.New("nic: no frame available")
@@ -35,7 +38,19 @@ var ErrClosed = errors.New("nic: endpoint closed")
 // making progress (see safering.ErrStalled). It matches ErrClosed via
 // errors.Is, so generic teardown paths need no special case; stacks that
 // want to report the stall distinctly test for ErrStalled first.
-var ErrStalled = fmt.Errorf("%w: host stalled", ErrClosed)
+var ErrStalled = Fatal("nic: endpoint closed: host stalled", ErrClosed)
+
+// Fatal returns a new sentinel that reads msg and that errors.Is also
+// reports as class: ErrClosed, or ErrStalled for a stall. A transport's
+// fatal errors keep their own identity and text, and the first one a
+// caller sees, however wrapped, is already terminal.
+func Fatal(msg string, class error) error { return &fatal{errors.New(msg), class} }
+
+// fatal reads as its text and unwraps to its class.
+type fatal struct{ text, class error }
+
+func (e *fatal) Error() string { return e.text.Error() }
+func (e *fatal) Unwrap() error { return e.class }
 
 // Frame is one received Ethernet frame. Bytes is valid until Release.
 type Frame interface {

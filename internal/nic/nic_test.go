@@ -39,31 +39,6 @@ func newEndpoint(t *testing.T, mac safering.MAC) (*safering.Endpoint, nic.Host) 
 	return ep, safering.NewHostPort(ep.Shared()).NIC()
 }
 
-func TestAdapterErrorTranslation(t *testing.T) {
-	g, h := newPair(t, safering.MAC{2, 0, 0, 0, 0, 1})
-	if _, err := g.Recv(); !errors.Is(err, nic.ErrEmpty) {
-		t.Fatalf("empty recv: %v", err)
-	}
-	buf := make([]byte, h.FrameCap())
-	if _, err := h.Pop(buf); !errors.Is(err, nic.ErrEmpty) {
-		t.Fatalf("empty pop: %v", err)
-	}
-	// Fill the TX ring.
-	f := ethFrame([6]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, [6]byte(g.MAC()), []byte("x"))
-	for {
-		err := g.Send(f)
-		if errors.Is(err, nic.ErrFull) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.MTU() != 1500 {
-		t.Fatalf("MTU = %d", g.MTU())
-	}
-}
-
 func TestBufFrame(t *testing.T) {
 	freed := 0
 	f := &nic.BufFrame{B: []byte("abc"), OnFree: func() { freed++ }}

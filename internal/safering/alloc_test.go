@@ -89,7 +89,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestAdapterSteadyStateZeroAlloc runs the same gate through the
-// nic.BatchGuest adapter, covering the []*RxFrame staging scratch that
+// nic.BatchGuest view (GuestNIC), covering the []*RxFrame staging scratch that
 // bridges the concrete API to the transport-neutral one.
 func TestAdapterSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -101,7 +101,7 @@ func TestAdapterSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	hp := NewHostPort(ep.Shared())
-	g := &GuestNIC{EP: ep}
+	g := &GuestNIC{Endpoint: ep}
 
 	frames := make([][]byte, allocBatch)
 	for i := range frames {
@@ -137,7 +137,7 @@ func TestAdapterSteadyStateZeroAlloc(t *testing.T) {
 		cycle()
 	}
 	if allocs := measureAllocs(cycle); allocs != 0 {
-		t.Fatalf("adapter steady-state cycle allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("GuestNIC steady-state cycle allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

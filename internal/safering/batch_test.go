@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 )
 
@@ -72,10 +73,10 @@ func TestBatchRoundTripWrapAround(t *testing.T) {
 					out[i].Release()
 				}
 			}
-			if _, err := hp.Pop(bufs[0]); !errors.Is(err, ErrRingEmpty) {
+			if _, err := hp.Pop(bufs[0]); !errors.Is(err, nic.ErrEmpty) {
 				t.Fatalf("tx ring should drain empty: %v", err)
 			}
-			if _, err := ep.RecvBatch(out); !errors.Is(err, ErrRingEmpty) {
+			if _, err := ep.RecvBatch(out); !errors.Is(err, nic.ErrEmpty) {
 				t.Fatalf("rx ring should drain empty: %v", err)
 			}
 		})
@@ -84,7 +85,7 @@ func TestBatchRoundTripWrapAround(t *testing.T) {
 
 // TestSendBatchPartialOnRingFull: a batch larger than the remaining ring
 // capacity is accepted partially with a nil error; a batch against a full
-// ring reports (0, ErrRingFull).
+// ring reports (0, nic.ErrFull).
 func TestSendBatchPartialOnRingFull(t *testing.T) {
 	for _, base := range allModes() {
 		cfg := base
@@ -103,8 +104,8 @@ func TestSendBatchPartialOnRingFull(t *testing.T) {
 			if err != nil || n != cfg.Slots {
 				t.Fatalf("overfull batch: n=%d err=%v, want (%d, nil)", n, err, cfg.Slots)
 			}
-			if n, err := ep.SendBatch(frames); n != 0 || !errors.Is(err, ErrRingFull) {
-				t.Fatalf("batch against full ring: n=%d err=%v, want (0, ErrRingFull)", n, err)
+			if n, err := ep.SendBatch(frames); n != 0 || !errors.Is(err, nic.ErrFull) {
+				t.Fatalf("batch against full ring: n=%d err=%v, want (0, nic.ErrFull)", n, err)
 			}
 			// The host consumes three frames; exactly that much capacity
 			// reopens on the next batch (via the amortized reap).
@@ -239,7 +240,7 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 // TestTXSlabLeakOnStageFault is the regression test for the shared-area
 // staging leak: a failure after Alloc must return the slab to the arena,
 // or every failed send permanently shrinks the TX data area until the
-// endpoint wedges at ErrRingFull.
+// endpoint wedges at nic.ErrFull.
 func TestTXSlabLeakOnStageFault(t *testing.T) {
 	cfg := cfgFor(SharedArea, CopyOut)
 	ep, err := New(cfg, nil)
@@ -255,8 +256,8 @@ func TestTXSlabLeakOnStageFault(t *testing.T) {
 	for i := 0; i < 2*cfg.Slots; i++ { // far more failures than slabs
 		if err := ep.Send(frame(128, byte(i))); err == nil {
 			t.Fatal("Send succeeded despite injected stage fault")
-		} else if errors.Is(err, ErrRingFull) {
-			t.Fatalf("attempt %d: TX wedged at ErrRingFull: the arena leaked slabs", i)
+		} else if errors.Is(err, nic.ErrFull) {
+			t.Fatalf("attempt %d: TX wedged at nic.ErrFull: the arena leaked slabs", i)
 		}
 	}
 	if got := arena.FreeSlabs(); got != free {
@@ -440,8 +441,8 @@ func TestBatchEdgeCases(t *testing.T) {
 	}
 
 	out := make([]*RxFrame, 4)
-	if n, err := ep.RecvBatch(out); n != 0 || !errors.Is(err, ErrRingEmpty) {
-		t.Errorf("RecvBatch on empty ring = %d, %v, want (0, ErrRingEmpty)", n, err)
+	if n, err := ep.RecvBatch(out); n != 0 || !errors.Is(err, nic.ErrEmpty) {
+		t.Errorf("RecvBatch on empty ring = %d, %v, want (0, nic.ErrEmpty)", n, err)
 	}
 }
 
@@ -526,10 +527,10 @@ func TestScalarEqualsBatchOfOne(t *testing.T) {
 				}
 			}
 			// An empty ring and a full ring read the same through both.
-			if _, err := scalar.ep.Recv(); !errors.Is(err, ErrRingEmpty) {
+			if _, err := scalar.ep.Recv(); !errors.Is(err, nic.ErrEmpty) {
 				t.Fatalf("scalar Recv on empty ring: %v", err)
 			}
-			if _, err := scalar.hp.Pop(scalar.buf); !errors.Is(err, ErrRingEmpty) {
+			if _, err := scalar.hp.Pop(scalar.buf); !errors.Is(err, nic.ErrEmpty) {
 				t.Fatalf("scalar Pop on empty ring: %v", err)
 			}
 			f := frame(64, 1)
@@ -538,7 +539,7 @@ func TestScalarEqualsBatchOfOne(t *testing.T) {
 					t.Fatalf("fill %d: %v", i, err)
 				}
 			}
-			if err := scalar.ep.Send(f); !errors.Is(err, ErrRingFull) {
+			if err := scalar.ep.Send(f); !errors.Is(err, nic.ErrFull) {
 				t.Fatalf("scalar Send on full ring: %v", err)
 			}
 		})

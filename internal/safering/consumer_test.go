@@ -10,6 +10,7 @@ import (
 
 	"confio/internal/blkring"
 	"confio/internal/blockdev"
+	"confio/internal/nic"
 	"confio/internal/safering"
 )
 
@@ -100,7 +101,7 @@ func guestReceiveRig(t *testing.T) *consumerRig {
 				f.Release()
 			}
 			delivered += n
-			if err == safering.ErrRingEmpty {
+			if err == nic.ErrEmpty {
 				err = nil
 			}
 			return n, err
@@ -134,7 +135,7 @@ func hostPopRig(t *testing.T) *consumerRig {
 			}
 			n, err := hp.PopBatch(bufs, lens)
 			popped += n
-			if err == safering.ErrRingEmpty {
+			if err == nic.ErrEmpty {
 				err = nil
 			}
 			return n, err
@@ -155,7 +156,7 @@ func hostFreeSlabRig(t *testing.T) *consumerRig {
 		ix: ep.Shared().RXFree.Indexes(),
 		poll: func() (int, error) {
 			n, err := hp.PushBatch(tableFrames())
-			if err == safering.ErrRingFull {
+			if err == nic.ErrFull {
 				err = nil
 			}
 			return n, err

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 	"confio/internal/shmem"
 )
@@ -129,6 +130,12 @@ func (e *Endpoint) Shared() *Shared {
 // Config returns the immutable device configuration.
 func (e *Endpoint) Config() DeviceConfig { return e.cfg }
 
+// MAC implements nic.Guest.
+func (e *Endpoint) MAC() [6]byte { return e.cfg.MAC }
+
+// MTU implements nic.Guest.
+func (e *Endpoint) MTU() int { return e.cfg.MTU }
+
 // Dead returns the fatal error that killed the endpoint, if any. On a
 // multi-queue device a violation on any sibling queue counts: the whole
 // device fail-deads together.
@@ -159,7 +166,7 @@ func (e *Endpoint) checkFrame(frame []byte) error {
 }
 
 // Send enqueues one Ethernet frame for transmission: SendBatch of one.
-// It never blocks: ErrRingFull asks the caller to retry after the host
+// It never blocks: nic.ErrFull asks the caller to retry after the host
 // makes progress.
 func (e *Endpoint) Send(frame []byte) error {
 	one := [1][]byte{frame}
@@ -172,7 +179,7 @@ func (e *Endpoint) Send(frame []byte) error {
 // publishing the producer index + doorbell once for the whole batch. It
 // returns how many frames were accepted (and published). A full ring or
 // exhausted data area ends the batch early with n < len(frames) and a nil
-// error; (0, ErrRingFull) means nothing fit. Fail-dead semantics are
+// error; (0, nic.ErrFull) means nothing fit. Fail-dead semantics are
 // unchanged: a fatal error publishes and reports the frames already
 // accepted, and every later call returns ErrDead.
 func (e *Endpoint) SendBatch(frames [][]byte) (int, error) {
@@ -193,7 +200,7 @@ func (e *Endpoint) SendBatch(frames [][]byte) (int, error) {
 }
 
 // stageTXLocked stages one size-checked frame into the slot at the TX
-// engine's head, or reports ErrRingFull when the data area is exhausted.
+// engine's head, or reports nic.ErrFull when the data area is exhausted.
 // It does not publish: the engine's StageBatch amortizes the index store
 // and doorbell over the batch.
 //
@@ -211,7 +218,7 @@ func (e *Endpoint) stageTXLocked(frame []byte) error {
 	// bounds FrameCap by the page, newShared sizes slabs at least FrameCap).
 	h, aerr := e.sh.TXData.Alloc()
 	if aerr != nil {
-		return ErrRingFull
+		return nic.ErrFull
 	}
 	werr := e.sh.TXData.Write(h, frame)
 	if werr == nil && txStageFault != nil {
@@ -220,7 +227,7 @@ func (e *Endpoint) stageTXLocked(frame []byte) error {
 	if werr != nil {
 		// Return the slab before surfacing the error; leaking the
 		// handle here would shrink the data area by one slab per
-		// failed send until TX wedges at ErrRingFull.
+		// failed send until TX wedges at nic.ErrFull.
 		_ = e.sh.TXData.HandleFree(shmem.FreeMsg{H: h})
 		return fmt.Errorf("safering: tx stage: %w", werr)
 	}
@@ -442,18 +449,20 @@ func (e *Endpoint) recvSlotLocked(pos uint64) (*RxFrame, error) {
 	}
 }
 
-// Recv returns the next received frame, or ErrRingEmpty: RecvBatch of
+// Recv returns the next received frame, or nic.ErrEmpty: RecvBatch of
 // one.
-func (e *Endpoint) Recv() (*RxFrame, error) {
+func (e *Endpoint) Recv() (nic.Frame, error) {
 	var one [1]*RxFrame
-	_, err := e.RecvBatch(one[:])
-	return one[0], err
+	if _, err := e.RecvBatch(one[:]); err != nil {
+		return nil, err
+	}
+	return one[0], nil
 }
 
 // RecvBatch dequeues up to len(out) received frames into out, validating
 // the host's producer index once and publishing the consumer index (and
 // any reposted receive slabs) once for the whole batch. It returns how
-// many frames were delivered; (0, ErrRingEmpty) when none waited. Each
+// many frames were delivered; (0, nic.ErrEmpty) when none waited. Each
 // descriptor is snapshotted once and fully validated before any payload
 // access; the payload crosses into guest-private custody by exactly one
 // early copy or by page revocation, per the configured policy.
@@ -474,7 +483,7 @@ func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 		return err
 	})
 	if n == 0 && err == nil {
-		return 0, ErrRingEmpty
+		return 0, nic.ErrEmpty
 	}
 	e.publishFreeLocked() // the slabs the batch reposted, with one index store
 	return n, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 	"confio/internal/shmem"
 )
@@ -62,7 +63,7 @@ func TestSendPopRoundTripAllModes(t *testing.T) {
 					t.Fatalf("frame %d corrupted in transit", i)
 				}
 			}
-			if _, err := hp.Pop(buf); !errors.Is(err, ErrRingEmpty) {
+			if _, err := hp.Pop(buf); !errors.Is(err, nic.ErrEmpty) {
 				t.Fatalf("empty pop: %v", err)
 			}
 		})
@@ -93,7 +94,7 @@ func TestPushRecvRoundTripAllModes(t *testing.T) {
 				rx.Release()
 				rx.Release() // idempotent
 			}
-			if _, err := ep.Recv(); !errors.Is(err, ErrRingEmpty) {
+			if _, err := ep.Recv(); !errors.Is(err, nic.ErrEmpty) {
 				t.Fatalf("empty recv: %v", err)
 			}
 		})
@@ -113,8 +114,8 @@ func TestSendRingFullAndReap(t *testing.T) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if err := ep.Send(frame(100, 1)); !errors.Is(err, ErrRingFull) {
-		t.Fatalf("want ErrRingFull, got %v", err)
+	if err := ep.Send(frame(100, 1)); !errors.Is(err, nic.ErrFull) {
+		t.Fatalf("want nic.ErrFull, got %v", err)
 	}
 	buf := make([]byte, cfg.FrameCap())
 	if _, err := hp.Pop(buf); err != nil {
@@ -331,14 +332,14 @@ func TestRevokeRecyclesAllSlabs(t *testing.T) {
 	}
 	hp := NewHostPort(ep.Shared())
 	for round := 0; round < 5; round++ {
-		var frames []*RxFrame
+		var frames []nic.Frame
 		for i := 0; i < cfg.Slots; i++ {
 			if err := hp.Push(frame(128, byte(i))); err != nil {
 				t.Fatalf("round %d push %d: %v", round, i, err)
 			}
 		}
 		// All slabs are now held by the guest.
-		if err := hp.Push(frame(128, 0)); !errors.Is(err, ErrRingFull) {
+		if err := hp.Push(frame(128, 0)); !errors.Is(err, nic.ErrFull) {
 			t.Fatalf("push with no slabs: %v", err)
 		}
 		for i := 0; i < cfg.Slots; i++ {
@@ -491,7 +492,7 @@ func TestConcurrentPump(t *testing.T) {
 			switch err := ep.Send(f); {
 			case err == nil:
 				i++
-			case errors.Is(err, ErrRingFull):
+			case errors.Is(err, nic.ErrFull):
 			default:
 				errc <- err
 				return
@@ -505,7 +506,7 @@ func TestConcurrentPump(t *testing.T) {
 			switch _, err := hp.Pop(buf); {
 			case err == nil:
 				i++
-			case errors.Is(err, ErrRingEmpty):
+			case errors.Is(err, nic.ErrEmpty):
 			default:
 				errc <- err
 				return
@@ -519,7 +520,7 @@ func TestConcurrentPump(t *testing.T) {
 			switch err := hp.Push(f); {
 			case err == nil:
 				i++
-			case errors.Is(err, ErrRingFull):
+			case errors.Is(err, nic.ErrFull):
 			default:
 				errc <- err
 				return
@@ -534,7 +535,7 @@ func TestConcurrentPump(t *testing.T) {
 			case err == nil:
 				rx.Release()
 				i++
-			case errors.Is(err, ErrRingEmpty):
+			case errors.Is(err, nic.ErrEmpty):
 			default:
 				errc <- err
 				return

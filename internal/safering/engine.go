@@ -3,6 +3,7 @@ package safering
 import (
 	"errors"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 )
 
@@ -164,10 +165,10 @@ func (g *Engine[D]) ReapIfMoved() (uint64, bool, error) {
 // StageBatch is the producer's batch: it reaps, then calls stage(i) for
 // i = 0 .. n-1 while the ring has room, and publishes the accepted
 // payloads with one index store and at most one doorbell. stage stages
-// one payload (through Stage) or fails: ErrRingFull — the owner's data
+// one payload (through Stage) or fails: nic.ErrFull — the owner's data
 // area is exhausted — ends the batch short; any other error publishes
 // what was accepted and is returned with its count. It returns how many
-// payloads were accepted; (0, ErrRingFull) when none fit.
+// payloads were accepted; (0, nic.ErrFull) when none fit.
 //
 //ciovet:locked
 func (g *Engine[D]) StageBatch(n int, stage func(i int) error) (int, error) {
@@ -178,7 +179,7 @@ func (g *Engine[D]) StageBatch(n int, stage func(i int) error) (int, error) {
 	i := 0
 	for ; i < n && !g.Full(cons); i++ {
 		if err := stage(i); err != nil {
-			if errors.Is(err, ErrRingFull) {
+			if errors.Is(err, nic.ErrFull) {
 				break
 			}
 			g.Publish() // the payloads already accepted; a no-op when none
@@ -186,7 +187,7 @@ func (g *Engine[D]) StageBatch(n int, stage func(i int) error) (int, error) {
 		}
 	}
 	if i == 0 {
-		return 0, ErrRingFull
+		return 0, nic.ErrFull
 	}
 	g.Publish()
 	return i, nil

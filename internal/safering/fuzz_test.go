@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 )
 
@@ -65,7 +66,7 @@ func decodeDesc(raw []byte) Desc {
 // 16-byte descriptor stamped into every used-ring slot plus an arbitrary
 // producer index. The contract under fuzzing is the paper's fail-dead
 // receive discipline: every call yields a valid in-bounds frame,
-// ErrRingEmpty, or a fatal protocol violation after which the endpoint is
+// nic.ErrEmpty, or a fatal protocol violation after which the endpoint is
 // dead — never a panic, an out-of-range access, or a quietly wrong frame.
 func FuzzDescDecode(f *testing.F) {
 	// Seeds from the internal/attack scenarios: index overclaim, length
@@ -123,7 +124,7 @@ func FuzzDescDecode(f *testing.F) {
 				}
 				_ = sum
 				fr.Release()
-			case errors.Is(err, ErrRingEmpty):
+			case errors.Is(err, nic.ErrEmpty):
 				return
 			case errors.Is(err, ErrDead):
 				if !sawFatal {
@@ -146,7 +147,7 @@ func FuzzDescDecode(f *testing.F) {
 // guest stamps a raw TX descriptor into every TX slot, arbitrary words
 // into every indirect-table entry (count at +0, handle at +16, length at
 // +24) and publishes an arbitrary producer index. Every Pop yields a frame
-// of exactly the descriptor's length (at most FrameCap), ErrRingEmpty, or
+// of exactly the descriptor's length (at most FrameCap), nic.ErrEmpty, or
 // a protocol violation that poisons the port — never a panic or an
 // out-of-range read.
 func FuzzTXGather(f *testing.F) {
@@ -198,7 +199,7 @@ func FuzzTXGather(f *testing.F) {
 				if n != int(d.Len) || n > cfg.FrameCap() || n == 0 {
 					t.Fatalf("frame length %d escaped validation (desc.Len=%d, cap=%d)", n, d.Len, cfg.FrameCap())
 				}
-			case errors.Is(err, ErrRingEmpty):
+			case errors.Is(err, nic.ErrEmpty):
 				return
 			case errors.Is(err, ErrDead):
 				if !sawFatal {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 	"confio/internal/shmem"
 )
@@ -56,8 +57,8 @@ func newHostPort(sh *Shared, life *Life) *HostPort {
 	return h
 }
 
-// Shared returns the device state this port drives.
-func (h *HostPort) Shared() *Shared { return h.sh }
+// FrameCap implements nic.Host.
+func (h *HostPort) FrameCap() int { return h.sh.Cfg.FrameCap() }
 
 // Dead returns the violation that poisoned the port, if any. On a
 // multi-queue device model a violation on any sibling queue counts.
@@ -66,7 +67,7 @@ func (h *HostPort) Dead() error { return h.life.Dead() }
 func (h *HostPort) fail(err error) error { return h.life.Kill(err, nil) }
 
 // Pop dequeues the next guest transmit frame into buf and returns its
-// length, or ErrRingEmpty: PopBatch of one. buf must be at least FrameCap
+// length, or nic.ErrEmpty: PopBatch of one. buf must be at least FrameCap
 // bytes.
 func (h *HostPort) Pop(buf []byte) (int, error) {
 	bufs, lens := [1][]byte{buf}, [1]int{}
@@ -97,7 +98,7 @@ func (h *HostPort) PopBatch(bufs [][]byte, lens []int) (int, error) {
 		return err
 	})
 	if n == 0 && err == nil {
-		return 0, ErrRingEmpty
+		return 0, nic.ErrEmpty
 	}
 	return n, err
 }
@@ -140,7 +141,7 @@ func (h *HostPort) gather(pos uint64, buf []byte) (int, error) {
 	return int(d.Len), nil
 }
 
-// Push delivers one frame toward the guest, or returns ErrRingFull when
+// Push delivers one frame toward the guest, or returns nic.ErrFull when
 // the guest has no receive capacity: PushBatch of one.
 func (h *HostPort) Push(frame []byte) error {
 	one := [1][]byte{frame}
@@ -151,7 +152,7 @@ func (h *HostPort) Push(frame []byte) error {
 // PushBatch delivers up to len(frames) frames toward the guest,
 // validating the guest's consumer index once and publishing the producer
 // index + doorbell once for the burst. It returns how many frames were
-// accepted; (0, ErrRingFull) when the guest has no capacity at all, and a
+// accepted; (0, nic.ErrFull) when the guest has no capacity at all, and a
 // short count when capacity ran out mid-burst (the device drops the rest;
 // DoS is out of the threat model).
 func (h *HostPort) PushBatch(frames [][]byte) (int, error) {
@@ -172,7 +173,7 @@ func (h *HostPort) PushBatch(frames [][]byte) (int, error) {
 }
 
 // stagePushLocked stages one frame at the RXUsed engine's head without
-// publishing, or reports ErrRingFull when the guest posted no free slab;
+// publishing, or reports nic.ErrFull when the guest posted no free slab;
 // the engine's StageBatch makes the staged burst visible with one index
 // store and at most one doorbell ring.
 //
@@ -238,7 +239,7 @@ func (h *HostPort) TXWake() <-chan struct{} {
 }
 
 // popFreeSlab consumes the next guest-posted receive slab, or reports
-// ErrRingFull when none is posted.
+// nic.ErrFull when none is posted.
 func (h *HostPort) popFreeSlab() (int, error) {
 	slab := 0
 	n, err := h.rxFree.Drain(1, func(_ int, pos uint64) (err error) {
@@ -246,7 +247,7 @@ func (h *HostPort) popFreeSlab() (int, error) {
 		return err
 	})
 	if n == 0 && err == nil {
-		return 0, ErrRingFull
+		return 0, nic.ErrFull
 	}
 	return slab, err
 }

@@ -130,7 +130,7 @@ func (p *parkedPoller) run() {
 				return
 			}
 			continue
-		case !errors.Is(err, ErrRingEmpty):
+		case !errors.Is(err, nic.ErrEmpty):
 			select {
 			case p.frames <- polled{err: err}:
 			case <-p.stop:

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"confio/internal/nic"
 )
 
 // Property: whatever index values a malicious host publishes, guest
@@ -21,11 +23,11 @@ func TestHostIndexTotalityProperty(t *testing.T) {
 		sh.TX.Indexes().StoreCons(consTX)
 
 		_, rerr := ep.Recv()
-		if rerr != nil && !errors.Is(rerr, ErrRingEmpty) && !errors.Is(rerr, ErrProtocol) && !errors.Is(rerr, ErrDead) {
+		if rerr != nil && !errors.Is(rerr, nic.ErrEmpty) && !errors.Is(rerr, ErrProtocol) && !errors.Is(rerr, ErrDead) {
 			return false
 		}
 		serr := ep.Send(make([]byte, 64))
-		if serr != nil && !errors.Is(serr, ErrRingFull) && !errors.Is(serr, ErrProtocol) && !errors.Is(serr, ErrDead) {
+		if serr != nil && !errors.Is(serr, nic.ErrFull) && !errors.Is(serr, ErrProtocol) && !errors.Is(serr, ErrDead) {
 			return false
 		}
 		return true
@@ -57,7 +59,7 @@ func TestForgedDescriptorTotalityProperty(t *testing.T) {
 			rx.Release()
 			return true
 		}
-		return errors.Is(rerr, ErrProtocol) || errors.Is(rerr, ErrRingEmpty)
+		return errors.Is(rerr, ErrProtocol) || errors.Is(rerr, nic.ErrEmpty)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestPumpEventIdxRoundTripAndStop(t *testing.T) {
 			rx.Release()
 			break
 		}
-		if !errors.Is(err, ErrRingEmpty) {
+		if !errors.Is(err, nic.ErrEmpty) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"confio/internal/nic"
 	"confio/internal/shmem"
 )
 
@@ -23,20 +24,18 @@ type Desc struct {
 
 // ErrProtocol is a fatal peer-protocol violation. Per the stateless
 // principle there are no recoverable interface errors: an endpoint that
-// observes a violation marks itself dead and refuses further I/O.
-var ErrProtocol = errors.New("safering: fatal protocol violation")
-
-// ErrRingFull is returned by non-blocking send when the ring has no room.
-var ErrRingFull = errors.New("safering: ring full")
-
-// ErrRingEmpty is returned by non-blocking receive when no frame waits.
-var ErrRingEmpty = errors.New("safering: ring empty")
+// observes a violation marks itself dead and refuses further I/O. It
+// matches nic.ErrClosed, so the call that observes the violation already
+// reports a closed transport. A full ring is nic.ErrFull and an empty one
+// nic.ErrEmpty, returned bare.
+var ErrProtocol = nic.Fatal("safering: fatal protocol violation", nic.ErrClosed)
 
 // ErrFrameSize rejects frames beyond the deployment-fixed capacity.
 var ErrFrameSize = errors.New("safering: frame exceeds configured capacity")
 
-// ErrDead is returned after a fatal violation killed the endpoint.
-var ErrDead = errors.New("safering: endpoint is dead after protocol violation")
+// ErrDead is returned after a fatal violation killed the endpoint; it
+// matches nic.ErrClosed.
+var ErrDead = nic.Fatal("safering: endpoint is dead after protocol violation", nic.ErrClosed)
 
 // Descriptor Kind words carry two fields: the low 8 bits hold the kind
 // code (KindInline/KindShared/KindIndirect) and the high 24 bits hold the

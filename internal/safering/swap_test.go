@@ -253,7 +253,7 @@ func TestSwapRacesLockFreeReaders(t *testing.T) {
 			default:
 			}
 			// A full ring is fine: nobody drains the swapped-out windows.
-			if _, err := ep.SendBatch(frames); err != nil && !errors.Is(err, safering.ErrRingFull) {
+			if _, err := ep.SendBatch(frames); err != nil && !errors.Is(err, nic.ErrFull) {
 				t.Errorf("SendBatch during swap: %v", err)
 				return
 			}

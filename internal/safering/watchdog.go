@@ -1,7 +1,6 @@
 package safering
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -22,7 +21,9 @@ import (
 // quiet RXUsed ring is indistinguishable from a peer with no traffic to
 // deliver, so RX silence is never a stall. Availability remains
 // best-effort — the watchdog bounds *blocking*, not packet loss.
-var ErrStalled = errors.New("safering: host stalled (consumer index frozen with work pending)")
+//
+// It also matches nic.ErrStalled, and so nic.ErrClosed.
+var ErrStalled = nic.Fatal("safering: host stalled (consumer index frozen with work pending)", nic.ErrStalled)
 
 // WatchdogConfig tunes the host-progress watchdog.
 type WatchdogConfig struct {

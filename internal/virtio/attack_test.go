@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"confio/internal/nic"
 )
 
 // These tests mount the interface attacks from the paper's citations
@@ -56,7 +58,7 @@ func TestUsedLenLieBlockedByChecks(t *testing.T) {
 	rx.PublishUsed(0, id, uint32(d.cfg.BufSize+64))
 	rx.ForgeUsedIdx(1)
 
-	if _, err := d.Recv(); !errors.Is(err, ErrEmpty) {
+	if _, err := d.Recv(); !errors.Is(err, nic.ErrEmpty) {
 		t.Fatalf("hardened driver delivered or died: %v", err)
 	}
 	if d.Stats().Blocked == 0 {
@@ -239,8 +241,8 @@ func TestStaleMemoryLeakWithoutMemInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.id == 3 {
-			fr = f
+		if rf := f.(*RxFrame); rf.id == 3 {
+			fr = rf
 			break
 		}
 		f.Release()
@@ -271,8 +273,8 @@ func TestStaleMemoryLeakWithoutMemInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.id == 3 {
-			fr2 = f
+		if rf := f.(*RxFrame); rf.id == 3 {
+			fr2 = rf
 			break
 		}
 		f.Release()

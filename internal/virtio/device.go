@@ -38,13 +38,19 @@ func (dv *Device) Queues() (tx, rx *Queue) { return dv.tx, dv.rx }
 // Control exposes the control plane.
 func (dv *Device) Control() *Control { return dv.ctrl }
 
+// NIC returns the device, which is its own nic.Host.
+func (dv *Device) NIC() nic.Host { return dv }
+
+// FrameCap implements nic.Host.
+func (dv *Device) FrameCap() int { return dv.cfg.BufSize }
+
 // Pop dequeues the next driver transmit frame into buf.
 func (dv *Device) Pop(buf []byte) (int, error) {
 	dv.mu.Lock()
 	defer dv.mu.Unlock()
 	avail := dv.tx.AvailIdx()
 	if avail == dv.txLastAvail {
-		return 0, ErrEmpty
+		return 0, nic.ErrEmpty
 	}
 	id := dv.tx.AvailEntry(dv.txLastAvail)
 	addr, dlen, _, _ := dv.tx.ReadDesc(uint64(id))
@@ -67,7 +73,7 @@ func (dv *Device) Push(frame []byte) error {
 	defer dv.mu.Unlock()
 	avail := dv.rx.AvailIdx()
 	if avail == dv.rxLastAvail {
-		return ErrFull // no posted buffers
+		return nic.ErrFull // no posted buffers
 	}
 	id := dv.rx.AvailEntry(dv.rxLastAvail)
 	addr, dlen, flags, _ := dv.rx.ReadDesc(uint64(id))
@@ -98,63 +104,3 @@ func (dv *Device) interrupt() {
 	dv.meter.Notify(1)
 	dv.meter.CrossTEE(1)
 }
-
-// guestNIC adapts Driver to nic.Guest.
-type guestNIC struct{ d *Driver }
-
-// NIC returns the driver's nic.Guest view.
-func (d *Driver) NIC() nic.Guest { return guestNIC{d} }
-
-func (g guestNIC) Send(frame []byte) error {
-	switch err := g.d.Send(frame); {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrFull):
-		return nic.ErrFull
-	case errors.Is(err, ErrNeedsReset):
-		return nic.ErrClosed
-	default:
-		return err
-	}
-}
-
-func (g guestNIC) Recv() (nic.Frame, error) {
-	f, err := g.d.Recv()
-	switch {
-	case err == nil:
-		return f, nil
-	case errors.Is(err, ErrEmpty):
-		return nil, nic.ErrEmpty
-	case errors.Is(err, ErrNeedsReset):
-		return nil, nic.ErrClosed
-	default:
-		return nil, err
-	}
-}
-
-func (g guestNIC) MAC() [6]byte { return g.d.cfg.MAC }
-func (g guestNIC) MTU() int     { return g.d.cfg.MTU }
-
-// hostNIC adapts Device to nic.Host.
-type hostNIC struct{ dv *Device }
-
-// NIC returns the device's nic.Host view.
-func (dv *Device) NIC() nic.Host { return hostNIC{dv} }
-
-func (h hostNIC) Pop(buf []byte) (int, error) {
-	n, err := h.dv.Pop(buf)
-	if errors.Is(err, ErrEmpty) {
-		return 0, nic.ErrEmpty
-	}
-	return n, err
-}
-
-func (h hostNIC) Push(frame []byte) error {
-	err := h.dv.Push(frame)
-	if errors.Is(err, ErrFull) {
-		return nic.ErrFull
-	}
-	return err
-}
-
-func (h hostNIC) FrameCap() int { return h.dv.cfg.BufSize }

@@ -5,18 +5,15 @@ import (
 	"fmt"
 	"sync"
 
+	"confio/internal/nic"
 	"confio/internal/platform"
 )
 
-// ErrFull means no transmit descriptor is free.
-var ErrFull = errors.New("virtio: no free descriptors")
-
-// ErrEmpty means no received frame is pending.
-var ErrEmpty = errors.New("virtio: no used buffers")
-
 // ErrNeedsReset is a fatal device-state inconsistency detected by a
-// hardened driver (the virtio analogue of giving up on the device).
-var ErrNeedsReset = errors.New("virtio: device needs reset")
+// hardened driver (the virtio analogue of giving up on the device). It
+// matches nic.ErrClosed. No free transmit descriptor is nic.ErrFull and
+// no used buffer nic.ErrEmpty.
+var ErrNeedsReset = nic.Fatal("virtio: device needs reset", nic.ErrClosed)
 
 // ErrNegotiation reports a failed feature/status handshake.
 var ErrNegotiation = errors.New("virtio: negotiation failed")
@@ -155,6 +152,11 @@ func (d *Driver) negotiate() error {
 	return nil
 }
 
+// NIC returns the driver, its own nic.Guest with its MAC and MTU.
+func (d *Driver) NIC() nic.Guest { return d }
+func (d *Driver) MAC() [6]byte   { return d.cfg.MAC }
+func (d *Driver) MTU() int       { return d.cfg.MTU }
+
 // Features returns the enabled feature set.
 func (d *Driver) Features() uint64 { return d.features }
 
@@ -231,7 +233,7 @@ func (d *Driver) Send(frame []byte) error {
 		return err
 	}
 	if len(d.txFree) == 0 {
-		return ErrFull
+		return nic.ErrFull
 	}
 	id := d.txFree[len(d.txFree)-1]
 	d.txFree = d.txFree[:len(d.txFree)-1]
@@ -332,8 +334,8 @@ func (f *RxFrame) Release() {
 	f.data = nil
 }
 
-// Recv returns the next received frame, ErrEmpty, or a fatal error.
-func (d *Driver) Recv() (*RxFrame, error) {
+// Recv returns the next received frame, nic.ErrEmpty, or a fatal error.
+func (d *Driver) Recv() (nic.Frame, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.dead != nil {
@@ -342,7 +344,7 @@ func (d *Driver) Recv() (*RxFrame, error) {
 	used := d.rx.UsedIdx()
 	d.meter.Check(1)
 	if used == d.rxLastUsed {
-		return nil, ErrEmpty
+		return nil, nic.ErrEmpty
 	}
 	if used-d.rxLastUsed > uint64(d.cfg.QueueSize) {
 		if d.cfg.Hardening.Checks {
@@ -360,7 +362,7 @@ func (d *Driver) Recv() (*RxFrame, error) {
 		if id32 >= uint32(d.cfg.QueueSize) || !d.rxOutstanding[id32] {
 			d.stats.Blocked++
 			d.rxLastUsed++
-			return nil, ErrEmpty
+			return nil, nic.ErrEmpty
 		}
 	} else if id32 >= uint32(d.cfg.QueueSize) || !d.rxOutstanding[id32&qmask] {
 		d.stats.TrustedUnchecked++
@@ -380,7 +382,7 @@ func (d *Driver) Recv() (*RxFrame, error) {
 		if n32 > bound {
 			d.stats.Blocked++
 			d.rxLastUsed++
-			return nil, ErrEmpty
+			return nil, nic.ErrEmpty
 		}
 		bound = n32
 	case d.cfg.Hardening.RaceProtect:
@@ -396,7 +398,7 @@ func (d *Driver) Recv() (*RxFrame, error) {
 	}
 	if bound == 0 {
 		d.rxLastUsed++
-		return nil, ErrEmpty
+		return nil, nic.ErrEmpty
 	}
 
 	d.rxOutstanding[id] = false

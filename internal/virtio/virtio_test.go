@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"confio/internal/nic"
 )
 
 func mkFrame(n int, seed byte) []byte {
@@ -168,7 +170,7 @@ func TestTxRoundTripWithWrap(t *testing.T) {
 				t.Fatalf("%v frame %d corrupted", h, i)
 			}
 		}
-		if _, err := dv.Pop(buf); !errors.Is(err, ErrEmpty) {
+		if _, err := dv.Pop(buf); !errors.Is(err, nic.ErrEmpty) {
 			t.Fatalf("empty pop: %v", err)
 		}
 	}
@@ -192,7 +194,7 @@ func TestRxRoundTripWithWrap(t *testing.T) {
 			rx.Release()
 			rx.Release() // idempotent
 		}
-		if _, err := d.Recv(); !errors.Is(err, ErrEmpty) {
+		if _, err := d.Recv(); !errors.Is(err, nic.ErrEmpty) {
 			t.Fatalf("empty recv: %v", err)
 		}
 	}
@@ -205,8 +207,8 @@ func TestTxFullWhenDeviceStalls(t *testing.T) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if err := d.Send(mkFrame(64, 1)); !errors.Is(err, ErrFull) {
-		t.Fatalf("want ErrFull, got %v", err)
+	if err := d.Send(mkFrame(64, 1)); !errors.Is(err, nic.ErrFull) {
+		t.Fatalf("want nic.ErrFull, got %v", err)
 	}
 }
 
@@ -217,8 +219,8 @@ func TestRxFullWhenGuestStalls(t *testing.T) {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if err := dv.Push(mkFrame(64, 1)); !errors.Is(err, ErrFull) {
-		t.Fatalf("want ErrFull, got %v", err)
+	if err := dv.Push(mkFrame(64, 1)); !errors.Is(err, nic.ErrFull) {
+		t.Fatalf("want nic.ErrFull, got %v", err)
 	}
 }
 
