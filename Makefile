@@ -101,11 +101,17 @@ chaos:
 # so does the one park every ring consumer shares (safering.Consumer: the
 # guest's receive, the host's pop, the storage backend): its register /
 # re-check order against the producer's store-then-poke, with the tests
-# that park on it and the hostile-producer-index table.
+# that park on it and the hostile-producer-index table. And so do the
+# recycling tests: the wire's frame buffers go back to the port once the
+# pump's push copied them (nic's steering test is in ./internal/nic), and
+# tcp's waiters take their wake from a pool, so a frame read after
+# Release, or a wake used after it went back, is a race reported here.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 	$(GO) test -race -count=10 -run '^TestDriven' ./internal/netstack
 	$(GO) test -race -count=10 -run 'Park|Wake|Consumer' ./internal/safering
+	$(GO) test -race -count=10 -run 'Release' ./internal/simnet
+	$(GO) test -race -count=10 -run 'WakesWithoutAllocating' ./internal/tcp
 
 # The dead-code oracle (ROADMAP item 4d): every non-test function the
 # attack, chaos, core, gateway, netstack and confbench suites and the

@@ -206,7 +206,7 @@ type rxLoop struct {
 // and re-checks (the Dekker order of nic.Parker), then waits for ch,
 // drive or its deadline. A wait with no deadline has no timer of its
 // own: while anyone waits, the loop goroutine steps every nic.WaitBound,
-// and what it dequeues closes ch — so an idle reader costs nothing, and
+// and what it dequeues fires ch — so an idle reader costs nothing, and
 // a late or lost wake costs at most the bound.
 func (r *rxLoop) wait(ch <-chan struct{}, deadline time.Time) error {
 	w := r.pool.Get().(*nic.Waiter)

@@ -492,15 +492,17 @@ func (h *Host) Pop(buf []byte) (int, error) {
 	if typ != MsgData || plen == 0 || int(plen) > h.cfg.maxPayload() || int(plen) > len(buf) {
 		return 0, fmt.Errorf("netvsc host: bad outbound message type=%d len=%d", typ, plen)
 	}
-	h.ch.Out.mem.ReadAt(buf[:plen], base+headerBytes)
-	h.outCons = base + uint64(align8(headerBytes+int(plen)))
-	h.ch.Out.cons.Store(h.outCons)
-
-	// Acknowledge with a completion message on the inbound ring.
+	// Stage the completion first: with no room for it on the inbound
+	// ring, the frame stays unconsumed for a later Pop.
 	newProd, ok := h.ch.In.writeMsg(h.inProd, MsgComplete, xact, nil)
 	if !ok {
 		return 0, nic.ErrFull
 	}
+	h.ch.Out.mem.ReadAt(buf[:plen], base+headerBytes)
+	h.outCons = base + uint64(align8(headerBytes+int(plen)))
+	h.ch.Out.cons.Store(h.outCons)
+
+	// Acknowledge with the completion message on the inbound ring.
 	h.inProd = newProd
 	h.ch.In.prod.Store(newProd)
 	h.meter.Notify(1)

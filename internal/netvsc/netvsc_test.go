@@ -382,3 +382,55 @@ func TestMemInitScrubsConsumedRing(t *testing.T) {
 		t.Fatal("MemInit did not scrub the consumed ring")
 	}
 }
+
+// TestPopUnderBackpressureKeepsTheFrame: with no room on the inbound ring
+// for the completion that acknowledges it, Pop refuses with nic.ErrFull
+// and consumes nothing; once the guest drains the ring, the same frame
+// pops, byte for byte.
+func TestPopUnderBackpressureKeepsTheFrame(t *testing.T) {
+	for _, h := range []Hardening{{}, FullHardening()} {
+		d, host := pair(t, h)
+		for { // fill the inbound ring to the last byte: not even a completion fits
+			rem := d.cfg.RingBytes - int(host.inProd-host.ch.In.cons.Load())
+			if rem < headerBytes+8 {
+				if rem != 0 {
+					t.Fatalf("%d bytes left on the inbound ring", rem)
+				}
+				break
+			}
+			n := 64
+			if rem < align8(headerBytes+n)+headerBytes+8 {
+				n = rem - headerBytes
+			}
+			if err := host.Push(mkFrame(n, 7)); err != nil {
+				t.Fatalf("%+v fill: %v", h, err)
+			}
+		}
+		f := mkFrame(300, 9)
+		if err := d.Send(f); err != nil {
+			t.Fatal(err)
+		}
+		cons := host.ch.Out.cons.Load()
+		buf := make([]byte, d.cfg.maxPayload())
+		if _, err := host.Pop(buf); !errors.Is(err, nic.ErrFull) {
+			t.Fatalf("%+v Pop with a full inbound ring: %v, want nic.ErrFull", h, err)
+		}
+		if host.outCons != cons || host.ch.Out.cons.Load() != cons {
+			t.Fatalf("%+v refused Pop consumed the frame", h)
+		}
+		for {
+			rx, err := d.Recv()
+			if errors.Is(err, nic.ErrEmpty) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx.Release()
+		}
+		n, err := host.Pop(buf)
+		if err != nil || !bytes.Equal(buf[:n], f) {
+			t.Fatalf("%+v Pop after the drain = %d bytes, %v; want the frame sent", h, n, err)
+		}
+	}
+}

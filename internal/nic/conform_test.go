@@ -1,6 +1,7 @@
 package nic_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -137,7 +138,8 @@ func fill(send func([]byte) error) error {
 // transport: the deployment's MTU (1500 in every default), empty is
 // nic.ErrEmpty and full nic.ErrFull on both sides, returned by the
 // transport itself, and the first error after a host violation the
-// transport detects is already nic.ErrClosed.
+// transport detects is already nic.ErrClosed — as the transport's own
+// fatal error, which names the check, never the bare sentinel.
 func TestEveryTransportSpeaksNic(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -167,6 +169,8 @@ func TestEveryTransportSpeaksNic(t *testing.T) {
 			if v := tr.build(t).violate; v != nil {
 				if err := v(); !errors.Is(err, nic.ErrClosed) {
 					t.Errorf("first error after a host violation: %v, want nic.ErrClosed", err)
+				} else if err == nic.ErrClosed {
+					t.Errorf("first error after a host violation is the bare nic.ErrClosed: it names no check")
 				}
 			}
 		})
@@ -192,5 +196,48 @@ func TestSaferingStallIsErrStalled(t *testing.T) {
 	wd.Poll() // and has made none: stalled
 	if err := g.Send(make([]byte, 64)); !errors.Is(err, nic.ErrStalled) {
 		t.Fatalf("send after a stall: %v, want nic.ErrStalled", err)
+	}
+}
+
+// TestHostPushKeepsNoReference is the host twin of core's
+// TestGuestTransportsCopyOnSend: every host copies what Push and
+// PushBatch deliver, so the pump may hand the wire's buffer back the
+// moment they return. A frame overwritten right after its push still
+// reaches the guest as pushed.
+func TestHostPushKeepsNoReference(t *testing.T) {
+	frame := func(tag byte) []byte {
+		f := make([]byte, 64)
+		for i := range f {
+			f[i] = tag + byte(i)
+		}
+		return f
+	}
+	for _, tr := range transports {
+		e := tr.build(t)
+		if e.h == nil {
+			continue
+		}
+		t.Run(tr.name, func(t *testing.T) {
+			one, two, three := frame(1), frame(2), frame(3)
+			if err := e.h.Push(one); err != nil {
+				t.Fatal(err)
+			}
+			copy(one, frame(0xF0))
+			if n, err := nic.UpgradeHost(e.h).PushBatch([][]byte{two, three}); n != 2 || err != nil {
+				t.Fatalf("PushBatch = %d, %v", n, err)
+			}
+			copy(two, frame(0xF0))
+			copy(three, frame(0xF0))
+			for i, want := range [][]byte{frame(1), frame(2), frame(3)} {
+				f, err := e.g.Recv()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if !bytes.Equal(f.Bytes(), want) {
+					t.Fatalf("frame %d reached the guest with the bytes written after its push", i)
+				}
+				f.Release()
+			}
+		})
 	}
 }

@@ -75,7 +75,9 @@ type Guest interface {
 type Host interface {
 	// Pop dequeues the next guest transmit frame into buf.
 	Pop(buf []byte) (int, error)
-	// Push delivers a frame from the network toward the guest.
+	// Push delivers a frame from the network toward the guest. The
+	// transport copies and keeps no reference to frame: the pump hands
+	// the wire its buffer back on return.
 	Push(frame []byte) error
 	// FrameCap returns the largest frame the transport carries.
 	FrameCap() int
@@ -106,7 +108,8 @@ type BatchHost interface {
 	// bytes and len(lens) must cover len(bufs).
 	PopBatch(bufs [][]byte, lens []int) (int, error)
 	// PushBatch delivers up to len(frames) frames toward the guest and
-	// returns how many were accepted; (0, ErrFull) when nothing fit.
+	// returns how many were accepted; (0, ErrFull) when nothing fit. It
+	// keeps no reference to any frame, as Push.
 	PushBatch(frames [][]byte) (int, error)
 }
 
@@ -426,24 +429,13 @@ func (w *Waiter) Wait(stop, a, b <-chan struct{}, d time.Duration) bool {
 }
 
 // BufFrame is a trivial Frame over a private byte slice.
-type BufFrame struct {
-	B        []byte
-	OnFree   func()
-	released atomic.Bool
-}
+type BufFrame struct{ B []byte }
 
 // Bytes returns the frame contents.
 func (f *BufFrame) Bytes() []byte { return f.B }
 
-// Release invokes OnFree once, even under concurrent callers.
-func (f *BufFrame) Release() {
-	if !f.released.CompareAndSwap(false, true) {
-		return
-	}
-	if f.OnFree != nil {
-		f.OnFree()
-	}
-}
+// Release does nothing: the slice is the frame's own.
+func (f *BufFrame) Release() {}
 
 // Pump shuttles frames between a device backend and a simnet port from
 // one polling goroutine per queue, mirroring a host device model thread
@@ -590,7 +582,8 @@ func newSteering(hosts []BatchHost) steering {
 
 // deliver takes one burst off the wire and makes one non-blocking push
 // per queue that has frames waiting, carrying over what a full ring
-// refused. It returns how many frames moved — taken off the wire plus
+// refused. Every frame pushed or dropped goes back to the wire's free
+// list. It returns how many frames moved — taken off the wire plus
 // accepted by a backend — and whether a backend accepted any.
 func (s steering) deliver(port *simnet.Port) (moved int, pushed bool) {
 	for ; moved < pumpBurst; moved++ {
@@ -603,6 +596,7 @@ func (s steering) deliver(port *simnet.Port) (moved int, pushed bool) {
 		// one; the backend would refuse the whole burst it rides in) and
 		// a frame for a queue that is rxQueueDepth behind drop alone.
 		if len(f) > q.frameCap || len(q.carry) == rxQueueDepth {
+			port.Release(f)
 			continue
 		}
 		q.carry = append(q.carry, f)
@@ -616,6 +610,9 @@ func (s steering) deliver(port *simnet.Port) (moved int, pushed bool) {
 		moved, pushed = moved+n, pushed || n > 0
 		if err != nil && err != ErrFull && !errors.Is(err, ErrFull) {
 			n = len(q.carry) // terminal: frames for a dead queue are drops
+		}
+		for _, f := range q.carry[:n] {
+			port.Release(f) // the backend copied it (Host.Push)
 		}
 		rest := copy(q.carry, q.carry[n:])
 		clear(q.carry[rest:])

@@ -40,18 +40,11 @@ func newEndpoint(t *testing.T, mac safering.MAC) (*safering.Endpoint, nic.Host) 
 }
 
 func TestBufFrame(t *testing.T) {
-	freed := 0
-	f := &nic.BufFrame{B: []byte("abc"), OnFree: func() { freed++ }}
+	f := &nic.BufFrame{B: []byte("abc")}
+	f.Release() // a no-op: the bytes stay the frame's own
 	if string(f.Bytes()) != "abc" {
 		t.Fatal("Bytes wrong")
 	}
-	f.Release()
-	f.Release()
-	if freed != 1 {
-		t.Fatalf("OnFree ran %d times", freed)
-	}
-	empty := &nic.BufFrame{B: nil}
-	empty.Release() // nil OnFree must be safe
 }
 
 // startPump is one way of starting a pump over one backend.

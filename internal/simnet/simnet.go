@@ -143,6 +143,9 @@ type Port struct {
 	count       uint64
 	// Drops counts frames lost to impairment or overflow.
 	Drops uint64
+	// free holds the frame buffers consumers handed back (Release), at
+	// most freeMax, for deliver's copies to reuse.
+	free [][]byte
 }
 
 // queueCap bounds per-port buffering; beyond it frames drop (a real
@@ -150,6 +153,15 @@ type Port struct {
 const (
 	queueMin = 64
 	queueCap = 4096
+)
+
+// freeMax bounds a port's recycled buffers: eight pump bursts, more than
+// a consumer that releases what it pushes ever holds at once. bufCap is
+// the capacity of a fresh buffer: an Ethernet frame at the deployments'
+// 1500-byte MTU fits, so a recycled buffer carries any frame of theirs.
+const (
+	freeMax = 512
+	bufCap  = 2048
 )
 
 // NewPort attaches a new port to the network.
@@ -175,7 +187,7 @@ func (p *Port) Close() {
 	defer p.mu.Unlock()
 	p.closed = true
 	p.queue, p.qhead, p.qlen = nil, 0, 0
-	p.held = nil
+	p.held, p.free = nil, nil
 }
 
 // Send transmits a frame from this port into the switch. The frame is
@@ -195,7 +207,8 @@ func (p *Port) Send(frame []byte) error {
 
 // Recv returns the next frame queued for this port, or false when none
 // is pending. Non-blocking: device models poll, like everything else in
-// the data path.
+// the data path. The frame is the caller's until it hands it back with
+// Release, if ever.
 func (p *Port) Recv() ([]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -207,6 +220,35 @@ func (p *Port) Recv() ([]byte, bool) {
 	p.qhead = (p.qhead + 1) & (len(p.queue) - 1)
 	p.qlen--
 	return f, true
+}
+
+// Release hands back a frame Recv returned, once its bytes are consumed,
+// for a later delivery to copy into. Nothing may read or write f after
+// it, and no frame may be released twice. A consumer that never releases
+// costs one fresh buffer per frame.
+func (p *Port) Release(f []byte) {
+	p.mu.Lock()
+	p.recycle(f)
+	p.mu.Unlock()
+}
+
+// recycle keeps f for reuse while the free list has room. The caller
+// holds p.mu.
+func (p *Port) recycle(f []byte) {
+	if len(p.free) < freeMax && !p.closed {
+		p.free = append(p.free, f)
+	}
+}
+
+// frame returns a buffer of n bytes for a delivery's copy: a recycled one
+// when it is large enough, else a fresh one. The caller holds p.mu.
+func (p *Port) frame(n int) []byte {
+	if last := len(p.free) - 1; last >= 0 && cap(p.free[last]) >= n {
+		f := p.free[last]
+		p.free = p.free[:last]
+		return f[:n]
+	}
+	return make([]byte, n, max(n, bufCap))
 }
 
 // Wake returns the port's delivery signal: a capacity-1 channel poked
@@ -268,6 +310,7 @@ func (p *Port) enq(f []byte) {
 	if p.qlen == len(p.queue) {
 		if p.qlen == queueCap {
 			p.Drops++
+			p.recycle(f)
 			return
 		}
 		grown := make([][]byte, max(queueMin, 2*p.qlen))
@@ -283,7 +326,9 @@ func (p *Port) enq(f []byte) {
 	}
 }
 
-// deliver enqueues a frame at a port, applying impairment.
+// deliver enqueues a private copy of frame at a port, applying
+// impairment. The copy is the wire: it goes into a buffer a consumer
+// released when there is one.
 func (p *Port) deliver(frame []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -297,7 +342,7 @@ func (p *Port) deliver(frame []byte) {
 		p.Drops++
 		return
 	}
-	cp := make([]byte, len(frame))
+	cp := p.frame(len(frame))
 	copy(cp, frame)
 
 	if imp.CorruptEvery > 0 && p.count%uint64(imp.CorruptEvery) == 0 && p.rng != nil {
@@ -317,7 +362,7 @@ func (p *Port) deliver(frame []byte) {
 	p.held = p.held[:0]
 
 	if imp.DupEvery > 0 && p.count%uint64(imp.DupEvery) == 0 {
-		dup := make([]byte, len(cp))
+		dup := p.frame(len(cp))
 		copy(dup, cp)
 		p.enq(dup)
 	}

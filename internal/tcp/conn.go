@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"io"
+	"slices"
 	"time"
 )
 
@@ -79,7 +80,9 @@ type Conn struct {
 
 	connErr     error
 	closeCalled bool
-	notify      chan struct{}
+	// waiters holds the wakes of the goroutines blocked on the
+	// connection (waitLocked), until notifyAllLocked pokes them.
+	waiters []chan struct{}
 
 	readDeadline time.Time
 }
@@ -93,7 +96,6 @@ func newConn(e *Endpoint, key connKey) *Conn {
 		ssthresh: sndBufMax,
 		rto:      rtoInitial,
 		ooo:      make(map[uint32][]byte),
-		notify:   make(chan struct{}),
 	}
 }
 
@@ -104,9 +106,45 @@ func (c *Conn) SetReadDeadline(t time.Time) {
 	c.readDeadline = t
 }
 
+// notifyAllLocked wakes every goroutine blocked on c. A wake says
+// "re-check", never what changed: each waiter re-reads the connection's
+// state under e.mu, so a spurious one costs a loop.
 func (c *Conn) notifyAllLocked() {
-	close(c.notify)
-	c.notify = make(chan struct{})
+	for i, w := range c.waiters {
+		select {
+		case w <- struct{}{}:
+		default:
+		}
+		c.waiters[i] = nil
+	}
+	c.waiters = c.waiters[:0]
+}
+
+// waitLocked is a blocked Read's, Write's or Dial's wait: it registers a
+// pooled wake on c, releases e.mu, flushes, and waits (Endpoint.wait)
+// until a notify, deadline (zero: none) or the stack's wait returns.
+// It returns with e.mu held, the wake withdrawn, drained and pooled again.
+func (c *Conn) waitLocked(deadline time.Time) error {
+	e := c.ep
+	var w chan struct{}
+	if last := len(e.wakes) - 1; last >= 0 {
+		w, e.wakes = e.wakes[last], e.wakes[:last]
+	} else {
+		w = make(chan struct{}, 1)
+	}
+	c.waiters = append(c.waiters, w)
+	e.mu.Unlock()
+	e.flush()
+	err := e.wait(w, deadline)
+	e.mu.Lock()
+	// Still listed if no notify came; drained if one raced a timeout.
+	c.waiters = slices.DeleteFunc(c.waiters, func(r chan struct{}) bool { return r == w })
+	select {
+	case <-w:
+	default:
+	}
+	e.wakes = append(e.wakes, w)
+	return err
 }
 
 func (c *Conn) advWndLocked() uint16 {
@@ -634,13 +672,10 @@ func (c *Conn) Read(p []byte) (int, error) {
 			e.mu.Unlock()
 			return 0, ErrClosed
 		}
-		ch, deadline := c.notify, c.readDeadline
-		e.mu.Unlock()
-
-		if err := e.wait(ch, deadline); err != nil {
+		if err := c.waitLocked(c.readDeadline); err != nil {
+			e.mu.Unlock()
 			return 0, err
 		}
-		e.mu.Lock()
 	}
 }
 
@@ -666,11 +701,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			c.trySendLocked()
 			continue
 		}
-		ch := c.notify
-		e.mu.Unlock()
-		e.flush()
-		_ = e.wait(ch, time.Time{}) // no deadline: it returns once ch closes
-		e.mu.Lock()
+		_ = c.waitLocked(time.Time{}) // no deadline: it returns on a notify
 	}
 	e.mu.Unlock()
 	e.flush()

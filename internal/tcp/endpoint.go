@@ -90,6 +90,9 @@ type Endpoint struct {
 	pending, spare Batch
 	flushing       bool
 	free           [][]byte
+	// wakes pools the capacity-1 channels blocked goroutines wait on
+	// (Conn.waitLocked), so a wake-up allocates nothing.
+	wakes []chan struct{}
 }
 
 // freeMax bounds the frame-buffer pool at about two full send windows of
@@ -186,10 +189,10 @@ func (e *Endpoint) flush() {
 }
 
 // wait is tcp's one blocking wait — Read, a Write on a full send buffer,
-// Dial: it returns nil once ch closes and ErrTimeout once deadline (zero:
-// none) passes. An owning stack that polls its device supplies block and
-// runs its receive step on the waiting goroutine, so whoever waits for a
-// segment is the one who dequeues it.
+// Dial: it returns nil once ch receives and ErrTimeout once deadline
+// (zero: none) passes. An owning stack that polls its device supplies
+// block and runs its receive step on the waiting goroutine, so whoever
+// waits for a segment is the one who dequeues it.
 func (e *Endpoint) wait(ch <-chan struct{}, deadline time.Time) error {
 	if e.block != nil {
 		return e.block(ch, deadline)
@@ -380,24 +383,19 @@ func (e *Endpoint) Dial(dst ipv4.Addr, port uint16, timeout time.Duration) (*Con
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
 	e.conns[c.key] = c
 	c.sendSynLocked()
-	ch := c.notify
-	e.mu.Unlock()
-	e.flush()
 
 	deadline := time.Now().Add(timeout)
 	for {
-		err := e.wait(ch, deadline)
-		e.mu.Lock()
+		err := c.waitLocked(deadline)
 		if err != nil && c.state != StateEstablished {
 			c.teardownLocked(err)
 		}
-		st, cerr := c.state, c.connErr
-		ch = c.notify
-		e.mu.Unlock()
-		if st == StateEstablished {
+		if c.state == StateEstablished {
+			e.mu.Unlock()
 			return c, nil
 		}
-		if cerr != nil {
+		if cerr := c.connErr; cerr != nil {
+			e.mu.Unlock()
 			return nil, cerr
 		}
 	}

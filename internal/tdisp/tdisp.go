@@ -51,7 +51,7 @@ type DeviceID string
 // Errors.
 var (
 	ErrAttestation = errors.New("tdisp: device attestation failed")
-	ErrIDE         = errors.New("tdisp: IDE integrity failure")
+	ErrIDE         = nic.Fatal("tdisp: IDE integrity failure", nic.ErrClosed)
 	ErrDetached    = errors.New("tdisp: device not attached")
 )
 
@@ -315,7 +315,7 @@ func (g *Guest) Send(frame []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.dead != nil {
-		return nic.ErrClosed
+		return g.dead
 	}
 	if len(frame) == 0 || len(frame) > g.mtu+64 {
 		return fmt.Errorf("tdisp: frame size %d out of range", len(frame))
@@ -331,7 +331,7 @@ func (g *Guest) Recv() (nic.Frame, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.dead != nil {
-		return nil, nic.ErrClosed
+		return nil, g.dead
 	}
 	tlp, ok := g.relay.popToTEE()
 	if !ok {
@@ -340,7 +340,7 @@ func (g *Guest) Recv() (nic.Frame, error) {
 	pt, err := g.ide.Open(tlp)
 	if err != nil {
 		g.dead = err
-		return nil, nic.ErrClosed
+		return nil, err
 	}
 	g.meter.Crypto(len(pt))
 	return &nic.BufFrame{B: pt}, nil
