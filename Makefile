@@ -85,11 +85,14 @@ bench-pairs:
 
 # Chaos-host fault injection: scripted fault scenarios plus seeded-random
 # storms, each asserting the recovery invariant (clean new epoch or
-# permanent fail-dead, never live-but-corrupt); see EXPERIMENTS.md. Five
-# runs, not one: the tenant scenarios play a fake clock against a live
-# gateway, and an ordering bug between the two shows up as a rare flake.
+# permanent fail-dead, never live-but-corrupt); see EXPERIMENTS.md. The
+# attack matrix runs with them: its recovery and tenant cells are these
+# scripts, and its gateway column plays on the same tenant world. Five
+# runs, not one: the tenant scenarios and the gateway column play a fake
+# clock against a live gateway, and an ordering bug between the two
+# shows up as a rare flake.
 chaos:
-	$(GO) test -count=5 -v ./internal/chaos
+	$(GO) test -count=5 -v ./internal/chaos ./internal/attack
 
 # Every long-lived poller runs on one driver (nic.Driver): its stop /
 # terminal-error / park / re-check interleavings are timing-dependent, so

@@ -2,7 +2,13 @@
 // transport and prints the resilience matrix (the §3.2 safety claims,
 // verified by execution), followed by the recovery-liveness report: the
 // chaos-host scenarios showing every induced fault ends in a clean new
-// epoch or a permanent fail-dead — never a live-but-corrupt device.
+// epoch, a permanent fail-dead or a single tenant's eviction — never a
+// live-but-corrupt device. The matrix's recovery and tenant-isolation
+// cells run those same scenarios, on the safe columns' rigs.
+//
+// It exits non-zero when any safe-by-construction column
+// (attack.SafeTransports) reads COMPROMISED, or when a chaos scenario
+// ends live but corrupt.
 //
 // Usage:
 //
@@ -14,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"confio/internal/attack"
 	"confio/internal/chaos"
@@ -57,11 +64,11 @@ func main() {
 	}
 	fmt.Printf("  totals: deaths=%d reincarnations=%d stalls-detected=%d\n", deaths, reincs, stalls)
 
-	// Exit nonzero if the safe ring was ever compromised — CI guard for
-	// the paper's core claim.
+	// Exit nonzero if any safe-by-construction column was ever
+	// compromised — CI guard for the paper's core claim.
 	for _, r := range results {
-		if (r.Transport == "safering" || r.Transport == "safering-revoke" || r.Transport == "blkring") && r.Verdict == attack.Compromised {
-			fmt.Fprintf(os.Stderr, "cioattack: SAFE RING COMPROMISED: %s\n", r)
+		if slices.Contains(attack.SafeTransports, r.Transport) && r.Verdict == attack.Compromised {
+			fmt.Fprintf(os.Stderr, "cioattack: SAFE TRANSPORT COMPROMISED: %s\n", r)
 			os.Exit(1)
 		}
 	}

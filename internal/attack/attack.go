@@ -24,6 +24,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+
+	"confio/internal/chaos"
 )
 
 // Verdict classifies an attack outcome.
@@ -102,6 +104,14 @@ var AttackNames = []string{
 // TransportNames in matrix order.
 var TransportNames = []string{
 	"safering", "safering-revoke", "safering-mq", "safering-inline", "blkring", "virtio", "virtio-hardened", "netvsc", "netvsc-hardened", "gateway",
+}
+
+// SafeTransports are the columns built to be safe by construction: the
+// safe ring in each RX policy, data mode and queue count, its storage
+// instance, and the multi-tenant gateway on top of it. None may ever
+// read Compromised.
+var SafeTransports = []string{
+	"safering", "safering-revoke", "safering-mq", "safering-inline", "blkring", "gateway",
 }
 
 // Suite returns every scenario.
@@ -202,6 +212,16 @@ func compromised(atk, tr, detail string) Result {
 
 func na(atk, tr, detail string) Result {
 	return Result{Attack: atk, Transport: tr, Verdict: NotApplicable, Detail: detail}
+}
+
+// fromChaos reads a cell off a chaos script: the recovery contract's one
+// forbidden ending, live but corrupt, is the compromise, and any other
+// ending blocked the attack.
+func fromChaos(atk, tr string, r chaos.Result) Result {
+	if r.Outcome == chaos.Corrupt {
+		return compromised(atk, tr, r.Detail)
+	}
+	return blocked(atk, tr, r.Detail)
 }
 
 // verdictFromFatal maps "guest killed the connection" to Blocked and

@@ -6,58 +6,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"confio/internal/blkring"
 	"confio/internal/blockdev"
+	"confio/internal/chaos"
 	"confio/internal/cryptdisk"
-	"confio/internal/platform"
 	"confio/internal/safering"
 	"confio/internal/shmem"
 )
-
-// mkBlk builds one attacked storage device: 8 slots over a 64-sector
-// memory disk. host selects whether a live backend serves the ring;
-// attacks that forge completions themselves leave it detached.
-func mkBlk(host bool) (*blkring.Endpoint, *blkring.Backend, *blockdev.MemDisk) {
-	ep, err := blkring.New(8, 64, nil)
-	if err != nil {
-		panic(err)
-	}
-	disk := blockdev.NewMemDisk(64)
-	var be *blkring.Backend
-	if host {
-		be = blkring.NewBackend(ep.Shared(), disk)
-		be.Start()
-	}
-	return ep, be, disk
-}
-
-// killBlk forges a consumer-index overclaim and returns the fatal error
-// the guest's next submission observed.
-func killBlk(ep *blkring.Endpoint) error {
-	ep.Shared().Ring.Indexes().StoreCons(ep.Shared().Ring.NSlots() * 4)
-	return ep.WriteSector(0, make([]byte, blockdev.SectorSize))
-}
-
-// awaitStaged spins until the guest's blocked submission has published a
-// request (so the attacking host can answer it), bailing out if the
-// submission returns before the attack lands.
-func awaitStaged(ep *blkring.Endpoint, errCh <-chan error) error {
-	for {
-		select {
-		case err := <-errCh:
-			return fmt.Errorf("submission returned early: %v", err)
-		default:
-		}
-		if head, _, alive := ep.WatchProgress(); !alive || head > 0 {
-			return nil
-		}
-		runtime.Gosched()
-	}
-}
 
 // completeSlot plays a host answering the request in one slot: it fills
 // the request's own staging slab with data (for reads), then publishes a
@@ -82,22 +39,15 @@ func completeSlot(ep *blkring.Endpoint, idx uint64, data []byte, statusWord uint
 // slab quarantined; storing a value past the producer head buys one
 // validated load, which fail-deads the device like any other overclaim.
 func blkWakeSpam(tr string) Result {
-	const slots = 8
-	meter := &platform.Meter{}
-	ep, err := blkring.New(slots, 64, meter)
-	if err != nil {
-		panic(err)
-	}
-	var now atomic.Int64 // the fake clock: read by the waiting submitter, advanced here
-	ep.SetClock(func() time.Time { return time.Unix(1_700_000_000, now.Load()) })
-	ep.SetTimeout(2 * time.Second)
-	sh := ep.Shared()
+	d := chaos.NewBlkDevice(false)
+	d.EP.SetTimeout(2 * time.Second)
+	sh := d.EP.Shared()
 	errCh := make(chan error, 1)
-	go func() { errCh <- ep.WriteSector(1, frame(blockdev.SectorSize, 1)) }()
-	if err := awaitStaged(ep, errCh); err != nil {
+	go func() { errCh <- d.EP.WriteSector(1, frame(blockdev.SectorSize, 1)) }()
+	if err := d.WaitStaged(errCh); err != nil {
 		return compromised(AtkBlkWakeSpam, tr, err.Error())
 	}
-	before := meter.Snapshot()
+	before := d.Meter.Snapshot()
 	ix := sh.Ring.Indexes()
 	for i := 0; i < 100000; i++ {
 		ix.StoreCons(ix.LoadCons())
@@ -107,25 +57,25 @@ func blkWakeSpam(tr string) Result {
 		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("empty pokes ended the request: %v", err))
 	default:
 	}
-	if after := meter.Snapshot(); after.Checks != before.Checks {
+	if after := d.Meter.Snapshot(); after.Checks != before.Checks {
 		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("empty pokes were metered: %d checks", after.Checks-before.Checks))
 	}
-	now.Add(int64(3 * time.Second))
+	d.Clock.Advance(3 * time.Second)
 	if err := <-errCh; !errors.Is(err, blkring.ErrTimeout) {
 		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("spammed request did not die at its deadline: %v", err))
 	}
-	if free := sh.Data.FreeSlabs(); free != slots-1 {
-		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("%d free slabs after the timeout, want %d: staging slab not quarantined", free, slots-1))
+	if free, want := sh.Data.FreeSlabs(), int(sh.Ring.NSlots())-1; free != want {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("%d free slabs after the timeout, want %d: staging slab not quarantined", free, want))
 	}
 
 	// Garbage: the poke makes the parked submitter look, and what it
 	// finds goes through the index check.
-	ep, _, _ = mkBlk(false)
-	go func() { errCh <- ep.ReadSector(2, make([]byte, blockdev.SectorSize)) }()
-	if err := awaitStaged(ep, errCh); err != nil {
+	d = chaos.NewBlkDevice(false)
+	go func() { errCh <- d.EP.ReadSector(2, make([]byte, blockdev.SectorSize)) }()
+	if err := d.WaitStaged(errCh); err != nil {
 		return compromised(AtkBlkWakeSpam, tr, err.Error())
 	}
-	ep.Shared().Ring.Indexes().StoreCons(5)
+	d.EP.Shared().Ring.Indexes().StoreCons(5)
 	if err := <-errCh; !errors.Is(err, blkring.ErrProtocol) {
 		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("consumer index past the head accepted: %v", err))
 	}
@@ -293,29 +243,29 @@ func blkringScenarios() []Scenario {
 
 	out = append(out,
 		Scenario{AtkIndexOverclaim, tr, func() Result {
-			ep, _, _ := mkBlk(false)
-			err := killBlk(ep)
+			err := chaos.NewBlkDevice(false).Kill()
 			return verdictFromFatal(AtkIndexOverclaim, tr, err, blkring.ErrProtocol,
 				compromised(AtkIndexOverclaim, tr, "overclaim accepted"))
 		}},
 		Scenario{AtkIndexRewind, tr, func() Result {
-			ep, be, _ := mkBlk(true)
-			if err := ep.WriteSector(1, frame(blockdev.SectorSize, 1)); err != nil {
+			d := chaos.NewBlkDevice(true)
+			if err := d.EP.WriteSector(1, frame(blockdev.SectorSize, 1)); err != nil {
 				return compromised(AtkIndexRewind, tr, "setup: "+err.Error())
 			}
-			be.Stop()
+			d.Detach()
 			// The host rewinds the consumer index below progress the
 			// guest already reaped.
-			ep.Shared().Ring.Indexes().StoreCons(0)
-			err := ep.ReadSector(1, make([]byte, blockdev.SectorSize))
+			d.EP.Shared().Ring.Indexes().StoreCons(0)
+			err := d.EP.ReadSector(1, make([]byte, blockdev.SectorSize))
 			return verdictFromFatal(AtkIndexRewind, tr, err, blkring.ErrProtocol,
 				compromised(AtkIndexRewind, tr, "rewind accepted"))
 		}},
 		Scenario{AtkStatusCorrupt, tr, func() Result {
-			ep, _, _ := mkBlk(false)
+			d := chaos.NewBlkDevice(false)
+			ep := d.EP
 			errCh := make(chan error, 1)
 			go func() { errCh <- ep.WriteSector(2, frame(blockdev.SectorSize, 2)) }()
-			if err := awaitStaged(ep, errCh); err != nil {
+			if err := d.WaitStaged(errCh); err != nil {
 				return compromised(AtkStatusCorrupt, tr, err.Error())
 			}
 			// The host completes with a garbage status word: neither a
@@ -326,26 +276,27 @@ func blkringScenarios() []Scenario {
 				compromised(AtkStatusCorrupt, tr, "corrupt status word accepted"))
 		}},
 		Scenario{AtkReplay, tr, func() Result {
-			ep, be, _ := mkBlk(true)
-			if err := ep.WriteSector(3, frame(blockdev.SectorSize, 3)); err != nil {
+			d := chaos.NewBlkDevice(true)
+			if err := d.EP.WriteSector(3, frame(blockdev.SectorSize, 3)); err != nil {
 				return compromised(AtkReplay, tr, "setup: "+err.Error())
 			}
-			be.Stop()
+			d.Detach()
 			// The host replays the completion signal for the request the
 			// guest already consumed: the replayed index bump overruns
 			// the producer head.
-			ep.Shared().Ring.Indexes().StoreCons(2)
-			err := ep.ReadSector(3, make([]byte, blockdev.SectorSize))
+			d.EP.Shared().Ring.Indexes().StoreCons(2)
+			err := d.EP.ReadSector(3, make([]byte, blockdev.SectorSize))
 			return verdictFromFatal(AtkReplay, tr, err, blkring.ErrProtocol,
 				compromised(AtkReplay, tr, "replayed completion accepted"))
 		}},
 		Scenario{AtkLengthLie, tr, func() Result {
-			ep, _, _ := mkBlk(false)
+			d := chaos.NewBlkDevice(false)
+			ep := d.EP
 			want := frame(blockdev.SectorSize, 4)
 			got := make([]byte, blockdev.SectorSize)
 			errCh := make(chan error, 1)
 			go func() { errCh <- ep.ReadSector(4, got) }()
-			if err := awaitStaged(ep, errCh); err != nil {
+			if err := d.WaitStaged(errCh); err != nil {
 				return compromised(AtkLengthLie, tr, err.Error())
 			}
 			// The host rewrites the staged length word to a giant value,
@@ -363,12 +314,13 @@ func blkringScenarios() []Scenario {
 			return blocked(AtkLengthLie, tr, "geometry is guest-authored and single-fetched; the rewrite is dead state")
 		}},
 		Scenario{AtkDoubleFetch, tr, func() Result {
-			ep, _, _ := mkBlk(false)
+			d := chaos.NewBlkDevice(false)
+			ep := d.EP
 			want := frame(blockdev.SectorSize, 5)
 			got := make([]byte, blockdev.SectorSize)
 			errCh := make(chan error, 1)
 			go func() { errCh <- ep.ReadSector(5, got) }()
-			if err := awaitStaged(ep, errCh); err != nil {
+			if err := d.WaitStaged(errCh); err != nil {
 				return compromised(AtkDoubleFetch, tr, err.Error())
 			}
 			// The host rewrites the op and LBA words between staging and
@@ -388,12 +340,13 @@ func blkringScenarios() []Scenario {
 			return blocked(AtkDoubleFetch, tr, "completion uses the parked request, not the mutable slot words")
 		}},
 		Scenario{AtkForgedHandle, tr, func() Result {
-			ep, _, _ := mkBlk(false)
+			d := chaos.NewBlkDevice(false)
+			ep := d.EP
 			want := frame(blockdev.SectorSize, 6)
 			got := make([]byte, blockdev.SectorSize)
 			errCh := make(chan error, 1)
 			go func() { errCh <- ep.ReadSector(6, got) }()
-			if err := awaitStaged(ep, errCh); err != nil {
+			if err := d.WaitStaged(errCh); err != nil {
 				return compromised(AtkForgedHandle, tr, err.Error())
 			}
 			// The host swaps the staged handle word for a forged one,
@@ -428,7 +381,9 @@ func blkringScenarios() []Scenario {
 			return na(AtkFeatureTOCTOU, tr, "zero-negotiation: no control plane exists")
 		}},
 		Scenario{AtkStaleMemory, tr, func() Result {
-			ep, _, _ := mkBlk(true)
+			d := chaos.NewBlkDevice(true)
+			defer d.Detach()
+			ep := d.EP
 			secret := frame(blockdev.SectorSize, 0x5E)
 			if err := ep.WriteSector(7, secret); err != nil {
 				return compromised(AtkStaleMemory, tr, "setup: "+err.Error())
@@ -442,84 +397,19 @@ func blkringScenarios() []Scenario {
 			return blocked(AtkStaleMemory, tr, "staging slabs scrubbed on free")
 		}},
 		Scenario{AtkQueueCrossKill, tr, func() Result {
-			m, err := blkring.NewMulti(4, 8, 64, nil)
-			if err != nil {
-				panic(err)
-			}
-			q2 := m.Queues()[2]
-			if err := killBlk(q2); !errors.Is(err, blkring.ErrProtocol) {
-				return compromised(AtkQueueCrossKill, tr, "overclaim on queue 2 accepted")
-			}
-			for q, ep := range m.Queues() {
-				if err := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(err, blkring.ErrDead) {
-					return compromised(AtkQueueCrossKill, tr,
-						fmt.Sprintf("queue %d still accepts I/O after sibling violation", q))
-				}
-			}
-			return blocked(AtkQueueCrossKill, tr, "violation on one queue fail-deads the whole device")
+			d := chaos.NewBlkMultiDevice(4)
+			defer d.Detach()
+			return fromChaos(AtkQueueCrossKill, tr, chaos.CrossKill(AtkQueueCrossKill, d))
 		}},
 		Scenario{AtkEpochReplay, tr, func() Result {
-			ep, _, _ := mkBlk(false)
-			if err := killBlk(ep); !errors.Is(err, blkring.ErrProtocol) {
-				return compromised(AtkEpochReplay, tr, "kill not detected")
-			}
-			if _, err := ep.Reincarnate(); err != nil {
-				return compromised(AtkEpochReplay, tr, "reincarnate: "+err.Error())
-			}
-			errCh := make(chan error, 1)
-			go func() { errCh <- ep.ReadSector(1, make([]byte, blockdev.SectorSize)) }()
-			if err := awaitStaged(ep, errCh); err != nil {
-				return compromised(AtkEpochReplay, tr, err.Error())
-			}
-			// The host replays a completion recorded before the death:
-			// the raw status word carries the dead epoch's tag.
-			completeSlot(ep, 0, nil, blkring.StatusOK)
-			err := <-errCh
-			return verdictFromFatal(AtkEpochReplay, tr, err, blkring.ErrProtocol,
-				compromised(AtkEpochReplay, tr, "stale-epoch completion accepted after rebirth"))
+			d := chaos.NewBlkDevice(true)
+			defer d.Detach()
+			return fromChaos(AtkEpochReplay, tr, chaos.BlkEpochReplay(d))
 		}},
 		Scenario{AtkReattachStorm, tr, func() Result {
-			ep, _, _ := mkBlk(false)
-			clk := &stormClock{t: time.Unix(1_700_000_000, 0)}
-			ep.SetClock(clk.Now)
-			ep.SetRecoveryPolicy(safering.RecoveryPolicy{
-				BaseBackoff:  10 * time.Millisecond,
-				MaxBackoff:   time.Second,
-				JitterFrac:   0.2,
-				DeathBudget:  4,
-				BudgetWindow: time.Minute,
-				Clock:        clk.Now,
-				Seed:         42,
-			})
-			sawQuarantine := false
-			for round := 0; round < 32; round++ {
-				if err := killBlk(ep); !errors.Is(err, blkring.ErrProtocol) {
-					return compromised(AtkReattachStorm, tr, "kill not detected")
-				}
-				_, err := ep.Reincarnate()
-				for errors.Is(err, safering.ErrQuarantine) {
-					sawQuarantine = true
-					clk.Advance(2 * time.Second)
-					_, err = ep.Reincarnate()
-				}
-				if errors.Is(err, safering.ErrBudgetExhausted) {
-					if !sawQuarantine {
-						return compromised(AtkReattachStorm, tr, "no quarantine before budget exhaustion")
-					}
-					clk.Advance(10 * time.Minute)
-					if _, err := ep.Reincarnate(); !errors.Is(err, safering.ErrBudgetExhausted) {
-						return compromised(AtkReattachStorm, tr, "patient host revived a budget-dead device")
-					}
-					if err := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(err, blkring.ErrDead) {
-						return compromised(AtkReattachStorm, tr, "budget-dead device accepted I/O")
-					}
-					return blocked(AtkReattachStorm, tr, "storm quarantined, then permanent fail-dead (bounded resets)")
-				}
-				if err != nil {
-					return compromised(AtkReattachStorm, tr, "reincarnate: "+err.Error())
-				}
-			}
-			return compromised(AtkReattachStorm, tr, "storm never exhausted the death budget")
+			d := chaos.NewBlkMultiDevice(2)
+			defer d.Detach()
+			return fromChaos(AtkReattachStorm, tr, chaos.ReattachStorm(AtkReattachStorm, d))
 		}},
 	)
 	return out

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
+	"confio/internal/chaos"
 	"confio/internal/ctls"
 	"confio/internal/gateway"
 	"confio/internal/safering"
@@ -33,47 +33,11 @@ func gatewayScenarios() []Scenario {
 		{AtkForgedHandle, tr, runGWForgedHandle},
 		{AtkNotifStorm, tr, runGWFlood},
 		{AtkTenantCrossRead, tr, runGWCrossRead},
-		{AtkTenantStallNbr, tr, runGWStallNeighbor},
-		{AtkTenantKillNbr, tr, runGWKillNeighbor},
+		// A tenant that stalls, or spends its whole fault budget, is the
+		// chaos lattice's tenant-stall and cross-tenant-death.
+		{AtkTenantStallNbr, tr, func() Result { return fromChaos(AtkTenantStallNbr, tr, chaos.TenantStall()) }},
+		{AtkTenantKillNbr, tr, func() Result { return fromChaos(AtkTenantKillNbr, tr, chaos.CrossTenantDeath()) }},
 	}
-}
-
-// newGWNode builds a gateway deployment with tight real-clock budgets
-// (the attack harness, unlike chaos, runs on the wall clock).
-func newGWNode(maxFlows int) (*gateway.Node, error) {
-	return gateway.NewNode(gateway.NodeConfig{
-		Queues: 2,
-		Gateway: gateway.Config{
-			Master:   []byte("attack-gateway-master-secret"),
-			Tenants:  []gateway.TenantID{1, 2, 3},
-			MaxFlows: maxFlows,
-			TenantPolicy: safering.RecoveryPolicy{
-				BaseBackoff:  time.Millisecond,
-				MaxBackoff:   5 * time.Millisecond,
-				DeathBudget:  2,
-				BudgetWindow: time.Minute,
-				Seed:         7,
-			},
-			StallTimeout: 150 * time.Millisecond,
-		},
-	})
-}
-
-func gwEcho(c io.ReadWriteCloser, seed byte, n int) error {
-	for i := 0; i < n; i++ {
-		want := frame(64+i, seed+byte(i))
-		if _, err := c.Write(want); err != nil {
-			return fmt.Errorf("write %d: %w", i, err)
-		}
-		got := make([]byte, len(want))
-		if _, err := io.ReadFull(c, got); err != nil {
-			return fmt.Errorf("read %d: %w", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("frame %d corrupted", i)
-		}
-	}
-	return nil
 }
 
 // runGWIndexOverclaim: the host overclaims receive producer indexes on
@@ -83,22 +47,19 @@ func gwEcho(c io.ReadWriteCloser, seed byte, n int) error {
 // radius; per-tenant eviction never dilutes fail-dead.
 func runGWIndexOverclaim() Result {
 	const atk, tr = AtkIndexOverclaim, "gateway"
-	n, err := newGWNode(8)
-	if err != nil {
-		return compromised(atk, tr, "setup: "+err.Error())
-	}
-	defer n.Close()
-	c, err := n.DialTenant(1)
+	w := chaos.NewTenantWorld()
+	defer w.Node.Close()
+	c, err := w.Node.DialTenant(1)
 	if err != nil {
 		return compromised(atk, tr, "baseline dial: "+err.Error())
 	}
 	defer c.Close()
-	if err := gwEcho(c, 0x11, 2); err != nil {
+	if err := chaos.EchoVerify(c, 1, 2); err != nil {
 		return compromised(atk, tr, "baseline traffic: "+err.Error())
 	}
 
 	// The lie: every queue's RX producer index claims slots*4 completions.
-	mep := n.GatewayTransport()
+	mep := w.Node.GatewayTransport()
 	for q := 0; q < mep.Queues(); q++ {
 		ep := mep.Queue(q)
 		ep.Shared().RXUsed.Indexes().StoreProd(uint64(ep.Config().Slots) * 4)
@@ -108,27 +69,18 @@ func runGWIndexOverclaim() Result {
 	// one happens: the gateway device must latch fail-dead, and the lie
 	// must never surface as verified traffic.
 	echoErr := make(chan error, 1)
-	go func() { echoErr <- gwEcho(c, 0x22, 4) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for mep.Dead() == nil {
-		if time.Now().After(deadline) {
-			return compromised(atk, tr, "device never declared the overclaim")
-		}
-		time.Sleep(2 * time.Millisecond)
+	go func() { echoErr <- chaos.EchoVerify(c, 1, 4) }()
+	if !chaos.Await(func() bool { return mep.Dead() != nil }) {
+		return compromised(atk, tr, "device never declared the overclaim")
 	}
 	if !errors.Is(mep.Dead(), safering.ErrProtocol) {
 		return compromised(atk, tr, fmt.Sprintf("death cause lost: %v", mep.Dead()))
 	}
-	// Give the degrading stack a moment to tear the flow down, then check
-	// the lie never verified. A flow that merely hangs from the client's
-	// side is fine — across the wire a dead device is indistinguishable
-	// from a host dropping every packet, which it can always do.
-	select {
-	case err := <-echoErr:
-		if err == nil {
-			return compromised(atk, tr, "traffic verified through an overclaimed ring (lie unnoticed)")
-		}
-	case <-time.After(500 * time.Millisecond):
+	// The dead device can carry no reply, so tearing the deployment down
+	// ends the echo: it must end in an error, never in verified bytes.
+	w.Node.Close()
+	if err := <-echoErr; err == nil {
+		return compromised(atk, tr, "traffic verified through an overclaimed ring (lie unnoticed)")
 	}
 	return blocked(atk, tr, "overclaim fail-deads the whole device; no tenant saw corrupted bytes")
 }
@@ -140,7 +92,7 @@ func runGWIndexOverclaim() Result {
 // the secret, not the record-layer guarantees.
 func runGWReplay() Result {
 	const atk, tr = AtkReplay, "gateway"
-	psk := gateway.TenantKey([]byte("attack-gateway-master-secret"), 1)
+	psk := gateway.TenantKey(chaos.GatewayMaster, 1)
 	a, b := newPipePair()
 	hookReady := make(chan struct{})
 	go func() {
@@ -182,32 +134,35 @@ func runGWReplay() Result {
 // unauthenticated faults never burn the sticky budget.
 func runGWForgedHandle() Result {
 	const atk, tr = AtkForgedHandle, "gateway"
-	n, err := newGWNode(8)
-	if err != nil {
-		return compromised(atk, tr, "setup: "+err.Error())
-	}
-	defer n.Close()
+	w := chaos.NewTenantWorld()
+	defer w.Node.Close()
 	for i := 0; i < 5; i++ {
-		c, err := n.DialRaw()
+		drops := w.Node.Tb.Tenant(1).Drops
+		c, err := w.Node.DialRaw()
 		if err != nil {
 			return compromised(atk, tr, "raw dial: "+err.Error())
 		}
 		c.Write(gateway.EncodeHello(1))
 		c.Write(frame(40, byte(i))) // junk where the ctls hello should be
-		c.Read(make([]byte, 16))    // observe the cut
-		c.Close()
-		time.Sleep(15 * time.Millisecond) // clear the handshake backoff
+		c.Close()                   // the handshake fails now, not at the gateway's timeout
+		if !w.AwaitCharge(1, drops) {
+			return compromised(atk, tr, "forged hello never charged to the claimed id")
+		}
+		w.Clock.Advance(2 * time.Second) // serve the handshake backoff
 	}
-	if n.GW.TenantEvicted(1) {
+	if drops := w.Node.Tb.Tenant(1).Drops; drops != 5 {
+		return compromised(atk, tr, fmt.Sprintf("%d faults charged for 5 forged hellos", drops))
+	}
+	if w.Node.GW.TenantEvicted(1) {
 		return compromised(atk, tr, "forged hellos evicted the victim tenant")
 	}
 	// The real key-holder is unharmed.
-	c, err := n.DialTenant(1)
+	c, err := w.Node.DialTenant(1)
 	if err != nil {
 		return compromised(atk, tr, "victim locked out by forgery storm: "+err.Error())
 	}
 	defer c.Close()
-	if err := gwEcho(c, 0x31, 3); err != nil {
+	if err := chaos.EchoVerify(c, 1, 3); err != nil {
 		return compromised(atk, tr, "victim traffic broken: "+err.Error())
 	}
 	return blocked(atk, tr, "forged identity cannot pass the handshake or burn the victim's budget")
@@ -219,37 +174,36 @@ func runGWForgedHandle() Result {
 // the flooder its own budget, not the device's.
 func runGWFlood() Result {
 	const atk, tr = AtkNotifStorm, "gateway"
-	n, err := newGWNode(1)
-	if err != nil {
-		return compromised(atk, tr, "setup: "+err.Error())
-	}
-	defer n.Close()
-	nb, err := n.DialTenant(2)
+	w := chaos.NewTenantWorld()
+	defer w.Node.Close()
+	nb, err := w.Node.DialTenant(2)
 	if err != nil {
 		return compromised(atk, tr, "neighbor dial: "+err.Error())
 	}
 	defer nb.Close()
 
-	hold, err := n.DialTenant(1)
-	if err != nil {
-		return compromised(atk, tr, "hold dial: "+err.Error())
-	}
-	defer hold.Close()
-	for i := 0; i < 6; i++ {
-		if c, err := n.DialTenant(1); err == nil {
-			c.Write([]byte("x"))
-			c.Read(make([]byte, 4))
-			c.Close()
+	// The flooder holds its whole quota, so every further flow breaches it.
+	for i := 0; i < 2; i++ {
+		hold, err := w.Node.DialTenant(1)
+		if err != nil {
+			return compromised(atk, tr, "hold dial: "+err.Error())
 		}
-		if err := gwEcho(nb, byte(0x41+i), 1); err != nil {
+		defer hold.Close()
+	}
+	if !w.AwaitFlows(1, 2) {
+		return compromised(atk, tr, "held flows never registered")
+	}
+	for i := 0; i < 6; i++ {
+		w.FloodOnce(1)
+		if err := chaos.EchoVerify(nb, 2, 1); err != nil {
 			return compromised(atk, tr, fmt.Sprintf("neighbor interrupted mid-storm: %v", err))
 		}
-		time.Sleep(15 * time.Millisecond)
+		w.Clock.Advance(2 * time.Second) // serve the flood's backoff
 	}
-	if err := gwEcho(nb, 0x51, 2); err != nil {
+	if err := chaos.EchoVerify(nb, 2, 2); err != nil {
 		return compromised(atk, tr, "neighbor broken after storm: "+err.Error())
 	}
-	if dead := n.GatewayTransport().Dead(); dead != nil {
+	if dead := w.Node.GatewayTransport().Dead(); dead != nil {
 		return compromised(atk, tr, "flow storm killed the shared device: "+dead.Error())
 	}
 	return blocked(atk, tr, "flow storm contained to the flooder; neighbors and device unharmed")
@@ -262,137 +216,32 @@ func runGWFlood() Result {
 // exists above, and the per-tenant compartments deny one below.
 func runGWCrossRead() Result {
 	const atk, tr = AtkTenantCrossRead, "gateway"
-	master := []byte("attack-gateway-master-secret")
-	if bytes.Equal(gateway.TenantKey(master, 1), gateway.TenantKey(master, 2)) {
+	if bytes.Equal(gateway.TenantKey(chaos.GatewayMaster, 1), gateway.TenantKey(chaos.GatewayMaster, 2)) {
 		return compromised(atk, tr, "two tenants derived the same key")
 	}
-	n, err := newGWNode(8)
-	if err != nil {
-		return compromised(atk, tr, "setup: "+err.Error())
-	}
-	defer n.Close()
+	w := chaos.NewTenantWorld()
+	defer w.Node.Close()
 	// Attacker = tenant 2, using its own key under the victim's id.
-	if _, err := n.DialTenantKey(1, gateway.TenantKey(master, 2)); err == nil {
+	drops := w.Node.Tb.Tenant(1).Drops
+	if _, err := w.Node.DialTenantKey(1, gateway.TenantKey(chaos.GatewayMaster, 2)); err == nil {
 		return compromised(atk, tr, "attacker completed a handshake as the victim")
 	}
-	// And the honest victim is untouched by the attempt.
-	time.Sleep(15 * time.Millisecond) // the failed handshake armed victim-id backoff
-	c, err := n.DialTenant(1)
+	// And the honest victim is untouched by the attempt, once the
+	// backoff it armed on the victim's id has passed.
+	if !w.AwaitCharge(1, drops) {
+		return compromised(atk, tr, "failed handshake never charged to the claimed id")
+	}
+	w.Clock.Advance(2 * time.Second)
+	c, err := w.Node.DialTenant(1)
 	if err != nil {
 		return compromised(atk, tr, "victim locked out: "+err.Error())
 	}
 	defer c.Close()
-	if err := gwEcho(c, 0x61, 3); err != nil {
+	if err := chaos.EchoVerify(c, 1, 3); err != nil {
 		return compromised(atk, tr, "victim traffic broken: "+err.Error())
 	}
-	if n.GW.TenantEvicted(1) {
+	if w.Node.GW.TenantEvicted(1) {
 		return compromised(atk, tr, "impersonation attempt evicted the victim")
 	}
 	return blocked(atk, tr, "cross-tenant key confusion refused at the handshake; victim unharmed")
-}
-
-// runGWStallNeighbor: a malicious tenant stops draining its replies,
-// trying to wedge the shared relay under everyone. The stall watchdog
-// must shed the attacker's flow while a neighbor exchanges verified
-// frames the whole time.
-func runGWStallNeighbor() Result {
-	const atk, tr = AtkTenantStallNbr, "gateway"
-	n, err := newGWNode(8)
-	if err != nil {
-		return compromised(atk, tr, "setup: "+err.Error())
-	}
-	defer n.Close()
-	nb, err := n.DialTenant(2)
-	if err != nil {
-		return compromised(atk, tr, "neighbor dial: "+err.Error())
-	}
-	defer nb.Close()
-
-	st, err := n.DialTenant(1)
-	if err != nil {
-		return compromised(atk, tr, "staller dial: "+err.Error())
-	}
-	defer st.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for n.GW.TenantFlows(1) == 0 {
-		if time.Now().After(deadline) {
-			return compromised(atk, tr, "staller flow never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	msg := make([]byte, 8<<10)
-	go func() {
-		for i := 0; i < 64; i++ {
-			if _, err := st.Write(msg); err != nil {
-				return
-			}
-		}
-	}()
-	for n.GW.TenantFlows(1) != 0 {
-		if time.Now().After(deadline) {
-			return compromised(atk, tr, "stalled flow never shed: the relay can be wedged")
-		}
-		if err := gwEcho(nb, 0x71, 1); err != nil {
-			return compromised(atk, tr, "neighbor stalled by the attacker: "+err.Error())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := gwEcho(nb, 0x81, 2); err != nil {
-		return compromised(atk, tr, "neighbor broken after shed: "+err.Error())
-	}
-	return blocked(atk, tr, "stalled flow shed by equality-only aging; neighbor flowed throughout")
-}
-
-// runGWKillNeighbor: a malicious tenant spends its entire fault budget
-// as fast as it can, aiming to take the gateway (and its neighbors)
-// down with it. It must achieve exactly its own sticky eviction:
-// neighbors keep flowing and the device-wide death budget is untouched.
-func runGWKillNeighbor() Result {
-	const atk, tr = AtkTenantKillNbr, "gateway"
-	n, err := newGWNode(1)
-	if err != nil {
-		return compromised(atk, tr, "setup: "+err.Error())
-	}
-	defer n.Close()
-	nb, err := n.DialTenant(2)
-	if err != nil {
-		return compromised(atk, tr, "neighbor dial: "+err.Error())
-	}
-	defer nb.Close()
-
-	hold, err := n.DialTenant(1)
-	if err != nil {
-		return compromised(atk, tr, "hold dial: "+err.Error())
-	}
-	defer hold.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for !n.GW.TenantEvicted(1) {
-		if time.Now().After(deadline) {
-			return compromised(atk, tr, "attacker never hit its budget (containment untested)")
-		}
-		if c, err := n.DialTenant(1); err == nil {
-			c.Write([]byte("x"))
-			c.Read(make([]byte, 4))
-			c.Close()
-		}
-		time.Sleep(15 * time.Millisecond)
-	}
-	// The attacker is gone — stickily.
-	if _, err := n.DialTenant(1); err == nil {
-		return compromised(atk, tr, "evicted attacker re-admitted")
-	}
-	// The neighbors and the device are not.
-	if err := gwEcho(nb, 0x91, 3); err != nil {
-		return compromised(atk, tr, "neighbor died with the attacker: "+err.Error())
-	}
-	if dead := n.GatewayTransport().Dead(); dead != nil {
-		return compromised(atk, tr, "attacker's eviction killed the device: "+dead.Error())
-	}
-	if _, err := n.GatewayTransport().Reincarnate(); !errors.Is(err, safering.ErrNotDead) {
-		return compromised(atk, tr, fmt.Sprintf("device recovery state disturbed: %v", err))
-	}
-	if deaths := n.Bank.Snapshot().Deaths; deaths != 0 {
-		return compromised(atk, tr, fmt.Sprintf("tenant eviction consumed %d device deaths", deaths))
-	}
-	return blocked(atk, tr, "suicidal tenant evicted alone; neighbors flow; device budget untouched")
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"confio/internal/arp"
+	"confio/internal/chaos"
 	"confio/internal/ether"
 	"confio/internal/ipv4"
 	"confio/internal/netstack"
@@ -38,24 +39,14 @@ type parkedStack struct {
 
 func newParkedStack(cfg safering.DeviceConfig, queues int) *parkedStack {
 	p := &parkedStack{buf: make([]byte, cfg.FrameCap())}
-	var guest nic.Guest
-	if queues > 1 {
-		m, err := safering.NewMulti(cfg, queues, nil)
-		if err != nil {
-			panic(err)
-		}
-		mhp := safering.NewMultiHostPort(m.SharedQueues())
-		for q := 0; q < queues; q++ {
-			p.eps, p.hps = append(p.eps, m.Queue(q)), append(p.hps, mhp.Queue(q))
-		}
-		guest = m.NIC()
-	} else {
-		ep, err := safering.New(cfg, nil)
-		if err != nil {
-			panic(err)
-		}
-		p.eps, p.hps = []*safering.Endpoint{ep}, []*safering.HostPort{safering.NewHostPort(ep.Shared())}
-		guest = ep.NIC()
+	d := rig(cfg, queues)
+	for q := 0; q < queues; q++ {
+		ep, hp := d.Queue(q)
+		p.eps, p.hps = append(p.eps, ep), append(p.hps, hp)
+	}
+	var guest nic.Guest = p.eps[0].NIC()
+	if m, ok := d.(*chaos.MultiDevice); ok {
+		guest = m.M.NIC()
 	}
 	p.stack = netstack.New(guest, parkedStackIP)
 	p.stack.Start()

@@ -4,38 +4,22 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
+	"confio/internal/chaos"
 	"confio/internal/platform"
 	"confio/internal/safering"
 )
 
-// mkDevice builds the device under attack — one ring pair, or several
-// behind one Life — with an honest host model attached. The attacked
-// queue is always queue 0; reincarnate revives through the sanctioned,
-// device-wide path (per-queue revival is refused by design).
-func mkDevice(cfg safering.DeviceConfig, queues int) (ep *safering.Endpoint, hp *safering.HostPort, reincarnate func() error) {
+// rig builds the device under attack — one ring pair, or several behind
+// one Life — on chaos's rigs, with an honest host model attached. The
+// attacked queue is always queue 0; recovery is device-wide (per-queue
+// revival is refused by design).
+func rig(cfg safering.DeviceConfig, queues int) chaos.NIC {
 	if queues == 1 {
-		ep, err := safering.New(cfg, nil)
-		if err != nil {
-			panic(err)
-		}
-		return ep, safering.NewHostPort(ep.Shared()), func() error { _, err := ep.Reincarnate(); return err }
+		return chaos.NewDevice(cfg)
 	}
-	m, err := safering.NewMulti(cfg, queues, nil)
-	if err != nil {
-		panic(err)
-	}
-	return m.Queue(0), safering.NewMultiHostPort(m.SharedQueues()).Queue(0),
-		func() error { _, err := m.Reincarnate(); return err }
+	return chaos.NewMultiDevice(cfg, queues)
 }
-
-// stormClock is a hand-cranked clock for the reattach-storm scenario,
-// keeping the quarantine math deterministic.
-type stormClock struct{ t time.Time }
-
-func (c *stormClock) Now() time.Time          { return c.t }
-func (c *stormClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // saferingScenarios attacks the paper's safe ring, in both receive
 // policies and in both data modes. Expected (and asserted by the tests):
@@ -78,8 +62,7 @@ func saferingScenarios() []Scenario {
 			return cfg
 		}
 		mk := func() (*safering.Endpoint, *safering.HostPort) {
-			ep, hp, _ := mkDevice(mkCfg(), v.queues)
-			return ep, hp
+			return rig(mkCfg(), v.queues).Queue(0)
 		}
 
 		out = append(out,
@@ -216,11 +199,7 @@ func saferingScenarios() []Scenario {
 			Scenario{AtkNotifStorm, v.name, func() Result {
 				cfg := safering.DefaultConfig()
 				cfg.Notify = true
-				ep, err := safering.New(cfg, nil)
-				if err != nil {
-					panic(err)
-				}
-				hp := safering.NewHostPort(ep.Shared())
+				ep, hp := rig(cfg, 1).Queue(0)
 				// 10k spurious doorbells, then real traffic must still work.
 				for i := 0; i < 10000; i++ {
 					ep.Shared().RXBell.Ring()
@@ -244,7 +223,7 @@ func saferingScenarios() []Scenario {
 				cfg := mkCfg()
 				cfg.Notify = true
 				cfg.EventIdx = true
-				ep, hp, _ := mkDevice(cfg, v.queues)
+				ep, hp := rig(cfg, v.queues).Queue(0)
 				buf := make([]byte, ep.Config().FrameCap())
 				garbage := []uint64{^uint64(0), 1 << 63, 5, 0}
 				for i := 0; i < 32; i++ {
@@ -288,102 +267,13 @@ func saferingScenarios() []Scenario {
 				if v.queues <= 1 {
 					return na(AtkQueueCrossKill, v.name, "single queue: no sibling to kill selectively")
 				}
-				cfg := mkCfg()
-				m, err := safering.NewMulti(cfg, v.queues, nil)
-				if err != nil {
-					panic(err)
-				}
-				// Host corrupts exactly one queue, hoping to kill it
-				// selectively and keep studying traffic on the survivors.
-				m.Queue(2).Shared().RXUsed.Indexes().StoreProd(uint64(cfg.Slots) * 4)
-				if _, err := m.Queue(2).Recv(); !errors.Is(err, safering.ErrProtocol) {
-					return compromised(AtkQueueCrossKill, v.name, "overclaim on queue 2 accepted")
-				}
-				for q := 0; q < v.queues; q++ {
-					if err := m.Queue(q).Send(frame(64, byte(q))); !errors.Is(err, safering.ErrDead) {
-						return compromised(AtkQueueCrossKill, v.name,
-							fmt.Sprintf("queue %d still accepts I/O after sibling violation", q))
-					}
-				}
-				return blocked(AtkQueueCrossKill, v.name, "violation on one queue fail-deads the whole device")
+				return fromChaos(AtkQueueCrossKill, v.name, chaos.CrossKill(AtkQueueCrossKill, chaos.NewMultiDevice(mkCfg(), v.queues)))
 			}},
 			Scenario{AtkEpochReplay, v.name, func() Result {
-				cfg := mkCfg()
-				ep, hp, reincarnate := mkDevice(cfg, v.queues)
-				// Deliver one real frame and record its (epoch-0) descriptor.
-				if err := hp.Push(frame(64, 3)); err != nil {
-					return compromised(AtkEpochReplay, v.name, "setup: "+err.Error())
-				}
-				rx, err := ep.Recv()
-				if err != nil {
-					return compromised(AtkEpochReplay, v.name, "setup: "+err.Error())
-				}
-				recorded := ep.Shared().RXUsed.ReadDesc(0)
-				rx.Release()
-				// Kill the device; the guest reincarnates at the next epoch.
-				ep.Shared().RXUsed.Indexes().StoreProd(uint64(cfg.Slots) * 4)
-				if _, err := ep.Recv(); !errors.Is(err, safering.ErrProtocol) {
-					return compromised(AtkEpochReplay, v.name, "kill not detected")
-				}
-				if err := reincarnate(); err != nil {
-					return compromised(AtkEpochReplay, v.name, "reincarnate: "+err.Error())
-				}
-				// The host replays the pre-death descriptor into the reborn
-				// ring, hoping old completions still parse.
-				ep.Shared().RXUsed.WriteDesc(0, recorded)
-				ep.Shared().RXUsed.Indexes().StoreProd(1)
-				_, err = ep.Recv()
-				return verdictFromFatal(AtkEpochReplay, v.name, err, safering.ErrProtocol,
-					compromised(AtkEpochReplay, v.name, "stale-epoch descriptor accepted after rebirth"))
+				return fromChaos(AtkEpochReplay, v.name, chaos.EpochReplay(rig(mkCfg(), v.queues)))
 			}},
 			Scenario{AtkReattachStorm, v.name, func() Result {
-				cfg := mkCfg()
-				ep, _, reinc := mkDevice(cfg, v.queues)
-				clk := &stormClock{t: time.Unix(1_700_000_000, 0)}
-				// The policy is the device's, through whichever queue it is set.
-				ep.SetRecoveryPolicy(safering.RecoveryPolicy{
-					BaseBackoff:  10 * time.Millisecond,
-					MaxBackoff:   time.Second,
-					JitterFrac:   0.2,
-					DeathBudget:  4,
-					BudgetWindow: time.Minute,
-					Clock:        clk.Now,
-					Seed:         42,
-				})
-				// The host kills the device over and over, hoping unlimited
-				// reattach cycles give it unlimited fresh windows to probe.
-				sawQuarantine := false
-				for round := 0; round < 32; round++ {
-					ep.Shared().RXUsed.Indexes().StoreProd(uint64(cfg.Slots) * 4)
-					if _, err := ep.Recv(); !errors.Is(err, safering.ErrProtocol) {
-						return compromised(AtkReattachStorm, v.name, "kill not detected")
-					}
-					err := reinc()
-					for errors.Is(err, safering.ErrQuarantine) {
-						sawQuarantine = true
-						clk.Advance(2 * time.Second)
-						err = reinc()
-					}
-					if errors.Is(err, safering.ErrBudgetExhausted) {
-						if !sawQuarantine {
-							return compromised(AtkReattachStorm, v.name, "no quarantine before budget exhaustion")
-						}
-						// Permanence: a patient host must not be able to wait
-						// the budget window out.
-						clk.Advance(10 * time.Minute)
-						if err := reinc(); !errors.Is(err, safering.ErrBudgetExhausted) {
-							return compromised(AtkReattachStorm, v.name, "patient host revived a budget-dead device")
-						}
-						if err := ep.Send(frame(64, 1)); !errors.Is(err, safering.ErrDead) {
-							return compromised(AtkReattachStorm, v.name, "budget-dead device accepted traffic")
-						}
-						return blocked(AtkReattachStorm, v.name, "storm quarantined, then permanent fail-dead (bounded resets)")
-					}
-					if err != nil {
-						return compromised(AtkReattachStorm, v.name, "reincarnate: "+err.Error())
-					}
-				}
-				return compromised(AtkReattachStorm, v.name, "storm never exhausted the death budget")
+				return fromChaos(AtkReattachStorm, v.name, chaos.ReattachStorm(AtkReattachStorm, rig(mkCfg(), v.queues)))
 			}},
 			Scenario{AtkStaleMemory, v.name, func() Result {
 				if inline {

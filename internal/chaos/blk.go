@@ -108,10 +108,10 @@ func (d *BlkDevice) Reincarnate() error {
 	return nil
 }
 
-// waitStaged spins until the guest's blocked submission has published
+// WaitStaged spins until the guest's blocked submission has published
 // work into the ring (so a fault can be injected under it), bailing out
 // if the submission returns early.
-func (d *BlkDevice) waitStaged(errCh <-chan error) error {
+func (d *BlkDevice) WaitStaged(errCh <-chan error) error {
 	for {
 		select {
 		case err := <-errCh:
@@ -134,7 +134,7 @@ func (d *BlkDevice) counters(r Result) Result {
 }
 
 // BlkMultiDevice is a multi-queue blkring storage device under chaos:
-// the storage instance of mqDevice, on the same Life as the NIC's.
+// the storage Rig, on the same Life as the NIC's.
 type BlkMultiDevice struct {
 	Clock *Clock
 	Meter *platform.Meter
@@ -175,8 +175,8 @@ func (d *BlkMultiDevice) attach() {
 	}
 }
 
-// detach stops every host backend.
-func (d *BlkMultiDevice) detach() {
+// Detach stops every host backend.
+func (d *BlkMultiDevice) Detach() {
 	for _, be := range d.BEs {
 		be.Stop()
 	}
@@ -187,9 +187,9 @@ func (d *BlkMultiDevice) Queues() int        { return len(d.M.Queues()) }
 func (d *BlkMultiDevice) Epoch(q int) uint32 { return d.M.Queues()[q].Epoch() }
 func (d *BlkMultiDevice) clock() *Clock      { return d.Clock }
 
-// VerifyAll writes and reads back the whole volume through the device's
+// Verify writes and reads back the whole volume through the device's
 // striped batch path, so every queue carries each round.
-func (d *BlkMultiDevice) VerifyAll(n int) error {
+func (d *BlkMultiDevice) Verify(n int) error {
 	buf := make([]byte, d.M.Sectors()*blockdev.SectorSize)
 	for i := 0; i < n; i++ {
 		want := pattern(len(buf), byte(i)|1)
@@ -214,7 +214,7 @@ func (d *BlkMultiDevice) VerifyAll(n int) error {
 // KillQueue detaches the host and forges a consumer-index overclaim on
 // queue q; that queue's next submission must observe it and die.
 func (d *BlkMultiDevice) KillQueue(q int) error {
-	d.detach()
+	d.Detach()
 	ep := d.M.Queues()[q]
 	ep.Shared().Ring.Indexes().StoreCons(ep.Shared().Ring.NSlots() * 4)
 	if err := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(err, blkring.ErrProtocol) {
@@ -307,7 +307,7 @@ func runBlkHostStall() Result {
 	}, d.EP)
 	errCh := make(chan error, 1)
 	go func() { errCh <- d.EP.WriteSector(3, pattern(blockdev.SectorSize, 7)) }()
-	if err := d.waitStaged(errCh); err != nil {
+	if err := d.WaitStaged(errCh); err != nil {
 		return corrupt(fault, err.Error())
 	}
 	wd.Poll() // obligation observed, clock starts
@@ -341,7 +341,7 @@ func runBlkSlowHost() Result {
 	d.EP.SetTimeout(2 * time.Second)
 	errCh := make(chan error, 1)
 	go func() { errCh <- d.EP.WriteSector(5, pattern(blockdev.SectorSize, 9)) }()
-	if err := d.waitStaged(errCh); err != nil {
+	if err := d.WaitStaged(errCh); err != nil {
 		return corrupt(fault, err.Error())
 	}
 	d.Clock.Advance(3 * time.Second)
@@ -366,13 +366,13 @@ func runBlkSlowHost() Result {
 		Detail: "fake clock drove the timeout; quarantined slab discarded with the old arena"})
 }
 
-// runBlkEpochReplay: the device dies and reincarnates, and the host
+// BlkEpochReplay: the device dies and reincarnates, and the host
 // replays a completion recorded from the dead epoch into the reborn
 // ring. The raw epoch-0 status word must be fatally rejected — then a
-// second admitted reincarnation must come back clean.
-func runBlkEpochReplay() Result {
+// second admitted reincarnation must come back clean. d starts with its
+// host attached.
+func BlkEpochReplay(d *BlkDevice) Result {
 	const fault = "blk-epoch-replay"
-	d := NewBlkDevice(true)
 	if err := d.Verify(1); err != nil {
 		return corrupt(fault, "healthy baseline failed: "+err.Error())
 	}
@@ -386,7 +386,7 @@ func runBlkEpochReplay() Result {
 	// ring's first request with the status word it recorded at epoch 0.
 	errCh := make(chan error, 1)
 	go func() { errCh <- d.EP.ReadSector(1, make([]byte, blockdev.SectorSize)) }()
-	if err := d.waitStaged(errCh); err != nil {
+	if err := d.WaitStaged(errCh); err != nil {
 		return corrupt(fault, err.Error())
 	}
 	sh := d.EP.Shared()

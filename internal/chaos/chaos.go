@@ -18,8 +18,11 @@
 // policy.
 //
 // The package deliberately imports no testing machinery: the chaos_test
-// suite drives it under `go test`, and cmd/cioattack reuses the same
-// scenarios for its report.
+// suite drives it under `go test`, cmd/cioattack reuses the same
+// scenarios for its report, and the attack matrix builds its safe-ring,
+// storage and gateway devices on these rigs and reads its recovery and
+// tenant-isolation cells off these scripts, so each host fault is
+// scripted once.
 package chaos
 
 import (
@@ -128,23 +131,8 @@ type Device struct {
 	Old []*safering.Shared
 }
 
-// NewDevice builds a chaos device. notify selects doorbell mode.
-func NewDevice(notify bool) *Device {
-	cfg := safering.DefaultConfig()
-	cfg.Notify = notify
-	return newDevice(cfg)
-}
-
-// NewEventIdxDevice builds a notify device with event-idx suppression
-// enabled, for scenarios that stress the adaptive notification path.
-func NewEventIdxDevice() *Device {
-	cfg := safering.DefaultConfig()
-	cfg.Notify = true
-	cfg.EventIdx = true
-	return newDevice(cfg)
-}
-
-func newDevice(cfg safering.DeviceConfig) *Device {
+// NewDevice builds a chaos device of configuration cfg.
+func NewDevice(cfg safering.DeviceConfig) *Device {
 	clk := NewClock()
 	meter := &platform.Meter{}
 	ep, err := safering.New(cfg, meter)
@@ -158,6 +146,14 @@ func newDevice(cfg safering.DeviceConfig) *Device {
 		EP:    ep,
 		HP:    safering.NewHostPort(ep.Shared()),
 	}
+}
+
+// notifyConfig is the default device with doorbells on, and event-idx
+// suppression when eventIdx is set.
+func notifyConfig(eventIdx bool) safering.DeviceConfig {
+	cfg := safering.DefaultConfig()
+	cfg.Notify, cfg.EventIdx = true, eventIdx
+	return cfg
 }
 
 // pattern builds a deterministic frame so both sides can verify content
@@ -213,13 +209,30 @@ func (d *Device) Verify(n int) error {
 	return nil
 }
 
-// Kill makes the host violate the protocol (receive-index overclaim)
-// and returns the fatal error the guest observed. The device is dead on
-// return.
-func (d *Device) Kill() error {
-	d.EP.Shared().RXUsed.Indexes().StoreProd(uint64(d.EP.Config().Slots) * 4)
-	_, err := d.EP.Recv()
-	return err
+// The single queue of a Device is queue 0 of a Rig.
+func (d *Device) Queues() int                                        { return 1 }
+func (d *Device) Queue(int) (*safering.Endpoint, *safering.HostPort) { return d.EP, d.HP }
+func (d *Device) KillQueue(int) error                                { return overclaim(d.EP) }
+func (d *Device) Refuses(int) error                                  { return refuses(d.EP) }
+func (d *Device) clock() *Clock                                      { return d.Clock }
+
+// overclaim makes the host violate the protocol on ep's queue
+// (receive-index overclaim); nil means the guest saw it as fatal. The
+// device is dead on return.
+func overclaim(ep *safering.Endpoint) error {
+	ep.Shared().RXUsed.Indexes().StoreProd(uint64(ep.Config().Slots) * 4)
+	if _, err := ep.Recv(); !errors.Is(err, safering.ErrProtocol) {
+		return fmt.Errorf("overclaim not fatal: %v", err)
+	}
+	return nil
+}
+
+// refuses checks that ep turns a send away as dead.
+func refuses(ep *safering.Endpoint) error {
+	if err := ep.Send(pattern(64, 5)); !errors.Is(err, safering.ErrDead) {
+		return fmt.Errorf("send: %v", err)
+	}
+	return nil
 }
 
 // Reincarnate recovers the device through the quarantine and re-attaches

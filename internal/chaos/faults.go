@@ -29,29 +29,31 @@ func Scenarios() []Scenario {
 		{"doorbell-flood", runDoorbellFlood},
 		{"host-stall", runHostStall},
 		{"notify-suppress-stall", runNotifySuppressStall},
-		{"epoch-replay", runEpochReplay},
-		{"reattach-storm", runReattachStorm},
-		{"mq-cross-kill", func() Result { return runMQCrossKill("mq-cross-kill", NewMultiDevice(4)) }},
-		{"mq-reattach-storm", func() Result { return runMQReattachStorm("mq-reattach-storm", NewMultiDevice(2)) }},
+		{"epoch-replay", func() Result { return EpochReplay(NewDevice(safering.DefaultConfig())) }},
+		{"reattach-storm", func() Result { return ReattachStorm("reattach-storm", NewDevice(safering.DefaultConfig())) }},
+		{"mq-cross-kill", func() Result { return CrossKill("mq-cross-kill", NewMultiDevice(safering.DefaultConfig(), 4)) }},
+		{"mq-reattach-storm", func() Result {
+			return ReattachStorm("mq-reattach-storm", NewMultiDevice(safering.DefaultConfig(), 2))
+		}},
 		{"blk-index-corrupt", runBlkIndexCorrupt},
 		{"blk-host-stall", runBlkHostStall},
 		{"blk-slow-host", runBlkSlowHost},
-		{"blk-epoch-replay", runBlkEpochReplay},
+		{"blk-epoch-replay", func() Result { return BlkEpochReplay(NewBlkDevice(true)) }},
 		{"blk-mq-cross-kill", func() Result {
 			d := NewBlkMultiDevice(4)
-			defer d.detach()
-			return runMQCrossKill("blk-mq-cross-kill", d)
+			defer d.Detach()
+			return CrossKill("blk-mq-cross-kill", d)
 		}},
 		{"blk-mq-reattach-storm", func() Result {
 			d := NewBlkMultiDevice(2)
-			defer d.detach()
-			return runMQReattachStorm("blk-mq-reattach-storm", d)
+			defer d.Detach()
+			return ReattachStorm("blk-mq-reattach-storm", d)
 		}},
 		{"tenant-flood", runTenantFlood},
-		{"tenant-stall", runTenantStall},
+		{"tenant-stall", TenantStall},
 		{"tenant-key-corrupt", runTenantKeyCorrupt},
 		{"tenant-evict-storm", runTenantEvictStorm},
-		{"cross-tenant-death", runCrossTenantDeath},
+		{"cross-tenant-death", CrossTenantDeath},
 	}
 }
 
@@ -60,12 +62,12 @@ func Scenarios() []Scenario {
 // be inert.
 func runIndexCorrupt() Result {
 	const fault = "index-corrupt"
-	d := NewDevice(false)
+	d := NewDevice(safering.DefaultConfig())
 	if err := d.Verify(2); err != nil {
 		return corrupt(fault, "healthy baseline failed: "+err.Error())
 	}
-	if err := d.Kill(); !errors.Is(err, safering.ErrProtocol) {
-		return corrupt(fault, fmt.Sprintf("overclaim not fatal: %v", err))
+	if err := d.KillQueue(0); err != nil {
+		return corrupt(fault, err.Error())
 	}
 	if err := d.EP.Send(pattern(64, 1)); !errors.Is(err, safering.ErrDead) {
 		return corrupt(fault, fmt.Sprintf("dead device still accepts sends: %v", err))
@@ -88,7 +90,7 @@ func runIndexCorrupt() Result {
 // mid-batch protocol violation that must kill, then recover cleanly.
 func runMidBatchKill() Result {
 	const fault = "mid-batch-kill"
-	d := NewDevice(false)
+	d := NewDevice(safering.DefaultConfig())
 	frames := make([][]byte, 8)
 	for i := range frames {
 		frames[i] = pattern(128, byte(i)|1)
@@ -127,7 +129,7 @@ func runMidBatchKill() Result {
 // traffic on the original incarnation.
 func runDoorbellFlood() Result {
 	const fault = "doorbell-flood"
-	d := NewDevice(true)
+	d := NewDevice(notifyConfig(false))
 	for i := 0; i < 10000; i++ {
 		d.EP.Shared().RXBell.Ring()
 		d.EP.Shared().TXBell.Ring()
@@ -147,7 +149,7 @@ func runDoorbellFlood() Result {
 // must produce a clean new epoch.
 func runHostStall() Result {
 	const fault = "host-stall"
-	d := NewDevice(false)
+	d := NewDevice(safering.DefaultConfig())
 	wd := safering.NewWatchdog(safering.WatchdogConfig{
 		Interval:   time.Hour, // Poll-driven; the ticker never fires
 		StallAfter: 5 * time.Second,
@@ -186,7 +188,7 @@ func runHostStall() Result {
 // suppressed state shifts wake timing, never liveness accounting.
 func runNotifySuppressStall() Result {
 	const fault = "notify-suppress-stall"
-	d := NewEventIdxDevice()
+	d := NewDevice(notifyConfig(true))
 	// A live stack sits on the device throughout, idle and parked on the
 	// RXUsed producer index. A frozen host never stores to it, so nothing
 	// will ever poke the stack: it has to find the declared stall by its
@@ -221,7 +223,7 @@ func runNotifySuppressStall() Result {
 	if wd.Stalls() != 1 {
 		return corrupt(fault, fmt.Sprintf("watchdog counted %d stalls, want 1", wd.Stalls()))
 	}
-	if !await(func() bool { return errors.Is(stack.Degraded(), nic.ErrStalled) }) {
+	if !Await(func() bool { return errors.Is(stack.Degraded(), nic.ErrStalled) }) {
 		return corrupt(fault, fmt.Sprintf("parked stack never noticed the declared stall: %v", stack.Degraded()))
 	}
 	if err := d.Reincarnate(); err != nil {
@@ -234,19 +236,19 @@ func runNotifySuppressStall() Result {
 		Detail: "forever-suppression bounded by the watchdog; clean epoch after rebirth"})
 }
 
-// runEpochReplay: the host records a delivered descriptor, survives the
-// device's death, and replays the recording into the reborn ring. The
-// stale epoch tag must make the replay fatal — then a second admitted
-// reincarnation must come back clean.
-func runEpochReplay() Result {
+// EpochReplay: the host records a descriptor delivered on queue 0,
+// survives the device's death, and replays the recording into the reborn
+// ring. The stale epoch tag must make the replay fatal — then a second
+// admitted reincarnation must come back clean.
+func EpochReplay(d NIC) Result {
 	const fault = "epoch-replay"
-	d := NewDevice(false)
+	ep, hp := d.Queue(0)
 	want := pattern(200, 9)
-	if err := d.HP.Push(want); err != nil {
+	if err := hp.Push(want); err != nil {
 		return corrupt(fault, "push setup: "+err.Error())
 	}
-	recorded := d.EP.Shared().RXUsed.ReadDesc(0) // host's recording, epoch 0
-	rx, err := d.EP.Recv()
+	recorded := ep.Shared().RXUsed.ReadDesc(0) // host's recording, epoch 0
+	rx, err := ep.Recv()
 	if err != nil {
 		return corrupt(fault, fmt.Sprintf("delivery setup: %v", err))
 	}
@@ -256,21 +258,21 @@ func runEpochReplay() Result {
 		return corrupt(fault, "delivery setup: payload mismatch")
 	}
 
-	if err := d.Kill(); !errors.Is(err, safering.ErrProtocol) {
-		return corrupt(fault, fmt.Sprintf("kill setup: %v", err))
+	if err := d.KillQueue(0); err != nil {
+		return corrupt(fault, "kill setup: "+err.Error())
 	}
 	if err := d.Reincarnate(); err != nil {
 		return corrupt(fault, "first reincarnation refused: "+err.Error())
 	}
 
 	// The replay: the recorded epoch-0 descriptor enters the epoch-1 ring.
-	d.EP.Shared().RXUsed.WriteDesc(0, recorded)
-	d.EP.Shared().RXUsed.Indexes().StoreProd(1)
-	if _, err := d.EP.Recv(); !errors.Is(err, safering.ErrProtocol) {
+	ep.Shared().RXUsed.WriteDesc(0, recorded)
+	ep.Shared().RXUsed.Indexes().StoreProd(1)
+	if _, err := ep.Recv(); !errors.Is(err, safering.ErrProtocol) {
 		return corrupt(fault, fmt.Sprintf("stale-epoch replay accepted: %v", err))
 	}
 
-	d.Clock.Advance(2 * time.Second) // serve the quarantine from death #2
+	d.clock().Advance(2 * time.Second) // serve the quarantine from death #2
 	if err := d.Reincarnate(); err != nil {
 		return corrupt(fault, "second reincarnation refused: "+err.Error())
 	}
@@ -281,24 +283,21 @@ func runEpochReplay() Result {
 		Detail: "epoch tag rejected the replayed descriptor fatally"})
 }
 
-// runReattachStorm: the host kills the device over and over, and the
-// guest tries to reincarnate as fast as possible. The quarantine must
-// throttle the storm (at least one ErrQuarantine) and the death budget
-// must end it permanently — including after the budget window slides
-// past the old deaths.
-func runReattachStorm() Result {
-	const fault = "reattach-storm"
-	d := NewDevice(false)
-	sawQuarantine := false
-	budgetHit := false
+// ReattachStorm: the host kills the device over and over, rotating the
+// killed queue, and the guest reincarnates as fast as it may. The
+// quarantine must throttle the storm (at least one ErrQuarantine) and the
+// shared death budget must end it permanently — including after the
+// budget window slides past the old deaths.
+func ReattachStorm(fault string, d Rig) Result {
+	sawQuarantine, budgetHit := false, false
 	for round := 0; round < 20; round++ {
-		if err := d.Kill(); !errors.Is(err, safering.ErrProtocol) {
+		if err := d.KillQueue(round % d.Queues()); err != nil {
 			return corrupt(fault, fmt.Sprintf("round %d kill: %v", round, err))
 		}
 		err := d.Reincarnate()
-		if errors.Is(err, safering.ErrQuarantine) {
+		for errors.Is(err, safering.ErrQuarantine) {
 			sawQuarantine = true
-			d.Clock.Advance(2 * time.Second) // serve the backoff, retry
+			d.clock().Advance(2 * time.Second) // serve the backoff, retry
 			err = d.Reincarnate()
 		}
 		if errors.Is(err, safering.ErrBudgetExhausted) {
@@ -320,22 +319,24 @@ func runReattachStorm() Result {
 	}
 	// Permanence is sticky: even after the budget window slides past
 	// every recorded death, the device must stay dead.
-	d.Clock.Advance(10 * time.Minute)
+	d.clock().Advance(10 * time.Minute)
 	if err := d.Reincarnate(); !errors.Is(err, safering.ErrBudgetExhausted) {
 		return corrupt(fault, fmt.Sprintf("patient adversary waited the window out: %v", err))
 	}
-	if err := d.EP.Send(pattern(64, 5)); !errors.Is(err, safering.ErrDead) {
-		return corrupt(fault, fmt.Sprintf("permanently dead device accepted a send: %v", err))
+	for q := 0; q < d.Queues(); q++ {
+		if err := d.Refuses(q); err != nil {
+			return corrupt(fault, fmt.Sprintf("queue %d alive after budget exhaustion: %v", q, err))
+		}
 	}
 	return d.counters(Result{Fault: fault, Outcome: FailDead,
 		Detail: "backoff throttled the storm; budget exhaustion is permanent"})
 }
 
-// mqDevice is a multi-queue device class under chaos: what the mq
-// scenarios need of the one fail-dead lifecycle (safering.Life),
-// whichever ring class sits on it. The class's own error sentinels stay
-// behind KillQueue and Refuses.
-type mqDevice interface {
+// Rig is a ring device under chaos, of either class and any queue count:
+// what the recovery scripts need of the one fail-dead lifecycle
+// (safering.Life). The class's own error sentinels stay behind KillQueue
+// and Refuses.
+type Rig interface {
 	Queues() int
 	// KillQueue violates the protocol on queue q; nil means the guest
 	// saw the class's fatal protocol error.
@@ -343,15 +344,27 @@ type mqDevice interface {
 	// Refuses issues one operation on queue q; nil means it was refused
 	// with the class's dead error.
 	Refuses(q int) error
-	// ReviveQueue attempts to reincarnate queue q alone.
-	ReviveQueue(q int) error
-	Epoch(q int) uint32
-	// VerifyAll drives n rounds of patterned traffic through every queue.
-	VerifyAll(n int) error
+	// Verify drives n rounds of patterned traffic through every queue.
+	Verify(n int) error
 	// Reincarnate recovers the whole device and re-attaches its host side.
 	Reincarnate() error
 	clock() *Clock
 	counters(Result) Result
+}
+
+// MultiRig is a Rig of several queues, which must live and die as one.
+type MultiRig interface {
+	Rig
+	// ReviveQueue attempts to reincarnate queue q alone.
+	ReviveQueue(q int) error
+	Epoch(q int) uint32
+}
+
+// NIC is a network Rig: the scripts that forge ring words reach each
+// queue's guest endpoint and honest host port.
+type NIC interface {
+	Rig
+	Queue(q int) (*safering.Endpoint, *safering.HostPort)
 }
 
 // MultiDevice is a multi-queue chaos NIC: N queues behind one Life, with
@@ -363,9 +376,9 @@ type MultiDevice struct {
 	HP    *safering.MultiHostPort
 }
 
-// NewMultiDevice builds a chaos device with the given queue count.
-func NewMultiDevice(queues int) *MultiDevice {
-	cfg := safering.DefaultConfig()
+// NewMultiDevice builds a chaos device of configuration cfg with the
+// given queue count.
+func NewMultiDevice(cfg safering.DeviceConfig, queues int) *MultiDevice {
 	clk := NewClock()
 	bank := platform.NewMeterBank(queues)
 	m, err := safering.NewMulti(cfg, queues, bank)
@@ -381,14 +394,20 @@ func NewMultiDevice(queues int) *MultiDevice {
 	}
 }
 
-func (d *MultiDevice) Queues() int        { return d.M.Queues() }
-func (d *MultiDevice) Epoch(q int) uint32 { return d.M.Queue(q).Epoch() }
-func (d *MultiDevice) clock() *Clock      { return d.Clock }
+func (d *MultiDevice) Queues() int           { return d.M.Queues() }
+func (d *MultiDevice) Epoch(q int) uint32    { return d.M.Queue(q).Epoch() }
+func (d *MultiDevice) KillQueue(q int) error { return overclaim(d.M.Queue(q)) }
+func (d *MultiDevice) Refuses(q int) error   { return refuses(d.M.Queue(q)) }
+func (d *MultiDevice) clock() *Clock         { return d.Clock }
 
-// VerifyAll drives patterned traffic through every queue.
-func (d *MultiDevice) VerifyAll(n int) error {
+func (d *MultiDevice) Queue(q int) (*safering.Endpoint, *safering.HostPort) {
+	return d.M.Queue(q), d.HP.Queue(q)
+}
+
+// Verify drives patterned traffic through every queue.
+func (d *MultiDevice) Verify(n int) error {
 	for q := 0; q < d.M.Queues(); q++ {
-		ep, hp := d.M.Queue(q), d.HP.Queue(q)
+		ep, hp := d.Queue(q)
 		buf := make([]byte, ep.Config().FrameCap())
 		for i := 0; i < n; i++ {
 			want := pattern(80+i, byte(q*16+i)|1)
@@ -419,25 +438,6 @@ func (d *MultiDevice) VerifyAll(n int) error {
 	return nil
 }
 
-// KillQueue violates the protocol on one queue (receive-index
-// overclaim); the Life makes the whole device dead.
-func (d *MultiDevice) KillQueue(q int) error {
-	ep := d.M.Queue(q)
-	ep.Shared().RXUsed.Indexes().StoreProd(uint64(ep.Config().Slots) * 4)
-	if _, err := ep.Recv(); !errors.Is(err, safering.ErrProtocol) {
-		return fmt.Errorf("overclaim not fatal: %v", err)
-	}
-	return nil
-}
-
-// Refuses checks that queue q turns a send away as dead.
-func (d *MultiDevice) Refuses(q int) error {
-	if err := d.M.Queue(q).Send(pattern(64, byte(q)|1)); !errors.Is(err, safering.ErrDead) {
-		return fmt.Errorf("send: %v", err)
-	}
-	return nil
-}
-
 // ReviveQueue asks one queue to reincarnate alone.
 func (d *MultiDevice) ReviveQueue(q int) error {
 	_, err := d.M.Queue(q).Reincarnate()
@@ -461,11 +461,11 @@ func (d *MultiDevice) counters(r Result) Result {
 	return r
 }
 
-// runMQCrossKill: one queue's violation must kill every queue (shared
-// Life), per-queue recovery must be refused, and device-wide
-// reincarnation must bring all queues back at the same new epoch.
-func runMQCrossKill(fault string, d mqDevice) Result {
-	if err := d.VerifyAll(1); err != nil {
+// CrossKill: one queue's violation must kill every queue (shared Life),
+// per-queue recovery must be refused, and device-wide reincarnation must
+// bring all queues back at the same new epoch.
+func CrossKill(fault string, d MultiRig) Result {
+	if err := d.Verify(1); err != nil {
 		return corrupt(fault, "healthy baseline: "+err.Error())
 	}
 	if err := d.KillQueue(2); err != nil {
@@ -488,42 +488,9 @@ func runMQCrossKill(fault string, d mqDevice) Result {
 			return corrupt(fault, fmt.Sprintf("queue %d at epoch %d after rebirth, want 1", q, got))
 		}
 	}
-	if err := d.VerifyAll(2); err != nil {
+	if err := d.Verify(2); err != nil {
 		return corrupt(fault, "new epoch traffic: "+err.Error())
 	}
 	return d.counters(Result{Fault: fault, Outcome: CleanEpoch,
 		Detail: "device-wide death, device-wide rebirth; per-queue revival refused"})
-}
-
-// runMQReattachStorm: the storm against a multi-queue device, rotating
-// the killed queue. The shared budget must end it permanently.
-func runMQReattachStorm(fault string, d mqDevice) Result {
-	budgetHit := false
-	for round := 0; round < 20; round++ {
-		if err := d.KillQueue(round % 2); err != nil {
-			return corrupt(fault, fmt.Sprintf("round %d kill: %v", round, err))
-		}
-		d.clock().Advance(2 * time.Second)
-		err := d.Reincarnate()
-		if errors.Is(err, safering.ErrBudgetExhausted) {
-			budgetHit = true
-			break
-		}
-		if err != nil {
-			return corrupt(fault, fmt.Sprintf("round %d reincarnate: %v", round, err))
-		}
-		if err := d.VerifyAll(1); err != nil {
-			return corrupt(fault, fmt.Sprintf("round %d traffic: %v", round, err))
-		}
-	}
-	if !budgetHit {
-		return corrupt(fault, "shared death budget never ended the storm")
-	}
-	for q := 0; q < d.Queues(); q++ {
-		if err := d.Refuses(q); err != nil {
-			return corrupt(fault, fmt.Sprintf("queue %d alive after budget exhaustion: %v", q, err))
-		}
-	}
-	return d.counters(Result{Fault: fault, Outcome: FailDead,
-		Detail: "rotating-queue storm hits the device-wide budget; permanently dead"})
 }

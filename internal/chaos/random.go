@@ -21,7 +21,7 @@ import (
 func RandomRun(seed int64, steps int) Result {
 	fault := fmt.Sprintf("random[seed=%d]", seed)
 	rng := rand.New(rand.NewSource(seed))
-	d := NewDevice(false)
+	d := NewDevice(safering.DefaultConfig())
 	wd := safering.NewWatchdog(safering.WatchdogConfig{
 		Interval:   time.Hour, // Poll-driven
 		StallAfter: 5 * time.Second,

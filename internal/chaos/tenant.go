@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"confio/internal/gateway"
+	"confio/internal/safering"
 )
 
 // Tenant-isolation chaos: the scenarios in this file play one hostile
@@ -25,20 +27,28 @@ const (
 	bystander  gateway.TenantID = 3
 )
 
-// tenantWorld is one gateway deployment under tenant chaos: the full
+// GatewayMaster is the tenant world's master secret, from which the
+// gateway derives every tenant's key (gateway.TenantKey).
+var GatewayMaster = []byte("chaos-gateway-master-secret")
+
+// TenantWorld is one gateway deployment under tenant chaos: the full
 // Node testbed (multi-queue EventIdx ring, netstack, gateway) with the
-// fake clock driving every tenant-containment timer.
-type tenantWorld struct {
+// fake clock driving every tenant-containment timer. The gateway runs
+// no stall poller of its own: scripts call PollStalls between clock
+// jumps.
+type TenantWorld struct {
 	Clock *Clock
 	Node  *gateway.Node
 }
 
-func newTenantWorld() *tenantWorld {
+// NewTenantWorld builds a deployment of three tenants, two flows each,
+// a 5-s stall timeout and Policy's fault budget. Callers close its Node.
+func NewTenantWorld() *TenantWorld {
 	clk := NewClock()
 	n, err := gateway.NewNode(gateway.NodeConfig{
 		Queues: 2,
 		Gateway: gateway.Config{
-			Master:       []byte("chaos-gateway-master-secret"),
+			Master:       GatewayMaster,
 			Tenants:      []gateway.TenantID{victimID, neighborID, bystander},
 			MaxFlows:     2,
 			StallTimeout: 5 * time.Second,
@@ -49,12 +59,12 @@ func newTenantWorld() *tenantWorld {
 	if err != nil {
 		panic(err) // deployment-fixed config: cannot fail
 	}
-	return &tenantWorld{Clock: clk, Node: n}
+	return &TenantWorld{Clock: clk, Node: n}
 }
 
-// echoVerify drives n patterned request/response frames over c and
+// EchoVerify drives n patterned request/response frames over c and
 // checks every byte.
-func echoVerify(c io.ReadWriteCloser, id gateway.TenantID, n int) error {
+func EchoVerify(c io.ReadWriteCloser, id gateway.TenantID, n int) error {
 	for i := 0; i < n; i++ {
 		want := pattern(64+i, byte(uint64(id)*16+uint64(i))|1)
 		if _, err := c.Write(want); err != nil {
@@ -72,18 +82,18 @@ func echoVerify(c io.ReadWriteCloser, id gateway.TenantID, n int) error {
 }
 
 // verifyTenant opens a fresh flow as id and echo-verifies n frames.
-func (w *tenantWorld) verifyTenant(id gateway.TenantID, n int) error {
+func (w *TenantWorld) verifyTenant(id gateway.TenantID, n int) error {
 	c, err := w.Node.DialTenant(id)
 	if err != nil {
 		return fmt.Errorf("tenant %d dial: %w", id, err)
 	}
 	defer c.Close()
-	return echoVerify(c, id, n)
+	return EchoVerify(c, id, n)
 }
 
 // neighborsClean asserts the non-faulty tenants carried verified
 // traffic and were never charged for the victim's fault.
-func (w *tenantWorld) neighborsClean(fault string) *Result {
+func (w *TenantWorld) neighborsClean(fault string) *Result {
 	for _, id := range []gateway.TenantID{neighborID, bystander} {
 		if err := w.verifyTenant(id, 3); err != nil {
 			r := corrupt(fault, "neighbor traffic interrupted: "+err.Error())
@@ -99,10 +109,15 @@ func (w *tenantWorld) neighborsClean(fault string) *Result {
 }
 
 // deviceClean asserts the tenant fault never reached the device-wide
-// fail-dead machinery: the shared ring is alive with zero deaths.
-func (w *tenantWorld) deviceClean(fault string) *Result {
+// fail-dead machinery: the shared ring is alive, refuses a rebirth it
+// does not need, and has zero deaths.
+func (w *TenantWorld) deviceClean(fault string) *Result {
 	if dead := w.Node.GatewayTransport().Dead(); dead != nil {
 		r := corrupt(fault, "tenant fault killed the shared device: "+dead.Error())
+		return &r
+	}
+	if _, err := w.Node.GatewayTransport().Reincarnate(); !errors.Is(err, safering.ErrNotDead) {
+		r := corrupt(fault, fmt.Sprintf("device recovery state disturbed: %v", err))
 		return &r
 	}
 	if deaths := w.Node.Bank.Snapshot().Deaths; deaths != 0 {
@@ -112,7 +127,7 @@ func (w *tenantWorld) deviceClean(fault string) *Result {
 	return nil
 }
 
-func (w *tenantWorld) counters(r Result) Result {
+func (w *TenantWorld) counters(r Result) Result {
 	c := w.Node.Bank.Snapshot()
 	r.Deaths, r.Reincarnations, r.Stalls = c.Deaths, c.Reincarnations, c.StallsDetected
 	return r
@@ -125,19 +140,20 @@ func (w *tenantWorld) counters(r Result) Result {
 // bounded) for the gateway state they are about to build on or advance
 // the fake clock past, instead of assuming the client saw it last.
 
-// awaitFlows waits until the gateway holds exactly n live flows for id.
-func (w *tenantWorld) awaitFlows(id gateway.TenantID, n int) bool {
-	return await(func() bool { return w.Node.GW.TenantFlows(id) == n })
+// AwaitFlows waits until the gateway holds exactly n live flows for id.
+func (w *TenantWorld) AwaitFlows(id gateway.TenantID, n int) bool {
+	return Await(func() bool { return w.Node.GW.TenantFlows(id) == n })
 }
 
-// awaitCharge waits until the gateway has counted a drop against id
+// AwaitCharge waits until the gateway has counted a drop against id
 // beyond drops. Every fault is counted after it is charged, so the
 // backoff it armed is in place when this returns true.
-func (w *tenantWorld) awaitCharge(id gateway.TenantID, drops uint64) bool {
-	return await(func() bool { return w.Node.Tb.Tenant(uint64(id)).Drops > drops })
+func (w *TenantWorld) AwaitCharge(id gateway.TenantID, drops uint64) bool {
+	return Await(func() bool { return w.Node.Tb.Tenant(uint64(id)).Drops > drops })
 }
 
-func await(cond func() bool) bool {
+// Await polls cond on the wall clock until it holds, for at most 5 s.
+func Await(cond func() bool) bool {
 	for deadline := time.Now().Add(5 * time.Second); !cond(); {
 		if time.Now().After(deadline) {
 			return false
@@ -147,11 +163,11 @@ func await(cond func() bool) bool {
 	return true
 }
 
-// floodOnce opens one authenticated flow as id on top of a full quota;
+// FloodOnce opens one authenticated flow as id on top of a full quota;
 // the breach is the flood fault. It returns once the gateway has charged
 // the breach, so a Clock.Advance that follows cannot overtake the charge
 // and leave the next flood inside this one's backoff.
-func (w *tenantWorld) floodOnce(id gateway.TenantID) {
+func (w *TenantWorld) FloodOnce(id gateway.TenantID) {
 	drops := w.Node.Tb.Tenant(uint64(id)).Drops
 	if c, err := w.Node.DialTenant(id); err == nil {
 		// The handshake succeeds; the quota refusal cuts the flow — the
@@ -161,7 +177,7 @@ func (w *tenantWorld) floodOnce(id gateway.TenantID) {
 		c.Read(buf)
 		c.Close()
 	}
-	w.awaitCharge(id, drops)
+	w.AwaitCharge(id, drops)
 }
 
 // runTenantFlood: one tenant breaches its flow quota. The breach is
@@ -170,12 +186,12 @@ func (w *tenantWorld) floodOnce(id gateway.TenantID) {
 // the tenant-scoped CleanEpoch.
 func runTenantFlood() Result {
 	const fault = "tenant-flood"
-	w := newTenantWorld()
+	w := NewTenantWorld()
 	defer w.Node.Close()
 	if err := w.verifyTenant(victimID, 2); err != nil {
 		return corrupt(fault, "healthy baseline: "+err.Error())
 	}
-	if !w.awaitFlows(victimID, 0) {
+	if !w.AwaitFlows(victimID, 0) {
 		return corrupt(fault, "baseline flow never dropped")
 	}
 
@@ -190,10 +206,10 @@ func runTenantFlood() Result {
 		return corrupt(fault, "hold 2: "+err.Error())
 	}
 	defer h2.Close()
-	if !w.awaitFlows(victimID, 2) {
+	if !w.AwaitFlows(victimID, 2) {
 		return corrupt(fault, "held flows never registered")
 	}
-	w.floodOnce(victimID)
+	w.FloodOnce(victimID)
 
 	if w.Node.Tb.Tenant(uint64(victimID)).Drops == 0 {
 		return corrupt(fault, "flood breach not charged to the flooder")
@@ -206,12 +222,12 @@ func runTenantFlood() Result {
 	}
 	// Held flows keep working through the fault — shedding is for the
 	// breach, not collective punishment.
-	if err := echoVerify(h1, victimID, 2); err != nil {
+	if err := EchoVerify(h1, victimID, 2); err != nil {
 		return corrupt(fault, "held flow broken by the breach: "+err.Error())
 	}
 	// After the backoff the flooder admits fresh flows again.
 	h2.Close()
-	if !w.awaitFlows(victimID, 1) {
+	if !w.AwaitFlows(victimID, 1) {
 		return corrupt(fault, "closed flow never dropped")
 	}
 	w.Clock.Advance(2 * time.Second)
@@ -225,15 +241,20 @@ func runTenantFlood() Result {
 		Detail: "quota breach shed and charged; neighbors untouched; flooder back after backoff"})
 }
 
-// runTenantStall: a tenant stops draining its replies. The equality-only
+// TenantStall: a tenant stops draining its replies. The equality-only
 // stall watchdog sheds the flow (never wedging the shared pump), the
-// shed is charged as one fault, neighbors flow throughout, and the
-// staller reconnects cleanly after backoff.
-func runTenantStall() Result {
+// shed is charged as one fault, a neighbor's held flow echoes on every
+// round of the stall, and the staller reconnects cleanly after backoff.
+func TenantStall() Result {
 	const fault = "tenant-stall"
-	w := newTenantWorld()
+	w := NewTenantWorld()
 	defer w.Node.Close()
-	if err := w.verifyTenant(neighborID, 2); err != nil {
+	nb, err := w.Node.DialTenant(neighborID)
+	if err != nil {
+		return corrupt(fault, "neighbor dial: "+err.Error())
+	}
+	defer nb.Close()
+	if err := EchoVerify(nb, neighborID, 2); err != nil {
 		return corrupt(fault, "healthy baseline: "+err.Error())
 	}
 
@@ -245,7 +266,7 @@ func runTenantStall() Result {
 	// Registration happens server-side after the handshake; wait for the
 	// flow to exist before stalling it, or the shed loop below would
 	// mistake not-yet-registered for already-shed.
-	if !w.awaitFlows(victimID, 1) {
+	if !w.AwaitFlows(victimID, 1) {
 		return corrupt(fault, "staller flow never registered")
 	}
 	// Submit a pile of requests and never read a reply: the reply path
@@ -267,6 +288,9 @@ func runTenantStall() Result {
 		w.Node.GW.PollStalls()
 		w.Clock.Advance(6 * time.Second)
 		w.Node.GW.PollStalls()
+		if err := EchoVerify(nb, neighborID, 1); err != nil {
+			return corrupt(fault, fmt.Sprintf("neighbor stalled in round %d: %v", i, err))
+		}
 		if w.Node.GW.TenantFlows(victimID) == 0 {
 			shed = true
 			break
@@ -303,7 +327,7 @@ func runTenantStall() Result {
 // real key recovers the tenant.
 func runTenantKeyCorrupt() Result {
 	const fault = "tenant-key-corrupt"
-	w := newTenantWorld()
+	w := NewTenantWorld()
 	defer w.Node.Close()
 	bad := bytes.Repeat([]byte{0x42}, 32)
 	for i := 0; i < 6; i++ { // 6 > the eviction budget of 4
@@ -311,7 +335,7 @@ func runTenantKeyCorrupt() Result {
 		if _, err := w.Node.DialTenantKey(victimID, bad); err == nil {
 			return corrupt(fault, "handshake with a corrupt key succeeded")
 		}
-		if !w.awaitCharge(victimID, drops) {
+		if !w.AwaitCharge(victimID, drops) {
 			return corrupt(fault, "failed handshake never charged to the claimed id")
 		}
 		w.Clock.Advance(2 * time.Second) // clear the handshake backoff
@@ -341,7 +365,7 @@ func runTenantKeyCorrupt() Result {
 // death budget.
 func runTenantEvictStorm() Result {
 	const fault = "tenant-evict-storm"
-	w := newTenantWorld()
+	w := NewTenantWorld()
 	defer w.Node.Close()
 
 	h1, err := w.Node.DialTenant(victimID)
@@ -354,12 +378,12 @@ func runTenantEvictStorm() Result {
 		return corrupt(fault, "hold 2: "+err.Error())
 	}
 	defer h2.Close()
-	if !w.awaitFlows(victimID, 2) {
+	if !w.AwaitFlows(victimID, 2) {
 		return corrupt(fault, "held flows never registered")
 	}
 
 	for i := 0; i < 10 && !w.Node.GW.TenantEvicted(victimID); i++ {
-		w.floodOnce(victimID)
+		w.FloodOnce(victimID)
 		w.Clock.Advance(2 * time.Second) // serve each fault's backoff
 	}
 	if !w.Node.GW.TenantEvicted(victimID) {
@@ -367,12 +391,8 @@ func runTenantEvictStorm() Result {
 	}
 	// Eviction sheds the held flows too — the evicted tenant holds
 	// nothing open on the gateway.
-	deadline := time.Now().Add(5 * time.Second)
-	for w.Node.GW.TenantFlows(victimID) != 0 {
-		if time.Now().After(deadline) {
-			return corrupt(fault, "evicted tenant still holds live flows")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !w.AwaitFlows(victimID, 0) {
+		return corrupt(fault, "evicted tenant still holds live flows")
 	}
 	if got := w.Node.Tb.Tenant(uint64(victimID)).Evictions; got != 1 {
 		return corrupt(fault, fmt.Sprintf("evictions=%d, want exactly 1 (sticky, charged once)", got))
@@ -392,14 +412,14 @@ func runTenantEvictStorm() Result {
 		Detail: "flood storm exhausted the tenant budget; sticky eviction; device budget untouched"})
 }
 
-// runCrossTenantDeath: the eviction storm again, but with a neighbor
+// CrossTenantDeath: the eviction storm again, but with a neighbor
 // exchanging verified frames *concurrently* the whole way through — the
 // strongest isolation claim: a tenant being driven all the way to
 // sticky eviction costs its neighbors zero frames, zero drops, zero
 // latency-of-death, while the shared device never blinks.
-func runCrossTenantDeath() Result {
+func CrossTenantDeath() Result {
 	const fault = "cross-tenant-death"
-	w := newTenantWorld()
+	w := NewTenantWorld()
 	defer w.Node.Close()
 
 	nb, err := w.Node.DialTenant(neighborID)
@@ -450,13 +470,13 @@ func runCrossTenantDeath() Result {
 		return corrupt(fault, "hold 2: "+err.Error())
 	}
 	defer h2.Close()
-	if !w.awaitFlows(victimID, 2) {
+	if !w.AwaitFlows(victimID, 2) {
 		stop.Store(true)
 		wg.Wait()
 		return corrupt(fault, "held flows never registered")
 	}
 	for i := 0; i < 10 && !w.Node.GW.TenantEvicted(victimID); i++ {
-		w.floodOnce(victimID)
+		w.FloodOnce(victimID)
 		w.Clock.Advance(2 * time.Second)
 	}
 	evicted := w.Node.GW.TenantEvicted(victimID)
@@ -472,6 +492,9 @@ func runCrossTenantDeath() Result {
 
 	if !evicted {
 		return corrupt(fault, "victim never evicted")
+	}
+	if _, err := w.Node.DialTenant(victimID); err == nil {
+		return corrupt(fault, "evicted tenant re-admitted")
 	}
 	if nbErr != nil {
 		return corrupt(fault, "neighbor traffic interrupted by the eviction: "+nbErr.Error())

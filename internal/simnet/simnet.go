@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 )
 
 // Broadcast is the Ethernet broadcast address.
@@ -133,14 +134,16 @@ type Port struct {
 	mu sync.Mutex
 	// queue is a ring, grown by doubling from queueMin to queueCap slots
 	// (a port costs nothing until it has carried a burst): qlen frames
-	// wait, the oldest at qhead.
-	queue       [][]byte
-	qhead, qlen int
-	held        [][]byte // reorder buffer
-	closed      bool
-	imp         Impairment
-	rng         *rand.Rand
-	count       uint64
+	// wait, the oldest at qhead. qlen is written only under mu but read
+	// without it, so a poll of an empty port takes no lock.
+	queue  [][]byte
+	qhead  int
+	qlen   atomic.Int32
+	held   [][]byte // reorder buffer
+	closed bool
+	imp    Impairment
+	rng    *rand.Rand
+	count  uint64
 	// Drops counts frames lost to impairment or overflow.
 	Drops uint64
 	// free holds the frame buffers consumers handed back (Release), at
@@ -186,7 +189,8 @@ func (p *Port) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
-	p.queue, p.qhead, p.qlen = nil, 0, 0
+	p.queue, p.qhead = nil, 0
+	p.qlen.Store(0)
 	p.held, p.free = nil, nil
 }
 
@@ -208,17 +212,22 @@ func (p *Port) Send(frame []byte) error {
 // Recv returns the next frame queued for this port, or false when none
 // is pending. Non-blocking: device models poll, like everything else in
 // the data path. The frame is the caller's until it hands it back with
-// Release, if ever.
+// Release, if ever. An empty port answers without taking the lock: a
+// zero read that is already stale is safe, because enq pokes Wake after
+// it stores the new length.
 func (p *Port) Recv() ([]byte, bool) {
+	if p.qlen.Load() == 0 {
+		return nil, false
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.qlen == 0 {
+	if p.qlen.Load() == 0 {
 		return nil, false
 	}
 	f := p.queue[p.qhead]
 	p.queue[p.qhead] = nil
 	p.qhead = (p.qhead + 1) & (len(p.queue) - 1)
-	p.qlen--
+	p.qlen.Add(-1)
 	return f, true
 }
 
@@ -258,11 +267,7 @@ func (p *Port) frame(n int) []byte {
 func (p *Port) Wake() <-chan struct{} { return p.wake }
 
 // Pending returns the number of frames waiting at the port.
-func (p *Port) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.qlen
-}
+func (p *Port) Pending() int { return int(p.qlen.Load()) }
 
 func (n *Network) switchFrame(srcPort int, frame []byte) error {
 	var dst, src [6]byte
@@ -307,19 +312,20 @@ func (n *Network) switchFrame(srcPort int, frame []byte) error {
 // enq queues one frame for Recv, tail-dropping at queueCap, and pokes the
 // delivery signal. The caller holds p.mu.
 func (p *Port) enq(f []byte) {
-	if p.qlen == len(p.queue) {
-		if p.qlen == queueCap {
+	qlen := int(p.qlen.Load())
+	if qlen == len(p.queue) {
+		if qlen == queueCap {
 			p.Drops++
 			p.recycle(f)
 			return
 		}
-		grown := make([][]byte, max(queueMin, 2*p.qlen))
+		grown := make([][]byte, max(queueMin, 2*qlen))
 		n := copy(grown, p.queue[p.qhead:])
 		copy(grown[n:], p.queue[:p.qhead])
 		p.queue, p.qhead = grown, 0
 	}
-	p.queue[(p.qhead+p.qlen)&(len(p.queue)-1)] = f
-	p.qlen++
+	p.queue[(p.qhead+qlen)&(len(p.queue)-1)] = f
+	p.qlen.Add(1)
 	select {
 	case p.wake <- struct{}{}:
 	default:

@@ -352,6 +352,28 @@ func TestPortWakeNeverLosesADelivery(t *testing.T) {
 	}
 }
 
+// TestEmptyRecvTakesNoLock: a poll of an empty port reads the queue
+// length without the port's lock, so a consumer spinning on Recv does
+// not contend with the deliveries and releases that take it.
+func TestEmptyRecvTakesNoLock(t *testing.T) {
+	p := New().NewPort()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	done := make(chan bool)
+	go func() {
+		_, ok := p.Recv()
+		done <- ok || p.Pending() != 0
+	}()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("an empty port reported a frame")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recv on an empty port waited for the port lock")
+	}
+}
+
 // TestKnownUnicastBuildsNoTargetList: switching a frame to a learned
 // destination allocates the private copy delivery makes — the wire — and
 // nothing else: no per-frame target list, no closure, and the port queue
