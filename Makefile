@@ -109,10 +109,15 @@ chaos:
 # pump's push copied them (nic's steering test is in ./internal/nic), and
 # tcp's waiters take their wake from a pool, so a frame read after
 # Release, or a wake used after it went back, is a race reported here.
+# And so does the one stall rule (safering.Aging): the watchdog's
+# background scanner polls queues the datapath is writing, and the
+# gateway's PollStalls ages the progress counters its relay goroutines
+# bump.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 	$(GO) test -race -count=10 -run '^TestDriven' ./internal/netstack
-	$(GO) test -race -count=10 -run 'Park|Wake|Consumer' ./internal/safering
+	$(GO) test -race -count=10 -run 'Park|Wake|Consumer|Watchdog' ./internal/safering
+	$(GO) test -race -count=10 -run 'Stall' ./internal/gateway
 	$(GO) test -race -count=10 -run 'Release' ./internal/simnet
 	$(GO) test -race -count=10 -run 'WakesWithoutAllocating' ./internal/tcp
 

@@ -35,12 +35,12 @@ func completeSlot(ep *blkring.Endpoint, idx uint64, data []byte, statusWord uint
 // submitter waiting for its completion is parked on the request ring's
 // consumer index, and every host store to that word pokes it. Re-storing
 // the current value buys wake-ups and nothing else — no completion, no
-// metered check, and the request still dies at its deadline with its
-// slab quarantined; storing a value past the producer head buys one
-// validated load, which fail-deads the device like any other overclaim.
+// metered check, no progress in the watchdog's eyes: the request still
+// dies of the stall with its slab quarantined; storing a value past the
+// producer head buys one validated load, which fail-deads the device
+// like any other overclaim.
 func blkWakeSpam(tr string) Result {
 	d := chaos.NewBlkDevice(false)
-	d.EP.SetTimeout(2 * time.Second)
 	sh := d.EP.Shared()
 	errCh := make(chan error, 1)
 	go func() { errCh <- d.EP.WriteSector(1, frame(blockdev.SectorSize, 1)) }()
@@ -60,12 +60,14 @@ func blkWakeSpam(tr string) Result {
 	if after := d.Meter.Snapshot(); after.Checks != before.Checks {
 		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("empty pokes were metered: %d checks", after.Checks-before.Checks))
 	}
-	d.Clock.Advance(3 * time.Second)
-	if err := <-errCh; !errors.Is(err, blkring.ErrTimeout) {
-		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("spammed request did not die at its deadline: %v", err))
+	d.WD.Poll()
+	d.Clock.Advance(6 * time.Second)
+	d.WD.Poll()
+	if err := <-errCh; !errors.Is(err, safering.ErrStalled) {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("spammed request did not die of the stall: %v", err))
 	}
 	if free, want := sh.Data.FreeSlabs(), int(sh.Ring.NSlots())-1; free != want {
-		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("%d free slabs after the timeout, want %d: staging slab not quarantined", free, want))
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("%d free slabs after the stall, want %d: staging slab not quarantined", free, want))
 	}
 
 	// Garbage: the poke makes the parked submitter look, and what it
@@ -79,7 +81,7 @@ func blkWakeSpam(tr string) Result {
 	if err := <-errCh; !errors.Is(err, blkring.ErrProtocol) {
 		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("consumer index past the head accepted: %v", err))
 	}
-	return blocked(AtkBlkWakeSpam, tr, "a poke buys one unmetered compare: empty wakes complete nothing, the deadline still kills, garbage index fatal")
+	return blocked(AtkBlkWakeSpam, tr, "a poke buys one unmetered compare: empty wakes complete nothing, the watchdog still kills, garbage index fatal")
 }
 
 // mkVolume builds the whole attacked storage stack: an n-sector cryptdisk

@@ -197,22 +197,9 @@ func saferingScenarios() []Scenario {
 				return degraded(AtkForgedHandle, v.name, "masked into range: garbage frame, no escape")
 			}},
 			Scenario{AtkNotifStorm, v.name, func() Result {
-				cfg := safering.DefaultConfig()
+				cfg := mkCfg()
 				cfg.Notify = true
-				ep, hp := rig(cfg, 1).Queue(0)
-				// 10k spurious doorbells, then real traffic must still work.
-				for i := 0; i < 10000; i++ {
-					ep.Shared().RXBell.Ring()
-				}
-				if err := hp.Push(frame(64, 2)); err != nil {
-					return compromised(AtkNotifStorm, v.name, "push failed after storm")
-				}
-				rx, err := ep.Recv()
-				if err != nil || !bytes.Equal(rx.Bytes(), frame(64, 2)) {
-					return compromised(AtkNotifStorm, v.name, "storm corrupted delivery")
-				}
-				rx.Release()
-				return blocked(AtkNotifStorm, v.name, "doorbells coalesce; handlers stateless/idempotent")
+				return fromChaos(AtkNotifStorm, v.name, chaos.DoorbellFlood(rig(cfg, v.queues)))
 			}},
 			Scenario{AtkEventIdxLie, v.name, func() Result {
 				// An event-idx device: the host scribbles garbage and

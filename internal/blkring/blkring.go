@@ -25,7 +25,9 @@
 // desynchronize. A staging slab stays checked out until the *engine*
 // returns its slot: if the host never completes the request, the slab is
 // never freed back into circulation (the host still holds its handle and
-// may yet write it) — the endpoint fail-deads on timeout and the slab
+// may yet write it). A host that stops completing is bounded by the
+// safering watchdog, which ages the ring's consumer index like any
+// producer ring's and fail-deads the endpoint on a stall; the slab then
 // vanishes with the old arena at reincarnation.
 package blkring
 
@@ -69,12 +71,7 @@ var (
 	ErrProtocol = errors.New("blkring: fatal protocol violation")
 	ErrIO       = errors.New("blkring: host reported I/O error")
 	ErrDead     = errors.New("blkring: endpoint dead after violation")
-	ErrTimeout  = errors.New("blkring: request timed out")
 )
-
-// DefaultTimeout bounds how long a submission waits for the host before
-// declaring it dead. Generous: a merely-slow host is never killed.
-const DefaultTimeout = 5 * time.Second
 
 // Shared is the host-visible state of one incarnation.
 type Shared struct {
@@ -169,13 +166,11 @@ type Endpoint struct {
 	// of (the only one, or one of a Multi's).
 	life *safering.Life
 
-	mu      sync.Mutex
-	sh      *Shared
-	eng     *safering.Engine[blkDesc] //ciovet:guards mu
-	leases  []slabLease               // one per ring slot, indexed like the ring
-	free    *pending                  // recycled completion records
-	clock   func() time.Time
-	timeout time.Duration
+	mu     sync.Mutex
+	sh     *Shared
+	eng    *safering.Engine[blkDesc] //ciovet:guards mu
+	leases []slabLease               // one per ring slot, indexed like the ring
+	free   *pending                  // recycled completion records
 	// parking is held by the one waiting submitter that parks on the
 	// consumer index (the slot holds one wake; further concurrent
 	// submitters only yield) and guards what it blocks on: its wake and
@@ -198,8 +193,6 @@ func newEndpoint(slots int, sectors uint64, meter *platform.Meter, life *saferin
 		sectors: sectors,
 		slots:   slots,
 		life:    life,
-		clock:   time.Now,
-		timeout: DefaultTimeout,
 		wake:    make(chan struct{}, 1),
 	}
 	sh, err := e.newShared(0)
@@ -243,29 +236,6 @@ func (e *Endpoint) Epoch() uint32 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.sh.Epoch
-}
-
-// SetClock injects the time source used for submission deadlines (the
-// chaos harness drives storage timeouts with a fake clock); nil resets
-// to time.Now.
-func (e *Endpoint) SetClock(clk func() time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if clk == nil {
-		clk = time.Now
-	}
-	e.clock = clk
-}
-
-// SetTimeout bounds how long a submission waits for the host;
-// non-positive resets to DefaultTimeout.
-func (e *Endpoint) SetTimeout(d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d <= 0 {
-		d = DefaultTimeout
-	}
-	e.timeout = d
 }
 
 // SetRecoveryPolicy installs the quarantine policy of the device this
@@ -335,22 +305,19 @@ func (e *Endpoint) onReturn(pos uint64, d blkDesc) error {
 const guestYield = 2
 
 // waitLocked runs one completion wait for a submission on incarnation
-// sh: deadline check first (a stalled host fail-deads the endpoint with
-// ErrTimeout as the cause — its staging slabs stay quarantined, see the
-// package comment), then, with the lock released, a few yields and — for
+// sh: with the lock released, a few yields and — for
 // the one submitter that gets e.parking — a park on the consumer index
 // bounded by nic.WaitBound, then a reap *only if the consumer index
 // actually moved*: validation cost scales with validated reads, not with
-// host latency or pokes. The park is Indexes.Park mirrored: register,
+// host latency or pokes. The wait ends early only through the device's
+// death: a watchdog stall (its staging slabs stay quarantined, see the
+// package comment) is seen by the DeadOp re-check after the bounded park. The park is Indexes.Park mirrored: register,
 // re-check the raw index against the last validated value, block. The
 // unlock/relock window re-acquires the mutex the caller already holds;
 // it does not self-lock.
 //
 //ciovet:locked
-func (e *Endpoint) waitLocked(sh *Shared, deadline time.Time) error {
-	if e.clock().After(deadline) {
-		return e.fail(fmt.Errorf("%w: host completion overdue; staging slabs quarantined until reincarnation", ErrTimeout))
-	}
+func (e *Endpoint) waitLocked(sh *Shared) error {
 	ix, seen := sh.Ring.Indexes(), e.eng.ConsSeen()
 	hook := completionSpin
 	e.mu.Unlock()
@@ -382,8 +349,8 @@ func (e *Endpoint) waitLocked(sh *Shared, deadline time.Time) error {
 // submit issues n = len(p)/SectorSize requests starting at lba and waits
 // for all of them. Submission is batched: as many requests as the ring
 // has room for are staged and made visible with ONE producer-index
-// store; a full ring blocks (bounded by the deadline) until the host
-// returns slots — the producer can never lap the consumer and overwrite
+// store; a full ring blocks until the host returns slots (or the device
+// dies) — the producer can never lap the consumer and overwrite
 // an in-flight request.
 func (e *Endpoint) submit(op uint32, lba uint64, p []byte) error {
 	n := len(p) / blockdev.SectorSize
@@ -399,7 +366,7 @@ func (e *Endpoint) submit(op uint32, lba uint64, p []byte) error {
 		return fmt.Errorf("%w: lba %d + %d sectors", blockdev.ErrOutOfRange, lba, n)
 	}
 
-	sh, deadline := e.sh, e.clock().Add(e.timeout)
+	sh := e.sh
 	if _, err := e.eng.Reap(); err != nil {
 		return err
 	}
@@ -422,8 +389,8 @@ func (e *Endpoint) submit(op uint32, lba uint64, p []byte) error {
 		// Everything that fits is the host's now. Wait for completions —
 		// and, while the ring is full (backpressure: every slot is an
 		// in-flight request the host still owns), for room to stage the
-		// rest — or die at the deadline; never overwrite.
-		if err := e.waitLocked(sh, deadline); err != nil {
+		// rest — or until the device dies; never overwrite.
+		if err := e.waitLocked(sh); err != nil {
 			return err
 		}
 	}

@@ -20,6 +20,27 @@ func withSpinHook(t *testing.T, hook func()) {
 	t.Cleanup(func() { completionSpin = nil })
 }
 
+// withStallWatchdog watches ep with a watchdog (StallAfter one second)
+// on a fake clock that every completion spin advances by step before it
+// polls, so a host that never completes is declared stalled within a
+// second of fake time. The spin hook runs with the endpoint's lock
+// released, so it may poll. now is the clock's reading, for the test to
+// advance and to hand to a recovery policy.
+func withStallWatchdog(t *testing.T, ep *Endpoint, step time.Duration) (now *time.Time, wd *safering.Watchdog) {
+	t.Helper()
+	t0 := time.Unix(1_700_000_000, 0)
+	now = &t0
+	wd = safering.NewWatchdog(safering.WatchdogConfig{
+		StallAfter: time.Second,
+		Clock:      func() time.Time { return *now },
+	}, ep)
+	withSpinHook(t, func() {
+		*now = now.Add(step)
+		wd.Poll()
+	})
+	return now, wd
+}
+
 // TestBackpressureNeverLapsConsumer is the regression test for the
 // missing ring-full check: pre-engine submit staged at e.head without
 // ever comparing it against the consumer index, so a host that lags lets
@@ -74,11 +95,11 @@ func TestBackpressureNeverLapsConsumer(t *testing.T) {
 
 // TestTimeoutQuarantinesStagingSlab is the regression test for the
 // timeout use-after-free: pre-engine submit deferred lease.Free() on
-// every path, so ErrTimeout returned the staging slab to the arena while
-// the host still held its handle and might yet write it. Now a timeout
-// fail-deads the endpoint and the slab stays checked out of the old
-// arena — a later host write lands in quarantined memory nobody reads —
-// until reincarnation discards arena and handle together.
+// every path, so a timed-out request returned the staging slab to the
+// arena while the host still held its handle and might yet write it. Now
+// the watchdog's stall fail-deads the endpoint and the slab stays checked
+// out of the old arena — a later host write lands in quarantined memory
+// nobody reads — until reincarnation discards arena and handle together.
 func TestTimeoutQuarantinesStagingSlab(t *testing.T) {
 	const slots = 8
 	disk := blockdev.NewMemDisk(16)
@@ -86,19 +107,16 @@ func TestTimeoutQuarantinesStagingSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_700_000_000, 0)
-	ep.SetClock(func() time.Time { return now })
-	ep.SetTimeout(time.Second)
-	ep.SetRecoveryPolicy(safering.RecoveryPolicy{Clock: func() time.Time { return now }})
-	withSpinHook(t, func() { now = now.Add(300 * time.Millisecond) })
+	now, _ := withStallWatchdog(t, ep, 300*time.Millisecond)
+	ep.SetRecoveryPolicy(safering.RecoveryPolicy{Clock: func() time.Time { return *now }})
 
 	sh := ep.Shared()
 	werr := ep.WriteSector(5, make([]byte, blockdev.SectorSize))
-	if !errors.Is(werr, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", werr)
+	if !errors.Is(werr, safering.ErrStalled) {
+		t.Fatalf("want ErrStalled, got %v", werr)
 	}
-	if derr := ep.Dead(); !errors.Is(derr, ErrTimeout) {
-		t.Fatalf("timeout must fail-dead the endpoint, Dead() = %v", derr)
+	if derr := ep.Dead(); !errors.Is(derr, safering.ErrStalled) {
+		t.Fatalf("the stall must fail-dead the endpoint, Dead() = %v", derr)
 	}
 
 	// The slab of the never-completed request must still be checked out:
@@ -118,7 +136,7 @@ func TestTimeoutQuarantinesStagingSlab(t *testing.T) {
 		_ = sh.Data.HandleFree(shmem.FreeMsg{H: h})
 	}
 	if free != slots-1 {
-		t.Fatalf("arena had %d free slabs after timeout, want %d (staging slab not quarantined)", free, slots-1)
+		t.Fatalf("arena had %d free slabs after the stall, want %d (staging slab not quarantined)", free, slots-1)
 	}
 
 	// The host completes the request late, into the dead incarnation:
@@ -129,7 +147,7 @@ func TestTimeoutQuarantinesStagingSlab(t *testing.T) {
 
 	// Reincarnation discards the poisoned window (ring, arena, and the
 	// quarantined slab with it) and the device comes back clean.
-	now = now.Add(time.Minute)
+	*now = now.Add(time.Minute)
 	nsh, rerr := ep.Reincarnate()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -138,7 +156,6 @@ func TestTimeoutQuarantinesStagingSlab(t *testing.T) {
 		t.Fatalf("epoch = %d, want 1", nsh.Epoch)
 	}
 	withSpinHook(t, nil)
-	ep.SetClock(nil)
 	be := NewBackend(nsh, disk)
 	be.Start()
 	defer be.Stop()
@@ -155,34 +172,58 @@ func TestTimeoutQuarantinesStagingSlab(t *testing.T) {
 	}
 }
 
-// TestFakeClockDrivesDeadline is the regression test for the wall-clock
-// deadline: pre-engine submit polled time.Now() directly, so no fake
-// clock could drive a storage timeout — a chaos scenario had to wait the
-// real 5 seconds. With the injected clock, a 10-hour timeout fires in
-// microseconds of wall time when the fake clock jumps.
-func TestFakeClockDrivesDeadline(t *testing.T) {
-	ep, err := New(8, 16, nil)
+// TestSlowHostNeverKilled: a host that is slow but keeps completing
+// work is never declared dead, however long one submission takes. The
+// per-submission deadline this ring once had was set once per call, so a
+// write spanning several ring-fulls died once its total wait passed the
+// timeout although the host completed a ring-full every fake second. The
+// watchdog restarts its clock on every move of the consumer index.
+func TestSlowHostNeverKilled(t *testing.T) {
+	const slots = 8
+	disk := blockdev.NewMemDisk(32)
+	ep, err := New(slots, disk.Sectors(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_700_000_000, 0)
-	ep.SetClock(func() time.Time { return now })
-	ep.SetTimeout(10 * time.Hour)
-	spins := 0
+	be := NewBackend(ep.Shared(), disk)
+	t0 := time.Unix(1_700_000_000, 0)
+	now := t0
+	wd := safering.NewWatchdog(safering.WatchdogConfig{
+		StallAfter: 1500 * time.Millisecond,
+		Clock:      func() time.Time { return now },
+	}, ep)
+	// One full ring per fake second, the watchdog polled around each step.
 	withSpinHook(t, func() {
-		spins++
-		if spins == 3 {
-			now = now.Add(11 * time.Hour)
+		wd.Poll()
+		now = now.Add(time.Second)
+		wd.Poll()
+		if _, serr := be.Step(); serr != nil {
+			t.Errorf("backend: %v", serr)
 		}
 	})
 
-	start := time.Now()
-	werr := ep.ReadSector(0, make([]byte, blockdev.SectorSize))
-	if !errors.Is(werr, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", werr)
+	p := make([]byte, 3*slots*blockdev.SectorSize)
+	for i := range p {
+		p[i] = byte(i * 13)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline not driven by the injected clock: %v wall time", elapsed)
+	if err := ep.WriteSectors(0, p); err != nil {
+		t.Fatalf("slow but progressing host killed after %v: %v", now.Sub(t0), err)
+	}
+	if now.Sub(t0) < 3*time.Second {
+		t.Fatalf("write took %v of fake time, want a ring-full per second", now.Sub(t0))
+	}
+	if wd.Stalls() != 0 || ep.Dead() != nil {
+		t.Fatalf("stalls = %d, Dead() = %v: a progressing host was declared stalled", wd.Stalls(), ep.Dead())
+	}
+	withSpinHook(t, nil)
+	be.Start()
+	defer be.Stop()
+	got := make([]byte, len(p))
+	if err := ep.ReadSectors(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, p) {
+		t.Fatal("slow write corrupted")
 	}
 }
 
@@ -259,19 +300,7 @@ func TestWatchdogCoversStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_700_000_000, 0)
-	ep.SetClock(func() time.Time { return now })
-	ep.SetTimeout(time.Hour) // the watchdog, not the submit deadline, must kill
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval:   time.Hour, // never fires on its own; Poll is driven below
-		StallAfter: 5 * time.Second,
-		Clock:      func() time.Time { return now },
-	}, ep)
-
-	withSpinHook(t, func() {
-		now = now.Add(time.Second)
-		wd.Poll()
-	})
+	_, wd := withStallWatchdog(t, ep, 250*time.Millisecond)
 	werr := ep.WriteSector(0, make([]byte, blockdev.SectorSize))
 	if !errors.Is(werr, safering.ErrStalled) {
 		t.Fatalf("want ErrStalled via watchdog, got %v", werr)
@@ -293,15 +322,12 @@ func TestEpochReplayFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_700_000_000, 0)
-	ep.SetClock(func() time.Time { return now })
-	ep.SetTimeout(time.Second)
-	ep.SetRecoveryPolicy(safering.RecoveryPolicy{Clock: func() time.Time { return now }})
-	withSpinHook(t, func() { now = now.Add(time.Second) })
-	if werr := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(werr, ErrTimeout) {
+	now, _ := withStallWatchdog(t, ep, time.Second)
+	ep.SetRecoveryPolicy(safering.RecoveryPolicy{Clock: func() time.Time { return *now }})
+	if werr := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(werr, safering.ErrStalled) {
 		t.Fatalf("setup death: %v", werr)
 	}
-	now = now.Add(time.Minute)
+	*now = now.Add(time.Minute)
 	nsh, rerr := ep.Reincarnate()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -484,21 +510,18 @@ func TestQuarantineGovernsStorageRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_700_000_000, 0)
-	ep.SetClock(func() time.Time { return now })
-	ep.SetTimeout(time.Second)
+	now, _ := withStallWatchdog(t, ep, time.Second)
 	ep.SetRecoveryPolicy(safering.RecoveryPolicy{
 		BaseBackoff:  time.Hour,
 		MaxBackoff:   2 * time.Hour,
 		DeathBudget:  2,
 		BudgetWindow: 100 * time.Hour,
-		Clock:        func() time.Time { return now },
+		Clock:        func() time.Time { return *now },
 	})
-	withSpinHook(t, func() { now = now.Add(time.Second) })
 
 	die := func() {
 		t.Helper()
-		if werr := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(werr, ErrTimeout) {
+		if werr := ep.WriteSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(werr, safering.ErrStalled) {
 			t.Fatalf("death setup: %v", werr)
 		}
 	}
@@ -510,12 +533,12 @@ func TestQuarantineGovernsStorageRecovery(t *testing.T) {
 	if _, rerr := ep.Reincarnate(); !errors.Is(rerr, safering.ErrQuarantine) {
 		t.Fatalf("want ErrQuarantine inside backoff, got %v", rerr)
 	}
-	now = now.Add(3 * time.Hour)
+	*now = now.Add(3 * time.Hour)
 	if _, rerr := ep.Reincarnate(); rerr != nil { // second death admitted after backoff
 		t.Fatal(rerr)
 	}
 	die()
-	now = now.Add(10 * time.Hour)
+	*now = now.Add(10 * time.Hour)
 	if _, rerr := ep.Reincarnate(); !errors.Is(rerr, safering.ErrBudgetExhausted) {
 		t.Fatalf("want ErrBudgetExhausted past the budget, got %v", rerr)
 	}

@@ -272,8 +272,7 @@ func TestIdleBackendDoesNotSpin(t *testing.T) {
 // TestWaiterOutlivesReincarnation: a submitter parked on a ring that is
 // killed and reborn under it is not poked by the new ring. It finds out
 // at its next bounded wait and reports the death of the incarnation it
-// submitted to — it neither hangs nor charges the reborn device with its
-// stale deadline.
+// submitted to — it neither hangs nor reaps the reborn device's ring.
 func TestWaiterOutlivesReincarnation(t *testing.T) {
 	ep, err := New(8, 16, nil)
 	if err != nil {

@@ -15,12 +15,14 @@ import (
 
 // BlkDevice is one blkring storage device under chaos: the guest
 // endpoint, an optional in-process host backend over a memory disk, the
-// fake clock driving its timeouts and quarantine, and the windows of
-// dead incarnations (kept for inertness probes).
+// fake clock driving its quarantine, the Poll-driven watchdog that
+// bounds a host which stops completing, and the windows of dead
+// incarnations (kept for inertness probes).
 type BlkDevice struct {
 	Clock *Clock
 	Meter *platform.Meter
 	EP    *blkring.Endpoint
+	WD    *safering.Watchdog
 	Disk  *blockdev.MemDisk
 	BE    *blkring.Backend
 	Old   []*blkring.Shared
@@ -36,12 +38,12 @@ func NewBlkDevice(host bool) *BlkDevice {
 	if err != nil {
 		panic(err) // deployment-fixed config: cannot fail
 	}
-	ep.SetClock(clk.Now)
 	ep.SetRecoveryPolicy(Policy(clk))
 	d := &BlkDevice{
 		Clock: clk,
 		Meter: meter,
 		EP:    ep,
+		WD:    watchdog(clk, ep),
 		Disk:  blockdev.NewMemDisk(sectors),
 	}
 	if host {
@@ -57,7 +59,7 @@ func (d *BlkDevice) Attach() {
 }
 
 // Detach stops the host backend, if one is running. The guest's next
-// submission will block (and, under a timeout or watchdog, die).
+// submission will block until the watchdog declares the stall.
 func (d *BlkDevice) Detach() {
 	if d.BE != nil {
 		d.BE.Stop()
@@ -111,18 +113,21 @@ func (d *BlkDevice) Reincarnate() error {
 // WaitStaged spins until the guest's blocked submission has published
 // work into the ring (so a fault can be injected under it), bailing out
 // if the submission returns early.
-func (d *BlkDevice) WaitStaged(errCh <-chan error) error {
-	for {
+func (d *BlkDevice) WaitStaged(errCh <-chan error) error { return d.waitOwed(errCh, 1) }
+
+// waitOwed spins until the guest has published n requests the host has
+// not consumed, bailing out if the submission returns early.
+func (d *BlkDevice) waitOwed(errCh <-chan error, n uint64) error {
+	ix := d.EP.Shared().Ring.Indexes()
+	for ix.LoadProd()-ix.LoadCons() < n {
 		select {
 		case err := <-errCh:
 			return fmt.Errorf("submission returned before the fault landed: %v", err)
 		default:
 		}
-		if head, _, alive := d.EP.WatchProgress(); !alive || head > 0 {
-			return nil
-		}
 		runtime.Gosched()
 	}
+	return nil
 }
 
 // counters fills the meter fields of a Result.
@@ -156,9 +161,6 @@ func NewBlkMultiDevice(queues int) *BlkMultiDevice {
 	m, err := blkring.NewMulti(queues, 8, blkMultiSectors, meter)
 	if err != nil {
 		panic(err) // deployment-fixed config: cannot fail
-	}
-	for _, q := range m.Queues() {
-		q.SetClock(clk.Now)
 	}
 	m.SetRecoveryPolicy(Policy(clk))
 	d := &BlkMultiDevice{Clock: clk, Meter: meter, M: m, Disk: blockdev.NewMemDisk(blkMultiSectors)}
@@ -267,6 +269,7 @@ func (d *BlkMultiDevice) counters(r Result) Result {
 func runBlkIndexCorrupt() Result {
 	const fault = "blk-index-corrupt"
 	d := NewBlkDevice(true)
+	defer d.Detach()
 	if err := d.Verify(2); err != nil {
 		return corrupt(fault, "healthy baseline failed: "+err.Error())
 	}
@@ -295,30 +298,34 @@ func runBlkIndexCorrupt() Result {
 // runBlkHostStall: the guest publishes storage work and the host
 // freezes. The same watchdog that guards the network ring must declare
 // the stall on the storage ring (the Endpoint is just another Watched),
-// unblocking the stuck submission fatally.
+// unblocking the stuck submission fatally. The dead device keeps the
+// stall as its cause, and the staged slab the host still holds stays
+// quarantined until reincarnation discards it with the old arena.
 func runBlkHostStall() Result {
 	const fault = "blk-host-stall"
 	d := NewBlkDevice(false)
-	d.EP.SetTimeout(time.Hour) // isolate the watchdog from the submit timeout
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval:   time.Hour, // Poll-driven; the ticker never fires
-		StallAfter: 5 * time.Second,
-		Clock:      d.Clock.Now,
-	}, d.EP)
+	defer d.Detach()
 	errCh := make(chan error, 1)
 	go func() { errCh <- d.EP.WriteSector(3, pattern(blockdev.SectorSize, 7)) }()
 	if err := d.WaitStaged(errCh); err != nil {
 		return corrupt(fault, err.Error())
 	}
-	wd.Poll() // obligation observed, clock starts
+	d.WD.Poll() // obligation observed, clock starts
 	d.Clock.Advance(6 * time.Second)
-	wd.Poll() // frozen past the deadline: stall declared
+	d.WD.Poll() // frozen past the bound: stall declared
 	err := <-errCh
 	if !errors.Is(err, blkring.ErrDead) || !errors.Is(err, safering.ErrStalled) {
 		return corrupt(fault, fmt.Sprintf("blocked write not killed by the stall: %v", err))
 	}
-	if wd.Stalls() != 1 {
-		return corrupt(fault, fmt.Sprintf("watchdog counted %d stalls, want 1", wd.Stalls()))
+	if d.WD.Stalls() != 1 {
+		return corrupt(fault, fmt.Sprintf("watchdog counted %d stalls, want 1", d.WD.Stalls()))
+	}
+	if err := d.EP.ReadSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(err, blkring.ErrDead) || !errors.Is(err, safering.ErrStalled) {
+		return corrupt(fault, fmt.Sprintf("dead-op error lost the stall cause: %v", err))
+	}
+	sh := d.EP.Shared()
+	if free, want := sh.Data.FreeSlabs(), int(sh.Ring.NSlots())-1; free != want {
+		return corrupt(fault, fmt.Sprintf("%d free slabs after the stall, want %d: staging slab not quarantined", free, want))
 	}
 	if err := d.Reincarnate(); err != nil {
 		return corrupt(fault, "reincarnation refused: "+err.Error())
@@ -328,42 +335,52 @@ func runBlkHostStall() Result {
 		return corrupt(fault, "new epoch traffic: "+err.Error())
 	}
 	return d.counters(Result{Fault: fault, Outcome: CleanEpoch,
-		Detail: "frozen storage host declared fatal by the shared watchdog"})
+		Detail: "frozen storage host declared fatal by the shared watchdog; staged slab quarantined until rebirth"})
 }
 
-// runBlkSlowHost: the host simply never completes, and the fake clock —
-// not wall time — carries the submission past its deadline. The device
-// must fail dead on ErrTimeout with the staged slab quarantined, then
-// come back clean with a fresh arena.
+// runBlkSlowHost: the host is slow but keeps making progress. It serves
+// one ring-full every 4 fake seconds, under the watchdog's 5-second
+// bound, across one write of three ring-fulls: 12 fake seconds in all,
+// more than twice the bound. Every completion restarts the watchdog's
+// clock, so the device must absorb the slowness: bytes verified, no
+// stall, the original incarnation alive.
 func runBlkSlowHost() Result {
 	const fault = "blk-slow-host"
 	d := NewBlkDevice(false)
-	d.EP.SetTimeout(2 * time.Second)
+	defer d.Detach()
+	slots := d.EP.Shared().Ring.NSlots()
+	want := pattern(3*int(slots)*blockdev.SectorSize, 11)
 	errCh := make(chan error, 1)
-	go func() { errCh <- d.EP.WriteSector(5, pattern(blockdev.SectorSize, 9)) }()
-	if err := d.WaitStaged(errCh); err != nil {
-		return corrupt(fault, err.Error())
+	go func() { errCh <- d.EP.WriteSectors(0, want) }()
+	be := blkring.NewBackend(d.EP.Shared(), d.Disk)
+	for round := 0; round < 3; round++ {
+		if err := d.waitOwed(errCh, slots); err != nil {
+			return corrupt(fault, fmt.Sprintf("round %d: %v", round, err))
+		}
+		d.WD.Poll()
+		d.Clock.Advance(4 * time.Second)
+		d.WD.Poll()
+		if _, err := be.Step(); err != nil {
+			return corrupt(fault, fmt.Sprintf("round %d: honest guest poisoned the backend: %v", round, err))
+		}
 	}
-	d.Clock.Advance(3 * time.Second)
-	err := <-errCh
-	if !errors.Is(err, blkring.ErrTimeout) {
-		return corrupt(fault, fmt.Sprintf("fake-clock deadline did not fire: %v", err))
+	if err := <-errCh; err != nil {
+		return corrupt(fault, fmt.Sprintf("slow but progressing host killed: %v", err))
 	}
-	if derr := d.EP.Dead(); !errors.Is(derr, blkring.ErrTimeout) {
-		return corrupt(fault, fmt.Sprintf("timeout not recorded as death cause: %v", derr))
+	if n := d.WD.Stalls(); n != 0 || d.EP.Dead() != nil {
+		return corrupt(fault, fmt.Sprintf("progressing host declared stalled: %d stalls, death %v", n, d.EP.Dead()))
 	}
-	if err := d.EP.ReadSector(0, make([]byte, blockdev.SectorSize)); !errors.Is(err, blkring.ErrDead) || !errors.Is(err, blkring.ErrTimeout) {
-		return corrupt(fault, fmt.Sprintf("dead-op error lost the timeout cause: %v", err))
+	d.BE = be
+	be.Start()
+	got := make([]byte, len(want))
+	if err := d.EP.ReadSectors(0, got); err != nil {
+		return corrupt(fault, "read back: "+err.Error())
 	}
-	if err := d.Reincarnate(); err != nil {
-		return corrupt(fault, "reincarnation refused: "+err.Error())
+	if !bytes.Equal(got, want) {
+		return corrupt(fault, "slow write corrupted on disk round trip")
 	}
-	d.Attach()
-	if err := d.Verify(2); err != nil {
-		return corrupt(fault, "new epoch traffic: "+err.Error())
-	}
-	return d.counters(Result{Fault: fault, Outcome: CleanEpoch,
-		Detail: "fake clock drove the timeout; quarantined slab discarded with the old arena"})
+	return d.counters(Result{Fault: fault, Outcome: Absorbed,
+		Detail: "a ring-full per 4 fake seconds for 12: each completion restarted the watchdog's clock; bytes verified, no stall"})
 }
 
 // BlkEpochReplay: the device dies and reincarnates, and the host

@@ -118,6 +118,17 @@ func Policy(clk *Clock) safering.RecoveryPolicy {
 	}
 }
 
+// watchdog is the host-progress watchdog chaos devices run under: the
+// deployed stall bound on the rig's fake clock, driven by Poll (never
+// Started), so a scenario declares a stall by advancing the clock past
+// StallAfter between two polls.
+func watchdog(clk *Clock, eps ...safering.Watched) *safering.Watchdog {
+	return safering.NewWatchdog(safering.WatchdogConfig{
+		StallAfter: safering.DefaultWatchdogConfig().StallAfter,
+		Clock:      clk.Now,
+	}, eps...)
+}
+
 // Device is one single-queue safering device under chaos: the guest
 // endpoint, the current host attachment, the fake clock driving its
 // quarantine, and the poisoned windows of every prior incarnation (kept

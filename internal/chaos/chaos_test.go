@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestScriptedFaults runs every scripted scenario and enumerates its
@@ -21,7 +23,7 @@ func TestScriptedFaults(t *testing.T) {
 		"mq-reattach-storm":     FailDead,
 		"blk-index-corrupt":     CleanEpoch,
 		"blk-host-stall":        CleanEpoch,
-		"blk-slow-host":         CleanEpoch,
+		"blk-slow-host":         Absorbed,
 		"blk-epoch-replay":      CleanEpoch,
 		"blk-mq-cross-kill":     CleanEpoch,
 		"blk-mq-reattach-storm": FailDead,
@@ -48,6 +50,26 @@ func TestScriptedFaults(t *testing.T) {
 	}
 	if len(want) != len(Scenarios()) {
 		t.Fatalf("expected-outcome table has %d entries, %d scenarios exist", len(want), len(Scenarios()))
+	}
+}
+
+// TestScriptedFaultsStopTheirGoroutines: every scripted scenario stops
+// what it started — host backends, pumps, gateway nodes — so after a
+// pass over all of them the goroutine count returns to where it began.
+// A row that ends with a live backend leaks its service loop.
+func TestScriptedFaultsStopTheirGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, sc := range Scenarios() {
+		sc.Run()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the scenarios, %d after:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

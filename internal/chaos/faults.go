@@ -26,7 +26,7 @@ func Scenarios() []Scenario {
 	return []Scenario{
 		{"index-corrupt", runIndexCorrupt},
 		{"mid-batch-kill", runMidBatchKill},
-		{"doorbell-flood", runDoorbellFlood},
+		{"doorbell-flood", func() Result { return DoorbellFlood(NewDevice(notifyConfig(false))) }},
 		{"host-stall", runHostStall},
 		{"notify-suppress-stall", runNotifySuppressStall},
 		{"epoch-replay", func() Result { return EpochReplay(NewDevice(safering.DefaultConfig())) }},
@@ -38,7 +38,11 @@ func Scenarios() []Scenario {
 		{"blk-index-corrupt", runBlkIndexCorrupt},
 		{"blk-host-stall", runBlkHostStall},
 		{"blk-slow-host", runBlkSlowHost},
-		{"blk-epoch-replay", func() Result { return BlkEpochReplay(NewBlkDevice(true)) }},
+		{"blk-epoch-replay", func() Result {
+			d := NewBlkDevice(true)
+			defer d.Detach()
+			return BlkEpochReplay(d)
+		}},
 		{"blk-mq-cross-kill", func() Result {
 			d := NewBlkMultiDevice(4)
 			defer d.Detach()
@@ -124,20 +128,21 @@ func runMidBatchKill() Result {
 		Detail: "mid-batch rewind fatal; un-reaped half abandoned with the old arena"})
 }
 
-// runDoorbellFlood: 10k spurious doorbell rings in each direction. Not a
-// protocol violation — the device must absorb it and carry verified
-// traffic on the original incarnation.
-func runDoorbellFlood() Result {
+// DoorbellFlood: 10k spurious doorbell rings in each direction of queue
+// 0. Not a protocol violation — the device must absorb it and carry
+// verified traffic on every queue of the original incarnation. d runs
+// with doorbells on.
+func DoorbellFlood(d NIC) Result {
 	const fault = "doorbell-flood"
-	d := NewDevice(notifyConfig(false))
+	ep, _ := d.Queue(0)
 	for i := 0; i < 10000; i++ {
-		d.EP.Shared().RXBell.Ring()
-		d.EP.Shared().TXBell.Ring()
+		ep.Shared().RXBell.Ring()
+		ep.Shared().TXBell.Ring()
 	}
 	if err := d.Verify(4); err != nil {
 		return corrupt(fault, "traffic after flood: "+err.Error())
 	}
-	if err := d.EP.Dead(); err != nil {
+	if err := ep.Dead(); err != nil {
 		return corrupt(fault, "flood killed the device: "+err.Error())
 	}
 	return d.counters(Result{Fault: fault, Outcome: Absorbed,
@@ -150,11 +155,7 @@ func runDoorbellFlood() Result {
 func runHostStall() Result {
 	const fault = "host-stall"
 	d := NewDevice(safering.DefaultConfig())
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval:   time.Hour, // Poll-driven; the ticker never fires
-		StallAfter: 5 * time.Second,
-		Clock:      d.Clock.Now,
-	}, d.EP)
+	wd := watchdog(d.Clock, d.EP)
 	if err := d.EP.Send(pattern(256, 3)); err != nil {
 		return corrupt(fault, "send setup: "+err.Error())
 	}
@@ -199,11 +200,7 @@ func runNotifySuppressStall() Result {
 	// Host withdraws the TX wake threshold (one suppress covers all
 	// later publishes), then stops serving entirely.
 	d.HP.SuppressTXNotify()
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval:   time.Hour, // Poll-driven; the ticker never fires
-		StallAfter: 5 * time.Second,
-		Clock:      d.Clock.Now,
-	}, d.EP)
+	wd := watchdog(d.Clock, d.EP)
 	if err := d.EP.Send(pattern(256, 3)); err != nil {
 		return corrupt(fault, "send setup: "+err.Error())
 	}

@@ -22,11 +22,7 @@ func RandomRun(seed int64, steps int) Result {
 	fault := fmt.Sprintf("random[seed=%d]", seed)
 	rng := rand.New(rand.NewSource(seed))
 	d := NewDevice(safering.DefaultConfig())
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval:   time.Hour, // Poll-driven
-		StallAfter: 5 * time.Second,
-		Clock:      d.Clock.Now,
-	}, d.EP)
+	wd := watchdog(d.Clock, d.EP)
 
 	died := false
 	for step := 0; step < steps; step++ {

@@ -44,10 +44,9 @@ type Config struct {
 	// policy — tenant faults never touch the device death budget.
 	TenantPolicy safering.RecoveryPolicy
 	// StallTimeout is how long a flow may hold submitted-but-undelivered
-	// replies without progress before it is shed (equality-only aging,
-	// exactly the watchdog's trust model: observing our own progress
-	// counter places no new trust in the tenant). Zero disables
-	// stall-shedding.
+	// replies without progress before it is shed (the watchdog's aging
+	// rule, safering.Aging: observing our own progress counter places no
+	// new trust in the tenant). Zero disables stall-shedding.
 	StallTimeout time.Duration
 	// Clock supplies time for stall aging and admission checks; nil
 	// means time.Now. The chaos harness injects its fake clock here and
@@ -258,11 +257,9 @@ type flow struct {
 	// outstanding and the stall watchdog ages it.
 	pending  atomic.Uint64
 	progress atomic.Uint64
-
-	// Watchdog aging state (PollStalls only; no lock needed — polls are
-	// serialized by the poller).
-	lastProgress uint64
-	lastChange   time.Time
+	// age is the watchdog's aging rule over progress (PollStalls only; no
+	// lock needed — polls are serialized by the poller).
+	age safering.Aging
 
 	shedOnce sync.Once
 	shedErr  error
@@ -279,11 +276,11 @@ func (f *flow) shed(err error) {
 	})
 }
 
-// PollStalls runs one equality-only aging scan over every live flow,
-// shedding flows whose submitted replies made no progress for
-// StallTimeout and charging each shed as an authenticated fault. The
-// chaos harness calls this directly on its fake clock; production nodes
-// run it from a ticker (Node wires this up).
+// PollStalls runs one scan of the watchdog's aging rule (safering.Aging)
+// over every live flow, shedding flows whose submitted replies made no
+// progress for StallTimeout and charging each shed as an authenticated
+// fault. The chaos harness calls this directly on its fake clock;
+// production nodes run it from a ticker (Node wires this up).
 func (g *Gateway) PollStalls() {
 	if g.cfg.StallTimeout <= 0 {
 		return
@@ -299,23 +296,13 @@ func (g *Gateway) PollStalls() {
 
 		for _, f := range flows {
 			p := f.progress.Load()
-			if f.pending.Load() == p {
-				// No outstanding work: reset aging.
-				f.lastProgress, f.lastChange = p, now
-				continue
+			if f.age.Observe(now, f.pending.Load() != p, p, g.cfg.StallTimeout) > 0 {
+				// The tenant stopped draining. Shed the flow and charge the
+				// fault; eviction (if the budget just died) sheds the
+				// siblings too.
+				f.shed(ErrTenantBackoff)
+				_ = t.fault()
 			}
-			if p != f.lastProgress || f.lastChange.IsZero() {
-				f.lastProgress, f.lastChange = p, now
-				continue
-			}
-			if now.Sub(f.lastChange) < g.cfg.StallTimeout {
-				continue
-			}
-			// Equality held across the timeout: the tenant stopped
-			// draining. Shed the flow and charge the fault; eviction (if
-			// the budget just died) sheds the siblings too.
-			f.shed(ErrTenantBackoff)
-			_ = t.fault()
 		}
 	}
 }

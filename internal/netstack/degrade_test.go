@@ -131,9 +131,7 @@ func TestStackDegradesWhenTransportDies(t *testing.T) {
 // while still matching the generic ErrClosed teardown class.
 func TestStackDegradeReportsStallDistinctly(t *testing.T) {
 	sa, _, epA, pumpA := degradePair(t)
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval: time.Millisecond, StallAfter: 10 * time.Millisecond,
-	}, epA)
+	wd := safering.NewWatchdog(safering.WatchdogConfig{StallAfter: 10 * time.Millisecond}, epA)
 	wd.Start()
 	t.Cleanup(wd.Stop)
 

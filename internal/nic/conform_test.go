@@ -185,7 +185,7 @@ func TestSaferingStallIsErrStalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Unix(0, 0)
-	wd := safering.NewWatchdog(safering.WatchdogConfig{Interval: time.Hour, StallAfter: time.Second,
+	wd := safering.NewWatchdog(safering.WatchdogConfig{StallAfter: time.Second,
 		Clock: func() time.Time { return now }}, ep)
 	g := ep.NIC()
 	if err := g.Send(make([]byte, 64)); err != nil {

@@ -272,9 +272,7 @@ func TestWatchdogDeclaresStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval: time.Hour, StallAfter: 5 * time.Second, Clock: clk.Now,
-	}, ep)
+	wd := safering.NewWatchdog(safering.WatchdogConfig{StallAfter: 5 * time.Second, Clock: clk.Now}, ep)
 	if err := ep.Send(make([]byte, 128)); err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +307,7 @@ func TestWatchdogHonorsProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	hp := safering.NewHostPort(ep.Shared())
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval: time.Hour, StallAfter: 5 * time.Second, Clock: clk.Now,
-	}, ep)
+	wd := safering.NewWatchdog(safering.WatchdogConfig{StallAfter: 5 * time.Second, Clock: clk.Now}, ep)
 	for i := 0; i < 3; i++ {
 		if err := ep.Send(make([]byte, 96)); err != nil {
 			t.Fatal(err)
@@ -347,9 +343,7 @@ func TestWatchdogBackgroundScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := safering.NewWatchdog(safering.WatchdogConfig{
-		Interval: time.Millisecond, StallAfter: 20 * time.Millisecond,
-	}, ep)
+	wd := safering.NewWatchdog(safering.WatchdogConfig{StallAfter: 20 * time.Millisecond}, ep)
 	wd.Start()
 	defer wd.Stop()
 	if err := ep.Send(make([]byte, 64)); err != nil {

@@ -27,10 +27,9 @@ var ErrStalled = nic.Fatal("safering: host stalled (consumer index frozen with w
 
 // WatchdogConfig tunes the host-progress watchdog.
 type WatchdogConfig struct {
-	// Interval is the background scan period (Start's goroutine).
-	Interval time.Duration
 	// StallAfter is how long the TX consumer index may stay frozen with
-	// work pending before the host is declared stalled.
+	// work pending before the host is declared stalled. Start's scanner
+	// polls every StallAfter/4.
 	StallAfter time.Duration
 	// Clock supplies time for stall aging; nil means time.Now. The chaos
 	// harness injects a fake clock and drives Poll directly.
@@ -41,17 +40,40 @@ type WatchdogConfig struct {
 // that a merely-slow host on a loaded machine is never declared stalled.
 func DefaultWatchdogConfig() WatchdogConfig {
 	return WatchdogConfig{
-		Interval:   50 * time.Millisecond,
 		StallAfter: 5 * time.Second,
 		Clock:      time.Now,
 	}
 }
 
-// wdState is the per-queue progress clock.
-type wdState struct {
-	lastCons  uint64    // consumer index at the previous scan
-	obliged   bool      // host currently owes progress (work pending)
-	obligedAt time.Time // when the current obligation started aging
+// Aging is the one host-progress bound: it ages an obligation toward a
+// stall by equality alone. A peer that owes progress and whose progress
+// counter stands still for the bound is stalled; any change of the
+// counter restarts the clock, so a slow peer that keeps moving is never
+// stalled. The counter is only compared, never trusted, so it may be a
+// word the peer writes. The zero value owes nothing.
+type Aging struct {
+	last    uint64    // progress counter at the previous observation
+	obliged bool      // the peer owed progress at the previous observation
+	since   time.Time // when the current obligation started aging
+}
+
+// Observe records one poll at now: owed says whether the peer owes
+// progress, progress is its counter. It returns how long the counter has
+// been frozen once that reaches after (positive) — a stall, after which
+// the aging starts over — and 0 otherwise.
+func (a *Aging) Observe(now time.Time, owed bool, progress uint64, after time.Duration) time.Duration {
+	var frozen time.Duration
+	switch {
+	case !owed:
+		a.obliged = false
+	case !a.obliged || progress != a.last:
+		// New obligation, or the peer made progress: restart the clock.
+		a.obliged, a.since = true, now
+	case now.Sub(a.since) >= after:
+		frozen, a.obliged = now.Sub(a.since), false
+	}
+	a.last = progress
+	return frozen
 }
 
 // Watched is anything the watchdog can age toward a stall: a producer
@@ -80,7 +102,7 @@ type Watchdog struct {
 	eps []Watched
 
 	mu     sync.Mutex
-	states []wdState
+	ages   []Aging
 	stalls uint64
 
 	scanner nic.Driver
@@ -90,20 +112,16 @@ type Watchdog struct {
 // starting the background scanner; callers either Start it or drive
 // Poll themselves (tests, the chaos harness).
 func NewWatchdog(cfg WatchdogConfig, eps ...Watched) *Watchdog {
-	def := DefaultWatchdogConfig()
-	if cfg.Interval <= 0 {
-		cfg.Interval = def.Interval
-	}
 	if cfg.StallAfter <= 0 {
-		cfg.StallAfter = def.StallAfter
+		cfg.StallAfter = DefaultWatchdogConfig().StallAfter
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	return &Watchdog{
-		cfg:    cfg,
-		eps:    eps,
-		states: make([]wdState, len(eps)),
+		cfg:  cfg,
+		eps:  eps,
+		ages: make([]Aging, len(eps)),
 	}
 }
 
@@ -137,9 +155,9 @@ func (e *Endpoint) WatchStall(err error) {
 	e.meter.Stall(1)
 }
 
-// Start launches the background scanner: Poll every Interval. Stop joins
-// it.
-func (w *Watchdog) Start() { w.scanner.Go(nic.Every(w.cfg.Interval, w.Poll)) }
+// Start launches the background scanner: Poll every StallAfter/4, so a
+// stall is declared at most a quarter of the bound late. Stop joins it.
+func (w *Watchdog) Start() { w.scanner.Go(nic.Every(w.cfg.StallAfter/4, w.Poll)) }
 
 // Stop halts the background scanner and waits for it to exit. Safe to
 // call more than once, and safe without Start.
@@ -161,25 +179,11 @@ func (w *Watchdog) Poll() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for i, e := range w.eps {
-		st := &w.states[i]
 		head, cons, alive := e.WatchProgress()
-		if !alive {
-			st.obliged = false
-			continue
-		}
-		switch {
-		case cons == head:
-			// No obligation: the host consumed everything published.
-			st.obliged = false
-		case !st.obliged || cons != st.lastCons:
-			// New obligation, or the host made progress: restart the clock.
-			st.obliged, st.obligedAt = true, now
-		case now.Sub(st.obligedAt) >= w.cfg.StallAfter:
+		if frozen := w.ages[i].Observe(now, alive && cons != head, cons, w.cfg.StallAfter); frozen > 0 {
 			e.WatchStall(fmt.Errorf("%w: consumer frozen at %d (head %d) for %v",
-				ErrStalled, cons, head, now.Sub(st.obligedAt)))
+				ErrStalled, cons, head, frozen))
 			w.stalls++
-			st.obliged = false
 		}
-		st.lastCons = cons
 	}
 }

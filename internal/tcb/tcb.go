@@ -44,7 +44,7 @@ var (
 	CompNetvsc    = Component{"netvsc", 378, "netvsc driver"}
 	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
 	CompTDISP     = Component{"tdisp", 304, "TEE-side TDISP/IDE driver"}
-	CompBlkring   = Component{"blkring", 486, "safe block ring on the generic engine"}
+	CompBlkring   = Component{"blkring", 461, "safe block ring on the generic engine"}
 	CompCryptdisk = Component{"cryptdisk", 326, "at-rest AEAD sectors + Merkle freshness"}
 	CompSFS       = Component{"sfs", 325, "extent filesystem"}
 	// CompGate and CompGateConn are the two files of package compartment,
