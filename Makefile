@@ -112,11 +112,14 @@ chaos:
 # And so does the one stall rule (safering.Aging): the watchdog's
 # background scanner polls queues the datapath is writing, and the
 # gateway's PollStalls ages the progress counters its relay goroutines
-# bump.
+# bump. And so do safering's pump tests: their event-idx pumps arm every
+# queue of a network's one host poller and wake it through the doorbell
+# fan-in (a guest's Ring pokes the poller's wake from the guest's
+# goroutine).
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 	$(GO) test -race -count=10 -run '^TestDriven' ./internal/netstack
-	$(GO) test -race -count=10 -run 'Park|Wake|Consumer|Watchdog' ./internal/safering
+	$(GO) test -race -count=10 -run 'Park|Wake|Consumer|Watchdog|Pump' ./internal/safering
 	$(GO) test -race -count=10 -run 'Stall' ./internal/gateway
 	$(GO) test -race -count=10 -run 'Release' ./internal/simnet
 	$(GO) test -race -count=10 -run 'WakesWithoutAllocating' ./internal/tcp

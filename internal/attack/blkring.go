@@ -63,8 +63,8 @@ func blkWakeSpam(tr string) Result {
 	d.WD.Poll()
 	d.Clock.Advance(6 * time.Second)
 	d.WD.Poll()
-	if err := <-errCh; !errors.Is(err, safering.ErrStalled) {
-		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("spammed request did not die of the stall: %v", err))
+	if err, ok := chaos.Returned(errCh); !ok || !errors.Is(err, safering.ErrStalled) {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("spammed request did not die of the stall: returned %v, err %v", ok, err))
 	}
 	if free, want := sh.Data.FreeSlabs(), int(sh.Ring.NSlots())-1; free != want {
 		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("%d free slabs after the stall, want %d: staging slab not quarantined", free, want))
@@ -78,8 +78,8 @@ func blkWakeSpam(tr string) Result {
 		return compromised(AtkBlkWakeSpam, tr, err.Error())
 	}
 	d.EP.Shared().Ring.Indexes().StoreCons(5)
-	if err := <-errCh; !errors.Is(err, blkring.ErrProtocol) {
-		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("consumer index past the head accepted: %v", err))
+	if err, ok := chaos.Returned(errCh); !ok || !errors.Is(err, blkring.ErrProtocol) {
+		return compromised(AtkBlkWakeSpam, tr, fmt.Sprintf("consumer index past the head: returned %v, err %v", ok, err))
 	}
 	return blocked(AtkBlkWakeSpam, tr, "a poke buys one unmetered compare: empty wakes complete nothing, the watchdog still kills, garbage index fatal")
 }

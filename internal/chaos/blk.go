@@ -130,6 +130,19 @@ func (d *BlkDevice) waitOwed(errCh <-chan error, n uint64) error {
 	return nil
 }
 
+// Returned waits for a blocked submission's result for at most five
+// seconds of real time, as Await waits for state: ok is false when the
+// submitter is still blocked, which a row reports as its verdict instead
+// of hanging the test binary.
+func Returned(errCh <-chan error) (err error, ok bool) {
+	select {
+	case err = <-errCh:
+		return err, true
+	case <-time.After(5 * time.Second):
+		return nil, false
+	}
+}
+
 // counters fills the meter fields of a Result.
 func (d *BlkDevice) counters(r Result) Result {
 	c := d.Meter.Snapshot()
@@ -313,7 +326,10 @@ func runBlkHostStall() Result {
 	d.WD.Poll() // obligation observed, clock starts
 	d.Clock.Advance(6 * time.Second)
 	d.WD.Poll() // frozen past the bound: stall declared
-	err := <-errCh
+	err, ok := Returned(errCh)
+	if !ok {
+		return corrupt(fault, "blocked write still blocked 5 s after the bound passed: no stall declared")
+	}
 	if !errors.Is(err, blkring.ErrDead) || !errors.Is(err, safering.ErrStalled) {
 		return corrupt(fault, fmt.Sprintf("blocked write not killed by the stall: %v", err))
 	}
@@ -364,8 +380,8 @@ func runBlkSlowHost() Result {
 			return corrupt(fault, fmt.Sprintf("round %d: honest guest poisoned the backend: %v", round, err))
 		}
 	}
-	if err := <-errCh; err != nil {
-		return corrupt(fault, fmt.Sprintf("slow but progressing host killed: %v", err))
+	if err, ok := Returned(errCh); !ok || err != nil {
+		return corrupt(fault, fmt.Sprintf("slow but progressing host's write: returned %v, err %v", ok, err))
 	}
 	if n := d.WD.Stalls(); n != 0 || d.EP.Dead() != nil {
 		return corrupt(fault, fmt.Sprintf("progressing host declared stalled: %d stalls, death %v", n, d.EP.Dead()))
@@ -409,8 +425,8 @@ func BlkEpochReplay(d *BlkDevice) Result {
 	sh := d.EP.Shared()
 	sh.Ring.Slots().SetU32(sh.Ring.SlotOff(0)+4, blkring.StatusOK) // raw word: epoch tag 0
 	sh.Ring.Indexes().StoreCons(1)
-	if err := <-errCh; !errors.Is(err, blkring.ErrProtocol) {
-		return corrupt(fault, fmt.Sprintf("stale-epoch completion accepted: %v", err))
+	if err, ok := Returned(errCh); !ok || !errors.Is(err, blkring.ErrProtocol) {
+		return corrupt(fault, fmt.Sprintf("stale-epoch completion: returned %v, err %v", ok, err))
 	}
 	d.Clock.Advance(2 * time.Second) // serve the quarantine from death #2
 	if err := d.Reincarnate(); err != nil {

@@ -405,7 +405,11 @@ func (s *Stack) handleIPv4(f ether.Frame) {
 	if h.Dst != s.ip {
 		return
 	}
-	full, done := s.reasm.Add(h, payload, time.Now())
+	full, done := payload, true
+	if h.Flags&ipv4.FlagMF != 0 || h.FragOff != 0 {
+		// Only reassembly reads the clock: a whole datagram skips it.
+		full, done = s.reasm.Add(h, payload, time.Now())
+	}
 	if !done {
 		return
 	}

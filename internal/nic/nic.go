@@ -12,8 +12,12 @@
 package nic
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"runtime"
+	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,9 +249,9 @@ const (
 	// pumpYield is how many of those polls run back to back; past it
 	// each poll yields the processor, so the spin cannot starve the
 	// goroutines it is waiting for. A step that pushed frames to a guest
-	// yields once whatever the count (worker.step): the guest its push
-	// woke would otherwise wait behind these polls on the pump's own
-	// processor.
+	// leaves one yield due whatever the count, paid at the next step that
+	// moves nothing (poller.owe): the guest its push woke would otherwise
+	// wait behind these polls on the poller's own processor.
 	pumpYield = 64
 	// WaitBound bounds every idle wait on the datapath, armed or not. A
 	// wake is a hint a peer controls (it can be late, lost to a retired
@@ -333,6 +337,13 @@ func (d *Driver) Err() error {
 	return d.err
 }
 
+// fail keeps err if it is the first terminal error.
+func (d *Driver) fail(err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.err = cmp.Or(d.err, err)
+}
+
 // Running reports how many loops are still alive: zero after Stop, or
 // once every loop has ended on its error.
 func (d *Driver) Running() int { return int(d.running.Load()) }
@@ -356,11 +367,7 @@ func (d *Driver) run(l Loop, stop <-chan struct{}) {
 		}
 		progress, next, err := l.Step()
 		if err != nil {
-			d.mu.Lock()
-			if d.err == nil {
-				d.err = err
-			}
-			d.mu.Unlock()
+			d.fail(err)
 			return
 		}
 		if progress {
@@ -437,16 +444,27 @@ func (f *BufFrame) Bytes() []byte { return f.B }
 // Release does nothing: the slice is the frame's own.
 func (f *BufFrame) Release() {}
 
-// Pump shuttles frames between a device backend and a simnet port from
-// one polling goroutine per queue, mirroring a host device model thread
-// per queue. Worker q drains queue q's transmit ring onto the wire, so
-// queues progress independently; worker 0 also owns the wire's receive
-// side and steers what it delivers (see steering). Polling is the paper's
-// default (no notifications); a worker with nothing to move waits on its
-// wakes instead of burning a core. A worker ends on its queue's terminal
-// error (the device fail-deaded), so Running doubles as the goroutine-leak
-// gauge the restart drills poll before reincarnating.
-type Pump struct{ Driver }
+// Pump is one device's queues as the host serves them. Every pump on a
+// switch is attached to that simnet.Network's one host poller: a single
+// polling goroutine that runs each attached queue's step in turn, as a
+// host polls its guests' shared queues from a small fixed set of threads
+// rather than a thread per queue. Queue q's step drains its transmit ring
+// onto the wire, so queues progress independently; queue 0's also owns
+// the port's receive side and steers what it delivers (see steering).
+// Polling is the paper's default (no notifications); an idle poller waits
+// on one wake, which every attached port and queue pokes, instead of
+// burning a core. A queue retires on its terminal error (the device
+// fail-deaded), so Running doubles as the gauge the restart drills poll
+// before reincarnating. The poller starts with the first pump on its
+// network and ends with the last Stop.
+type Pump struct {
+	// Driver runs the pump's relays (see attach) and keeps the first
+	// terminal error a queue retired on.
+	Driver
+	po      *poller
+	ws      []*worker
+	running atomic.Int32
+}
 
 // StartPump begins shuttling between h and port until Stop: the
 // one-queue case of StartMultiPump.
@@ -454,29 +472,166 @@ func StartPump(h Host, port *simnet.Port) *Pump {
 	return StartMultiPump([]BatchHost{UpgradeHost(h)}, port)
 }
 
-// StartMultiPump begins pumping every queue of hosts against port, one
-// goroutine per queue. The per-queue backends must belong to one device,
-// so that fate is shared via the transport's latch: each worker returns
-// on its own terminal error, and the wire is drained for as long as queue
-// 0's backend lives. hosts must be non-empty.
+// StartMultiPump attaches every queue of hosts, with port, to the host
+// poller of port's network. The per-queue backends must belong to one
+// device, so that fate is shared via the transport's latch: each queue
+// retires on its own terminal error, and the wire is drained for as long
+// as queue 0's backend lives. hosts must be non-empty.
 func StartMultiPump(hosts []BatchHost, port *simnet.Port) *Pump {
 	if len(hosts) == 0 {
 		panic("nic: StartMultiPump needs at least one queue")
 	}
 	p := new(Pump)
-	for q, h := range hosts {
-		w := newWorker(h, port)
-		var wire <-chan struct{}
-		if q == 0 {
-			w.rx, wire = newSteering(hosts), port.Wake()
-		}
-		p.Go(w.loop(wire))
+	for _, h := range hosts {
+		p.ws = append(p.ws, newWorker(h, port, p))
 	}
+	p.ws[0].rx = newSteering(hosts)
+	p.running.Store(int32(len(hosts)))
+	attach(port, p)
 	return p
 }
 
+// Stop detaches the pump's queues, and with the last queue on its
+// network ends the poller; on return nothing polls the pump's backends.
+// Idempotent, and safe from several goroutines at once.
+func (p *Pump) Stop() {
+	pollersMu.Lock()
+	po, net := p.po, p.ws[0].port.Network()
+	po.mu.Lock()
+	po.ws = slices.DeleteFunc(po.ws, func(w *worker) bool { return w.p == p })
+	// The Stop that takes the last queue off a registered poller ends it.
+	last := len(po.ws) == 0 && pollers[net] == po
+	po.mu.Unlock()
+	if last {
+		delete(pollers, net)
+	}
+	pollersMu.Unlock()
+	p.running.Store(0)
+	p.Driver.Stop()
+	if last {
+		po.d.Stop()
+	}
+}
+
+// Running reports how many of the pump's queues are still served: zero
+// after Stop, or once every queue has retired on its error.
+func (p *Pump) Running() int { return int(p.running.Load()) }
+
+// pollersMu guards pollers, the host poller of every network with a
+// queue attached.
+var pollersMu sync.Mutex
+var pollers = map[*simnet.Network]*poller{}
+
+// attach adds p's queues to the poller of port's network, starting one if
+// the network has none, and points the port's delivery signal and every
+// queue's transmit wake at the poller's one wake. A NotifyHost that
+// cannot be pointed (a wrapper that forwards exactly NotifyHost) gets a
+// relay instead: a loop that pokes the poller after each of its waits on
+// NotifyChan, re-fetched every time and bounded by WaitBound, so no wake
+// is lost; it ends with the pump's first terminal error, or Stop.
+func attach(port *simnet.Port, p *Pump) {
+	pollersMu.Lock()
+	defer pollersMu.Unlock()
+	po := pollers[port.Network()]
+	if po == nil {
+		po = &poller{wake: make(chan struct{}, 1)}
+		pollers[port.Network()] = po
+		// The label names the poller in goroutine and CPU profiles.
+		defer pprof.Do(context.Background(), pprof.Labels("nic", "poller"), func(context.Context) { po.d.Go(po.loop()) })
+	}
+	p.po = po
+	port.SetWake(po.wake)
+	for _, w := range p.ws {
+		// A backend that can point its transmit wake, park and doorbell
+		// alike, at a given channel (safering's host port) is routed.
+		if r, ok := w.h.(interface{ SetTXWake(chan struct{}) }); ok {
+			r.SetTXWake(po.wake)
+		} else if nh := w.nh; nh != nil {
+			p.Go(Loop{Bound: WaitBound,
+				Step:  func() (bool, time.Time, error) { poke(po.wake); return false, time.Time{}, p.Err() },
+				Wakes: func() (a, b <-chan struct{}) { return nh.NotifyChan(), nil }})
+		}
+	}
+	po.mu.Lock()
+	po.ws, po.fresh = append(po.ws, p.ws...), true
+	po.mu.Unlock()
+	poke(po.wake)
+}
+
+func poke(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default: // a poke is already pending: wakes coalesce
+	}
+}
+
+// poller is the host polling loop of one network: every queue of every
+// pump attached to its ports, served in turn, and one wake for them all.
+type poller struct {
+	wake chan struct{}
+	d    Driver
+	// owe is the yield a step that pushed frames to a guest leaves due,
+	// paid by the next step that moves nothing: the push's index store
+	// may have readied the guest onto this processor (Go's runnext).
+	// Yielding right after the push starves the other queues under load
+	// (DESIGN.md §11). Only the poller's goroutine touches it.
+	owe bool
+
+	mu    sync.Mutex
+	ws    []*worker
+	fresh bool // queues attached since the last step: arm them too
+}
+
+// step runs every attached queue's step once. A queue's terminal error
+// retires that queue alone.
+func (po *poller) step() (bool, time.Time, error) {
+	moved, pushed := 0, false
+	po.mu.Lock()
+	for i := 0; i < len(po.ws); {
+		n, pu, err := po.ws[i].step()
+		if p := po.ws[i].p; err != nil {
+			p.fail(err)
+			p.running.Add(-1)
+			po.ws = slices.Delete(po.ws, i, i+1)
+			continue
+		}
+		moved, pushed, i = moved+n, pushed || pu, i+1
+	}
+	fresh := po.fresh
+	po.fresh = false
+	po.mu.Unlock()
+	if moved == 0 && po.owe {
+		yield()
+	}
+	po.owe = pushed || po.owe && moved > 0
+	return moved > 0 || fresh, time.Time{}, nil
+}
+
+// loop is the poller under the pump's idle policy: pumpSpin empty steps,
+// then every queue's wake threshold armed with the lost-wakeup re-check
+// (the ports need none: each delivery pokes the wake), then a wait on the
+// one wake, bounded by WaitBound: a guest controls when its wake fires,
+// never whether the poller polls again or can be collected.
+func (po *poller) loop() Loop {
+	return Loop{Step: po.step, Spin: pumpSpin, Yield: pumpYield, Bound: WaitBound,
+		Park:   func() bool { return po.each(NotifyHost.ArmNotify) },
+		Unpark: func() { po.each(func(nh NotifyHost) bool { nh.SuppressNotify(); return false }) },
+		Wakes:  func() (a, b <-chan struct{}) { return po.wake, nil }}
+}
+
+// each calls f on every attached queue that is a NotifyHost and reports
+// whether any call returned true.
+func (po *poller) each(f func(NotifyHost) bool) (any bool) {
+	po.mu.Lock()
+	defer po.mu.Unlock()
+	for _, w := range po.ws {
+		any = w.nh != nil && f(w.nh) || any
+	}
+	return any
+}
+
 const (
-	// pumpBurst bounds the frames moved per direction per loop iteration.
+	// pumpBurst bounds the frames moved per direction per queue step.
 	pumpBurst = 64
 	// rxQueueDepth bounds each queue's carry-over of steered frames its
 	// receive ring had no room for. Two bursts of slack absorb a guest
@@ -486,74 +641,55 @@ const (
 	rxQueueDepth = 2 * pumpBurst
 )
 
-// worker is one pump goroutine's body: queue q's transmit drain, with
-// the buffer set every burst reuses, and — in worker 0 alone — the
-// wire's receive side.
+// worker is one queue as the poller serves it: its transmit drain, with
+// the buffer set every burst reuses, and — for queue 0 alone — the port's
+// receive side.
 type worker struct {
 	h    BatchHost
+	nh   NotifyHost // h's idle wake, if it has one
+	p    *Pump
 	port *simnet.Port
 	bufs [][]byte
 	lens []int
 	rx   steering
 }
 
-func newWorker(h BatchHost, port *simnet.Port) *worker {
-	w := &worker{h: h, port: port, bufs: make([][]byte, pumpBurst), lens: make([]int, pumpBurst)}
+func newWorker(h BatchHost, port *simnet.Port, p *Pump) *worker {
+	nh, _ := h.(NotifyHost)
+	w := &worker{h: h, nh: nh, p: p, port: port, bufs: make([][]byte, pumpBurst), lens: make([]int, pumpBurst)}
 	for i := range w.bufs {
 		w.bufs[i] = make([]byte, h.FrameCap())
 	}
 	return w
 }
 
-// loop is the worker under the pump's idle policy: pumpSpin empty polls,
-// then — on a notify-capable transport — the wake threshold armed with
-// the lost-wakeup re-check, then a wait on the transport's wake and (in
-// worker 0) the wire's delivery signal. The wait is bounded by WaitBound:
-// the guest controls when its wake fires, never whether the worker polls
-// again or can be collected.
-func (w *worker) loop(wire <-chan struct{}) Loop {
-	l := Loop{Step: w.step, Spin: pumpSpin, Yield: pumpYield, Bound: WaitBound,
-		Wakes: func() (a, b <-chan struct{}) { return nil, wire }}
-	if nh, ok := w.h.(NotifyHost); ok {
-		l.Park, l.Unpark = nh.ArmNotify, nh.SuppressNotify
-		l.Wakes = func() (a, b <-chan struct{}) { return nh.NotifyChan(), wire }
-	}
-	return l
-}
-
 // step moves one burst of guest transmit frames onto the wire with one
-// batched pop and, in worker 0, one burst off the wire. An error is
-// terminal (ErrClosed: the device fail-deaded) and collects the worker —
-// polling a dead device forever would leak its goroutine until someone
-// remembered to call Stop. A dead backend's receive side surfaces on the
-// next drain.
-func (w *worker) step() (bool, time.Time, error) {
+// batched pop and, for queue 0, one burst off the wire. It returns how
+// many frames moved and whether a backend accepted a push. An error is
+// terminal (ErrClosed: the device fail-deaded) and retires the queue. A
+// dead backend's receive side surfaces on the next drain.
+func (w *worker) step() (int, bool, error) {
 	n, err := w.h.PopBatch(w.bufs, w.lens)
 	// Identity before errors.Is, which pays a reflective comparability
 	// test and an unwrap walk on every empty poll; a wrapped or
 	// Parker-carrying empty result still matches through the fallback.
 	if err != nil && err != ErrEmpty && !errors.Is(err, ErrEmpty) {
-		return false, time.Time{}, err
+		return 0, false, err
 	}
 	for i := 0; i < n; i++ {
 		// A frame the wire refuses (a runt, a full or closed port) is
 		// dropped there, as a real wire drops it.
 		_ = w.port.Send(w.bufs[i][:w.lens[i]])
 	}
-	if w.rx != nil {
-		moved, pushed := w.rx.deliver(w.port)
-		if n += moved; pushed {
-			// The push's index store may have readied a parked guest onto
-			// this processor (Go's runnext): hand it over before polling
-			// again.
-			yield()
-		}
+	if w.rx == nil {
+		return n, false, nil
 	}
-	return n > 0, time.Time{}, nil
+	moved, pushed := w.rx.deliver(w.port)
+	return n + moved, pushed, nil
 }
 
-// steering is the receive half worker 0 runs as the sole owner of the
-// wire: it classifies each inbound frame by FlowHash and keeps, per
+// steering is the receive half queue 0's step runs as the sole owner of
+// the wire: it classifies each inbound frame by FlowHash and keeps, per
 // queue, the frames that queue's receive ring has not accepted yet. A
 // queue whose guest is slow to post receive buffers fills its own
 // carry-over and then drops its own frames; it never delays another

@@ -85,7 +85,7 @@ func TestBackloggedQueueIsIsolated(t *testing.T) {
 	pump := StartMultiPump([]BatchHost{hosts[0], hosts[1]}, port)
 	defer pump.Stop()
 	if n := pump.Running(); n != len(hosts) {
-		t.Fatalf("%d pump goroutines after start, want %d", n, len(hosts))
+		t.Fatalf("%d queues served after start, want %d", n, len(hosts))
 	}
 	await := func(what string, done func() bool) {
 		t.Helper()
@@ -138,13 +138,13 @@ func TestBackloggedQueueIsIsolated(t *testing.T) {
 
 	pump.Stop()
 	if n := pump.Running(); n != 0 {
-		t.Fatalf("%d pump goroutines alive after Stop", n)
+		t.Fatalf("%d queues still served after Stop", n)
 	}
 }
 
 // TestRxQueueFillsACacheLine pins rxQueue to whole cache lines at
-// line-aligned addresses: worker 0 stores a carry-over length per burst,
-// and kept in a 24-byte heap object that word shared its line with
+// line-aligned addresses: queue 0's step stores a carry-over length per
+// burst, and kept in a 24-byte heap object that word shared its line with
 // neighbouring allocations (echo-small op_lo_us +8 µs in 9 of 10 runs).
 func TestRxQueueFillsACacheLine(t *testing.T) {
 	const line = 64
@@ -197,13 +197,14 @@ func (h *logHost) PushBatch(frames [][]byte) (int, error) {
 	return min(len(frames), h.accept), nil
 }
 
-// TestPumpYieldsAfterPush: a pump step that pushed frames into a guest
-// ring yields the processor once before the next poll — the push's
-// index store readied the guest's parked waiter onto the pump's own
-// processor — however many frames went; a step that only popped, an
-// empty one and one whose push was refused yield only where the idle
-// policy does. The policy here is two spins, the second after a yield,
-// then a wait: the hand-off is the step's, not the policy's.
+// TestPumpYieldsAfterPush: a step that pushed frames into a guest ring
+// leaves one yield due, and the poller pays it at its next step that
+// moves nothing — the push's index store readied the guest's parked
+// waiter onto the poller's own processor — however many frames went and
+// however many pushing steps came first; a step that only popped, an
+// empty one and one whose push was refused leave none, so those yield
+// only where the idle policy does. The policy here is two spins, the
+// second after a yield, then a wait.
 func TestPumpYieldsAfterPush(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -211,8 +212,8 @@ func TestPumpYieldsAfterPush(t *testing.T) {
 		accept   int
 		want     string
 	}{
-		{"push", 0, 1, pumpBurst, "pop push yield pop pop yield pop wait"},
-		{"partial push", 0, 2, 1, "pop push yield pop push yield pop pop yield pop wait"},
+		{"push", 0, 1, pumpBurst, "pop push pop yield pop yield pop wait"},
+		{"partial push", 0, 2, 1, "pop push pop push pop yield pop yield pop wait"},
 		{"pop", 1, 0, pumpBurst, "pop pop pop yield pop wait"},
 		{"empty", 0, 0, pumpBurst, "pop pop yield pop wait"},
 		{"refused", 0, 1, 0, "pop refused pop refused pop refused yield pop refused wait"},
@@ -231,9 +232,9 @@ func TestPumpYieldsAfterPush(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			w := newWorker(h, port)
+			w := newWorker(h, port, new(Pump))
 			w.rx = newSteering([]BatchHost{h})
-			l := w.loop(nil)
+			l := (&poller{ws: []*worker{w}}).loop()
 			l.Spin, l.Yield, l.Bound = 2, 1, time.Hour
 			l.Wakes = func() (a, b <-chan struct{}) { f.record("wait"); return nil, nil }
 			start(t, f, l)

@@ -124,9 +124,9 @@ func TestTransportWakeWakesParkedPump(t *testing.T) {
 	}
 }
 
-// TestStopCollectsParkedWorkers: Stop reaches every worker inside its
-// wait — worker 0 blocked on its wake and the wire, the others on their
-// wake alone — not after it.
+// TestStopCollectsParkedWorkers: Stop reaches the poller inside its
+// wait — parked on the one wake every queue's relay and the port poke —
+// not after it.
 func TestStopCollectsParkedWorkers(t *testing.T) {
 	const queues = 3
 	hosts := make([]nic.BatchHost, queues)
@@ -135,7 +135,7 @@ func TestStopCollectsParkedWorkers(t *testing.T) {
 	}
 	pump := nic.StartMultiPump(hosts, simnet.New().NewPort())
 	if n := pump.Running(); n != queues {
-		t.Fatalf("%d pump goroutines after start, want %d", n, queues)
+		t.Fatalf("%d queues served after start, want %d", n, queues)
 	}
 	for _, h := range hosts { // every worker spun down and is about to block
 		select {
@@ -155,7 +155,7 @@ func TestStopCollectsParkedWorkers(t *testing.T) {
 		t.Fatal("Stop did not collect the parked pump")
 	}
 	if n := pump.Running(); n != 0 {
-		t.Fatalf("%d pump goroutines alive after Stop", n)
+		t.Fatalf("%d queues still served after Stop", n)
 	}
 }
 

@@ -24,6 +24,9 @@ type Doorbell struct {
 	// new device awake. Stale rings are counted, not acted on.
 	sealed atomic.Bool
 	stale  atomic.Uint64
+	// fan is a host poller's wake that every ring pokes too (see
+	// HostPort.SetTXWake): a hint, never state, like the trigger.
+	fan wakeSlot
 }
 
 // NewDoorbell returns an unarmed doorbell; meter may be nil.
@@ -45,6 +48,7 @@ func (d *Doorbell) Ring() {
 	case d.ch <- struct{}{}:
 	default:
 	}
+	d.fan.poke()
 	// Close the Seal race: a Ring that passed the sealed check above can
 	// deposit its trigger after Seal stored the flag, arming a bell that
 	// is supposed to be dead forever. Re-checking after the deposit —

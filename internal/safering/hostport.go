@@ -238,6 +238,18 @@ func (h *HostPort) TXWake() <-chan struct{} {
 	return h.park
 }
 
+// SetTXWake makes wake what the transmit side pokes: the park a
+// polling-mode backend blocks on, and on a doorbell device a second
+// trigger every ring pokes beside the bell's own. A host poller serving
+// several queues points them all at its one wake this way. Call it
+// before the backend first arms.
+func (h *HostPort) SetTXWake(wake chan struct{}) {
+	h.park = wake
+	if b := h.sh.TXBell; b != nil {
+		b.fan.set(wake)
+	}
+}
+
 // popFreeSlab consumes the next guest-posted receive slab, or reports
 // nic.ErrFull when none is posted.
 func (h *HostPort) popFreeSlab() (int, error) {

@@ -148,7 +148,7 @@ func TestMultiPumpShardedStopAndFailDead(t *testing.T) {
 	portPump, portPeer := net.NewPort(), net.NewPort()
 	pump := nic.StartMultiPump(mhp.HostNICs(), portPump)
 	if got := pump.Running(); got != queues {
-		t.Fatalf("Running = %d at start, want %d (one worker per queue)", got, queues)
+		t.Fatalf("Running = %d at start, want %d (every queue served)", got, queues)
 	}
 	// Traffic both ways through the shards.
 	gmux := me.NIC()

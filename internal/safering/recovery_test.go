@@ -374,9 +374,9 @@ func waitRunning(t *testing.T, name string, gauge func() int) {
 	}
 }
 
-// TestPumpCollectsItselfOnDeath: a fail-deaded backend must collect the
-// single-queue pump goroutine without Stop (the goroutine-leak audit of
-// the teardown paths).
+// TestPumpCollectsItselfOnDeath: a fail-deaded backend must retire the
+// single-queue pump's queue without Stop (the leak audit of the teardown
+// paths).
 func TestPumpCollectsItselfOnDeath(t *testing.T) {
 	ep, err := safering.New(safering.DefaultConfig(), nil)
 	if err != nil {
@@ -392,7 +392,7 @@ func TestPumpCollectsItselfOnDeath(t *testing.T) {
 }
 
 // TestMultiPumpRestartAfterDeath is the restart drill end to end: kill a
-// multi-queue device, confirm every per-queue pump goroutine exits, fill
+// multi-queue device, confirm every queue of its pump retires, fill
 // the poisoned arena with a canary, reincarnate, attach a fresh host and
 // pump, verify traffic on the new epoch — and then prove no goroutine
 // ever touched the old arena again.

@@ -266,6 +266,18 @@ func (p *Port) frame(n int) []byte {
 // "frames wait" (pokes coalesce and outlive the frames that caused them).
 func (p *Port) Wake() <-chan struct{} { return p.wake }
 
+// SetWake makes wake the port's delivery signal in place of its own, so
+// one host poller can block on a signal every port it serves pokes. Wake
+// returns it from then on.
+func (p *Port) SetWake(wake chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wake = wake
+}
+
+// Network returns the switch the port is attached to.
+func (p *Port) Network() *Network { return p.n }
+
 // Pending returns the number of frames waiting at the port.
 func (p *Port) Pending() int { return int(p.qlen.Load()) }
 
