@@ -115,7 +115,10 @@ chaos:
 # bump. And so do safering's pump tests: their event-idx pumps arm every
 # queue of a network's one host poller and wake it through the doorbell
 # fan-in (a guest's Ring pokes the poller's wake from the guest's
-# goroutine).
+# goroutine). And so do the gated connection's tests with tcp's
+# no-reference test: compartment.Conn refills its transmit buffer with no
+# gate call between one send's submit and the next, so a transport that
+# reads the buffer after its Write returned races the next fill.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 	$(GO) test -race -count=10 -run '^TestDriven' ./internal/netstack
@@ -123,6 +126,7 @@ race-pump:
 	$(GO) test -race -count=10 -run 'Stall' ./internal/gateway
 	$(GO) test -race -count=10 -run 'Release' ./internal/simnet
 	$(GO) test -race -count=10 -run 'WakesWithoutAllocating' ./internal/tcp
+	$(GO) test -race -count=10 -run '^TestConn|^TestWriteKeepsNoReference' ./internal/compartment ./internal/tcp
 
 # The dead-code oracle (ROADMAP item 4d): every non-test function the
 # attack, chaos, core, gateway, netstack and confbench suites and the

@@ -140,26 +140,11 @@ func (g *Gate) Call(fn func(ioDomain *Domain) error) error {
 // I/O domain's arena. The application fills it through FillTx (the I/O
 // domain trusts the app, so direct writes into its arena are allowed by
 // the asymmetric trust relation), then hands it to the I/O stack, which
-// only ever sees its own memory.
+// only ever sees its own memory. The application may keep the buffer for
+// later sends: see SubmitTx.
 func (g *Gate) AllocTx(n int) *Buffer {
 	g.cross(2) // allocation round trip
 	return g.io.Alloc(n)
-}
-
-// ReuseTx is AllocTx for a transmit buffer the application kept from an
-// earlier send: the same round trip, in which the I/O domain hands the
-// buffer back once its stack is done with it instead of carving a new
-// one. A connection can so hold one buffer for its lifetime at an
-// unchanged crossing cost per send.
-func (g *Gate) ReuseTx(b *Buffer) error {
-	if b.owner != g.io {
-		return fmt.Errorf("%w: transmit buffer must be I/O-owned", ErrPolicy)
-	}
-	if b.freed {
-		return fmt.Errorf("%w: use after free", ErrPolicy)
-	}
-	g.cross(2)
-	return nil
 }
 
 // FillTx lets the application write payload into an I/O-owned transmit
@@ -182,7 +167,10 @@ func (g *Gate) FillTx(b *Buffer, payload []byte) error {
 // SubmitTx validates and passes an I/O-owned buffer to the I/O stack's
 // send path. App-owned buffers are rejected: the I/O stack must never
 // receive application pointers (§3.2, "avoid the need to verify
-// pointers").
+// pointers"). send must be done with the buffer when it returns — it
+// copies what it keeps — so the exit switch hands the buffer back to
+// the application, and the next send may FillTx it without another
+// round trip.
 func (g *Gate) SubmitTx(b *Buffer, send func(payload []byte) error) error {
 	if b.owner != g.io {
 		return fmt.Errorf("%w: I/O stack refuses foreign buffer from %s", ErrPolicy, b.owner.name)

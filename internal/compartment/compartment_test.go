@@ -105,6 +105,26 @@ func TestSubmitTxRejectsAppPointers(t *testing.T) {
 	}
 }
 
+// TestSubmitTxRejectsFreedBuffer: a transmit buffer kept across sends
+// is checked again on every submit — a freed one never reaches the I/O
+// stack, and the refusal crosses nothing.
+func TestSubmitTxRejectsFreedBuffer(t *testing.T) {
+	_, _, g, _ := setup()
+	b := g.AllocTx(64)
+	b.Free()
+	before := g.Crossings()
+	err := g.SubmitTx(b, func([]byte) error {
+		t.Fatal("a freed buffer reached the I/O stack")
+		return nil
+	})
+	if !errors.Is(err, ErrPolicy) {
+		t.Fatalf("freed tx buffer: %v", err)
+	}
+	if got := g.Crossings() - before; got != 0 {
+		t.Fatalf("a refused submit crossed the gate %d times", got)
+	}
+}
+
 func TestFillTxValidation(t *testing.T) {
 	app, _, g, _ := setup()
 	b := g.AllocTx(8)
@@ -118,33 +138,6 @@ func TestFillTxValidation(t *testing.T) {
 	b.Free()
 	if err := g.FillTx(b, []byte("x")); !errors.Is(err, ErrPolicy) {
 		t.Fatalf("freed tx buffer: %v", err)
-	}
-}
-
-// TestReuseTxCostsWhatAllocTxCosts: keeping a transmit buffer across
-// sends saves the allocation, not the round trip — two crossings, like
-// AllocTx — and is refused for anything but a live I/O-owned buffer.
-func TestReuseTxCostsWhatAllocTxCosts(t *testing.T) {
-	app, io, g, m := setup()
-	b := g.AllocTx(64)
-	if err := g.ReuseTx(b); err != nil {
-		t.Fatal(err)
-	}
-	if g.Crossings() != 4 || m.Snapshot().GateCrossings != 4 {
-		t.Fatalf("AllocTx + ReuseTx = %d crossings (meter %d), want 4", g.Crossings(), m.Snapshot().GateCrossings)
-	}
-	if io.AllocatedBytes() != 64 {
-		t.Fatalf("ReuseTx changed the I/O domain's accounting: %d bytes", io.AllocatedBytes())
-	}
-	if err := g.ReuseTx(app.Alloc(8)); !errors.Is(err, ErrPolicy) {
-		t.Fatalf("app-owned tx buffer: %v", err)
-	}
-	b.Free()
-	if err := g.ReuseTx(b); !errors.Is(err, ErrPolicy) {
-		t.Fatalf("freed tx buffer: %v", err)
-	}
-	if g.Crossings() != 4 {
-		t.Fatalf("refused reuse still crossed: %d", g.Crossings())
 	}
 }
 

@@ -26,6 +26,11 @@ const connBufSize = 64 << 10
 // left without crossing the gate. A record layer that reads a header
 // and then a body pays one round trip per delivery, not one per read.
 //
+// The transport's Write must not keep its argument: it copies what it
+// sends before it returns, as tcp.Conn's does into its send queue. The
+// transmit buffer is reused by the next Write without asking the I/O
+// domain for it again.
+//
 // The transport's Close must end a Read or Write blocked in it, as a
 // net.Conn's does: Close waits for both before it frees their buffers.
 type Conn struct {
@@ -48,7 +53,8 @@ type Conn struct {
 	// the transport's Write, which reads txBuf.
 	wmu sync.Mutex
 	// txBuf is the connection's transmit buffer in the I/O domain, as
-	// large as the largest Write so far and held until Close.
+	// large as the largest Write so far and held until Close. The app
+	// writes into it and never reads it back.
 	txBuf *Buffer
 
 	// closed is set by Close under both rmu and wmu.
@@ -92,9 +98,10 @@ func (c *Conn) Read(p []byte) (int, error) {
 }
 
 // Write hands p to the I/O stack in chunks of at most connBufSize. The
-// app allocates directly in the I/O domain and fills the buffer there;
-// every chunk asks the I/O domain for the buffer — a fresh one only
-// when the one the connection holds is too small — then submits it.
+// app allocates directly in the I/O domain and fills the buffer there,
+// then submits it: one gate call per chunk. Only a chunk larger than the
+// buffer the connection holds pays AllocTx's round trip for a new one;
+// the held buffer came back on the previous submit's exit.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -110,8 +117,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 			}
 			//ciovet:transfers the connection owns its transmit buffer until Close frees it
 			c.txBuf = c.gate.AllocTx(n)
-		} else if err := c.gate.ReuseTx(c.txBuf); err != nil {
-			return total, err
 		}
 		if err := c.gate.FillTx(c.txBuf, p[:n]); err != nil {
 			return total, err

@@ -201,10 +201,11 @@ func TestConnCloseFreesBothBuffers(t *testing.T) {
 }
 
 // TestConnKeepsOneTxBuffer: a connection allocates its I/O-domain
-// transmit buffer on the first Write, keeps it — replaced only by a
-// larger one when a larger Write comes — at the same four gate crossings
-// per Write (buffer round trip + submit), and returns it, with the
-// receive buffer, on Close.
+// transmit buffer on the first Write and keeps it, replaced only by a
+// larger one when a larger Write comes. A Write that allocates pays the
+// round trip and the submit (four gate crossings); a Write into the held
+// buffer pays the submit alone (two), whose exit hands the buffer back.
+// Close returns it, with the receive buffer.
 func TestConnKeepsOneTxBuffer(t *testing.T) {
 	app, ioDom := NewDomain("app", nil), NewDomain("io", nil)
 	gate := NewGate(app, ioDom, nil)
@@ -214,20 +215,28 @@ func TestConnKeepsOneTxBuffer(t *testing.T) {
 		t.Fatalf("I/O domain holds %d bytes before the first Write: the buffer must not be allocated at connect", got)
 	}
 	largest := 0
-	for i, msg := range []string{"first", "second, longer than the first", "3"} {
-		largest = max(largest, len(msg))
+	for i, w := range []struct {
+		msg       string
+		crossings uint64
+	}{
+		{"first", 4},
+		{"second, longer than the first", 4},
+		{"3", 2},
+		{"fourth, no longer", 2},
+	} {
+		largest = max(largest, len(w.msg))
 		before := gate.Crossings()
-		if _, err := c.Write([]byte(msg)); err != nil {
+		if _, err := c.Write([]byte(w.msg)); err != nil {
 			t.Fatal(err)
 		}
-		if got := gate.Crossings() - before; got != 4 {
-			t.Fatalf("write %d took %d gate crossings, want 4", i, got)
+		if got := gate.Crossings() - before; got != w.crossings {
+			t.Fatalf("write %d took %d gate crossings, want %d", i, got, w.crossings)
 		}
 		if got := ioDom.AllocatedBytes(); got != largest {
 			t.Fatalf("after write %d the I/O domain holds %d bytes, want one %d-byte buffer", i, got, largest)
 		}
-		if string(tr.writes[i]) != msg {
-			t.Fatalf("write %d handed the I/O stack %q, want %q", i, tr.writes[i], msg)
+		if string(tr.writes[i]) != w.msg {
+			t.Fatalf("write %d handed the I/O stack %q, want %q", i, tr.writes[i], w.msg)
 		}
 	}
 	if err := c.Close(); err != nil {

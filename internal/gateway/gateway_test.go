@@ -129,6 +129,42 @@ func TestFlowKeepsOneTxBuffer(t *testing.T) {
 	}
 }
 
+// TestTenantEchoCrossesFourTimes: the gateway side of a tenant echo
+// costs the tenant's gate four crossings — the Rx the request arrives
+// through and one submit of the reply into the transmit buffer the flow
+// holds — the count gw-echo's modelled cost rests on. Between echoes the
+// relay is parked in Rx, whose entry switch is counted and whose exit is
+// not, so the count is read only once it is odd again.
+func TestTenantEchoCrossesFourTimes(t *testing.T) {
+	n := testNode(t, nil)
+	gate := n.GW.tenants[1].gate
+	c, err := n.DialTenant(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	parked := func(replies uint64) uint64 {
+		t.Helper()
+		awaitCounted(t, n, 1, replies)
+		deadline := time.Now().Add(5 * time.Second)
+		for gate.Crossings()%2 == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return gate.Crossings()
+	}
+	const msg = "same size every time"
+	echoOnce(t, c, msg) // the first reply may size the transmit buffer
+	before := parked(1)
+	for i := uint64(2); i <= 6; i++ {
+		echoOnce(t, c, msg)
+		after := parked(i)
+		if got := after - before; got != 4 {
+			t.Fatalf("echo %d cost the tenant's gate %d crossings, want 4", i, got)
+		}
+		before = after
+	}
+}
+
 // TestCloseCollectsEveryGoroutine: closing a node whose tenant left its
 // flow open collects everything the node started — pumps, watchdog,
 // stacks, the stall poller, the serve loop and the flow's relay. Every

@@ -90,7 +90,16 @@ func TestStopLeavesOtherPumpsServed(t *testing.T) {
 		t.Fatalf("the stopped pump's backend took %d frames", n)
 	}
 	p2.Stop()
-	await(t, "the poller to end", func() bool { return runtime.NumGoroutine() == before })
+	// This poller, not the process's goroutine count, is what must end:
+	// an earlier test's goroutine exiting meanwhile would hide a leak in
+	// the count alone.
+	pollersMu.Lock()
+	_, registered := pollers[net]
+	pollersMu.Unlock()
+	if registered || p2.po.d.Running() != 0 {
+		t.Fatalf("after the last Stop: registered %v, %d poller loops running", registered, p2.po.d.Running())
+	}
+	await(t, "the poller to end", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // dyingHost is a queue whose backend fails once dead is set.

@@ -44,7 +44,7 @@ func (m *Meter) CrossTEE(n int) {
 }
 
 // CrossGate records n intra-TEE compartment gate crossings (the paper's
-// lightweight L5 boundary).
+// lightweight L5 boundary), each one domain switch; a gate call is two.
 func (m *Meter) CrossGate(n int) {
 	if m != nil {
 		m.gateCrossings.Add(uint64(n))
@@ -292,7 +292,7 @@ type CostParams struct {
 func DefaultCostParams() CostParams {
 	return CostParams{
 		TEECrossNs:  4000, // ~4 µs: SGX ocall round trip / CVM vmexit+resume
-		GateCrossNs: 120,  // ~120 ns: WRPKRU-style domain switch pair
+		GateCrossNs: 120,  // ~120 ns per domain switch; a gate call is two
 		CopyByteNs:  0.06, // ~16 GB/s effective single-core memcpy
 		CheckNs:     2,    // branch + load on untrusted input
 		NotifyNs:    1500, // interrupt injection path

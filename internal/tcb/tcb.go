@@ -50,8 +50,8 @@ var (
 	// CompGate and CompGateConn are the two files of package compartment,
 	// weighed apart: every L5 boundary crosses the gate, but only the
 	// network one runs the gated connection over it.
-	CompGate     = Component{"compartment", 130, "intra-TEE gate"}
-	CompGateConn = Component{"gated-conn", 93, "L5 gated connection"}
+	CompGate     = Component{"compartment", 120, "intra-TEE gate"}
+	CompGateConn = Component{"gated-conn", 91, "L5 gated connection"}
 	// CompNIC is the transport-neutral NIC contract, the host pump and
 	// the poller driver. The pump runs in the host's device model, so no
 	// TEE profile counts the package, though the stack's loop and the

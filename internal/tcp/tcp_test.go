@@ -248,6 +248,56 @@ type connReader struct{ c *Conn }
 
 func (r *connReader) Read(p []byte) (int, error) { return r.c.Read(p) }
 
+// TestWriteKeepsNoReference pins the rule compartment.Conn's reused
+// transmit buffer rests on: Write copies what it is handed before it
+// returns, so the caller may overwrite the slice at once. The write is
+// larger than the initial congestion window, so most of it leaves after
+// Write returned, and its first segment is lost, so that one leaves
+// again from the send queue; the test scribbles over the slice the
+// moment Write returns, and the peer must still read the original
+// bytes. It is the transport-level twin of
+// core.TestGuestTransportsCopyOnSend.
+func TestWriteKeepsNoReference(t *testing.T) {
+	n := newTestNet(t)
+	c, s := n.connect(t, 8080)
+	dropped := false
+	n.mu.Lock()
+	n.filtAB = func(seg []byte) [][]byte {
+		if !dropped {
+			dropped = true
+			return nil
+		}
+		return [][]byte{seg}
+	}
+	n.mu.Unlock()
+
+	p := make([]byte, 64<<10)
+	for i := range p {
+		p[i] = byte(i * 7)
+	}
+	want := append([]byte(nil), p...)
+	if _, err := c.Write(p); err != nil {
+		t.Fatal(err)
+	}
+	for i := range p {
+		p[i] = 0xEE
+	}
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(&connReader{s}, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("the peer read byte %d as %#x, want %#x: Write kept a reference to its argument", i, got[i], want[i])
+	}
+	if n.a.Stats().Retransmits == 0 {
+		t.Fatal("the dropped segment was never retransmitted")
+	}
+}
+
 func TestLargeTransfer(t *testing.T) {
 	n := newTestNet(t)
 	c, s := n.connect(t, 8080)
