@@ -100,11 +100,15 @@ chaos:
 # the TDISP device loop — run ten times under the race detector, for the
 # same reason chaos takes five. So do the driven-wait tests: a goroutine
 # blocked in tcp steps the stack's receive poller under the same token as
-# the loop goroutine, and hands the queues' wake back when it leaves. And
-# so does the one park every ring consumer shares (safering.Consumer: the
-# guest's receive, the host's pop, the storage backend): its register /
+# the loop goroutine, and hands the queues' wake back when it leaves; its
+# step only drains and parks, so the timer and clock tests check that the
+# loop goroutine still runs the timers and that a waiter reads no clock.
+# And so does the one park every ring consumer shares (safering.Consumer:
+# the guest's receive, the host's pop, the storage backend): its register /
 # re-check order against the producer's store-then-poke, with the tests
-# that park on it and the hostile-producer-index table. And so do the
+# that park on it and the hostile-producer-index table, and its lock-free
+# idle probe (the Idle tests and TestTCPSurvivesHotSwap), which a Swap or
+# Reincarnate races. And so do the
 # recycling tests: the wire's frame buffers go back to the port once the
 # pump's push copied them (nic's steering test is in ./internal/nic), and
 # tcp's waiters take their wake from a pool, so a frame read after
@@ -121,8 +125,8 @@ chaos:
 # reads the buffer after its Write returned races the next fill.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
-	$(GO) test -race -count=10 -run '^TestDriven' ./internal/netstack
-	$(GO) test -race -count=10 -run 'Park|Wake|Consumer|Watchdog|Pump' ./internal/safering
+	$(GO) test -race -count=10 -run '^TestDriven|^TestTimersRunWhileAReaderWaits$$|^TestEchoClockReads$$' ./internal/netstack
+	$(GO) test -race -count=10 -run 'Park|Wake|Consumer|Watchdog|Pump|Idle|HotSwap' ./internal/safering
 	$(GO) test -race -count=10 -run 'Stall' ./internal/gateway
 	$(GO) test -race -count=10 -run 'Release' ./internal/simnet
 	$(GO) test -race -count=10 -run 'WakesWithoutAllocating' ./internal/tcp

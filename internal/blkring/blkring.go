@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"confio/internal/blockdev"
@@ -641,23 +642,20 @@ type Backend struct {
 
 	mu    sync.Mutex
 	req   safering.Consumer //ciovet:guards mu
-	polls uint64            // Step calls, served or not
+	polls atomic.Uint64     // Step calls, served or not
 	buf   []byte
-	// Every Step stores to mu, the consumer's tail and polls: padded to
-	// whole cache lines so the allocator never places another object's
-	// words beside them (TestBackendFillsWholeCacheLines).
+	// Every Step stores to polls, every serving one to mu and the
+	// consumer's tail: padded to whole cache lines so the allocator never
+	// places another object's words beside them
+	// (TestBackendFillsWholeCacheLines).
 	_ [16]byte
 }
 
 // NewBackend attaches a disk to the ring's host side.
 func NewBackend(sh *Shared, disk blockdev.Disk) *Backend {
-	return &Backend{
-		sh:   sh,
-		disk: disk,
-		park: make(chan struct{}, 1),
-		req:  safering.NewConsumer(sh.Ring, nil, protocolErr),
-		buf:  make([]byte, blockdev.SectorSize),
-	}
+	b := &Backend{sh: sh, disk: disk, park: make(chan struct{}, 1), buf: make([]byte, blockdev.SectorSize)}
+	b.req.Init(sh.Ring, nil, protocolErr)
+	return b
 }
 
 // Dead returns the violation that stopped the backend, if any.
@@ -713,11 +711,14 @@ func (b *Backend) Stop() { b.drv.Stop() }
 // batch amortization. A violation stops the backend after handing back
 // the requests it already served. Exported so tests (and adversarial
 // harnesses) can drive the backend deterministically. Returns whether
-// any request was served.
+// any request was served. An empty ring is answered before the lock.
 func (b *Backend) Step() (bool, error) {
+	b.polls.Add(1)
+	if b.req.Idle() {
+		return false, nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.polls++
 	sweep := int(b.sh.Ring.NSlots()) // a whole ring: every request that can wait
 	n, err := b.req.Drain(sweep, func(_ int, pos uint64) error { return b.serveLocked(pos) })
 	return n > 0, err

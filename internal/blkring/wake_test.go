@@ -255,17 +255,42 @@ func TestParkedGuestNeverLosesACompletion(t *testing.T) {
 // once per wait bound.
 func TestIdleBackendDoesNotSpin(t *testing.T) {
 	_, be, _ := setup(t)
-	polls := func() uint64 {
-		be.mu.Lock()
-		defer be.mu.Unlock()
-		return be.polls
-	}
+	polls := be.polls.Load
 	time.Sleep(5 * time.Millisecond) // spin down and park
 	const idle = 100 * time.Millisecond
 	before := polls()
 	time.Sleep(idle)
 	if spent, limit := polls()-before, uint64(idle/nic.WaitBound)+2; spent > limit {
 		t.Fatalf("idle backend polled %d times in %v, want at most %d (one per %v)", spent, idle, limit, nic.WaitBound)
+	}
+}
+
+// TestIdleStepTakesNoLock: with the backend's mutex held, a Step of an
+// idle ring returns at once, serving nothing: the empty poll is the
+// consumer's lock-free probe.
+func TestIdleStepTakesNoLock(t *testing.T) {
+	ep, err := New(8, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := NewBackend(ep.Shared(), nil)
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		worked, err := be.Step()
+		if worked && err == nil {
+			err = errors.New("an idle Step served a request")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("an idle Step waited for the backend's lock")
 	}
 }
 

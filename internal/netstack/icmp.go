@@ -39,9 +39,7 @@ func (s *Stack) handleICMP(src ipv4.Addr, payload []byte) {
 		return
 	}
 	if ipv4.Checksum(payload) != 0 {
-		s.mu.Lock()
-		s.stats.IPDrops++
-		s.mu.Unlock()
+		s.stats.ipDrops.Add(1)
 		return
 	}
 	typ := payload[0]

@@ -40,18 +40,20 @@ type Stack struct {
 	reasm    *ipv4.Reassembler
 
 	ping pinger
+	// now is the stack's one clock, TCP's too.
+	now func() time.Time
 
 	mu       sync.Mutex
 	udpPorts map[uint16]*UDPSocket
 	arpWait  map[ipv4.Addr]arpWaiter
-	ipID     uint16
-	stats    Stats
+	ipID     atomic.Uint32
+	stats    counters
 	// nicErr records the terminal transport error (fail-dead or host
-	// stall) that degraded the stack; set once, never cleared. A
-	// degraded stack is dead for good — recovery happens below it
+	// stall) that degraded the stack; set once, under mu, never cleared.
+	// A degraded stack is dead for good — recovery happens below it
 	// (safering.Reincarnate) and a fresh Stack is built on the reborn
 	// transport, keeping the stack itself stateless about incarnations.
-	nicErr error
+	nicErr atomic.Pointer[error]
 
 	rx  *rxLoop
 	drv nic.Driver
@@ -67,6 +69,22 @@ type Stats struct {
 	// transport underneath had already fail-deaded (the counted UDP/IP
 	// losses of graceful degradation; TCP flows get errors instead).
 	DeadDrops uint64
+}
+
+// counters are the Stats, bumped without mu. A dead drop is counted a
+// send drop first and Stats reads it first, so every snapshot keeps
+// DeadDrops within SendDrops.
+type counters struct {
+	framesIn, framesOut, arpRequests, ipDrops, sendDrops, deadDrops atomic.Uint64
+}
+
+// drop counts n frames the stack did not send; dead ones died with the
+// transport.
+func (c *counters) drop(n int, dead bool) {
+	c.sendDrops.Add(uint64(n))
+	if dead {
+		c.deadDrops.Add(uint64(n))
+	}
 }
 
 // arpWaiter is what waits for one neighbour's MAC: copies of frames whose
@@ -85,8 +103,11 @@ const (
 
 // New binds a stack to a NIC with the given address. Call Start to begin
 // processing.
-func New(g nic.Guest, ip ipv4.Addr) *Stack {
+func New(g nic.Guest, ip ipv4.Addr) *Stack { return newStack(g, ip, time.Now) }
+
+func newStack(g nic.Guest, ip ipv4.Addr, now func() time.Time) *Stack {
 	s := &Stack{
+		now:      now,
 		g:        g,
 		queues:   nic.GuestQueues(g),
 		ip:       ip,
@@ -98,7 +119,7 @@ func New(g nic.Guest, ip ipv4.Addr) *Stack {
 	}
 	s.rx = &rxLoop{s: s, burst: make([]nic.Frame, rxBurst), parks: make([]nic.Parker, len(s.queues)),
 		wake: make(chan struct{}, 1), drive: make(chan struct{}, 1), pool: sync.Pool{New: func() any { return new(nic.Waiter) }}}
-	s.TCP = tcp.NewEndpoint(ip, g.MTU(), headroom, s.sendTCP, nil, s.rx.wait)
+	s.TCP = tcp.NewEndpoint(ip, g.MTU(), headroom, s.sendTCP, now, s.rx.wait)
 	return s
 }
 
@@ -107,9 +128,10 @@ func (s *Stack) IP() ipv4.Addr { return s.ip }
 
 // Stats returns a snapshot of the stack counters.
 func (s *Stack) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	c := &s.stats
+	dead := c.deadDrops.Load() // first: see counters
+	return Stats{FramesIn: c.framesIn.Load(), FramesOut: c.framesOut.Load(), ARPRequests: c.arpRequests.Load(),
+		IPDrops: c.ipDrops.Load(), SendDrops: c.sendDrops.Load(), DeadDrops: dead}
 }
 
 // Degraded returns the terminal transport error that degraded the
@@ -117,9 +139,10 @@ func (s *Stack) Stats() Stats {
 // a declared host stall (nic.ErrStalled) from any other fail-dead
 // (nic.ErrClosed).
 func (s *Stack) Degraded() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nicErr
+	if err := s.nicErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // degrade moves the stack into its terminal degraded state after the
@@ -131,14 +154,13 @@ func (s *Stack) Degraded() error {
 // from any goroutine.
 func (s *Stack) degrade(err error) {
 	s.mu.Lock()
-	if s.nicErr != nil {
+	if s.nicErr.Load() != nil {
 		s.mu.Unlock()
 		return
 	}
-	s.nicErr = err
+	s.nicErr.Store(&err)
 	for ip, w := range s.arpWait {
-		s.stats.SendDrops += uint64(len(w.frames))
-		s.stats.DeadDrops += uint64(len(w.frames))
+		s.stats.drop(len(w.frames), true)
 		delete(s.arpWait, ip)
 	}
 	s.mu.Unlock()
@@ -183,11 +205,12 @@ const timerScan = time.Millisecond
 // (nic.Parker) until a wake, Close, the next timer deadline or
 // nic.WaitBound. A transport with nothing to park on is polled every
 // WaitBound by the same wait. Two kinds of goroutine step it, one at a
-// time under token: the loop goroutine the driver runs, and every
-// goroutine blocked in tcp (wait).
+// time under token: the loop goroutine the driver runs (step), and every
+// goroutine blocked in tcp (wait), which only drains and parks: the
+// clock, the timer scan and Tick are the loop goroutine's.
 type rxLoop struct {
 	s     *Stack
-	token sync.Mutex // held across step and every park, unpark or hand-back
+	token sync.Mutex // held across poll and every park, unpark or hand-back
 	burst []nic.Frame
 	// The queues' wake is the loop goroutine's (wake) or, while anyone is
 	// in wait, the waiters' (drive); each queue's handle is learned from
@@ -214,7 +237,7 @@ func (r *rxLoop) wait(ch <-chan struct{}, deadline time.Time) error {
 	r.waiters.Add(1)
 	defer r.leave()
 	for {
-		_, _, err := r.step()
+		_, _, err := r.poll(false)
 		ready := err == nil && r.park()
 		select {
 		case <-ch:
@@ -223,7 +246,7 @@ func (r *rxLoop) wait(ch <-chan struct{}, deadline time.Time) error {
 		}
 		d := time.Duration(1<<63 - 1) // no deadline: the loop goroutine bounds the wait
 		if !deadline.IsZero() {
-			if d = time.Until(deadline); d <= 0 {
+			if d = deadline.Sub(r.s.now()); d <= 0 {
 				return tcp.ErrTimeout
 			}
 		}
@@ -245,14 +268,17 @@ func (r *rxLoop) leave() {
 	}
 }
 
-// step drains every queue once: each gets its own batched dequeue (own
+// step is the loop goroutine's poll, timers included.
+func (r *rxLoop) step() (bool, time.Time, error) { return r.poll(true) }
+
+// poll drains every queue once: each gets its own batched dequeue (own
 // index validation, own consumer publication), and no queue can starve
 // another. One terminal queue error means the whole device fail-deaded
 // (fate is shared through the transport latch): the stack degrades and
-// the loop ends rather than spin on a dead device. A deadline already
-// due is ticked at once. A step that finds the token taken does nothing:
-// whoever holds it is polling.
-func (r *rxLoop) step() (bool, time.Time, error) {
+// the loop ends rather than spin on a dead device. With timers, a
+// deadline already due is ticked at once. A poll that finds the token
+// taken does nothing: whoever holds it is polling.
+func (r *rxLoop) poll(timers bool) (bool, time.Time, error) {
 	if !r.token.TryLock() {
 		return false, time.Time{}, nil
 	}
@@ -275,7 +301,10 @@ func (r *rxLoop) step() (bool, time.Time, error) {
 			return false, time.Time{}, err
 		}
 	}
-	now := time.Now()
+	if !timers {
+		return worked, time.Time{}, nil
+	}
+	now := s.now()
 	if now.Sub(r.scanned) >= timerScan {
 		r.deadline, r.scanned = s.nextDeadline(), now
 	}
@@ -340,7 +369,7 @@ func (s *Stack) expireARPWaiters(now time.Time) {
 	defer s.mu.Unlock()
 	for ip, w := range s.arpWait {
 		if now.Sub(w.asked) >= arpPendingTTL {
-			s.stats.SendDrops += uint64(len(w.frames))
+			s.stats.drop(len(w.frames), false)
 			delete(s.arpWait, ip)
 		}
 	}
@@ -348,9 +377,7 @@ func (s *Stack) expireARPWaiters(now time.Time) {
 
 // handleFrame processes one inbound Ethernet frame.
 func (s *Stack) handleFrame(buf []byte) {
-	s.mu.Lock()
-	s.stats.FramesIn++
-	s.mu.Unlock()
+	s.stats.framesIn.Add(1)
 
 	f, err := ether.Parse(buf)
 	if err != nil {
@@ -372,7 +399,7 @@ func (s *Stack) handleARP(f ether.Frame) {
 	if err != nil {
 		return
 	}
-	now := time.Now()
+	now := s.now()
 	s.arpCache.Learn(p.SenderIP, p.SenderMAC, now)
 	s.flushARPWaiters(ipv4.Addr(p.SenderIP), p.SenderMAC)
 
@@ -397,9 +424,7 @@ func (s *Stack) flushARPWaiters(ip ipv4.Addr, mac ether.MAC) {
 func (s *Stack) handleIPv4(f ether.Frame) {
 	h, payload, err := ipv4.Parse(f.Payload)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.IPDrops++
-		s.mu.Unlock()
+		s.stats.ipDrops.Add(1)
 		return
 	}
 	if h.Dst != s.ip {
@@ -408,7 +433,7 @@ func (s *Stack) handleIPv4(f ether.Frame) {
 	full, done := payload, true
 	if h.Flags&ipv4.FlagMF != 0 || h.FragOff != 0 {
 		// Only reassembly reads the clock: a whole datagram skips it.
-		full, done = s.reasm.Add(h, payload, time.Now())
+		full, done = s.reasm.Add(h, payload, s.now())
 	}
 	if !done {
 		return
@@ -421,9 +446,7 @@ func (s *Stack) handleIPv4(f ether.Frame) {
 	case ipv4.ProtoICMP:
 		s.handleICMP(h.Src, full)
 	default:
-		s.mu.Lock()
-		s.stats.IPDrops++
-		s.mu.Unlock()
+		s.stats.ipDrops.Add(1)
 	}
 }
 
@@ -472,7 +495,7 @@ func (s *Stack) sendIP(dst ipv4.Addr, proto byte, dgram []byte) {
 // is addressed in place; one whose neighbour's is not is copied behind its
 // ARP resolution. frames is permuted, never overwritten.
 func (s *Stack) route(frames [][]byte, dst func(i int) ipv4.Addr) {
-	now := time.Now()
+	now := s.now()
 	ready := 0
 	for i, f := range frames {
 		mac, ok := s.arpCache.Lookup(dst(i), now)
@@ -503,12 +526,12 @@ func (s *Stack) awaitARP(dst ipv4.Addr, frame []byte, now time.Time) {
 	w, asked := s.arpWait[dst]
 	if !asked {
 		w.asked = now
-		s.stats.ARPRequests++
+		s.stats.arpRequests.Add(1)
 	}
 	if len(w.frames) < arpPendingMax {
 		w.frames = append(w.frames, append([]byte(nil), frame...))
 	} else {
-		s.stats.SendDrops++
+		s.stats.drop(1, false)
 	}
 	s.arpWait[dst] = w
 	s.mu.Unlock()
@@ -527,11 +550,7 @@ func (s *Stack) sendARP(mac ether.MAC, p arp.Packet) {
 
 // nextIPID reserves n consecutive datagram IDs and returns the first.
 func (s *Stack) nextIPID(n int) uint16 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first := s.ipID + 1
-	s.ipID += uint16(n)
-	return first
+	return uint16(s.ipID.Add(uint32(n)) - uint32(n) + 1)
 }
 
 // sendFrames transmits encoded Ethernet frames in order, dropping what
@@ -545,16 +564,12 @@ func (s *Stack) sendFrames(frames [][]byte) {
 	if len(frames) == 0 {
 		return
 	}
-	s.mu.Lock()
-	if s.nicErr != nil {
+	if s.nicErr.Load() != nil {
 		// Degraded: every send is a counted drop (UDP semantics; TCP
 		// connections were already torn down with the transport error).
-		s.stats.SendDrops += uint64(len(frames))
-		s.stats.DeadDrops += uint64(len(frames))
-		s.mu.Unlock()
+		s.stats.drop(len(frames), true)
 		return
 	}
-	s.mu.Unlock()
 	sent := 0
 	var fatal error
 	for rest := frames; len(rest) > 0 && fatal == nil; {
@@ -567,13 +582,10 @@ func (s *Stack) sendFrames(frames [][]byte) {
 		sent += k
 		rest = rest[n:]
 	}
-	s.mu.Lock()
-	s.stats.FramesOut += uint64(sent)
-	s.stats.SendDrops += uint64(len(frames) - sent)
-	if fatal != nil {
-		s.stats.DeadDrops += uint64(len(frames) - sent)
+	s.stats.framesOut.Add(uint64(sent))
+	if sent < len(frames) {
+		s.stats.drop(len(frames)-sent, fatal != nil)
 	}
-	s.mu.Unlock()
 	if fatal != nil {
 		// A send can observe the death before the receive loop does;
 		// degrade from here too so blocked TCP callers never wait for
@@ -661,9 +673,7 @@ func (s *Stack) OpenUDP(port uint16) (*UDPSocket, error) {
 func (s *Stack) handleUDP(src ipv4.Addr, payload []byte) {
 	d, err := udp.Parse(src, s.ip, payload)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.IPDrops++
-		s.mu.Unlock()
+		s.stats.ipDrops.Add(1)
 		return
 	}
 	s.mu.Lock()

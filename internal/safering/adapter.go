@@ -1,22 +1,11 @@
 package safering
 
-import (
-	"sync"
-
-	"confio/internal/nic"
-)
+import "confio/internal/nic"
 
 // GuestNIC is an Endpoint as a nic.BatchGuest. The endpoint implements
 // the rest of the contract itself, in nic's errors; GuestNIC adds only
-// RecvBatch's bridge from the endpoint's []*RxFrame to []nic.Frame and
-// the Parker an empty ring carries.
-type GuestNIC struct {
-	*Endpoint
-	// rxScratch recycles the []*RxFrame staging slice RecvBatch needs to
-	// bridge the concrete batch API to []nic.Frame, keeping the bridge
-	// off the steady-state allocation path.
-	rxScratch sync.Pool
-}
+// RecvBatch into []nic.Frame and the Parker an empty ring carries.
+type GuestNIC struct{ *Endpoint }
 
 // NIC returns the endpoint's nic.Guest view.
 func (e *Endpoint) NIC() nic.Guest { return &GuestNIC{Endpoint: e} }
@@ -32,20 +21,13 @@ func (rxEmpty) Is(target error) bool           { return target == nic.ErrEmpty }
 func (r rxEmpty) Park(wake chan struct{}) bool { return r.ep.ParkRX(wake) }
 func (r rxEmpty) Unpark()                      { r.ep.UnparkRX() }
 
-// RecvBatch implements nic.BatchGuest.
+// RecvBatch implements nic.BatchGuest. An empty or dead ring is
+// answered before the lock (idlePoll); an empty out delivers nothing.
 func (g *GuestNIC) RecvBatch(out []nic.Frame) (int, error) {
-	sp, _ := g.rxScratch.Get().(*[]*RxFrame)
-	if sp == nil || cap(*sp) < len(out) {
-		s := make([]*RxFrame, len(out))
-		sp = &s
+	n, err := 0, idlePoll(g.life, &g.rx)
+	if err == nil {
+		n, err = g.recvBatch(len(out), func(i int, f *RxFrame) { out[i] = f })
 	}
-	rxs := (*sp)[:len(out)]
-	n, err := g.Endpoint.RecvBatch(rxs)
-	for i := 0; i < n; i++ {
-		out[i] = rxs[i]
-		rxs[i] = nil // drop the reference before pooling the scratch
-	}
-	g.rxScratch.Put(sp)
 	if err == nic.ErrEmpty {
 		return 0, rxEmpty{g.Endpoint}
 	}

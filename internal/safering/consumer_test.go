@@ -290,7 +290,8 @@ func TestConsumerParkTakesTheStoresToken(t *testing.T) {
 	r, err := safering.NewRing(tableSlots, 64)
 	mustNil(t, err)
 	ix := r.Indexes()
-	c := safering.NewConsumer(r, nil, func(err error) error { return err })
+	var c safering.Consumer
+	c.Init(r, nil, func(err error) error { return err })
 	wake := make(chan struct{}, 1)
 	token := func() bool {
 		select {

@@ -96,7 +96,7 @@ func newEndpoint(cfg DeviceConfig, meter *platform.Meter, life *Life) (*Endpoint
 	e.tx = NewEngine[Desc](sh.TX, sh.TXBell, descCodec{}, meter,
 		EngineHooks[Desc]{OnReturn: e.txReturn, Fail: e.fail})
 	e.tx.SetEventIdx(cfg.EventIdx)
-	e.rx = NewConsumer(sh.RXUsed, meter, e.fail)
+	e.rx.Init(sh.RXUsed, meter, e.fail)
 	e.pool.New = func() any {
 		b := make([]byte, cfg.FrameCap())
 		return &b
@@ -468,18 +468,31 @@ func (e *Endpoint) Recv() (nic.Frame, error) {
 // early copy or by page revocation, per the configured policy.
 // Fail-dead semantics are unchanged: a protocol violation mid-batch kills
 // the endpoint and returns the frames already accepted alongside the
-// fatal error; every later call returns ErrDead.
+// fatal error; every later call returns ErrDead. An empty or dead ring
+// is answered before the lock (idlePoll).
 func (e *Endpoint) RecvBatch(out []*RxFrame) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
 	}
+	if err := idlePoll(e.life, &e.rx); err != nil {
+		return 0, err
+	}
+	return e.recvBatch(len(out), func(i int, f *RxFrame) { out[i] = f })
+}
+
+// recvBatch is RecvBatch under the lock, past the lock-free probe: up
+// to max frames, each handed to put with its place in the batch.
+func (e *Endpoint) recvBatch(max int, put func(i int, f *RxFrame)) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.life.DeadOp(); err != nil {
 		return 0, err
 	}
-	n, err := e.rx.Drain(len(out), func(i int, pos uint64) (err error) {
-		out[i], err = e.recvSlotLocked(pos)
+	n, err := e.rx.Drain(max, func(i int, pos uint64) error {
+		f, err := e.recvSlotLocked(pos)
+		if err == nil {
+			put(i, f)
+		}
 		return err
 	})
 	if n == 0 && err == nil {

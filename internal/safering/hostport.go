@@ -52,8 +52,8 @@ func newHostPort(sh *Shared, life *Life) *HostPort {
 	h := &HostPort{sh: sh, life: life, park: make(chan struct{}, 1)}
 	h.rx = NewEngine[Desc](sh.RXUsed, sh.RXBell, descCodec{}, nil, EngineHooks[Desc]{Fail: h.fail})
 	h.rx.SetEventIdx(sh.Cfg.EventIdx)
-	h.tx = NewConsumer(sh.TX, nil, h.fail)
-	h.rxFree = NewConsumer(sh.RXFree, nil, h.fail)
+	h.tx.Init(sh.TX, nil, h.fail)
+	h.rxFree.Init(sh.RXFree, nil, h.fail)
 	return h
 }
 
@@ -81,12 +81,16 @@ func (h *HostPort) Pop(buf []byte) (int, error) {
 // receives the length of the frame in bufs[i]; each buffer must hold
 // FrameCap bytes and len(lens) must cover len(bufs). A violation
 // mid-burst poisons the port and reports the frames already consumed.
+// An empty or dead ring is answered before the lock (idlePoll).
 func (h *HostPort) PopBatch(bufs [][]byte, lens []int) (int, error) {
 	if len(bufs) == 0 {
 		return 0, nil
 	}
 	if len(lens) < len(bufs) {
 		return 0, fmt.Errorf("safering: PopBatch lens (%d) shorter than bufs (%d)", len(lens), len(bufs))
+	}
+	if err := idlePoll(h.life, &h.tx); err != nil {
+		return 0, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

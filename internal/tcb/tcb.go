@@ -38,8 +38,8 @@ var (
 	CompIPv4      = Component{"ipv4", 236, "IPv4 + frag/reasm"}
 	CompUDP       = Component{"udp", 45, "UDP"}
 	CompTCP       = Component{"tcp", 1160, "TCP state machine"}
-	CompNetstack  = Component{"netstack", 604, "stack glue + sockets"}
-	CompSafering  = Component{"safering", 1433, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompNetstack  = Component{"netstack", 603, "stack glue + sockets"}
+	CompSafering  = Component{"safering", 1455, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 613, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 378, "netvsc driver"}
 	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
