@@ -117,16 +117,18 @@ chaos:
 # background scanner polls queues the datapath is writing, and the
 # gateway's PollStalls ages the progress counters its relay goroutines
 # bump. And so do safering's pump tests: their event-idx pumps arm every
-# queue of a network's one host poller and wake it through the doorbell
-# fan-in (a guest's Ring pokes the poller's wake from the guest's
-# goroutine). And so do the gated connection's tests with tcp's
+# queue of a network's one host poller, which the guests' transmit index
+# stores wake from the guests' goroutines. And so do the doorbell and
+# event-idx tests: a bell is only the model's charge, and the seal race
+# pins that a ring racing Seal is either counted stale or charged, never
+# both. And so do the gated connection's tests with tcp's
 # no-reference test: compartment.Conn refills its transmit buffer with no
 # gate call between one send's submit and the next, so a transport that
 # reads the buffer after its Write returned races the next fill.
 race-pump:
 	$(GO) test -race -count=10 ./internal/nic ./internal/blkring ./internal/tdisp
 	$(GO) test -race -count=10 -run '^TestDriven|^TestTimersRunWhileAReaderWaits$$|^TestEchoClockReads$$' ./internal/netstack
-	$(GO) test -race -count=10 -run 'Park|Wake|Consumer|Watchdog|Pump|Idle|HotSwap' ./internal/safering
+	$(GO) test -race -count=10 -run 'Park|Wake|Consumer|Watchdog|Pump|Idle|HotSwap|Doorbell|EventIdx' ./internal/safering
 	$(GO) test -race -count=10 -run 'Stall' ./internal/gateway
 	$(GO) test -race -count=10 -run 'Release' ./internal/simnet
 	$(GO) test -race -count=10 -run 'WakesWithoutAllocating' ./internal/tcp

@@ -207,8 +207,7 @@ func reportModel(b *testing.B, d platform.Costs) {
 	b.ReportMetric(d.ModelNanos(platform.DefaultCostParams())/float64(b.N), "model-ns/op")
 }
 
-// benchSend times the transmit half alone: guest Send, host Pop. With
-// doorbells on, the host takes each one.
+// benchSend times the transmit half alone: guest Send, host Pop.
 func benchSend(b *testing.B, cfg safering.DeviceConfig, size int) {
 	var m platform.Meter
 	ep, err := safering.New(cfg, &m)
@@ -224,9 +223,6 @@ func benchSend(b *testing.B, cfg safering.DeviceConfig, size int) {
 	for i := 0; i < b.N; i++ {
 		if err := ep.Send(payload); err != nil {
 			b.Fatal(err)
-		}
-		if cfg.Notify {
-			ep.Shared().TXBell.TryWait()
 		}
 		if _, err := hp.Pop(buf); err != nil {
 			b.Fatal(err)

@@ -331,7 +331,7 @@ func (e *Endpoint) waitLocked(sh *Shared) error {
 	if e.parking.TryLock() {
 		ix.ParkCons(e.wake)
 		if ix.LoadCons() == seen {
-			e.waiter.Wait(nil, e.wake, nil, nic.WaitBound)
+			e.waiter.Wait(nil, e.wake, nic.WaitBound)
 		}
 		ix.UnparkCons()
 		e.parking.Unlock()
@@ -699,7 +699,7 @@ func (b *Backend) Start() {
 			return worked, time.Time{}, err
 		},
 		Spin: backendSpin, Park: b.arm, Unpark: b.disarm, Bound: nic.WaitBound,
-		Wakes: func() (a, _ <-chan struct{}) { return b.park, nil },
+		Wake: func() <-chan struct{} { return b.park },
 	})
 }
 

@@ -263,16 +263,21 @@ func (d *Device) Reincarnate() error {
 // ProbeOldWindows plays a host that kept the dead incarnations' windows:
 // it scribbles descriptors into their rings, bumps their producer
 // indexes, and rings their sealed doorbells. None of it may reach the
-// live incarnation — Verify afterwards must still pass.
+// live incarnation — a stale ring is counted and charges the live meter
+// nothing, and Verify afterwards must still pass.
 func (d *Device) ProbeOldWindows() error {
 	for _, sh := range d.Old {
 		sh.RXUsed.WriteDesc(0, safering.Desc{Len: 64, Kind: safering.KindInline})
 		sh.RXUsed.Indexes().StoreProd(uint64(d.EP.Config().Slots) * 8)
 		sh.TX.Indexes().StoreCons(uint64(d.EP.Config().Slots) * 8)
 		if sh.RXBell != nil {
+			charged := d.Meter.Snapshot().Notifications
 			sh.RXBell.Ring()
 			if sh.RXBell.StaleRings() == 0 {
 				return errors.New("stale doorbell ring on a sealed bell was not counted")
+			}
+			if n := d.Meter.Snapshot().Notifications - charged; n != 0 {
+				return fmt.Errorf("stale doorbell ring on a sealed bell charged the live meter %d notifications", n)
 			}
 		}
 	}

@@ -63,10 +63,11 @@ func Scenarios() []Scenario {
 
 // runIndexCorrupt: the host overclaims the receive producer index. The
 // device must die, reincarnate cleanly, and the poisoned old window must
-// be inert.
+// be inert, its sealed doorbells included (the device notifies, so it
+// has bells to seal).
 func runIndexCorrupt() Result {
 	const fault = "index-corrupt"
-	d := NewDevice(safering.DefaultConfig())
+	d := NewDevice(notifyConfig(true))
 	if err := d.Verify(2); err != nil {
 		return corrupt(fault, "healthy baseline failed: "+err.Error())
 	}
@@ -146,7 +147,7 @@ func DoorbellFlood(d NIC) Result {
 		return corrupt(fault, "flood killed the device: "+err.Error())
 	}
 	return d.counters(Result{Fault: fault, Outcome: Absorbed,
-		Detail: "doorbells coalesce; no state to corrupt, no death"})
+		Detail: "doorbells only charge; no state to corrupt, no death"})
 }
 
 // runHostStall: the guest publishes transmit work and the host freezes.

@@ -172,7 +172,7 @@ func (s *Stack) degrade(err error) {
 func (s *Stack) Start() {
 	s.drv.Go(nic.Loop{
 		Step: s.rx.step, Spin: rxSpin, Yield: rxSpin, Park: s.rx.park, Unpark: s.rx.unpark, Bound: nic.WaitBound,
-		Wakes: func() (a, b <-chan struct{}) { return s.rx.wake, nil },
+		Wake: func() <-chan struct{} { return s.rx.wake },
 	})
 }
 
@@ -250,7 +250,7 @@ func (r *rxLoop) wait(ch <-chan struct{}, deadline time.Time) error {
 				return tcp.ErrTimeout
 			}
 		}
-		if !ready && !w.Wait(ch, r.drive, nil, d) {
+		if !ready && !w.Wait(ch, r.drive, d) {
 			return nil
 		}
 	}

@@ -82,7 +82,7 @@ func (f *fake) loop(spin, yields int, bound time.Duration) Loop {
 	return Loop{
 		Step: f.step, Spin: spin, Yield: yields, Bound: bound,
 		Park: f.park, Unpark: func() { f.record("unpark") },
-		Wakes: func() (a, b <-chan struct{}) { f.record("wakes"); return f.wake, nil },
+		Wake: func() <-chan struct{} { f.record("wake"); return f.wake },
 	}
 }
 
@@ -114,8 +114,8 @@ func await(t *testing.T, what string, cond func() bool) {
 func TestDriverSpinsThenParks(t *testing.T) {
 	f := newFake()
 	start(t, f, f.loop(5, 2, time.Hour))
-	await(t, "the wait", func() bool { return f.count("wakes") == 1 })
-	want := "step step step yield step yield step yield step park wakes"
+	await(t, "the wait", func() bool { return f.count("wake") == 1 })
+	want := "step step step yield step yield step yield step park wake"
 	if got := f.calls(); got != want {
 		t.Fatalf("driver called\n\t%s\nwant\n\t%s", got, want)
 	}
@@ -128,8 +128,8 @@ func TestDriverRepollsWhenParkFindsWork(t *testing.T) {
 	f := newFake()
 	f.ready = []bool{true}
 	start(t, f, f.loop(0, 0, time.Hour))
-	await(t, "the wait", func() bool { return f.count("wakes") == 1 })
-	if got, want := f.calls(), "step park step park wakes"; got != want {
+	await(t, "the wait", func() bool { return f.count("wake") == 1 })
+	if got, want := f.calls(), "step park step park wake"; got != want {
 		t.Fatalf("driver called %q, want %q", got, want)
 	}
 }
@@ -141,10 +141,10 @@ func TestDriverUnparksOnceWhenWorkResumes(t *testing.T) {
 	f := newFake()
 	f.progress = []bool{false, true, true}
 	start(t, f, f.loop(0, 0, time.Hour))
-	await(t, "the first wait", func() bool { return f.count("wakes") == 1 })
+	await(t, "the first wait", func() bool { return f.count("wake") == 1 })
 	f.wake <- struct{}{}
-	await(t, "the second wait", func() bool { return f.count("wakes") == 2 })
-	if got, want := f.calls(), "step park wakes step unpark step step park wakes"; got != want {
+	await(t, "the second wait", func() bool { return f.count("wake") == 2 })
+	if got, want := f.calls(), "step park wake step unpark step step park wake"; got != want {
 		t.Fatalf("driver called %q, want %q", got, want)
 	}
 }
@@ -161,7 +161,7 @@ func TestDriverWaitEnds(t *testing.T) {
 		// At least, not exactly: in the timed cases the loop waits again a
 		// bound later, and an observer descheduled past that misses the
 		// exact count.
-		await(t, "the wait", func() bool { return f.count("wakes") >= 1 })
+		await(t, "the wait", func() bool { return f.count("wake") >= 1 })
 		if f.next == nil && l.Bound == time.Hour {
 			f.wake <- struct{}{}
 		}
@@ -196,7 +196,7 @@ func TestDriverWaitEnds(t *testing.T) {
 	t.Run("stop", func(t *testing.T) {
 		f := newFake()
 		d := start(t, f, f.loop(0, 0, time.Hour))
-		await(t, "the wait", func() bool { return f.count("wakes") == 1 })
+		await(t, "the wait", func() bool { return f.count("wake") == 1 })
 		d.Stop()
 		if n := d.Running(); n != 0 || f.count("step") != 1 {
 			t.Fatalf("after Stop: %d loops running, %d polls; want 0 and 1", n, f.count("step"))
@@ -262,7 +262,7 @@ func TestDriverIdleCycleAllocatesNothing(t *testing.T) {
 		},
 		Park:   func() bool { return false },
 		Unpark: func() {},
-		Wakes:  func() (a, b <-chan struct{}) { return wake, nil },
+		Wake:   func() <-chan struct{} { return wake },
 		Bound:  time.Hour,
 	})
 	defer d.Stop()

@@ -25,19 +25,19 @@ func ParkedPoller(net *simnet.Network, waits chan struct{}) {
 	stop := po.d.stopChan()
 	again := make(chan struct{})
 	close(again)
-	l.Wakes = func() (a, b <-chan struct{}) {
+	l.Wake = func() <-chan struct{} {
 		select {
 		case <-po.wake:
-			return again, nil
+			return again
 		default:
 		}
 		select {
 		case waits <- struct{}{}:
 		case <-po.wake:
-			return again, nil
+			return again
 		case <-stop:
 		}
-		return po.wake, nil
+		return po.wake
 	}
 	pollersMu.Lock()
 	pollers[net] = po

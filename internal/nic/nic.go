@@ -196,17 +196,16 @@ func (s scalarHost) PushBatch(frames [][]byte) (int, error) {
 }
 
 // NotifyHost is a Host whose backend can block at the idle edge instead
-// of polling on a timer. With doorbells it publishes a wake threshold
-// ("ring me only when new transmit work crosses my consumer position",
-// event-idx) instead of taking a doorbell per batch, trading boundary
-// crossings for a short arming handshake; a polling-mode transport parks
-// the backend on the transmit producer index instead (see Parker).
+// of polling on a timer. Arming parks the backend on the transmit
+// producer index (see Parker), whose store is the wake; with doorbells
+// it also publishes a wake threshold ("ring me only when new transmit
+// work crosses my consumer position", event-idx), so the guest pays one
+// modelled notification per idle edge instead of one per batch.
 //
 // The channel and the threshold are hints, never trusted state: a guest
-// that lies about (or ignores) the event index can delay the wakeup,
-// which is why every wait on NotifyChan must be time-bounded. It can
-// never corrupt the ring — consuming work still goes through the
-// validated Pop path.
+// that lies about (or ignores) them can delay the wakeup, which is why
+// every wait on NotifyChan must be time-bounded. It can never corrupt
+// the ring — consuming work still goes through the validated Pop path.
 type NotifyHost interface {
 	// ArmNotify publishes the wake threshold at the current consumer
 	// position and reports whether work is already waiting (the
@@ -215,9 +214,8 @@ type NotifyHost interface {
 	// SuppressNotify withdraws the threshold while the pump actively
 	// polls, eliding peer doorbells under sustained load.
 	SuppressNotify()
-	// NotifyChan returns the trigger to wait on once armed: the doorbell,
-	// or the park wake of a polling-mode transport. Re-fetched before
-	// every wait: reincarnation replaces the bell.
+	// NotifyChan returns the wake to wait on once armed: the channel the
+	// transmit index store pokes.
 	NotifyChan() <-chan struct{}
 }
 
@@ -256,8 +254,12 @@ const (
 	// WaitBound bounds every idle wait on the datapath, armed or not. A
 	// wake is a hint a peer controls (it can be late, lost to a retired
 	// ring, or never come), and transports with nothing to wait on sleep
-	// this long between polls — so it is the worst latency an idle edge
-	// adds, and the longest a stopped or fail-deaded poller stays around.
+	// this long between polls. It is the timer asked for, not what the
+	// wait lasts: a sub-millisecond Go timer on an idle processor ends in
+	// the runtime's millisecond-granular netpoll wait, so on an idle host
+	// a wait the bound ends takes about 1.2 ms (netstack's
+	// TestTimersRunWhileAReaderWaits saw 42 loop steps in 50 ms). That
+	// is what a lost wake, or a transport with no wake, costs per hop.
 	WaitBound = 200 * time.Microsecond
 )
 
@@ -273,16 +275,15 @@ type Loop struct {
 	// parks and waits; each one past the first Yield of them yields the
 	// processor first.
 	Spin, Yield int
-	// Park, when set, arms the loop's wakes at the idle edge and reports
+	// Park, when set, arms the loop's wake at the idle edge and reports
 	// whether work already waits (the lost-wakeup re-check): true polls
-	// again instead of blocking. Unpark withdraws them once a poll makes
+	// again instead of blocking. Unpark withdraws it once a poll makes
 	// progress again.
 	Park   func() bool
 	Unpark func()
-	// Wakes, when set, returns the channels a wait ends on (nil never
-	// fires). It is fetched before every wait: reincarnation replaces a
-	// bell.
-	Wakes func() (a, b <-chan struct{})
+	// Wake, when set, returns the channel a wait ends on (nil never
+	// fires). It is fetched before every wait.
+	Wake func() <-chan struct{}
 	// Bound is the longest wait: WaitBound behind a wake a peer
 	// controls, the period of a scanner that has none.
 	Bound time.Duration
@@ -390,15 +391,15 @@ func (d *Driver) run(l Loop, stop <-chan struct{}) {
 			}
 			parked = true
 		}
-		var a, b <-chan struct{}
-		if l.Wakes != nil {
-			a, b = l.Wakes()
+		var wake <-chan struct{}
+		if l.Wake != nil {
+			wake = l.Wake()
 		}
 		bound := l.Bound
 		if !next.IsZero() {
 			bound = min(bound, time.Until(next))
 		}
-		if !w.Wait(stop, a, b, bound) {
+		if !w.Wait(stop, wake, bound) {
 			return
 		}
 	}
@@ -409,9 +410,9 @@ func (d *Driver) run(l Loop, stop <-chan struct{}) {
 // The zero value is ready; not safe for concurrent use.
 type Waiter struct{ t *time.Timer }
 
-// Wait blocks until a or b fires (a nil channel never does), stop
-// closes, or d passes. It reports false once stop closed.
-func (w *Waiter) Wait(stop, a, b <-chan struct{}, d time.Duration) bool {
+// Wait blocks until wake fires (a nil wake never does), stop closes, or
+// d passes. It reports false once stop closed.
+func (w *Waiter) Wait(stop, wake <-chan struct{}, d time.Duration) bool {
 	if w.t == nil {
 		w.t = time.NewTimer(d)
 	} else {
@@ -421,8 +422,7 @@ func (w *Waiter) Wait(stop, a, b <-chan struct{}, d time.Duration) bool {
 	select {
 	case <-stop:
 		live = false
-	case <-a:
-	case <-b:
+	case <-wake:
 	case <-w.t.C:
 		return true
 	}
@@ -524,7 +524,7 @@ var pollers = map[*simnet.Network]*poller{}
 
 // attach adds p's queues to the poller of port's network, starting one if
 // the network has none, and points the port's delivery signal and every
-// queue's transmit wake at the poller's one wake. A NotifyHost that
+// queue's transmit park at the poller's one wake. A NotifyHost that
 // cannot be pointed (a wrapper that forwards exactly NotifyHost) gets a
 // relay instead: a loop that pokes the poller after each of its waits on
 // NotifyChan, re-fetched every time and bounded by WaitBound, so no wake
@@ -542,14 +542,14 @@ func attach(port *simnet.Port, p *Pump) {
 	p.po = po
 	port.SetWake(po.wake)
 	for _, w := range p.ws {
-		// A backend that can point its transmit wake, park and doorbell
-		// alike, at a given channel (safering's host port) is routed.
+		// A backend that can point its transmit park at a given channel
+		// (safering's host port) is routed.
 		if r, ok := w.h.(interface{ SetTXWake(chan struct{}) }); ok {
 			r.SetTXWake(po.wake)
 		} else if nh := w.nh; nh != nil {
 			p.Go(Loop{Bound: WaitBound,
-				Step:  func() (bool, time.Time, error) { poke(po.wake); return false, time.Time{}, p.Err() },
-				Wakes: func() (a, b <-chan struct{}) { return nh.NotifyChan(), nil }})
+				Step: func() (bool, time.Time, error) { poke(po.wake); return false, time.Time{}, p.Err() },
+				Wake: nh.NotifyChan})
 		}
 	}
 	po.mu.Lock()
@@ -608,15 +608,16 @@ func (po *poller) step() (bool, time.Time, error) {
 }
 
 // loop is the poller under the pump's idle policy: pumpSpin empty steps,
-// then every queue's wake threshold armed with the lost-wakeup re-check
-// (the ports need none: each delivery pokes the wake), then a wait on the
-// one wake, bounded by WaitBound: a guest controls when its wake fires,
-// never whether the poller polls again or can be collected.
+// then every queue armed — parked on its transmit index, its wake
+// threshold published — with the lost-wakeup re-check (the ports need
+// none: each delivery pokes the wake), then a wait on the one wake,
+// bounded by WaitBound: a guest controls when its wake fires, never
+// whether the poller polls again or can be collected.
 func (po *poller) loop() Loop {
 	return Loop{Step: po.step, Spin: pumpSpin, Yield: pumpYield, Bound: WaitBound,
 		Park:   func() bool { return po.each(NotifyHost.ArmNotify) },
 		Unpark: func() { po.each(func(nh NotifyHost) bool { nh.SuppressNotify(); return false }) },
-		Wakes:  func() (a, b <-chan struct{}) { return po.wake, nil }}
+		Wake:   func() <-chan struct{} { return po.wake }}
 }
 
 // each calls f on every attached queue that is a NotifyHost and reports

@@ -173,9 +173,9 @@ func TestIdleCycleAllocatesNothing(t *testing.T) {
 			l.Step()
 		}
 		l.Park()
-		a, b := l.Wakes()
+		wake := l.Wake()
 		poke(po.wake)
-		w.Wait(stop, a, b, time.Hour)
+		w.Wait(stop, wake, time.Hour)
 		l.Unpark()
 	})
 	if allocs != 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"confio/internal/nic"
+	"confio/internal/platform"
 	"confio/internal/safering"
 	"confio/internal/simnet"
 )
@@ -13,8 +14,11 @@ import (
 // TestParkedPollerWakes: a poller whose idle wait lasts an hour — only a
 // wake can end it — is woken out of that wait by a delivery to either of
 // two pumps' ports and by a guest transmit on either pump's queue, with
-// the safe ring polling (the transmit park) and with doorbells under
-// event-idx (the doorbell's poke).
+// the safe ring polling and with doorbells under event-idx: either way
+// the transmit index store is the wake. Under event-idx the parked
+// poller has armed each queue's wake threshold, so each of those
+// idle-edge transmits charges its guest exactly one doorbell; polling
+// charges none.
 func TestParkedPollerWakes(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -25,11 +29,12 @@ func TestParkedPollerWakes(t *testing.T) {
 			waits := make(chan struct{})
 			nic.ParkedPoller(net, waits)
 			eps := make([]*safering.Endpoint, 2)
+			meters := make([]platform.Meter, len(eps))
 			for i := range eps {
 				cfg := safering.DefaultConfig()
 				cfg.MAC[5] = byte(0x10 + i)
 				cfg.Notify, cfg.EventIdx = mode.notify, mode.notify
-				ep, err := safering.New(cfg, nil)
+				ep, err := safering.New(cfg, &meters[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,11 +59,19 @@ func TestParkedPollerWakes(t *testing.T) {
 				}
 				awaitRecv(t, ep, in)
 				parked()
+				before := meters[i].Snapshot().Notifications
 				out := ethFrame(simnet.Broadcast, [6]byte{2, 0, 0, 0, 0xDD, byte(i)}, []byte("transmit"))
 				if err := ep.Send(out); err != nil {
 					t.Fatal(err)
 				}
 				awaitWire(t, peer, out)
+				want := uint64(0)
+				if mode.notify {
+					want = 1
+				}
+				if got := meters[i].Snapshot().Notifications - before; got != want {
+					t.Fatalf("queue %d: an idle-edge transmit charged %d doorbells, want %d", i, got, want)
+				}
 			}
 		})
 	}

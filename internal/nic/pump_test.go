@@ -236,7 +236,7 @@ func TestPumpYieldsAfterPush(t *testing.T) {
 			w.rx = newSteering([]BatchHost{h})
 			l := (&poller{ws: []*worker{w}}).loop()
 			l.Spin, l.Yield, l.Bound = 2, 1, time.Hour
-			l.Wakes = func() (a, b <-chan struct{}) { f.record("wait"); return nil, nil }
+			l.Wake = func() <-chan struct{} { f.record("wait"); return nil }
 			start(t, f, l)
 			await(t, "the wait", func() bool { return f.count("wait") == 1 })
 			if got := f.calls(); got != c.want {

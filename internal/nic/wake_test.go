@@ -166,12 +166,12 @@ func TestWaiterReusesItsTimer(t *testing.T) {
 	stop := make(chan struct{})
 	wake := make(chan struct{}, 1)
 	wake <- struct{}{}
-	if !w.Wait(stop, wake, nil, time.Hour) { // creates the timer
+	if !w.Wait(stop, wake, time.Hour) { // creates the timer
 		t.Fatal("Wait reported stop")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		wake <- struct{}{}
-		if !w.Wait(stop, nil, wake, time.Hour) {
+		if !w.Wait(stop, wake, time.Hour) {
 			t.Fatal("Wait reported stop")
 		}
 	})
@@ -179,14 +179,14 @@ func TestWaiterReusesItsTimer(t *testing.T) {
 		t.Fatalf("%.0f allocs per wait, want 0", allocs)
 	}
 	start := time.Now()
-	if !w.Wait(stop, wake, nil, 2*time.Millisecond) {
+	if !w.Wait(stop, wake, 2*time.Millisecond) {
 		t.Fatal("Wait reported stop")
 	}
 	if d := time.Since(start); d < 2*time.Millisecond {
 		t.Fatalf("timed wait returned after %v: a stale expiry was left in the timer", d)
 	}
 	close(stop)
-	if w.Wait(stop, wake, nil, time.Hour) {
+	if w.Wait(stop, wake, time.Hour) {
 		t.Fatal("Wait did not report stop")
 	}
 }

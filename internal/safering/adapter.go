@@ -49,9 +49,9 @@ func (h HostNIC) ArmNotify() bool { return h.ArmTXNotify() }
 // SuppressNotify implements nic.NotifyHost.
 func (h HostNIC) SuppressNotify() { h.SuppressTXNotify() }
 
-// NotifyChan implements nic.NotifyHost: the doorbell trigger, or the
-// park wake on a polling-mode device.
-func (h HostNIC) NotifyChan() <-chan struct{} { return h.TXWake() }
+// NotifyChan implements nic.NotifyHost: the park the TX index store
+// pokes, on every device.
+func (h HostNIC) NotifyChan() <-chan struct{} { return h.park }
 
 // NIC returns the multi-queue endpoint's nic.MultiGuest view: a mux over
 // per-queue GuestNICs. Flow steering happens above this view (in the mux

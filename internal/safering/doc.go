@@ -20,10 +20,10 @@
 //     in place after snapshot, or receive-side page revocation).
 //
 //  3. No notifications. The default mode is polling; Doorbell is an
-//     optional, stateless, idempotent, coalescing edge trigger for
-//     workloads that cannot poll. Notifications never carry data, so a
-//     spurious, dropped, or replayed doorbell can at worst cause an
-//     extra poll.
+//     optional, stateless, idempotent charge for workloads that pay for
+//     notifications. A bell wakes nobody — an idle consumer wakes on
+//     its peer's index store — so a spurious, dropped, or replayed
+//     doorbell changes at most what the model charges.
 //
 //  4. Zero (re-)negotiation. DeviceConfig (MAC, MTU, checksum policy,
 //     ring geometry) is immutable after construction and known to both

@@ -39,7 +39,7 @@ type HostPort struct {
 	// doorbell per burst.
 	rx *Engine[Desc] //ciovet:guards mu
 
-	// park is the wake a polling-mode backend blocks on once idle (see
+	// park is the wake the backend blocks on once idle (see
 	// ArmTXNotify); the guest's TX index store pokes it.
 	park chan struct{}
 }
@@ -206,53 +206,33 @@ func (h *HostPort) stagePushLocked(frame []byte) error {
 
 // ArmTXNotify publishes the host's transmit wake threshold (event
 // index): under EventIdx the guest rings TXBell only once its producer
-// index crosses the host's consumer position. A polling-mode device has
-// no bell, so the backend parks on the TX producer index instead
-// (Indexes.Park). Either way it re-checks the raw producer index after
-// the store (the lost-wakeup recheck) and reports whether frames already
-// wait — true means poll again, don't block.
+// index crosses the host's consumer position. On every device the
+// backend parks on the TX producer index (Indexes.Park): the guest's
+// index store is what wakes it, and the bell is only the model's charge.
+// It re-checks the raw producer index after the store (the lost-wakeup
+// recheck) and reports whether frames already wait — true means poll
+// again, don't block.
 func (h *HostPort) ArmTXNotify() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var wake chan struct{}
-	if h.sh.TXBell == nil {
-		wake = h.park
-	}
-	return h.tx.Arm(wake)
+	return h.tx.Arm(h.park)
 }
 
-// SuppressTXNotify withdraws the transmit wake threshold (and the park)
-// while the host pump actively polls, eliding guest doorbell rings under
-// sustained load (event index = consumer position - 1, never crossed).
+// SuppressTXNotify withdraws the transmit wake threshold and the park
+// while the host pump actively polls, eliding guest doorbell rings and
+// pokes under sustained load (event index = consumer position - 1, never
+// crossed).
 func (h *HostPort) SuppressTXNotify() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.tx.Suppress()
-	if h.sh.TXBell == nil {
-		h.tx.Unpark()
-	}
+	h.tx.Unpark()
 }
 
-// TXWake returns what an armed backend blocks on: the guest's doorbell
-// trigger, or the park wake on a polling-mode device. Never nil.
-func (h *HostPort) TXWake() <-chan struct{} {
-	if b := h.sh.TXBell; b != nil {
-		return b.Chan()
-	}
-	return h.park
-}
-
-// SetTXWake makes wake what the transmit side pokes: the park a
-// polling-mode backend blocks on, and on a doorbell device a second
-// trigger every ring pokes beside the bell's own. A host poller serving
-// several queues points them all at its one wake this way. Call it
-// before the backend first arms.
-func (h *HostPort) SetTXWake(wake chan struct{}) {
-	h.park = wake
-	if b := h.sh.TXBell; b != nil {
-		b.fan.set(wake)
-	}
-}
+// SetTXWake makes wake the park an armed backend blocks on: a host
+// poller serving several queues points them all at its one wake this
+// way. Call it before the backend first arms.
+func (h *HostPort) SetTXWake(wake chan struct{}) { h.park = wake }
 
 // popFreeSlab consumes the next guest-posted receive slab, or reports
 // nic.ErrFull when none is posted.

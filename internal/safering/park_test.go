@@ -380,56 +380,40 @@ func TestParkPathsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHostParksOnlyInPollingMode pins which wake each device class hands
-// its backend: the park on a polling-mode device (never nil — the pump
-// must have something to block on), the charged doorbell — and no park —
-// on a notifying one.
-func TestHostParksOnlyInPollingMode(t *testing.T) {
-	ep, err := New(DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NewHostPort(ep.Shared()).NIC().(nic.NotifyHost)
-	if h.ArmNotify() {
-		t.Fatal("idle TX ring reported waiting frames")
-	}
-	if err := ep.Send(frame(64, 1)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-h.NotifyChan():
-	default:
-		t.Fatal("polling mode: TX index store did not poke the armed backend")
-	}
-	h.SuppressNotify()
-	if err := ep.Send(frame(64, 2)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-h.NotifyChan():
-		t.Fatal("polling mode: poked after the park was withdrawn")
-	default:
-	}
-
-	nep, err := New(eventIdxConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nhp := NewHostPort(nep.Shared())
-	nh := nhp.NIC().(nic.NotifyHost)
-	if nh.ArmNotify() {
-		t.Fatal("idle TX ring reported waiting frames")
-	}
-	if got, bell := nh.NotifyChan(), nep.Shared().TXBell.Chan(); got != bell {
-		t.Fatal("notify mode: backend must wait on the doorbell")
-	}
-	if err := nep.Send(frame(64, 1)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-nhp.park:
-		t.Fatal("notify mode: backend was parked as well as armed")
-	default:
+// TestHostParksOnEveryDevice pins the one wake a backend blocks on: the
+// park the guest's TX index store pokes, on a polling device and on a
+// notifying one alike — a bell is only the model's charge and wakes
+// nobody. Withdrawing the park withdraws the poke.
+func TestHostParksOnEveryDevice(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  DeviceConfig
+	}{{"polling", DefaultConfig()}, {"event-idx", eventIdxConfig()}} {
+		ep, err := New(c.cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewHostPort(ep.Shared()).NIC().(nic.NotifyHost)
+		if h.ArmNotify() {
+			t.Fatalf("%s: idle TX ring reported waiting frames", c.name)
+		}
+		if err := ep.Send(frame(64, 1)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-h.NotifyChan():
+		default:
+			t.Fatalf("%s: TX index store did not poke the armed backend", c.name)
+		}
+		h.SuppressNotify()
+		if err := ep.Send(frame(64, 2)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-h.NotifyChan():
+			t.Fatalf("%s: poked after the park was withdrawn", c.name)
+		default:
+		}
 	}
 }
 

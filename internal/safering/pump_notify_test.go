@@ -11,10 +11,11 @@ import (
 )
 
 // Pump integration tests for the event-idx idle ladder: the host pump
-// arms the TX wake threshold when idle and sleeps bounded, so it must
+// arms the TX wake threshold when idle, parks on the TX producer index
+// (whose store, not the bell, wakes it) and sleeps bounded, so it must
 // still (a) move traffic promptly after waking, (b) collect all
 // goroutines on Stop, and (c) collect itself on fail-dead — even while
-// suppression is armed and the bell may never ring again.
+// suppression is armed and the guest may never store again.
 
 func waitForZero(t *testing.T, what string, f func() int) {
 	t.Helper()
@@ -53,7 +54,7 @@ func wireFrame(i int) []byte {
 
 // TestPumpEventIdxRoundTripAndStop: traffic flows through a pump whose
 // backend arms/suppresses the event index, including across idle edges
-// (pump asleep on the bell), and Stop leaves zero goroutines.
+// (pump parked on the TX index), and Stop leaves zero goroutines.
 func TestPumpEventIdxRoundTripAndStop(t *testing.T) {
 	ep, err := New(eventIdxConfig(), nil)
 	if err != nil {
@@ -66,7 +67,7 @@ func TestPumpEventIdxRoundTripAndStop(t *testing.T) {
 	defer pump.Stop()
 
 	// Several idle-edge cycles: let the pump spin down and arm, then
-	// publish — the bell (or the bounded timer) must wake it.
+	// publish — the index store (or the bounded timer) must wake it.
 	for i := 0; i < 5; i++ {
 		time.Sleep(2 * time.Millisecond) // pump goes idle and arms
 		f := wireFrame(i)
@@ -108,7 +109,7 @@ func TestPumpEventIdxRoundTripAndStop(t *testing.T) {
 
 // TestPumpFailDeadCollectsWhileArmed: a guest protocol violation while
 // the pump is asleep with the threshold armed must still collect the
-// pump — the bounded bell wait guarantees the next poll happens, sees
+// pump — the bounded park guarantees the next poll happens, sees
 // ErrClosed, and the goroutine exits without anyone calling Stop.
 func TestPumpFailDeadCollectsWhileArmed(t *testing.T) {
 	ep, err := New(eventIdxConfig(), nil)

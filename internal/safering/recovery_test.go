@@ -236,18 +236,15 @@ func TestMultiQueueConcurrentDeathsOneCause(t *testing.T) {
 	}
 }
 
-// TestDoorbellSealSwallowsStaleRings covers a wait on a rung and on an
-// unrung bell, and the sealing of old-incarnation bells.
+// TestDoorbellSealSwallowsStaleRings: a live bell charges each ring;
+// the sealed bell of an old incarnation counts its rings and charges
+// none of them.
 func TestDoorbellSealSwallowsStaleRings(t *testing.T) {
-	d := safering.NewDoorbell(nil)
+	var m platform.Meter
+	d := safering.NewDoorbell(&m)
 	d.Ring()
-	select {
-	case <-d.Chan():
-	default:
-		t.Fatal("pending ring not delivered")
-	}
-	if d.TryWait() {
-		t.Fatal("drained bell delivered a second wakeup")
+	if n := m.Snapshot().Notifications; n != 1 {
+		t.Fatalf("live ring charged %d notifications, want 1", n)
 	}
 	d.Seal()
 	for i := 0; i < 3; i++ {
@@ -256,10 +253,8 @@ func TestDoorbellSealSwallowsStaleRings(t *testing.T) {
 	if got := d.StaleRings(); got != 3 {
 		t.Fatalf("stale rings %d, want 3", got)
 	}
-	select {
-	case <-d.Chan():
-		t.Fatal("sealed bell delivered a wakeup")
-	default:
+	if n := m.Snapshot().Notifications; n != 1 {
+		t.Fatalf("sealed bell charged: %d notifications, want 1", n)
 	}
 }
 

@@ -39,7 +39,7 @@ var (
 	CompUDP       = Component{"udp", 45, "UDP"}
 	CompTCP       = Component{"tcp", 1160, "TCP state machine"}
 	CompNetstack  = Component{"netstack", 603, "stack glue + sockets"}
-	CompSafering  = Component{"safering", 1455, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
+	CompSafering  = Component{"safering", 1411, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 613, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 378, "netvsc driver"}
 	CompCTLS      = Component{"ctls", 307, "secure channel (TLS role)"}
@@ -58,7 +58,7 @@ var (
 	// watchdog run on its driver (about 100 lines); it is catalogued
 	// because the datapath's size claims (EXPERIMENTS.md, safering + nic)
 	// are made in it.
-	CompNIC = Component{"nic", 544, "NIC contract, flow steering, host pump, poller driver"}
+	CompNIC = Component{"nic", 543, "NIC contract, flow steering, host pump, poller driver"}
 
 	CompApp  = Component{"app", 300, "confidential application"}
 	CompShim = Component{"hostsock-shim", 120, "L5 host-socket shim"}

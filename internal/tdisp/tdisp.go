@@ -370,7 +370,7 @@ func (d *Device) Loop() nic.Loop {
 			return worked, time.Time{}, err
 		},
 		Spin: 64, Yield: 64, Bound: nic.WaitBound,
-		Wakes: func() (a, b <-chan struct{}) { return wire, nil },
+		Wake: func() <-chan struct{} { return wire },
 	}
 }
 
