@@ -41,15 +41,15 @@ vet-update-baseline:
 
 # Short adversarial fuzzing pass over both sides' descriptor validation —
 # the guest's RX decode (a hostile host) and the honest host's TX gather
-# (a hostile guest) — over IPv4 fragmentation (the stack's fragment
-# writer against its reassembler, and a host's fragments against the
-# reassembler), and over the data-at-rest layer: a host moving versions,
-# tags, tree nodes and platter bytes between the guest's reads and
-# writes. -fuzz takes one target per invocation.
+# (a hostile guest) — over the stack's receive path (a host's arbitrary
+# frames: fragments and non-TCP datagrams must be counted drops that
+# reach nothing), and over the data-at-rest layer: a host moving
+# versions, tags, tree nodes and platter bytes between the guest's reads
+# and writes. -fuzz takes one target per invocation.
 fuzz:
 	$(GO) test -fuzz '^FuzzDescDecode$$' -fuzztime 30s -run '^$$' ./internal/safering
 	$(GO) test -fuzz '^FuzzTXGather$$' -fuzztime 30s -run '^$$' ./internal/safering
-	$(GO) test -fuzz '^FuzzFragment$$' -fuzztime 30s -run '^$$' ./internal/ipv4
+	$(GO) test -fuzz '^FuzzInbound$$' -fuzztime 30s -run '^$$' ./internal/netstack
 	$(GO) test -fuzz '^FuzzHostMeta$$' -fuzztime 30s -run '^$$' ./internal/cryptdisk
 
 fmt:

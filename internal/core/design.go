@@ -111,7 +111,7 @@ var compTunnel = tcb.Component{Name: "tunnel-shim", LoC: 160, Role: "L2-in-TLS e
 
 var (
 	stackComponents = []tcb.Component{
-		tcb.CompEther, tcb.CompARP, tcb.CompIPv4, tcb.CompUDP, tcb.CompTCP, tcb.CompNetstack,
+		tcb.CompEther, tcb.CompARP, tcb.CompIPv4, tcb.CompTCP, tcb.CompNetstack,
 	}
 	appCore = []tcb.Component{tcb.CompApp, tcb.CompCTLS}
 )

@@ -78,7 +78,7 @@ func TestChecksumMatchesReference(t *testing.T) {
 // byte; what it writes is what it writes into a zeroed buffer, and parses
 // back.
 func TestPutHeaderOverwritesStaleBytes(t *testing.T) {
-	h := Header{ID: 0xBEEF, Flags: FlagMF, FragOff: 1480, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
+	h := Header{ID: 0xBEEF, Flags: FlagMF, FragOff: 1480, TTL: 64, Proto: ProtoTCP, Src: srcIP, Dst: dstIP}
 	payload := []byte("payload bytes")
 	buf := bytes.Repeat([]byte{0xFF}, HeaderLen+len(payload))
 	copy(buf[HeaderLen:], payload)

@@ -1,5 +1,7 @@
-// Package ipv4 implements IPv4 header processing, the internet checksum,
-// and fragmentation/reassembly for the in-TEE network stack.
+// Package ipv4 implements IPv4 header processing and the internet
+// checksum for the in-TEE network stack. It neither fragments nor
+// reassembles: the stack sends only segments that fit the MTU and drops
+// every fragment it receives.
 package ipv4
 
 import (
@@ -9,20 +11,12 @@ import (
 	"math/bits"
 )
 
-// Protocol numbers used by the stack.
-const (
-	ProtoICMP byte = 1
-	ProtoTCP  byte = 6
-	ProtoUDP  byte = 17
-)
+// ProtoTCP is the one protocol number the stack carries.
+const ProtoTCP byte = 6
 
 // HeaderLen is the size of a header without options (the stack never
 // emits options and rejects packets whose IHL exceeds the buffer).
 const HeaderLen = 20
-
-// MaxPayload is the most one datagram carries behind a header without
-// options: its total length is a 16-bit field.
-const MaxPayload = 0xFFFF - HeaderLen
 
 // Addr is an IPv4 address.
 type Addr [4]byte
@@ -43,11 +37,8 @@ type Header struct {
 	Dst      Addr
 }
 
-// Flag bits for Header.Flags.
-const (
-	FlagMF uint8 = 1 // more fragments
-	FlagDF uint8 = 2 // don't fragment
-)
+// FlagMF is Header.Flags' more-fragments bit.
+const FlagMF uint8 = 1
 
 // ErrMalformed reports an unusable IPv4 packet.
 var ErrMalformed = errors.New("ipv4: malformed packet")
@@ -159,29 +150,4 @@ func PutHeader(b []byte, h Header, payloadLen int) {
 	copy(b[12:16], h.Src[:])
 	copy(b[16:20], h.Dst[:])
 	binary.BigEndian.PutUint16(b[10:], Checksum(b))
-}
-
-// FragmentLen is how many payload bytes each fragment of a datagram
-// carrying n of them takes on a link of the given MTU (at least 68, the
-// least an IPv4 link carries): all n when the datagram fits, else what
-// fits behind a header, rounded down to the offset field's 8-byte unit.
-func FragmentLen(n, mtu int) int {
-	if HeaderLen+n <= mtu {
-		return n
-	}
-	return (mtu - HeaderLen) &^ 7
-}
-
-// PutFragment writes into b the fragment of the datagram h carrying
-// payload whose data starts at payload[off] and fills the rest of b: its
-// header, at offset off and with MF set unless it ends the datagram, then
-// that data.
-func PutFragment(b []byte, h Header, payload []byte, off int) {
-	n := len(b) - HeaderLen
-	h.FragOff, h.Flags = uint16(off), h.Flags&^FlagMF
-	if off+n < len(payload) {
-		h.Flags |= FlagMF
-	}
-	PutHeader(b, h, n)
-	copy(b[HeaderLen:], payload[off:off+n])
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 var (
@@ -20,19 +18,6 @@ func packet(h Header, payload []byte) []byte {
 	copy(b[HeaderLen:], payload)
 	PutHeader(b, h, len(payload))
 	return b
-}
-
-// fragment writes payload as the packets a link of the given MTU takes,
-// each in a buffer of its own, the way netstack's sendIP does.
-func fragment(h Header, payload []byte, mtu int) [][]byte {
-	step := FragmentLen(len(payload), mtu)
-	var out [][]byte
-	for off := 0; off < len(payload); off += step {
-		b := make([]byte, HeaderLen+min(step, len(payload)-off))
-		PutFragment(b, h, payload, off)
-		out = append(out, b)
-	}
-	return out
 }
 
 func TestAddrString(t *testing.T) {
@@ -61,7 +46,7 @@ func TestChecksumKnownVector(t *testing.T) {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{ID: 0x1234, Flags: FlagDF, TTL: 64, Proto: ProtoTCP, Src: srcIP, Dst: dstIP}
+	h := Header{ID: 0x1234, Flags: 2 /* DF */, TTL: 64, Proto: ProtoTCP, Src: srcIP, Dst: dstIP}
 	payload := []byte("transport segment")
 	pkt := packet(h, payload)
 	got, pl, err := Parse(pkt)
@@ -78,7 +63,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsCorruption(t *testing.T) {
-	pkt := packet(Header{TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}, []byte("x"))
+	pkt := packet(Header{TTL: 64, Proto: ProtoTCP, Src: srcIP, Dst: dstIP}, []byte("x"))
 	// Flip a header byte: checksum must catch it.
 	bad := append([]byte{}, pkt...)
 	bad[8] ^= 0xFF
@@ -118,199 +103,5 @@ func TestTransportChecksum(t *testing.T) {
 	_ = seg2
 	if ck == 0 {
 		t.Fatal("degenerate checksum")
-	}
-}
-
-func TestFragmentAndReassemble(t *testing.T) {
-	payload := make([]byte, 5000)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
-	h := Header{ID: 42, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	frags := fragment(h, payload, 1500)
-	if len(frags) < 4 {
-		t.Fatalf("only %d fragments", len(frags))
-	}
-	r := NewReassembler(0, 0)
-	now := time.Unix(0, 0)
-	var out []byte
-	done := false
-	for i, f := range frags {
-		fh, pl, err := Parse(f)
-		if err != nil {
-			t.Fatalf("fragment %d: %v", i, err)
-		}
-		if got, ok := r.Add(fh, pl, now); ok {
-			out, done = got, true
-		}
-	}
-	if !done {
-		t.Fatal("never reassembled")
-	}
-	if !bytes.Equal(out, payload) {
-		t.Fatal("reassembly mismatch")
-	}
-	if r.Pending() != 0 {
-		t.Fatal("state leaked after reassembly")
-	}
-}
-
-func TestFragmentOutOfOrderAndDuplicates(t *testing.T) {
-	payload := make([]byte, 4000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	h := Header{ID: 7, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	frags := fragment(h, payload, 1500)
-	r := NewReassembler(0, 0)
-	now := time.Unix(0, 0)
-	order := []int{len(frags) - 1, 0, 1, 1, 0} // reversed + dups
-	var out []byte
-	done := false
-	for _, i := range order {
-		fh, pl, _ := Parse(frags[i])
-		if got, ok := r.Add(fh, pl, now); ok {
-			out, done = got, true
-		}
-	}
-	// Feed the rest.
-	for i := 2; i < len(frags)-1 && !done; i++ {
-		fh, pl, _ := Parse(frags[i])
-		if got, ok := r.Add(fh, pl, now); ok {
-			out, done = got, true
-		}
-	}
-	if !done || !bytes.Equal(out, payload) {
-		t.Fatal("out-of-order reassembly failed")
-	}
-}
-
-// TestFragmentOnlyOverTheMTU: a datagram that fits the MTU is one packet,
-// byte for byte the unfragmented one; one byte more splits it into
-// 8-aligned fragments of at most the MTU, MF on all but the last.
-func TestFragmentOnlyOverTheMTU(t *testing.T) {
-	h := Header{ID: 9, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	for _, mtu := range []int{68, 576, 1500, 1501} {
-		fits := make([]byte, mtu-HeaderLen)
-		if frags := fragment(h, fits, mtu); len(frags) != 1 || !bytes.Equal(frags[0], packet(h, fits)) {
-			t.Fatalf("mtu %d: a datagram that fits became %d packets", mtu, len(frags))
-		}
-		frags := fragment(h, append(fits, 0), mtu)
-		if len(frags) < 2 {
-			t.Fatalf("mtu %d: a datagram one byte over went as %d packet", mtu, len(frags))
-		}
-		for i, f := range frags {
-			fh, pl, err := Parse(f)
-			if err != nil || len(f) > mtu || fh.FragOff%8 != 0 || (fh.Flags&FlagMF != 0) != (i < len(frags)-1) {
-				t.Fatalf("mtu %d fragment %d: %d bytes, %+v, %v", mtu, i, len(f), fh, err)
-			}
-			if i < len(frags)-1 && len(pl)%8 != 0 {
-				t.Fatalf("mtu %d fragment %d carries %d bytes, not a multiple of 8", mtu, i, len(pl))
-			}
-		}
-	}
-}
-
-func TestReassemblerTimeout(t *testing.T) {
-	r := NewReassembler(time.Second, 0)
-	h := Header{ID: 1, Flags: FlagMF, FragOff: 0, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	if _, ok := r.Add(h, make([]byte, 8), time.Unix(0, 0)); ok {
-		t.Fatal("incomplete packet returned")
-	}
-	if r.Pending() != 1 {
-		t.Fatal("fragment not held")
-	}
-	// A later packet triggers expiry of the stale one.
-	h2 := Header{ID: 2, Flags: FlagMF, FragOff: 0, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	r.Add(h2, make([]byte, 8), time.Unix(10, 0))
-	if r.Pending() != 1 {
-		t.Fatalf("stale packet not expired: %d pending", r.Pending())
-	}
-}
-
-func TestReassemblerMemoryBound(t *testing.T) {
-	r := NewReassembler(time.Hour, 1024)
-	now := time.Unix(0, 0)
-	h := Header{ID: 3, Flags: FlagMF, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-	// Flood fragments with holes; the buffer bound must cap memory.
-	for i := 0; i < 100; i++ {
-		fh := h
-		fh.FragOff = uint16(i * 16)
-		r.Add(fh, make([]byte, 8), now)
-	}
-	if r.Pending() > 1 {
-		t.Fatalf("flood kept %d pending packets", r.Pending())
-	}
-}
-
-func TestFragmentRoundTripProperty(t *testing.T) {
-	r := NewReassembler(0, 1<<24)
-	now := time.Unix(0, 0)
-	id := uint16(0)
-	f := func(payload []byte) bool {
-		if len(payload) == 0 {
-			payload = []byte{1}
-		}
-		id++
-		h := Header{ID: id, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-		frags := fragment(h, payload, 576)
-		for i, fr := range frags {
-			fh, pl, err := Parse(fr)
-			if err != nil {
-				return false
-			}
-			if got, ok := r.Add(fh, pl, now); ok {
-				return i == len(frags)-1 && bytes.Equal(got, payload)
-			}
-		}
-		return false
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReassemblerDropsContradictoryFragments: a host can declare a
-// datagram's end with its last fragment and then send data past it, or
-// send a last fragment that ends before data already held. Each drops the
-// whole pending datagram — nothing is delivered, nothing panics — and a
-// well-formed datagram under the same ID reassembles afterwards.
-func TestReassemblerDropsContradictoryFragments(t *testing.T) {
-	type fr struct {
-		off, n int
-		mf     bool
-	}
-	cases := map[string][]fr{
-		"last ends before held data": {{0, 200, true}, {200, 8, true}, {8, 8, false}},
-		"data past the declared end": {{8, 8, false}, {0, 200, true}},
-		"two different ends":         {{0, 8, true}, {16, 8, false}, {24, 8, false}},
-		"past the largest datagram":  {{0, 8, true}, {65528, 8, false}},
-	}
-	now := time.Unix(0, 0)
-	for name, frags := range cases {
-		t.Run(name, func(t *testing.T) {
-			r := NewReassembler(0, 0)
-			for _, f := range frags {
-				h := Header{ID: 5, FragOff: uint16(f.off), TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}
-				if f.mf {
-					h.Flags = FlagMF
-				}
-				if out, ok := r.Add(h, make([]byte, f.n), now); ok {
-					t.Fatalf("delivered a %d-byte datagram from contradictory fragments", len(out))
-				}
-			}
-			if r.Pending() != 0 {
-				t.Fatalf("%d contradictory datagrams still held", r.Pending())
-			}
-			payload := bytes.Repeat([]byte{7}, 3000)
-			var out []byte
-			for _, f := range fragment(Header{ID: 5, TTL: 64, Proto: ProtoUDP, Src: srcIP, Dst: dstIP}, payload, 1500) {
-				fh, pl, _ := Parse(f)
-				out, _ = r.Add(fh, pl, now)
-			}
-			if !bytes.Equal(out, payload) {
-				t.Fatal("a well-formed datagram did not reassemble after the drop")
-			}
-		})
 	}
 }

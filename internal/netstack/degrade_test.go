@@ -46,8 +46,10 @@ func degradePair(t *testing.T) (*netstack.Stack, *netstack.Stack, *safering.Endp
 
 // TestStackDegradesWhenTransportDies is graceful degradation end to end:
 // the host kills the client's transport mid-connection. The blocked TCP
-// reader must wake with an error (not hang), the stack must report the
-// terminal transport error, and later UDP sends must be counted drops.
+// reader must wake with an error (not hang), a SYN still waiting for its
+// neighbour's ARP answer must be a counted dead drop, the stack must
+// report the terminal transport error, and a new Dial must fail with it
+// at once instead of waiting out its timeout.
 func TestStackDegradesWhenTransportDies(t *testing.T) {
 	sa, sb, epA, _ := degradePair(t)
 
@@ -77,6 +79,20 @@ func TestStackDegradesWhenTransportDies(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond) // let the reader block
 
+	// A second dial, to a neighbour that never answers, leaves its SYN
+	// behind the ARP request when the transport dies.
+	unanswered := make(chan error, 1)
+	asked := sa.Stats().ARPRequests
+	go func() {
+		_, err := sa.Dial(ipv4.Addr{10, 0, 0, 9}, 9, 10*time.Second)
+		unanswered <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); sa.Stats().ARPRequests == asked; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second dial never asked for its neighbour")
+		}
+	}
+
 	// The malicious host corrupts the receive producer index: the
 	// transport fail-deads on the stack's next receive poll.
 	epA.Shared().RXUsed.Indexes().StoreProd(uint64(epA.Config().Slots) * 4)
@@ -101,28 +117,27 @@ func TestStackDegradesWhenTransportDies(t *testing.T) {
 		t.Fatalf("Degraded() = %v, want an ErrClosed-class error", sa.Degraded())
 	}
 
-	// New TCP work fails fast instead of hanging.
-	if _, err := sa.Dial(ipB, 8081, 2*time.Second); err == nil {
-		t.Fatal("dial through a degraded stack succeeded")
+	select {
+	case err := <-unanswered:
+		if !errors.Is(err, nic.ErrClosed) {
+			t.Fatalf("the dial waiting for ARP returned %v, want the transport's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the dial waiting for ARP hung after transport death")
+	}
+	if st := sa.Stats(); st.DeadDrops == 0 || st.SendDrops < st.DeadDrops {
+		t.Fatalf("SendDrops %d, DeadDrops %d: want the SYN behind ARP a dead drop, and dead drops a subset of send drops",
+			st.SendDrops, st.DeadDrops)
 	}
 
-	// UDP keeps datagram semantics: sends are silently dropped, but the
-	// drops are counted so operators can see the degradation.
-	u, err := sa.OpenUDP(9001)
-	if err != nil {
-		t.Fatal(err)
+	// New TCP work fails fast instead of hanging.
+	start := time.Now()
+	_, err = sa.Dial(ipB, 8081, 2*time.Second)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("dial through a degraded stack took %v, want it refused at once", took)
 	}
-	defer u.Close()
-	before := sa.Stats().DeadDrops
-	for i := 0; i < 4; i++ {
-		u.SendTo(ipB, 9002, []byte("after death"))
-	}
-	if got := sa.Stats().DeadDrops; got <= before {
-		t.Fatalf("DeadDrops %d after UDP sends on a degraded stack, want > %d", got, before)
-	}
-	if sa.Stats().SendDrops < sa.Stats().DeadDrops {
-		t.Fatalf("DeadDrops (%d) must be a subset of SendDrops (%d)",
-			sa.Stats().DeadDrops, sa.Stats().SendDrops)
+	if !errors.Is(err, nic.ErrClosed) {
+		t.Fatalf("dial through a degraded stack = %v, want an ErrClosed-class error", err)
 	}
 }
 
@@ -138,21 +153,23 @@ func TestStackDegradeReportsStallDistinctly(t *testing.T) {
 	// The host freezes: its device model stops consuming the TX ring.
 	pumpA.Stop()
 
-	// Keep giving the stack transmit work (ARP requests toward an
-	// unresolvable peer) so the frozen consumer index holds a real
-	// obligation for the watchdog to age.
-	u, err := sa.OpenUDP(9100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
+	// Give the stack transmit work the frozen consumer index holds as a
+	// real obligation for the watchdog to age: a SYN to an unresolvable
+	// peer puts its ARP request on the ring.
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := sa.Dial(ipv4.Addr{10, 0, 0, 9}, 9, 10*time.Second)
+		dialed <- err
+	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for sa.Degraded() == nil {
-		u.SendTo(ipv4.Addr{10, 0, 0, 9}, 9, []byte("fill the ring"))
 		if time.Now().After(deadline) {
 			t.Fatal("stack never degraded after host froze")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if err := <-dialed; !errors.Is(err, nic.ErrStalled) {
+		t.Fatalf("the pending dial returned %v, want the stall", err)
 	}
 	if !errors.Is(sa.Degraded(), nic.ErrClosed) {
 		t.Fatalf("degraded error %v does not match ErrClosed", sa.Degraded())

@@ -1,8 +1,8 @@
 package netstack_test
 
 import (
-	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +13,7 @@ import (
 	"confio/internal/nic"
 	"confio/internal/safering"
 	"confio/internal/simnet"
+	"confio/internal/tcp"
 )
 
 // oneStack builds a stack whose host side is driven manually (no pump),
@@ -103,145 +104,146 @@ func TestUnknownProtocolDropped(t *testing.T) {
 	t.Fatalf("unknown protocol not counted: %+v", st.Stats())
 }
 
-func TestARPWaitersExpire(t *testing.T) {
-	// A send to a neighbour that never answers ARP is dropped after the
-	// pending TTL (and counted), not leaked forever.
-	net := simnet.New()
-	cfg := safering.DefaultConfig()
-	ep, err := safering.New(cfg, nil)
+// fakeClock is a stack clock that moves only when a test advances it. It
+// starts a year past the wall clock, so a deadline taken from the wall
+// clock instead has long passed on it.
+type fakeClock struct{ at atomic.Int64 }
+
+func newFakeClock() *fakeClock {
+	c := &fakeClock{}
+	c.at.Store(time.Now().AddDate(1, 0, 0).UnixNano())
+	return c
+}
+
+func (c *fakeClock) now() time.Time { return time.Unix(0, c.at.Load()) }
+
+func (c *fakeClock) advance(d time.Duration) { c.at.Add(int64(d)) }
+
+// silentStack is a started stack on clk whose device's pump puts its
+// frames on a network where nobody answers.
+func silentStack(t *testing.T, clk *fakeClock) *netstack.Stack {
+	t.Helper()
+	ep, err := safering.New(safering.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pump attached so ARP requests actually leave; nobody answers.
-	pump := startPump(t, ep, net)
-	_ = pump
-	st := netstack.New(ep.NIC(), ipv4.Addr{10, 0, 0, 7})
+	pump := nic.StartPump(safering.NewHostPort(ep.Shared()).NIC(), simnet.New().NewPort())
+	t.Cleanup(pump.Stop)
+	st := netstack.NewWithClock(ep.NIC(), ipv4.Addr{10, 0, 0, 7}, clk.now)
 	st.Start()
 	t.Cleanup(st.Close)
-
-	u, err := st.OpenUDP(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.SendTo(ipv4.Addr{10, 0, 0, 99}, 9, []byte("void")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if st.Stats().SendDrops >= 1 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("unresolved ARP waiter never expired: %+v", st.Stats())
+	return st
 }
 
-func startPump(t *testing.T, ep *safering.Endpoint, net *simnet.Network) func() {
+// await polls cond for up to five seconds of wall time.
+func await(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	pump := nic.StartPump(safering.NewHostPort(ep.Shared()).NIC(), net.NewPort())
-	t.Cleanup(pump.Stop)
-	return pump.Stop
-}
-
-func TestPing(t *testing.T) {
-	sa, sb, _ := twoStacks(t, transports()[0])
-	rtt, err := sa.Ping(sb.IP(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt <= 0 {
-		t.Fatalf("rtt = %v", rtt)
-	}
-	// Several pings in a row (distinct ids).
-	for i := 0; i < 3; i++ {
-		if _, err := sa.Ping(sb.IP(), 5*time.Second); err != nil {
-			t.Fatalf("ping %d: %v", i, err)
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
 		}
 	}
-	// Pinging a silent address times out.
-	if _, err := sa.Ping(ipv4.Addr{10, 0, 0, 99}, 200*time.Millisecond); err == nil {
-		t.Fatal("ping to nowhere succeeded")
-	}
 }
 
-func TestICMPBadChecksumDropped(t *testing.T) {
-	st, hp := oneStack(t)
-	h := ipv4.Header{TTL: 64, Proto: ipv4.ProtoICMP, Src: ipv4.Addr{10, 0, 0, 9}, Dst: ipv4.Addr{10, 0, 0, 7}}
-	icmp := make([]byte, 8)
-	icmp[0] = 8
-	icmp[2] = 0xBA // wrong checksum
-	pkt := refIPv4(h, icmp)
-	f := make([]byte, 14+len(pkt))
-	copy(f[0:6], []byte{0x02, 0x00, 0x00, 0xC1, 0x0A, 0x77})
-	f[12], f[13] = 0x08, 0x00
-	copy(f[14:], pkt)
-	if err := hp.Push(f); err != nil {
-		t.Fatal(err)
+// TestARPWaitersExpire: a SYN to a neighbour that never answers ARP waits
+// behind the request while the stack's clock stands still, and is
+// dropped, counted, once that clock passes the pending TTL — not leaked
+// forever.
+func TestARPWaitersExpire(t *testing.T) {
+	clk := newFakeClock()
+	st := silentStack(t, clk)
+	go st.Dial(ipv4.Addr{10, 0, 0, 99}, 9, time.Hour) // returns when the stack closes
+	await(t, "the ARP request", func() bool { return st.Stats().ARPRequests == 1 })
+	time.Sleep(20 * time.Millisecond) // wall time alone expires nothing
+	if s := st.Stats(); s.SendDrops != 0 {
+		t.Fatalf("a frame dropped before the stack clock moved: %+v", s)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st.Stats().IPDrops >= 1 {
-			return
+	clk.advance(netstack.ARPPendingTTL + time.Millisecond)
+	await(t, "the expiry of the unanswered ARP waiter", func() bool { return st.Stats().SendDrops >= 1 })
+}
+
+// TestDialTimesOutOnTheStackClock: a Dial's timeout runs on the stack's
+// clock, the one every wait compares its deadline with. To a neighbour
+// that never answers, the Dial waits while that clock stands still,
+// however much wall time passes, and returns tcp.ErrTimeout once it
+// passes the timeout.
+func TestDialTimesOutOnTheStackClock(t *testing.T) {
+	clk := newFakeClock()
+	st := silentStack(t, clk)
+	const timeout = 50 * time.Millisecond
+	done := make(chan error, 1)
+	go func() {
+		_, err := st.Dial(ipv4.Addr{10, 0, 0, 99}, 9, timeout)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Dial returned %v while the stack clock stood still", err)
+	case <-time.After(3 * timeout):
+	}
+	clk.advance(2 * timeout)
+	select {
+	case err := <-done:
+		if !errors.Is(err, tcp.ErrTimeout) {
+			t.Fatalf("Dial = %v once the stack clock passed its timeout, want tcp.ErrTimeout", err)
 		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Dial never returned once the stack clock passed its timeout")
 	}
-	t.Fatalf("bad ICMP checksum not dropped: %+v", st.Stats())
 }
 
-// TestHostileFragmentsLeaveTheStackAlive: three fragments whose last one
-// ends inside data already held once crashed the reassembler on the
-// stack's own goroutine, taking the process with it. The stack must drop
-// them and go on answering: an echo request pushed behind them is
-// answered.
+// TestHostileFragmentsLeaveTheStackAlive: the stack reassembles nothing.
+// Three TCP fragments whose last one ends inside data already held — the
+// ones that once crashed its reassembler on the stack's own goroutine —
+// are three counted IP drops: TCP sees none of them and nothing answers
+// them. Behind them the stack still answers ARP and completes a TCP
+// handshake.
 func TestHostileFragmentsLeaveTheStackAlive(t *testing.T) {
 	st, hp := oneStack(t)
+	l, err := st.Listen(80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	push(t, hp, arpFrame(ether.Broadcast, arp.Request(hostMAC, [4]byte(hostIP), [4]byte(stackIP))))
 	pop(t, hp) // the stack's ARP reply: it knows the host now
+	before, tcpBefore := st.Stats(), st.TCP.Stats()
 	for _, f := range []struct {
 		off, n uint16
 		flags  uint8
 	}{{0, 200, ipv4.FlagMF}, {200, 8, ipv4.FlagMF}, {8, 8, 0}} {
-		h := ipv4.Header{ID: 77, Flags: f.flags, FragOff: f.off, TTL: 64, Proto: ipv4.ProtoUDP, Src: hostIP, Dst: stackIP}
-		push(t, hp, refEther(stackMAC, hostMAC, ether.TypeIPv4, refIPv4(h, make([]byte, f.n))))
+		push(t, hp, fragmentFrame(ipv4.ProtoTCP, f.off, f.n, f.flags))
 	}
-	push(t, hp, echoRequest(78, []byte("still there?")))
-	reply := pop(t, hp)
-	h, msg, err := ipv4.Parse(reply[ether.HeaderLen:])
-	if err != nil || h.Proto != ipv4.ProtoICMP || msg[0] != 0 {
-		t.Fatalf("no echo reply after the hostile fragments: %+v %v", h, err)
+	after := waitFrames(t, st, before.FramesIn+3)
+	if after.IPDrops != before.IPDrops+3 || after.FramesOut != before.FramesOut {
+		t.Fatalf("three fragments: IP drops %d -> %d, frames out %d -> %d; want three drops and no answer",
+			before.IPDrops, after.IPDrops, before.FramesOut, after.FramesOut)
 	}
-	if err := st.Degraded(); err != nil {
-		t.Fatal(err)
+	if got := st.TCP.Stats(); got != tcpBefore {
+		t.Fatalf("fragments reached TCP: %+v, before %+v", got, tcpBefore)
 	}
-}
 
-// TestUDPRefusesWhatIPv4CannotCarry: a payload past 65,507 bytes has no
-// valid length field or fragment offsets, so SendTo refuses it before
-// encoding anything; the largest payload that fits still crosses intact.
-func TestUDPRefusesWhatIPv4CannotCarry(t *testing.T) {
-	sa, sb, _ := twoStacks(t, transports()[0])
-	ua, _ := sa.OpenUDP(1000)
-	ub, _ := sb.OpenUDP(2000)
-	for _, n := range []int{65508, 70000} {
-		if err := ua.SendTo(ipB, 2000, make([]byte, n)); !errors.Is(err, netstack.ErrTooLarge) {
-			t.Fatalf("SendTo of %d bytes: %v, want ErrTooLarge", n, err)
-		}
+	push(t, hp, arpFrame(ether.Broadcast, arp.Request(hostMAC, [4]byte(hostIP), [4]byte(stackIP))))
+	if rep, err := arp.Parse(pop(t, hp)[ether.HeaderLen:]); err != nil || rep.Op != arp.OpReply {
+		t.Fatalf("no ARP reply after the hostile fragments: %+v %v", rep, err)
 	}
-	if s := sa.Stats(); s.FramesOut != 0 || s.ARPRequests != 0 {
-		t.Fatalf("refused datagrams reached the wire: %+v", s)
-	}
-	payload := make([]byte, 65507)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	if err := ua.SendTo(ipB, 2000, payload); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ub.RecvFrom(5 * time.Second)
+	syn := tcp.Header{SrcPort: 4444, DstPort: 80, Seq: 1000, Flags: tcp.FlagSYN, Window: 65535, MSS: 1460}
+	push(t, hp, tcpFrame(syn, nil))
+	f := pop(t, hp)
+	h, seg, err := ipv4.Parse(f[ether.HeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(d.Payload, payload) {
-		t.Fatal("the largest datagram arrived changed")
+	synAck, _, err := tcp.Parse(h.Src, h.Dst, seg)
+	if err != nil || synAck.Flags != tcp.FlagSYN|tcp.FlagACK || synAck.Ack != syn.Seq+1 {
+		t.Fatalf("no SYN-ACK after the hostile fragments: %+v %v", synAck, err)
+	}
+	push(t, hp, tcpFrame(tcp.Header{SrcPort: 4444, DstPort: 80, Seq: syn.Seq + 1, Ack: synAck.Seq + 1,
+		Flags: tcp.FlagACK, Window: 65535}, nil))
+	if _, err := l.AcceptTimeout(5 * time.Second); err != nil {
+		t.Fatalf("the handshake behind the hostile fragments: %v", err)
+	}
+	if err := st.Degraded(); err != nil {
+		t.Fatal(err)
 	}
 }

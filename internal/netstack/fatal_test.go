@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"confio/internal/ipv4"
 	"confio/internal/nic"
@@ -37,17 +38,14 @@ func degradedBy(t *testing.T, s *Stack, check string) {
 // TestFirstFatalSendDegrades: the send that first meets a host violation
 // (a transmit consumer index past anything the guest produced) degrades
 // the stack itself, with the cause, and every frame it lost is a dead
-// drop — not only the send after it, with a bare nic.ErrClosed.
+// drop — not only the send after it, with a bare nic.ErrClosed. The Dial
+// whose SYN it was fails with that cause.
 func TestFirstFatalSendDegrades(t *testing.T) {
 	s, ep := unstartedStack(t)
 	ep.Shared().TX.Indexes().StoreCons(1000)
-	u, err := s.OpenUDP(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The datagram waits for ARP; the request is the one frame sent.
-	if err := u.SendTo(ipv4.Addr{10, 9, 0, 2}, 7, []byte("x")); err != nil {
-		t.Fatal(err)
+	// The SYN waits for ARP; the request is the one frame sent.
+	if _, err := s.Dial(ipv4.Addr{10, 9, 0, 2}, 7, 5*time.Second); !errors.Is(err, nic.ErrClosed) {
+		t.Fatalf("Dial = %v: want the transport's terminal error", err)
 	}
 	degradedBy(t, s, "consumer index 1000 ahead of producer")
 	if st := s.Stats(); st.DeadDrops != st.SendDrops || st.SendDrops == 0 {

@@ -1,7 +1,9 @@
 // Package netstack assembles the in-TEE network stack — Ethernet, ARP,
-// IPv4 (with fragmentation), UDP and TCP — on top of any transport that
-// implements nic.Guest (the paper's safe ring, or the virtio/netvsc
-// baselines).
+// IPv4 and TCP — on top of any transport that implements nic.Guest (the
+// paper's safe ring, or the virtio/netvsc baselines). It carries the
+// traffic the designs send and nothing else: no UDP, no ICMP, and no
+// fragment reassembly, so a host-supplied fragment is one compare and a
+// counted drop.
 //
 // This package and everything below it is exactly the code mass that P1
 // decides the fate of: at an L2 boundary it sits inside the confidential
@@ -12,7 +14,6 @@ package netstack
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +23,6 @@ import (
 	"confio/internal/ipv4"
 	"confio/internal/nic"
 	"confio/internal/tcp"
-	"confio/internal/udp"
 )
 
 // Stack is one host's network stack bound to a NIC.
@@ -37,17 +37,14 @@ type Stack struct {
 	TCP *tcp.Endpoint
 
 	arpCache *arp.Cache
-	reasm    *ipv4.Reassembler
 
-	ping pinger
 	// now is the stack's one clock, TCP's too.
 	now func() time.Time
 
-	mu       sync.Mutex
-	udpPorts map[uint16]*UDPSocket
-	arpWait  map[ipv4.Addr]arpWaiter
-	ipID     atomic.Uint32
-	stats    counters
+	mu      sync.Mutex
+	arpWait map[ipv4.Addr]arpWaiter
+	ipID    atomic.Uint32
+	stats   counters
 	// nicErr records the terminal transport error (fail-dead or host
 	// stall) that degraded the stack; set once, under mu, never cleared.
 	// A degraded stack is dead for good — recovery happens below it
@@ -66,8 +63,8 @@ type Stats struct {
 	IPDrops             uint64
 	SendDrops           uint64
 	// DeadDrops is the subset of SendDrops discarded because the
-	// transport underneath had already fail-deaded (the counted UDP/IP
-	// losses of graceful degradation; TCP flows get errors instead).
+	// transport underneath had already fail-deaded (the counted losses
+	// of graceful degradation; TCP flows get errors instead).
 	DeadDrops uint64
 }
 
@@ -113,8 +110,6 @@ func newStack(g nic.Guest, ip ipv4.Addr, now func() time.Time) *Stack {
 		ip:       ip,
 		mac:      ether.MAC(g.MAC()),
 		arpCache: arp.NewCache(0),
-		reasm:    ipv4.NewReassembler(0, 0),
-		udpPorts: make(map[uint16]*UDPSocket),
 		arpWait:  make(map[ipv4.Addr]arpWaiter),
 	}
 	s.rx = &rxLoop{s: s, burst: make([]nic.Frame, rxBurst), parks: make([]nic.Parker, len(s.queues)),
@@ -148,10 +143,10 @@ func (s *Stack) Degraded() error {
 // degrade moves the stack into its terminal degraded state after the
 // transport died: TCP connections and listeners are torn down with the
 // transport error (blocked readers, writers and accepts wake
-// immediately), queued ARP waiters are dropped and counted, and every
-// later send is a counted drop. UDP receivers keep their normal timeout
-// semantics — graceful degradation, not a hang. Idempotent and safe
-// from any goroutine.
+// immediately, and a later Dial or Listen fails at once with it), queued
+// ARP waiters are dropped and counted, and every later send is a counted
+// drop — graceful degradation, not a hang. Idempotent and safe from any
+// goroutine.
 func (s *Stack) degrade(err error) {
 	s.mu.Lock()
 	if s.nicErr.Load() != nil {
@@ -430,29 +425,18 @@ func (s *Stack) handleIPv4(f ether.Frame) {
 	if h.Dst != s.ip {
 		return
 	}
-	full, done := payload, true
-	if h.Flags&ipv4.FlagMF != 0 || h.FragOff != 0 {
-		// Only reassembly reads the clock: a whole datagram skips it.
-		full, done = s.reasm.Add(h, payload, s.now())
-	}
-	if !done {
+	// TCP is all the stack carries, and whole: its segments fit the MTU,
+	// so any fragment, like any other protocol, is a counted drop.
+	if h.Proto != ipv4.ProtoTCP || h.Flags&ipv4.FlagMF != 0 || h.FragOff != 0 {
+		s.stats.ipDrops.Add(1)
 		return
 	}
-	switch h.Proto {
-	case ipv4.ProtoTCP:
-		s.TCP.Input(h.Src, full)
-	case ipv4.ProtoUDP:
-		s.handleUDP(h.Src, full)
-	case ipv4.ProtoICMP:
-		s.handleICMP(h.Src, full)
-	default:
-		s.stats.ipDrops.Add(1)
-	}
+	s.TCP.Input(h.Src, payload)
 }
 
-// headroom is what every outbound IPv4 datagram is built behind: room for
+// headroom is what every outbound TCP segment is built behind: room for
 // the Ethernet and IPv4 headers, which are written in place in front of
-// it once it leaves the socket layer.
+// it once it leaves the endpoint.
 const headroom = ether.HeaderLen + ipv4.HeaderLen
 
 // sendTCP transmits one flush of the TCP endpoint. Each segment sits in
@@ -466,41 +450,20 @@ func (s *Stack) sendTCP(b tcp.Batch) {
 		h := ipv4.Header{ID: id + uint16(i), TTL: 64, Proto: ipv4.ProtoTCP, Src: s.ip, Dst: b.Dst[i]}
 		ipv4.PutHeader(pkt[ether.HeaderLen:], h, len(pkt)-headroom)
 	}
-	s.route(b.Pkts, func(i int) ipv4.Addr { return b.Dst[i] })
-}
-
-// sendIP transmits the datagram dgram, its proto payload (never empty:
-// a UDP or ICMP header at least) behind headroom, to dst. One that fits
-// the MTU is its own frame and gets its IPv4 header in place; a larger
-// one is copied out, one frame per fragment, each with its own header.
-// Every fragment goes in one batch.
-func (s *Stack) sendIP(dst ipv4.Addr, proto byte, dgram []byte) {
-	h := ipv4.Header{ID: s.nextIPID(1), TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
-	data := dgram[headroom:]
-	step := ipv4.FragmentLen(len(data), s.g.MTU())
-	frames := make([][]byte, 0, len(data)/step+1) // room for every fragment
-	for off := 0; off < len(data); off += step {
-		f := dgram // a datagram that fits is its own frame
-		if step < len(data) {
-			f = make([]byte, headroom+min(step, len(data)-off))
-		}
-		ipv4.PutFragment(f[ether.HeaderLen:], h, data, off)
-		frames = append(frames, f)
-	}
-	s.route(frames, func(int) ipv4.Addr { return dst })
+	s.route(b.Pkts, b.Dst)
 }
 
 // route transmits IPv4 frames whose IPv4 headers are written, frames[i]
-// to the on-link neighbour dst(i). A frame whose neighbour's MAC is cached
+// to the on-link neighbour dst[i]. A frame whose neighbour's MAC is cached
 // is addressed in place; one whose neighbour's is not is copied behind its
 // ARP resolution. frames is permuted, never overwritten.
-func (s *Stack) route(frames [][]byte, dst func(i int) ipv4.Addr) {
+func (s *Stack) route(frames [][]byte, dst []ipv4.Addr) {
 	now := s.now()
 	ready := 0
 	for i, f := range frames {
-		mac, ok := s.arpCache.Lookup(dst(i), now)
+		mac, ok := s.arpCache.Lookup(dst[i], now)
 		if !ok {
-			s.awaitARP(dst(i), f, now)
+			s.awaitARP(dst[i], f, now)
 			continue
 		}
 		s.address(f, mac, ether.TypeIPv4)
@@ -565,8 +528,8 @@ func (s *Stack) sendFrames(frames [][]byte) {
 		return
 	}
 	if s.nicErr.Load() != nil {
-		// Degraded: every send is a counted drop (UDP semantics; TCP
-		// connections were already torn down with the transport error).
+		// Degraded: every send is a counted drop (TCP connections were
+		// already torn down with the transport error).
 		s.stats.drop(len(frames), true)
 		return
 	}
@@ -626,117 +589,4 @@ func (s *Stack) Dial(dst ipv4.Addr, port uint16, timeout time.Duration) (*tcp.Co
 // Listen accepts TCP connections on port.
 func (s *Stack) Listen(port uint16, backlog int) (*tcp.Listener, error) {
 	return s.TCP.Listen(port, backlog)
-}
-
-// --- UDP sockets ---
-
-// UDPSocket is a bound UDP port.
-type UDPSocket struct {
-	s      *Stack
-	port   uint16
-	queue  chan Datagram
-	closed chan struct{}
-}
-
-// Datagram is one received UDP datagram.
-type Datagram struct {
-	Src     ipv4.Addr
-	SrcPort uint16
-	Payload []byte
-}
-
-// ErrPortInUse reports a duplicate UDP bind.
-var ErrPortInUse = errors.New("netstack: udp port in use")
-
-// ErrSocketClosed is returned after Close.
-var ErrSocketClosed = errors.New("netstack: udp socket closed")
-
-// ErrTimeout reports a receive deadline expiry.
-var ErrTimeout = errors.New("netstack: timeout")
-
-// ErrTooLarge reports a UDP payload larger than one IPv4 datagram carries
-// (65,507 bytes).
-var ErrTooLarge = errors.New("netstack: udp payload too large for an ipv4 datagram")
-
-// OpenUDP binds a UDP socket to port.
-func (s *Stack) OpenUDP(port uint16) (*UDPSocket, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, used := s.udpPorts[port]; used {
-		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
-	}
-	u := &UDPSocket{s: s, port: port, queue: make(chan Datagram, 256), closed: make(chan struct{})}
-	s.udpPorts[port] = u
-	return u, nil
-}
-
-func (s *Stack) handleUDP(src ipv4.Addr, payload []byte) {
-	d, err := udp.Parse(src, s.ip, payload)
-	if err != nil {
-		s.stats.ipDrops.Add(1)
-		return
-	}
-	s.mu.Lock()
-	sock := s.udpPorts[d.DstPort]
-	s.mu.Unlock()
-	if sock == nil {
-		return
-	}
-	cp := make([]byte, len(d.Payload))
-	copy(cp, d.Payload)
-	select {
-	case sock.queue <- Datagram{Src: src, SrcPort: d.SrcPort, Payload: cp}:
-	default: // receiver too slow: drop (UDP semantics)
-	}
-}
-
-// SendTo transmits a datagram. The payload is copied once, into the
-// buffer the datagram is built in.
-func (u *UDPSocket) SendTo(dst ipv4.Addr, port uint16, payload []byte) error {
-	select {
-	case <-u.closed:
-		return ErrSocketClosed
-	default:
-	}
-	if udp.HeaderLen+len(payload) > ipv4.MaxPayload {
-		return ErrTooLarge
-	}
-	dgram := make([]byte, headroom+udp.HeaderLen+len(payload))
-	copy(dgram[headroom+udp.HeaderLen:], payload)
-	udp.Put(dgram[headroom:], u.s.ip, dst, u.port, port)
-	u.s.sendIP(dst, ipv4.ProtoUDP, dgram)
-	return nil
-}
-
-// RecvFrom returns the next datagram, or ErrTimeout / ErrSocketClosed.
-func (u *UDPSocket) RecvFrom(timeout time.Duration) (Datagram, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case d := <-u.queue:
-		return d, nil
-	case <-u.closed:
-		return Datagram{}, ErrSocketClosed
-	case <-t.C:
-		return Datagram{}, ErrTimeout
-	}
-}
-
-// Port returns the bound port.
-func (u *UDPSocket) Port() uint16 { return u.port }
-
-// Close releases the port.
-func (u *UDPSocket) Close() {
-	u.s.mu.Lock()
-	defer u.s.mu.Unlock()
-	select {
-	case <-u.closed:
-		return
-	default:
-	}
-	close(u.closed)
-	delete(u.s.udpPorts, u.port)
 }

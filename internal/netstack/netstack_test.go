@@ -2,7 +2,6 @@ package netstack_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -14,6 +13,7 @@ import (
 	"confio/internal/nic"
 	"confio/internal/safering"
 	"confio/internal/simnet"
+	"confio/internal/tcp"
 	"confio/internal/virtio"
 )
 
@@ -139,92 +139,53 @@ func readerOf(r interface{ Read([]byte) (int, error) }) io.Reader {
 	return rd{r}
 }
 
-func TestUDPExchange(t *testing.T) {
-	sa, sb, _ := twoStacks(t, transports()[0])
-	ua, err := sa.OpenUDP(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ub, err := sb.OpenUDP(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ua.SendTo(ipB, 2000, []byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ub.RecvFrom(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(d.Payload) != "ping" || d.Src != ipA || d.SrcPort != 1000 {
-		t.Fatalf("bad datagram %+v", d)
-	}
-	if err := ub.SendTo(d.Src, d.SrcPort, []byte("pong")); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := ua.RecvFrom(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(d2.Payload) != "pong" {
-		t.Fatalf("bad reply %+v", d2)
-	}
-	ua.Close()
-	if err := ua.SendTo(ipB, 2000, []byte("x")); !errors.Is(err, netstack.ErrSocketClosed) {
-		t.Fatalf("send on closed socket: %v", err)
-	}
-	if _, err := sa.OpenUDP(1000); err != nil {
-		t.Fatalf("rebind after close: %v", err)
+// echoServer accepts on l and echoes each connection until it closes.
+func echoServer(l *tcp.Listener) {
+	for {
+		s, err := l.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer s.Close()
+			buf := make([]byte, 2048)
+			for {
+				n, err := s.Read(buf)
+				if err != nil {
+					return
+				}
+				if _, err := s.Write(buf[:n]); err != nil {
+					return
+				}
+			}
+		}()
 	}
 }
 
-func TestUDPPortConflictAndTimeout(t *testing.T) {
-	sa, _, _ := twoStacks(t, transports()[0])
-	u, err := sa.OpenUDP(53)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sa.OpenUDP(53); !errors.Is(err, netstack.ErrPortInUse) {
-		t.Fatalf("duplicate bind: %v", err)
-	}
-	if _, err := u.RecvFrom(50 * time.Millisecond); !errors.Is(err, netstack.ErrTimeout) {
-		t.Fatalf("recv timeout: %v", err)
-	}
-}
-
-func TestUDPFragmentation(t *testing.T) {
-	// A 5 KB datagram must fragment at the 1500 MTU and reassemble.
-	sa, sb, _ := twoStacks(t, transports()[0])
-	ua, _ := sa.OpenUDP(1000)
-	ub, _ := sb.OpenUDP(2000)
-	payload := make([]byte, 5000)
-	for i := range payload {
-		payload[i] = byte(i * 3)
-	}
-	if err := ua.SendTo(ipB, 2000, payload); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ub.RecvFrom(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d.Payload, payload) {
-		t.Fatal("fragmented datagram corrupted")
-	}
-}
-
+// TestARPResolutionHappensOnce: a handshake and five echoes to one
+// neighbour ride on one resolution of its address (two at most, should a
+// retransmission race the first answer).
 func TestARPResolutionHappensOnce(t *testing.T) {
 	sa, sb, _ := twoStacks(t, transports()[0])
-	ua, _ := sa.OpenUDP(1)
-	ub, _ := sb.OpenUDP(2)
+	l, err := sb.Listen(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go echoServer(l)
+	c, err := sa.Dial(ipB, 2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make([]byte, 1)
 	for i := 0; i < 5; i++ {
-		if err := ua.SendTo(ipB, 2, []byte{byte(i)}); err != nil {
+		if _, err := c.Write([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := ub.RecvFrom(5 * time.Second); err != nil {
-			t.Fatalf("datagram %d: %v", i, err)
+		if _, err := io.ReadFull(readerOf(c), got); err != nil || got[0] != byte(i) {
+			t.Fatalf("echo %d: %v %v", i, got, err)
 		}
 	}
 	st := sa.Stats()
@@ -281,10 +242,16 @@ func TestTCPTransferOverLossyNetwork(t *testing.T) {
 
 func TestStackStatsProgress(t *testing.T) {
 	sa, sb, _ := twoStacks(t, transports()[0])
-	ua, _ := sa.OpenUDP(1)
-	ub, _ := sb.OpenUDP(2)
-	ua.SendTo(ipB, 2, []byte("x"))
-	ub.RecvFrom(5 * time.Second)
+	l, err := sb.Listen(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := sa.Dial(ipB, 2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	if sa.Stats().FramesOut == 0 || sb.Stats().FramesIn == 0 {
 		t.Fatalf("stats: %+v / %+v", sa.Stats(), sb.Stats())
 	}

@@ -12,11 +12,10 @@ import (
 	"confio/internal/nic"
 	"confio/internal/safering"
 	"confio/internal/tcp"
-	"confio/internal/udp"
 )
 
-// Reference encoders: the append-style Marshal functions ether, arp, ipv4,
-// udp and tcp had while a second, copying transmit path used them. Each
+// Reference encoders: the append-style Marshal functions ether, arp, ipv4
+// and tcp had while a second, copying transmit path used them. Each
 // appends a header and then its payload. The stack now builds every
 // frame in place; TestWireBytesMatchReference holds it to these bytes.
 
@@ -40,19 +39,6 @@ func refIPv4(h ipv4.Header, payload []byte) []byte {
 	ck := ipv4.Checksum(b)
 	b[10], b[11] = byte(ck>>8), byte(ck)
 	return append(b, payload...)
-}
-
-func refUDP(src, dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) []byte {
-	length := udp.HeaderLen + len(payload)
-	b := []byte{byte(srcPort >> 8), byte(srcPort), byte(dstPort >> 8), byte(dstPort),
-		byte(length >> 8), byte(length), 0, 0}
-	b = append(b, payload...)
-	ck := ipv4.TransportChecksum(src, dst, ipv4.ProtoUDP, b)
-	if ck == 0 {
-		ck = 0xFFFF
-	}
-	b[6], b[7] = byte(ck>>8), byte(ck)
-	return b
 }
 
 func refTCP(src, dst ipv4.Addr, h tcp.Header, payload []byte) []byte {
@@ -120,13 +106,10 @@ func introduce(t *testing.T, hp *safering.HostPort, ip ipv4.Addr, mac ether.MAC)
 	push(t, hp, arpFrame(stackMAC, rep))
 }
 
-// echoRequest is an ICMP echo request from the host to the stack.
-func echoRequest(id uint16, data []byte) []byte {
-	msg := append([]byte{8, 0, 0, 0, byte(id >> 8), byte(id), 0, 1}, data...)
-	ck := ipv4.Checksum(msg)
-	msg[2], msg[3] = byte(ck>>8), byte(ck)
-	h := ipv4.Header{ID: id, TTL: 64, Proto: ipv4.ProtoICMP, Src: hostIP, Dst: stackIP}
-	return refEther(stackMAC, hostMAC, ether.TypeIPv4, refIPv4(h, msg))
+// tcpFrame is a TCP segment from the host to the stack, in its frame.
+func tcpFrame(h tcp.Header, payload []byte) []byte {
+	ih := ipv4.Header{TTL: 64, Proto: ipv4.ProtoTCP, Src: hostIP, Dst: stackIP}
+	return refEther(stackMAC, hostMAC, ether.TypeIPv4, refIPv4(ih, refTCP(hostIP, stackIP, h, payload)))
 }
 
 // reencode parses a frame the stack sent layer by layer and builds it
@@ -151,41 +134,24 @@ func reencode(t *testing.T, frame []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := payload // a fragment, or ICMP: the stack's bytes are the message
-	if h.Flags&ipv4.FlagMF == 0 && h.FragOff == 0 {
-		switch h.Proto {
-		case ipv4.ProtoUDP:
-			d, err := udp.Parse(h.Src, h.Dst, payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg = refUDP(h.Src, h.Dst, d.SrcPort, d.DstPort, d.Payload)
-		case ipv4.ProtoTCP:
-			th, data, err := tcp.Parse(h.Src, h.Dst, payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg = refTCP(h.Src, h.Dst, th, data)
-		case ipv4.ProtoICMP:
-			if ipv4.Checksum(payload) != 0 {
-				t.Fatal("ICMP message with a bad checksum")
-			}
-		}
+	if h.Proto != ipv4.ProtoTCP || h.Flags&ipv4.FlagMF != 0 || h.FragOff != 0 {
+		t.Fatalf("the stack sent a datagram that is not one whole TCP segment: %+v", h)
 	}
+	th, data, err := tcp.Parse(h.Src, h.Dst, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := refTCP(h.Src, h.Dst, th, data)
 	return refEther(f.Dst, f.Src, f.Type, refIPv4(h, seg))
 }
 
 // TestWireBytesMatchReference captures, from the host side, every kind of
-// frame the stack builds in place — an ARP request and reply, an ICMP echo
-// reply, a 1,400 B UDP datagram, a 5,000 B one in four fragments, and a
-// TCP SYN that waited behind ARP — and requires each to be byte for byte
-// what the reference encoders make of its parsed header values.
+// frame the stack builds in place — an ARP reply, an ARP request, a TCP
+// SYN that waited behind it, the handshake's ACK and a 1,000 B data
+// segment — and requires each to be byte for byte what the reference
+// encoders make of its parsed header values.
 func TestWireBytesMatchReference(t *testing.T) {
 	st, hp := oneStack(t)
-	u, err := st.OpenUDP(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	same := func(name string, frame []byte) []byte {
 		t.Helper()
 		if want := reencode(t, frame); !bytes.Equal(frame, want) {
@@ -193,25 +159,16 @@ func TestWireBytesMatchReference(t *testing.T) {
 		}
 		return frame
 	}
-	payload := func(n int) []byte {
-		p := make([]byte, n)
-		for i := range p {
-			p[i] = byte(i*13 + 5)
+	// segment is the TCP header of a frame the stack sent, and its data.
+	segment := func(frame []byte) (tcp.Header, []byte) {
+		t.Helper()
+		h, payload, _ := ipv4.Parse(frame[ether.HeaderLen:])
+		th, data, err := tcp.Parse(h.Src, h.Dst, payload)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return p
+		return th, data
 	}
-
-	// A datagram to an unknown neighbour asks for it, and goes once the
-	// answer is in.
-	if err := u.SendTo(hostIP, 9, payload(1400)); err != nil {
-		t.Fatal(err)
-	}
-	req, _ := arp.Parse(same("ARP request", pop(t, hp))[ether.HeaderLen:])
-	if req.Op != arp.OpRequest || req.TargetIP != [4]byte(hostIP) {
-		t.Fatalf("not a request for the host: %+v", req)
-	}
-	introduce(t, hp, hostIP, hostMAC)
-	same("UDP 1,400 B behind ARP", pop(t, hp))
 
 	push(t, hp, arpFrame(ether.Broadcast, arp.Request(hostMAC, [4]byte(hostIP), [4]byte(stackIP))))
 	rep, _ := arp.Parse(same("ARP reply", pop(t, hp))[ether.HeaderLen:])
@@ -219,48 +176,55 @@ func TestWireBytesMatchReference(t *testing.T) {
 		t.Fatalf("not a reply to the host: %+v", rep)
 	}
 
-	push(t, hp, echoRequest(3, payload(56)))
-	if f := same("ICMP echo reply", pop(t, hp)); f[ether.HeaderLen+ipv4.HeaderLen] != 0 {
-		t.Fatalf("ICMP type %d, want an echo reply", f[ether.HeaderLen+ipv4.HeaderLen])
-	}
-
-	if err := u.SendTo(hostIP, 9, payload(1400)); err != nil {
-		t.Fatal(err)
-	}
-	same("UDP 1,400 B", pop(t, hp))
-
-	big := payload(5000)
-	if err := u.SendTo(hostIP, 9, big); err != nil {
-		t.Fatal(err)
-	}
-	r := ipv4.NewReassembler(0, 0)
-	var whole []byte
-	for i := 0; i < 4; i++ {
-		h, body, err := ipv4.Parse(same("UDP 5,000 B fragment", pop(t, hp))[ether.HeaderLen:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out, done := r.Add(h, body, time.Now()); done != (i == 3) {
-			t.Fatalf("fragment %d of 4: reassembled %v", i, done)
-		} else if done {
-			whole = out
-		}
-	}
-	if want := refUDP(stackIP, hostIP, 4000, 9, big); !bytes.Equal(whole, want) {
-		t.Fatal("the fragments do not reassemble to the reference datagram")
-	}
-
+	// A SYN to an unknown neighbour asks for it, and goes once the answer
+	// is in.
 	peerIP, peerMAC := ipv4.Addr{10, 0, 0, 10}, ether.MAC{0x02, 0, 0, 0, 0, 0x10}
-	dialed := make(chan struct{})
+	dialed := make(chan *tcp.Conn, 1)
 	go func() {
-		defer close(dialed)
-		st.Dial(peerIP, 80, 300*time.Millisecond)
+		c, _ := st.Dial(peerIP, 80, 5*time.Second)
+		dialed <- c
 	}()
-	same("ARP request for the SYN", pop(t, hp))
-	introduce(t, hp, peerIP, peerMAC)
-	syn := same("TCP SYN behind ARP", pop(t, hp))
-	if syn[ether.HeaderLen+ipv4.HeaderLen+13] != tcp.FlagSYN {
-		t.Fatalf("flags %#x, want a bare SYN", syn[ether.HeaderLen+ipv4.HeaderLen+13])
+	req, _ := arp.Parse(same("ARP request", pop(t, hp))[ether.HeaderLen:])
+	if req.Op != arp.OpRequest || req.TargetIP != [4]byte(peerIP) {
+		t.Fatalf("not a request for the peer: %+v", req)
 	}
-	<-dialed
+	introduce(t, hp, peerIP, peerMAC)
+	syn, _ := segment(same("TCP SYN behind ARP", pop(t, hp)))
+	if syn.Flags != tcp.FlagSYN {
+		t.Fatalf("flags %#x, want a bare SYN", syn.Flags)
+	}
+
+	// The peer answers; a retransmitted SYN, should one race the answer,
+	// is checked too and skipped.
+	synAck := tcp.Header{SrcPort: 80, DstPort: syn.SrcPort, Seq: 5000, Ack: syn.Seq + 1,
+		Flags: tcp.FlagSYN | tcp.FlagACK, Window: 65535, MSS: 1460}
+	ih := ipv4.Header{TTL: 64, Proto: ipv4.ProtoTCP, Src: peerIP, Dst: stackIP}
+	push(t, hp, refEther(stackMAC, peerMAC, ether.TypeIPv4, refIPv4(ih, refTCP(peerIP, stackIP, synAck, nil))))
+	next := func(name string) (tcp.Header, []byte) {
+		t.Helper()
+		for {
+			h, data := segment(same(name, pop(t, hp)))
+			if h.Flags != tcp.FlagSYN {
+				return h, data
+			}
+		}
+	}
+	if ack, _ := next("TCP ACK of the SYN-ACK"); ack.Flags != tcp.FlagACK || ack.Ack != synAck.Seq+1 {
+		t.Fatalf("%+v, want the handshake's ACK", ack)
+	}
+	c := <-dialed
+	if c == nil {
+		t.Fatal("the dial did not complete")
+	}
+	defer c.Abort()
+	msg := make([]byte, 1000)
+	for i := range msg {
+		msg[i] = byte(i*13 + 5)
+	}
+	if _, err := c.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if h, data := next("TCP 1,000 B data segment"); !bytes.Equal(data, msg) || h.Seq != syn.Seq+1 {
+		t.Fatalf("data segment %+v carries %d bytes, want the %d written at %d", h, len(data), len(msg), syn.Seq+1)
+	}
 }

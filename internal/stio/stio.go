@@ -23,6 +23,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -301,7 +302,10 @@ func newSealedFS(fs *sfs.FS, gate *compartment.Gate, key []byte) (*sealedFS, err
 	return &sealedFS{fs: fs, gate: gate, aead: aead}, nil
 }
 
-// nonce binds a record to its file and offset with a write counter salt.
+// nonce binds a record to its file and offset under a random salt: each
+// write draws its 12 bytes from crypto/rand, so no two writes — in one
+// clock tick, across a clock step back, or from two instances sharing the
+// key — reuse a nonce under the record key.
 func (s *sealedFS) nonce(name string, off int64, salt []byte) []byte {
 	m := hmac.New(sha256.New, salt)
 	m.Write([]byte(name))
@@ -321,7 +325,9 @@ func (s *sealedFS) Create(name string, capacity int64) error {
 
 func (s *sealedFS) Write(name string, off int64, p []byte) error {
 	var salt [12]byte
-	binary.BigEndian.PutUint64(salt[:], uint64(time.Now().UnixNano()))
+	if _, err := rand.Read(salt[:]); err != nil {
+		return err
+	}
 	nonce := s.nonce(name, off, salt[:])
 	sealed := make([]byte, 0, len(p)+sealOverhead)
 	sealed = append(sealed, salt[:]...)

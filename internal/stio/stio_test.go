@@ -2,6 +2,7 @@ package stio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -240,5 +241,54 @@ func TestCostProfiles(t *testing.T) {
 func TestUnknownDesign(t *testing.T) {
 	if _, err := NewWorld("bogus"); err == nil {
 		t.Fatal("unknown design accepted")
+	}
+}
+
+// TestSealedRewritesTakeFreshSalts: every write of a sealed record draws a
+// fresh salt, so rewriting one record (same name, same offset) a thousand
+// times, as fast as the stack takes it, stores a thousand distinct salts —
+// a salt read from the clock repeats within one tick — that vary in all
+// twelve bytes, not only in the clock's eight, and each rewrite reads back
+// as what was written.
+func TestSealedRewritesTakeFreshSalts(t *testing.T) {
+	w, err := NewWorld(DualStorage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s := w.Ops().(*sealedFS)
+	if err := s.Create("r", 4096); err != nil {
+		t.Fatal(err)
+	}
+	const rewrites = 1000
+	seen := make(map[[12]byte]bool, rewrites)
+	var first, varied [12]byte
+	rec, got := make([]byte, 64), make([]byte, 64)
+	for i := 0; i < rewrites; i++ {
+		binary.BigEndian.PutUint32(rec, uint32(i))
+		if err := s.Write("r", 0, rec); err != nil {
+			t.Fatal(err)
+		}
+		var salt [12]byte
+		if _, err := s.fs.Read("r", 4, salt[:]); err != nil { // behind the length header
+			t.Fatal(err)
+		}
+		if seen[salt] {
+			t.Fatalf("rewrite %d stored a salt an earlier rewrite stored: % x", i, salt)
+		}
+		seen[salt] = true
+		for j := range salt {
+			if i == 0 {
+				first[j] = salt[j]
+			} else if salt[j] != first[j] {
+				varied[j] = 1
+			}
+		}
+		if n, err := s.Read("r", 0, got); err != nil || !bytes.Equal(got[:n], rec) {
+			t.Fatalf("rewrite %d read back %x, %v; wrote %x", i, got[:n], err, rec)
+		}
+	}
+	if varied != [12]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1} {
+		t.Fatalf("salt bytes that varied over %d rewrites: %v, want all twelve", rewrites, varied)
 	}
 }

@@ -35,10 +35,9 @@ type Component struct {
 var (
 	CompEther     = Component{"ether", 40, "Ethernet framing"}
 	CompARP       = Component{"arp", 88, "ARP + neighbour cache"}
-	CompIPv4      = Component{"ipv4", 236, "IPv4 + frag/reasm"}
-	CompUDP       = Component{"udp", 45, "UDP"}
+	CompIPv4      = Component{"ipv4", 111, "IPv4 header + checksum"}
 	CompTCP       = Component{"tcp", 1160, "TCP state machine"}
-	CompNetstack  = Component{"netstack", 603, "stack glue + sockets"}
+	CompNetstack  = Component{"netstack", 391, "stack glue + receive poller"}
 	CompSafering  = Component{"safering", 1411, "safe L2 NIC driver + generic ring engine + fail-dead recovery"}
 	CompVirtio    = Component{"virtio", 613, "virtio-net driver"}
 	CompNetvsc    = Component{"netvsc", 378, "netvsc driver"}
@@ -100,15 +99,16 @@ const (
 // families land in distinct buckets, mirroring Figure 5's labels:
 // syscall-proxy cores and the dual-boundary core are S, the L2
 // stack-in-TEE designs are L, and the full tunnel middlebox stack is XL —
-// the L/XL line sits midway between the largest L2 design, l2-safering,
-// and the tunnel that adds a shim and a second TLS layer to it).
+// the L/XL line sits midway between the largest L2 design, l2-safering
+// (3,808), and the tunnel that adds a shim and a second TLS layer to it
+// (4,275), rounded to ten).
 func (p Profile) Class() Class {
 	switch t := p.Total(); {
 	case t < 1000:
 		return ClassS
 	case t < 2200:
 		return ClassM
-	case t < 4500:
+	case t < 4040:
 		return ClassL
 	default:
 		return ClassXL

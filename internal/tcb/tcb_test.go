@@ -16,7 +16,7 @@ func TestProfileTotalsAndClasses(t *testing.T) {
 		t.Fatalf("class = %s", small.Class())
 	}
 	big := Profile{Name: "l2", Components: []Component{
-		CompApp, CompCTLS, CompEther, CompARP, CompIPv4, CompUDP, CompTCP, CompNetstack, CompSafering,
+		CompApp, CompCTLS, CompEther, CompARP, CompIPv4, CompTCP, CompNetstack, CompSafering,
 	}}
 	if big.Class() != ClassL && big.Class() != ClassXL {
 		t.Fatalf("L2 profile class = %s (%d LoC)", big.Class(), big.Total())
@@ -50,7 +50,7 @@ func TestCatalogFresh(t *testing.T) {
 		CompGateConn: "compartment/conn.go",
 	}
 	for _, comp := range []Component{
-		CompEther, CompARP, CompIPv4, CompUDP, CompTCP, CompNetstack,
+		CompEther, CompARP, CompIPv4, CompTCP, CompNetstack,
 		CompSafering, CompVirtio, CompNetvsc, CompCTLS, CompGate, CompGateConn,
 		CompTDISP, CompBlkring, CompCryptdisk, CompSFS, CompNIC,
 	} {

@@ -93,6 +93,9 @@ type Endpoint struct {
 	// wakes pools the capacity-1 channels blocked goroutines wait on
 	// (Conn.waitLocked), so a wake-up allocates nothing.
 	wakes []chan struct{}
+	// dead latches AbortAll's first error: a later Dial or Listen fails
+	// with it at once, since no segment can leave a dead transport.
+	dead error
 }
 
 // freeMax bounds the frame-buffer pool at about two full send windows of
@@ -317,11 +320,10 @@ func (e *Endpoint) AbortAll(err error) {
 		err = ErrClosed
 	}
 	e.mu.Lock()
-	conns := make([]*Conn, 0, len(e.conns))
-	for _, c := range e.conns {
-		conns = append(conns, c)
+	if e.dead == nil {
+		e.dead = err
 	}
-	for _, c := range conns {
+	for _, c := range e.conns { // teardownLocked deletes c, which range allows
 		c.teardownLocked(err)
 	}
 	for port, l := range e.listeners {
@@ -342,6 +344,9 @@ func (e *Endpoint) nextISNLocked() uint32 {
 }
 
 func (e *Endpoint) allocPortLocked() (uint16, error) {
+	if e.dead != nil {
+		return 0, e.dead
+	}
 	for i := 0; i < 1<<15; i++ {
 		p := e.eph
 		e.eph++
@@ -384,7 +389,7 @@ func (e *Endpoint) Dial(dst ipv4.Addr, port uint16, timeout time.Duration) (*Con
 	e.conns[c.key] = c
 	c.sendSynLocked()
 
-	deadline := time.Now().Add(timeout)
+	deadline := e.now().Add(timeout)
 	for {
 		err := c.waitLocked(deadline)
 		if err != nil && c.state != StateEstablished {
@@ -416,6 +421,9 @@ func (e *Endpoint) Listen(port uint16, backlog int) (*Listener, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.dead != nil {
+		return nil, e.dead
+	}
 	if _, used := e.listeners[port]; used {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}

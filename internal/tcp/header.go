@@ -7,7 +7,7 @@
 // This is the largest component the paper's L2 designs pull into the
 // confidential TCB — the package's line count feeds the TCB accounting
 // that positions designs in Figure 5. Placing the boundary at L5 moves
-// this entire package (plus ipv4, ether, arp, udp and the driver) out of
+// this entire package (plus ipv4, ether, arp and the driver) out of
 // the core TCB; the dual-boundary design moves it into the I/O
 // compartment instead.
 package tcp

@@ -415,6 +415,31 @@ func TestDialTimeoutWhenPeerSilent(t *testing.T) {
 	}
 }
 
+// TestAbortAllLatches: once AbortAll has torn the endpoint down, a Dial
+// or Listen fails at once with its first error and sends nothing, since
+// no segment can leave a dead transport; a second AbortAll does not
+// replace the error.
+func TestAbortAllLatches(t *testing.T) {
+	n := newTestNet(t)
+	dead := errors.New("transport died")
+	n.a.AbortAll(dead)
+	n.a.AbortAll(ErrClosed)
+	out := n.a.Stats().SegsOut
+	start := time.Now()
+	if _, err := n.a.Dial(ipB, 80, 2*time.Second); err != dead {
+		t.Fatalf("Dial after AbortAll = %v, want %v", err, dead)
+	}
+	if _, err := n.a.Listen(80, 1); err != dead {
+		t.Fatalf("Listen after AbortAll = %v, want %v", err, dead)
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Dial and Listen after AbortAll took %v, want them refused at once", took)
+	}
+	if got := n.a.Stats().SegsOut; got != out {
+		t.Fatalf("%d segments sent after AbortAll", got-out)
+	}
+}
+
 func TestRetransmissionThroughLoss(t *testing.T) {
 	n := newTestNet(t)
 	c, s := n.connect(t, 8080)

@@ -3,7 +3,7 @@
 # Device Drivers", PAPERS.md). Runs the suites that drive the system the
 # way a deployment or an attacker does — attack, chaos, core, gateway,
 # netstack and confbench's own tests, plus the seed corpora of the four
-# fuzz targets (safering, cryptdisk, ipv4), which drive the boundary the
+# fuzz targets (safering, cryptdisk, netstack), which drive the boundary the
 # way an attacker does — with every internal package instrumented. It
 # lists each function none of them reaches, then each statement block
 # of the three boundary packages (safering, blkring, cryptdisk) none of
@@ -19,7 +19,7 @@ go test -count=1 -coverpkg=./internal/... -coverprofile="$prof" \
 	./internal/attack ./internal/chaos ./internal/core \
 	./internal/gateway ./internal/netstack ./bench >&2
 go test -count=1 -run '^Fuzz' -coverpkg=./internal/... -coverprofile="$seeds" \
-	./internal/safering ./internal/cryptdisk ./internal/ipv4 >&2
+	./internal/safering ./internal/cryptdisk ./internal/netstack >&2
 # One profile: cover merges the blocks every test binary repeats.
 tail -n +2 "$seeds" >>"$prof"
 # cover -func lists functions in file order, so a package's lines are
